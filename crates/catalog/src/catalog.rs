@@ -2,6 +2,7 @@
 //! view definitions (kept as SQL text and expanded by the frontend).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use starmagic_common::{Error, Result};
 
@@ -20,10 +21,16 @@ pub struct ViewDef {
 }
 
 /// The catalog of base tables and views.
+///
+/// Cloning is a handful of pointer bumps: every table and the view map
+/// sit behind an `Arc` shared with the original. A mutation then
+/// copies only what it touches ([`Catalog::table_mut`] one table,
+/// [`Catalog::add_view`] the view map), so a clone is the cheap
+/// private copy a writer mutates while readers keep the original.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    tables: BTreeMap<String, Table>,
-    views: BTreeMap<String, ViewDef>,
+    tables: BTreeMap<String, Arc<Table>>,
+    views: Arc<BTreeMap<String, ViewDef>>,
 }
 
 impl Catalog {
@@ -38,7 +45,7 @@ impl Catalog {
         if self.tables.contains_key(&name) || self.views.contains_key(&name) {
             return Err(Error::AlreadyExists(name));
         }
-        self.tables.insert(name, table);
+        self.tables.insert(name, Arc::new(table));
         Ok(())
     }
 
@@ -48,7 +55,7 @@ impl Catalog {
         if self.tables.contains_key(&name) || self.views.contains_key(&name) {
             return Err(Error::AlreadyExists(name));
         }
-        self.views.insert(
+        Arc::make_mut(&mut self.views).insert(
             name.clone(),
             ViewDef {
                 name,
@@ -65,17 +72,30 @@ impl Catalog {
 
     /// Look up a base table.
     pub fn table(&self, name: &str) -> Result<&Table> {
-        let lname = name.to_ascii_lowercase();
+        self.table_arc(name).map(|t| &**t)
+    }
+
+    /// Look up a base table as the shared handle the catalog holds.
+    /// The pointer identifies one version of the table's contents:
+    /// [`Catalog::table_mut`] on a clone of this catalog replaces it,
+    /// so derived structures (indexes) can be validated against it.
+    pub fn table_arc(&self, name: &str) -> Result<&Arc<Table>> {
+        // Query graphs carry the stored (lowercase) name, and the
+        // executor asks once per table and execution: try the name as
+        // given before paying for a lowercase copy.
         self.tables
-            .get(&lname)
+            .get(name)
+            .or_else(|| self.tables.get(&name.to_ascii_lowercase()))
             .ok_or_else(|| Error::NotFound(format!("table {name}")))
     }
 
-    /// Look up a base table mutably (for loading data).
+    /// Look up a base table mutably (for loading data). Copies the
+    /// table first if a clone of this catalog still shares it; no
+    /// other table is touched.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        let lname = name.to_ascii_lowercase();
         self.tables
-            .get_mut(&lname)
+            .get_mut(&name.to_ascii_lowercase())
+            .map(Arc::make_mut)
             .ok_or_else(|| Error::NotFound(format!("table {name}")))
     }
 
@@ -104,7 +124,7 @@ impl Catalog {
 
     /// Drop a view (used by benchmarks that redefine workloads).
     pub fn drop_view(&mut self, name: &str) -> Result<()> {
-        self.views
+        Arc::make_mut(&mut self.views)
             .remove(&name.to_ascii_lowercase())
             .map(|_| ())
             .ok_or_else(|| Error::NotFound(format!("view {name}")))
@@ -169,6 +189,39 @@ mod tests {
         assert_eq!(v.columns, vec!["a"]);
         c.drop_view("V").unwrap();
         assert!(c.view("v").is_none());
+    }
+
+    #[test]
+    fn a_clone_shares_everything_and_a_write_copies_one_table() {
+        let mut original = Catalog::new();
+        original.add_table(table("a")).unwrap();
+        original.add_table(table("b")).unwrap();
+        let mut copy = original.clone();
+        for t in ["a", "b"] {
+            assert!(Arc::ptr_eq(
+                original.table_arc(t).unwrap(),
+                copy.table_arc(t).unwrap()
+            ));
+        }
+        copy.table_mut("A")
+            .unwrap()
+            .insert(vec![starmagic_common::Row::new(vec![1.into()])])
+            .unwrap();
+        assert_eq!(original.table("a").unwrap().row_count(), 0);
+        assert_eq!(copy.table("a").unwrap().row_count(), 1);
+        assert!(Arc::ptr_eq(
+            original.table_arc("b").unwrap(),
+            copy.table_arc("b").unwrap()
+        ));
+        // A view added to the copy is the copy's alone.
+        copy.add_view(ViewDef {
+            name: "v".into(),
+            columns: vec!["x".into()],
+            body_sql: "SELECT x FROM a".into(),
+            recursive: false,
+        })
+        .unwrap();
+        assert!(original.view("v").is_none());
     }
 
     #[test]

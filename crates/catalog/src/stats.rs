@@ -6,6 +6,7 @@
 //! number of distinct values, min/max (for range selectivity), and the
 //! null count.
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 use starmagic_common::{Row, Value};
@@ -33,6 +34,31 @@ impl ColumnStats {
             max: None,
         }
     }
+
+    /// Fold one value into `nulls`/`min`/`max` (ties keep the value
+    /// seen first). Returns whether the value counts towards `ndv`,
+    /// which the caller maintains.
+    fn observe(&mut self, v: &Value) -> bool {
+        if v.is_null() {
+            self.nulls += 1;
+            return false;
+        }
+        if self
+            .min
+            .as_ref()
+            .map_or(true, |m| v.group_cmp(m) == Ordering::Less)
+        {
+            self.min = Some(v.clone());
+        }
+        if self
+            .max
+            .as_ref()
+            .map_or(true, |m| v.group_cmp(m) == Ordering::Greater)
+        {
+            self.max = Some(v.clone());
+        }
+        true
+    }
 }
 
 /// Statistics for a table (or any materialized row set).
@@ -51,24 +77,8 @@ impl TableStats {
         let mut cols: Vec<ColumnStats> = (0..arity).map(|_| ColumnStats::empty()).collect();
         for row in rows {
             for (i, v) in row.values().iter().enumerate() {
-                if v.is_null() {
-                    cols[i].nulls += 1;
-                    continue;
-                }
-                distinct[i].insert(v.clone());
-                let better_min = cols[i]
-                    .min
-                    .as_ref()
-                    .map_or(true, |m| v.group_cmp(m) == std::cmp::Ordering::Less);
-                if better_min {
-                    cols[i].min = Some(v.clone());
-                }
-                let better_max = cols[i]
-                    .max
-                    .as_ref()
-                    .map_or(true, |m| v.group_cmp(m) == std::cmp::Ordering::Greater);
-                if better_max {
-                    cols[i].max = Some(v.clone());
+                if cols[i].observe(v) {
+                    distinct[i].insert(v.clone());
                 }
             }
         }
@@ -81,11 +91,62 @@ impl TableStats {
         }
     }
 
+    /// Extend these statistics to cover `new_rows` appended after the
+    /// rows they describe. `fresh` must have been built from
+    /// `new_rows` and shown every one of those existing rows. The
+    /// result equals [`TableStats::compute`] over the concatenation.
+    pub(crate) fn append(&mut self, new_rows: &[Row], fresh: &FreshValues) {
+        self.rows += new_rows.len() as u64;
+        for row in new_rows {
+            for (col, v) in self.columns.iter_mut().zip(row.values()) {
+                col.observe(v);
+            }
+        }
+        for (col, values) in self.columns.iter_mut().zip(&fresh.0) {
+            col.ndv += values.iter().filter(|(_, held)| !held).count() as u64;
+        }
+    }
+
     /// Stats describing an empty table of the given arity.
     pub fn empty(arity: usize) -> TableStats {
         TableStats {
             rows: 0,
             columns: (0..arity).map(|_| ColumnStats::empty()).collect(),
+        }
+    }
+}
+
+/// What an append needs to keep `ndv` exact without a persistent
+/// distinct set: per column the distinct non-NULL values of the new
+/// rows, sorted, each flagged once an existing row is seen to hold it.
+/// One pass over the existing rows costs a binary search among the
+/// few new values per cell; the values left unflagged are new to the
+/// column.
+pub(crate) struct FreshValues(Vec<Vec<(Value, bool)>>);
+
+impl FreshValues {
+    pub(crate) fn of(arity: usize, new_rows: &[Row]) -> FreshValues {
+        let mut columns: Vec<Vec<(Value, bool)>> = vec![Vec::new(); arity];
+        for row in new_rows {
+            for (col, v) in columns.iter_mut().zip(row.values()) {
+                if !v.is_null() {
+                    col.push((v.clone(), false));
+                }
+            }
+        }
+        for col in &mut columns {
+            col.sort_by(|a, b| a.0.group_cmp(&b.0));
+            col.dedup_by(|a, b| a.0 == b.0);
+        }
+        FreshValues(columns)
+    }
+
+    /// Flag the new values this existing row already holds.
+    pub(crate) fn strike(&mut self, existing: &Row) {
+        for (col, v) in self.0.iter_mut().zip(existing.values()) {
+            if let Ok(i) = col.binary_search_by(|(fresh, _)| fresh.group_cmp(v)) {
+                col[i].1 = true;
+            }
         }
     }
 }

@@ -1,11 +1,14 @@
 //! In-memory base tables.
 
+use std::cmp::Ordering;
+
 use starmagic_common::{Error, Result, Row, Value};
 
 use crate::schema::TableSchema;
-use crate::stats::TableStats;
+use crate::stats::{FreshValues, TableStats};
 
-/// An in-memory base table: schema, rows, and lazily computed stats.
+/// An in-memory base table: schema, rows, and exact statistics, kept
+/// current by every [`Table::load`] and [`Table::insert`].
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
@@ -35,24 +38,14 @@ impl Table {
     /// Replace the table's contents.
     pub fn load(&mut self, rows: Vec<Row>) -> Result<()> {
         for r in &rows {
-            if r.arity() != self.schema.arity() {
-                return Err(Error::semantic(format!(
-                    "row arity {} does not match table {} arity {}",
-                    r.arity(),
-                    self.schema.name,
-                    self.schema.arity()
-                )));
-            }
+            self.check_arity(r)?;
         }
         if let Some(key) = &self.schema.key {
             let mut seen = std::collections::HashSet::with_capacity(rows.len());
             for r in &rows {
                 let k: Vec<Value> = key.iter().map(|&c| r.get(c).clone()).collect();
                 if !seen.insert(k) {
-                    return Err(Error::semantic(format!(
-                        "duplicate primary key in table {}",
-                        self.schema.name
-                    )));
+                    return Err(self.duplicate_key());
                 }
             }
         }
@@ -61,12 +54,73 @@ impl Table {
         Ok(())
     }
 
-    /// Append rows (validates arity and key uniqueness against the
-    /// existing contents, then recomputes statistics).
+    /// Append rows. Arity and column types are checked on the new rows
+    /// only; key uniqueness and the exact statistics come from one
+    /// pass over the existing rows against the new values. Atomic: on
+    /// any error the table is unchanged.
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<()> {
-        let mut all = self.rows.clone();
-        all.extend(rows);
-        self.load(all)
+        for r in &rows {
+            self.check_arity(r)?;
+            self.check_types(r)?;
+        }
+        let key = self.schema.key.as_deref().unwrap_or(&[]);
+        let key_cmp = |a: &Row, b: &Row| {
+            key.iter()
+                .map(|&c| a.get(c).group_cmp(b.get(c)))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        };
+        // Without a key no two rows can collide: nothing to search.
+        let mut new_keys: Vec<&Row> = Vec::new();
+        if !key.is_empty() {
+            new_keys.extend(&rows);
+            new_keys.sort_by(|a, b| key_cmp(a, b));
+            if new_keys.windows(2).any(|w| key_cmp(w[0], w[1]).is_eq()) {
+                return Err(self.duplicate_key());
+            }
+        }
+        let mut fresh = FreshValues::of(self.schema.arity(), &rows);
+        for old in &self.rows {
+            if new_keys.binary_search_by(|new| key_cmp(new, old)).is_ok() {
+                return Err(self.duplicate_key());
+            }
+            fresh.strike(old);
+        }
+        self.stats.append(&rows, &fresh);
+        self.rows.extend(rows);
+        Ok(())
+    }
+
+    fn check_arity(&self, row: &Row) -> Result<()> {
+        if row.arity() == self.schema.arity() {
+            return Ok(());
+        }
+        Err(Error::semantic(format!(
+            "row arity {} does not match table {} arity {}",
+            row.arity(),
+            self.schema.name,
+            self.schema.arity()
+        )))
+    }
+
+    /// NULL fits every column, a numeric value any numeric column.
+    fn check_types(&self, row: &Row) -> Result<()> {
+        for (col, v) in self.schema.columns.iter().zip(row.values()) {
+            if v.data_type().is_some_and(|t| !t.comparable_with(col.dtype)) {
+                return Err(Error::semantic(format!(
+                    "value {v} does not fit column {}.{} of type {}",
+                    self.schema.name, col.name, col.dtype
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    fn duplicate_key(&self) -> Error {
+        Error::semantic(format!(
+            "duplicate primary key in table {}",
+            self.schema.name
+        ))
     }
 
     pub fn schema(&self) -> &TableSchema {
@@ -145,5 +199,155 @@ mod tests {
         t.load(vec![]).unwrap();
         assert_eq!(t.row_count(), 0);
         assert_eq!(t.stats().rows, 0);
+    }
+
+    #[test]
+    fn insert_appends_and_rejects_duplicates_atomically() {
+        let mut t = Table::with_rows(
+            schema(),
+            vec![Row::new(vec![Value::Int(1), Value::str("a")])],
+        )
+        .unwrap();
+        t.insert(vec![Row::new(vec![Value::Int(2), Value::str("b")])])
+            .unwrap();
+        assert_eq!(t.row_count(), 2);
+        let before = (t.rows().to_vec(), t.stats().clone());
+        // The second row collides with a stored key, so the first,
+        // which is fine on its own, must not land either.
+        let err = t
+            .insert(vec![
+                Row::new(vec![Value::Int(3), Value::str("c")]),
+                Row::new(vec![Value::Int(1), Value::str("d")]),
+            ])
+            .unwrap_err();
+        assert!(err.to_string().contains("duplicate primary key"), "{err}");
+        // So must a collision between two rows of the statement.
+        let twice = Row::new(vec![Value::Int(7), Value::Null]);
+        assert!(t.insert(vec![twice.clone(), twice]).is_err());
+        assert_eq!((t.rows().to_vec(), t.stats().clone()), before);
+    }
+
+    #[test]
+    fn insert_checks_column_types() {
+        let mut t = Table::new(TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::new("i", DataType::Int),
+                ColumnDef::new("d", DataType::Double),
+                ColumnDef::new("s", DataType::Str),
+                ColumnDef::new("b", DataType::Bool),
+            ],
+        ));
+        let row = |i: Value, d: Value, s: Value, b: Value| vec![Row::new(vec![i, d, s, b])];
+        // NULL fits everywhere; numerics fit either numeric type.
+        t.insert(row(Value::Null, Value::Null, Value::Null, Value::Null))
+            .unwrap();
+        t.insert(row(
+            Value::Double(1.5),
+            Value::Int(2),
+            Value::str("x"),
+            Value::Bool(true),
+        ))
+        .unwrap();
+        for (bad, column) in [
+            (
+                row(Value::str("1"), Value::Null, Value::Null, Value::Null),
+                "t.i",
+            ),
+            (
+                row(Value::Null, Value::Bool(true), Value::Null, Value::Null),
+                "t.d",
+            ),
+            (
+                row(Value::Null, Value::Null, Value::Int(1), Value::Null),
+                "t.s",
+            ),
+            (
+                row(Value::Null, Value::Null, Value::Null, Value::Int(0)),
+                "t.b",
+            ),
+        ] {
+            let err = t.insert(bad).unwrap_err();
+            assert!(matches!(err, Error::Semantic(_)), "{err}");
+            assert!(err.to_string().contains(column), "{err}");
+        }
+        assert_eq!(t.row_count(), 2);
+    }
+
+    mod incremental_stats {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A column's values: a narrow range, so statements repeat
+        /// stored values and collide on keys, with new minima and
+        /// maxima arriving late; NULL one time in four.
+        fn cell(kind: usize) -> BoxedStrategy<Value> {
+            let non_null = match kind {
+                0 => (-4i64..8).prop_map(Value::Int).boxed(),
+                // 1 and 1.0 are one value to grouping and to `ndv`.
+                1 => prop_oneof![
+                    (0i64..4).prop_map(Value::Int),
+                    (0i64..8).prop_map(|h| Value::Double(h as f64 / 2.0))
+                ]
+                .boxed(),
+                _ => "[ab]{0,2}".prop_map(Value::str).boxed(),
+            };
+            prop::option::of(non_null)
+                .prop_map(|v| v.unwrap_or(Value::Null))
+                .boxed()
+        }
+
+        fn statement() -> impl Strategy<Value = Vec<Row>> {
+            prop::collection::vec(
+                (cell(0), cell(1), cell(2)).prop_map(|(a, b, c)| Row::new(vec![a, b, c])),
+                1..5,
+            )
+        }
+
+        proptest! {
+            /// After every statement of a random sequence the table
+            /// equals one loaded from scratch — rows, and statistics
+            /// bit for bit — and a statement the loader would reject
+            /// (a key stored already, or twice in the statement)
+            /// changes nothing.
+            #[test]
+            fn insert_agrees_with_load(
+                key_shape in 0usize..3,
+                statements in prop::collection::vec(statement(), 1..12),
+            ) {
+                let columns = vec![
+                    ColumnDef::new("a", DataType::Int),
+                    ColumnDef::new("b", DataType::Double),
+                    ColumnDef::new("c", DataType::Str),
+                ];
+                let schema = match key_shape {
+                    0 => TableSchema::new("t", columns),
+                    1 => TableSchema::new("t", columns).with_key(&["a"]).unwrap(),
+                    _ => TableSchema::new("t", columns).with_key(&["c", "a"]).unwrap(),
+                };
+                let mut table = Table::new(schema.clone());
+                for new_rows in &statements {
+                    let mut all = table.rows().to_vec();
+                    all.extend(new_rows.iter().cloned());
+                    let new_rows = new_rows.clone();
+                    let before = (table.rows().to_vec(), table.stats().clone());
+                    match Table::with_rows(schema.clone(), all) {
+                        Ok(loaded) => {
+                            prop_assert!(table.insert(new_rows).is_ok());
+                            prop_assert_eq!(table.rows(), loaded.rows());
+                            // `Value`'s `==` takes 1 for 1.0; the text does not.
+                            prop_assert_eq!(
+                                format!("{:?}", table.stats()),
+                                format!("{:?}", loaded.stats())
+                            );
+                        }
+                        Err(_) => {
+                            prop_assert!(table.insert(new_rows).is_err());
+                            prop_assert_eq!((table.rows().to_vec(), table.stats().clone()), before);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -147,12 +147,19 @@ pub struct CachedQuery {
 /// Swapped atomically as one `Arc` on every DDL — a query holds one
 /// snapshot for its whole lifetime and can never observe a half-
 /// applied catalog change.
+///
+/// `Clone` is the writer's private copy and costs a few pointer bumps:
+/// the catalog shares every table and the view map with the original
+/// ([`Catalog`]), and the index cache carries its entries forward
+/// ([`starmagic_exec::IndexCache`]). The copy's maps are its own, so
+/// nothing a reader of the old snapshot builds later shows up in it.
+#[derive(Clone)]
 pub struct EngineSnapshot {
     catalog: Catalog,
     registry: OpRegistry,
     /// Cross-query index cache (the database's persistent indexes).
-    /// Derived data only: a fresh snapshot starts empty and rebuilds
-    /// lazily, which is exactly the old "reset on DDL" behavior.
+    /// Derived data only: each entry is tied to the table version it
+    /// was built from and rebuilds lazily when that version is gone.
     indexes: starmagic_exec::IndexCache,
 }
 
@@ -166,29 +173,17 @@ impl EngineSnapshot {
     }
 }
 
-impl Clone for EngineSnapshot {
-    /// Copy-on-write clone for DDL: the catalog and registry copy,
-    /// the index cache (interior-mutability handles, derived data)
-    /// starts fresh — stale indexes must never survive a catalog
-    /// change.
-    fn clone(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            catalog: self.catalog.clone(),
-            registry: self.registry.clone(),
-            indexes: starmagic_exec::IndexCache::default(),
-        }
-    }
-}
-
 /// The engine: an immutable snapshot behind an `Arc`, an epoch
 /// counter, and the optimizer configuration.
 ///
 /// Cloning an engine is cheap and shares the snapshot, the plan
 /// cache, and the metric handles — that is how the server hands every
 /// session a lock-free consistent view. DDL (`run_sql` on `&mut
-/// self`) copies the snapshot (`Arc::make_mut`), mutates the copy,
-/// and bumps the epoch; clones made before the DDL keep reading the
-/// old snapshot at the old epoch.
+/// self`) mutates a private copy of the snapshot — which copies the
+/// one table it writes, nothing else — and, only if the statement
+/// succeeded, publishes it and bumps the epoch; clones made before the
+/// DDL keep reading the old snapshot at the old epoch, and a rejected
+/// statement leaves this engine exactly as it was.
 #[derive(Clone)]
 pub struct Engine {
     snapshot: Arc<EngineSnapshot>,
@@ -246,9 +241,11 @@ impl Engine {
         &self.snapshot
     }
 
-    /// Advance the epoch after a DDL mutated the snapshot: stale plan
-    /// cache entries are purged and older in-flight inserts refused.
-    fn bump_epoch(&mut self) {
+    /// Make a successfully mutated copy the current snapshot and
+    /// advance the epoch: stale plan cache entries are purged and older
+    /// in-flight inserts refused.
+    fn publish(&mut self, next: EngineSnapshot) {
+        self.snapshot = Arc::new(next);
         self.epoch += 1;
         self.plans.note_epoch(self.epoch);
     }
@@ -326,37 +323,38 @@ impl Engine {
         &self.snapshot.registry
     }
 
-    /// Execute a statement: `CREATE VIEW` registers a view; a query
-    /// returns rows (with the default cost-based strategy).
+    /// Execute a statement: `CREATE VIEW`, `CREATE TABLE` and `INSERT`
+    /// change the catalog and answer `None`; a query returns rows
+    /// (with the default cost-based strategy).
+    ///
+    /// A catalog change is applied to a private copy of the snapshot
+    /// (`EngineSnapshot::clone`, a few pointer bumps) and published
+    /// only if the whole statement succeeded: every `?` below leaves
+    /// the engine untouched, so there is nothing to roll back.
     pub fn run_sql(&mut self, sql: &str) -> Result<Option<QueryResult>> {
-        match parse_statement(sql)? {
+        let timer = self.metrics.registry.stopwatch();
+        let next = match parse_statement(sql)? {
+            Statement::Query(_) => return self.query(sql).map(Some),
             Statement::CreateView {
                 name,
                 columns,
                 query: _,
                 recursive,
             } => {
+                let mut next = EngineSnapshot::clone(&self.snapshot);
                 // Store the original body text: the builder re-parses
                 // on expansion (keeps the catalog plain data).
                 let body_sql = extract_view_body(sql)?;
-                let snap = Arc::make_mut(&mut self.snapshot);
-                snap.catalog.add_view(ViewDef {
+                next.catalog.add_view(ViewDef {
                     name: name.clone(),
                     columns,
                     body_sql,
                     recursive,
                 })?;
-                // Validate the definition by building a graph over it;
-                // roll back on failure.
-                let probe = format!("SELECT * FROM {name}");
-                let q = starmagic_sql::parse_query(&probe)?;
-                if let Err(e) = starmagic_qgm::build_qgm(&snap.catalog, &q) {
-                    let _ = snap.catalog.drop_view(&name);
-                    return Err(e);
-                }
-                // A new view changes what any SQL text can mean.
-                self.bump_epoch();
-                Ok(None)
+                // Validate the definition by building a graph over it.
+                let probe = starmagic_sql::parse_query(&format!("SELECT * FROM {name}"))?;
+                starmagic_qgm::build_qgm(&next.catalog, &probe)?;
+                next
             }
             Statement::CreateTable { name, columns, key } => {
                 let defs = columns
@@ -368,41 +366,42 @@ impl Engine {
                     let keys: Vec<&str> = key.iter().map(String::as_str).collect();
                     schema = schema.with_key(&keys)?;
                 }
-                let snap = Arc::make_mut(&mut self.snapshot);
-                snap.catalog
+                let mut next = EngineSnapshot::clone(&self.snapshot);
+                next.catalog
                     .add_table(starmagic_catalog::Table::new(schema))?;
-                snap.indexes = starmagic_exec::IndexCache::default();
-                self.bump_epoch();
-                Ok(None)
+                next
             }
             Statement::Insert { table, rows } => {
-                let schema = self.snapshot.catalog.table(&table)?.schema().clone();
+                let arity = self.snapshot.catalog.table(&table)?.schema().arity();
                 let mut materialized = Vec::with_capacity(rows.len());
                 for row in rows {
-                    if row.len() != schema.arity() {
+                    if row.len() != arity {
                         return Err(Error::semantic(format!(
                             "INSERT supplies {} values for {} columns",
                             row.len(),
-                            schema.arity()
+                            arity
                         )));
                     }
-                    let mut vals = Vec::with_capacity(row.len());
-                    for e in row {
-                        vals.push(literal_value(&e)?);
-                    }
+                    let vals = row.iter().map(literal_value).collect::<Result<_>>()?;
                     materialized.push(Row::new(vals));
                 }
-                let snap = Arc::make_mut(&mut self.snapshot);
-                snap.catalog.table_mut(&table)?.insert(materialized)?;
-                // Stored data changed: the cached indexes are stale,
-                // and cached plans embed stale statistics-driven
-                // choices (join orders, magic-vs-original).
-                snap.indexes = starmagic_exec::IndexCache::default();
-                self.bump_epoch();
-                Ok(None)
+                let mut next = EngineSnapshot::clone(&self.snapshot);
+                // Copies this one table; the append checks types and
+                // keys before it changes anything.
+                let written = next.catalog.table_mut(&table)?;
+                written.insert(materialized)?;
+                // Only the written table's indexes are stale. Cached
+                // plans all go (the epoch bump in `publish`): they
+                // embed statistics-driven choices (join orders,
+                // magic-vs-original) costed before this write.
+                let name = written.schema().name.clone();
+                next.indexes.forget(&name);
+                next
             }
-            Statement::Query(_) => self.query(sql).map(Some),
-        }
+        };
+        self.publish(next);
+        self.metrics.ddl_us.stop(&timer);
+        Ok(None)
     }
 
     /// Run a query with the default cost-based strategy.
@@ -1408,6 +1407,144 @@ mod ddl_tests {
         e.run_sql("INSERT INTO t VALUES (2, 20)").unwrap();
         let r = e.query("SELECT v FROM t WHERE id = 2").unwrap();
         assert_eq!(r.rows.len(), 1, "stale index served after INSERT");
+    }
+
+    /// An engine over the small benchmark database with a live
+    /// registry, so `exec.index.builds` tells a warm read from one
+    /// that had to rebuild.
+    fn metered_engine() -> Engine {
+        use starmagic_catalog::generator::{benchmark_catalog, Scale};
+        let mut e = Engine::new(benchmark_catalog(Scale::small()).unwrap());
+        e.set_metrics(MetricsRegistry::enabled());
+        e
+    }
+
+    fn index_builds(e: &Engine) -> u64 {
+        e.metrics_registry().snapshot().counter("exec.index.builds")
+    }
+
+    /// One department row probing `project`'s index on `deptno`.
+    const PROJECTS_OF_DEPT_3: &str = "SELECT p.projno FROM department d, project p \
+                                      WHERE p.deptno = d.deptno AND d.deptno = 3";
+
+    #[test]
+    fn rejected_ddl_leaves_the_engine_untouched() {
+        let mut e = metered_engine();
+        let rows = e.query(PROJECTS_OF_DEPT_3).unwrap().rows.len();
+        let warm = index_builds(&e);
+        assert!(warm > 0, "the probe query must go through an index");
+        let before = Arc::clone(e.snapshot());
+        let invalidations = e.cache_stats().invalidations;
+        for (rejected, why) in [
+            (
+                "INSERT INTO project VALUES (0, 'Dup', 3, 1.0)",
+                "duplicate primary key",
+            ),
+            (
+                "INSERT INTO project VALUES (9000, 'A', 3, 1.0), (9000, 'B', 3, 1.0)",
+                "duplicate primary key",
+            ),
+            (
+                "INSERT INTO project VALUES ('x', 1, 'y', 'z')",
+                "project.projno",
+            ),
+            (
+                "INSERT INTO project VALUES (9000, 'A', 3)",
+                "3 values for 4 columns",
+            ),
+            (
+                "INSERT INTO project VALUES (9000, 'A', 3, 1 + 1)",
+                "must be literals",
+            ),
+            ("INSERT INTO nosuch VALUES (1)", "nosuch"),
+            ("CREATE TABLE project (x INT)", "already exists"),
+            (
+                "CREATE VIEW department (x) AS SELECT projno FROM project",
+                "already exists",
+            ),
+            (
+                "CREATE VIEW broken (x) AS SELECT nosuchcol FROM project",
+                "nosuchcol",
+            ),
+        ] {
+            let err = e.run_sql(rejected).unwrap_err().to_string();
+            assert!(err.contains(why), "{rejected}: {err}");
+            assert!(
+                Arc::ptr_eq(e.snapshot(), &before),
+                "{rejected}: a rejected statement replaced the snapshot"
+            );
+            assert_eq!(e.epoch(), 0, "{rejected}");
+        }
+        assert_eq!(e.cache_stats().invalidations, invalidations);
+        assert!(e.catalog().view("broken").is_none());
+        assert_eq!(e.query(PROJECTS_OF_DEPT_3).unwrap().rows.len(), rows);
+        assert_eq!(index_builds(&e), warm, "a warm index went cold");
+    }
+
+    #[test]
+    fn a_write_copies_one_table_and_readers_keep_their_snapshot() {
+        let old = metered_engine();
+        let rows = old.query(PROJECTS_OF_DEPT_3).unwrap().rows.len();
+        // A second department-driven probe, into `employee`: its index
+        // must survive the write to `project`.
+        let staff = "SELECT e.empno FROM department d, employee e \
+                     WHERE e.workdept = d.deptno AND d.deptno = 3";
+        let staff_rows = old.query(staff).unwrap().rows.len();
+
+        let mut new = old.clone();
+        new.run_sql("INSERT INTO project VALUES (9000, 'New', 3, 1.0)")
+            .unwrap();
+        assert_eq!(new.epoch(), old.epoch() + 1);
+        for table in old.catalog().table_names() {
+            let shared = Arc::ptr_eq(
+                old.catalog().table_arc(table).unwrap(),
+                new.catalog().table_arc(table).unwrap(),
+            );
+            assert_eq!(shared, table != "project", "{table}");
+        }
+
+        // `employee`'s index came along; `project`'s is rebuilt, once.
+        let warm = index_builds(&new);
+        assert_eq!(new.query(staff).unwrap().rows.len(), staff_rows);
+        assert_eq!(
+            index_builds(&new),
+            warm,
+            "a write to project cooled employee"
+        );
+        assert_eq!(new.query(PROJECTS_OF_DEPT_3).unwrap().rows.len(), rows + 1);
+        let rebuilt = index_builds(&new);
+        assert!(rebuilt > warm, "a stale project index was served");
+        assert_eq!(new.query(PROJECTS_OF_DEPT_3).unwrap().rows.len(), rows + 1);
+        assert_eq!(index_builds(&new), rebuilt);
+
+        // The old clone still answers from its own snapshot, through
+        // the index it built before the write.
+        assert_eq!(old.query(PROJECTS_OF_DEPT_3).unwrap().rows.len(), rows);
+        assert_eq!(index_builds(&old), rebuilt);
+        assert_eq!(old.catalog().table("project").unwrap().row_count() + 1, {
+            new.catalog().table("project").unwrap().row_count()
+        });
+    }
+
+    #[test]
+    fn an_index_built_on_the_old_snapshot_after_the_write_stays_there() {
+        let old = metered_engine();
+        let rows = old.query(PROJECTS_OF_DEPT_3).unwrap().rows.len();
+        let mut new = old.clone();
+        new.run_sql("INSERT INTO project VALUES (9000, 'New', 3, 1.0)")
+            .unwrap();
+        // Only now does a reader of the old snapshot build the index on
+        // `projno` — over the old rows.
+        let by_projno = "SELECT p.projname FROM emp_act a, project p \
+                         WHERE p.projno = a.projno AND a.empno = 1 AND a.projno = 9000";
+        let cold = index_builds(&old);
+        assert_eq!(old.query(by_projno).unwrap().rows.len(), 0);
+        assert!(index_builds(&old) > cold, "the probe must build an index");
+        new.run_sql("INSERT INTO emp_act VALUES (1, 9000, 1.0)")
+            .unwrap();
+        assert_eq!(new.query(by_projno).unwrap().rows.len(), 1);
+        assert_eq!(new.query(PROJECTS_OF_DEPT_3).unwrap().rows.len(), rows + 1);
+        assert_eq!(old.query(PROJECTS_OF_DEPT_3).unwrap().rows.len(), rows);
     }
 
     #[test]

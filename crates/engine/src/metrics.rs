@@ -6,12 +6,20 @@
 //! microsecond histograms):
 //!
 //! * `engine.queries` — bound plan executions
+//! * `engine.ddl_us` — latency of a published catalog change (`CREATE
+//!   VIEW`, `CREATE TABLE`, `INSERT`): parse, the copy of the written
+//!   table, validation, the append, the epoch bump
 //! * `cache.hit.<strategy>` / `cache.miss.<strategy>` — plan-cache
 //!   lookups split by strategy token (`cost`, `original`, `magic`)
 //! * `exec.rows_scanned` / `exec.rows_produced` / `exec.box_evals` —
 //!   the executor's flat work counters
 //! * `exec.morsel.runs` / `exec.morsel.queue_depth` — parallel-loop
 //!   dispatches (registered by the executor itself)
+//! * `exec.index.builds` — base-table access structures (row index,
+//!   columnar batch, id index) an execution had to build because the
+//!   index cache held none for the table's current contents: nonzero
+//!   on a cold engine and after a write to a table the query reads
+//!   (registered by the executor)
 //! * `exec.batch.batches` / `exec.batch.gather_rows` /
 //!   `exec.batch.rows` / `exec.batch.selectivity_pct` — columnar
 //!   batch-executor telemetry: stage dispatches in morsel units, rows
@@ -33,7 +41,7 @@
 
 use std::collections::BTreeMap;
 
-use starmagic_metrics::{Counter, GaugeSnapshot, HistogramSnapshot, Registry, Snapshot};
+use starmagic_metrics::{Counter, GaugeSnapshot, Histogram, HistogramSnapshot, Registry, Snapshot};
 use starmagic_planner::feedback::MisestimateBucket;
 use starmagic_trace::json::Value;
 
@@ -84,6 +92,9 @@ pub struct EngineMetrics {
     pub registry: Registry,
     /// `engine.queries`: bound plan executions.
     pub queries: Counter,
+    /// `engine.ddl_us`: a published `CREATE VIEW` / `CREATE TABLE` /
+    /// `INSERT`, parse to epoch bump.
+    pub ddl_us: Histogram,
     /// `cache.hit.<strategy>` by [`strategy_ix`].
     pub cache_hit: [Counter; 3],
     /// `cache.miss.<strategy>` by [`strategy_ix`].
@@ -110,6 +121,7 @@ impl EngineMetrics {
         }
         EngineMetrics {
             queries: registry.counter("engine.queries"),
+            ddl_us: registry.histogram("engine.ddl_us"),
             cache_hit: std::array::from_fn(|i| {
                 registry.counter(&format!("cache.hit.{}", STRATEGY_TOKENS[i]))
             }),

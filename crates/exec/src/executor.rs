@@ -4,7 +4,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use starmagic_catalog::Catalog;
+use starmagic_catalog::{Catalog, Table};
 use starmagic_common::{Error, Result, Row, Truth, Value};
 use starmagic_metrics::Registry;
 use starmagic_planner::cost::is_correlated_subtree;
@@ -136,6 +136,7 @@ pub fn execute_with_options(
         exec.fixpoint_iterations = opts.metrics.counter("exec.fixpoint.iterations");
         exec.fixpoint_delta_rows = opts.metrics.counter("exec.fixpoint.delta_rows");
         exec.fixpoint_total_rows = opts.metrics.counter("exec.fixpoint.total_rows");
+        exec.index_builds = opts.metrics.counter("exec.index.builds");
     }
     let rows = exec.eval_box(qgm.top(), &Frame::root())?;
     let rows = rows.as_ref().clone();
@@ -156,17 +157,89 @@ pub type SemiJoinIndex = Arc<(HashMap<Vec<Value>, Vec<Row>>, Vec<Row>)>;
 /// rows.
 pub type IdIndex = Arc<HashMap<Value, Vec<u32>>>;
 
+/// One map of an [`IndexCache`]: each structure is stored with the
+/// table version it was built from.
+type CacheMap<K, V> = Mutex<HashMap<K, (Arc<Table>, V)>>;
+
 /// A shareable cache of base-table access structures: row-keyed column
 /// indexes for the row executor, plus columnar batches and id-keyed
 /// indexes for the vectorized path. Interior mutability is a `Mutex`
 /// (taken only on lookup/insert of whole entries, never per row) so
-/// the cache can be shared across engine threads. The engine replaces
-/// the whole cache on DDL, invalidating all three maps together.
+/// the cache can be shared across engine threads.
+///
+/// Every entry remembers the `Arc<Table>` it was built from and a
+/// lookup serves it only to a catalog that holds that same `Arc` (the
+/// idiom [`Executor::child_batch`] uses for fixpoint accumulators), so
+/// a structure built before a write can never answer a query that runs
+/// after it: freshness does not depend on anyone resetting the cache.
+/// The entry's own handle is what makes the pointer a sound version
+/// tag: while it lives the table is shared, so `Catalog::table_mut`
+/// copies instead of writing in place, and the address cannot be
+/// reused by a later version.
+/// A clone copies the entries (pointer bumps) into independent maps,
+/// which is how a new engine snapshot keeps the structures of every
+/// table a write did not touch.
 #[derive(Default)]
 pub struct IndexCache {
-    map: Mutex<HashMap<(String, usize), ColumnIndex>>,
-    batches: Mutex<HashMap<String, Arc<Batch>>>,
-    ids: Mutex<HashMap<(String, usize), IdIndex>>,
+    map: CacheMap<(String, usize), ColumnIndex>,
+    batches: CacheMap<String, Arc<Batch>>,
+    ids: CacheMap<(String, usize), IdIndex>,
+}
+
+impl Clone for IndexCache {
+    fn clone(&self) -> IndexCache {
+        fn copy<K: Clone, V: Clone>(m: &CacheMap<K, V>) -> CacheMap<K, V> {
+            Mutex::new(m.lock().expect("index cache poisoned").clone())
+        }
+        IndexCache {
+            map: copy(&self.map),
+            batches: copy(&self.batches),
+            ids: copy(&self.ids),
+        }
+    }
+}
+
+impl IndexCache {
+    /// Drop every structure built over `table` (case-sensitive: the
+    /// catalog's lowercase name). The `Arc` check already keeps stale
+    /// entries from being served; this releases their memory, and the
+    /// old table version they pin, as soon as the table is written.
+    pub fn forget(&mut self, table: &str) {
+        fn exclusive<K, V>(m: &mut CacheMap<K, V>) -> &mut HashMap<K, (Arc<Table>, V)> {
+            m.get_mut().expect("index cache poisoned")
+        }
+        exclusive(&mut self.map).retain(|(t, _), _| t != table);
+        exclusive(&mut self.batches).retain(|t, _| t != table);
+        exclusive(&mut self.ids).retain(|(t, _), _| t != table);
+    }
+}
+
+/// Fetch a structure over `table` from one map of the shared cache, or
+/// build it (outside the lock: two racing executions may both build,
+/// the later insert wins) and store it there.
+fn cached_or_build<K: std::hash::Hash + Eq + Clone, V: Clone>(
+    shared: Option<&CacheMap<K, V>>,
+    key: &K,
+    table: &Arc<Table>,
+    builds: &starmagic_metrics::Counter,
+    build: impl FnOnce(&Table) -> V,
+) -> V {
+    if let Some(shared) = shared {
+        if let Some((built_from, v)) = shared.lock().expect("index cache poisoned").get(key) {
+            if Arc::ptr_eq(built_from, table) {
+                return v.clone();
+            }
+        }
+    }
+    builds.inc();
+    let v = build(table);
+    if let Some(shared) = shared {
+        shared
+            .lock()
+            .expect("index cache poisoned")
+            .insert(key.clone(), (table.clone(), v.clone()));
+    }
+    v
 }
 
 /// Evaluation environment: quantifier → current row bindings, chained
@@ -276,6 +349,10 @@ pub struct Executor<'a> {
     fixpoint_delta_rows: starmagic_metrics::Counter,
     /// Accumulated totals at convergence, summed over fixpoints.
     fixpoint_total_rows: starmagic_metrics::Counter,
+    /// Base-table structures (row index, batch, id index) actually
+    /// built by this execution, i.e. not served by the shared cache:
+    /// what a read pays after a write to a table it uses.
+    index_builds: starmagic_metrics::Counter,
 }
 
 impl<'a> Executor<'a> {
@@ -310,6 +387,7 @@ impl<'a> Executor<'a> {
             fixpoint_iterations: starmagic_metrics::Counter::default(),
             fixpoint_delta_rows: starmagic_metrics::Counter::default(),
             fixpoint_total_rows: starmagic_metrics::Counter::default(),
+            index_builds: starmagic_metrics::Counter::default(),
         }
     }
 
@@ -489,30 +567,23 @@ impl<'a> Executor<'a> {
         if let Some(idx) = self.indexes.get(&key) {
             return Ok(idx.clone());
         }
-        if let Some(shared) = self.shared_indexes {
-            if let Some(idx) = shared.map.lock().expect("index cache poisoned").get(&key) {
-                let idx = idx.clone();
-                self.indexes.insert(key, idx.clone());
-                return Ok(idx);
-            }
-        }
-        let t = self.catalog.table(table)?;
-        let mut map: HashMap<Value, Vec<Row>> = HashMap::new();
-        for r in t.rows() {
-            let v = r.get(col);
-            if v.is_null() {
-                continue; // NULL keys never match an equality probe
-            }
-            map.entry(v.clone()).or_default().push(r.clone());
-        }
-        let idx = Arc::new(map);
-        if let Some(shared) = self.shared_indexes {
-            shared
-                .map
-                .lock()
-                .expect("index cache poisoned")
-                .insert(key.clone(), idx.clone());
-        }
+        let idx = cached_or_build(
+            self.shared_indexes.map(|s| &s.map),
+            &key,
+            self.catalog.table_arc(table)?,
+            &self.index_builds,
+            |t| {
+                let mut map: HashMap<Value, Vec<Row>> = HashMap::new();
+                for r in t.rows() {
+                    let v = r.get(col);
+                    if v.is_null() {
+                        continue; // NULL keys never match an equality probe
+                    }
+                    map.entry(v.clone()).or_default().push(r.clone());
+                }
+                Arc::new(map)
+            },
+        );
         self.indexes.insert(key, idx.clone());
         Ok(idx)
     }
@@ -523,28 +594,15 @@ impl<'a> Executor<'a> {
         if let Some(batch) = self.table_batches.get(table) {
             return Ok(batch.clone());
         }
-        if let Some(shared) = self.shared_indexes {
-            if let Some(batch) = shared
-                .batches
-                .lock()
-                .expect("index cache poisoned")
-                .get(table)
-            {
-                let batch = batch.clone();
-                self.table_batches.insert(table.to_string(), batch.clone());
-                return Ok(batch);
-            }
-        }
-        let t = self.catalog.table(table)?;
-        let batch = Arc::new(Batch::from_rows(t.rows()));
-        if let Some(shared) = self.shared_indexes {
-            shared
-                .batches
-                .lock()
-                .expect("index cache poisoned")
-                .insert(table.to_string(), batch.clone());
-        }
-        self.table_batches.insert(table.to_string(), batch.clone());
+        let key = table.to_string();
+        let batch = cached_or_build(
+            self.shared_indexes.map(|s| &s.batches),
+            &key,
+            self.catalog.table_arc(table)?,
+            &self.index_builds,
+            |t| Arc::new(Batch::from_rows(t.rows())),
+        );
+        self.table_batches.insert(key, batch.clone());
         Ok(batch)
     }
 
@@ -556,30 +614,23 @@ impl<'a> Executor<'a> {
         if let Some(idx) = self.id_indexes.get(&key) {
             return Ok(idx.clone());
         }
-        if let Some(shared) = self.shared_indexes {
-            if let Some(idx) = shared.ids.lock().expect("index cache poisoned").get(&key) {
-                let idx = idx.clone();
-                self.id_indexes.insert(key, idx.clone());
-                return Ok(idx);
-            }
-        }
-        let t = self.catalog.table(table)?;
-        let mut map: HashMap<Value, Vec<u32>> = HashMap::new();
-        for (i, r) in t.rows().iter().enumerate() {
-            let v = r.get(col);
-            if v.is_null() {
-                continue; // NULL keys never match an equality probe
-            }
-            map.entry(v.clone()).or_default().push(i as u32);
-        }
-        let idx = Arc::new(map);
-        if let Some(shared) = self.shared_indexes {
-            shared
-                .ids
-                .lock()
-                .expect("index cache poisoned")
-                .insert(key.clone(), idx.clone());
-        }
+        let idx = cached_or_build(
+            self.shared_indexes.map(|s| &s.ids),
+            &key,
+            self.catalog.table_arc(table)?,
+            &self.index_builds,
+            |t| {
+                let mut map: HashMap<Value, Vec<u32>> = HashMap::new();
+                for (i, r) in t.rows().iter().enumerate() {
+                    let v = r.get(col);
+                    if v.is_null() {
+                        continue; // NULL keys never match an equality probe
+                    }
+                    map.entry(v.clone()).or_default().push(i as u32);
+                }
+                Arc::new(map)
+            },
+        );
         self.id_indexes.insert(key, idx.clone());
         Ok(idx)
     }
@@ -2724,5 +2775,65 @@ mod access_path_tests {
         let (_, m1) = execute_with_indexes(&g, &cat, &cache).unwrap();
         let (_, m2) = execute_with_indexes(&g, &cat, &cache).unwrap();
         assert_eq!(m1, m2, "metrics identical with a warm shared cache");
+    }
+
+    #[test]
+    fn a_cached_structure_is_served_only_to_the_table_it_was_built_from() {
+        // One cache, two versions of the database: whatever order they
+        // ask in, each gets an answer over its own rows, with or
+        // without the columnar path (id index + batch vs row index).
+        let old = benchmark_catalog(Scale::small()).unwrap();
+        let mut new = old.clone();
+        new.table_mut("employee")
+            .unwrap()
+            .insert(vec![Row::new(vec![
+                Value::Int(9000),
+                Value::str("Late"),
+                Value::Int(3),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+            ])])
+            .unwrap();
+        let g = build_qgm(
+            &old,
+            &starmagic_sql::parse_query(
+                "SELECT e.empno FROM department d, employee e \
+                 WHERE e.workdept = d.deptno AND d.deptno = 3",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let registry = Registry::enabled();
+        let run = |cache: &IndexCache, cat: &Catalog, columnar: bool| {
+            let opts = ExecOptions {
+                columnar,
+                metrics: registry.clone(),
+                ..ExecOptions::default()
+            };
+            execute_with_options(&g, cat, cache, opts).unwrap().0.len()
+        };
+        let builds = || registry.snapshot().counter("exec.index.builds");
+        let cache = IndexCache::default();
+        for columnar in [true, false] {
+            let rows = run(&cache, &old, columnar);
+            assert!(builds() > 0, "the query must probe an index");
+            assert_eq!(run(&cache, &new, columnar), rows + 1, "stale structure");
+            assert_eq!(run(&cache, &old, columnar), rows, "newer structure");
+            // Same version twice in a row: served, not rebuilt.
+            let warm = builds();
+            assert_eq!(run(&cache, &old, columnar), rows);
+            assert_eq!(builds(), warm);
+        }
+        // A clone keeps the entries and their tags...
+        let mut copy = cache.clone();
+        let warm = builds();
+        run(&copy, &old, true);
+        run(&copy, &old, false);
+        assert_eq!(builds(), warm);
+        // ...until the table is forgotten.
+        copy.forget("employee");
+        run(&copy, &old, true);
+        assert!(builds() > warm);
     }
 }

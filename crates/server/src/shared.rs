@@ -4,13 +4,14 @@
 //! clones an `Arc<Engine>` under a read lock held only for the clone
 //! (a refcount bump), and the query runs entirely against that
 //! immutable snapshot. DDL is serialized by its own mutex: it clones
-//! the current engine (cheap — catalog, plan cache, and metrics are
-//! `Arc`-shared; the catalog copy is deferred to `Arc::make_mut`
-//! inside `run_sql`), mutates the clone, and swaps it in *only on
-//! success*, bumping the engine's catalog epoch. In-flight queries
-//! keep their pre-DDL snapshot and finish against a consistent
-//! catalog at the old epoch; the sharded plan cache refuses their
-//! stale inserts by epoch pinning.
+//! the current engine (cheap — snapshot, plan cache, and metrics are
+//! `Arc`-shared), lets `run_sql` build the next snapshot on the clone
+//! (every table but the written one, and every index over them, is
+//! shared with the current snapshot, not copied), and swaps the clone
+//! in *only on success*, with its catalog epoch bumped. In-flight
+//! queries keep their pre-DDL snapshot and finish against a
+//! consistent catalog at the old epoch; the sharded plan cache
+//! refuses their stale inserts by epoch pinning.
 //!
 //! Lock poisoning is tolerated: the locks only guard an `Arc` swap,
 //! and every published engine was complete when it was stored, so a

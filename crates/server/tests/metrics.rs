@@ -68,6 +68,74 @@ fn temp_path(tag: &str) -> PathBuf {
     p
 }
 
+/// "Why was the read after a write slow" as a counter: after an
+/// `INSERT INTO project`, of the four wire templates (experiments A,
+/// B, F and G) only F, which reads `project`, builds anything, and
+/// only once; the `employee` and `department` structures the others
+/// probe outlive the write.
+#[test]
+fn a_read_after_an_insert_rebuilds_only_the_written_tables_structures() {
+    let (handle, addr) = start(ServerConfig {
+        metrics: Registry::enabled(),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    let templates: Vec<(char, &str)> = starmagic_bench::experiments()
+        .into_iter()
+        .filter(|e| "ABFG".contains(e.id))
+        .map(|e| (e.id, e.original_sql))
+        .collect();
+    assert_eq!(templates.len(), 4);
+    // `exec.index.builds` each template adds, in order.
+    let builds_per_template = |client: &mut Client| -> Vec<u64> {
+        templates
+            .iter()
+            .map(|(id, sql)| {
+                let before = client.metrics_json().expect("METRICS JSON");
+                client
+                    .query(sql)
+                    .unwrap_or_else(|e| panic!("template {id}: {e}"));
+                let after = client.metrics_json().expect("METRICS JSON");
+                counter(&after, "exec.index.builds") - counter(&before, "exec.index.builds")
+            })
+            .collect()
+    };
+
+    let cold = builds_per_template(&mut client);
+    assert!(
+        cold.iter().sum::<u64>() > 0,
+        "nothing is built on a cold engine"
+    );
+    assert_eq!(builds_per_template(&mut client), [0, 0, 0, 0], "warm");
+
+    let before = client.metrics_json().expect("METRICS JSON");
+    client
+        .query("INSERT INTO project VALUES (9000, 'Churn', 100000, 1.0)")
+        .expect("INSERT");
+    let after = client.metrics_json().expect("METRICS JSON");
+    assert_eq!(
+        histogram_count(&after, "engine.ddl_us") - histogram_count(&before, "engine.ddl_us"),
+        1
+    );
+    assert_eq!(
+        counter(&after, "exec.index.builds"),
+        counter(&before, "exec.index.builds"),
+        "an INSERT builds nothing itself"
+    );
+
+    let rebuilt = builds_per_template(&mut client);
+    let f = templates.iter().position(|(id, _)| *id == 'F').expect("F");
+    for (i, (id, _)) in templates.iter().enumerate() {
+        if i == f {
+            assert!(rebuilt[i] > 0, "F reads project and must rebuild");
+        } else {
+            assert_eq!(rebuilt[i], 0, "template {id} does not read project");
+        }
+    }
+    assert_eq!(builds_per_template(&mut client), [0, 0, 0, 0], "warm again");
+    handle.shutdown();
+}
+
 /// Counters across every layer move with wire traffic, and the
 /// document round-trips through the strict parser.
 #[test]
