@@ -143,7 +143,7 @@ pub fn render_analyze(p: &ProfiledQuery, catalog: &Catalog) -> String {
     let _ = writeln!(out, "== profile (executed plan, per box)");
     let _ = writeln!(
         out,
-        "  {:<14} {:<16} {:>10} {:>10} {:>10} {:>10} {:>7} {:>12}",
+        "  {:<14} {:<16} {:>10} {:>10} {:>10} {:>10} {:>7} {:>12}  path",
         "box", "kind", "scanned", "rows_in", "produced", "rows_out", "evals", "elapsed"
     );
     for (b, bp) in &p.profile.boxes {
@@ -153,9 +153,16 @@ pub fn render_analyze(p: &ProfiledQuery, catalog: &Catalog) -> String {
         } else {
             (b.to_string(), "?")
         };
+        // Which executor path evaluated the box; a box only ever
+        // probed through an index was never evaluated and has none.
+        let path = p
+            .profile
+            .paths
+            .get(b)
+            .map_or_else(|| "-".to_string(), ToString::to_string);
         let _ = writeln!(
             out,
-            "  {:<14} {:<16} {:>10} {:>10} {:>10} {:>10} {:>7} {:>12}",
+            "  {:<14} {:<16} {:>10} {:>10} {:>10} {:>10} {:>7} {:>12}  path={path}",
             name,
             kind,
             bp.rows_scanned,

@@ -1,11 +1,25 @@
-//! Aggregate accumulators with SQL semantics: NULL inputs are skipped;
-//! an empty input yields `COUNT = 0` and NULL for the others; DISTINCT
-//! variants deduplicate before accumulating.
+//! Aggregation with SQL semantics: NULL inputs are skipped; an empty
+//! input yields `COUNT = 0` and NULL for the others; DISTINCT variants
+//! deduplicate before accumulating.
+//!
+//! [`Accumulator`] is the value-at-a-time definition of each aggregate.
+//! [`hash_aggregate`] is the executor's one group-by kernel: keys and
+//! arguments arrive as [`Vector`]s, every row gets a dense group id in
+//! first-appearance order, and each aggregate folds its column into
+//! per-group state — through typed loops where those are bit-exact
+//! (`COUNT`, `SUM`/`AVG` over an `Int64` or `Float64` column, `MIN`/`MAX`
+//! over `Int64`), through one [`Accumulator`] per group everywhere else
+//! (DISTINCT, `Mixed` columns, strings). Either way a group folds its
+//! inputs **in input order**: `f64` addition does not commute, and the
+//! sums feed pinned checksums.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
-use starmagic_common::{Error, Result, Value};
+use starmagic_common::{Error, Result, Row, Value};
 use starmagic_sql::AggFunc;
+
+use crate::batch::{Bitmap, Column};
+use crate::vector::Vector;
 
 /// One accumulator instance (per group, per aggregate).
 #[derive(Debug, Clone)]
@@ -110,6 +124,195 @@ impl Accumulator {
             AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
         }
     }
+}
+
+/// One aggregate of a group-by: its function and argument column
+/// (`None` is `COUNT(*)`).
+pub(crate) struct AggInput<'a> {
+    pub func: AggFunc,
+    pub distinct: bool,
+    pub arg: Option<&'a Vector>,
+}
+
+/// Group the first `n` rows by `keys` and fold `aggs` per group. Output
+/// rows are the first-seen key values followed by the aggregate results,
+/// one per group in first-appearance order; no keys means one global
+/// group, present even for `n == 0`. Of several failing aggregates the
+/// error of the earliest (row, aggregate) wins: the one the row-at-a-time
+/// definition (for each row, every aggregate in turn) meets first.
+pub(crate) fn hash_aggregate(keys: &[Vector], aggs: &[AggInput<'_>], n: usize) -> Result<Vec<Row>> {
+    let (gids, first) = group_ids(keys, n);
+    let groups = first.len();
+    let mut results: Vec<Vec<Value>> = Vec::with_capacity(aggs.len());
+    let mut failed: Option<(usize, Error)> = None;
+    for agg in aggs {
+        match fold(agg, &gids, groups) {
+            Ok(values) => results.push(values),
+            // Strictly earlier row: of two aggregates failing on one
+            // row, the first in the list raises.
+            Err((row, error)) => {
+                if failed.as_ref().map_or(true, |(first, _)| row < *first) {
+                    failed = Some((row, error));
+                }
+            }
+        }
+    }
+    if let Some((_, error)) = failed {
+        return Err(error);
+    }
+    let mut out = Vec::with_capacity(groups);
+    for (g, &at) in first.iter().enumerate() {
+        let mut row = Vec::with_capacity(keys.len() + aggs.len());
+        row.extend(keys.iter().map(|k| k.value_at(at as usize)));
+        row.extend(
+            results
+                .iter_mut()
+                .map(|r| std::mem::replace(&mut r[g], Value::Null)),
+        );
+        out.push(Row::new(row));
+    }
+    Ok(out)
+}
+
+/// Dense group ids for rows `0..n`, numbered in first-appearance order,
+/// plus each group's first row. Keys group under [`Value`]'s equality
+/// (NULLs equal, `1` equal to `1.0`); a single `Int64` key column takes
+/// a raw `i64` table, where that equality is plain integer equality.
+fn group_ids(keys: &[Vector], n: usize) -> (Vec<u32>, Vec<u32>) {
+    if keys.is_empty() {
+        return (vec![0; n], vec![0]);
+    }
+    let mut gids = Vec::with_capacity(n);
+    let mut first: Vec<u32> = Vec::new();
+    if let [Vector::Col(Column::Int64 { values, validity })] = keys {
+        let mut table: HashMap<i64, u32> = HashMap::new();
+        let mut null_group: Option<u32> = None;
+        for (k, v) in values[..n].iter().enumerate() {
+            let next = first.len() as u32;
+            let g = if validity.as_ref().map_or(true, |bits| bits.get(k)) {
+                *table.entry(*v).or_insert(next)
+            } else {
+                *null_group.get_or_insert(next)
+            };
+            if g == next {
+                first.push(k as u32);
+            }
+            gids.push(g);
+        }
+        return (gids, first);
+    }
+    let mut table: HashMap<Vec<Value>, u32> = HashMap::new();
+    // Scratch key, cloned only when it opens a new group.
+    let mut key: Vec<Value> = Vec::with_capacity(keys.len());
+    for k in 0..n {
+        key.clear();
+        key.extend(keys.iter().map(|c| c.value_at(k)));
+        let next = first.len() as u32;
+        let g = table.get(key.as_slice()).copied().unwrap_or_else(|| {
+            table.insert(key.clone(), next);
+            first.push(k as u32);
+            next
+        });
+        gids.push(g);
+    }
+    (gids, first)
+}
+
+/// Fold one aggregate over `gids.len()` rows into one value per group,
+/// or the first row whose input the aggregate rejects.
+fn fold(
+    agg: &AggInput<'_>,
+    gids: &[u32],
+    groups: usize,
+) -> std::result::Result<Vec<Value>, (usize, Error)> {
+    let valid = |bits: &Option<Bitmap>, k: usize| bits.as_ref().map_or(true, |b| b.get(k));
+    if !agg.distinct {
+        match (agg.func, agg.arg) {
+            // COUNT(*), and COUNT over any column: non-NULL slots.
+            (AggFunc::Count, arg) => {
+                let mut counts = vec![0i64; groups];
+                for (k, &g) in gids.iter().enumerate() {
+                    counts[g as usize] += i64::from(arg.map_or(true, |a| !a.is_null_at(k)));
+                }
+                return Ok(counts.into_iter().map(Value::Int).collect());
+            }
+            (
+                func @ (AggFunc::Sum | AggFunc::Avg),
+                Some(Vector::Col(Column::Int64 { values, validity })),
+            ) => {
+                // The accumulator's two running sums: wrapping i64 for
+                // SUM, f64 (added in input order) for AVG.
+                let mut ints = vec![0i64; groups];
+                let mut sums = vec![0f64; groups];
+                let mut counts = vec![0u64; groups];
+                for (k, &g) in gids.iter().enumerate() {
+                    if valid(validity, k) {
+                        let g = g as usize;
+                        ints[g] = ints[g].wrapping_add(values[k]);
+                        sums[g] += values[k] as f64;
+                        counts[g] += 1;
+                    }
+                }
+                return Ok((0..groups)
+                    .map(|g| match (counts[g], func) {
+                        (0, _) => Value::Null,
+                        (_, AggFunc::Sum) => Value::Int(ints[g]),
+                        (c, _) => Value::Double(sums[g] / c as f64),
+                    })
+                    .collect());
+            }
+            (
+                func @ (AggFunc::Sum | AggFunc::Avg),
+                Some(Vector::Col(Column::Float64 { values, validity })),
+            ) => {
+                let mut sums = vec![0f64; groups];
+                let mut counts = vec![0u64; groups];
+                for (k, &g) in gids.iter().enumerate() {
+                    if valid(validity, k) {
+                        sums[g as usize] += values[k];
+                        counts[g as usize] += 1;
+                    }
+                }
+                return Ok((0..groups)
+                    .map(|g| match (counts[g], func) {
+                        (0, _) => Value::Null,
+                        (_, AggFunc::Sum) => Value::Double(sums[g]),
+                        (c, _) => Value::Double(sums[g] / c as f64),
+                    })
+                    .collect());
+            }
+            (
+                func @ (AggFunc::Min | AggFunc::Max),
+                Some(Vector::Col(Column::Int64 { values, validity })),
+            ) => {
+                let mut best: Vec<Option<i64>> = vec![None; groups];
+                for (k, &g) in gids.iter().enumerate() {
+                    if valid(validity, k) {
+                        let (slot, v) = (&mut best[g as usize], values[k]);
+                        let better = slot.map_or(true, |b| match func {
+                            AggFunc::Min => v < b,
+                            _ => v > b,
+                        });
+                        if better {
+                            *slot = Some(v);
+                        }
+                    }
+                }
+                return Ok(best
+                    .into_iter()
+                    .map(|b| b.map_or(Value::Null, Value::Int))
+                    .collect());
+            }
+            _ => {}
+        }
+    }
+    let mut accs = vec![Accumulator::new(agg.func, agg.distinct); groups];
+    let one = Value::Int(1); // what COUNT(*) feeds per row
+    for (k, &g) in gids.iter().enumerate() {
+        let v = agg.arg.map_or_else(|| one.clone(), |a| a.value_at(k));
+        accs[g as usize].update(&v).map_err(|e| (k, e))?;
+    }
+    Ok(accs.iter().map(Accumulator::finish).collect())
 }
 
 #[cfg(test)]
@@ -231,5 +434,229 @@ mod edge_tests {
         a.update(&Value::Double(1.0)).unwrap();
         a.update(&Value::Int(2)).unwrap();
         assert_eq!(a.finish().as_f64(), Some(3.0));
+    }
+}
+
+/// [`hash_aggregate`] against the definition it replaces: one
+/// [`Accumulator`] per (group, aggregate), fed row by row.
+#[cfg(test)]
+mod kernel_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The row-at-a-time group-by: for each row, find or open its
+    /// group (first appearance fixes output order and the printed key),
+    /// then update every aggregate in turn; the first failing update
+    /// fails the query.
+    fn reference(
+        rows: &[Row],
+        keys: &[usize],
+        aggs: &[(AggFunc, bool, Option<usize>)],
+    ) -> Result<Vec<Row>> {
+        let fresh = || -> Vec<Accumulator> {
+            aggs.iter()
+                .map(|&(func, distinct, _)| Accumulator::new(func, distinct))
+                .collect()
+        };
+        let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
+        let mut order: Vec<Vec<Value>> = Vec::new();
+        if keys.is_empty() {
+            groups.insert(Vec::new(), fresh());
+            order.push(Vec::new());
+        }
+        for row in rows {
+            let key: Vec<Value> = keys.iter().map(|&c| row.get(c).clone()).collect();
+            let accs = groups.entry(key.clone()).or_insert_with(|| {
+                order.push(key);
+                fresh()
+            });
+            for (acc, &(_, _, arg)) in accs.iter_mut().zip(aggs) {
+                acc.update(&arg.map_or(Value::Int(1), |c| row.get(c).clone()))?;
+            }
+        }
+        Ok(order
+            .into_iter()
+            .map(|key| {
+                let finished: Vec<Value> = groups[&key].iter().map(Accumulator::finish).collect();
+                Row::new(key.into_iter().chain(finished).collect())
+            })
+            .collect())
+    }
+
+    fn kernel(
+        rows: &[Row],
+        keys: &[usize],
+        aggs: &[(AggFunc, bool, Option<usize>)],
+    ) -> Result<Vec<Row>> {
+        let column = |c: usize| Vector::Col(Column::from_rows(rows, c));
+        let key_vectors: Vec<Vector> = keys.iter().map(|&c| column(c)).collect();
+        let arg_vectors: Vec<Option<Vector>> =
+            aggs.iter().map(|&(_, _, arg)| arg.map(column)).collect();
+        let inputs: Vec<AggInput<'_>> = aggs
+            .iter()
+            .zip(&arg_vectors)
+            .map(|(&(func, distinct, _), arg)| AggInput {
+                func,
+                distinct,
+                arg: arg.as_ref(),
+            })
+            .collect();
+        hash_aggregate(&key_vectors, &inputs, rows.len())
+    }
+
+    /// `Debug`, not `==`: [`Value`] equality is grouping equality, under
+    /// which `1 == 1.0`; the kernel must return the very variant and
+    /// the very bits.
+    fn exact(result: &Result<Vec<Row>>) -> String {
+        match result {
+            Ok(rows) => format!("{rows:?}"),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    /// One column's values. Narrow ranges, so groups repeat and DISTINCT
+    /// has duplicates to drop; tenths, so `f64` sums depend on order.
+    fn cell(kind: usize) -> BoxedStrategy<Value> {
+        let int = || (-3i64..4).prop_map(Value::Int);
+        let double = || (-5i64..12).prop_map(|t| Value::Double(t as f64 * 0.1));
+        let non_null = match kind {
+            0 => int().boxed(),
+            1 => double().boxed(),
+            2 => "[ab]{0,2}".prop_map(Value::str).boxed(),
+            // 1 and 1.0 in one column: a Mixed column, Int-then-Double sums.
+            3 => prop_oneof![int(), (-1i64..3).prop_map(|w| Value::Double(w as f64))].boxed(),
+            // All NULL.
+            4 => Just(Value::Null).boxed(),
+            // Mostly numbers, now and then a string: SUM fails mid-way.
+            _ => prop_oneof![int(), int(), int(), double(), Just(Value::str("x"))].boxed(),
+        };
+        prop::option::of(non_null)
+            .prop_map(|v| v.unwrap_or(Value::Null))
+            .boxed()
+    }
+
+    /// Rows of four columns — two key candidates, two argument
+    /// candidates — each of a kind drawn per case; zero to 40 rows.
+    fn table() -> impl Strategy<Value = Vec<Row>> {
+        (0usize..6, 0usize..6, 0usize..6, 0usize..6).prop_flat_map(|(k0, k1, a0, a1)| {
+            prop::collection::vec(
+                (cell(k0), cell(k1), cell(a0), cell(a1))
+                    .prop_map(|(a, b, c, d)| Row::new(vec![a, b, c, d])),
+                0..40,
+            )
+        })
+    }
+
+    fn aggregate() -> impl Strategy<Value = (AggFunc, bool, Option<usize>)> {
+        let func = prop_oneof![
+            Just(AggFunc::Count),
+            Just(AggFunc::Sum),
+            Just(AggFunc::Avg),
+            Just(AggFunc::Min),
+            Just(AggFunc::Max)
+        ];
+        prop_oneof![
+            Just((AggFunc::Count, false, None)), // COUNT(*)
+            (func, any::<bool>(), 2usize..4).prop_map(|(f, d, c)| (f, d, Some(c)))
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Same values, same variants, same float bits, same group
+        /// order, same error — whatever the column types.
+        #[test]
+        fn kernel_agrees_with_the_accumulator_fold(
+            rows in table(),
+            key_arity in 0usize..3,
+            aggs in prop::collection::vec(aggregate(), 1..5),
+        ) {
+            let keys: Vec<usize> = (0..key_arity).collect();
+            let expected = reference(&rows, &keys, &aggs);
+            let got = kernel(&rows, &keys, &aggs);
+            prop_assert_eq!(exact(&got), exact(&expected));
+        }
+    }
+
+    fn ints(values: &[Option<i64>]) -> Vec<Row> {
+        values
+            .iter()
+            .map(|v| Row::new(vec![v.map_or(Value::Null, Value::Int)]))
+            .collect()
+    }
+
+    #[test]
+    fn empty_input_yields_one_global_row_and_no_keyed_group() {
+        let aggs = [
+            (AggFunc::Count, false, None),
+            (AggFunc::Sum, false, Some(0)),
+        ];
+        let global = kernel(&[], &[], &aggs).unwrap();
+        assert_eq!(exact(&Ok(global)), "[Row { values: [Int(0), Null] }]");
+        assert!(kernel(&[], &[0], &aggs).unwrap().is_empty());
+    }
+
+    #[test]
+    fn null_keys_form_one_group_in_first_appearance_order() {
+        let rows = ints(&[Some(2), None, Some(1), None, Some(2)]);
+        let out = kernel(&rows, &[0], &[(AggFunc::Count, false, None)]).unwrap();
+        let expected = vec![
+            Row::new(vec![Value::Int(2), Value::Int(2)]),
+            Row::new(vec![Value::Null, Value::Int(2)]),
+            Row::new(vec![Value::Int(1), Value::Int(1)]),
+        ];
+        assert_eq!(exact(&Ok(out)), exact(&Ok(expected)));
+    }
+
+    #[test]
+    fn one_and_one_point_zero_share_a_group_and_keep_the_first_spelling() {
+        let rows = vec![
+            Row::new(vec![Value::Double(1.0), Value::Int(5)]),
+            Row::new(vec![Value::Int(1), Value::Double(0.5)]),
+        ];
+        let out = kernel(&rows, &[0], &[(AggFunc::Sum, false, Some(1))]).unwrap();
+        assert_eq!(
+            exact(&Ok(out)),
+            "[Row { values: [Double(1.0), Double(5.5)] }]"
+        );
+    }
+
+    #[test]
+    fn sum_over_a_string_reports_the_accumulators_error() {
+        let rows = vec![
+            Row::new(vec![Value::Int(1), Value::str("x")]),
+            Row::new(vec![Value::Int(1), Value::str("y")]),
+        ];
+        let aggs = [
+            (AggFunc::Max, false, Some(1)),
+            (AggFunc::Sum, false, Some(1)),
+        ];
+        let err = kernel(&rows, &[0], &aggs).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            reference(&rows, &[0], &aggs).unwrap_err().to_string()
+        );
+        assert!(
+            err.to_string().contains("SUM over non-numeric value"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn of_two_failing_aggregates_the_earlier_row_wins() {
+        // AVG (listed second) fails on row 0, SUM (listed first) on
+        // row 1: row-at-a-time evaluation meets AVG's error first.
+        let rows = vec![
+            Row::new(vec![Value::Int(1), Value::str("avg-first")]),
+            Row::new(vec![Value::str("sum-second"), Value::Int(1)]),
+        ];
+        let aggs = [
+            (AggFunc::Sum, false, Some(0)),
+            (AggFunc::Avg, false, Some(1)),
+        ];
+        let err = kernel(&rows, &[], &aggs).unwrap_err().to_string();
+        assert!(err.contains("AVG") && err.contains("avg-first"), "{err}");
+        assert_eq!(err, reference(&rows, &[], &aggs).unwrap_err().to_string());
     }
 }

@@ -2,12 +2,19 @@
 //!
 //! A [`Batch`] is the columnar mirror of a `Vec<Row>`: one typed
 //! vector per column ([`Column`]), each with an optional validity
-//! bitmap marking NULL slots. The executor's vectorized select path
-//! (`columnar`) flows batches through scans, filters, and hash joins,
-//! touching values column-at-a-time for cache locality; row-oriented
-//! operators (aggregation, set ops) consume the same data through the
-//! [`Batch::row`] / [`Batch::rows`] adapters, so the two
-//! representations interconvert losslessly.
+//! bitmap marking NULL slots. The executor's vectorized operators
+//! (`columnar` selects, the aggregation kernel) flow batches through
+//! scans, filters, hash joins, and group-by, touching values
+//! column-at-a-time for cache locality; row-oriented operators (set
+//! ops, outer join, the fixpoint accumulators) consume the same data
+//! through the [`Batch::rows`] adapter, so the two representations
+//! interconvert losslessly.
+//!
+//! A batch pays only for the columns somebody reads. One built *over
+//! rows* ([`Batch::from_rows`], a base table) type-detects and copies a
+//! column on its first [`Batch::column`] call; one built *from columns*
+//! (a columnar select's projection) holds exactly the live columns its
+//! producer gathered.
 //!
 //! Hand-rolled on purpose: the build environment is offline, so no
 //! arrow — a `Vec<i64>` plus a `u64`-word bitmap is all the layout the
@@ -16,8 +23,9 @@
 //! `Float64`), which keeps round-tripped rows byte-identical to the
 //! originals — load-bearing for the determinism contract.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use starmagic_catalog::Table;
 use starmagic_common::{Row, Value};
 
 /// A packed validity (or selection) bitmap over `len` slots.
@@ -240,23 +248,145 @@ impl Column {
             }
         }
     }
+
+    /// `len` copies of one value, typed like [`Column::from_rows`]
+    /// would type them.
+    pub fn constant(value: &Value, len: usize) -> Column {
+        match value {
+            Value::Int(v) => Column::Int64 {
+                values: vec![*v; len],
+                validity: None,
+            },
+            Value::Double(v) => Column::Float64 {
+                values: vec![*v; len],
+                validity: None,
+            },
+            Value::Str(v) => Column::Str {
+                values: vec![v.clone(); len],
+                validity: None,
+            },
+            Value::Bool(v) => Column::Bool {
+                values: vec![*v; len],
+                validity: None,
+            },
+            Value::Null => Column::Mixed(vec![Value::Null; len]),
+        }
+    }
+
+    /// Concatenate chunk outputs of one expression, in order. Chunks of
+    /// one variant stay typed; a variant mix (possible only when an
+    /// expression's type depends on the data) degrades to `Mixed`.
+    pub fn concat(mut parts: Vec<Column>) -> Column {
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
+        let len: usize = parts.iter().map(Column::len).sum();
+        macro_rules! typed {
+            ($variant:ident) => {{
+                let mut all = Vec::with_capacity(len);
+                let mut bits: Option<Bitmap> = None;
+                for part in &parts {
+                    let Column::$variant { values, validity } = part else {
+                        unreachable!("variants checked")
+                    };
+                    if let Some(v) = validity {
+                        let bits = bits.get_or_insert_with(|| Bitmap::filled(len, true));
+                        for k in (0..values.len()).filter(|&k| !v.get(k)) {
+                            bits.set(all.len() + k, false);
+                        }
+                    }
+                    all.extend_from_slice(values);
+                }
+                Column::$variant {
+                    values: all,
+                    validity: bits,
+                }
+            }};
+        }
+        let same = |f: fn(&Column) -> bool| parts.iter().all(f);
+        if same(|c| matches!(c, Column::Int64 { .. })) {
+            typed!(Int64)
+        } else if same(|c| matches!(c, Column::Float64 { .. })) {
+            typed!(Float64)
+        } else if same(|c| matches!(c, Column::Str { .. })) {
+            typed!(Str)
+        } else if same(|c| matches!(c, Column::Bool { .. })) {
+            typed!(Bool)
+        } else {
+            Column::Mixed(
+                parts
+                    .iter()
+                    .flat_map(|c| (0..c.len()).map(|k| c.value(k)))
+                    .collect(),
+            )
+        }
+    }
 }
 
-/// A columnar batch: typed column vectors of equal length.
+/// Rows a box result or a lazily built batch reads from: an operator's
+/// own output, or a stored table's rows borrowed in place (no copy per
+/// scan; the handle keeps that table version alive).
+#[derive(Debug, Clone)]
+pub(crate) enum RowSource {
+    Owned(Arc<Vec<Row>>),
+    Table(Arc<Table>),
+}
+
+impl RowSource {
+    pub(crate) fn rows(&self) -> &[Row] {
+        match self {
+            RowSource::Owned(rows) => rows,
+            RowSource::Table(t) => t.rows(),
+        }
+    }
+}
+
+/// A columnar batch: typed column vectors of equal length, each built
+/// at most once and only when read.
 #[derive(Debug, Clone)]
 pub struct Batch {
-    columns: Vec<Column>,
+    columns: Vec<OnceLock<Column>>,
     len: usize,
+    /// Where a column not yet built comes from. `None` for a batch
+    /// assembled from columns: every column a consumer may read is
+    /// already there, the rest were pruned as dead.
+    source: Option<RowSource>,
 }
 
 impl Batch {
-    /// Convert rows to columns. All rows must share the arity of the
-    /// first (true for every operator output in this executor).
+    /// A batch over `rows`. All rows must share the arity of the first
+    /// (true for every operator output in this executor). Copies the
+    /// row handles, not the values; columns are built on first touch.
     pub fn from_rows(rows: &[Row]) -> Batch {
-        let arity = rows.first().map_or(0, Row::arity);
+        Batch::over(RowSource::Owned(Arc::new(rows.to_vec())))
+    }
+
+    /// A batch over a row source, sharing it.
+    pub(crate) fn over(source: RowSource) -> Batch {
+        let arity = match &source {
+            RowSource::Owned(rows) => rows.first().map_or(0, Row::arity),
+            RowSource::Table(t) => t.schema().arity(),
+        };
         Batch {
-            columns: (0..arity).map(|c| Column::from_rows(rows, c)).collect(),
-            len: rows.len(),
+            columns: (0..arity).map(|_| OnceLock::new()).collect(),
+            len: source.rows().len(),
+            source: Some(source),
+        }
+    }
+
+    /// A batch of `len` rows from a producer's projection vectors;
+    /// `None` marks an output column no consumer reads.
+    pub(crate) fn from_columns(columns: Vec<Option<Column>>, len: usize) -> Batch {
+        Batch {
+            columns: columns
+                .into_iter()
+                .map(|c| {
+                    debug_assert!(c.as_ref().map_or(true, |c| c.len() == len));
+                    c.map_or_else(OnceLock::new, OnceLock::from)
+                })
+                .collect(),
+            len,
+            source: None,
         }
     }
 
@@ -275,20 +405,41 @@ impl Batch {
         self.columns.len()
     }
 
-    /// Column `c`.
+    /// Column `c`, built from the source rows on first use.
+    ///
+    /// # Panics
+    /// If the producer pruned `c` as dead: the live-column pass missed a
+    /// reader, which is an executor bug.
     pub fn column(&self, c: usize) -> &Column {
-        &self.columns[c]
+        self.columns[c].get_or_init(|| {
+            let source = self
+                .source
+                .as_ref()
+                .unwrap_or_else(|| panic!("column {c} was pruned as dead but is read"));
+            Column::from_rows(source.rows(), c)
+        })
     }
 
-    /// Materialize row `i` — the row-at-a-time adapter for operators
-    /// that have not been vectorized (aggregation, set ops).
-    pub fn row(&self, i: usize) -> Row {
-        Row::new(self.columns.iter().map(|c| c.value(i)).collect::<Vec<_>>())
+    /// Whether column `c` has been built (or was handed over built).
+    pub fn is_built(&self, c: usize) -> bool {
+        self.columns[c].get().is_some()
     }
 
-    /// Materialize every row, in order.
+    /// Materialize every row, in order. A pruned column reads as NULL
+    /// (nobody reads it, but the row keeps its arity and offsets).
     pub fn rows(&self) -> Vec<Row> {
-        (0..self.len).map(|i| self.row(i)).collect()
+        if let Some(source) = &self.source {
+            return source.rows().to_vec();
+        }
+        let columns: Vec<Option<&Column>> = self.columns.iter().map(OnceLock::get).collect();
+        (0..self.len)
+            .map(|i| {
+                let values = columns
+                    .iter()
+                    .map(|c| c.map_or(Value::Null, |c| c.value(i)));
+                Row::new(values.collect::<Vec<_>>())
+            })
+            .collect()
     }
 }
 
@@ -350,6 +501,66 @@ mod tests {
         assert!(col.is_null(1));
         assert_eq!(col.value(2), Value::Int(1));
         assert_eq!(col.value(3), Value::Int(3));
+    }
+
+    #[test]
+    fn a_column_is_built_by_its_first_reader_only() {
+        // The satellite fix: a batch over rows pays per column read. A
+        // reader of the Int column must leave the Str column unscanned.
+        let batch = Batch::from_rows(&rows());
+        assert!((0..3).all(|c| !batch.is_built(c)), "nothing built up front");
+        assert!(matches!(batch.column(0), Column::Int64 { .. }));
+        assert!(batch.is_built(0));
+        assert!(!batch.is_built(1), "the untouched Str column was scanned");
+        assert!(!batch.is_built(2));
+        // Rows come from the shared source, not from rebuilt columns.
+        assert_eq!(batch.rows(), rows());
+        assert!(!batch.is_built(1));
+        // A second read serves the same column.
+        assert!(std::ptr::eq(batch.column(0), batch.column(0)));
+    }
+
+    #[test]
+    fn a_batch_from_columns_reads_pruned_columns_as_null_in_rows() {
+        let full = Batch::from_rows(&rows());
+        let pruned = Batch::from_columns(vec![Some(full.column(0).clone()), None], 3);
+        assert!(pruned.is_built(0) && !pruned.is_built(1));
+        assert_eq!(
+            pruned.rows(),
+            vec![
+                Row::new(vec![Value::Int(1), Value::Null]),
+                Row::new(vec![Value::Null, Value::Null]),
+                Row::new(vec![Value::Int(3), Value::Null]),
+            ]
+        );
+    }
+
+    #[test]
+    fn concat_keeps_types_and_validity_and_degrades_to_mixed() {
+        let batch = Batch::from_rows(&rows());
+        let ints = batch.column(0);
+        let joined = Column::concat(vec![
+            ints.take(&[0, 1]),
+            ints.take(&[2]),
+            ints.take(&[1, 0]),
+        ]);
+        assert!(matches!(joined, Column::Int64 { .. }));
+        let values: Vec<Value> = (0..joined.len()).map(|k| joined.value(k)).collect();
+        assert_eq!(
+            values,
+            vec![
+                Value::Int(1),
+                Value::Null,
+                Value::Int(3),
+                Value::Null,
+                Value::Int(1)
+            ]
+        );
+        let mixed = Column::concat(vec![ints.take(&[0]), batch.column(1).take(&[0])]);
+        assert!(matches!(mixed, Column::Mixed(_)));
+        assert_eq!(mixed.value(1), Value::str("a"));
+        assert_eq!(Column::constant(&Value::Int(7), 2).value(1), Value::Int(7));
+        assert!(Column::constant(&Value::Null, 2).is_null(0));
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //! the same profile counters charged at the same points — but carries
 //! the intermediate join state as id vectors into shared [`Batch`]es
 //! instead of materialized `Vec<Row>` combinations. Values are only
-//! gathered when a kernel touches them, and rows only exist again at
-//! the box boundary.
+//! gathered when a kernel touches them, and the box hands over its
+//! projection vectors as a [`Batch`] of the output columns some
+//! consumer reads (`boundary`): rows exist again only if a
+//! row-at-a-time consumer — or the query root — asks for them.
 //!
 //! **Fallback-first.** A select box qualifies only when every
 //! predicate is join-time (no subquery references) and compiles to a
 //! [`VExpr`], every projection column compiles, and every input
 //! quantifier is uncorrelated. Anything else — and any error inside a
-//! vectorized kernel — returns `None`/falls back, and the row path
+//! vectorized kernel — falls back with its reason, and the row path
 //! evaluates the box from scratch. Two properties make the fallback
 //! free of observable drift:
 //!
@@ -38,10 +40,11 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use starmagic_common::{Error, Result, Row, Value};
+use starmagic_common::{Error, Result, Value};
 use starmagic_qgm::{BoxId, BoxKind, QuantId, ScalarExpr};
 
 use crate::batch::{Batch, Column};
+use crate::boundary::{BoxOutput, Fallback};
 use crate::executor::{dedupe, Executor, Frame};
 use crate::parallel::{run_batches, MORSEL_ROWS, PARALLEL_THRESHOLD};
 use crate::profile::ExecProfile;
@@ -50,11 +53,16 @@ use crate::vector::{compile, eval, SlotView, VExpr, Vector};
 /// Why a columnar attempt stopped: fall back silently, or propagate a
 /// real executor error (one the row path would hit identically).
 enum Abort {
-    Fallback,
+    Fallback(Fallback),
     Fatal(Error),
 }
 
 type StageResult<T> = std::result::Result<T, Abort>;
+
+/// A predicate side that compiled for the whole box during eligibility
+/// must compile for a stage's slots too; if it ever does not, the row
+/// path rules.
+const UNCOMPILABLE: Abort = Abort::Fallback(Fallback::UncompilablePredicate);
 
 /// Unwrap a vectorized-kernel result; any error means "use the row
 /// path" (see the module docs for why that is always sound).
@@ -62,7 +70,7 @@ macro_rules! vk {
     ($e:expr) => {
         match $e {
             Ok(v) => v,
-            Err(_) => return Err(Abort::Fallback),
+            Err(_) => return Err(Abort::Fallback(Fallback::KernelError)),
         }
     };
 }
@@ -79,16 +87,16 @@ macro_rules! ex {
     };
 }
 
-/// Evaluate a select box columnar if it qualifies. `Ok(None)` means
+/// Evaluate a select box columnar if it qualifies. `Ok(Err(why))` means
 /// "not eligible (or a kernel bailed) — run the row path".
 pub(crate) fn try_eval_select(
     exec: &mut Executor<'_>,
     b: BoxId,
     frame: &Frame<'_>,
-) -> Result<Option<Vec<Row>>> {
+) -> Result<std::result::Result<BoxOutput, Fallback>> {
     match run(exec, b, frame) {
-        Ok(rows) => Ok(Some(rows)),
-        Err(Abort::Fallback) => Ok(None),
+        Ok(out) => Ok(Ok(out)),
+        Err(Abort::Fallback(why)) => Ok(Err(why)),
         Err(Abort::Fatal(e)) => Err(e),
     }
 }
@@ -173,12 +181,12 @@ fn dispatch<R: Send>(
     }
 }
 
-fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<Vec<Row>> {
+fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxOutput> {
     let qgm = exec.qgm;
     let qb = qgm.boxed(b);
     let order = qgm.join_order(b);
     if order.is_empty() {
-        return Err(Abort::Fallback);
+        return Err(Abort::Fallback(Fallback::NoInput));
     }
     let local_f: BTreeSet<QuantId> = order.iter().copied().collect();
     let local_sub: BTreeSet<QuantId> = qb
@@ -191,22 +199,24 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<Vec<
 
     // ---- eligibility (no side effects yet) ---------------------------
     let full_slot = |x: QuantId| order.iter().position(|&y| y == x);
-    if preds.iter().any(|p| {
-        p.quantifiers().iter().any(|x| local_sub.contains(x))
-            || compile(p, &full_slot, frame).is_none()
-    }) {
-        return Err(Abort::Fallback);
+    for p in &preds {
+        if p.quantifiers().iter().any(|x| local_sub.contains(x)) {
+            return Err(Abort::Fallback(Fallback::SubqueryPredicate));
+        }
+        if compile(p, &full_slot, frame).is_none() {
+            return Err(Abort::Fallback(Fallback::UncompilablePredicate));
+        }
     }
     if qb
         .columns
         .iter()
         .any(|c| compile(&c.expr, &full_slot, frame).is_none())
     {
-        return Err(Abort::Fallback);
+        return Err(Abort::Fallback(Fallback::UncompilableColumn));
     }
     for &q in &order {
         if exec.is_correlated(qgm.quant(q).input) {
-            return Err(Abort::Fallback);
+            return Err(Abort::Fallback(Fallback::CorrelatedInput));
         }
     }
 
@@ -295,14 +305,14 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<Vec<
                 let index = ex!(exec.table_id_index(&table, col));
                 let tbatch = ex!(exec.table_batch(&table));
                 let probe_key =
-                    compile(&hash_preds[pred_idx].0, &slot_of, frame).ok_or(Abort::Fallback)?;
+                    compile(&hash_preds[pred_idx].0, &slot_of, frame).ok_or(UNCOMPILABLE)?;
                 let rest: Vec<(VExpr, VExpr)> = hash_preds
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| *i != pred_idx)
                     .map(|(_, (p, bld))| {
-                        let pv = compile(p, &slot_of, frame).ok_or(Abort::Fallback)?;
-                        let bv = compile(bld, &build_slot, frame).ok_or(Abort::Fallback)?;
+                        let pv = compile(p, &slot_of, frame).ok_or(UNCOMPILABLE)?;
+                        let bv = compile(bld, &build_slot, frame).ok_or(UNCOMPILABLE)?;
                         Ok((pv, bv))
                     })
                     .collect::<StageResult<_>>()?;
@@ -364,10 +374,10 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<Vec<
             } else if !hash_preds.is_empty() {
                 // Hash join: build on the child once, probe per
                 // combination position.
-                let child_rows = ex!(exec.eval_box(child, frame));
-                scratch.entry(b).rows_in += child_rows.len() as u64;
-                let cbatch = exec.child_batch(child, &child_rows);
-                let m = child_rows.len();
+                let child_out = ex!(exec.eval_box(child, frame));
+                let m = child_out.len();
+                scratch.entry(b).rows_in += m as u64;
+                let cbatch = ex!(exec.batch_of(child, &child_out));
                 let cids: Vec<u32> = (0..m as u32).collect();
                 let bslots = [SlotView {
                     batch: cbatch.as_ref(),
@@ -378,9 +388,9 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<Vec<
                 let slots = state.views();
                 let positions: Vec<u32> = (0..state.len as u32).collect();
                 for (probe, build) in &hash_preds {
-                    let bv = compile(build, &build_slot, frame).ok_or(Abort::Fallback)?;
+                    let bv = compile(build, &build_slot, frame).ok_or(UNCOMPILABLE)?;
                     build_cols.push(vk!(eval(&bv, &bslots, &cids)));
-                    let pv = compile(probe, &slot_of, frame).ok_or(Abort::Fallback)?;
+                    let pv = compile(probe, &slot_of, frame).ok_or(UNCOMPILABLE)?;
                     probe_cols.push(vk!(eval(&pv, &slots, &positions)));
                 }
                 // Single-Int64 keys join through a raw i64 table (no
@@ -478,10 +488,10 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<Vec<
             } else {
                 // Nested loop over an uncorrelated child: prefetch
                 // once, cross product as id arithmetic.
-                let child_rows = ex!(exec.eval_box(child, frame));
-                scratch.entry(b).rows_in += child_rows.len() as u64;
-                let cbatch = exec.child_batch(child, &child_rows);
-                let m = child_rows.len();
+                let child_out = ex!(exec.eval_box(child, frame));
+                let m = child_out.len();
+                scratch.entry(b).rows_in += m as u64;
+                let cbatch = ex!(exec.batch_of(child, &child_out));
                 let mut parent = Vec::with_capacity(state.len * m);
                 let mut cid = Vec::with_capacity(state.len * m);
                 for pos in 0..state.len as u32 {
@@ -515,7 +525,7 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<Vec<
             let stage_slot = |x: QuantId| bound.iter().position(|&y| y == x);
             let ready_vs: Vec<VExpr> = ready
                 .iter()
-                .map(|&i| compile(&preds[i], &stage_slot, frame).ok_or(Abort::Fallback))
+                .map(|&i| compile(&preds[i], &stage_slot, frame).ok_or(UNCOMPILABLE))
                 .collect::<StageResult<_>>()?;
             let n = state.len;
             stats.stage(n);
@@ -554,42 +564,72 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<Vec<
     // Every predicate is join-time by eligibility, so by now all are
     // applied; anything else is a logic drift — let the row path rule.
     if applied.iter().any(|a| !a) {
-        return Err(Abort::Fallback);
+        return Err(UNCOMPILABLE);
     }
 
-    // ---- projection: gather only the surviving rows ------------------
+    // ---- projection: gather only the surviving rows, and of those only
+    // the columns some consumer reads. A dead column that is a bare
+    // reference or a literal cannot fail and is skipped outright; any
+    // other dead expression is still evaluated, for its errors alone.
     let stage_slot = |x: QuantId| bound.iter().position(|&y| y == x);
     let col_vs: Vec<VExpr> = qb
         .columns
         .iter()
-        .map(|c| compile(&c.expr, &stage_slot, frame).ok_or(Abort::Fallback))
+        .map(|c| compile(&c.expr, &stage_slot, frame).ok_or(UNCOMPILABLE))
         .collect::<StageResult<_>>()?;
+    // Full width where width is semantics: DISTINCT compares whole rows.
+    let all = vec![true; col_vs.len()];
+    exec.find_live_columns();
+    let live = match exec.live_columns(b) {
+        Some(live) if !qb.distinct.needs_dedup() => live,
+        _ => &all,
+    };
     stats.stage(state.len);
-    stats.gather += (state.len * col_vs.len()) as u64;
+    stats.gather += (state.len * live.iter().filter(|&&l| l).count()) as u64;
     let slots = state.views();
     let col_vs = &col_vs;
-    let parts = vk!(dispatch(exec, state.len, &mut scratch, |chunk, _| {
-        let cols: Vec<Vector> = col_vs
+    let mut parts = vk!(dispatch(exec, state.len, &mut scratch, |chunk, _| {
+        col_vs
             .iter()
-            .map(|v| eval(v, &slots, chunk))
-            .collect::<Result<_>>()?;
-        let mut rows = Vec::with_capacity(chunk.len());
-        for k in 0..chunk.len() {
-            rows.push(Row::new(
-                cols.iter().map(|c| c.value_at(k)).collect::<Vec<_>>(),
-            ));
-        }
-        Ok(rows)
+            .zip(live)
+            .map(|(v, &live)| {
+                if !live && matches!(v, VExpr::Col { .. } | VExpr::Lit(_)) {
+                    return Ok(None);
+                }
+                let column = eval(v, &slots, chunk)?.into_column();
+                Ok(live.then_some(column))
+            })
+            .collect::<Result<Vec<Option<Column>>>>()
     }));
     drop(slots);
-    let mut result: Vec<Row> = parts.into_iter().flatten().collect();
-    scratch.entry(b).rows_produced += result.len() as u64;
-    if qb.distinct.needs_dedup() {
-        result = dedupe(result);
-    }
+    let columns = if parts.len() == 1 {
+        parts.pop().expect("one chunk")
+    } else {
+        // Chunk outputs back into whole columns, in chunk order. Every
+        // chunk iterator advances (no short-circuiting collect): a
+        // column is dead in all chunks or in none.
+        let mut chunks: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
+        (0..col_vs.len())
+            .map(|_| {
+                let parts: Vec<Option<Column>> = chunks
+                    .iter_mut()
+                    .map(|chunk| chunk.next().expect("one entry per column"))
+                    .collect();
+                let parts: Option<Vec<Column>> = parts.into_iter().collect();
+                parts.map(Column::concat)
+            })
+            .collect()
+    };
+    let batch = Batch::from_columns(columns, state.len);
+    scratch.entry(b).rows_produced += state.len as u64;
+    let out = if qb.distinct.needs_dedup() {
+        BoxOutput::from_rows(dedupe(batch.rows()))
+    } else {
+        BoxOutput::from_batch(batch)
+    };
 
     // Success: commit the counters and the batch telemetry.
     exec.profile.merge(&scratch);
     exec.note_batch_stats(stats.batches, stats.gather, &stats.rows, &stats.selectivity);
-    Ok(result)
+    Ok(out)
 }

@@ -9,15 +9,17 @@ use starmagic_common::{Error, Result, Row, Truth, Value};
 use starmagic_metrics::Registry;
 use starmagic_planner::cost::is_correlated_subtree;
 use starmagic_qgm::expr::QuantMode;
-use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId, QuantKind, ScalarExpr, SetOpKind};
+use starmagic_qgm::{BoxId, BoxKind, GroupByBox, Qgm, QuantId, QuantKind, ScalarExpr, SetOpKind};
 use starmagic_sql::BinOp;
 
-use crate::agg::Accumulator;
-use crate::batch::Batch;
+use crate::agg::{hash_aggregate, AggInput};
+use crate::batch::{Batch, Column, RowSource};
+use crate::boundary::{live_columns, BoxOutput, BoxPath, Fallback};
 use crate::like::like_match;
 use crate::metrics::Metrics;
 use crate::parallel::{run_morsels, PARALLEL_THRESHOLD};
 use crate::profile::{ExecProfile, FixpointStats};
+use crate::vector::{self, SlotView, Vector};
 
 /// Execution knobs.
 #[derive(Debug, Clone)]
@@ -37,6 +39,8 @@ pub struct ExecOptions {
     /// byte-identical either way — the fuzzer's columnar oracle and
     /// the determinism suite pin that contract — so this knob exists
     /// for differential testing and benchmarking, not correctness.
+    /// Group-by runs the same aggregation kernel either way; with the
+    /// knob off it is simply handed rows.
     pub columnar: bool,
     /// Metrics registry for morsel-scheduling telemetry (batch counts
     /// and queue depth). These live **outside** [`ExecProfile`] on
@@ -138,8 +142,11 @@ pub fn execute_with_options(
         exec.fixpoint_total_rows = opts.metrics.counter("exec.fixpoint.total_rows");
         exec.index_builds = opts.metrics.counter("exec.index.builds");
     }
-    let rows = exec.eval_box(qgm.top(), &Frame::root())?;
-    let rows = rows.as_ref().clone();
+    let out = exec.eval_box(qgm.top(), &Frame::root())?;
+    // The cache's handle goes first, so the root's rows move out.
+    exec.cache.remove(&qgm.top());
+    let rows = out.into_rows();
+    exec.flush_path_counts(&opts.metrics);
     Ok((rows, exec.profile))
 }
 
@@ -168,8 +175,7 @@ type CacheMap<K, V> = Mutex<HashMap<K, (Arc<Table>, V)>>;
 /// the cache can be shared across engine threads.
 ///
 /// Every entry remembers the `Arc<Table>` it was built from and a
-/// lookup serves it only to a catalog that holds that same `Arc` (the
-/// idiom [`Executor::child_batch`] uses for fixpoint accumulators), so
+/// lookup serves it only to a catalog that holds that same `Arc`, so
 /// a structure built before a write can never answer a query that runs
 /// after it: freshness does not depend on anyone resetting the cache.
 /// The entry's own handle is what makes the pointer a sound version
@@ -222,7 +228,7 @@ fn cached_or_build<K: std::hash::Hash + Eq + Clone, V: Clone>(
     key: &K,
     table: &Arc<Table>,
     builds: &starmagic_metrics::Counter,
-    build: impl FnOnce(&Table) -> V,
+    build: impl FnOnce(&Arc<Table>) -> V,
 ) -> V {
     if let Some(shared) = shared {
         if let Some((built_from, v)) = shared.lock().expect("index cache poisoned").get(key) {
@@ -287,12 +293,19 @@ pub struct Executor<'a> {
     pub(crate) threads: usize,
     /// Whether eligible select boxes go through the columnar path.
     pub(crate) columnar: bool,
-    cache: HashMap<BoxId, Arc<Vec<Row>>>,
+    cache: HashMap<BoxId, Arc<BoxOutput>>,
     correlated: HashMap<BoxId, bool>,
     /// Boxes that participate in a cycle (recursive queries).
     recursive: BTreeSet<BoxId>,
     /// Rows accumulated so far for recursive boxes during fixpoint.
-    recursive_acc: HashMap<BoxId, Arc<Vec<Row>>>,
+    recursive_acc: HashMap<BoxId, Arc<BoxOutput>>,
+    /// Per box, the output columns some consumer reads; computed on the
+    /// first columnar projection that could prune.
+    live: Option<HashMap<BoxId, Vec<bool>>>,
+    /// Box evaluations per physical path: `[0]` stayed on the batch
+    /// path, `[1 + reason]` left it. Flushed to the registry once per
+    /// execution.
+    path_counts: [u64; 1 + Fallback::ALL.len()],
     /// Recursive boxes currently being iterated.
     in_fixpoint: BTreeSet<BoxId>,
     /// SCC members of an active semi-naive fixpoint: evaluated fresh
@@ -314,10 +327,6 @@ pub struct Executor<'a> {
     /// key columns) → (hash of non-NULL-key rows, rows with a NULL in
     /// the key — those need Unknown accounting).
     quantified_indexes: HashMap<(QuantId, Vec<usize>), SemiJoinIndex>,
-    /// Columnar batches of uncorrelated child results, keyed by box
-    /// and validated against the cached row `Arc` (fixpoint rounds
-    /// swap the accumulator, which invalidates the batch too).
-    batch_cache: HashMap<BoxId, (Arc<Vec<Row>>, Arc<Batch>)>,
     /// Lazily built columnar views of base tables (cf. [`Executor::indexes`]).
     table_batches: HashMap<String, Arc<Batch>>,
     /// Lazily built id-keyed column indexes for columnar INL probes.
@@ -368,6 +377,8 @@ impl<'a> Executor<'a> {
             correlated: HashMap::new(),
             recursive,
             recursive_acc: HashMap::new(),
+            live: None,
+            path_counts: [0; 1 + Fallback::ALL.len()],
             in_fixpoint: BTreeSet::new(),
             no_cache: BTreeSet::new(),
             max_fixpoint_rounds: 100_000,
@@ -375,7 +386,6 @@ impl<'a> Executor<'a> {
             indexes: HashMap::new(),
             shared_indexes: None,
             quantified_indexes: HashMap::new(),
-            batch_cache: HashMap::new(),
             table_batches: HashMap::new(),
             id_indexes: HashMap::new(),
             morsel_runs: starmagic_metrics::Counter::default(),
@@ -465,10 +475,10 @@ impl<'a> Executor<'a> {
         let index = match self.quantified_indexes.get(&cache_key) {
             Some(i) => i.clone(),
             None => {
-                let rows = self.eval_box(sub, frame)?;
+                let rows = self.eval_rows(sub, frame)?;
                 let mut map: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
                 let mut null_keyed: Vec<Row> = Vec::new();
-                'row: for r in rows.iter() {
+                'row: for r in rows.rows() {
                     let mut key = Vec::with_capacity(key_cols.len());
                     for &c in &key_cols {
                         let v = r.get(c);
@@ -600,7 +610,9 @@ impl<'a> Executor<'a> {
             &key,
             self.catalog.table_arc(table)?,
             &self.index_builds,
-            |t| Arc::new(Batch::from_rows(t.rows())),
+            // Lazy: a column is type-detected and copied by the first
+            // execution that reads it, then shared like an index.
+            |t| Arc::new(Batch::over(RowSource::Table(t.clone()))),
         );
         self.table_batches.insert(key, batch.clone());
         Ok(batch)
@@ -635,19 +647,87 @@ impl<'a> Executor<'a> {
         Ok(idx)
     }
 
-    /// Columnar view of an already-evaluated child box. The cached
-    /// batch is keyed by box and validated against the row `Arc` it
-    /// was built from, so a fixpoint round that swaps the accumulator
-    /// rebuilds the batch instead of serving stale columns.
-    pub(crate) fn child_batch(&mut self, bx: BoxId, rows: &Arc<Vec<Row>>) -> Arc<Batch> {
-        if let Some((cached_rows, batch)) = self.batch_cache.get(&bx) {
-            if Arc::ptr_eq(cached_rows, rows) {
-                return batch.clone();
+    /// A box result as a batch, for a columnar consumer. A stored
+    /// table's is the shared cached one; any other result that exists
+    /// only as rows gets a batch over them (columns built on first
+    /// read), kept with the result so a second consumer — or the next
+    /// reference inside one fixpoint round — reuses it.
+    pub(crate) fn batch_of(&mut self, b: BoxId, out: &BoxOutput) -> Result<Arc<Batch>> {
+        if let Some(batch) = out.built_batch() {
+            return Ok(batch.clone());
+        }
+        let stored = match &self.qgm.boxed(b).kind {
+            BoxKind::BaseTable { table } => Some(self.table_batch(table)?),
+            _ => None,
+        };
+        Ok(out.batch_or(stored).clone())
+    }
+
+    /// A box result as rows, for a row-at-a-time consumer. Counts the
+    /// materialization when the producer had handed over a batch.
+    fn rows_of<'o>(&mut self, b: BoxId, out: &'o BoxOutput) -> &'o [Row] {
+        if !out.has_rows() {
+            self.note_path(b, BoxPath::Row(Fallback::RowOnlyConsumer));
+        }
+        out.rows()
+    }
+
+    /// Evaluate a box for a row-at-a-time consumer: the returned
+    /// result's `rows()` are already materialized.
+    fn eval_rows(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<Arc<BoxOutput>> {
+        let out = self.eval_box(b, frame)?;
+        self.rows_of(b, &out);
+        Ok(out)
+    }
+
+    /// Record which path one evaluation of `b` took: the tally behind
+    /// `exec.batch.boxes` / `exec.batch.fallback.<reason>`, and the
+    /// per-box marker (the first reason a box left the batch path
+    /// sticks; `batch` only while it never did).
+    pub(crate) fn note_path(&mut self, b: BoxId, path: BoxPath) {
+        let slot = match path {
+            BoxPath::Batch => 0,
+            BoxPath::Row(why) => 1 + why as usize,
+        };
+        self.path_counts[slot] += 1;
+        let marker = self.profile.paths.entry(b).or_insert(path);
+        if *marker == BoxPath::Batch {
+            *marker = path;
+        }
+    }
+
+    /// One registry update per execution for the path tallies.
+    fn flush_path_counts(&self, metrics: &Registry) {
+        if metrics.is_noop() {
+            return;
+        }
+        metrics.counter("exec.batch.boxes").add(self.path_counts[0]);
+        for why in Fallback::ALL {
+            let n = self.path_counts[1 + why as usize];
+            if n > 0 {
+                metrics
+                    .counter(&format!("exec.batch.fallback.{}", why.name()))
+                    .add(n);
             }
         }
-        let batch = Arc::new(Batch::from_rows(rows));
-        self.batch_cache.insert(bx, (rows.clone(), batch.clone()));
-        batch
+    }
+
+    /// Run the live-column pass, once per execution and only when a
+    /// columnar projection is about to ask.
+    pub(crate) fn find_live_columns(&mut self) {
+        if self.live.is_none() {
+            let recursive = &self.recursive;
+            self.live = Some(live_columns(self.qgm, |b| recursive.contains(&b)));
+        }
+    }
+
+    /// The output columns of `b` some consumer reads; `None` is all of
+    /// them (the top box, or [`Executor::find_live_columns`] not run).
+    pub(crate) fn live_columns(&self, b: BoxId) -> Option<&[bool]> {
+        if b == self.qgm.top() {
+            return None;
+        }
+        self.live.as_ref()?.get(&b).map(Vec::as_slice)
     }
 
     /// Flush one columnar select's batch telemetry. Called only after
@@ -683,7 +763,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Evaluate a box under a frame. Uncorrelated boxes are cached.
-    pub fn eval_box(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<Arc<Vec<Row>>> {
+    pub fn eval_box(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<Arc<BoxOutput>> {
         // During fixpoint iteration, a recursive reference yields the
         // rows accumulated so far.
         if self.in_fixpoint.contains(&b) {
@@ -691,40 +771,40 @@ impl<'a> Executor<'a> {
                 .recursive_acc
                 .get(&b)
                 .cloned()
-                .unwrap_or_else(|| Arc::new(Vec::new())));
+                .unwrap_or_else(|| Arc::new(BoxOutput::from_rows(Vec::new()))));
         }
         // A non-driver member of an active semi-naive fixpoint: always
         // evaluate fresh (its inputs include the round's delta) and
         // never dispatch a nested fixpoint on it.
         if self.no_cache.contains(&b) {
             self.profile.entry(b).evals += 1;
-            let rows = Arc::new(self.eval_inner(b, frame)?);
-            self.profile.entry(b).rows_out += rows.len() as u64;
-            return Ok(rows);
+            let out = Arc::new(self.eval_inner(b, frame)?);
+            self.profile.entry(b).rows_out += out.len() as u64;
+            return Ok(out);
         }
         if !self.is_correlated(b) {
-            if let Some(rows) = self.cache.get(&b) {
-                return Ok(rows.clone());
+            if let Some(out) = self.cache.get(&b) {
+                return Ok(out.clone());
             }
         }
         let timer = self.profile.timing.then(Instant::now);
         self.profile.entry(b).evals += 1;
-        let rows = if self.recursive.contains(&b) {
+        let out = if self.recursive.contains(&b) {
             self.fixpoint(b, frame)?
         } else {
             Arc::new(self.eval_inner(b, frame)?)
         };
         {
             let p = self.profile.entry(b);
-            p.rows_out += rows.len() as u64;
+            p.rows_out += out.len() as u64;
             if let Some(t) = timer {
                 p.elapsed += t.elapsed();
             }
         }
         if !self.is_correlated(b) {
-            self.cache.insert(b, rows.clone());
+            self.cache.insert(b, out.clone());
         }
-        Ok(rows)
+        Ok(out)
     }
 
     /// Fixpoint over the recursive component reachable from `b`.
@@ -733,7 +813,7 @@ impl<'a> Executor<'a> {
     /// arms over the *delta* only. Everything else — hand-built cyclic
     /// graphs, nonlinear recursion, cycles through subqueries — falls
     /// back to the naive whole-accumulation iteration.
-    fn fixpoint(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<Arc<Vec<Row>>> {
+    fn fixpoint(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<Arc<BoxOutput>> {
         let members: Vec<BoxId> = self
             .recursive
             .iter()
@@ -849,7 +929,7 @@ impl<'a> Executor<'a> {
         b: BoxId,
         plan: SemiNaivePlan,
         frame: &Frame<'_>,
-    ) -> Result<Arc<Vec<Row>>> {
+    ) -> Result<Arc<BoxOutput>> {
         // Non-driver members evaluate fresh on every reference while
         // the fixpoint runs.
         let fresh: Vec<BoxId> = plan
@@ -877,7 +957,7 @@ impl<'a> Executor<'a> {
         b: BoxId,
         plan: &SemiNaivePlan,
         frame: &Frame<'_>,
-    ) -> Result<Arc<Vec<Row>>> {
+    ) -> Result<Arc<BoxOutput>> {
         let mut total: HashMap<BoxId, Vec<Row>> = HashMap::new();
         let mut seen: HashMap<BoxId, HashSet<Row>> = HashMap::new();
         let mut delta: HashMap<BoxId, Vec<Row>> = HashMap::new();
@@ -887,7 +967,7 @@ impl<'a> Executor<'a> {
         for da in &plan.arms {
             let mut rows: Vec<Row> = Vec::new();
             for &arm in &da.base_arms {
-                rows.extend(self.eval_box(arm, frame)?.iter().cloned());
+                rows.extend(self.eval_rows(arm, frame)?.into_rows());
             }
             self.profile.entry(da.driver).rows_in += rows.len() as u64;
             let admitted = if da.all {
@@ -921,15 +1001,15 @@ impl<'a> Executor<'a> {
             // the step arms see exactly the new rows.
             for &d in &plan.drivers {
                 self.in_fixpoint.insert(d);
-                self.recursive_acc
-                    .insert(d, Arc::new(delta.get(&d).cloned().unwrap_or_default()));
+                let published = BoxOutput::from_rows(delta.remove(&d).unwrap_or_default());
+                self.recursive_acc.insert(d, Arc::new(published));
             }
             let mut grew = false;
             let mut next: HashMap<BoxId, Vec<Row>> = HashMap::new();
             for da in &plan.arms {
                 let mut rows: Vec<Row> = Vec::new();
                 for &arm in &da.step_arms {
-                    rows.extend(self.eval_box(arm, frame)?.iter().cloned());
+                    rows.extend(self.eval_rows(arm, frame)?.into_rows());
                 }
                 self.profile.entry(da.driver).rows_in += rows.len() as u64;
                 let admitted = if da.all {
@@ -972,7 +1052,9 @@ impl<'a> Executor<'a> {
             e.delta_rows.extend_from_slice(&st.delta_rows);
             e.total_rows += st.total_rows;
         }
-        Ok(Arc::new(total.remove(&b).unwrap_or_default()))
+        Ok(Arc::new(BoxOutput::from_rows(
+            total.remove(&b).unwrap_or_default(),
+        )))
     }
 
     /// Naive fixpoint over the recursive component: iterate until no
@@ -984,10 +1066,11 @@ impl<'a> Executor<'a> {
         b: BoxId,
         members: &[BoxId],
         frame: &Frame<'_>,
-    ) -> Result<Arc<Vec<Row>>> {
+    ) -> Result<Arc<BoxOutput>> {
+        let empty = Arc::new(BoxOutput::from_rows(Vec::new()));
         for &m in members {
             self.in_fixpoint.insert(m);
-            self.recursive_acc.insert(m, Arc::new(Vec::new()));
+            self.recursive_acc.insert(m, empty.clone());
         }
         let mut st = FixpointStats::default();
         let mut rounds = 0usize;
@@ -1006,17 +1089,18 @@ impl<'a> Executor<'a> {
                 self.in_fixpoint.remove(&m);
                 let new_rows = self.eval_inner(m, frame)?;
                 self.in_fixpoint.insert(m);
-                let acc = self.recursive_acc.get(&m).cloned().unwrap_or_default();
-                let mut set: HashSet<Row> = acc.iter().cloned().collect();
-                let mut merged: Vec<Row> = acc.as_ref().clone();
-                for r in new_rows {
+                let acc = self.recursive_acc.get(&m).unwrap_or(&empty).clone();
+                let mut set: HashSet<Row> = acc.rows().iter().cloned().collect();
+                let mut merged: Vec<Row> = acc.rows().to_vec();
+                for r in self.rows_of(m, &new_rows) {
                     if set.insert(r.clone()) {
-                        merged.push(r);
+                        merged.push(r.clone());
                     }
                 }
                 if merged.len() > acc.len() {
                     grew = true;
-                    self.recursive_acc.insert(m, Arc::new(merged));
+                    self.recursive_acc
+                        .insert(m, Arc::new(BoxOutput::from_rows(merged)));
                 }
             }
             let after = self.recursive_acc.get(&b).map_or(0, |a| a.len());
@@ -1029,11 +1113,7 @@ impl<'a> Executor<'a> {
         for &m in members {
             self.in_fixpoint.remove(&m);
         }
-        let result = self
-            .recursive_acc
-            .get(&b)
-            .cloned()
-            .unwrap_or_else(|| Arc::new(Vec::new()));
+        let result = self.recursive_acc.get(&b).cloned().unwrap_or(empty);
         st.total_rows = result.len() as u64;
         if !self.fixpoint_iterations.is_noop() {
             self.fixpoint_iterations.add(st.iterations);
@@ -1047,26 +1127,44 @@ impl<'a> Executor<'a> {
         Ok(result)
     }
 
-    fn eval_inner(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<Vec<Row>> {
+    fn eval_inner(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<BoxOutput> {
         let qb = self.qgm.boxed(b);
-        match &qb.kind {
+        let (out, path) = match &qb.kind {
             BoxKind::BaseTable { table } => {
-                let t = self.catalog.table(table)?;
+                // Rows borrowed in place; the batch, if a consumer asks
+                // for one, is the cached one (`batch_of`).
+                let t = self.catalog.table_arc(table)?;
                 self.profile.entry(b).rows_scanned += t.row_count() as u64;
-                Ok(t.rows().to_vec())
+                let out = BoxOutput::from_source(RowSource::Table(t.clone()));
+                (out, BoxPath::Batch)
             }
             BoxKind::Select => {
-                if self.columnar {
-                    if let Some(rows) = crate::columnar::try_eval_select(self, b, frame)? {
-                        return Ok(rows);
+                let left = if self.columnar {
+                    match crate::columnar::try_eval_select(self, b, frame)? {
+                        Ok(out) => {
+                            self.note_path(b, BoxPath::Batch);
+                            return Ok(out);
+                        }
+                        Err(why) => why,
                     }
-                }
-                self.eval_select(b, frame)
+                } else {
+                    Fallback::ColumnarOff
+                };
+                let rows = self.eval_select(b, frame)?;
+                (BoxOutput::from_rows(rows), BoxPath::Row(left))
             }
-            BoxKind::GroupBy(_) => self.eval_groupby(b, frame),
-            BoxKind::SetOp(_) => self.eval_setop(b, frame),
-            BoxKind::OuterJoin(_) => self.eval_outerjoin(b, frame),
-        }
+            BoxKind::GroupBy(spec) => return self.eval_groupby(b, spec, frame),
+            BoxKind::SetOp(_) => (
+                BoxOutput::from_rows(self.eval_setop(b, frame)?),
+                BoxPath::Row(Fallback::RowOperator),
+            ),
+            BoxKind::OuterJoin(_) => (
+                BoxOutput::from_rows(self.eval_outerjoin(b, frame)?),
+                BoxPath::Row(Fallback::RowOperator),
+            ),
+        };
+        self.note_path(b, path);
+        Ok(out)
     }
 
     // ---- outer joins -----------------------------------------------------
@@ -1080,8 +1178,8 @@ impl<'a> Executor<'a> {
         };
         let pq = qb.quants[0];
         let nq = qb.quants[1];
-        let preserved = self.eval_box(self.qgm.quant(pq).input, frame)?;
-        let nullside = self.eval_box(self.qgm.quant(nq).input, frame)?;
+        let preserved = self.eval_rows(self.qgm.quant(pq).input, frame)?;
+        let nullside = self.eval_rows(self.qgm.quant(nq).input, frame)?;
         self.profile.entry(b).rows_in += (preserved.len() + nullside.len()) as u64;
         let null_row = Row::new(vec![
             Value::Null;
@@ -1090,9 +1188,9 @@ impl<'a> Executor<'a> {
         let quants = [pq, nq];
         let columns = qb.columns.clone();
         let mut out = Vec::new();
-        for p in preserved.iter() {
+        for p in preserved.rows() {
             let mut matched = false;
-            for n in nullside.iter() {
+            for n in nullside.rows() {
                 let rows = [p.clone(), n.clone()];
                 let cframe = frame.extended(&quants, &rows);
                 let mut ok = Truth::True;
@@ -1301,11 +1399,11 @@ impl<'a> Executor<'a> {
                 }
             } else if !hash_preds.is_empty() {
                 // Hash join: build on the child once, probe per combo.
-                let child_rows = self.eval_box(child, frame)?;
+                let child_rows = self.eval_rows(child, frame)?;
                 self.profile.entry(b).rows_in += child_rows.len() as u64;
                 let mut table: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
                 let cq = [q];
-                'build: for row in child_rows.iter() {
+                'build: for row in child_rows.rows() {
                     let crows = [row.clone()];
                     let cframe = frame.extended(&cq, &crows);
                     let mut key = Vec::with_capacity(hash_preds.len());
@@ -1380,7 +1478,7 @@ impl<'a> Executor<'a> {
                 let prefetched = if child_correlated {
                     None
                 } else {
-                    let rows = self.eval_box(child, frame)?;
+                    let rows = self.eval_rows(child, frame)?;
                     self.profile.entry(b).rows_in += rows.len() as u64;
                     Some(rows)
                 };
@@ -1389,12 +1487,12 @@ impl<'a> Executor<'a> {
                         Some(rows) => rows.clone(),
                         None => {
                             let cframe = frame.extended(&bound, combo);
-                            let rows = self.eval_box(child, &cframe)?;
+                            let rows = self.eval_rows(child, &cframe)?;
                             self.profile.entry(b).rows_in += rows.len() as u64;
                             rows
                         }
                     };
-                    for row in child_rows.iter() {
+                    for row in child_rows.rows() {
                         let mut c = combo.clone();
                         c.push(row.clone());
                         next.push(c);
@@ -1522,69 +1620,112 @@ impl<'a> Executor<'a> {
 
     // ---- group-by boxes -------------------------------------------------
 
-    fn eval_groupby(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<Vec<Row>> {
-        let qb = self.qgm.boxed(b);
-        let BoxKind::GroupBy(spec) = qb.kind.clone() else {
-            return Err(Error::internal("eval_groupby on non-groupby box"));
-        };
-        let tq = qb.quants[0];
+    /// Group-by: keys and aggregate arguments are evaluated as whole
+    /// columns over the child's batch, then [`hash_aggregate`] groups
+    /// and folds them. The child is asked for a batch whatever produced
+    /// it — a row-path child gets one over its rows, of which only the
+    /// referenced columns are ever built — so set-up per evaluation is
+    /// O(referenced columns): the correlated formulations re-enter here
+    /// once per outer row.
+    fn eval_groupby(
+        &mut self,
+        b: BoxId,
+        spec: &GroupByBox,
+        frame: &Frame<'_>,
+    ) -> Result<BoxOutput> {
+        let tq = self.qgm.boxed(b).quants[0];
         let child = self.qgm.quant(tq).input;
         let input = self.eval_box(child, frame)?;
-        self.profile.entry(b).rows_in += input.len() as u64;
+        let n = input.len();
+        self.profile.entry(b).rows_in += n as u64;
 
-        let quants = [tq];
-        let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
-        let mut group_order: Vec<Vec<Value>> = Vec::new();
-        // Global aggregation has exactly one group, even on empty input.
-        if spec.group_keys.is_empty() {
-            groups.insert(
-                Vec::new(),
-                spec.aggs
-                    .iter()
-                    .map(|a| Accumulator::new(a.func, a.distinct))
-                    .collect(),
-            );
-            group_order.push(Vec::new());
-        }
-        for row in input.iter() {
-            let rows = [row.clone()];
-            let cframe = frame.extended(&quants, &rows);
-            let mut key = Vec::with_capacity(spec.group_keys.len());
-            for k in &spec.group_keys {
-                key.push(self.eval_expr(k, &cframe)?);
-            }
-            // Collect the aggregate inputs before borrowing the group.
-            let mut inputs = Vec::with_capacity(spec.aggs.len());
-            for a in &spec.aggs {
-                let v = match &a.arg {
-                    Some(arg) => self.eval_expr(arg, &cframe)?,
-                    None => Value::Int(1), // COUNT(*)
-                };
-                inputs.push(v);
-            }
-            let accs = groups.entry(key.clone()).or_insert_with(|| {
-                group_order.push(key.clone());
-                spec.aggs
-                    .iter()
-                    .map(|a| Accumulator::new(a.func, a.distinct))
-                    .collect()
+        // Every expression, in the order the row-at-a-time definition
+        // evaluates them per row: keys, then arguments.
+        let exprs = spec
+            .group_keys
+            .iter()
+            .map(|k| (k, Fallback::UncompilableKey))
+            .chain(spec.aggs.iter().filter_map(|a| {
+                let arg = a.arg.as_ref()?;
+                Some((arg, Fallback::UncompilableArgument))
+            }));
+        let batch = self.batch_of(child, &input)?;
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let slots = [SlotView {
+            batch: &batch,
+            ids: &ids,
+        }];
+        let mut path = BoxPath::Batch;
+        let mut vectors: Vec<Vector> = Vec::new();
+        // The first (row, expression) at which evaluation fails; rows
+        // from there on never reach the fold.
+        let mut failed: Option<(usize, Error)> = None;
+        for (e, uncompilable) in exprs {
+            let slot_of = |q: QuantId| (q == tq).then_some(0);
+            let vectorized = match vector::compile(e, &slot_of, frame) {
+                Some(v) => vector::eval(&v, &slots, &ids).map_err(|_| Fallback::KernelError),
+                None => Err(uncompilable),
+            };
+            vectors.push(match vectorized {
+                Ok(v) => v,
+                Err(why) => {
+                    // Kernel of last resort: the scalar evaluator, row
+                    // by row, up to the first row that fails.
+                    if path == BoxPath::Batch {
+                        path = BoxPath::Row(why);
+                    }
+                    let rows = self.rows_of(child, &input);
+                    let limit = failed.as_ref().map_or(n, |(row, _)| *row);
+                    let (values, error) = self.eval_column(e, tq, &rows[..limit], frame);
+                    if let Some(error) = error {
+                        failed = Some((values.len(), error));
+                    }
+                    Vector::Col(Column::Mixed(values))
+                }
             });
-            for (acc, v) in accs.iter_mut().zip(&inputs) {
-                acc.update(v)?;
-            }
         }
-        self.profile.entry(b).rows_produced += input.len() as u64 + groups.len() as u64;
+        self.note_path(b, path);
 
-        let mut out = Vec::with_capacity(groups.len());
-        for key in group_order {
-            let accs = &groups[&key];
-            let mut row = key.clone();
-            for acc in accs {
-                row.push(acc.finish());
-            }
-            out.push(Row::new(row));
+        let (keys, args) = vectors.split_at(spec.group_keys.len());
+        let mut args = args.iter();
+        let aggs: Vec<AggInput<'_>> = spec
+            .aggs
+            .iter()
+            .map(|a| AggInput {
+                func: a.func,
+                distinct: a.distinct,
+                arg: a.arg.as_ref().and_then(|_| args.next()),
+            })
+            .collect();
+        // A fold fails on a row before `limit`, so its error comes first.
+        let limit = failed.as_ref().map_or(n, |(row, _)| *row);
+        let groups = hash_aggregate(keys, &aggs, limit)?;
+        if let Some((_, error)) = failed {
+            return Err(error);
         }
-        Ok(out)
+        self.profile.entry(b).rows_produced += (n + groups.len()) as u64;
+        Ok(BoxOutput::from_rows(groups))
+    }
+
+    /// Evaluate `e` once per row of `rows` (bound to `quant`) with the
+    /// scalar evaluator, stopping at the first error.
+    fn eval_column(
+        &mut self,
+        e: &ScalarExpr,
+        quant: QuantId,
+        rows: &[Row],
+        frame: &Frame<'_>,
+    ) -> (Vec<Value>, Option<Error>) {
+        let quants = [quant];
+        let mut values = Vec::with_capacity(rows.len());
+        for row in rows {
+            let bound = [row.clone()];
+            match self.eval_expr(e, &frame.extended(&quants, &bound)) {
+                Ok(v) => values.push(v),
+                Err(error) => return (values, Some(error)),
+            }
+        }
+        (values, None)
     }
 
     // ---- set operations -------------------------------------------------
@@ -1594,11 +1735,12 @@ impl<'a> Executor<'a> {
         let BoxKind::SetOp(spec) = qb.kind else {
             return Err(Error::internal("eval_setop on non-setop box"));
         };
-        let arm_rows: Vec<Arc<Vec<Row>>> = qb
+        let arms: Vec<Arc<BoxOutput>> = qb
             .quants
             .iter()
-            .map(|&q| self.eval_box(self.qgm.quant(q).input, frame))
+            .map(|&q| self.eval_rows(self.qgm.quant(q).input, frame))
             .collect::<Result<_>>()?;
+        let arm_rows: Vec<&[Row]> = arms.iter().map(|a| a.rows()).collect();
         self.profile.entry(b).rows_in += arm_rows.iter().map(|a| a.len() as u64).sum::<u64>();
         let mut result = match (spec.op, spec.all) {
             (SetOpKind::Union, true) => {
@@ -1622,7 +1764,7 @@ impl<'a> Executor<'a> {
                         *counts.entry(r.clone()).or_insert(0) += 1;
                     }
                 }
-                let left = arm_rows.first().cloned().unwrap_or_default();
+                let left = arm_rows.first().copied().unwrap_or_default();
                 if all {
                     // Bag difference: remove one occurrence per match.
                     let mut out = Vec::new();
@@ -1654,7 +1796,7 @@ impl<'a> Executor<'a> {
                         *counts.entry(r.clone()).or_insert(0) += 1;
                     }
                 }
-                let left = arm_rows.first().cloned().unwrap_or_default();
+                let left = arm_rows.first().copied().unwrap_or_default();
                 if all {
                     let mut out = Vec::new();
                     for r in left.iter() {
@@ -1701,10 +1843,10 @@ impl<'a> Executor<'a> {
                 }
                 // A scalar subquery quantifier evaluates on demand.
                 if self.qgm.quant(*quant).kind == QuantKind::Scalar {
-                    let rows = self.eval_box(self.qgm.quant(*quant).input, frame)?;
+                    let rows = self.eval_rows(self.qgm.quant(*quant).input, frame)?;
                     return match rows.len() {
                         0 => Ok(Value::Null),
-                        1 => Ok(rows[0].get(*col).clone()),
+                        1 => Ok(rows.rows()[0].get(*col).clone()),
                         n => Err(Error::execution(format!(
                             "scalar subquery returned {n} rows"
                         ))),
@@ -1837,7 +1979,8 @@ impl<'a> Executor<'a> {
                 return Ok(t);
             }
         }
-        let rows = self.eval_box(self.qgm.quant(quant).input, frame)?;
+        let out = self.eval_rows(self.qgm.quant(quant).input, frame)?;
+        let rows = out.rows();
         let quants = [quant];
         let mut any_unknown = false;
         match mode {
@@ -2835,5 +2978,229 @@ mod access_path_tests {
         copy.forget("employee");
         run(&copy, &old, true);
         assert!(builds() > warm);
+    }
+}
+
+/// The box boundary, from the inside: what a producer hands over, to
+/// whom, and that nobody outside can tell.
+#[cfg(test)]
+mod boundary_tests {
+    use super::*;
+    use starmagic_catalog::{Catalog, ColumnDef, Table, TableSchema, ViewDef};
+    use starmagic_common::DataType;
+    use starmagic_qgm::build_qgm;
+
+    /// `emp(empno, deptno, salary, bonus)`: 12 rows over 3 departments,
+    /// NULL bonuses, one bonus of exactly 5.
+    fn catalog() -> Catalog {
+        let mut c = Catalog::new();
+        let rows = (0..12i64)
+            .map(|i| {
+                let bonus = match i % 4 {
+                    0 => Value::Null,
+                    1 => Value::Int(5),
+                    _ => Value::Int(i),
+                };
+                Row::new(vec![
+                    Value::Int(100 + i),
+                    Value::Int(i % 3),
+                    Value::Int(1000 + 10 * i),
+                    bonus,
+                ])
+            })
+            .collect();
+        let cols = ["empno", "deptno", "salary", "bonus"];
+        let schema = TableSchema::new(
+            "emp",
+            cols.iter()
+                .map(|c| ColumnDef::new(c, DataType::Int))
+                .collect(),
+        )
+        .with_key(&["empno"])
+        .unwrap();
+        c.add_table(Table::with_rows(schema, rows).unwrap())
+            .unwrap();
+        for (name, columns, body) in [
+            (
+                "wide",
+                &cols[..],
+                "SELECT empno, deptno, salary, bonus FROM emp WHERE empno >= 100",
+            ),
+            (
+                "pairs",
+                &["deptno", "bonus"][..],
+                "SELECT DISTINCT deptno, bonus FROM emp",
+            ),
+        ] {
+            c.add_view(ViewDef {
+                name: name.into(),
+                columns: columns.iter().map(|c| (*c).to_string()).collect(),
+                body_sql: body.into(),
+                recursive: false,
+            })
+            .unwrap();
+        }
+        c
+    }
+
+    fn graph(cat: &Catalog, sql: &str) -> Qgm {
+        build_qgm(cat, &starmagic_sql::parse_query(sql).unwrap()).unwrap()
+    }
+
+    fn group_by(g: &Qgm) -> BoxId {
+        g.box_ids()
+            .into_iter()
+            .find(|&b| matches!(g.boxed(b).kind, BoxKind::GroupBy(_)))
+            .expect("a group-by box")
+    }
+
+    fn named(g: &Qgm, name: &str) -> BoxId {
+        g.box_ids()
+            .into_iter()
+            .find(|&b| g.boxed(b).name == name)
+            .unwrap_or_else(|| panic!("no box named {name}"))
+    }
+
+    /// Rows and profile with the columnar knob either way.
+    fn both_ways(g: &Qgm, cat: &Catalog) -> (Vec<Row>, ExecProfile) {
+        let run = |columnar| {
+            let opts = ExecOptions {
+                columnar,
+                ..ExecOptions::default()
+            };
+            execute_with_options(g, cat, &IndexCache::default(), opts).unwrap()
+        };
+        let (on, off) = (run(true), run(false));
+        assert_eq!(on.0, off.0, "rows differ between the two paths");
+        assert_eq!(on.1, off.1, "profile differs between the two paths");
+        on
+    }
+
+    #[test]
+    fn a_shared_view_is_evaluated_once_and_serves_every_parents_columns() {
+        let cat = catalog();
+        // `a` reads empno and deptno, `b` salary and deptno; nobody
+        // reads bonus.
+        let g = graph(
+            &cat,
+            "SELECT a.empno, b.salary FROM wide a, wide b \
+             WHERE a.deptno = b.deptno AND a.empno = b.empno",
+        );
+        let view = named(&g, "WIDE");
+        assert_eq!(g.users(view).len(), 2, "the builder shares the view box");
+        let (rows, profile) = both_ways(&g, &cat);
+        assert_eq!(rows.len(), 12);
+        assert_eq!(profile.get(view).evals, 1);
+
+        let mut exec = Executor::new(&g, &cat);
+        exec.eval_box(g.top(), &Frame::root()).unwrap();
+        assert_eq!(exec.profile.paths[&view], BoxPath::Batch);
+        let out = exec.cache[&view].clone();
+        assert!(!out.has_rows(), "no consumer of the view reads rows");
+        let batch = out.built_batch().expect("handed over as a batch");
+        let built: Vec<bool> = (0..4).map(|c| batch.is_built(c)).collect();
+        assert_eq!(
+            built,
+            [true, true, true, false],
+            "live: both parents' columns"
+        );
+        // A row reader gets the arity and offsets right, NULL where dead.
+        assert_eq!(out.rows()[0].arity(), 4);
+        assert_eq!(out.rows()[0].get(2), &Value::Int(1000));
+        assert!(out.rows()[0].get(3).is_null());
+    }
+
+    #[test]
+    fn a_distinct_box_keeps_its_full_width() {
+        let cat = catalog();
+        // Only deptno is read, but bonus decides how many rows there are.
+        let g = graph(&cat, "SELECT p.deptno FROM pairs p");
+        let (rows, _) = both_ways(&g, &cat);
+        let pairs = named(&g, "PAIRS");
+        let mut exec = Executor::new(&g, &cat);
+        exec.eval_box(g.top(), &Frame::root()).unwrap();
+        let out = exec.cache[&pairs].clone();
+        assert_eq!(out.len(), rows.len());
+        assert!(
+            rows.len() > 3,
+            "more (deptno, bonus) pairs than departments"
+        );
+        assert!(out.rows().iter().any(|r| !r.get(1).is_null()), "bonus kept");
+    }
+
+    #[test]
+    fn a_correlated_aggregate_argument_reads_the_outer_row() {
+        let cat = catalog();
+        let g = graph(
+            &cat,
+            "SELECT w.empno, (SELECT SUM(e.salary + w.bonus) FROM emp e \
+                              WHERE e.deptno = w.deptno) \
+             FROM wide w",
+        );
+        let (rows, profile) = both_ways(&g, &cat);
+        assert_eq!(rows.len(), 12);
+        // empno 102: deptno 2, bonus 2; dept 2 holds salaries
+        // 1020 + 1050 + 1080 + 1110, each plus the outer bonus.
+        let r = rows.iter().find(|r| r.get(0) == &Value::Int(102)).unwrap();
+        assert_eq!(r.get(1), &Value::Int(1020 + 1050 + 1080 + 1110 + 4 * 2));
+        // NULL outer bonus: every addend is NULL, SUM of none is NULL.
+        let r = rows.iter().find(|r| r.get(0) == &Value::Int(100)).unwrap();
+        assert!(r.get(1).is_null());
+        // The outer reference froze to a literal: still the batch path.
+        let gb = group_by(&g);
+        assert_eq!(profile.get(gb).evals, 12);
+        assert_eq!(profile.paths[&gb], BoxPath::Batch);
+    }
+
+    #[test]
+    fn a_kernel_error_the_scalar_evaluator_would_not_hit_is_not_an_error() {
+        let cat = catalog();
+        // `bonus <> 5 AND ...` short-circuits row by row; the vector
+        // kernel evaluates both sides and divides by zero at bonus = 5.
+        let g = graph(
+            &cat,
+            "SELECT deptno, COUNT(bonus <> 5 AND salary / (bonus - 5) > 1) \
+             FROM emp GROUP BY deptno",
+        );
+        let (rows, profile) = both_ways(&g, &cat);
+        assert_eq!(rows.len(), 3);
+        assert_eq!(
+            profile.paths[&group_by(&g)],
+            BoxPath::Row(Fallback::KernelError),
+            "answered by the kernel of last resort"
+        );
+        // And an error the scalar evaluator does hit is the query's.
+        let g = graph(&cat, "SELECT SUM(salary / (bonus - 5)) FROM emp");
+        let err = execute(&g, &cat).unwrap_err();
+        assert!(err.to_string().contains("division by zero"), "{err}");
+    }
+
+    #[test]
+    fn path_tallies_reach_the_registry_once_per_execution() {
+        let cat = catalog();
+        let g = graph(
+            &cat,
+            "SELECT deptno FROM emp WHERE bonus IS NULL \
+             UNION SELECT deptno FROM pairs",
+        );
+        let registry = Registry::enabled();
+        let opts = ExecOptions {
+            metrics: registry.clone(),
+            ..ExecOptions::default()
+        };
+        let (_, profile) = execute_with_options(&g, &cat, &IndexCache::default(), opts).unwrap();
+        let snap = registry.snapshot();
+        // Two arms ran as batches and were materialized for the union,
+        // the union itself is a row operator, the view body under
+        // `pairs` deduplicates into rows.
+        assert!(snap.counter("exec.batch.boxes") >= 3);
+        assert_eq!(snap.counter("exec.batch.fallback.row_operator"), 1);
+        assert!(snap.counter("exec.batch.fallback.row_only_consumer") >= 1);
+        assert_eq!(profile.paths[&g.top()], BoxPath::Row(Fallback::RowOperator));
+        assert_eq!(
+            BoxPath::Row(Fallback::RowOperator).to_string(),
+            "row(row_operator)"
+        );
+        assert_eq!(BoxPath::Batch.to_string(), "batch");
     }
 }

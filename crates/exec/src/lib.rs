@@ -19,6 +19,12 @@
 //!   semantics exactly (three-valued logic in predicates, NULLs equal
 //!   for grouping, `COUNT`=0 vs `SUM`=NULL on empty input, bag
 //!   `EXCEPT ALL`/`INTERSECT ALL`).
+//! * **Rows only where somebody reads rows**: a box hands its consumer
+//!   a [`BoxOutput`] — a columnar batch of the output columns some
+//!   consumer reads, rows, or both, each built at most once. Selects
+//!   and group-by exchange batches; the query root, set operations,
+//!   outer joins and the fixpoint accumulators ask for rows
+//!   ([`boundary`]).
 //! * Recursive boxes (cyclic subgraphs) are evaluated by naive
 //!   fixpoint iteration with set semantics.
 //!
@@ -31,6 +37,7 @@
 
 pub mod agg;
 pub mod batch;
+pub mod boundary;
 mod columnar;
 pub mod executor;
 pub mod like;
@@ -40,6 +47,7 @@ pub mod profile;
 mod vector;
 
 pub use batch::{Batch, Bitmap, Column};
+pub use boundary::{BoxOutput, BoxPath, Fallback};
 pub use executor::{
     execute, execute_profiled, execute_with_indexes, execute_with_metrics, execute_with_options,
     ExecOptions, Executor, IdIndex, IndexCache,

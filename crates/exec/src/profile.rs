@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use starmagic_qgm::BoxId;
 
+use crate::boundary::BoxPath;
 use crate::metrics::Metrics;
 
 /// Counters for one QGM box across one execution.
@@ -57,7 +58,7 @@ pub struct FixpointStats {
 }
 
 /// Per-box profile of one execution.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone)]
 pub struct ExecProfile {
     pub boxes: BTreeMap<BoxId, BoxProfile>,
     /// Per-iteration convergence of each fixpoint-evaluated box. Kept
@@ -66,7 +67,21 @@ pub struct ExecProfile {
     /// Whether elapsed times were collected. Off by default: the
     /// deterministic counters are free of clock reads.
     pub timing: bool,
+    /// Which physical path evaluated each box: `batch`, or `row` with
+    /// the reason the box left the batch path (the first one, for a
+    /// box evaluated many times). An annotation for EXPLAIN ANALYZE,
+    /// deliberately **not** part of `==`: equality is the contract that
+    /// the two paths charge identical counters.
+    pub paths: BTreeMap<BoxId, BoxPath>,
 }
+
+impl PartialEq for ExecProfile {
+    fn eq(&self, other: &ExecProfile) -> bool {
+        self.boxes == other.boxes && self.fixpoint == other.fixpoint && self.timing == other.timing
+    }
+}
+
+impl Eq for ExecProfile {}
 
 impl ExecProfile {
     /// A profile that also collects per-box wall time.

@@ -124,6 +124,14 @@ impl Vector {
         }
     }
 
+    /// The vector as a column of its own, constants expanded.
+    pub fn into_column(self) -> Column {
+        match self {
+            Vector::Col(c) => c,
+            Vector::Const { value, len } => Column::constant(&value, len),
+        }
+    }
+
     /// The value at slot `k` (cheap clone).
     pub fn value_at(&self, k: usize) -> Value {
         match self {
