@@ -183,9 +183,22 @@ pub fn render_analyze(p: &ProfiledQuery, catalog: &Catalog) -> String {
         m.box_evals
     );
 
-    // Fixpoint convergence: one line per recursive union that ran
-    // under the semi-naive driver, with the per-round delta history.
+    // Fixpoint convergence: per recursive union, the per-round delta
+    // history and the candidates each round rejected as duplicates;
+    // per step arm, how often its build side outside the recursion was
+    // built and reused.
     if !p.profile.fixpoint.is_empty() {
+        let name = |b: &starmagic_qgm::BoxId| {
+            if live.contains(b) {
+                qgm.boxed(*b).name.clone()
+            } else {
+                b.to_string()
+            }
+        };
+        let rounds = |rows: &[u64]| {
+            let rows: Vec<String> = rows.iter().map(ToString::to_string).collect();
+            rows.join(" ")
+        };
         let _ = writeln!(out, "== fixpoint (per recursive union)");
         let _ = writeln!(
             out,
@@ -193,21 +206,28 @@ pub fn render_analyze(p: &ProfiledQuery, catalog: &Catalog) -> String {
             "box", "iters", "total"
         );
         for (b, fs) in &p.profile.fixpoint {
-            let name = if live.contains(b) {
-                qgm.boxed(*b).name.clone()
-            } else {
-                b.to_string()
-            };
-            let deltas = fs
-                .delta_rows
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(" ");
             let _ = writeln!(
                 out,
-                "  {:<14} {:>10} {:>10}  [{deltas}]",
-                name, fs.iterations, fs.total_rows
+                "  {:<14} {:>10} {:>10}  [{}]",
+                name(b),
+                fs.iterations,
+                fs.total_rows,
+                rounds(&fs.delta_rows)
+            );
+            let _ = writeln!(
+                out,
+                "  {:<36}  rejected as duplicates [{}]",
+                "",
+                rounds(&fs.rejected_rows)
+            );
+        }
+        for (arm, builds) in &p.profile.builds {
+            let _ = writeln!(
+                out,
+                "  step arm {:<14} join build built {}×, reused {}×",
+                name(arm),
+                builds.built,
+                builds.reused
             );
         }
     }

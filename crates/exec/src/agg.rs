@@ -13,12 +13,13 @@
 //! inputs **in input order**: `f64` addition does not commute, and the
 //! sums feed pinned checksums.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use starmagic_common::{Error, Result, Row, Value};
 use starmagic_sql::AggFunc;
 
 use crate::batch::{Bitmap, Column};
+use crate::dedup::{value_key, KeySet};
 use crate::vector::Vector;
 
 /// One accumulator instance (per group, per aggregate).
@@ -26,7 +27,9 @@ use crate::vector::Vector;
 pub struct Accumulator {
     func: AggFunc,
     distinct: bool,
-    seen: HashSet<Value>,
+    /// DISTINCT: the values fed so far, and their key set.
+    seen: Vec<Value>,
+    keys: KeySet,
     count: u64,
     sum: f64,
     sum_is_int: bool,
@@ -40,7 +43,8 @@ impl Accumulator {
         Accumulator {
             func,
             distinct,
-            seen: HashSet::new(),
+            seen: Vec::new(),
+            keys: KeySet::default(),
             count: 0,
             sum: 0.0,
             sum_is_int: true,
@@ -56,8 +60,12 @@ impl Accumulator {
         if v.is_null() {
             return Ok(()); // NULLs never participate
         }
-        if self.distinct && !self.seen.insert(v.clone()) {
-            return Ok(());
+        if self.distinct {
+            let seen = &self.seen;
+            if !self.keys.insert(value_key(v), |k| seen[k] == *v) {
+                return Ok(());
+            }
+            self.seen.push(v.clone());
         }
         self.count += 1;
         match self.func {

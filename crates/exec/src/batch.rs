@@ -6,9 +6,9 @@
 //! (`columnar` selects, the aggregation kernel) flow batches through
 //! scans, filters, hash joins, and group-by, touching values
 //! column-at-a-time for cache locality; row-oriented operators (set
-//! ops, outer join, the fixpoint accumulators) consume the same data
-//! through the [`Batch::rows`] adapter, so the two representations
-//! interconvert losslessly.
+//! ops, outer join) consume the same data through the [`Batch::rows`]
+//! adapter, so the two representations interconvert losslessly. The
+//! fixpoint accumulators are batches too, grown by [`Batch::append`].
 //!
 //! A batch pays only for the columns somebody reads. One built *over
 //! rows* ([`Batch::from_rows`], a base table) type-detects and copies a
@@ -78,6 +78,15 @@ impl Bitmap {
     /// set by construction).
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Append one slot.
+    pub fn push(&mut self, bit: bool) {
+        if self.len % 64 == 0 {
+            self.words.push(0);
+        }
+        self.len += 1;
+        self.set(self.len - 1, bit);
     }
 }
 
@@ -249,6 +258,46 @@ impl Column {
         }
     }
 
+    /// Append `other`'s slots: an accumulator's growth, or the next
+    /// chunk of a column computed in chunks. Columns of one variant stay
+    /// typed, the bitmap appearing with the first NULL; a variant mix
+    /// (e.g. `Int` rows, then `Double` ones) turns the column `Mixed`,
+    /// every value kept exactly as it went in.
+    pub fn append(&mut self, other: Column) {
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        let len = self.len();
+        macro_rules! append {
+            ($($variant:ident),*) => {
+                match (&mut *self, other) {
+                    $((
+                        Column::$variant { values, validity },
+                        Column::$variant { values: more, validity: more_valid },
+                    ) => {
+                        if validity.is_some() || more_valid.is_some() {
+                            let bits = validity.get_or_insert_with(|| Bitmap::filled(len, true));
+                            for k in 0..more.len() {
+                                bits.push(more_valid.as_ref().map_or(true, |m| m.get(k)));
+                            }
+                        }
+                        values.extend(more);
+                    })*
+                    (Column::Mixed(values), other) => {
+                        values.extend((0..other.len()).map(|k| other.value(k)));
+                    }
+                    (this, other) => {
+                        let values = (0..this.len()).map(|k| this.value(k));
+                        let more = (0..other.len()).map(|k| other.value(k));
+                        *this = Column::Mixed(values.chain(more).collect());
+                    }
+                }
+            };
+        }
+        append!(Int64, Float64, Str, Bool);
+    }
+
     /// `len` copies of one value, typed like [`Column::from_rows`]
     /// would type them.
     pub fn constant(value: &Value, len: usize) -> Column {
@@ -273,53 +322,15 @@ impl Column {
         }
     }
 
-    /// Concatenate chunk outputs of one expression, in order. Chunks of
-    /// one variant stay typed; a variant mix (possible only when an
-    /// expression's type depends on the data) degrades to `Mixed`.
-    pub fn concat(mut parts: Vec<Column>) -> Column {
-        if parts.len() == 1 {
-            return parts.pop().expect("one part");
+    /// Concatenate chunk outputs of one expression, in order (see
+    /// [`Column::append`]).
+    pub fn concat(parts: Vec<Column>) -> Column {
+        let mut parts = parts.into_iter();
+        let mut out = parts.next().unwrap_or(Column::Mixed(Vec::new()));
+        for part in parts {
+            out.append(part);
         }
-        let len: usize = parts.iter().map(Column::len).sum();
-        macro_rules! typed {
-            ($variant:ident) => {{
-                let mut all = Vec::with_capacity(len);
-                let mut bits: Option<Bitmap> = None;
-                for part in &parts {
-                    let Column::$variant { values, validity } = part else {
-                        unreachable!("variants checked")
-                    };
-                    if let Some(v) = validity {
-                        let bits = bits.get_or_insert_with(|| Bitmap::filled(len, true));
-                        for k in (0..values.len()).filter(|&k| !v.get(k)) {
-                            bits.set(all.len() + k, false);
-                        }
-                    }
-                    all.extend_from_slice(values);
-                }
-                Column::$variant {
-                    values: all,
-                    validity: bits,
-                }
-            }};
-        }
-        let same = |f: fn(&Column) -> bool| parts.iter().all(f);
-        if same(|c| matches!(c, Column::Int64 { .. })) {
-            typed!(Int64)
-        } else if same(|c| matches!(c, Column::Float64 { .. })) {
-            typed!(Float64)
-        } else if same(|c| matches!(c, Column::Str { .. })) {
-            typed!(Str)
-        } else if same(|c| matches!(c, Column::Bool { .. })) {
-            typed!(Bool)
-        } else {
-            Column::Mixed(
-                parts
-                    .iter()
-                    .flat_map(|c| (0..c.len()).map(|k| c.value(k)))
-                    .collect(),
-            )
-        }
+        out
     }
 }
 
@@ -423,6 +434,35 @@ impl Batch {
     /// Whether column `c` has been built (or was handed over built).
     pub fn is_built(&self, c: usize) -> bool {
         self.columns[c].get().is_some()
+    }
+
+    /// A batch of `arity` empty columns: the start of an accumulator.
+    pub(crate) fn empty(arity: usize) -> Batch {
+        Batch::from_columns(vec![Some(Column::Mixed(Vec::new())); arity], 0)
+    }
+
+    /// The `ids` rows of this batch, every column gathered.
+    pub(crate) fn take(&self, ids: &[u32]) -> Batch {
+        let columns = (0..self.arity())
+            .map(|c| Some(self.column(c).take(ids)))
+            .collect();
+        Batch::from_columns(columns, ids.len())
+    }
+
+    /// Append the `ids` rows of `src`, which has this batch's arity
+    /// (see [`Column::append`]). Every column of `src` is read.
+    ///
+    /// # Panics
+    /// On a batch over rows: only a batch assembled from columns grows.
+    pub(crate) fn append(&mut self, src: &Batch, ids: &[u32]) {
+        assert!(self.source.is_none(), "a batch over rows does not grow");
+        for (c, column) in self.columns.iter_mut().enumerate() {
+            column
+                .get_mut()
+                .expect("an accumulator builds every column")
+                .append(src.column(c).take(ids));
+        }
+        self.len += ids.len();
     }
 
     /// Materialize every row, in order. A pruned column reads as NULL
@@ -561,6 +601,26 @@ mod tests {
         assert_eq!(mixed.value(1), Value::str("a"));
         assert_eq!(Column::constant(&Value::Int(7), 2).value(1), Value::Int(7));
         assert!(Column::constant(&Value::Null, 2).is_null(0));
+    }
+
+    #[test]
+    fn an_accumulator_grows_typed_until_the_types_mix() {
+        let src = Batch::from_rows(&rows());
+        let mut acc = Batch::empty(3);
+        acc.append(&src, &[0, 1]);
+        acc.append(&src, &[2]);
+        assert!(matches!(acc.column(0), Column::Int64 { .. }));
+        assert!(matches!(acc.column(1), Column::Str { .. }));
+        assert_eq!(acc.rows(), rows());
+        // A Double under an Int column: Mixed, every value as it went in.
+        let doubles = [Row::new(vec![Value::Double(1.0), Value::Null, Value::Null])];
+        acc.append(&Batch::from_rows(&doubles), &[0]);
+        assert!(matches!(acc.column(0), Column::Mixed(_)));
+        assert_eq!(format!("{:?}", acc.rows()[3]), format!("{:?}", doubles[0]));
+        assert_eq!(
+            acc.take(&[2, 0]).rows(),
+            [rows()[2].clone(), rows()[0].clone()]
+        );
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! A box's result is a [`BoxOutput`]: rows, a [`Batch`], or both, each
 //! representation built at most once and only when a consumer asks for
 //! it. Columnar consumers (the join and scan stages of `columnar`, the
-//! aggregation kernel) ask for the batch; the query root and the
-//! row-at-a-time operators (`eval_select`, set operations, outer join,
-//! the fixpoint accumulators) ask for rows. A columnar select hands
+//! aggregation kernel, the fixpoint accumulators) ask for the batch;
+//! the query root and the row-at-a-time operators (`eval_select`, set
+//! operations, outer join) ask for rows. A columnar select hands
 //! over its projection vectors and never builds a row unless one of
 //! the latter reads it; a stored table is both at once — its rows are
 //! borrowed in place and its batch lives in the `IndexCache`.
@@ -46,12 +46,14 @@ impl BoxOutput {
         }
     }
 
-    /// A result produced as columns.
-    pub(crate) fn from_batch(batch: Batch) -> BoxOutput {
+    /// A result produced as columns (possibly shared, as a fixpoint's
+    /// accumulation is with its accumulator).
+    pub(crate) fn from_batch(batch: impl Into<Arc<Batch>>) -> BoxOutput {
+        let batch = batch.into();
         BoxOutput {
             len: batch.len(),
             rows: OnceLock::new(),
-            batch: OnceLock::from(Arc::new(batch)),
+            batch: OnceLock::from(batch),
         }
     }
 

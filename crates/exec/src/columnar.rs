@@ -38,14 +38,15 @@
 //! those of the row executor, at any thread count.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use starmagic_common::{Error, Result, Value};
 use starmagic_qgm::{BoxId, BoxKind, QuantId, ScalarExpr};
 
 use crate::batch::{Batch, Column};
 use crate::boundary::{BoxOutput, Fallback};
-use crate::executor::{dedupe, Executor, Frame};
+use crate::dedup::distinct_ids;
+use crate::executor::{Executor, Frame};
 use crate::parallel::{run_batches, MORSEL_ROWS, PARALLEL_THRESHOLD};
 use crate::profile::ExecProfile;
 use crate::vector::{compile, eval, SlotView, VExpr, Vector};
@@ -98,6 +99,81 @@ pub(crate) fn try_eval_select(
         Ok(out) => Ok(Ok(out)),
         Err(Abort::Fallback(why)) => Ok(Err(why)),
         Err(Abort::Fatal(e)) => Err(e),
+    }
+}
+
+/// A hash join's build side: the child's batch, its key columns, and a
+/// hash table over them, built on first use in the shape the probe side
+/// needs. Single-Int64 keys join through a raw `i64` table (no per-row
+/// key vector); Int-Int equality is exact under both SQL and grouping
+/// semantics, so its buckets match the generic map's. A step arm's build
+/// outlives one evaluation (`Executor::step_builds`), and a later
+/// round's delta may need the other shape (a probe column that is not
+/// `Int64`), hence one lazily built table per shape.
+pub(crate) struct JoinBuild {
+    batch: Arc<Batch>,
+    keys: Vec<Vector>,
+    by_int: OnceLock<HashMap<i64, Vec<u32>>>,
+    by_values: OnceLock<HashMap<Vec<Value>, Vec<u32>>>,
+}
+
+enum JoinMap<'m> {
+    I64(&'m HashMap<i64, Vec<u32>>),
+    Generic(&'m HashMap<Vec<Value>, Vec<u32>>),
+}
+
+impl JoinBuild {
+    fn new(batch: Arc<Batch>, keys: Vec<Vector>) -> JoinBuild {
+        JoinBuild {
+            batch,
+            keys,
+            by_int: OnceLock::new(),
+            by_values: OnceLock::new(),
+        }
+    }
+
+    /// The table to probe with `probe` (one vector per key), buckets in
+    /// build-row order.
+    fn map(&self, probe: &[Vector]) -> JoinMap<'_> {
+        let int_keyed = |v: &Vector| {
+            matches!(
+                v,
+                Vector::Col(Column::Int64 { .. })
+                    | Vector::Const {
+                        value: Value::Int(_) | Value::Null,
+                        ..
+                    }
+            )
+        };
+        let m = self.batch.len();
+        if let ([key], [probe]) = (self.keys.as_slice(), probe) {
+            if int_keyed(key) && int_keyed(probe) {
+                return JoinMap::I64(self.by_int.get_or_init(|| {
+                    let mut map: HashMap<i64, Vec<u32>> = HashMap::new();
+                    for j in 0..m {
+                        if let Value::Int(x) = key.value_at(j) {
+                            map.entry(x).or_default().push(j as u32);
+                        }
+                    }
+                    map
+                }));
+            }
+        }
+        JoinMap::Generic(self.by_values.get_or_init(|| {
+            let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
+            'build: for j in 0..m {
+                let mut key = Vec::with_capacity(self.keys.len());
+                for column in &self.keys {
+                    let v = column.value_at(j);
+                    if v.is_null() {
+                        continue 'build; // NULL keys never join
+                    }
+                    key.push(v);
+                }
+                map.entry(key).or_default().push(j as u32);
+            }
+            map
+        }))
     }
 }
 
@@ -373,72 +449,46 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxO
                 (parent, mids, tbatch)
             } else if !hash_preds.is_empty() {
                 // Hash join: build on the child once, probe per
-                // combination position.
+                // combination position. A step arm keeps a build over an
+                // input outside the recursion for the whole fixpoint;
+                // the child is still asked for (a cache hit) and charged
+                // every round, exactly as a fresh build would be.
                 let child_out = ex!(exec.eval_box(child, frame));
-                let m = child_out.len();
-                scratch.entry(b).rows_in += m as u64;
-                let cbatch = ex!(exec.batch_of(child, &child_out));
-                let cids: Vec<u32> = (0..m as u32).collect();
-                let bslots = [SlotView {
-                    batch: cbatch.as_ref(),
-                    ids: &cids,
-                }];
-                let mut build_cols: Vec<Vector> = Vec::with_capacity(hash_preds.len());
-                let mut probe_cols: Vec<Vector> = Vec::with_capacity(hash_preds.len());
+                scratch.entry(b).rows_in += child_out.len() as u64;
+                let reusable = exec.step_build_site(b, child);
+                let cached = reusable
+                    .then(|| exec.step_builds.get(&(b, q)).cloned())
+                    .flatten();
+                let build = if let Some(build) = cached {
+                    exec.note_step_build(b, true);
+                    build
+                } else {
+                    let cbatch = ex!(exec.batch_of(child, &child_out));
+                    let cids: Vec<u32> = (0..child_out.len() as u32).collect();
+                    let bslots = [SlotView {
+                        batch: cbatch.as_ref(),
+                        ids: &cids,
+                    }];
+                    let mut keys: Vec<Vector> = Vec::with_capacity(hash_preds.len());
+                    for (_, build) in &hash_preds {
+                        let bv = compile(build, &build_slot, frame).ok_or(UNCOMPILABLE)?;
+                        keys.push(vk!(eval(&bv, &bslots, &cids)));
+                    }
+                    let build = Arc::new(JoinBuild::new(cbatch, keys));
+                    if reusable {
+                        exec.step_builds.insert((b, q), build.clone());
+                        exec.note_step_build(b, false);
+                    }
+                    build
+                };
                 let slots = state.views();
                 let positions: Vec<u32> = (0..state.len as u32).collect();
-                for (probe, build) in &hash_preds {
-                    let bv = compile(build, &build_slot, frame).ok_or(UNCOMPILABLE)?;
-                    build_cols.push(vk!(eval(&bv, &bslots, &cids)));
+                let mut probe_cols: Vec<Vector> = Vec::with_capacity(hash_preds.len());
+                for (probe, _) in &hash_preds {
                     let pv = compile(probe, &slot_of, frame).ok_or(UNCOMPILABLE)?;
                     probe_cols.push(vk!(eval(&pv, &slots, &positions)));
                 }
-                // Single-Int64 keys join through a raw i64 table (no
-                // per-row key vector); Int-Int equality is exact under
-                // both SQL and grouping semantics, so the bucket
-                // contents match the generic map's.
-                let int_keyed = |v: &Vector| {
-                    matches!(
-                        v,
-                        Vector::Col(Column::Int64 { .. })
-                            | Vector::Const {
-                                value: Value::Int(_) | Value::Null,
-                                ..
-                            }
-                    )
-                };
-                enum JoinMap {
-                    I64(HashMap<i64, Vec<u32>>),
-                    Generic(HashMap<Vec<Value>, Vec<u32>>),
-                }
-                let join_map = if hash_preds.len() == 1
-                    && int_keyed(&build_cols[0])
-                    && int_keyed(&probe_cols[0])
-                {
-                    let mut map: HashMap<i64, Vec<u32>> = HashMap::new();
-                    for j in 0..m {
-                        if let Value::Int(x) = build_cols[0].value_at(j) {
-                            map.entry(x).or_default().push(j as u32);
-                        }
-                    }
-                    JoinMap::I64(map)
-                } else {
-                    let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-                    'build: for j in 0..m {
-                        let mut key = Vec::with_capacity(build_cols.len());
-                        for bc in &build_cols {
-                            let v = bc.value_at(j);
-                            if v.is_null() {
-                                continue 'build; // NULL keys never join
-                            }
-                            key.push(v);
-                        }
-                        map.entry(key).or_default().push(j as u32);
-                    }
-                    JoinMap::Generic(map)
-                };
-                let probe_cols = &probe_cols;
-                let join_map = &join_map;
+                let join_map = build.map(&probe_cols);
                 let parts = vk!(dispatch(exec, state.len, &mut scratch, |chunk, _| {
                     let mut parent: Vec<u32> = Vec::new();
                     let mut cid: Vec<u32> = Vec::new();
@@ -460,7 +510,7 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxO
                             let mut key: Vec<Value> = Vec::with_capacity(probe_cols.len());
                             'pos: for &pos in chunk {
                                 key.clear();
-                                for pc in probe_cols {
+                                for pc in &probe_cols {
                                     let v = pc.value_at(pos as usize);
                                     if v.is_null() {
                                         continue 'pos;
@@ -484,7 +534,7 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxO
                     parent.extend(p);
                     cid.extend(c);
                 }
-                (parent, cid, cbatch)
+                (parent, cid, build.batch.clone())
             } else {
                 // Nested loop over an uncorrelated child: prefetch
                 // once, cross product as id arithmetic.
@@ -623,7 +673,7 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxO
     let batch = Batch::from_columns(columns, state.len);
     scratch.entry(b).rows_produced += state.len as u64;
     let out = if qb.distinct.needs_dedup() {
-        BoxOutput::from_rows(dedupe(batch.rows()))
+        BoxOutput::from_batch(batch.take(&distinct_ids(&batch)))
     } else {
         BoxOutput::from_batch(batch)
     };

@@ -1,0 +1,313 @@
+//! Duplicate elimination: one hashed key set behind DISTINCT, UNION,
+//! EXCEPT / INTERSECT, DISTINCT aggregates and the fixpoint
+//! accumulators.
+//!
+//! A [`KeySet`] stores no keys, only their hashes and the positions of
+//! the rows holding them; when a candidate's hash matches a stored one
+//! the caller compares the two rows under grouping semantics, so a
+//! collision costs a comparison, never a wrong answer, and the
+//! first-admitted representative of every key is the one kept.
+//!
+//! Hashes are computed a column at a time over a batch
+//! ([`hash_columns`]) or a row at a time ([`row_hash`]) and agree with
+//! [`Value`]'s `Hash`/`Eq`: NULL hashes like NULL, and `Int` and `Double`
+//! both hash the `f64` bits of the number — exactly what
+//! `impl Hash for Value` feeds its hasher — so `1` and `1.0`, equal
+//! under grouping semantics, always land on the same hash. The mixing
+//! is FxHash's multiply-rotate per value and a murmur finalizer per
+//! row: std only, and no SipHash round per value.
+
+use starmagic_common::{Row, Value};
+
+use crate::batch::{Batch, Column};
+
+/// An empty slot of the open-addressing table.
+const EMPTY: u32 = u32::MAX;
+
+/// Open-addressing set of row positions keyed by their hash. Positions
+/// are dense — the `k`-th admitted key is position `k` — so the caller
+/// maps a position to wherever it keeps that row.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct KeySet {
+    /// Power-of-two table of positions, at most half full.
+    slots: Vec<u32>,
+    /// Per admitted position, its hash: growth re-slots without
+    /// re-hashing a row.
+    hashes: Vec<u64>,
+}
+
+impl KeySet {
+    /// Admit the key with hash `h` unless `same(k)` holds for a stored
+    /// position `k` of equal hash. Returns whether it was admitted — as
+    /// the next position, the number of keys admitted before it.
+    pub(crate) fn insert(&mut self, h: u64, same: impl Fn(usize) -> bool) -> bool {
+        if 2 * (self.hashes.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = h as usize & mask;
+        loop {
+            match self.slots[i] {
+                EMPTY => {
+                    self.slots[i] = u32::try_from(self.hashes.len()).expect("under 2^32 keys");
+                    self.hashes.push(h);
+                    return true;
+                }
+                k if self.hashes[k as usize] == h && same(k as usize) => return false,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(16);
+        self.slots = vec![EMPTY; size];
+        for (k, &h) in self.hashes.iter().enumerate() {
+            let mut i = h as usize & (size - 1);
+            while self.slots[i] != EMPTY {
+                i = (i + 1) & (size - 1);
+            }
+            self.slots[i] = k as u32;
+        }
+    }
+}
+
+/// FxHash's multiplier.
+const K: u64 = 0x517c_c1b7_2722_0a95;
+
+/// Fold one word into a running hash.
+fn fold(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(K)
+}
+
+// Type tags, as in `impl Hash for Value`: one tag for both numerics.
+const NULL: u64 = 0;
+const BOOL: u64 = 1;
+const NUMBER: u64 = 2;
+const STR: u64 = 3;
+
+fn number_hash(bits: u64) -> u64 {
+    fold(NUMBER, bits)
+}
+
+fn bool_hash(b: bool) -> u64 {
+    fold(BOOL, u64::from(b))
+}
+
+fn str_hash(s: &str) -> u64 {
+    let mut chunks = s.as_bytes().chunks_exact(8);
+    let mut h = fold(STR, s.len() as u64);
+    for chunk in &mut chunks {
+        h = fold(h, u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+    fold(h, u64::from_le_bytes(tail))
+}
+
+/// One value's hash; a typed column computes the same number without
+/// building the [`Value`].
+fn value_hash(v: &Value) -> u64 {
+    match v {
+        Value::Null => NULL,
+        Value::Bool(b) => bool_hash(*b),
+        Value::Int(i) => number_hash((*i as f64).to_bits()),
+        Value::Double(d) => number_hash(d.to_bits()),
+        Value::Str(s) => str_hash(s),
+    }
+}
+
+/// Spread a row's folded hash over all 64 bits (murmur3's finalizer):
+/// the table indexes by the low bits.
+fn finish(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The key hash of one value (a DISTINCT aggregate's argument).
+pub(crate) fn value_key(v: &Value) -> u64 {
+    finish(value_hash(v))
+}
+
+/// The hash of one row, equal to [`hash_columns`]'s for the same values.
+pub(crate) fn row_hash(row: &Row) -> u64 {
+    finish(row.values().iter().fold(0, |h, v| fold(h, value_hash(v))))
+}
+
+/// The row hashes of the first `n` slots of `columns`, one column at a
+/// time.
+pub(crate) fn hash_columns(columns: &[&Column], n: usize) -> Vec<u64> {
+    let mut hashes = vec![0u64; n];
+    for column in columns {
+        fold_column(column, &mut hashes);
+    }
+    for h in &mut hashes {
+        *h = finish(*h);
+    }
+    hashes
+}
+
+fn fold_column(column: &Column, hashes: &mut [u64]) {
+    macro_rules! typed {
+        ($values:expr, $validity:expr, $hash:expr) => {
+            for (k, h) in hashes.iter_mut().enumerate() {
+                let valid = $validity.as_ref().map_or(true, |bits| bits.get(k));
+                *h = fold(*h, if valid { $hash(&$values[k]) } else { NULL });
+            }
+        };
+    }
+    match column {
+        Column::Int64 { values, validity } => {
+            typed!(values, validity, |i: &i64| number_hash(
+                (*i as f64).to_bits()
+            ));
+        }
+        Column::Float64 { values, validity } => {
+            typed!(values, validity, |d: &f64| number_hash(d.to_bits()));
+        }
+        Column::Str { values, validity } => {
+            typed!(values, validity, |s: &std::sync::Arc<str>| str_hash(s));
+        }
+        Column::Bool { values, validity } => typed!(values, validity, |b: &bool| bool_hash(*b)),
+        Column::Mixed(values) => {
+            for (h, v) in hashes.iter_mut().zip(values) {
+                *h = fold(*h, value_hash(v));
+            }
+        }
+    }
+}
+
+/// Grouping equality of slot `i` of `a` and slot `j` of `b`: what
+/// `a.value(i) == b.value(j)` answers, typed where the types match.
+fn same_at(a: &Column, i: usize, b: &Column, j: usize) -> bool {
+    match (a.is_null(i), b.is_null(j)) {
+        (true, true) => return true,
+        (false, false) => {}
+        _ => return false,
+    }
+    match (a, b) {
+        (Column::Int64 { values: x, .. }, Column::Int64 { values: y, .. }) => x[i] == y[j],
+        // `total_cmp` is Equal exactly when the bits are.
+        (Column::Float64 { values: x, .. }, Column::Float64 { values: y, .. }) => {
+            x[i].to_bits() == y[j].to_bits()
+        }
+        (Column::Str { values: x, .. }, Column::Str { values: y, .. }) => x[i] == y[j],
+        (Column::Bool { values: x, .. }, Column::Bool { values: y, .. }) => x[i] == y[j],
+        _ => a.value(i) == b.value(j),
+    }
+}
+
+/// Whether row `i` of `a` and row `j` of `b` are one key.
+pub(crate) fn same_row(a: &[&Column], i: usize, b: &[&Column], j: usize) -> bool {
+    a.iter().zip(b).all(|(x, y)| same_at(x, i, y, j))
+}
+
+/// Order-preserving duplicate elimination over rows (grouping
+/// semantics: NULLs equal, `1` equal to `1.0`; the first spelling
+/// stays).
+pub(crate) fn dedupe(rows: Vec<Row>) -> Vec<Row> {
+    let mut keys = KeySet::default();
+    let mut out: Vec<Row> = Vec::with_capacity(rows.len());
+    for row in rows {
+        if keys.insert(row_hash(&row), |k| out[k] == row) {
+            out.push(row);
+        }
+    }
+    out
+}
+
+/// [`dedupe`] over a batch: the positions of each distinct row's first
+/// occurrence, in order.
+pub(crate) fn distinct_ids(batch: &Batch) -> Vec<u32> {
+    let columns: Vec<&Column> = (0..batch.arity()).map(|c| batch.column(c)).collect();
+    let mut keys = KeySet::default();
+    let mut kept: Vec<u32> = Vec::new();
+    for (i, h) in hash_columns(&columns, batch.len()).into_iter().enumerate() {
+        if keys.insert(h, |k| same_row(&columns, kept[k] as usize, &columns, i)) {
+            kept.push(i as u32);
+        }
+    }
+    kept
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    fn row(values: &[Value]) -> Row {
+        Row::new(values.to_vec())
+    }
+
+    #[test]
+    fn typed_and_mixed_columns_hash_like_rows() {
+        let rows = vec![
+            row(&[Value::Int(1), Value::str("abcdefghij"), Value::Null]),
+            row(&[Value::Null, Value::str(""), Value::Double(1.0)]),
+            row(&[Value::Int(-7), Value::Null, Value::Bool(true)]),
+        ];
+        let batch = Batch::from_rows(&rows);
+        let columns: Vec<&Column> = (0..3).map(|c| batch.column(c)).collect();
+        assert!(matches!(columns[0], Column::Int64 { .. }));
+        assert!(matches!(columns[2], Column::Mixed(_)));
+        let by_row: Vec<u64> = rows.iter().map(row_hash).collect();
+        assert_eq!(hash_columns(&columns, 3), by_row);
+    }
+
+    #[test]
+    fn one_and_one_point_zero_are_one_key_and_the_first_stays() {
+        let rows = vec![
+            row(&[Value::Int(1), Value::Null]),
+            row(&[Value::Double(1.0), Value::Null]),
+            row(&[Value::Double(-0.0), Value::Null]),
+            row(&[Value::Int(0), Value::Null]),
+        ];
+        let out = dedupe(rows.clone());
+        // -0.0 and 0 differ under grouping semantics (total order).
+        assert_eq!(
+            format!("{out:?}"),
+            format!("{:?}", [&rows[0], &rows[2], &rows[3]])
+        );
+        // An Int64 column against a Float64 one: the same answer.
+        let ints = Batch::from_rows(&rows[..1]);
+        let doubles = Batch::from_rows(&rows[1..2]);
+        let (a, b) = ([ints.column(0)], [doubles.column(0)]);
+        assert!(same_row(&a, 0, &b, 0));
+        assert_eq!(hash_columns(&a, 1), hash_columns(&b, 1));
+    }
+
+    #[test]
+    fn agrees_with_a_hash_set_of_rows_through_growth_and_collisions() {
+        // 3 000 rows over 500 keys, NULLs included: the table grows
+        // eight times and every bucket sees repeats.
+        let rows: Vec<Row> = (0..3000i64)
+            .map(|i| {
+                let k = (i * 7919) % 500;
+                let a = if k % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(k / 3)
+                };
+                row(&[a, Value::Int(k % 3)])
+            })
+            .collect();
+        let mut seen = HashSet::new();
+        let expected: Vec<Row> = rows
+            .iter()
+            .filter(|r| seen.insert((*r).clone()))
+            .cloned()
+            .collect();
+        assert_eq!(dedupe(rows.clone()), expected);
+        let batch = Batch::from_rows(&rows);
+        assert_eq!(batch.take(&distinct_ids(&batch)).rows(), expected);
+        // Every hash colliding: comparisons alone decide.
+        let mut keys = KeySet::default();
+        let fresh: Vec<bool> = (0..40usize)
+            .map(|i| keys.insert(7, |k| k == i % 20))
+            .collect();
+        assert_eq!(fresh.iter().filter(|&&f| f).count(), 20);
+    }
+}

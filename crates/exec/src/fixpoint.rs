@@ -1,0 +1,459 @@
+//! Fixpoint evaluation of recursive components.
+//!
+//! A recursive union in an eligible shape (see
+//! [`Executor::semi_naive_plan`]) runs semi-naive: seed from the base
+//! arms, then iterate the step arms over the previous round's *delta*
+//! only. Everything else — hand-built cyclic graphs, nonlinear
+//! recursion, cycles through subqueries — runs the naive iteration over
+//! the whole accumulation.
+//!
+//! Both keep each accumulated result as an [`Accumulated`]: one batch
+//! of append-only columns plus, under set semantics, the [`KeySet`]
+//! that admits a row once. Admission hashes a round's candidates a
+//! column at a time and compares a candidate with a stored row only on
+//! equal hashes; a round's delta is the tail the round appended,
+//! published to the step arms as a batch, and the converged result is
+//! handed over as the accumulated batch itself. Rows are built only if
+//! a row-at-a-time consumer or the query root asks for them.
+
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
+
+use starmagic_common::{Error, Result};
+use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId, QuantKind, SetOpKind};
+
+use crate::batch::{Batch, Column};
+use crate::boundary::BoxOutput;
+use crate::dedup::{hash_columns, same_row, KeySet};
+use crate::executor::{Executor, Frame};
+use crate::profile::FixpointStats;
+
+/// One recursive box's accumulated result.
+struct Accumulated {
+    /// Every admitted row, in admission order. Shared with the output
+    /// last published from it; grows in place once that is dropped.
+    rows: Arc<Batch>,
+    /// Set semantics: the keys of `rows`, position `k` being row `k`.
+    /// `None` under UNION ALL, which appends every candidate.
+    keys: Option<KeySet>,
+}
+
+impl Accumulated {
+    fn new(arity: usize, set: bool) -> Accumulated {
+        Accumulated {
+            rows: Arc::new(Batch::empty(arity)),
+            keys: set.then(KeySet::default),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Offer `candidates`' rows in order and append those admitted —
+    /// every one under bag semantics, else each whose key is new to the
+    /// accumulation and to the candidates before it. Returns how many
+    /// were admitted.
+    fn admit(&mut self, candidates: &Batch) -> usize {
+        let n = candidates.len();
+        if n == 0 {
+            return 0;
+        }
+        let ids: Vec<u32> = match &mut self.keys {
+            None => (0..n as u32).collect(),
+            Some(keys) => {
+                let offered: Vec<&Column> = (0..candidates.arity())
+                    .map(|c| candidates.column(c))
+                    .collect();
+                let stored: Vec<&Column> = (0..self.rows.arity())
+                    .map(|c| self.rows.column(c))
+                    .collect();
+                let base = self.rows.len();
+                let mut ids: Vec<u32> = Vec::new();
+                for (i, h) in hash_columns(&offered, n).into_iter().enumerate() {
+                    // Position `k` is an accumulated row, or a candidate
+                    // admitted earlier in this call.
+                    let same = |k: usize| match k.checked_sub(base) {
+                        None => same_row(&stored, k, &offered, i),
+                        Some(k) => same_row(&offered, ids[k] as usize, &offered, i),
+                    };
+                    if keys.insert(h, same) {
+                        ids.push(i as u32);
+                    }
+                }
+                ids
+            }
+        };
+        if !ids.is_empty() {
+            Arc::make_mut(&mut self.rows).append(candidates, &ids);
+        }
+        ids.len()
+    }
+
+    /// The rows admitted since the accumulation held `from`: a round's
+    /// delta, as a batch of its own.
+    fn since(&self, from: usize) -> Batch {
+        let ids: Vec<u32> = (from as u32..self.len() as u32).collect();
+        self.rows.take(&ids)
+    }
+
+    /// The whole accumulation as a box result, sharing the columns.
+    fn output(&self) -> Arc<BoxOutput> {
+        Arc::new(BoxOutput::from_batch(self.rows.clone()))
+    }
+}
+
+/// Classified arms of one recursive-union driver.
+struct DriverArms {
+    driver: BoxId,
+    /// Arms referencing no SCC member: evaluated once to seed.
+    base_arms: Vec<BoxId>,
+    /// Arms referencing exactly one driver (linear): iterated over the
+    /// delta each round.
+    step_arms: Vec<BoxId>,
+    /// UNION ALL — bag-append instead of set admission.
+    all: bool,
+}
+
+impl<'a> Executor<'a> {
+    /// Fixpoint over the recursive component reachable from `b`.
+    pub(crate) fn fixpoint(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<Arc<BoxOutput>> {
+        let members: Vec<BoxId> = self
+            .recursive
+            .iter()
+            .copied()
+            .filter(|&x| reaches(self.qgm, b, x) && reaches(self.qgm, x, b))
+            .collect();
+        if let Some(plan) = self.semi_naive_plan(b, &members) {
+            return self.semi_naive_fixpoint(plan, b, frame);
+        }
+        self.naive_fixpoint(b, &members, frame)
+    }
+
+    /// Check the SCC for semi-naive eligibility and classify each
+    /// driver's arms. Returns `None` when any member falls outside the
+    /// recognized shape — the naive iteration remains the safety net.
+    fn semi_naive_plan(&self, b: BoxId, members: &[BoxId]) -> Option<Vec<DriverArms>> {
+        let member_set: BTreeSet<BoxId> = members.iter().copied().collect();
+        let driver_set: BTreeSet<BoxId> = members
+            .iter()
+            .copied()
+            .filter(|&m| self.qgm.boxed(m).is_recursive_union())
+            .collect();
+        if !driver_set.contains(&b) {
+            return None;
+        }
+        // Every driver must be a UNION set operation; every other
+        // member must be a select (a step arm or a box a step arm owns).
+        let mut step_arm_set: BTreeSet<BoxId> = BTreeSet::new();
+        let mut arms: Vec<DriverArms> = Vec::new();
+        for &d in &driver_set {
+            let qb = self.qgm.boxed(d);
+            let BoxKind::SetOp(spec) = &qb.kind else {
+                return None;
+            };
+            if spec.op != SetOpKind::Union {
+                return None;
+            }
+            let mut base_arms = Vec::new();
+            let mut step_arms = Vec::new();
+            for &q in &qb.quants {
+                let arm = self.qgm.quant(q).input;
+                if driver_set.contains(&arm) {
+                    // A driver directly unioned into another driver has
+                    // no delta of its own to iterate.
+                    return None;
+                }
+                let arm_box = self.qgm.boxed(arm);
+                let rec_refs: Vec<QuantId> = arm_box
+                    .quants
+                    .iter()
+                    .copied()
+                    .filter(|&aq| member_set.contains(&self.qgm.quant(aq).input))
+                    .collect();
+                if rec_refs.is_empty() {
+                    base_arms.push(arm);
+                    continue;
+                }
+                // Step arm: a select referencing exactly one driver,
+                // through a plain FROM-clause quantifier (linear
+                // recursion — delta substitution is only sound when
+                // the step is linear in the recursive relation).
+                if !matches!(arm_box.kind, BoxKind::Select) || rec_refs.len() != 1 {
+                    return None;
+                }
+                let rq = self.qgm.quant(rec_refs[0]);
+                if rq.kind != QuantKind::Foreach || !driver_set.contains(&rq.input) {
+                    return None;
+                }
+                step_arm_set.insert(arm);
+                step_arms.push(arm);
+            }
+            if base_arms.is_empty() {
+                // Nothing to seed from: the fixpoint is trivially
+                // empty, but let the naive path prove that.
+                return None;
+            }
+            arms.push(DriverArms {
+                driver: d,
+                base_arms,
+                step_arms,
+                all: spec.all,
+            });
+        }
+        // No member may sit between a step arm and its driver: the
+        // shape above must account for the whole SCC.
+        members
+            .iter()
+            .all(|m| driver_set.contains(m) || step_arm_set.contains(m))
+            .then_some(arms)
+    }
+
+    /// Semi-naive evaluation: each round publishes only the previous
+    /// round's new rows (the delta) to recursive references, so step
+    /// work is proportional to growth, not to the accumulated total.
+    /// Mutually recursive drivers iterate jointly (Jacobi rounds: all
+    /// deltas advance together). UNION admits a row once (set
+    /// semantics against the accumulated total); UNION ALL appends
+    /// bags and relies on [`crate::ExecOptions::max_recursion`] to stop
+    /// divergent queries.
+    fn semi_naive_fixpoint(
+        &mut self,
+        plan: Vec<DriverArms>,
+        b: BoxId,
+        frame: &Frame<'_>,
+    ) -> Result<Arc<BoxOutput>> {
+        // Step arms evaluate fresh on every reference while the
+        // fixpoint runs.
+        let fresh: Vec<BoxId> = plan
+            .iter()
+            .flat_map(|a| a.step_arms.iter().copied())
+            .filter(|&m| self.no_cache.insert(m))
+            .collect();
+        let result = self.semi_naive_rounds(&plan, b, frame);
+        for m in &fresh {
+            self.no_cache.remove(m);
+        }
+        for da in &plan {
+            self.in_fixpoint.remove(&da.driver);
+            self.recursive_acc.remove(&da.driver);
+        }
+        // The builds cached for this fixpoint's step arms end with it.
+        self.step_builds
+            .retain(|(arm, _), _| !plan.iter().any(|da| da.step_arms.contains(arm)));
+        result
+    }
+
+    fn semi_naive_rounds(
+        &mut self,
+        plan: &[DriverArms],
+        b: BoxId,
+        frame: &Frame<'_>,
+    ) -> Result<Arc<BoxOutput>> {
+        let mut accs: Vec<Accumulated> = plan
+            .iter()
+            .map(|da| Accumulated::new(self.qgm.boxed(da.driver).arity(), !da.all))
+            .collect();
+        let mut stats = vec![FixpointStats::default(); plan.len()];
+        // Seed from the base arms (drivers are not yet in_fixpoint;
+        // base arms reference no SCC member by construction).
+        for ((da, acc), st) in plan.iter().zip(&mut accs).zip(&mut stats) {
+            self.offer(da.driver, acc, &da.base_arms, st, frame)?;
+        }
+        // Per driver, the accumulation's length when its last delta was
+        // published: the next delta starts there.
+        let mut published = vec![0; plan.len()];
+        let mut iterations = 0usize;
+        loop {
+            iterations += 1;
+            if iterations > self.max_recursion {
+                return Err(Error::execution(format!(
+                    "recursive query exceeded max_recursion ({}) iterations",
+                    self.max_recursion
+                )));
+            }
+            // Publish this round's deltas: recursive references inside
+            // the step arms see exactly the new rows.
+            for ((da, acc), from) in plan.iter().zip(&accs).zip(&mut published) {
+                self.in_fixpoint.insert(da.driver);
+                let delta = BoxOutput::from_batch(acc.since(*from));
+                self.recursive_acc.insert(da.driver, Arc::new(delta));
+                *from = acc.len();
+            }
+            let mut grew = false;
+            for ((da, acc), st) in plan.iter().zip(&mut accs).zip(&mut stats) {
+                grew |= self.offer(da.driver, acc, &da.step_arms, st, frame)? > 0;
+                st.iterations += 1;
+            }
+            if !grew {
+                break;
+            }
+        }
+        let mut result = None;
+        for ((da, acc), mut st) in plan.iter().zip(accs).zip(stats) {
+            st.total_rows = acc.len() as u64;
+            self.record_fixpoint(da.driver, st);
+            if da.driver == b {
+                result = Some(acc.output());
+            }
+        }
+        Ok(result.expect("the fixpoint's box is one of its drivers"))
+    }
+
+    /// Evaluate `arms` and offer their rows to `driver`'s accumulation,
+    /// charging the driver and recording the round in `st`. Returns how
+    /// many rows were admitted.
+    fn offer(
+        &mut self,
+        driver: BoxId,
+        acc: &mut Accumulated,
+        arms: &[BoxId],
+        st: &mut FixpointStats,
+        frame: &Frame<'_>,
+    ) -> Result<u64> {
+        let (mut offered, mut admitted) = (0, 0);
+        for &arm in arms {
+            let out = self.eval_box(arm, frame)?;
+            offered += out.len() as u64;
+            let candidates = self.batch_of(arm, &out)?;
+            admitted += acc.admit(&candidates) as u64;
+        }
+        let p = self.profile.entry(driver);
+        p.rows_in += offered;
+        p.rows_produced += admitted;
+        st.delta_rows.push(admitted);
+        st.rejected_rows.push(offered - admitted);
+        Ok(admitted)
+    }
+
+    /// Naive fixpoint over the recursive component: iterate until no
+    /// member box of the cycle gains rows. Every member accumulates
+    /// under set semantics — its key set persists across rounds, so a
+    /// round hashes what the member derived, not what it holds — which
+    /// terminates the iteration on finite domains.
+    fn naive_fixpoint(
+        &mut self,
+        b: BoxId,
+        members: &[BoxId],
+        frame: &Frame<'_>,
+    ) -> Result<Arc<BoxOutput>> {
+        let mut accs: HashMap<BoxId, Accumulated> = members
+            .iter()
+            .map(|&m| (m, Accumulated::new(self.qgm.boxed(m).arity(), true)))
+            .collect();
+        for &m in members {
+            self.in_fixpoint.insert(m);
+            self.recursive_acc.insert(m, accs[&m].output());
+        }
+        let mut st = FixpointStats::default();
+        let mut rounds = 0usize;
+        loop {
+            rounds += 1;
+            if rounds > self.max_fixpoint_rounds {
+                return Err(Error::execution(
+                    "recursive query exceeded fixpoint round limit",
+                ));
+            }
+            let before = accs[&b].len();
+            let mut grew = false;
+            for &m in members {
+                // Evaluate the member with recursive references frozen
+                // at the current accumulation.
+                self.in_fixpoint.remove(&m);
+                let out = self.eval_inner(m, frame)?;
+                self.in_fixpoint.insert(m);
+                let derived = self.batch_of(m, &out)?;
+                // Let go of the published handle, so the accumulation
+                // grows in place, then publish the grown one.
+                self.recursive_acc.remove(&m);
+                let acc = accs.get_mut(&m).expect("one accumulator per member");
+                let admitted = acc.admit(&derived);
+                self.recursive_acc.insert(m, acc.output());
+                if m == b {
+                    st.rejected_rows.push((out.len() - admitted) as u64);
+                }
+                grew |= admitted > 0;
+            }
+            st.iterations += 1;
+            st.delta_rows.push((accs[&b].len() - before) as u64);
+            if !grew {
+                break;
+            }
+        }
+        for m in members {
+            self.in_fixpoint.remove(m);
+            self.recursive_acc.remove(m);
+        }
+        let result = accs[&b].output();
+        st.total_rows = result.len() as u64;
+        self.record_fixpoint(b, st);
+        Ok(result)
+    }
+
+    /// One fixpoint's convergence record: into the profile and, when
+    /// metrics are on, the registry.
+    fn record_fixpoint(&mut self, b: BoxId, st: FixpointStats) {
+        if !self.fixpoint_iterations.is_noop() {
+            self.fixpoint_iterations.add(st.iterations);
+            self.fixpoint_delta_rows.add(st.delta_rows.iter().sum());
+            self.fixpoint_total_rows.add(st.total_rows);
+        }
+        let e = self.profile.fixpoint.entry(b).or_default();
+        e.iterations += st.iterations;
+        e.delta_rows.extend_from_slice(&st.delta_rows);
+        e.rejected_rows.extend_from_slice(&st.rejected_rows);
+        e.total_rows += st.total_rows;
+    }
+
+    /// Whether a hash join in select `b` over `child` may build once per
+    /// fixpoint: `b` is a step arm of a running semi-naive fixpoint and
+    /// `child` lies outside the recursion — so its output, already
+    /// materialized and cached, cannot change between rounds.
+    pub(crate) fn step_build_site(&self, b: BoxId, child: BoxId) -> bool {
+        self.no_cache.contains(&b)
+            && !self.no_cache.contains(&child)
+            && !self.in_fixpoint.contains(&child)
+    }
+
+    /// Count one build-side use by step arm `b`.
+    pub(crate) fn note_step_build(&mut self, b: BoxId, reused: bool) {
+        let e = self.profile.builds.entry(b).or_default();
+        if reused {
+            e.reused += 1;
+            self.fixpoint_build_reuses.inc();
+        } else {
+            e.built += 1;
+        }
+    }
+}
+
+/// Boxes participating in any cycle.
+pub(crate) fn find_recursive_boxes(qgm: &Qgm) -> BTreeSet<BoxId> {
+    let mut out = BTreeSet::new();
+    for b in qgm.box_ids() {
+        for &q in &qgm.boxed(b).quants {
+            let input = qgm.quant(q).input;
+            if input == b || reaches(qgm, input, b) {
+                out.insert(b);
+            }
+        }
+    }
+    out
+}
+
+fn reaches(qgm: &Qgm, from: BoxId, to: BoxId) -> bool {
+    let mut seen = BTreeSet::new();
+    let mut stack = vec![from];
+    while let Some(x) = stack.pop() {
+        if x == to {
+            return true;
+        }
+        if !seen.insert(x) {
+            continue;
+        }
+        for &q in &qgm.boxed(x).quants {
+            stack.push(qgm.quant(q).input);
+        }
+    }
+    false
+}

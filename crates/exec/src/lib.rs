@@ -21,12 +21,13 @@
 //!   `EXCEPT ALL`/`INTERSECT ALL`).
 //! * **Rows only where somebody reads rows**: a box hands its consumer
 //!   a [`BoxOutput`] — a columnar batch of the output columns some
-//!   consumer reads, rows, or both, each built at most once. Selects
-//!   and group-by exchange batches; the query root, set operations,
-//!   outer joins and the fixpoint accumulators ask for rows
-//!   ([`boundary`]).
-//! * Recursive boxes (cyclic subgraphs) are evaluated by naive
-//!   fixpoint iteration with set semantics.
+//!   consumer reads, rows, or both, each built at most once. Selects,
+//!   group-by and fixpoints exchange batches; the query root, set
+//!   operations and outer joins ask for rows ([`boundary`]).
+//! * Recursive boxes (cyclic subgraphs) are evaluated by a semi-naive
+//!   fixpoint over column-chunk accumulators, one hashed key set
+//!   admitting each row once (naive iteration for the shapes
+//!   semi-naive evaluation does not cover).
 //!
 //! The executor also attributes the rows each operator touches to the
 //! QGM box doing the touching ([`ExecProfile`]); the flat [`Metrics`]
@@ -39,7 +40,9 @@ pub mod agg;
 pub mod batch;
 pub mod boundary;
 mod columnar;
+mod dedup;
 pub mod executor;
+mod fixpoint;
 pub mod like;
 pub mod metrics;
 pub mod parallel;

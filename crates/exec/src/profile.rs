@@ -53,8 +53,21 @@ pub struct FixpointStats {
     pub iterations: u64,
     /// New rows admitted per round; index 0 is the seed (base arms).
     pub delta_rows: Vec<u64>,
+    /// Candidate rows each round rejected as duplicates of rows already
+    /// accumulated (the driver's `rows_in` minus what it admitted);
+    /// index 0 is the seed. All zero under UNION ALL.
+    pub rejected_rows: Vec<u64>,
     /// Rows in the accumulated total at convergence.
     pub total_rows: u64,
+}
+
+/// How the hash-join build sides of one step arm that lie outside the
+/// recursion were served across its fixpoint's rounds: built on first
+/// use, then reused by every later round's delta.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct StepBuilds {
+    pub built: u64,
+    pub reused: u64,
 }
 
 /// Per-box profile of one execution.
@@ -73,6 +86,11 @@ pub struct ExecProfile {
     /// deliberately **not** part of `==`: equality is the contract that
     /// the two paths charge identical counters.
     pub paths: BTreeMap<BoxId, BoxPath>,
+    /// Per step arm, its build-side reuse across fixpoint rounds. Also
+    /// an annotation outside `==`: only the batch path reuses a build
+    /// (the row path rebuilds every round), and the counters it charges
+    /// are the same either way.
+    pub builds: BTreeMap<BoxId, StepBuilds>,
 }
 
 impl PartialEq for ExecProfile {
@@ -124,6 +142,7 @@ impl ExecProfile {
             let e = self.fixpoint.entry(*b).or_default();
             e.iterations += fs.iterations;
             e.delta_rows.extend_from_slice(&fs.delta_rows);
+            e.rejected_rows.extend_from_slice(&fs.rejected_rows);
             e.total_rows += fs.total_rows;
         }
     }

@@ -270,6 +270,16 @@ fn explain_analyze_shows_fixpoint_convergence() {
     // The 0→1→2→3 chain converges after 3 productive rounds: seed 3
     // rows, then deltas 2, 1, and the empty round that proves it.
     assert!(text.contains("[3 2 1 0]"), "unexpected deltas in:\n{text}");
+    // Nothing is derived twice on a chain; the step arm's join with the
+    // edge table builds once and serves the two later rounds.
+    assert!(
+        text.contains("rejected as duplicates [0 0 0 0]"),
+        "unexpected rejections in:\n{text}"
+    );
+    assert!(
+        text.contains("join build built 1×, reused 2×"),
+        "unexpected build reuse in:\n{text}"
+    );
 }
 
 /// The fixpoint driver reports its convergence counters through the
@@ -290,4 +300,7 @@ fn fixpoint_metrics_are_recorded() {
         fs.delta_rows.iter().sum::<u64>()
     );
     assert_eq!(snap.counter("exec.fixpoint.total_rows"), fs.total_rows);
+    let reused: u64 = p.profile.builds.values().map(|b| b.reused).sum();
+    assert!(reused > 0, "the step arm's build was never reused");
+    assert_eq!(snap.counter("exec.fixpoint.build_reuses"), reused);
 }
