@@ -4,9 +4,10 @@
 //! [`starmagic_sql::parameterize`] — literals are lifted into `?N`
 //! markers, so `WHERE deptno = 3` and `WHERE deptno = 7` share one
 //! entry. A cached entry stores the post-rewrite, post-plan
-//! [`Prepared`] graph with the parameter slots still in place; every
-//! execution rebinds it by substituting the bound constants
-//! ([`starmagic_qgm::Qgm::bind_params`]) and runs the result.
+//! [`Prepared`] graph with the parameter slots still in place, lowered
+//! once by its first execution; every execution checks its binding and
+//! runs that one plan with the bound values in a parameter vector
+//! (`Engine::execute_cached`) — nothing is copied per request.
 //!
 //! Eviction is LRU over a bounded map (the capacity is small enough
 //! that an O(n) scan for the oldest tick beats the bookkeeping of a
@@ -187,6 +188,19 @@ impl PlanCache {
         None
     }
 
+    /// Count a hit on `key` without a lookup — a session ran a plan it
+    /// holds, still current — refreshing the entry's recency if the
+    /// cache still has it.
+    pub fn note_hit(&mut self, key: &str) {
+        self.tick += 1;
+        let tick = self.tick;
+        if let Some(e) = self.map.get_mut(key) {
+            e.last_used = tick;
+        }
+        self.stats.hits += 1;
+        self.strategy_stats(key).hits += 1;
+    }
+
     /// Insert a freshly optimized plan, evicting the least recently
     /// used entry when full. Returns the shared handle.
     pub fn insert(&mut self, plan: CachedPlan) -> Arc<CachedPlan> {
@@ -346,6 +360,14 @@ impl ShardedPlanCache {
         self.shard(self.shard_index(key)).get(key, epoch)
     }
 
+    /// Count a hit on `key` without a lookup ([`PlanCache::note_hit`]);
+    /// returns the key's shard.
+    pub fn note_hit(&self, key: &str) -> usize {
+        let shard = self.shard_index(key);
+        self.shard(shard).note_hit(key);
+        shard
+    }
+
     /// Insert a freshly optimized plan. A plan pinned to an epoch
     /// older than the newest announced one is *not* stored — the
     /// optimizing session raced a DDL and its plan is already stale —
@@ -465,6 +487,7 @@ mod tests {
                 cost_with_magic: 1.0,
                 threads: 1,
                 columnar: true,
+                lowered: std::sync::OnceLock::new(),
             },
             param_count: 0,
             user_params: 0,

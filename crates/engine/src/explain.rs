@@ -1,6 +1,7 @@
 //! EXPLAIN rendering: the optimization story of one query — per-phase
 //! query graphs (the four quadrants of Figure 4), SQL renderings
-//! (Figure 5), costs, and the heuristic's decision. EXPLAIN ANALYZE
+//! (Figure 5), the path each box was lowered to, costs, and the
+//! heuristic's decision. EXPLAIN ANALYZE
 //! ([`render_analyze`]) appends what actually happened: the per-box
 //! executor profile, the rewrite-rule fire trace, the cardinality
 //! misestimation report, and the phase spans.
@@ -10,8 +11,9 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use starmagic_catalog::Catalog;
+use starmagic_exec::Plan;
 use starmagic_planner::feedback;
-use starmagic_qgm::{printer, render_sql};
+use starmagic_qgm::{printer, render_sql, Qgm};
 use starmagic_rewrite::RewriteStats;
 
 use crate::cache::CacheStats;
@@ -64,6 +66,7 @@ pub fn render(o: &Optimized) -> String {
     out.push_str(&o.analysis.render(o.chosen()));
     let _ = writeln!(out, "== SQL after optimization");
     out.push_str(&render_sql::render_graph(o.chosen()));
+    render_physical(&mut out, o.chosen());
     let _ = writeln!(
         out,
         "== decision: {} plan (cost {:.0} vs {:.0}); rule fires: phase1 {:?}, phase2 {:?}, phase3 {:?}",
@@ -83,6 +86,20 @@ pub fn render(o: &Optimized) -> String {
         o.stats[2].fires,
     );
     out
+}
+
+/// The chosen graph as lowered for execution: per box, in box-id
+/// order, the path decided at lowering — `batch`, or `row(<reason>)`.
+fn render_physical(out: &mut String, qgm: &Qgm) {
+    let plan = Plan::lower(qgm);
+    let _ = writeln!(out, "== physical plan (path per box, decided at lowering)");
+    for b in qgm.box_ids() {
+        let qb = qgm.boxed(b);
+        let path = plan
+            .path(b)
+            .map_or_else(|| "-".to_string(), |p| p.to_string());
+        let _ = writeln!(out, "  {:<14} {:<16} {path}", qb.name, qb.kind.label());
+    }
 }
 
 /// Render the plan-cache counters (REPL `\cache`, the server's

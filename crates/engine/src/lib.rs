@@ -34,12 +34,14 @@ pub mod explain;
 pub mod metrics;
 pub mod pipeline;
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use starmagic_catalog::{Catalog, ViewDef};
 use starmagic_common::{Error, Result, Row, Value};
-use starmagic_exec::{ExecProfile, Metrics};
+use starmagic_exec::{ExecOptions, ExecProfile, Metrics, Plan};
+use starmagic_qgm::{BoxId, Qgm};
 use starmagic_rewrite::OpRegistry;
 use starmagic_sql::{parse_statement, Statement};
 use starmagic_trace::TraceSink;
@@ -108,10 +110,13 @@ pub struct ProfiledQuery {
     pub profile: ExecProfile,
 }
 
-/// An optimized, executable plan (the chosen query graph).
+/// An optimized, executable plan: the chosen query graph, lowered for
+/// execution by its first run ([`Prepared::plan`]).
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    pub qgm: starmagic_qgm::Qgm,
+    /// The chosen graph. Must not change once the plan has run: the
+    /// lowered form describes this graph and no other.
+    pub qgm: Qgm,
     pub columns: Vec<String>,
     pub used_magic: bool,
     pub cost_without_magic: f64,
@@ -124,6 +129,60 @@ pub struct Prepared {
     /// (results are byte-identical either way; off mainly for the
     /// fuzzer's cross-path oracle and A/B benchmarks).
     pub columnar: bool,
+    /// `qgm` lowered: built by the first execution, then shared by
+    /// every later one — concurrent executions of a cached entry and
+    /// clones of this `Prepared` included.
+    lowered: OnceLock<Arc<Lowered>>,
+}
+
+/// A prepared graph's execution form: the lowered plan, and the
+/// planner's per-box row estimates the misestimate feedback compares
+/// executions against (computed by the first execution that records
+/// metrics; a cached plan's catalog cannot change under it).
+#[derive(Debug)]
+struct Lowered {
+    plan: Plan,
+    estimates: OnceLock<BTreeMap<BoxId, f64>>,
+}
+
+impl Lowered {
+    fn new(qgm: &Qgm) -> Lowered {
+        Lowered {
+            plan: Plan::lower(qgm),
+            estimates: OnceLock::new(),
+        }
+    }
+
+    fn estimates(&self, qgm: &Qgm, catalog: &Catalog) -> &BTreeMap<BoxId, f64> {
+        self.estimates.get_or_init(|| {
+            qgm.box_ids()
+                .into_iter()
+                .map(|b| {
+                    (
+                        b,
+                        starmagic_planner::cost::estimate_box_rows(qgm, catalog, b),
+                    )
+                })
+                .collect()
+        })
+    }
+}
+
+impl Prepared {
+    /// The lowered plan, lowering `qgm` if no execution has yet.
+    pub fn plan(&self) -> &Plan {
+        &self.lowered(&EngineMetrics::default()).plan
+    }
+
+    /// The lowered form; lowering counts into `engine.lower_us`.
+    fn lowered(&self, metrics: &EngineMetrics) -> &Lowered {
+        self.lowered.get_or_init(|| {
+            let timer = metrics.registry.stopwatch();
+            let lowered = Lowered::new(&self.qgm);
+            metrics.lower_us.stop(&timer);
+            Arc::new(lowered)
+        })
+    }
 }
 
 /// A cached-path query run: the rows plus the request's spans and the
@@ -450,21 +509,30 @@ impl Engine {
     }
 
     /// Execute a prepared plan. Each call evaluates from scratch (the
-    /// materialization cache lives per execution).
+    /// materialization cache lives per execution); the first also
+    /// lowers the plan.
     pub fn execute_prepared(&self, prepared: &Prepared) -> Result<QueryResult> {
-        let (rows, profile) = starmagic_exec::execute_with_options(
+        self.run_prepared(prepared, &[], prepared.threads, prepared.columnar)
+    }
+
+    /// Run a prepared plan with `params` bound to its `?N` markers.
+    fn run_prepared(
+        &self,
+        prepared: &Prepared,
+        params: &[Value],
+        threads: usize,
+        columnar: bool,
+    ) -> Result<QueryResult> {
+        let lowered = prepared.lowered(&self.metrics);
+        let (rows, profile) = starmagic_exec::execute_plan(
             &prepared.qgm,
+            &lowered.plan,
+            params,
             &self.snapshot.catalog,
             &self.snapshot.indexes,
-            starmagic_exec::ExecOptions {
-                timing: false,
-                threads: prepared.threads,
-                columnar: prepared.columnar,
-                metrics: self.metrics.registry.clone(),
-                max_recursion: self.max_recursion,
-            },
+            self.exec_options(threads, columnar, false),
         )?;
-        self.note_execution(&prepared.qgm, &profile);
+        self.note_execution(lowered, &prepared.qgm, &profile);
         Ok(QueryResult {
             rows,
             columns: prepared.columns.clone(),
@@ -475,11 +543,21 @@ impl Engine {
         })
     }
 
+    fn exec_options(&self, threads: usize, columnar: bool, timing: bool) -> ExecOptions {
+        ExecOptions {
+            timing,
+            threads: threads.max(1),
+            columnar,
+            metrics: self.metrics.registry.clone(),
+            max_recursion: self.max_recursion,
+        }
+    }
+
     /// Record one plan execution into the registry: the query count,
     /// the executor's flat work counters, and the cardinality-feedback
-    /// misestimation buckets (estimated vs observed per live box).
-    /// Free when metrics are off — no report is computed.
-    fn note_execution(&self, qgm: &starmagic_qgm::Qgm, profile: &ExecProfile) {
+    /// misestimation buckets (the plan's estimates vs observed rows per
+    /// box). Free when metrics are off — no estimate is computed.
+    fn note_execution(&self, lowered: &Lowered, qgm: &Qgm, profile: &ExecProfile) {
         if self.metrics.is_noop() {
             return;
         }
@@ -488,16 +566,14 @@ impl Engine {
         self.metrics.rows_scanned.add(m.rows_scanned);
         self.metrics.rows_produced.add(m.rows_produced);
         self.metrics.box_evals.add(m.box_evals);
-        let live: std::collections::BTreeSet<_> = qgm.box_ids().into_iter().collect();
-        let actuals: std::collections::BTreeMap<_, _> = profile
+        let estimates = lowered.estimates(qgm, &self.snapshot.catalog);
+        let actuals: BTreeMap<_, _> = profile
             .boxes
             .iter()
-            .filter(|(b, bp)| bp.evals > 0 && live.contains(b))
+            .filter(|(b, bp)| bp.evals > 0 && estimates.contains_key(b))
             .map(|(b, bp)| (*b, (bp.rows_out, bp.evals)))
             .collect();
-        for row in
-            starmagic_planner::feedback::cardinality_report(qgm, &self.snapshot.catalog, &actuals)
-        {
+        for row in starmagic_planner::feedback::compare_cardinalities(|b| estimates[&b], &actuals) {
             self.metrics.note_misestimate(row.bucket);
         }
     }
@@ -602,8 +678,8 @@ impl Engine {
         extracted: &[Value],
         threads: usize,
     ) -> Result<QueryResult> {
-        let bound = self.bind_cached(plan, user_args, extracted)?;
-        self.run_bound(plan, &bound, threads)
+        let params = self.bind_cached(plan, user_args, extracted)?;
+        self.run_prepared(&plan.prepared, &params, threads, true)
     }
 
     /// Run a query through the plan cache (parameterize, fetch or
@@ -665,10 +741,10 @@ impl Engine {
         self.metrics.note_shard_lookup(shard, hit);
 
         let t = sink.start("bind");
-        let bound = self.bind_cached(&plan, &[], &p.args)?;
+        let params = self.bind_cached(&plan, &[], &p.args)?;
         sink.finish(t);
         let t = sink.start("execute");
-        let result = self.run_bound(&plan, &bound, threads)?;
+        let result = self.run_prepared(&plan.prepared, &params, threads, true)?;
         sink.finish(t);
         self.note_spans(&sink);
         Ok(CachedQuery {
@@ -710,14 +786,15 @@ impl Engine {
         }
     }
 
-    /// Check arities and NULL-freedom, then substitute the constants
-    /// into the plan's parameter slots.
+    /// Check arities and NULL-freedom, then hand back the parameter
+    /// vector the plan's `?N` slots read: user arguments first, the
+    /// extracted literals after. Nothing is copied from the plan.
     fn bind_cached(
         &self,
         plan: &CachedPlan,
         user_args: &[Value],
         extracted: &[Value],
-    ) -> Result<starmagic_qgm::Qgm> {
+    ) -> Result<Vec<Value>> {
         if user_args.len() != plan.user_params {
             return Err(Error::execution(format!(
                 "statement takes {} parameter(s), {} bound",
@@ -744,39 +821,25 @@ impl Engine {
         let mut all = Vec::with_capacity(plan.param_count);
         all.extend_from_slice(user_args);
         all.extend_from_slice(extracted);
-        plan.prepared.qgm.bind_params(&all)
+        plan.prepared
+            .lowered(&self.metrics)
+            .plan
+            .check_params(&all)?;
+        Ok(all)
     }
 
-    /// Execute a rebound cached plan with the given worker count (the
-    /// plan's recorded count may predate a `\threads` change; results
-    /// are identical at any setting).
-    fn run_bound(
-        &self,
-        plan: &CachedPlan,
-        bound: &starmagic_qgm::Qgm,
-        threads: usize,
-    ) -> Result<QueryResult> {
-        let (rows, profile) = starmagic_exec::execute_with_options(
-            bound,
-            &self.snapshot.catalog,
-            &self.snapshot.indexes,
-            starmagic_exec::ExecOptions {
-                timing: false,
-                threads: threads.max(1),
-                columnar: true,
-                metrics: self.metrics.registry.clone(),
-                max_recursion: self.max_recursion,
-            },
-        )?;
-        self.note_execution(bound, &profile);
-        Ok(QueryResult {
-            rows,
-            columns: plan.prepared.columns.clone(),
-            metrics: profile.aggregate(),
-            used_magic: plan.prepared.used_magic,
-            cost_without_magic: plan.prepared.cost_without_magic,
-            cost_with_magic: plan.prepared.cost_with_magic,
-        })
+    /// Count a session's run of a plan it holds (the server's
+    /// `EXECUTE`) as the cache hit the lookup it skips would have been.
+    /// `false` — nothing counted — when the plan was not built at this
+    /// engine's epoch: the caller must resolve it again.
+    pub fn reuse_cached(&self, plan: &CachedPlan, strategy: Strategy) -> bool {
+        if plan.epoch != self.epoch {
+            return false;
+        }
+        let shard = self.plans.note_hit(&plan.key);
+        self.metrics.note_cache_lookup(strategy, true);
+        self.metrics.note_shard_lookup(shard, true);
+        true
     }
 
     /// Optimize without executing (for EXPLAIN and the figure
@@ -826,20 +889,17 @@ impl Engine {
             .collect();
 
         let exec_start = Instant::now();
-        let (rows, profile) = starmagic_exec::execute_with_options(
+        let lowered = Lowered::new(chosen);
+        let (rows, profile) = starmagic_exec::execute_plan(
             chosen,
+            &lowered.plan,
+            &[],
             &self.snapshot.catalog,
             &self.snapshot.indexes,
-            starmagic_exec::ExecOptions {
-                timing: true,
-                threads: self.threads,
-                columnar: true,
-                metrics: self.metrics.registry.clone(),
-                max_recursion: self.max_recursion,
-            },
+            self.exec_options(self.threads, true, true),
         )?;
         optimized.trace.record("execute", exec_start.elapsed());
-        self.note_execution(optimized.chosen(), &profile);
+        self.note_execution(&lowered, optimized.chosen(), &profile);
 
         let result = QueryResult {
             rows,
@@ -923,6 +983,7 @@ pub fn prepared_from(optimized: &Optimized, threads: usize) -> Prepared {
         cost_with_magic: optimized.cost_with_magic,
         threads: threads.max(1),
         columnar: true,
+        lowered: OnceLock::new(),
     }
 }
 

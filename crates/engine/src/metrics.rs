@@ -6,6 +6,9 @@
 //! microsecond histograms):
 //!
 //! * `engine.queries` — bound plan executions
+//! * `engine.lower_us` — lowering a prepared plan for execution, paid
+//!   once per plan by its first execution (a cache miss's, on the
+//!   cached path)
 //! * `engine.ddl_us` — latency of a published catalog change (`CREATE
 //!   VIEW`, `CREATE TABLE`, `INSERT`): parse, the copy of the written
 //!   table, validation, the append, the epoch bump
@@ -92,6 +95,8 @@ pub struct EngineMetrics {
     pub registry: Registry,
     /// `engine.queries`: bound plan executions.
     pub queries: Counter,
+    /// `engine.lower_us`: lowering a plan, once per plan.
+    pub lower_us: Histogram,
     /// `engine.ddl_us`: a published `CREATE VIEW` / `CREATE TABLE` /
     /// `INSERT`, parse to epoch bump.
     pub ddl_us: Histogram,
@@ -121,6 +126,7 @@ impl EngineMetrics {
         }
         EngineMetrics {
             queries: registry.counter("engine.queries"),
+            lower_us: registry.histogram("engine.lower_us"),
             ddl_us: registry.histogram("engine.ddl_us"),
             cache_hit: std::array::from_fn(|i| {
                 registry.counter(&format!("cache.hit.{}", STRATEGY_TOKENS[i]))

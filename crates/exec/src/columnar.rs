@@ -15,10 +15,11 @@
 //! **Fallback-first.** A select box qualifies only when every
 //! predicate is join-time (no subquery references) and compiles to a
 //! [`VExpr`], every projection column compiles, and every input
-//! quantifier is uncorrelated. Anything else — and any error inside a
-//! vectorized kernel — falls back with its reason, and the row path
-//! evaluates the box from scratch. Two properties make the fallback
-//! free of observable drift:
+//! quantifier is uncorrelated — decided once, when the plan is lowered
+//! ([`crate::plan`]), which also compiles every kernel this module
+//! runs. Anything else — and any error inside a vectorized kernel —
+//! falls back with its reason, and the row path evaluates the box from
+//! scratch. Two properties make the fallback free of observable drift:
 //!
 //! * Stage counters accumulate in a **scratch profile** merged into
 //!   the executor's only on success, so an abandoned columnar attempt
@@ -37,19 +38,20 @@
 //! columnar oracle: rows, order, profile, and errors are byte-for-byte
 //! those of the row executor, at any thread count.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use starmagic_common::{Error, Result, Value};
-use starmagic_qgm::{BoxId, BoxKind, QuantId, ScalarExpr};
+use starmagic_qgm::BoxId;
 
 use crate::batch::{Batch, Column};
 use crate::boundary::{BoxOutput, Fallback};
 use crate::dedup::distinct_ids;
 use crate::executor::{Executor, Frame};
 use crate::parallel::{run_batches, MORSEL_ROWS, PARALLEL_THRESHOLD};
+use crate::plan::SelectPlan;
 use crate::profile::ExecProfile;
-use crate::vector::{compile, eval, SlotView, VExpr, Vector};
+use crate::vector::{eval, Env, SlotView, VExpr, Vector};
 
 /// Why a columnar attempt stopped: fall back silently, or propagate a
 /// real executor error (one the row path would hit identically).
@@ -59,11 +61,6 @@ enum Abort {
 }
 
 type StageResult<T> = std::result::Result<T, Abort>;
-
-/// A predicate side that compiled for the whole box during eligibility
-/// must compile for a stage's slots too; if it ever does not, the row
-/// path rules.
-const UNCOMPILABLE: Abort = Abort::Fallback(Fallback::UncompilablePredicate);
 
 /// Unwrap a vectorized-kernel result; any error means "use the row
 /// path" (see the module docs for why that is always sound).
@@ -93,9 +90,10 @@ macro_rules! ex {
 pub(crate) fn try_eval_select(
     exec: &mut Executor<'_>,
     b: BoxId,
+    select: &SelectPlan,
     frame: &Frame<'_>,
 ) -> Result<std::result::Result<BoxOutput, Fallback>> {
-    match run(exec, b, frame) {
+    match run(exec, b, select, frame) {
         Ok(out) => Ok(Ok(out)),
         Err(Abort::Fallback(why)) => Ok(Err(why)),
         Err(Abort::Fatal(e)) => Err(e),
@@ -257,144 +255,51 @@ fn dispatch<R: Send>(
     }
 }
 
-fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxOutput> {
-    let qgm = exec.qgm;
-    let qb = qgm.boxed(b);
-    let order = qgm.join_order(b);
-    if order.is_empty() {
-        return Err(Abort::Fallback(Fallback::NoInput));
-    }
-    let local_f: BTreeSet<QuantId> = order.iter().copied().collect();
-    let local_sub: BTreeSet<QuantId> = qb
-        .quants
-        .iter()
-        .copied()
-        .filter(|&q| !qgm.quant(q).kind.is_foreach())
-        .collect();
-    let preds = qb.predicates.clone();
-
-    // ---- eligibility (no side effects yet) ---------------------------
-    let full_slot = |x: QuantId| order.iter().position(|&y| y == x);
-    for p in &preds {
-        if p.quantifiers().iter().any(|x| local_sub.contains(x)) {
-            return Err(Abort::Fallback(Fallback::SubqueryPredicate));
-        }
-        if compile(p, &full_slot, frame).is_none() {
-            return Err(Abort::Fallback(Fallback::UncompilablePredicate));
-        }
-    }
-    if qb
-        .columns
-        .iter()
-        .any(|c| compile(&c.expr, &full_slot, frame).is_none())
-    {
-        return Err(Abort::Fallback(Fallback::UncompilableColumn));
-    }
-    for &q in &order {
-        if exec.is_correlated(qgm.quant(q).input) {
-            return Err(Abort::Fallback(Fallback::CorrelatedInput));
-        }
-    }
+fn run(
+    exec: &mut Executor<'_>,
+    b: BoxId,
+    select: &SelectPlan,
+    frame: &Frame<'_>,
+) -> StageResult<BoxOutput> {
+    let program = &select.program;
+    let outer = program.outer.resolve(frame);
+    let kernels = program.kernels(&outer).map_err(Abort::Fallback)?;
+    let env = Env {
+        params: frame.params(),
+        outer: &outer,
+    };
 
     // ---- stage loop (mirrors eval_select) ----------------------------
     let mut scratch = ExecProfile::default();
     let mut stats = Stats::default();
-    let mut applied = vec![false; preds.len()];
-    let mut bound: Vec<QuantId> = Vec::new();
     let mut state = State {
         batches: Vec::new(),
         ids: Vec::new(),
         len: 1, // the single empty combination
     };
 
-    for &q in &order {
-        let child = qgm.quant(q).input;
-
-        // Equality predicates usable for a hash join with q — the
-        // same classification the row path makes (children here are
-        // uncorrelated by eligibility).
-        let mut hash_preds: Vec<(ScalarExpr, ScalarExpr)> = Vec::new();
-        for (i, p) in preds.iter().enumerate() {
-            if applied[i] {
-                continue;
-            }
-            if let Some((l, r)) = p.as_equality() {
-                let lq: Vec<QuantId> = l
-                    .quantifiers()
-                    .into_iter()
-                    .filter(|x| local_f.contains(x))
-                    .collect();
-                let rq: Vec<QuantId> = r
-                    .quantifiers()
-                    .into_iter()
-                    .filter(|x| local_f.contains(x))
-                    .collect();
-                let (probe, build) = if lq.iter().all(|x| bound.contains(x)) && rq == vec![q] {
-                    (l.clone(), r.clone())
-                } else if rq.iter().all(|x| bound.contains(x)) && lq == vec![q] {
-                    (r.clone(), l.clone())
-                } else {
-                    continue;
-                };
-                hash_preds.push((probe, build));
-                applied[i] = true;
-            }
-        }
-
-        // Same index-nested-loop decision as the row path: combination
-        // count vs table cardinality, never data-dependent.
-        let index_plan: Option<(String, usize, usize)> = if hash_preds.is_empty() {
-            None
-        } else if let BoxKind::BaseTable { table } = &qgm.boxed(child).kind {
-            let trows = exec
-                .catalog
-                .table(table)
-                .map_or(0, starmagic_catalog::Table::row_count);
-            if state.len.saturating_mul(4) < trows.max(1) {
-                hash_preds
-                    .iter()
-                    .position(|(_, build)| {
-                        matches!(build, ScalarExpr::ColRef { quant, .. } if *quant == q)
-                    })
-                    .map(|i| {
-                        let ScalarExpr::ColRef { col, .. } = &hash_preds[i].1 else {
-                            unreachable!("position matched ColRef")
-                        };
-                        (table.clone(), *col, i)
-                    })
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-
-        let slot_of = |x: QuantId| bound.iter().position(|&y| y == x);
-        let build_slot = |x: QuantId| (x == q).then_some(0);
+    for (stage, compiled) in select.stages.iter().zip(&kernels.stages) {
+        let (q, child) = (stage.quant, stage.child);
         stats.stage(state.len);
 
         let (parent, new_ids, stage_batch): (Vec<u32>, Vec<u32>, Arc<Batch>) =
-            if let Some((table, col, pred_idx)) = index_plan {
+            if let Some(probe) = exec.index_probe(stage, state.len) {
                 // Index nested loop: probe the id index per
                 // combination; charge the probed rows to the base
                 // table, exactly like the row path.
-                let index = ex!(exec.table_id_index(&table, col));
-                let tbatch = ex!(exec.table_batch(&table));
-                let probe_key =
-                    compile(&hash_preds[pred_idx].0, &slot_of, frame).ok_or(UNCOMPILABLE)?;
-                let rest: Vec<(VExpr, VExpr)> = hash_preds
+                let index = ex!(exec.table_id_index(&probe.table, probe.col));
+                let tbatch = ex!(exec.table_batch(&probe.table));
+                let rest: Vec<(&VExpr, &VExpr)> = compiled
+                    .probe
                     .iter()
+                    .zip(&compiled.build)
                     .enumerate()
-                    .filter(|(i, _)| *i != pred_idx)
-                    .map(|(_, (p, bld))| {
-                        let pv = compile(p, &slot_of, frame).ok_or(UNCOMPILABLE)?;
-                        let bv = compile(bld, &build_slot, frame).ok_or(UNCOMPILABLE)?;
-                        Ok((pv, bv))
-                    })
-                    .collect::<StageResult<_>>()?;
+                    .filter(|&(i, _)| i != probe.pred)
+                    .map(|(_, pair)| pair)
+                    .collect();
                 let slots = state.views();
                 let positions: Vec<u32> = (0..state.len as u32).collect();
-                let keys = vk!(eval(&probe_key, &slots, &positions));
+                let keys = vk!(eval(&compiled.probe[probe.pred], &slots, &positions, env));
                 let tbatch_ref = tbatch.as_ref();
                 let parts = vk!(dispatch(exec, state.len, &mut scratch, |chunk, prof| {
                     let mut parent: Vec<u32> = Vec::new();
@@ -416,17 +321,17 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxO
                     }
                     // Remaining equality predicates filter the
                     // expanded candidates, in classification order.
-                    for (pv, bv) in &rest {
+                    for &(pv, bv) in &rest {
                         if parent.is_empty() {
                             break;
                         }
-                        let probe = eval(pv, &slots, &parent)?;
+                        let probe = eval(pv, &slots, &parent, env)?;
                         let bids: Vec<u32> = (0..mids.len() as u32).collect();
                         let bslots = [SlotView {
                             batch: tbatch_ref,
                             ids: &mids,
                         }];
-                        let build = eval(bv, &bslots, &bids)?;
+                        let build = eval(bv, &bslots, &bids, env)?;
                         let mut kept_parent = Vec::new();
                         let mut kept_mids = Vec::new();
                         for k in 0..parent.len() {
@@ -447,7 +352,7 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxO
                     mids.extend(m);
                 }
                 (parent, mids, tbatch)
-            } else if !hash_preds.is_empty() {
+            } else if !compiled.probe.is_empty() {
                 // Hash join: build on the child once, probe per
                 // combination position. A step arm keeps a build over an
                 // input outside the recursion for the whole fixpoint;
@@ -469,10 +374,9 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxO
                         batch: cbatch.as_ref(),
                         ids: &cids,
                     }];
-                    let mut keys: Vec<Vector> = Vec::with_capacity(hash_preds.len());
-                    for (_, build) in &hash_preds {
-                        let bv = compile(build, &build_slot, frame).ok_or(UNCOMPILABLE)?;
-                        keys.push(vk!(eval(&bv, &bslots, &cids)));
+                    let mut keys: Vec<Vector> = Vec::with_capacity(compiled.build.len());
+                    for bv in &compiled.build {
+                        keys.push(vk!(eval(bv, &bslots, &cids, env)));
                     }
                     let build = Arc::new(JoinBuild::new(cbatch, keys));
                     if reusable {
@@ -483,10 +387,9 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxO
                 };
                 let slots = state.views();
                 let positions: Vec<u32> = (0..state.len as u32).collect();
-                let mut probe_cols: Vec<Vector> = Vec::with_capacity(hash_preds.len());
-                for (probe, _) in &hash_preds {
-                    let pv = compile(probe, &slot_of, frame).ok_or(UNCOMPILABLE)?;
-                    probe_cols.push(vk!(eval(&pv, &slots, &positions)));
+                let mut probe_cols: Vec<Vector> = Vec::with_capacity(compiled.probe.len());
+                for pv in &compiled.probe {
+                    probe_cols.push(vk!(eval(pv, &slots, &positions, env)));
                 }
                 let join_map = build.map(&probe_cols);
                 let parts = vk!(dispatch(exec, state.len, &mut scratch, |chunk, _| {
@@ -555,39 +458,21 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxO
 
         stats.gather += (parent.len() * (state.ids.len() + 1)) as u64;
         state.advance(&parent, stage_batch, new_ids);
-        bound.push(q);
 
         // Apply every predicate that just became available, in
         // declaration order with a shrinking selection — the same
         // (predicate, row) coverage as the row path's short-circuit.
-        let ready: Vec<usize> = preds
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| {
-                !applied[*i]
-                    && p.quantifiers()
-                        .iter()
-                        .all(|x| !local_f.contains(x) || bound.contains(x))
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if !ready.is_empty() {
-            let stage_slot = |x: QuantId| bound.iter().position(|&y| y == x);
-            let ready_vs: Vec<VExpr> = ready
-                .iter()
-                .map(|&i| compile(&preds[i], &stage_slot, frame).ok_or(UNCOMPILABLE))
-                .collect::<StageResult<_>>()?;
+        if !compiled.ready.is_empty() {
             let n = state.len;
             stats.stage(n);
             let slots = state.views();
-            let ready_vs = &ready_vs;
             let parts = vk!(dispatch(exec, n, &mut scratch, |chunk, _| {
                 let mut pos: Vec<u32> = chunk.to_vec();
-                for v in ready_vs {
+                for v in &compiled.ready {
                     if pos.is_empty() {
                         break;
                     }
-                    let tv = eval(v, &slots, &pos)?;
+                    let tv = eval(v, &slots, &pos, env)?;
                     pos = pos
                         .iter()
                         .enumerate()
@@ -604,49 +489,30 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxO
             }
             stats.gather += (keep.len() * state.ids.len()) as u64;
             state.retain(&keep);
-            for &i in &ready {
-                applied[i] = true;
-            }
         }
         scratch.entry(b).rows_produced += state.len as u64;
     }
 
-    // Every predicate is join-time by eligibility, so by now all are
-    // applied; anything else is a logic drift — let the row path rule.
-    if applied.iter().any(|a| !a) {
-        return Err(UNCOMPILABLE);
-    }
-
     // ---- projection: gather only the surviving rows, and of those only
-    // the columns some consumer reads. A dead column that is a bare
-    // reference or a literal cannot fail and is skipped outright; any
-    // other dead expression is still evaluated, for its errors alone.
-    let stage_slot = |x: QuantId| bound.iter().position(|&y| y == x);
-    let col_vs: Vec<VExpr> = qb
-        .columns
-        .iter()
-        .map(|c| compile(&c.expr, &stage_slot, frame).ok_or(UNCOMPILABLE))
-        .collect::<StageResult<_>>()?;
-    // Full width where width is semantics: DISTINCT compares whole rows.
+    // the columns some consumer reads (a DISTINCT box's are all of
+    // them: width is semantics). A dead column that is a bare reference
+    // or a constant cannot fail and is skipped outright; any other dead
+    // expression is still evaluated, for its errors alone.
+    let col_vs = &kernels.columns;
     let all = vec![true; col_vs.len()];
-    exec.find_live_columns();
-    let live = match exec.live_columns(b) {
-        Some(live) if !qb.distinct.needs_dedup() => live,
-        _ => &all,
-    };
+    let live = exec.live_columns(b).unwrap_or(&all);
     stats.stage(state.len);
     stats.gather += (state.len * live.iter().filter(|&&l| l).count()) as u64;
     let slots = state.views();
-    let col_vs = &col_vs;
     let mut parts = vk!(dispatch(exec, state.len, &mut scratch, |chunk, _| {
         col_vs
             .iter()
             .zip(live)
             .map(|(v, &live)| {
-                if !live && matches!(v, VExpr::Col { .. } | VExpr::Lit(_)) {
+                if !live && v.is_leaf() {
                     return Ok(None);
                 }
-                let column = eval(v, &slots, chunk)?.into_column();
+                let column = eval(v, &slots, chunk, env)?.into_column();
                 Ok(live.then_some(column))
             })
             .collect::<Result<Vec<Option<Column>>>>()
@@ -672,7 +538,7 @@ fn run(exec: &mut Executor<'_>, b: BoxId, frame: &Frame<'_>) -> StageResult<BoxO
     };
     let batch = Batch::from_columns(columns, state.len);
     scratch.entry(b).rows_produced += state.len as u64;
-    let out = if qb.distinct.needs_dedup() {
+    let out = if exec.qgm.boxed(b).distinct.needs_dedup() {
         BoxOutput::from_batch(batch.take(&distinct_ids(&batch)))
     } else {
         BoxOutput::from_batch(batch)

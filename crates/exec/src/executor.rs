@@ -7,22 +7,21 @@ use std::time::Instant;
 use starmagic_catalog::{Catalog, Table};
 use starmagic_common::{Error, Result, Row, Truth, Value};
 use starmagic_metrics::Registry;
-use starmagic_planner::cost::is_correlated_subtree;
 use starmagic_qgm::expr::QuantMode;
 use starmagic_qgm::{BoxId, BoxKind, GroupByBox, Qgm, QuantId, QuantKind, ScalarExpr, SetOpKind};
 use starmagic_sql::BinOp;
 
 use crate::agg::{hash_aggregate, AggInput};
 use crate::batch::{Batch, Column, RowSource};
-use crate::boundary::{live_columns, BoxOutput, BoxPath, Fallback};
+use crate::boundary::{BoxOutput, BoxPath, Fallback};
 use crate::columnar::JoinBuild;
 use crate::dedup::dedupe;
-use crate::fixpoint::find_recursive_boxes;
 use crate::like::like_match;
 use crate::metrics::Metrics;
 use crate::parallel::{run_morsels, PARALLEL_THRESHOLD};
+use crate::plan::{GroupByPlan, IndexProbe, Op, Plan, SelectPlan, Stage};
 use crate::profile::ExecProfile;
-use crate::vector::{self, SlotView, Vector};
+use crate::vector::{self, Env, SlotView, Vector};
 
 /// Execution knobs.
 #[derive(Debug, Clone)]
@@ -116,8 +115,8 @@ pub fn execute_profiled(
     )
 }
 
-/// Evaluate with explicit execution options (timing, worker threads).
-/// This is the full-control entry point the engine uses; the narrower
+/// Evaluate with explicit execution options (timing, worker threads):
+/// lower the graph, then run it with no parameters bound. The narrower
 /// entry points above are serial shorthands for it.
 pub fn execute_with_options(
     qgm: &Qgm,
@@ -125,7 +124,22 @@ pub fn execute_with_options(
     indexes: &IndexCache,
     opts: ExecOptions,
 ) -> Result<(Vec<Row>, ExecProfile)> {
-    let mut exec = Executor::new(qgm, catalog);
+    execute_plan(qgm, &Plan::lower(qgm), &[], catalog, indexes, opts)
+}
+
+/// Run a lowered plan — `plan` must be [`Plan::lower`] of `qgm` — with
+/// `params` bound to its `?N` markers. This is the full-control entry
+/// point the engine uses: a cached plan is lowered once and run by
+/// every execution.
+pub fn execute_plan(
+    qgm: &Qgm,
+    plan: &Plan,
+    params: &[Value],
+    catalog: &Catalog,
+    indexes: &IndexCache,
+    opts: ExecOptions,
+) -> Result<(Vec<Row>, ExecProfile)> {
+    let mut exec = Executor::new(qgm, plan, catalog);
     if opts.timing {
         exec.profile = ExecProfile::with_timing();
     }
@@ -146,7 +160,7 @@ pub fn execute_with_options(
         exec.fixpoint_build_reuses = opts.metrics.counter("exec.fixpoint.build_reuses");
         exec.index_builds = opts.metrics.counter("exec.index.builds");
     }
-    let out = exec.eval_box(qgm.top(), &Frame::root())?;
+    let out = exec.eval_box(qgm.top(), &Frame::with_params(params))?;
     // The cache's handle goes first, so the root's rows move out.
     exec.cache.remove(&qgm.top());
     let rows = out.into_rows();
@@ -253,19 +267,28 @@ fn cached_or_build<K: std::hash::Hash + Eq + Clone, V: Clone>(
 }
 
 /// Evaluation environment: quantifier → current row bindings, chained
-/// to the enclosing frame for correlation.
+/// to the enclosing frame for correlation, plus the execution's bound
+/// parameters.
 pub struct Frame<'f> {
     parent: Option<&'f Frame<'f>>,
     quants: &'f [QuantId],
     rows: &'f [Row],
+    params: &'f [Value],
 }
 
 impl<'f> Frame<'f> {
+    /// The root frame of an execution with no parameters bound.
     pub fn root() -> Frame<'static> {
+        Frame::with_params(&[])
+    }
+
+    /// The root frame of an execution binding `params` to `?1..`.
+    pub(crate) fn with_params(params: &[Value]) -> Frame<'_> {
         Frame {
             parent: None,
             quants: &[],
             rows: &[],
+            params,
         }
     }
 
@@ -274,7 +297,20 @@ impl<'f> Frame<'f> {
             parent: Some(self),
             quants,
             rows,
+            params: self.params,
         }
+    }
+
+    /// The execution's bound parameters.
+    pub(crate) fn params(&self) -> &'f [Value] {
+        self.params
+    }
+
+    /// The value bound to parameter `i` (0-based).
+    fn param(&self, i: usize) -> Result<Value> {
+        self.params.get(i).cloned().ok_or_else(|| {
+            Error::internal(format!("unbound parameter ?{} reached the executor", i + 1))
+        })
     }
 
     pub(crate) fn lookup(&self, q: QuantId) -> Option<&Row> {
@@ -289,6 +325,8 @@ impl<'f> Frame<'f> {
 /// counters for one execution.
 pub struct Executor<'a> {
     pub(crate) qgm: &'a Qgm,
+    /// The graph's lowered facts and kernels ([`Plan::lower`]).
+    pub(crate) plan: &'a Plan,
     pub(crate) catalog: &'a Catalog,
     /// Per-box work counters (and, when enabled, timings). The legacy
     /// flat [`Metrics`] is this profile's aggregate: [`Executor::metrics`].
@@ -298,15 +336,9 @@ pub struct Executor<'a> {
     /// Whether eligible select boxes go through the columnar path.
     pub(crate) columnar: bool,
     cache: HashMap<BoxId, Arc<BoxOutput>>,
-    correlated: HashMap<BoxId, bool>,
-    /// Boxes that participate in a cycle (recursive queries).
-    pub(crate) recursive: BTreeSet<BoxId>,
     /// What a recursive reference reads during a fixpoint: the round's
     /// delta (semi-naive) or the accumulation so far (naive).
     pub(crate) recursive_acc: HashMap<BoxId, Arc<BoxOutput>>,
-    /// Per box, the output columns some consumer reads; computed on the
-    /// first columnar projection that could prune.
-    live: Option<HashMap<BoxId, Vec<bool>>>,
     /// Box evaluations per physical path: `[0]` stayed on the batch
     /// path, `[1 + reason]` left it. Flushed to the registry once per
     /// execution.
@@ -377,19 +409,17 @@ pub struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    pub fn new(qgm: &'a Qgm, catalog: &'a Catalog) -> Executor<'a> {
-        let recursive = find_recursive_boxes(qgm);
+    /// An executor over `qgm`, whose lowered form is `plan`.
+    pub fn new(qgm: &'a Qgm, plan: &'a Plan, catalog: &'a Catalog) -> Executor<'a> {
         Executor {
             qgm,
+            plan,
             catalog,
             profile: ExecProfile::default(),
             threads: 1,
             columnar: true,
             cache: HashMap::new(),
-            correlated: HashMap::new(),
-            recursive,
             recursive_acc: HashMap::new(),
-            live: None,
             path_counts: [0; 1 + Fallback::ALL.len()],
             in_fixpoint: BTreeSet::new(),
             no_cache: BTreeSet::new(),
@@ -726,22 +756,28 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Run the live-column pass, once per execution and only when a
-    /// columnar projection is about to ask.
-    pub(crate) fn find_live_columns(&mut self) {
-        if self.live.is_none() {
-            let recursive = &self.recursive;
-            self.live = Some(live_columns(self.qgm, |b| recursive.contains(&b)));
-        }
+    /// The output columns of `b` some consumer reads; `None` is all of
+    /// them (the top box).
+    pub(crate) fn live_columns(&self, b: BoxId) -> Option<&'a [bool]> {
+        self.plan.get(b).live.as_deref()
     }
 
-    /// The output columns of `b` some consumer reads; `None` is all of
-    /// them (the top box, or [`Executor::find_live_columns`] not run).
-    pub(crate) fn live_columns(&self, b: BoxId) -> Option<&[bool]> {
-        if b == self.qgm.top() {
-            return None;
-        }
-        self.live.as_ref()?.get(&b).map(Vec::as_slice)
+    /// The stage's index probe, if it has one and the `combos`
+    /// combinations are few against the table: the access-path choice
+    /// a System-R optimizer would make, and the reason correlated
+    /// evaluation is fast on selective outers (Table 1, Exp A). The one
+    /// join decision left to run time — it depends on the data.
+    pub(crate) fn index_probe<'p>(
+        &self,
+        stage: &'p Stage,
+        combos: usize,
+    ) -> Option<&'p IndexProbe> {
+        let probe = stage.index.as_ref()?;
+        let rows = self
+            .catalog
+            .table(&probe.table)
+            .map_or(0, starmagic_catalog::Table::row_count);
+        (combos.saturating_mul(4) < rows.max(1)).then_some(probe)
     }
 
     /// Flush one columnar select's batch telemetry. Called only after
@@ -767,13 +803,9 @@ impl<'a> Executor<'a> {
         }
     }
 
-    pub(crate) fn is_correlated(&mut self, b: BoxId) -> bool {
-        if let Some(&c) = self.correlated.get(&b) {
-            return c;
-        }
-        let c = is_correlated_subtree(self.qgm, self.qgm.top(), b);
-        self.correlated.insert(b, c);
-        c
+    /// Whether `b`'s subtree reads a quantifier bound outside it.
+    pub(crate) fn is_correlated(&self, b: BoxId) -> bool {
+        self.plan.get(b).correlated
     }
 
     /// Evaluate a box under a frame. Uncorrelated boxes are cached.
@@ -796,14 +828,15 @@ impl<'a> Executor<'a> {
             self.profile.entry(b).rows_out += out.len() as u64;
             return Ok(out);
         }
-        if !self.is_correlated(b) {
+        let lowered = self.plan.get(b);
+        if !lowered.correlated {
             if let Some(out) = self.cache.get(&b) {
                 return Ok(out.clone());
             }
         }
         let timer = self.profile.timing.then(Instant::now);
         self.profile.entry(b).evals += 1;
-        let out = if self.recursive.contains(&b) {
+        let out = if lowered.fixpoint.is_some() {
             self.fixpoint(b, frame)?
         } else {
             Arc::new(self.eval_inner(b, frame)?)
@@ -815,7 +848,7 @@ impl<'a> Executor<'a> {
                 p.elapsed += t.elapsed();
             }
         }
-        if !self.is_correlated(b) {
+        if !lowered.correlated {
             self.cache.insert(b, out.clone());
         }
         Ok(out)
@@ -823,8 +856,8 @@ impl<'a> Executor<'a> {
 
     pub(crate) fn eval_inner(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<BoxOutput> {
         let qb = self.qgm.boxed(b);
-        let (out, path) = match &qb.kind {
-            BoxKind::BaseTable { table } => {
+        let (out, path) = match (&self.plan.get(b).op, &qb.kind) {
+            (Op::Scan, BoxKind::BaseTable { table }) => {
                 // Rows borrowed in place; the batch, if a consumer asks
                 // for one, is the cached one (`batch_of`).
                 let t = self.catalog.table_arc(table)?;
@@ -832,9 +865,9 @@ impl<'a> Executor<'a> {
                 let out = BoxOutput::from_source(RowSource::Table(t.clone()));
                 (out, BoxPath::Batch)
             }
-            BoxKind::Select => {
+            (Op::Select(select), BoxKind::Select) => {
                 let left = if self.columnar {
-                    match crate::columnar::try_eval_select(self, b, frame)? {
+                    match crate::columnar::try_eval_select(self, b, select, frame)? {
                         Ok(out) => {
                             self.note_path(b, BoxPath::Batch);
                             return Ok(out);
@@ -844,18 +877,25 @@ impl<'a> Executor<'a> {
                 } else {
                     Fallback::ColumnarOff
                 };
-                let rows = self.eval_select(b, frame)?;
+                let rows = self.eval_select(b, select, frame)?;
                 (BoxOutput::from_rows(rows), BoxPath::Row(left))
             }
-            BoxKind::GroupBy(spec) => return self.eval_groupby(b, spec, frame),
-            BoxKind::SetOp(_) => (
+            (Op::GroupBy(lowered), BoxKind::GroupBy(spec)) => {
+                return self.eval_groupby(b, spec, lowered, frame)
+            }
+            (Op::Rows, BoxKind::SetOp(_)) => (
                 BoxOutput::from_rows(self.eval_setop(b, frame)?),
                 BoxPath::Row(Fallback::RowOperator),
             ),
-            BoxKind::OuterJoin(_) => (
+            (Op::Rows, BoxKind::OuterJoin(_)) => (
                 BoxOutput::from_rows(self.eval_outerjoin(b, frame)?),
                 BoxPath::Row(Fallback::RowOperator),
             ),
+            _ => {
+                return Err(Error::internal(format!(
+                    "{b} was lowered as another kind of box"
+                )))
+            }
         };
         self.note_path(b, path);
         Ok(out)
@@ -919,111 +959,32 @@ impl<'a> Executor<'a> {
 
     // ---- select boxes -------------------------------------------------
 
-    fn eval_select(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<Vec<Row>> {
+    fn eval_select(
+        &mut self,
+        b: BoxId,
+        select: &SelectPlan,
+        frame: &Frame<'_>,
+    ) -> Result<Vec<Row>> {
         let qb = self.qgm.boxed(b);
-        let order = self.qgm.join_order(b);
-        let local_f: BTreeSet<QuantId> = order.iter().copied().collect();
-        let local_sub: BTreeSet<QuantId> = qb
-            .quants
-            .iter()
-            .copied()
-            .filter(|&q| !self.qgm.quant(q).kind.is_foreach())
-            .collect();
-
-        // Classify predicates: join-time (only local Foreach refs,
-        // no subquery refs) vs residual.
-        let preds = qb.predicates.clone();
-        let mut applied = vec![false; preds.len()];
-        let joinable: Vec<bool> = preds
-            .iter()
-            .map(|p| p.quantifiers().iter().all(|q| !local_sub.contains(q)))
-            .collect();
-
+        let preds = &qb.predicates;
         let mut bound: Vec<QuantId> = Vec::new();
         let mut combos: Vec<Vec<Row>> = vec![Vec::new()];
 
-        for &q in &order {
-            let child = self.qgm.quant(q).input;
-            let child_correlated = self.is_correlated(child);
-
-            // Equality predicates usable for a hash join with q.
-            let mut hash_preds: Vec<(ScalarExpr, ScalarExpr)> = Vec::new(); // (probe, build)
-            if !child_correlated {
-                for (i, p) in preds.iter().enumerate() {
-                    if applied[i] || !joinable[i] {
-                        continue;
-                    }
-                    if let Some((l, r)) = p.as_equality() {
-                        let lq: Vec<QuantId> = l
-                            .quantifiers()
-                            .into_iter()
-                            .filter(|x| local_f.contains(x))
-                            .collect();
-                        let rq: Vec<QuantId> = r
-                            .quantifiers()
-                            .into_iter()
-                            .filter(|x| local_f.contains(x))
-                            .collect();
-                        let (probe, build) =
-                            if lq.iter().all(|x| bound.contains(x)) && rq == vec![q] {
-                                (l.clone(), r.clone())
-                            } else if rq.iter().all(|x| bound.contains(x)) && lq == vec![q] {
-                                (r.clone(), l.clone())
-                            } else {
-                                continue;
-                            };
-                        hash_preds.push((probe, build));
-                        applied[i] = true;
-                    }
-                }
-            }
-
-            // Index-nested-loop: when the child is a stored table with
-            // an equality on one of its columns and the outer side is
-            // small relative to the table, probe the column index
-            // instead of scanning — the access-path choice a System-R
-            // optimizer would make, and the reason correlated
-            // evaluation is fast on selective outers (Table 1, Exp A).
-            let index_plan: Option<(String, usize, usize)> = if hash_preds.is_empty() {
-                None
-            } else if let BoxKind::BaseTable { table } = &self.qgm.boxed(child).kind {
-                let trows = self
-                    .catalog
-                    .table(table)
-                    .map_or(0, starmagic_catalog::Table::row_count);
-                if combos.len().saturating_mul(4) < trows.max(1) {
-                    hash_preds
-                        .iter()
-                        .position(|(_, build)| {
-                            matches!(build, ScalarExpr::ColRef { quant, .. } if *quant == q)
-                        })
-                        .map(|i| {
-                            let ScalarExpr::ColRef { col, .. } = &hash_preds[i].1 else {
-                                unreachable!("position matched ColRef")
-                            };
-                            (table.clone(), *col, i)
-                        })
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-
+        for stage in &select.stages {
+            let (q, child) = (stage.quant, stage.child);
+            let hash_preds = &stage.hash;
             let mut next: Vec<Vec<Row>> = Vec::new();
-            if let Some((table, col, pred_idx)) = index_plan {
-                let index = self.table_index(&table, col)?;
-                let rest: Vec<(ScalarExpr, ScalarExpr)> = hash_preds
+            if let Some(probe) = self.index_probe(stage, combos.len()) {
+                let pred_idx = probe.pred;
+                let index = self.table_index(&probe.table, probe.col)?;
+                let rest: Vec<&(ScalarExpr, ScalarExpr)> = hash_preds
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| *i != pred_idx)
-                    .map(|(_, p)| p.clone())
+                    .map(|(_, p)| p)
                     .collect();
                 let cq = [q];
-                let pure = parallel_safe(self.qgm, &hash_preds[pred_idx].0)
-                    && rest
-                        .iter()
-                        .all(|(p, bld)| parallel_safe(self.qgm, p) && parallel_safe(self.qgm, bld));
+                let pure = stage.probe_pure && stage.build_pure;
                 if self.threads > 1 && combos.len() >= PARALLEL_THRESHOLD && pure {
                     let probe_expr = &hash_preds[pred_idx].0;
                     let bound_q: &[QuantId] = &bound;
@@ -1042,7 +1003,7 @@ impl<'a> Executor<'a> {
                             profile.entry(child).rows_scanned += matches.len() as u64;
                             profile.entry(b).rows_in += matches.len() as u64;
                             'probe: for m in matches {
-                                for (probe, build) in &rest {
+                                for &(probe, build) in &rest {
                                     let pv = eval_pure(probe, &cframe)?;
                                     let mrows = [m.clone()];
                                     let mframe = frame.extended(&cq, &mrows);
@@ -1076,7 +1037,7 @@ impl<'a> Executor<'a> {
                         self.profile.entry(b).rows_in += matches.len() as u64;
                         'probe: for m in matches {
                             // Remaining equality predicates filter here.
-                            for (probe, build) in &rest {
+                            for &(probe, build) in &rest {
                                 let pv = self.eval_expr(probe, &cframe)?;
                                 let mrows = [m.clone()];
                                 let mframe = frame.extended(&cq, &mrows);
@@ -1106,7 +1067,7 @@ impl<'a> Executor<'a> {
                     let crows = [row.clone()];
                     let cframe = frame.extended(&cq, &crows);
                     let mut key = Vec::with_capacity(hash_preds.len());
-                    for (_, build) in &hash_preds {
+                    for (_, build) in hash_preds {
                         let v = self.eval_expr(build, &cframe)?;
                         if v.is_null() {
                             continue 'build; // NULL keys never join
@@ -1115,10 +1076,8 @@ impl<'a> Executor<'a> {
                     }
                     table.entry(key).or_default().push(row.clone());
                 }
-                let pure = hash_preds.iter().all(|(p, _)| parallel_safe(self.qgm, p));
-                if self.threads > 1 && combos.len() >= PARALLEL_THRESHOLD && pure {
+                if self.threads > 1 && combos.len() >= PARALLEL_THRESHOLD && stage.probe_pure {
                     let table = &table;
-                    let hash_preds = &hash_preds;
                     let bound_q: &[QuantId] = &bound;
                     self.note_morsel_run(combos.len());
                     let (par, scratch) = run_morsels(self.threads, &combos, |morsel, _| {
@@ -1155,7 +1114,7 @@ impl<'a> Executor<'a> {
                     'probe_combo: for combo in &combos {
                         let cframe = frame.extended(&bound, combo);
                         key.clear();
-                        for (probe, _) in &hash_preds {
+                        for (probe, _) in hash_preds {
                             let v = self.eval_expr(probe, &cframe)?;
                             if v.is_null() {
                                 continue 'probe_combo;
@@ -1174,7 +1133,7 @@ impl<'a> Executor<'a> {
             } else {
                 // Nested loop; the child may be correlated, in which
                 // case it is re-evaluated per combo (tuple-at-a-time).
-                let prefetched = if child_correlated {
+                let prefetched = if stage.child_correlated {
                     None
                 } else {
                     let rows = self.eval_rows(child, frame)?;
@@ -1202,72 +1161,49 @@ impl<'a> Executor<'a> {
 
             // Apply every predicate that just became available.
             let mut filtered: Vec<Vec<Row>> = Vec::with_capacity(next.len());
-            let ready: Vec<usize> = preds
-                .iter()
-                .enumerate()
-                .filter(|(i, p)| {
-                    !applied[*i]
-                        && joinable[*i]
-                        && p.quantifiers()
-                            .iter()
-                            .all(|x| !local_f.contains(x) || bound.contains(x))
-                })
-                .map(|(i, _)| i)
-                .collect();
+            let ready = &stage.ready;
             if ready.is_empty() {
                 filtered = next;
-            } else {
-                let pure = ready.iter().all(|&i| parallel_safe(self.qgm, &preds[i]));
-                if self.threads > 1 && next.len() >= PARALLEL_THRESHOLD && pure {
-                    let preds = &preds;
-                    let ready = &ready;
-                    let bound_q: &[QuantId] = &bound;
-                    self.note_morsel_run(next.len());
-                    let (kept, scratch) = run_morsels(self.threads, &next, |morsel, _| {
-                        let mut out: Vec<Vec<Row>> = Vec::new();
-                        'row: for combo in morsel {
-                            let cframe = frame.extended(bound_q, combo);
-                            for &i in ready {
-                                let v = eval_pure(&preds[i], &cframe)?;
-                                if !truth_of(&v).passes() {
-                                    continue 'row;
-                                }
-                            }
-                            out.push(combo.clone());
-                        }
-                        Ok(out)
-                    })?;
-                    filtered = kept;
-                    self.profile.merge(&scratch);
-                } else {
-                    'row: for combo in next {
-                        let cframe = frame.extended(&bound, &combo);
-                        for &i in &ready {
-                            let v = self.eval_expr(&preds[i], &cframe)?;
+            } else if self.threads > 1 && next.len() >= PARALLEL_THRESHOLD && stage.ready_pure {
+                let bound_q: &[QuantId] = &bound;
+                self.note_morsel_run(next.len());
+                let (kept, scratch) = run_morsels(self.threads, &next, |morsel, _| {
+                    let mut out: Vec<Vec<Row>> = Vec::new();
+                    'row: for combo in morsel {
+                        let cframe = frame.extended(bound_q, combo);
+                        for &i in ready {
+                            let v = eval_pure(&preds[i], &cframe)?;
                             if !truth_of(&v).passes() {
                                 continue 'row;
                             }
                         }
-                        filtered.push(combo);
+                        out.push(combo.clone());
                     }
-                }
-                for &i in &ready {
-                    applied[i] = true;
+                    Ok(out)
+                })?;
+                filtered = kept;
+                self.profile.merge(&scratch);
+            } else {
+                'row: for combo in next {
+                    let cframe = frame.extended(&bound, &combo);
+                    for &i in ready {
+                        let v = self.eval_expr(&preds[i], &cframe)?;
+                        if !truth_of(&v).passes() {
+                            continue 'row;
+                        }
+                    }
+                    filtered.push(combo);
                 }
             }
             combos = filtered;
             self.profile.entry(b).rows_produced += combos.len() as u64;
         }
 
-        // Residual predicates: anything not yet applied (subquery
+        // Residual predicates: anything no stage applied (subquery
         // tests, purely-correlated predicates, ...).
-        let residual: Vec<usize> = (0..preds.len()).filter(|&i| !applied[i]).collect();
-        let pure = residual.iter().all(|&i| parallel_safe(self.qgm, &preds[i]))
-            && qb.columns.iter().all(|c| parallel_safe(self.qgm, &c.expr));
+        let residual = &select.residual;
         let mut result: Vec<Row>;
-        if self.threads > 1 && combos.len() >= PARALLEL_THRESHOLD && pure {
-            let preds = &preds;
-            let residual = &residual;
+        if self.threads > 1 && combos.len() >= PARALLEL_THRESHOLD && select.residual_pure {
             let columns = &qb.columns;
             let bound_q: &[QuantId] = &bound;
             self.note_morsel_run(combos.len());
@@ -1295,7 +1231,7 @@ impl<'a> Executor<'a> {
             result = Vec::with_capacity(combos.len());
             'combo: for combo in &combos {
                 let cframe = frame.extended(&bound, combo);
-                for &i in &residual {
+                for &i in residual {
                     let v = self.eval_expr(&preds[i], &cframe)?;
                     if !truth_of(&v).passes() {
                         continue 'combo;
@@ -1319,17 +1255,18 @@ impl<'a> Executor<'a> {
 
     // ---- group-by boxes -------------------------------------------------
 
-    /// Group-by: keys and aggregate arguments are evaluated as whole
-    /// columns over the child's batch, then [`hash_aggregate`] groups
-    /// and folds them. The child is asked for a batch whatever produced
-    /// it — a row-path child gets one over its rows, of which only the
-    /// referenced columns are ever built — so set-up per evaluation is
-    /// O(referenced columns): the correlated formulations re-enter here
-    /// once per outer row.
+    /// Group-by: keys and aggregate arguments — compiled when the plan
+    /// was lowered — are evaluated as whole columns over the child's
+    /// batch, then [`hash_aggregate`] groups and folds them. The child
+    /// is asked for a batch whatever produced it — a row-path child
+    /// gets one over its rows, of which only the referenced columns are
+    /// ever built — so set-up per evaluation is O(referenced columns):
+    /// the correlated formulations re-enter here once per outer row.
     fn eval_groupby(
         &mut self,
         b: BoxId,
         spec: &GroupByBox,
+        lowered: &GroupByPlan,
         frame: &Frame<'_>,
     ) -> Result<BoxOutput> {
         let tq = self.qgm.boxed(b).quants[0];
@@ -1343,11 +1280,12 @@ impl<'a> Executor<'a> {
         let exprs = spec
             .group_keys
             .iter()
-            .map(|k| (k, Fallback::UncompilableKey))
-            .chain(spec.aggs.iter().filter_map(|a| {
-                let arg = a.arg.as_ref()?;
-                Some((arg, Fallback::UncompilableArgument))
-            }));
+            .chain(spec.aggs.iter().filter_map(|a| a.arg.as_ref()));
+        let outer = lowered.outer.resolve(frame);
+        let env = Env {
+            params: frame.params(),
+            outer: &outer,
+        };
         let batch = self.batch_of(child, &input)?;
         let ids: Vec<u32> = (0..n as u32).collect();
         let slots = [SlotView {
@@ -1359,11 +1297,12 @@ impl<'a> Executor<'a> {
         // The first (row, expression) at which evaluation fails; rows
         // from there on never reach the fold.
         let mut failed: Option<(usize, Error)> = None;
-        for (e, uncompilable) in exprs {
-            let slot_of = |q: QuantId| (q == tq).then_some(0);
-            let vectorized = match vector::compile(e, &slot_of, frame) {
-                Some(v) => vector::eval(&v, &slots, &ids).map_err(|_| Fallback::KernelError),
-                None => Err(uncompilable),
+        for (e, compiled) in exprs.zip(&lowered.exprs) {
+            let vectorized = match &compiled.kernel {
+                Some((v, needs)) if needs.iter().all(|&k| outer[k].is_some()) => {
+                    vector::eval(v, &slots, &ids, env).map_err(|_| Fallback::KernelError)
+                }
+                _ => Err(compiled.fallback),
             };
             vectors.push(match vectorized {
                 Ok(v) => v,
@@ -1541,12 +1480,7 @@ impl<'a> Executor<'a> {
                 )))
             }
             ScalarExpr::Literal(v) => Ok(v.clone()),
-            // Cached plans substitute parameters before execution
-            // (`Qgm::bind_params`); reaching one here is an engine bug.
-            ScalarExpr::Param(i) => Err(Error::internal(format!(
-                "unbound parameter ?{} reached the executor",
-                i + 1
-            ))),
+            ScalarExpr::Param(i) => frame.param(*i),
             ScalarExpr::Bin { op, left, right } => self.eval_bin(*op, left, right, frame),
             ScalarExpr::Neg(x) => {
                 let v = self.eval_expr(x, frame)?;
@@ -1740,27 +1674,9 @@ pub(crate) fn truth_to_value(t: Truth) -> Value {
     }
 }
 
-/// May `e` be evaluated inside a parallel region? Parallel workers
-/// have no access to the executor, so the expression must need nothing
-/// beyond frame lookups: no quantified subquery tests, no aggregates,
-/// and every column reference bound to a Foreach quantifier (a Scalar
-/// quantifier's column evaluates a subquery on demand; Existential and
-/// Universal quantifiers re-enter the executor through their tests).
-/// Anything unsafe falls back to the serial loop, which is always
-/// correct — this check only gates the optimization.
-fn parallel_safe(qgm: &Qgm, e: &ScalarExpr) -> bool {
-    let mut ok = true;
-    e.walk(&mut |x| match x {
-        ScalarExpr::Agg { .. } | ScalarExpr::Quantified { .. } => ok = false,
-        ScalarExpr::ColRef { quant, .. } if !qgm.quant(*quant).kind.is_foreach() => ok = false,
-        _ => {}
-    });
-    ok
-}
-
 /// Executor-free expression evaluation for the parallel loops. Exactly
-/// mirrors [`Executor::eval_expr`] on the pure subset admitted by
-/// [`parallel_safe`] — any divergence between the two would break the
+/// mirrors [`Executor::eval_expr`] on the pure subset lowering admits
+/// to a parallel region (`plan::parallel_safe`) — any divergence between the two would break the
 /// byte-identical determinism contract, which is why the determinism
 /// suite runs every benchmark query at several thread counts. Reaching
 /// an impure variant here is an engine bug, not a user error.
@@ -1771,10 +1687,7 @@ fn eval_pure(e: &ScalarExpr, frame: &Frame<'_>) -> Result<Value> {
             .map(|row| row.get(*col).clone())
             .ok_or_else(|| Error::internal(format!("unbound quantifier {quant} in parallel loop"))),
         ScalarExpr::Literal(v) => Ok(v.clone()),
-        ScalarExpr::Param(i) => Err(Error::internal(format!(
-            "unbound parameter ?{} reached the executor",
-            i + 1
-        ))),
+        ScalarExpr::Param(i) => frame.param(*i),
         ScalarExpr::Bin { op, left, right } => eval_bin_pure(*op, left, right, frame),
         ScalarExpr::Neg(x) => {
             let v = eval_pure(x, frame)?;
@@ -2714,7 +2627,8 @@ mod boundary_tests {
         assert_eq!(rows.len(), 12);
         assert_eq!(profile.get(view).evals, 1);
 
-        let mut exec = Executor::new(&g, &cat);
+        let plan = Plan::lower(&g);
+        let mut exec = Executor::new(&g, &plan, &cat);
         exec.eval_box(g.top(), &Frame::root()).unwrap();
         assert_eq!(exec.profile.paths[&view], BoxPath::Batch);
         let out = exec.cache[&view].clone();
@@ -2739,7 +2653,8 @@ mod boundary_tests {
         let g = graph(&cat, "SELECT p.deptno FROM pairs p");
         let (rows, _) = both_ways(&g, &cat);
         let pairs = named(&g, "PAIRS");
-        let mut exec = Executor::new(&g, &cat);
+        let plan = Plan::lower(&g);
+        let mut exec = Executor::new(&g, &plan, &cat);
         exec.eval_box(g.top(), &Frame::root()).unwrap();
         let out = exec.cache[&pairs].clone();
         assert_eq!(out.len(), rows.len());

@@ -1,7 +1,7 @@
 //! Fixpoint evaluation of recursive components.
 //!
-//! A recursive union in an eligible shape (see
-//! [`Executor::semi_naive_plan`]) runs semi-naive: seed from the base
+//! A recursive union in an eligible shape (see [`semi_naive_plan`],
+//! decided once per plan) runs semi-naive: seed from the base
 //! arms, then iterate the step arms over the previous round's *delta*
 //! only. Everything else — hand-built cyclic graphs, nonlinear
 //! recursion, cycles through subqueries — runs the naive iteration over
@@ -103,7 +103,18 @@ impl Accumulated {
     }
 }
 
+/// A recursive box's component, classified once per plan.
+#[derive(Debug)]
+pub(crate) struct Fixpoint {
+    /// The boxes on the box's cycles (its strongly connected component).
+    members: Vec<BoxId>,
+    /// Each driver's classified arms when the component runs
+    /// semi-naive; `None` runs the naive iteration.
+    semi_naive: Option<Vec<DriverArms>>,
+}
+
 /// Classified arms of one recursive-union driver.
+#[derive(Debug)]
 struct DriverArms {
     driver: BoxId,
     /// Arms referencing no SCC member: evaluated once to seed.
@@ -115,98 +126,110 @@ struct DriverArms {
     all: bool,
 }
 
+/// Lower the recursive component reachable from `b`, one of the
+/// `recursive` boxes.
+pub(crate) fn lower_fixpoint(qgm: &Qgm, b: BoxId, recursive: &BTreeSet<BoxId>) -> Fixpoint {
+    let members: Vec<BoxId> = recursive
+        .iter()
+        .copied()
+        .filter(|&x| reaches(qgm, b, x) && reaches(qgm, x, b))
+        .collect();
+    Fixpoint {
+        semi_naive: semi_naive_plan(qgm, b, &members),
+        members,
+    }
+}
+
+/// Check the SCC for semi-naive eligibility and classify each driver's
+/// arms. Returns `None` when any member falls outside the recognized
+/// shape — the naive iteration remains the safety net.
+fn semi_naive_plan(qgm: &Qgm, b: BoxId, members: &[BoxId]) -> Option<Vec<DriverArms>> {
+    let member_set: BTreeSet<BoxId> = members.iter().copied().collect();
+    let driver_set: BTreeSet<BoxId> = members
+        .iter()
+        .copied()
+        .filter(|&m| qgm.boxed(m).is_recursive_union())
+        .collect();
+    if !driver_set.contains(&b) {
+        return None;
+    }
+    // Every driver must be a UNION set operation; every other member
+    // must be a select (a step arm or a box a step arm owns).
+    let mut step_arm_set: BTreeSet<BoxId> = BTreeSet::new();
+    let mut arms: Vec<DriverArms> = Vec::new();
+    for &d in &driver_set {
+        let qb = qgm.boxed(d);
+        let BoxKind::SetOp(spec) = &qb.kind else {
+            return None;
+        };
+        if spec.op != SetOpKind::Union {
+            return None;
+        }
+        let mut base_arms = Vec::new();
+        let mut step_arms = Vec::new();
+        for &q in &qb.quants {
+            let arm = qgm.quant(q).input;
+            if driver_set.contains(&arm) {
+                // A driver directly unioned into another driver has no
+                // delta of its own to iterate.
+                return None;
+            }
+            let arm_box = qgm.boxed(arm);
+            let rec_refs: Vec<QuantId> = arm_box
+                .quants
+                .iter()
+                .copied()
+                .filter(|&aq| member_set.contains(&qgm.quant(aq).input))
+                .collect();
+            if rec_refs.is_empty() {
+                base_arms.push(arm);
+                continue;
+            }
+            // Step arm: a select referencing exactly one driver, through
+            // a plain FROM-clause quantifier (linear recursion — delta
+            // substitution is only sound when the step is linear in the
+            // recursive relation).
+            if !matches!(arm_box.kind, BoxKind::Select) || rec_refs.len() != 1 {
+                return None;
+            }
+            let rq = qgm.quant(rec_refs[0]);
+            if rq.kind != QuantKind::Foreach || !driver_set.contains(&rq.input) {
+                return None;
+            }
+            step_arm_set.insert(arm);
+            step_arms.push(arm);
+        }
+        if base_arms.is_empty() {
+            // Nothing to seed from: the fixpoint is trivially empty, but
+            // let the naive path prove that.
+            return None;
+        }
+        arms.push(DriverArms {
+            driver: d,
+            base_arms,
+            step_arms,
+            all: spec.all,
+        });
+    }
+    // No member may sit between a step arm and its driver: the shape
+    // above must account for the whole SCC.
+    members
+        .iter()
+        .all(|m| driver_set.contains(m) || step_arm_set.contains(m))
+        .then_some(arms)
+}
+
 impl<'a> Executor<'a> {
     /// Fixpoint over the recursive component reachable from `b`.
     pub(crate) fn fixpoint(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<Arc<BoxOutput>> {
-        let members: Vec<BoxId> = self
-            .recursive
-            .iter()
-            .copied()
-            .filter(|&x| reaches(self.qgm, b, x) && reaches(self.qgm, x, b))
-            .collect();
-        if let Some(plan) = self.semi_naive_plan(b, &members) {
-            return self.semi_naive_fixpoint(plan, b, frame);
+        let plan = self.plan;
+        let Some(fixpoint) = &plan.get(b).fixpoint else {
+            return Err(Error::internal(format!("{b} is not on a cycle")));
+        };
+        match &fixpoint.semi_naive {
+            Some(arms) => self.semi_naive_fixpoint(arms, b, frame),
+            None => self.naive_fixpoint(b, &fixpoint.members, frame),
         }
-        self.naive_fixpoint(b, &members, frame)
-    }
-
-    /// Check the SCC for semi-naive eligibility and classify each
-    /// driver's arms. Returns `None` when any member falls outside the
-    /// recognized shape — the naive iteration remains the safety net.
-    fn semi_naive_plan(&self, b: BoxId, members: &[BoxId]) -> Option<Vec<DriverArms>> {
-        let member_set: BTreeSet<BoxId> = members.iter().copied().collect();
-        let driver_set: BTreeSet<BoxId> = members
-            .iter()
-            .copied()
-            .filter(|&m| self.qgm.boxed(m).is_recursive_union())
-            .collect();
-        if !driver_set.contains(&b) {
-            return None;
-        }
-        // Every driver must be a UNION set operation; every other
-        // member must be a select (a step arm or a box a step arm owns).
-        let mut step_arm_set: BTreeSet<BoxId> = BTreeSet::new();
-        let mut arms: Vec<DriverArms> = Vec::new();
-        for &d in &driver_set {
-            let qb = self.qgm.boxed(d);
-            let BoxKind::SetOp(spec) = &qb.kind else {
-                return None;
-            };
-            if spec.op != SetOpKind::Union {
-                return None;
-            }
-            let mut base_arms = Vec::new();
-            let mut step_arms = Vec::new();
-            for &q in &qb.quants {
-                let arm = self.qgm.quant(q).input;
-                if driver_set.contains(&arm) {
-                    // A driver directly unioned into another driver has
-                    // no delta of its own to iterate.
-                    return None;
-                }
-                let arm_box = self.qgm.boxed(arm);
-                let rec_refs: Vec<QuantId> = arm_box
-                    .quants
-                    .iter()
-                    .copied()
-                    .filter(|&aq| member_set.contains(&self.qgm.quant(aq).input))
-                    .collect();
-                if rec_refs.is_empty() {
-                    base_arms.push(arm);
-                    continue;
-                }
-                // Step arm: a select referencing exactly one driver,
-                // through a plain FROM-clause quantifier (linear
-                // recursion — delta substitution is only sound when
-                // the step is linear in the recursive relation).
-                if !matches!(arm_box.kind, BoxKind::Select) || rec_refs.len() != 1 {
-                    return None;
-                }
-                let rq = self.qgm.quant(rec_refs[0]);
-                if rq.kind != QuantKind::Foreach || !driver_set.contains(&rq.input) {
-                    return None;
-                }
-                step_arm_set.insert(arm);
-                step_arms.push(arm);
-            }
-            if base_arms.is_empty() {
-                // Nothing to seed from: the fixpoint is trivially
-                // empty, but let the naive path prove that.
-                return None;
-            }
-            arms.push(DriverArms {
-                driver: d,
-                base_arms,
-                step_arms,
-                all: spec.all,
-            });
-        }
-        // No member may sit between a step arm and its driver: the
-        // shape above must account for the whole SCC.
-        members
-            .iter()
-            .all(|m| driver_set.contains(m) || step_arm_set.contains(m))
-            .then_some(arms)
     }
 
     /// Semi-naive evaluation: each round publishes only the previous
@@ -219,7 +242,7 @@ impl<'a> Executor<'a> {
     /// divergent queries.
     fn semi_naive_fixpoint(
         &mut self,
-        plan: Vec<DriverArms>,
+        plan: &[DriverArms],
         b: BoxId,
         frame: &Frame<'_>,
     ) -> Result<Arc<BoxOutput>> {
@@ -230,11 +253,11 @@ impl<'a> Executor<'a> {
             .flat_map(|a| a.step_arms.iter().copied())
             .filter(|&m| self.no_cache.insert(m))
             .collect();
-        let result = self.semi_naive_rounds(&plan, b, frame);
+        let result = self.semi_naive_rounds(plan, b, frame);
         for m in &fresh {
             self.no_cache.remove(m);
         }
-        for da in &plan {
+        for da in plan {
             self.in_fixpoint.remove(&da.driver);
             self.recursive_acc.remove(&da.driver);
         }

@@ -24,6 +24,11 @@
 //!   consumer reads, rows, or both, each built at most once. Selects,
 //!   group-by and fixpoints exchange batches; the query root, set
 //!   operations and outer joins ask for rows ([`boundary`]).
+//! * **Lowered once, run many times**: [`Plan::lower`] derives every
+//!   data-independent fact — correlation, recursive components, live
+//!   columns, join stages, batch eligibility, compiled kernels — once
+//!   per plan; an execution ([`execute_plan`]) binds the parameter
+//!   vector and runs, reading `?N` and outer references from slots.
 //! * Recursive boxes (cyclic subgraphs) are evaluated by a semi-naive
 //!   fixpoint over column-chunk accumulators, one hashed key set
 //!   admitting each row once (naive iteration for the shapes
@@ -46,14 +51,16 @@ mod fixpoint;
 pub mod like;
 pub mod metrics;
 pub mod parallel;
+mod plan;
 pub mod profile;
 mod vector;
 
 pub use batch::{Batch, Bitmap, Column};
 pub use boundary::{BoxOutput, BoxPath, Fallback};
 pub use executor::{
-    execute, execute_profiled, execute_with_indexes, execute_with_metrics, execute_with_options,
-    ExecOptions, Executor, IdIndex, IndexCache,
+    execute, execute_plan, execute_profiled, execute_with_indexes, execute_with_metrics,
+    execute_with_options, ExecOptions, Executor, IdIndex, IndexCache,
 };
 pub use metrics::Metrics;
+pub use plan::Plan;
 pub use profile::{BoxProfile, ExecProfile};

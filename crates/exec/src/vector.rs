@@ -1,13 +1,15 @@
 //! Vectorized scalar expressions over columnar batches.
 //!
-//! [`compile`] lowers a [`ScalarExpr`] to a [`VExpr`]: column
-//! references to *local* foreach quantifiers become slot/column pairs,
-//! references bound in the enclosing frame (outer correlation) are
-//! frozen to literals — the frame is fixed for the duration of one
-//! select evaluation — and anything that would need the executor
-//! (aggregates, quantified tests, scalar subqueries, parameters)
-//! refuses to compile, which makes the whole select box fall back to
-//! the row-at-a-time path.
+//! [`compile`] lowers a [`ScalarExpr`] to a [`VExpr`] once per plan:
+//! column references to *local* foreach quantifiers become slot/column
+//! pairs, parameters and references to any other quantifier become
+//! constant slots ([`VExpr::Param`], [`VExpr::Outer`]), and anything
+//! that would need the executor (aggregates, quantified tests) refuses
+//! to compile, which makes the whole box fall back to the
+//! row-at-a-time path. An outer reference is read from the frame once
+//! per evaluation ([`OuterRefs::resolve`]); one that the frame does not
+//! bind (a scalar subquery's quantifier) leaves the kernel reading it
+//! unusable for that evaluation, exactly as if it had not compiled.
 //!
 //! [`eval`] evaluates a [`VExpr`] for a set of row positions,
 //! producing a [`Vector`] column-at-a-time. Every kernel mirrors the
@@ -38,8 +40,13 @@ pub(crate) enum VExpr {
         slot: usize,
         col: usize,
     },
-    /// A literal (or an outer-frame value frozen at compile time).
+    /// A literal.
     Lit(Value),
+    /// Parameter `?N` (0-based), read from the bound values.
+    Param(usize),
+    /// Outer reference `k` of the program ([`OuterRefs`]), read from
+    /// the frame once per evaluation.
+    Outer(usize),
     Bin {
         op: BinOp,
         left: Box<VExpr>,
@@ -58,47 +65,109 @@ pub(crate) enum VExpr {
     },
 }
 
+impl VExpr {
+    /// Whether evaluating this node can fail or cost more than a copy:
+    /// a bare column or constant cannot.
+    pub(crate) fn is_leaf(&self) -> bool {
+        matches!(
+            self,
+            VExpr::Col { .. } | VExpr::Lit(_) | VExpr::Param(_) | VExpr::Outer(_)
+        )
+    }
+
+    /// The outer references this expression reads.
+    pub(crate) fn outer_slots(&self) -> Vec<usize> {
+        fn walk(e: &VExpr, out: &mut Vec<usize>) {
+            match e {
+                VExpr::Outer(k) => out.push(*k),
+                VExpr::Col { .. } | VExpr::Lit(_) | VExpr::Param(_) => {}
+                VExpr::Bin { left, right, .. } => {
+                    walk(left, out);
+                    walk(right, out);
+                }
+                VExpr::Neg(x)
+                | VExpr::Not(x)
+                | VExpr::IsNull { expr: x, .. }
+                | VExpr::Like { expr: x, .. } => walk(x, out),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+}
+
+/// The columns of quantifiers outside a program's own slots that its
+/// kernels read, numbered in first-use order (`VExpr::Outer(k)`).
+#[derive(Debug, Default)]
+pub(crate) struct OuterRefs(Vec<(QuantId, usize)>);
+
+impl OuterRefs {
+    fn slot(&mut self, quant: QuantId, col: usize) -> usize {
+        match self.0.iter().position(|&r| r == (quant, col)) {
+            Some(k) => k,
+            None => {
+                self.0.push((quant, col));
+                self.0.len() - 1
+            }
+        }
+    }
+
+    /// One evaluation's values, `None` where the frame binds no row.
+    pub(crate) fn resolve(&self, frame: &Frame<'_>) -> Vec<Option<Value>> {
+        self.0
+            .iter()
+            .map(|&(quant, col)| frame.lookup(quant).map(|row| row.get(col).clone()))
+            .collect()
+    }
+}
+
+/// What a kernel reads besides its batches: the bound parameters and
+/// one evaluation's outer values.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Env<'a> {
+    pub params: &'a [Value],
+    pub outer: &'a [Option<Value>],
+}
+
 /// Lower `e` for vectorized evaluation, or `None` when it needs the
-/// executor. `slot_of` maps the select box's bound foreach quantifiers
-/// to batch slots; anything else resolvable must be found in `frame`.
+/// executor. `slot_of` maps the box's bound foreach quantifiers to
+/// batch slots; any other quantifier's column is registered in `outer`.
 pub(crate) fn compile(
     e: &ScalarExpr,
     slot_of: &dyn Fn(QuantId) -> Option<usize>,
-    frame: &Frame<'_>,
+    outer: &mut OuterRefs,
 ) -> Option<VExpr> {
-    match e {
-        ScalarExpr::ColRef { quant, col } => {
-            if let Some(slot) = slot_of(*quant) {
-                return Some(VExpr::Col { slot, col: *col });
-            }
-            frame
-                .lookup(*quant)
-                .map(|row| VExpr::Lit(row.get(*col).clone()))
-        }
-        ScalarExpr::Literal(v) => Some(VExpr::Lit(v.clone())),
-        ScalarExpr::Param(_) => None,
-        ScalarExpr::Bin { op, left, right } => Some(VExpr::Bin {
+    let mut sub = |x: &ScalarExpr| compile(x, slot_of, outer).map(Box::new);
+    Some(match e {
+        ScalarExpr::ColRef { quant, col } => match slot_of(*quant) {
+            Some(slot) => VExpr::Col { slot, col: *col },
+            None => VExpr::Outer(outer.slot(*quant, *col)),
+        },
+        ScalarExpr::Literal(v) => VExpr::Lit(v.clone()),
+        ScalarExpr::Param(i) => VExpr::Param(*i),
+        ScalarExpr::Bin { op, left, right } => VExpr::Bin {
             op: *op,
-            left: Box::new(compile(left, slot_of, frame)?),
-            right: Box::new(compile(right, slot_of, frame)?),
-        }),
-        ScalarExpr::Neg(x) => Some(VExpr::Neg(Box::new(compile(x, slot_of, frame)?))),
-        ScalarExpr::Not(x) => Some(VExpr::Not(Box::new(compile(x, slot_of, frame)?))),
-        ScalarExpr::IsNull { expr, negated } => Some(VExpr::IsNull {
-            expr: Box::new(compile(expr, slot_of, frame)?),
+            left: sub(left)?,
+            right: sub(right)?,
+        },
+        ScalarExpr::Neg(x) => VExpr::Neg(sub(x)?),
+        ScalarExpr::Not(x) => VExpr::Not(sub(x)?),
+        ScalarExpr::IsNull { expr, negated } => VExpr::IsNull {
+            expr: sub(expr)?,
             negated: *negated,
-        }),
+        },
         ScalarExpr::Like {
             expr,
             pattern,
             negated,
-        } => Some(VExpr::Like {
-            expr: Box::new(compile(expr, slot_of, frame)?),
+        } => VExpr::Like {
+            expr: sub(expr)?,
             pattern: pattern.clone(),
             negated: *negated,
-        }),
-        ScalarExpr::Agg { .. } | ScalarExpr::Quantified { .. } => None,
-    }
+        },
+        ScalarExpr::Agg { .. } | ScalarExpr::Quantified { .. } => return None,
+    })
 }
 
 /// One bound quantifier during columnar evaluation: the source batch
@@ -169,7 +238,20 @@ impl Vector {
 
 /// Evaluate `e` at each of `positions` (indexes into the slots' id
 /// vectors), producing a vector of `positions.len()` slots.
-pub(crate) fn eval(e: &VExpr, slots: &[SlotView<'_>], positions: &[u32]) -> Result<Vector> {
+pub(crate) fn eval(
+    e: &VExpr,
+    slots: &[SlotView<'_>],
+    positions: &[u32],
+    env: Env<'_>,
+) -> Result<Vector> {
+    let sub = |x: &VExpr| eval(x, slots, positions, env);
+    let constant = |value: Option<&Value>| match value {
+        Some(value) => Ok(Vector::Const {
+            value: value.clone(),
+            len: positions.len(),
+        }),
+        None => Err(Error::internal("a kernel read an unbound constant slot")),
+    };
     match e {
         VExpr::Col { slot, col } => {
             let sv = &slots[*slot];
@@ -183,17 +265,16 @@ pub(crate) fn eval(e: &VExpr, slots: &[SlotView<'_>], positions: &[u32]) -> Resu
             let resolved: Vec<u32> = positions.iter().map(|&p| sv.ids[p as usize]).collect();
             Ok(Vector::Col(sv.batch.column(*col).take(&resolved)))
         }
-        VExpr::Lit(v) => Ok(Vector::Const {
-            value: v.clone(),
-            len: positions.len(),
-        }),
+        VExpr::Lit(v) => constant(Some(v)),
+        VExpr::Param(i) => constant(env.params.get(*i)),
+        VExpr::Outer(k) => constant(env.outer.get(*k).and_then(Option::as_ref)),
         VExpr::Bin { op, left, right } => {
-            let l = eval(left, slots, positions)?;
-            let r = eval(right, slots, positions)?;
+            let l = sub(left)?;
+            let r = sub(right)?;
             eval_bin(*op, &l, &r)
         }
         VExpr::Neg(x) => {
-            let v = eval(x, slots, positions)?;
+            let v = sub(x)?;
             map_values(&v, |val| {
                 if val.is_null() {
                     Ok(Value::Null)
@@ -203,7 +284,7 @@ pub(crate) fn eval(e: &VExpr, slots: &[SlotView<'_>], positions: &[u32]) -> Resu
             })
         }
         VExpr::Not(x) => {
-            let v = eval(x, slots, positions)?;
+            let v = sub(x)?;
             if let Vector::Const { value, len } = &v {
                 return Ok(Vector::Const {
                     value: truth_to_value(truth_of(value).not()),
@@ -218,7 +299,7 @@ pub(crate) fn eval(e: &VExpr, slots: &[SlotView<'_>], positions: &[u32]) -> Resu
             Ok(out.finish())
         }
         VExpr::IsNull { expr, negated } => {
-            let v = eval(expr, slots, positions)?;
+            let v = sub(expr)?;
             if let Vector::Const { value, len } = &v {
                 return Ok(Vector::Const {
                     value: Value::Bool(value.is_null() != *negated),
@@ -237,7 +318,7 @@ pub(crate) fn eval(e: &VExpr, slots: &[SlotView<'_>], positions: &[u32]) -> Resu
             pattern,
             negated,
         } => {
-            let v = eval(expr, slots, positions)?;
+            let v = sub(expr)?;
             map_values(&v, |val| match val {
                 Value::Null => Ok(Value::Null),
                 Value::Str(s) => Ok(Value::Bool(like_match(&s, pattern) != *negated)),
@@ -556,7 +637,7 @@ mod tests {
             ids: &ids,
         }];
         let positions: Vec<u32> = (0..b.len() as u32).collect();
-        eval(e, &slots, &positions).expect("eval")
+        eval(e, &slots, &positions, Env::default()).expect("eval")
     }
 
     #[test]
@@ -600,7 +681,8 @@ mod tests {
         assert!(eval(
             &bin(BinOp::Div, col(0), lit(Value::Int(0))),
             &slots,
-            &positions
+            &positions,
+            Env::default()
         )
         .is_err());
     }

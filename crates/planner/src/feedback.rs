@@ -87,9 +87,19 @@ pub fn cardinality_report(
     catalog: &Catalog,
     actuals: &BTreeMap<BoxId, (u64, u64)>,
 ) -> Vec<CardRow> {
+    compare_cardinalities(|b| estimate_box_rows(qgm, catalog, b), actuals)
+}
+
+/// [`cardinality_report`] against estimates made beforehand: `estimate`
+/// answers [`estimate_box_rows`] for every box of `actuals` (a cached
+/// plan keeps its own, so a repeated execution estimates nothing).
+pub fn compare_cardinalities(
+    estimate: impl Fn(BoxId) -> f64,
+    actuals: &BTreeMap<BoxId, (u64, u64)>,
+) -> Vec<CardRow> {
     let mut rows = Vec::new();
     for (&b, &(rows_out, evals)) in actuals {
-        let estimated = estimate_box_rows(qgm, catalog, b);
+        let estimated = estimate(b);
         let actual = rows_out as f64 / evals.max(1) as f64;
         // Clamp both sides to one row: a predicted-empty box that is
         // in fact empty is a perfect estimate, not a 0/0.

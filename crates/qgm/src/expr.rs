@@ -24,9 +24,8 @@ pub enum ScalarExpr {
     /// A parameter marker (`?N` in SQL, 0-based here): a constant
     /// whose value arrives at execution time. Within any single
     /// execution it denotes exactly one non-NULL value, so analyses
-    /// may treat it as an (opaque) constant; the executor itself never
-    /// sees one — [`crate::Qgm::bind_params`] substitutes the bound
-    /// literal first.
+    /// may treat it as an (opaque) constant; the executor reads it from
+    /// the execution's parameter vector.
     Param(usize),
     /// Binary operation (arithmetic, comparison, AND/OR).
     Bin {
@@ -254,70 +253,6 @@ impl ScalarExpr {
             }
         }
         fix(mapped, map)
-    }
-
-    /// Whether the expression contains a parameter marker.
-    pub fn has_params(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |e| {
-            if matches!(e, ScalarExpr::Param(_)) {
-                found = true;
-            }
-        });
-        found
-    }
-
-    /// Substitute every parameter marker with its bound value,
-    /// rebuilding the tree. `Err` carries the first out-of-range
-    /// parameter index.
-    pub fn bind_params(&self, args: &[Value]) -> Result<ScalarExpr, usize> {
-        Ok(match self {
-            ScalarExpr::Param(i) => match args.get(*i) {
-                Some(v) => ScalarExpr::Literal(v.clone()),
-                None => return Err(*i),
-            },
-            ScalarExpr::ColRef { .. } | ScalarExpr::Literal(_) => self.clone(),
-            ScalarExpr::Bin { op, left, right } => ScalarExpr::Bin {
-                op: *op,
-                left: Box::new(left.bind_params(args)?),
-                right: Box::new(right.bind_params(args)?),
-            },
-            ScalarExpr::Neg(e) => ScalarExpr::Neg(Box::new(e.bind_params(args)?)),
-            ScalarExpr::Not(e) => ScalarExpr::Not(Box::new(e.bind_params(args)?)),
-            ScalarExpr::IsNull { expr, negated } => ScalarExpr::IsNull {
-                expr: Box::new(expr.bind_params(args)?),
-                negated: *negated,
-            },
-            ScalarExpr::Like {
-                expr,
-                pattern,
-                negated,
-            } => ScalarExpr::Like {
-                expr: Box::new(expr.bind_params(args)?),
-                pattern: pattern.clone(),
-                negated: *negated,
-            },
-            ScalarExpr::Agg {
-                func,
-                distinct,
-                arg,
-            } => ScalarExpr::Agg {
-                func: *func,
-                distinct: *distinct,
-                arg: match arg {
-                    Some(a) => Some(Box::new(a.bind_params(args)?)),
-                    None => None,
-                },
-            },
-            ScalarExpr::Quantified { mode, quant, preds } => ScalarExpr::Quantified {
-                mode: *mode,
-                quant: *quant,
-                preds: preds
-                    .iter()
-                    .map(|p| p.bind_params(args))
-                    .collect::<Result<_, _>>()?,
-            },
-        })
     }
 
     /// Split a predicate into its top-level conjuncts.

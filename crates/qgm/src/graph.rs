@@ -122,72 +122,6 @@ impl Qgm {
             .unwrap_or_else(|| panic!("dangling box id {id}"))
     }
 
-    /// Whether any box in the graph carries a parameter marker.
-    pub fn has_params(&self) -> bool {
-        self.boxes.iter().flatten().any(|b| {
-            b.predicates.iter().any(ScalarExpr::has_params)
-                || b.columns.iter().any(|c| c.expr.has_params())
-                || match &b.kind {
-                    BoxKind::GroupBy(gb) => {
-                        gb.group_keys.iter().any(ScalarExpr::has_params)
-                            || gb
-                                .aggs
-                                .iter()
-                                .any(|a| a.arg.as_ref().is_some_and(ScalarExpr::has_params))
-                    }
-                    BoxKind::OuterJoin(oj) => oj.on.iter().any(ScalarExpr::has_params),
-                    BoxKind::BaseTable { .. } | BoxKind::Select | BoxKind::SetOp(_) => false,
-                }
-        })
-    }
-
-    /// Substitute parameter markers with bound constants, producing an
-    /// executable copy of a cached (parameterized) plan. The executor
-    /// never evaluates a `Param` — this runs first on every execution.
-    pub fn bind_params(&self, args: &[starmagic_common::Value]) -> Result<Qgm> {
-        let mut g = self.clone();
-        for slot in &mut g.boxes {
-            let Some(b) = slot.as_mut() else { continue };
-            let bind = |e: &mut ScalarExpr| -> Result<()> {
-                if e.has_params() {
-                    *e = e.bind_params(args).map_err(|i| {
-                        Error::execution(format!(
-                            "parameter ?{} is not bound ({} given)",
-                            i + 1,
-                            args.len()
-                        ))
-                    })?;
-                }
-                Ok(())
-            };
-            for p in &mut b.predicates {
-                bind(p)?;
-            }
-            for c in &mut b.columns {
-                bind(&mut c.expr)?;
-            }
-            match &mut b.kind {
-                BoxKind::GroupBy(gb) => {
-                    for k in &mut gb.group_keys {
-                        bind(k)?;
-                    }
-                    for a in &mut gb.aggs {
-                        if let Some(arg) = &mut a.arg {
-                            bind(arg)?;
-                        }
-                    }
-                }
-                BoxKind::OuterJoin(oj) => {
-                    for on in &mut oj.on {
-                        bind(on)?;
-                    }
-                }
-                BoxKind::BaseTable { .. } | BoxKind::Select | BoxKind::SetOp(_) => {}
-            }
-        }
-        Ok(g)
-    }
-
     /// Whether a box id is still live.
     pub fn box_exists(&self, id: BoxId) -> bool {
         self.boxes.get(id.index()).is_some_and(Option::is_some)

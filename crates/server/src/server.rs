@@ -439,6 +439,16 @@ impl LineReader {
     }
 }
 
+/// A prepared statement: its text, and the plan it resolved to with the
+/// literals the normalizer extracted, under the strategy it was
+/// resolved for.
+struct Statement {
+    sql: String,
+    strategy: Strategy,
+    plan: Arc<starmagic::CachedPlan>,
+    extracted: Vec<Value>,
+}
+
 /// Per-connection state.
 struct Session {
     engine: SharedEngine,
@@ -446,10 +456,11 @@ struct Session {
     gate: Arc<AdmissionGate>,
     strategy: Strategy,
     threads: usize,
-    /// Named prepared statements: name → SQL text. Execution
-    /// re-resolves through the shared plan cache, so a DDL flush can
-    /// never leave a session holding a stale plan.
-    statements: HashMap<String, String>,
+    /// Named prepared statements, each holding its plan. A plan is run
+    /// only at the epoch it was built for; after a DDL the statement
+    /// resolves again through the shared plan cache, so a session never
+    /// runs a stale plan.
+    statements: HashMap<String, Statement>,
     /// Shared wire-level instruments (noop when metrics are off).
     metrics: Arc<ServerMetrics>,
     /// Shared slow-query log, when configured.
@@ -758,13 +769,19 @@ impl Session {
         if name.is_empty() || sql.is_empty() {
             return err_line(&Error::unsupported("usage: PREPARE <name> <sql>"));
         }
-        // Validate and warm the shared cache now, so EXECUTE's
-        // re-resolution is a pure cache hit.
+        // Resolve (and warm the shared cache) now: EXECUTE runs the
+        // held plan while it is current.
         let engine = self.engine.snapshot();
         match engine.prepare_cached(sql, self.strategy) {
-            Ok((plan, _, _)) => {
+            Ok((plan, extracted, _)) => {
                 let params = plan.user_params;
-                self.statements.insert(name.to_string(), sql.to_string());
+                let statement = Statement {
+                    sql: sql.to_string(),
+                    strategy: self.strategy,
+                    plan,
+                    extracted,
+                };
+                self.statements.insert(name.to_string(), statement);
                 format!("OK params={params}\n")
             }
             Err(e) => err_line(&e),
@@ -773,7 +790,7 @@ impl Session {
 
     fn execute(&mut self, rest: &str) -> String {
         let (name, args_text) = split_word(rest);
-        let Some(sql) = self.statements.get(name).cloned() else {
+        let Some(statement) = self.statements.get_mut(name) else {
             return err_line(&Error::NotFound(format!("prepared statement {name}")));
         };
         let mut args: Vec<Value> = Vec::new();
@@ -788,42 +805,54 @@ impl Session {
             .as_ref()
             .filter(|log| log.active())
             .map(|log| (Arc::clone(log), Instant::now()));
-        // Plan resolution and execution share one snapshot, so the
-        // plan can never be executed against a different catalog
-        // epoch than the one it was built for.
+        // The held plan runs only against a snapshot of the epoch it was
+        // built for (and under the strategy it was built for), counted
+        // as the cache hit a lookup would have been; otherwise it is
+        // resolved again on this snapshot, exactly as a QUERY would be.
         let engine = self.engine.snapshot();
-        match engine.prepare_cached(&sql, self.strategy) {
-            Ok((plan, extracted, hit)) => {
-                match engine.execute_cached_with(&plan, &args, &extracted, self.threads) {
-                    Ok(r) => {
-                        if let Some((log, started)) = slow {
-                            let duration_us =
-                                u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                            if log.should_log(duration_us) {
-                                // EXECUTE has no trace sink: record
-                                // the cached plan's key without spans.
-                                let record = SlowRecord {
-                                    sql: plan
-                                        .key
-                                        .splitn(3, '|')
-                                        .nth(2)
-                                        .unwrap_or(&plan.key)
-                                        .to_string(),
-                                    strategy: starmagic::strategy_token(self.strategy).to_string(),
-                                    cache_hit: hit,
-                                    rows: r.rows.len() as u64,
-                                    duration_us,
-                                    spans: Vec::new(),
-                                };
-                                if log.log(&record).is_ok() {
-                                    self.metrics.slowlog_records.inc();
-                                }
-                            }
-                        }
-                        rows_frame(&r.columns, &r.rows, hit, r.used_magic, engine.epoch())
-                    }
-                    Err(e) => err_line(&e),
+        let hit = if statement.strategy == self.strategy
+            && engine.reuse_cached(&statement.plan, self.strategy)
+        {
+            true
+        } else {
+            match engine.prepare_cached(&statement.sql, self.strategy) {
+                Ok((plan, extracted, hit)) => {
+                    statement.strategy = self.strategy;
+                    statement.plan = plan;
+                    statement.extracted = extracted;
+                    hit
                 }
+                Err(e) => return err_line(&e),
+            }
+        };
+        let plan = &statement.plan;
+        match engine.execute_cached_with(plan, &args, &statement.extracted, self.threads) {
+            Ok(r) => {
+                if let Some((log, started)) = slow {
+                    let duration_us =
+                        u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+                    if log.should_log(duration_us) {
+                        // EXECUTE has no trace sink: record
+                        // the cached plan's key without spans.
+                        let record = SlowRecord {
+                            sql: plan
+                                .key
+                                .splitn(3, '|')
+                                .nth(2)
+                                .unwrap_or(&plan.key)
+                                .to_string(),
+                            strategy: starmagic::strategy_token(self.strategy).to_string(),
+                            cache_hit: hit,
+                            rows: r.rows.len() as u64,
+                            duration_us,
+                            spans: Vec::new(),
+                        };
+                        if log.log(&record).is_ok() {
+                            self.metrics.slowlog_records.inc();
+                        }
+                    }
+                }
+                rows_frame(&r.columns, &r.rows, hit, r.used_magic, engine.epoch())
             }
             Err(e) => err_line(&e),
         }

@@ -125,6 +125,51 @@ fn prepared_statements_bind_constants_over_the_wire() {
     handle.shutdown();
 }
 
+/// A session holds its prepared plan only for the epoch it was built
+/// at: an INSERT from another connection moves the epoch, and the next
+/// EXECUTE resolves again and sees the new row; repeats hit again.
+#[test]
+fn a_held_plan_never_outlives_its_epoch() {
+    let (handle, addr) = start();
+    let mut session = Client::connect(addr).expect("connect");
+    let mut writer = Client::connect(addr).expect("connect");
+    let sql = "SELECT projno FROM project WHERE deptno = ?";
+    session.prepare("projects", sql).expect("PREPARE");
+    let run = |client: &mut Client| match client
+        .execute("projects", &[Value::Int(3)])
+        .expect("EXECUTE")
+    {
+        Response::Rows {
+            rows,
+            cache_hit,
+            epoch,
+            ..
+        } => (bag(&rows), cache_hit, epoch),
+        other => panic!("expected rows, got {other:?}"),
+    };
+    let (before, hit, epoch) = run(&mut session);
+    assert!(hit, "PREPARE resolved the plan: EXECUTE is a hit");
+
+    let ack = writer
+        .query("INSERT INTO project VALUES (9000, 'Held', 3, 1.0)")
+        .expect("INSERT from another connection");
+    assert_eq!(ack.info("epoch"), Some((epoch + 1).to_string().as_str()));
+
+    let (after, hit, moved) = run(&mut session);
+    assert_eq!(moved, epoch + 1, "EXECUTE reads the new snapshot");
+    assert!(!hit, "the INSERT flushed the plan: EXECUTE re-plans");
+    assert_eq!(after.len(), before.len() + 1, "the new row is seen");
+    assert!(
+        after.contains(&encode_row(&starmagic_common::Row::new(vec![Value::Int(
+            9000
+        )])))
+    );
+    let (again, hit, _) = run(&mut session);
+    assert!(hit, "the re-resolved plan is held and hits");
+    assert_eq!(again, after);
+    handle.shutdown();
+}
+
 #[test]
 fn arity_mismatch_is_rejected_over_the_wire() {
     let (handle, addr) = start();

@@ -12,19 +12,27 @@
 //! Table 1 and the fuzz corpus. DESIGN.md quotes its output; run it
 //! with `--nocapture` to regenerate.
 //!
+//! The last three pin the physical plan (DESIGN.md "Physical plan"): a
+//! cached entry, lowered once with its literals as parameter slots,
+//! runs exactly like a plan freshly prepared with the literals in it —
+//! at every setting, from eight threads at once, and as seen by the
+//! misestimate feedback.
+//!
 //! Attached to the fuzz crate, which sees the bench experiments, the
 //! recursion graphs and the query generator at once.
 
 use std::collections::BTreeMap;
 
-use starmagic::exec::{execute_with_options, ExecOptions, ExecProfile, Fallback, IndexCache};
+use starmagic::exec::{
+    execute_plan, execute_with_options, ExecOptions, ExecProfile, Fallback, IndexCache,
+};
 use starmagic::qgm::Qgm;
 use starmagic::sql::query_sql;
-use starmagic::{Engine, MetricsRegistry as Registry, Strategy};
+use starmagic::{Engine, MetricsRegistry as Registry, Prepared, Strategy};
 use starmagic_bench::recursion::{graphs, recursion_engine, GraphSpec, RECURSION_SQL};
 use starmagic_bench::{bench_engine, experiments};
 use starmagic_catalog::generator::Scale;
-use starmagic_common::Row;
+use starmagic_common::{Result, Row, Value};
 use starmagic_fuzz::{fuzz_engine, gen};
 
 fn run(
@@ -200,4 +208,203 @@ fn eligibility_rate_over_table1_and_the_fuzz_corpus() {
         100.0 * fuzz
     );
     assert!(batch > 0 && fuzz > 0.25, "fuzz eligibility fell to {fuzz}");
+}
+
+/// The four `wire_point` templates (benchmark/src/workloads/wire.rs)
+/// for one department: the selective queries the plan cache serves.
+fn wire_templates(dept: u64) -> [String; 4] {
+    let name = if dept == 0 {
+        "Planning".to_string()
+    } else {
+        format!("Dept_{dept}")
+    };
+    [
+        format!(
+            "SELECT d.deptname, v.avgsal FROM department d, deptAvgSal v \
+             WHERE v.workdept = d.deptno AND d.deptno = {dept}"
+        ),
+        format!(
+            "SELECT e.empno FROM employee e, department d, deptAvgSal v \
+             WHERE e.workdept = d.deptno AND v.workdept = e.workdept \
+             AND e.salary > v.avgsal AND d.deptname = '{name}'"
+        ),
+        format!(
+            "SELECT d.deptname FROM department d, projCount v \
+             WHERE d.deptno = {dept} AND v.deptno = d.deptno AND v.cnt > 2"
+        ),
+        format!(
+            "SELECT d.deptname, s.workdept, s.avgsalary FROM department d, avgMgrSal s \
+             WHERE d.deptno = s.workdept AND d.deptname = '{name}'"
+        ),
+    ]
+}
+
+/// One execution of a prepared plan at one setting, through its
+/// lowered form with `params` bound.
+fn run_prepared(
+    engine: &Engine,
+    prepared: &Prepared,
+    params: &[Value],
+    threads: usize,
+    columnar: bool,
+) -> Result<(Vec<Row>, ExecProfile)> {
+    let opts = ExecOptions {
+        threads,
+        columnar,
+        ..ExecOptions::default()
+    };
+    let indexes = IndexCache::default();
+    execute_plan(
+        &prepared.qgm,
+        prepared.plan(),
+        params,
+        engine.catalog(),
+        &indexes,
+        opts,
+    )
+}
+
+/// `sql` through the plan cache against `sql` prepared with its
+/// literals: the engine's own entry points at the default setting,
+/// then rows in order, profile, path markers and errors at every
+/// (threads, columnar) setting.
+fn assert_cached_is_literal(engine: &Engine, sql: &str, strategy: Strategy) {
+    let what = format!("{strategy:?} {sql}");
+    let literal = engine.prepare(sql, strategy).expect("prepare");
+    let (entry, extracted, _) = engine
+        .prepare_cached(sql, strategy)
+        .expect("prepare_cached");
+    let cached = engine.execute_cached(&entry, &[], &extracted);
+    match (cached, engine.execute_prepared(&literal)) {
+        (Ok(c), Ok(l)) => {
+            assert_eq!(c.rows, l.rows, "{what}: rows or their order differ");
+            assert_eq!(c.metrics, l.metrics, "{what}: work differs");
+        }
+        (Err(c), Err(l)) => assert_eq!(c, l, "{what}: errors differ"),
+        (c, l) => panic!("{what}: cached {c:?} vs literal {l:?}"),
+    }
+    for threads in [1, 4] {
+        for columnar in [true, false] {
+            let setting = format!("{what}: threads={threads} columnar={columnar}");
+            let c = run_prepared(engine, &entry.prepared, &extracted, threads, columnar);
+            let l = run_prepared(engine, &literal, &[], threads, columnar);
+            match (c, l) {
+                (Ok(c), Ok(l)) => {
+                    assert_eq!(c.0, l.0, "{setting}: rows or their order differ");
+                    assert_eq!(c.1, l.1, "{setting}: profile differs");
+                    assert_eq!(c.1.paths, l.1.paths, "{setting}: paths differ");
+                }
+                (Err(c), Err(l)) => assert_eq!(c, l, "{setting}: errors differ"),
+                (c, l) => panic!("{setting}: cached {c:?} vs literal {l:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_cached_execution_equals_a_freshly_prepared_literal_plan() {
+    let engine = bench_engine(Scale::small()).unwrap();
+    for exp in experiments() {
+        for strategy in [Strategy::Original, Strategy::Magic, Strategy::CostBased] {
+            assert_cached_is_literal(&engine, exp.original_sql, strategy);
+        }
+        assert_cached_is_literal(&engine, exp.correlated_sql, Strategy::Original);
+    }
+    for dept in 0..20 {
+        for sql in wire_templates(dept) {
+            assert_cached_is_literal(&engine, &sql, Strategy::CostBased);
+        }
+    }
+    // A literal that makes execution fail: the same error either way.
+    let failing = "SELECT empno FROM employee WHERE salary / 0 > 1";
+    assert!(engine.query(failing).is_err());
+    assert_cached_is_literal(&engine, failing, Strategy::CostBased);
+
+    for g in closure_graphs() {
+        let engine = recursion_engine(&g).unwrap();
+        let target = g.edges[g.edges.len() / 2].1;
+        let source = format!("{RECURSION_SQL}{}", g.bound);
+        let dest = format!(
+            "{}{target}",
+            RECURSION_SQL.replace("WHERE src = ", "WHERE dst = ")
+        );
+        for sql in [source, dest] {
+            for strategy in [Strategy::Original, Strategy::Magic, Strategy::CostBased] {
+                assert_cached_is_literal(&engine, &sql, strategy);
+            }
+        }
+    }
+}
+
+#[test]
+fn one_cached_plan_serves_eight_threads_and_is_lowered_once() {
+    let mut engine = bench_engine(Scale::small()).unwrap();
+    let registry = Registry::enabled();
+    engine.set_metrics(registry.clone());
+    let sql = "SELECT d.deptname, v.avgsal FROM department d, deptAvgSal v \
+               WHERE v.workdept = d.deptno AND d.deptno = ?";
+    let (entry, extracted, _) = engine.prepare_cached(sql, Strategy::CostBased).unwrap();
+    assert_eq!(entry.user_params, 1);
+    let lowerings = || registry.snapshot().histogram("engine.lower_us").count();
+    assert_eq!(lowerings(), 0, "preparing lowers nothing");
+
+    let concurrent: Vec<(Vec<Row>, usize)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..8i64)
+            .map(|dept| {
+                let (engine, entry, extracted) = (&engine, &entry, &extracted);
+                s.spawn(move || {
+                    let r = engine
+                        .execute_cached(entry, &[Value::Int(dept)], extracted)
+                        .unwrap();
+                    let lowered = std::ptr::from_ref(entry.prepared.plan()) as usize;
+                    (r.rows, lowered)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert_eq!(lowerings(), 1, "eight first executions, one lowering");
+    for (dept, (rows, lowered)) in concurrent.iter().enumerate() {
+        assert_eq!(*lowered, concurrent[0].1, "every thread ran the one plan");
+        let serial = engine
+            .execute_cached(&entry, &[Value::Int(dept as i64)], &extracted)
+            .unwrap();
+        assert_eq!(*rows, serial.rows, "department {dept}");
+    }
+    assert_eq!(lowerings(), 1, "later executions lower nothing");
+    for (dept, (rows, _)) in concurrent.iter().enumerate() {
+        let fresh = engine.query(&sql.replace('?', &dept.to_string())).unwrap();
+        assert_eq!(*rows, fresh.rows, "department {dept}");
+    }
+}
+
+/// A cached entry's misestimate feedback compares against estimates it
+/// keeps from its first execution, made on the template; the planner
+/// scores a parameter as it scores a literal, so the buckets equal
+/// those of the same stream prepared fresh with its literals.
+#[test]
+fn cached_plans_feed_the_misestimate_buckets_literal_plans_would() {
+    let buckets = |cached: bool| {
+        let mut engine = bench_engine(Scale::small()).unwrap();
+        let registry = Registry::enabled();
+        engine.set_metrics(registry.clone());
+        for dept in 0..20 {
+            for sql in wire_templates(dept) {
+                if cached {
+                    engine.query_cached(&sql, Strategy::CostBased).unwrap();
+                } else {
+                    engine.query(&sql).unwrap();
+                }
+            }
+        }
+        let snap = registry.snapshot();
+        ["within2x", "within10x", "within100x", "beyond100x"]
+            .map(|b| snap.counter(&format!("planner.misestimate.{b}")))
+    };
+    let cached = buckets(true);
+    assert!(
+        cached.iter().sum::<u64>() > 0,
+        "the stream recorded nothing"
+    );
+    assert_eq!(cached, buckets(false));
 }

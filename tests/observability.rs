@@ -226,6 +226,56 @@ fn explain_analyze_has_all_sections() {
     assert!(!text.contains("== fixpoint"), "spurious fixpoint section");
 }
 
+/// Plain EXPLAIN prints the path each box was lowered to; EXPLAIN
+/// ANALYZE still prints the path each box took.
+#[test]
+fn explain_prints_the_path_decided_at_lowering() {
+    let e = paper_engine();
+    // A scalar subquery in WHERE keeps the query box off the batch path.
+    let sql = format!("{QUERY_D} AND d.deptno > (SELECT MIN(deptno) FROM department)");
+    let line = |text: &str, section: &str, name: &str| -> String {
+        let body = text
+            .split(section)
+            .nth(1)
+            .unwrap_or_else(|| panic!("missing {section:?} in:\n{text}"));
+        body.lines()
+            .take_while(|l| !l.starts_with("=="))
+            .find(|l| l.trim_start().starts_with(name))
+            .unwrap_or_else(|| panic!("no {name} line under {section:?} in:\n{text}"))
+            .to_string()
+    };
+    let physical = "== physical plan (path per box, decided at lowering)";
+
+    let plain = e.explain(&sql).unwrap();
+    assert!(
+        line(&plain, physical, "QUERY").ends_with(" row(subquery_predicate)"),
+        "{plain}"
+    );
+    assert!(
+        line(&plain, physical, "EMPLOYEE").ends_with(" batch"),
+        "{plain}"
+    );
+    let analyzed = e.explain_analyze(&sql).unwrap();
+    assert!(
+        line(&analyzed, "== profile", "QUERY").ends_with("path=row(subquery_predicate)"),
+        "{analyzed}"
+    );
+
+    // Every box of a batch-eligible plan reads `batch` before it runs.
+    let plain = e.explain(QUERY_D).unwrap();
+    let body = plain.split(physical).nth(1).expect("physical section");
+    let paths: Vec<&str> = body
+        .lines()
+        .skip(1)
+        .take_while(|l| !l.starts_with("=="))
+        .map(|l| l.split_whitespace().last().unwrap_or(""))
+        .collect();
+    assert!(
+        !paths.is_empty() && paths.iter().all(|p| *p == "batch"),
+        "{plain}"
+    );
+}
+
 /// A three-edge chain for the recursive observability checks.
 fn graph_engine() -> Engine {
     let mut c = Catalog::new();
