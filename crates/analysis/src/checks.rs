@@ -27,6 +27,18 @@ const ESTIMATE_SLACK_ABS: f64 = 10.0;
 
 /// Run every analysis-backed check over the solved graph.
 pub fn run(qgm: &Qgm, catalog: &Catalog, facts: &BTreeMap<BoxId, BoxFacts>) -> LintReport {
+    scan(qgm, catalog, facts, true)
+}
+
+/// [`run`], or with `warnings` off only its error-severity checks
+/// (L200–L202): the same report without the warnings, which are then
+/// never computed.
+pub(crate) fn scan(
+    qgm: &Qgm,
+    catalog: &Catalog,
+    facts: &BTreeMap<BoxId, BoxFacts>,
+    warnings: bool,
+) -> LintReport {
     let mut report = LintReport::default();
     for (&b, f) in facts {
         if !qgm.box_exists(b) {
@@ -35,8 +47,10 @@ pub fn run(qgm: &Qgm, catalog: &Catalog, facts: &BTreeMap<BoxId, BoxFacts>) -> L
         null_strictness(qgm, b, &mut report);
         duplicate_claims(qgm, b, f, &mut report);
         binding_flow(qgm, b, f, &mut report);
-        cardinality_estimate(qgm, catalog, b, f, &mut report);
-        serial_pinning(qgm, facts, b, f, &mut report);
+        if warnings {
+            cardinality_estimate(qgm, catalog, b, f, &mut report);
+            serial_pinning(qgm, facts, b, f, &mut report);
+        }
     }
     report
 }

@@ -13,7 +13,8 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use starmagic_catalog::Catalog;
-use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId};
+use starmagic_qgm::keys::KeyTable;
+use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId, ScalarExpr};
 
 use crate::domains::BoxFacts;
 use crate::transfer::{transfer, Ctx};
@@ -35,6 +36,7 @@ pub fn solve(qgm: &Qgm, catalog: &Catalog) -> BTreeMap<BoxId, BoxFacts> {
         }
     }
 
+    let keys = KeyTable::new(qgm, catalog);
     let mut facts: BTreeMap<BoxId, BoxFacts> = BTreeMap::new();
     let mut updates: BTreeMap<BoxId, usize> = BTreeMap::new();
     let mut queued: BTreeSet<BoxId> = order.iter().copied().collect();
@@ -47,6 +49,7 @@ pub fn solve(qgm: &Qgm, catalog: &Catalog) -> BTreeMap<BoxId, BoxFacts> {
                 qgm,
                 catalog,
                 facts: &facts,
+                keys: &keys,
             };
             transfer(&ctx, b)
         };
@@ -117,7 +120,7 @@ fn dependencies(qgm: &Qgm, order: &[BoxId]) -> BTreeMap<BoxId, BTreeSet<BoxId>> 
     for &b in order {
         let qb = qgm.boxed(b);
         let mut quants: BTreeSet<QuantId> = qb.quants.iter().copied().collect();
-        let mut exprs: Vec<&starmagic_qgm::ScalarExpr> = Vec::new();
+        let mut exprs: Vec<&ScalarExpr> = Vec::new();
         exprs.extend(qb.predicates.iter());
         exprs.extend(qb.columns.iter().map(|c| &c.expr));
         match &qb.kind {
@@ -129,7 +132,11 @@ fn dependencies(qgm: &Qgm, order: &[BoxId]) -> BTreeMap<BoxId, BTreeSet<BoxId>> 
             _ => {}
         }
         for e in exprs {
-            quants.extend(e.quantifiers());
+            e.walk(&mut |x| {
+                if let ScalarExpr::ColRef { quant, .. } | ScalarExpr::Quantified { quant, .. } = x {
+                    quants.insert(*quant);
+                }
+            });
         }
         let entry = deps.entry(b).or_default();
         for q in quants {

@@ -64,6 +64,14 @@ pub fn checks(qgm: &Qgm, catalog: &Catalog) -> LintReport {
     analyze(qgm, catalog).report
 }
 
+/// The error-severity diagnostics of [`checks`], in the same order,
+/// without computing its warnings — what the pipeline keeps of its
+/// scan of the pre-cleanup phase-2 graph.
+pub fn error_checks(qgm: &Qgm, catalog: &Catalog) -> LintReport {
+    let facts = fixpoint::solve(qgm, catalog);
+    checks::scan(qgm, catalog, &facts, false)
+}
+
 impl Analysis {
     /// Facts of one box, if it was reachable.
     pub fn facts_for(&self, b: BoxId) -> Option<&BoxFacts> {

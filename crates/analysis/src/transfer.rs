@@ -5,11 +5,13 @@
 //! *outer* box) resolve through the same fact table — the fixpoint
 //! engine tracks those extra dependency edges.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use starmagic_catalog::Catalog;
 use starmagic_qgm::boxes::{GroupByBox, OuterJoinBox, SetOpBox};
-use starmagic_qgm::{keys, BoxId, BoxKind, Qgm, QuantId, QuantKind, ScalarExpr, SetOpKind};
+use starmagic_qgm::keys::KeyTable;
+use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId, QuantKind, ScalarExpr, SetOpKind};
 use starmagic_sql::{AggFunc, BinOp};
 
 use crate::domains::{BoxFacts, Card, DupVerdict, Nullability};
@@ -24,17 +26,20 @@ pub struct Ctx<'a> {
     pub qgm: &'a Qgm,
     pub catalog: &'a Catalog,
     pub facts: &'a BTreeMap<BoxId, BoxFacts>,
+    /// Output keys of the graph's boxes, shared by every transfer of
+    /// one solve.
+    pub keys: &'a KeyTable<'a>,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
     /// Facts of the box a quantifier ranges over; conservative when
     /// the fixpoint has not reached it yet.
-    fn input_facts(&self, q: QuantId) -> BoxFacts {
+    fn input_facts(&self, q: QuantId) -> Cow<'a, BoxFacts> {
         let input = self.qgm.quant(q).input;
-        self.facts
-            .get(&input)
-            .cloned()
-            .unwrap_or_else(|| BoxFacts::conservative(self.qgm.boxed(input).arity()))
+        match self.facts.get(&input) {
+            Some(f) => Cow::Borrowed(f),
+            None => Cow::Owned(BoxFacts::conservative(self.qgm.boxed(input).arity())),
+        }
     }
 
     /// Nullability of `col` of quantifier `q`, with the predicate
@@ -248,7 +253,7 @@ pub fn transfer(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
 
     // Key/FD refinement: a key all of whose columns are constant pins
     // the output to at most one row (the empty key trivially so).
-    f.keys = keys::output_keys(ctx.qgm, ctx.catalog, b);
+    f.keys = ctx.keys.keys(b).to_vec();
     if f.keys.iter().any(|k| k.is_subset(&f.const_cols)) {
         f.card = f.card.cap(1);
     }
@@ -372,7 +377,10 @@ fn groupby(ctx: &Ctx<'_>, b: BoxId, g: &GroupByBox) -> BoxFacts {
         .iter()
         .copied()
         .find(|&q| ctx.qgm.quant(q).kind.is_foreach());
-    let in_facts = input.map_or_else(|| BoxFacts::conservative(0), |q| ctx.input_facts(q));
+    let in_facts = input.map_or_else(
+        || Cow::Owned(BoxFacts::conservative(0)),
+        |q| ctx.input_facts(q),
+    );
 
     let n_keys = g.group_keys.len();
     // A global aggregate always emits exactly one row; grouped output
@@ -433,7 +441,7 @@ fn groupby(ctx: &Ctx<'_>, b: BoxId, g: &GroupByBox) -> BoxFacts {
 fn setop(ctx: &Ctx<'_>, b: BoxId, s: &SetOpBox) -> BoxFacts {
     let qb = ctx.qgm.boxed(b);
     let arity = qb.arity();
-    let arms: Vec<BoxFacts> = qb.quants.iter().map(|&q| ctx.input_facts(q)).collect();
+    let arms: Vec<Cow<'_, BoxFacts>> = qb.quants.iter().map(|&q| ctx.input_facts(q)).collect();
     if arms.is_empty() {
         return BoxFacts::conservative(arity);
     }

@@ -1,23 +1,62 @@
 //! The catalog: a map from table names to base tables, plus stored
-//! view definitions (kept as SQL text and expanded by the frontend).
+//! view definitions (parsed once, expanded by the frontend).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use starmagic_common::{Error, Result};
+use starmagic_sql::Query;
 
 use crate::table::Table;
 
 /// A stored view definition: the view name, its column names, and the
-/// SQL body. Views are expanded into the query graph by the QGM
+/// parsed body. Views are expanded into the query graph by the QGM
 /// builder, exactly as Starburst inlines view blobs into the query.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViewDef {
     pub name: String,
     pub columns: Vec<String>,
-    pub body_sql: String,
+    /// The body, parsed when the view was defined: every reference to
+    /// the view expands this one tree, and clones of the catalog share
+    /// it.
+    pub body: Arc<Query>,
     /// Whether the view may reference itself (stratified recursion).
     pub recursive: bool,
+}
+
+impl ViewDef {
+    /// Define a view over the query `body_sql`; fails if it does not
+    /// parse.
+    pub fn new(
+        name: impl Into<String>,
+        columns: Vec<String>,
+        body_sql: &str,
+        recursive: bool,
+    ) -> Result<ViewDef> {
+        Ok(ViewDef {
+            name: name.into(),
+            columns,
+            body: Arc::new(starmagic_sql::parse_query(body_sql)?),
+            recursive,
+        })
+    }
+}
+
+/// Look `name` up in a map of lowercase names: the entry and the key it
+/// is stored under. Callers mostly pass the stored form already, so the
+/// name is tried as given first and lowercased only when it has an
+/// uppercase letter to fold.
+fn lookup<'m, 'n, V>(map: &'m BTreeMap<String, V>, name: &'n str) -> Option<(Cow<'n, str>, &'m V)> {
+    if let Some(v) = map.get(name) {
+        return Some((Cow::Borrowed(name), v));
+    }
+    if !name.bytes().any(|b| b.is_ascii_uppercase()) {
+        return None;
+    }
+    let lower = name.to_ascii_lowercase();
+    let v = map.get(&lower)?;
+    Some((Cow::Owned(lower), v))
 }
 
 /// The catalog of base tables and views.
@@ -80,12 +119,8 @@ impl Catalog {
     /// [`Catalog::table_mut`] on a clone of this catalog replaces it,
     /// so derived structures (indexes) can be validated against it.
     pub fn table_arc(&self, name: &str) -> Result<&Arc<Table>> {
-        // Query graphs carry the stored (lowercase) name, and the
-        // executor asks once per table and execution: try the name as
-        // given before paying for a lowercase copy.
-        self.tables
-            .get(name)
-            .or_else(|| self.tables.get(&name.to_ascii_lowercase()))
+        lookup(&self.tables, name)
+            .map(|(_, t)| t)
             .ok_or_else(|| Error::NotFound(format!("table {name}")))
     }
 
@@ -93,20 +128,21 @@ impl Catalog {
     /// table first if a clone of this catalog still shares it; no
     /// other table is touched.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        self.tables
-            .get_mut(&name.to_ascii_lowercase())
+        lookup(&self.tables, name)
+            .map(|(key, _)| key)
+            .and_then(|key| self.tables.get_mut(&*key))
             .map(Arc::make_mut)
             .ok_or_else(|| Error::NotFound(format!("table {name}")))
     }
 
     /// Look up a view definition.
     pub fn view(&self, name: &str) -> Option<&ViewDef> {
-        self.views.get(&name.to_ascii_lowercase())
+        lookup(&self.views, name).map(|(_, v)| v)
     }
 
     /// Whether the name refers to a base table.
     pub fn is_table(&self, name: &str) -> bool {
-        self.tables.contains_key(&name.to_ascii_lowercase())
+        lookup(&self.tables, name).is_some()
     }
 
     /// All base-table names, sorted.
@@ -124,10 +160,10 @@ impl Catalog {
 
     /// Drop a view (used by benchmarks that redefine workloads).
     pub fn drop_view(&mut self, name: &str) -> Result<()> {
-        Arc::make_mut(&mut self.views)
-            .remove(&name.to_ascii_lowercase())
-            .map(|_| ())
-            .ok_or_else(|| Error::NotFound(format!("view {name}")))
+        let (key, _) =
+            lookup(&self.views, name).ok_or_else(|| Error::NotFound(format!("view {name}")))?;
+        Arc::make_mut(&mut self.views).remove(&*key);
+        Ok(())
     }
 }
 
@@ -165,25 +201,15 @@ mod tests {
     fn views_share_namespace_with_tables() {
         let mut c = Catalog::new();
         c.add_table(table("t")).unwrap();
-        let v = ViewDef {
-            name: "T".into(),
-            columns: vec!["x".into()],
-            body_sql: "SELECT x FROM t".into(),
-            recursive: false,
-        };
+        let v = ViewDef::new("T", vec!["x".into()], "SELECT x FROM t", false).unwrap();
         assert!(c.add_view(v).is_err());
     }
 
     #[test]
     fn view_roundtrip_and_drop() {
         let mut c = Catalog::new();
-        c.add_view(ViewDef {
-            name: "V".into(),
-            columns: vec!["A".into()],
-            body_sql: "SELECT 1".into(),
-            recursive: false,
-        })
-        .unwrap();
+        c.add_view(ViewDef::new("V", vec!["A".into()], "SELECT a FROM t", false).unwrap())
+            .unwrap();
         let v = c.view("v").unwrap();
         assert_eq!(v.name, "v");
         assert_eq!(v.columns, vec!["a"]);
@@ -214,14 +240,31 @@ mod tests {
             copy.table_arc("b").unwrap()
         ));
         // A view added to the copy is the copy's alone.
-        copy.add_view(ViewDef {
-            name: "v".into(),
-            columns: vec!["x".into()],
-            body_sql: "SELECT x FROM a".into(),
-            recursive: false,
-        })
-        .unwrap();
+        copy.add_view(ViewDef::new("v", vec!["x".into()], "SELECT x FROM a", false).unwrap())
+            .unwrap();
         assert!(original.view("v").is_none());
+    }
+
+    #[test]
+    fn lookups_fold_mixed_case_names() {
+        let mut c = Catalog::new();
+        c.add_table(table("Orders")).unwrap();
+        c.add_view(ViewDef::new("BigOrders", vec![], "SELECT x FROM orders", false).unwrap())
+            .unwrap();
+        for name in ["orders", "Orders", "ORDERS"] {
+            assert!(c.is_table(name), "{name}");
+            assert!(c.table(name).is_ok(), "{name}");
+            assert!(c.table_mut(name).is_ok(), "{name}");
+            assert!(c.view(name).is_none(), "{name}");
+        }
+        for name in ["bigorders", "BigOrders", "BIGORDERS"] {
+            assert_eq!(c.view(name).map(|v| v.name.as_str()), Some("bigorders"));
+            assert!(!c.is_table(name), "{name}");
+        }
+        assert!(c.table_mut("Missing").is_err());
+        assert!(c.drop_view("Missing").is_err());
+        c.drop_view("BIGorders").unwrap();
+        assert!(c.view("bigorders").is_none());
     }
 
     #[test]

@@ -183,20 +183,22 @@ mod tests {
         // tables are never adorned — "all referenced tables are either
         // magic tables or stored tables").
         let mut cat = generator::benchmark_catalog(generator::Scale::small()).unwrap();
-        cat.add_view(starmagic_catalog::ViewDef {
-            name: "emp".into(),
-            columns: vec![
-                "empno".into(),
-                "empname".into(),
-                "workdept".into(),
-                "salary".into(),
-                "bonus".into(),
-                "yearhired".into(),
-            ],
-            body_sql: "SELECT empno, empname, workdept, salary, bonus, yearhired FROM employee"
-                .into(),
-            recursive: false,
-        })
+        cat.add_view(
+            starmagic_catalog::ViewDef::new(
+                "emp",
+                vec![
+                    "empno".into(),
+                    "empname".into(),
+                    "workdept".into(),
+                    "salary".into(),
+                    "bonus".into(),
+                    "yearhired".into(),
+                ],
+                "SELECT empno, empname, workdept, salary, bonus, yearhired FROM employee",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         let g = build_qgm(&cat, &starmagic_sql::parse_query(sql_text).unwrap()).unwrap();
         (g, OpRegistry::new())
@@ -271,12 +273,15 @@ mod tests {
     fn groupby_child_binds_only_group_keys() {
         let cat = {
             let mut c = generator::benchmark_catalog(generator::Scale::small()).unwrap();
-            c.add_view(starmagic_catalog::ViewDef {
-                name: "deptavg".into(),
-                columns: vec!["workdept".into(), "avgsal".into()],
-                body_sql: "SELECT workdept, AVG(salary) FROM employee GROUP BY workdept".into(),
-                recursive: false,
-            })
+            c.add_view(
+                starmagic_catalog::ViewDef::new(
+                    "deptavg",
+                    vec!["workdept".into(), "avgsal".into()],
+                    "SELECT workdept, AVG(salary) FROM employee GROUP BY workdept",
+                    false,
+                )
+                .unwrap(),
+            )
             .unwrap();
             c
         };

@@ -1498,26 +1498,31 @@ mod tests {
     /// Catalog with the paper's views (Example 1.1).
     fn paper_catalog() -> Catalog {
         let mut c = generator::benchmark_catalog(generator::Scale::small()).unwrap();
-        c.add_view(ViewDef {
-            name: "mgrsal".into(),
-            columns: vec![
-                "empno".into(),
-                "empname".into(),
-                "workdept".into(),
-                "salary".into(),
-            ],
-            body_sql: "SELECT e.empno, e.empname, e.workdept, e.salary \
-                       FROM employee e, department d WHERE e.empno = d.mgrno"
-                .into(),
-            recursive: false,
-        })
+        c.add_view(
+            ViewDef::new(
+                "mgrsal",
+                vec![
+                    "empno".into(),
+                    "empname".into(),
+                    "workdept".into(),
+                    "salary".into(),
+                ],
+                "SELECT e.empno, e.empname, e.workdept, e.salary \
+                       FROM employee e, department d WHERE e.empno = d.mgrno",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
-        c.add_view(ViewDef {
-            name: "avgmgrsal".into(),
-            columns: vec!["workdept".into(), "avgsalary".into()],
-            body_sql: "SELECT workdept, AVG(salary) FROM mgrsal GROUP BY workdept".into(),
-            recursive: false,
-        })
+        c.add_view(
+            ViewDef::new(
+                "avgmgrsal",
+                vec!["workdept".into(), "avgsalary".into()],
+                "SELECT workdept, AVG(salary) FROM mgrsal GROUP BY workdept",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         c
     }
@@ -1694,12 +1699,15 @@ mod tests {
         // Even a plain select view is restricted through magic when the
         // view is shared (phase-1 pushdown cannot touch shared views).
         let mut cat = generator::benchmark_catalog(generator::Scale::small()).unwrap();
-        cat.add_view(ViewDef {
-            name: "rich".into(),
-            columns: vec!["empno".into(), "workdept".into()],
-            body_sql: "SELECT empno, workdept FROM employee WHERE salary > 50000".into(),
-            recursive: false,
-        })
+        cat.add_view(
+            ViewDef::new(
+                "rich",
+                vec!["empno".into(), "workdept".into()],
+                "SELECT empno, workdept FROM employee WHERE salary > 50000",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         let (_p1, p2, _p3) = run_phases(
             &cat,
@@ -1727,12 +1735,15 @@ mod tests {
     #[test]
     fn condition_predicates_push_as_condition_magic() {
         let mut cat = generator::benchmark_catalog(generator::Scale::small()).unwrap();
-        cat.add_view(ViewDef {
-            name: "pay".into(),
-            columns: vec!["empno".into(), "salary".into()],
-            body_sql: "SELECT empno, salary FROM employee".into(),
-            recursive: false,
-        })
+        cat.add_view(
+            ViewDef::new(
+                "pay",
+                vec!["empno".into(), "salary".into()],
+                "SELECT empno, salary FROM employee",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         // Shared view forces magic (no local pushdown), and the join
         // predicate is a range: condition magic.
@@ -2012,14 +2023,16 @@ mod setop_magic_tests {
         let mut c = generator::benchmark_catalog(generator::Scale::small()).unwrap();
         // A union view shared by two users so phase-1 pushdown cannot
         // touch it: EMST must restrict it through a linked magic box.
-        c.add_view(ViewDef {
-            name: "people".into(),
-            columns: vec!["no".into(), "dept".into()],
-            body_sql: "SELECT empno, workdept FROM employee \
-                       UNION ALL SELECT mgrno, deptno FROM department"
-                .into(),
-            recursive: false,
-        })
+        c.add_view(
+            ViewDef::new(
+                "people",
+                vec!["no".into(), "dept".into()],
+                "SELECT empno, workdept FROM employee \
+                       UNION ALL SELECT mgrno, deptno FROM department",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         c
     }

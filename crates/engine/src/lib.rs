@@ -38,6 +38,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use pipeline::{compile, Compiled};
 use starmagic_catalog::{Catalog, ViewDef};
 use starmagic_common::{Error, Result, Row, Value};
 use starmagic_exec::{ExecOptions, ExecProfile, Metrics, Plan};
@@ -169,6 +170,42 @@ impl Lowered {
 }
 
 impl Prepared {
+    fn new(
+        qgm: Qgm,
+        used_magic: bool,
+        cost_without_magic: f64,
+        cost_with_magic: f64,
+        threads: usize,
+    ) -> Prepared {
+        let columns = qgm
+            .boxed(qgm.top())
+            .columns
+            .iter()
+            .map(|c| c.name.clone())
+            .collect();
+        Prepared {
+            qgm,
+            columns,
+            used_magic,
+            cost_without_magic,
+            cost_with_magic,
+            threads: threads.max(1),
+            columnar: true,
+            lowered: OnceLock::new(),
+        }
+    }
+
+    /// The plan a pipeline run chose, moved in without a copy.
+    fn compiled(c: Compiled, threads: usize) -> Prepared {
+        Prepared::new(
+            c.chosen,
+            c.chose_magic,
+            c.cost_without_magic,
+            c.cost_with_magic,
+            threads,
+        )
+    }
+
     /// The lowered plan, lowering `qgm` if no execution has yet.
     pub fn plan(&self) -> &Plan {
         &self.lowered(&EngineMetrics::default()).plan
@@ -397,17 +434,16 @@ impl Engine {
             Statement::CreateView {
                 name,
                 columns,
-                query: _,
+                query,
                 recursive,
             } => {
                 let mut next = EngineSnapshot::clone(&self.snapshot);
-                // Store the original body text: the builder re-parses
-                // on expansion (keeps the catalog plain data).
-                let body_sql = extract_view_body(sql)?;
+                // The body as parsed here is what every reference to
+                // the view expands.
                 next.catalog.add_view(ViewDef {
                     name: name.clone(),
                     columns,
-                    body_sql,
+                    body: Arc::new(query),
                     recursive,
                 })?;
                 // Validate the definition by building a graph over it.
@@ -478,19 +514,28 @@ impl Engine {
     /// pruning, forcing magic).
     pub fn prepare_with_options(&self, sql: &str, opts: PipelineOptions) -> Result<Prepared> {
         let query = starmagic_sql::parse_query(sql)?;
-        let optimized = optimize(
-            &self.snapshot.catalog,
-            &self.snapshot.registry,
-            &query,
-            opts,
-        )?;
-        Ok(prepared_from(&optimized, opts.threads))
+        let compiled = self.compile(&query, opts)?;
+        Ok(Prepared::compiled(compiled, opts.threads))
+    }
+
+    /// Optimize a query for execution: the pipeline without its
+    /// intermediate graphs ([`compile`]). The chosen plan's lint and
+    /// analysis verdicts are not dropped unread: their error-severity
+    /// findings count into `engine.plan_check_errors`.
+    fn compile(&self, query: &starmagic_sql::Query, opts: PipelineOptions) -> Result<Compiled> {
+        let compiled = compile(&self.snapshot.catalog, &self.snapshot.registry, query, opts)?;
+        if !self.metrics.is_noop() {
+            self.metrics
+                .plan_check_errors
+                .add(compiled.check_errors() as u64);
+        }
+        Ok(compiled)
     }
 
     /// Optimize with explicit pipeline options without executing —
-    /// the full [`Optimized`] record, static analysis included (the
-    /// fuzzer's analysis oracle consumes the facts alongside the
-    /// executable plan, via [`prepared_from`]).
+    /// the full [`Optimized`] record, every intermediate graph and the
+    /// static analysis included (the fuzzer's analysis oracle consumes
+    /// the facts alongside the executable plan, via [`prepared_from`]).
     pub fn optimize_with_options(&self, sql: &str, opts: PipelineOptions) -> Result<Optimized> {
         let query = starmagic_sql::parse_query(sql)?;
         optimize(
@@ -640,15 +685,10 @@ impl Engine {
         }
         self.metrics.note_cache_lookup(strategy, false);
         self.metrics.note_shard_lookup(shard, false);
-        let optimized = optimize(
-            &self.snapshot.catalog,
-            &self.snapshot.registry,
-            &p.query,
-            self.options_for(strategy),
-        )?;
+        let compiled = self.compile(&p.query, self.options_for(strategy))?;
         let plan = CachedPlan {
             key: key.clone(),
-            prepared: prepared_from(&optimized, self.threads),
+            prepared: Prepared::compiled(compiled, self.threads),
             param_count: p.first_index + p.args.len(),
             user_params: p.first_index,
             epoch: self.epoch,
@@ -719,17 +759,12 @@ impl Engine {
         let (plan, hit) = match looked_up {
             Some(plan) => (plan, true),
             None => {
-                let optimized = optimize(
-                    &self.snapshot.catalog,
-                    &self.snapshot.registry,
-                    &p.query,
-                    self.options_for(strategy),
-                )?;
-                sink.extend(&optimized.trace);
-                self.note_rewrite_stats(&optimized.stats);
+                let compiled = self.compile(&p.query, self.options_for(strategy))?;
+                sink.extend(&compiled.trace);
+                self.note_rewrite_stats(&compiled.stats);
                 let plan = CachedPlan {
                     key: key.clone(),
-                    prepared: prepared_from(&optimized, self.threads),
+                    prepared: Prepared::compiled(compiled, self.threads),
                     param_count: p.first_index + p.args.len(),
                     user_params: p.first_index,
                     epoch: self.epoch,
@@ -954,37 +989,39 @@ impl Engine {
     /// considers healthy; warnings flag hygiene issues such as
     /// unreachable boxes or unused columns.
     pub fn lint(&self, sql: &str) -> Result<starmagic_lint::LintReport> {
-        let optimized = self.optimize_sql(sql, Strategy::CostBased)?;
-        Ok(optimized.lint)
+        Ok(self.compile_sql(sql)?.lint)
     }
 
     /// Run the static analysis over a query's chosen plan and render
     /// the fact table plus L2xx diagnostics (REPL `\analysis`).
     pub fn analyze(&self, sql: &str) -> Result<String> {
-        let optimized = self.optimize_sql(sql, Strategy::CostBased)?;
-        Ok(optimized.analysis.render(optimized.chosen()))
+        let compiled = self.compile_sql(sql)?;
+        Ok(compiled.analysis.render(&compiled.chosen))
+    }
+
+    /// The cost-based pipeline's chosen plan and its verdicts, for the
+    /// inspection commands above (not counted as a prepare).
+    fn compile_sql(&self, sql: &str) -> Result<Compiled> {
+        let query = starmagic_sql::parse_query(sql)?;
+        compile(
+            &self.snapshot.catalog,
+            &self.snapshot.registry,
+            &query,
+            self.options_for(Strategy::CostBased),
+        )
     }
 }
 
-/// Package an optimization result as an executable [`Prepared`].
+/// Package an optimization result as an executable [`Prepared`] (a copy
+/// of its chosen graph).
 pub fn prepared_from(optimized: &Optimized, threads: usize) -> Prepared {
-    let chosen = optimized.chosen().clone();
-    let columns = chosen
-        .boxed(chosen.top())
-        .columns
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
-    Prepared {
-        qgm: chosen,
-        columns,
-        used_magic: optimized.chose_magic,
-        cost_without_magic: optimized.cost_without_magic,
-        cost_with_magic: optimized.cost_with_magic,
-        threads: threads.max(1),
-        columnar: true,
-        lowered: OnceLock::new(),
-    }
+    Prepared::new(
+        optimized.chosen().clone(),
+        optimized.chose_magic,
+        optimized.cost_without_magic,
+        optimized.cost_with_magic,
+        threads,
+    )
 }
 
 /// Pipeline options implementing each [`Strategy`].
@@ -1018,36 +1055,6 @@ fn literal_value(e: &starmagic_sql::Expr) -> Result<starmagic_common::Value> {
             "INSERT VALUES must be literals".to_string(),
         )),
     }
-}
-
-/// Pull the body (after `AS`) out of a CREATE VIEW statement, keeping
-/// the user's original text.
-fn extract_view_body(sql: &str) -> Result<String> {
-    // Find the first standalone AS at nesting depth zero after the
-    // closing parenthesis of the column list (or after the view name).
-    let lower = sql.to_ascii_lowercase();
-    let bytes = lower.as_bytes();
-    let mut depth = 0i32;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'(' => depth += 1,
-            b')' => depth -= 1,
-            b'a' if depth == 0 => {
-                let prev_ok = i == 0 || !bytes[i - 1].is_ascii_alphanumeric();
-                let next_is_s = bytes.get(i + 1) == Some(&b's');
-                let after_ok = bytes
-                    .get(i + 2)
-                    .map_or(true, |c| !c.is_ascii_alphanumeric() && *c != b'_');
-                if prev_ok && next_is_s && after_ok {
-                    return Ok(sql[i + 2..].trim().trim_end_matches(';').to_string());
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Err(Error::semantic("CREATE VIEW without AS"))
 }
 
 #[cfg(test)]
@@ -1149,10 +1156,13 @@ mod tests {
     }
 
     #[test]
-    fn extract_view_body_handles_column_list() {
+    fn create_view_stores_the_parsed_body() {
+        let mut e = engine();
+        e.run_sql("CREATE VIEW v (a, b) AS SELECT empno AS a, salary AS b FROM employee;")
+            .unwrap();
         let body =
-            extract_view_body("CREATE VIEW v (a, b) AS SELECT x AS a, y AS b FROM t;").unwrap();
-        assert_eq!(body, "SELECT x AS a, y AS b FROM t");
+            starmagic_sql::parse_query("SELECT empno AS a, salary AS b FROM employee").unwrap();
+        assert_eq!(*e.catalog().view("v").unwrap().body, body);
     }
 
     #[test]

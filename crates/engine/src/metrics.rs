@@ -12,6 +12,12 @@
 //! * `engine.ddl_us` — latency of a published catalog change (`CREATE
 //!   VIEW`, `CREATE TABLE`, `INSERT`): parse, the copy of the written
 //!   table, validation, the append, the epoch bump
+//! * `engine.plan_check_errors` — error-severity lint and analysis
+//!   findings on freshly optimized plans (`prepare`, a plan-cache
+//!   miss), the `phase 2:` scan of the pre-cleanup graph included.
+//!   Every miss runs both checks whatever the `CheckLevel`; a nonzero
+//!   value means an unsound plan was prepared and, on the cached path,
+//!   cached and served
 //! * `cache.hit.<strategy>` / `cache.miss.<strategy>` — plan-cache
 //!   lookups split by strategy token (`cost`, `original`, `magic`)
 //! * `exec.rows_scanned` / `exec.rows_produced` / `exec.box_evals` —
@@ -100,6 +106,8 @@ pub struct EngineMetrics {
     /// `engine.ddl_us`: a published `CREATE VIEW` / `CREATE TABLE` /
     /// `INSERT`, parse to epoch bump.
     pub ddl_us: Histogram,
+    /// `engine.plan_check_errors`: error findings on fresh plans.
+    pub plan_check_errors: Counter,
     /// `cache.hit.<strategy>` by [`strategy_ix`].
     pub cache_hit: [Counter; 3],
     /// `cache.miss.<strategy>` by [`strategy_ix`].
@@ -128,6 +136,7 @@ impl EngineMetrics {
             queries: registry.counter("engine.queries"),
             lower_us: registry.histogram("engine.lower_us"),
             ddl_us: registry.histogram("engine.ddl_us"),
+            plan_check_errors: registry.counter("engine.plan_check_errors"),
             cache_hit: std::array::from_fn(|i| {
                 registry.counter(&format!("cache.hit.{}", STRATEGY_TOKENS[i]))
             }),

@@ -18,6 +18,8 @@
 //! heuristic's guarantee that "usage of the EMST rewrite rule cannot
 //! degrade a query plan produced without using the EMST rule" (§3.2).
 
+use std::time::{Duration, Instant};
+
 use starmagic_catalog::Catalog;
 use starmagic_common::Result;
 use starmagic_lint::LintReport;
@@ -138,13 +140,108 @@ impl Default for PipelineOptions {
     }
 }
 
-/// Run the full pipeline for a parsed query.
+/// What a prepare keeps of a pipeline run: the chosen graph, moved out
+/// of the pipeline rather than copied, and the verdicts on it.
+#[derive(Debug)]
+pub(crate) struct Compiled {
+    /// The graph the executor should run.
+    pub chosen: Qgm,
+    /// Whether `chosen` is the EMST plan.
+    pub chose_magic: bool,
+    pub cost_without_magic: f64,
+    pub cost_with_magic: f64,
+    pub stats: [RewriteStats; 3],
+    pub plan_optimizations: usize,
+    /// As [`Optimized::lint`].
+    pub lint: LintReport,
+    /// As [`Optimized::analysis`].
+    pub analysis: starmagic_analysis::Analysis,
+    pub trace: TraceSink,
+}
+
+impl Compiled {
+    /// Error-severity findings over the chosen plan: the lint's plus the
+    /// analysis's, its `phase 2:` copies included.
+    pub(crate) fn check_errors(&self) -> usize {
+        self.lint.errors().count() + self.analysis.report.errors().count()
+    }
+}
+
+/// Copies of the graphs that only EXPLAIN and the figure reproductions
+/// read. [`optimize`] asks the pipeline for them; a prepare does not,
+/// and its run copies one graph: the phase-1 plan the cost comparison
+/// may fall back to.
+#[derive(Default)]
+struct Intermediates {
+    initial: Option<Qgm>,
+    phase2: Option<Qgm>,
+    /// The plan the cost comparison did not choose (`None` when EMST
+    /// did not run).
+    unchosen: Option<Qgm>,
+}
+
+/// Run the full pipeline for a parsed query, keeping every
+/// intermediate graph.
 pub fn optimize(
     catalog: &Catalog,
     registry: &OpRegistry,
     query: &Query,
     opts: PipelineOptions,
 ) -> Result<Optimized> {
+    let mut kept = Intermediates::default();
+    let Compiled {
+        chosen,
+        chose_magic,
+        cost_without_magic,
+        cost_with_magic,
+        stats,
+        plan_optimizations,
+        lint,
+        analysis,
+        trace,
+    } = run(catalog, registry, query, opts, Some(&mut kept))?;
+    let (phase1, phase3) = match kept.unchosen {
+        // EMST did not run: every later phase is the phase-1 graph.
+        None => (chosen.clone(), chosen),
+        Some(other) if chose_magic => (other, chosen),
+        Some(other) => (chosen, other),
+    };
+    Ok(Optimized {
+        initial: kept.initial.expect("the pipeline keeps the built graph"),
+        phase2: kept.phase2.unwrap_or_else(|| phase1.clone()),
+        phase1,
+        phase3,
+        cost_without_magic,
+        cost_with_magic,
+        stats,
+        plan_optimizations,
+        chose_magic,
+        lint,
+        analysis,
+        trace,
+    })
+}
+
+/// Run the full pipeline for a parsed query, keeping only the chosen
+/// graph: what a prepare and a plan-cache miss need.
+pub(crate) fn compile(
+    catalog: &Catalog,
+    registry: &OpRegistry,
+    query: &Query,
+    opts: PipelineOptions,
+) -> Result<Compiled> {
+    run(catalog, registry, query, opts, None)
+}
+
+/// The pipeline. `keep`, when given, receives copies of the
+/// intermediate graphs.
+fn run(
+    catalog: &Catalog,
+    registry: &OpRegistry,
+    query: &Query,
+    opts: PipelineOptions,
+    mut keep: Option<&mut Intermediates>,
+) -> Result<Compiled> {
     let engine = RewriteEngine::with_check(opts.check);
     let mut trace = if opts.trace {
         TraceSink::enabled()
@@ -153,9 +250,11 @@ pub fn optimize(
     };
 
     let t = trace.start("build");
-    let initial = build_qgm(catalog, query)?;
+    let mut g = build_qgm(catalog, query)?;
     trace.finish(t);
-    let mut g = initial.clone();
+    if let Some(k) = keep.as_deref_mut() {
+        k.initial = Some(g.clone());
+    }
 
     // The traditional rule set used by phases 1 and 3.
     let simplify = SimplifyPredicates;
@@ -185,30 +284,28 @@ pub fn optimize(
     planner::annotate_join_orders(&mut g, catalog);
     let cost_without_magic = planner::estimate_graph_cost(&g, catalog);
     trace.finish(t);
-    let phase1 = g.clone();
 
     if !opts.enable_magic {
         let t = trace.start("lint");
-        let lint = starmagic_lint::lint(&phase1, catalog);
+        let lint = starmagic_lint::lint(&g, catalog);
         trace.finish(t);
         let t = trace.start("analysis");
-        let analysis = starmagic_analysis::analyze(&phase1, catalog);
+        let analysis = starmagic_analysis::analyze(&g, catalog);
         trace.finish(t);
-        return Ok(Optimized {
-            initial,
-            phase2: phase1.clone(),
-            phase3: phase1.clone(),
-            phase1,
+        return Ok(Compiled {
+            chosen: g,
+            chose_magic: false,
             cost_without_magic,
             cost_with_magic: f64::INFINITY,
             stats: [stats1, RewriteStats::default(), RewriteStats::default()],
             plan_optimizations: 1,
-            chose_magic: false,
             lint,
             analysis,
             trace,
         });
     }
+    // The cost-based fallback, should the EMST plan cost more.
+    let phase1 = g.clone();
 
     // Phase 2: EMST active (one rule instance per run: it memoizes
     // adorned copies).
@@ -235,7 +332,20 @@ pub fn optimize(
     // stale cross-stratum edge to the PerFire lint (L010).
     strata::assign(&mut g);
     trace.finish(t);
-    let phase2 = g.clone();
+
+    // Phase-3 merges can dissolve the magic boxes that carry an L2xx
+    // signature (the merge rule substitutes the magic quantifier away),
+    // and the cost model may pick the phase-1 plan outright — either
+    // way an unsound EMST fire would vanish from the chosen graph.
+    // Scan the pre-cleanup phase-2 graph too, here, before phase 3
+    // rewrites it in place, and keep its errors. The scan is analysis
+    // work: its time goes to the `analysis` span.
+    let scan_start = trace.is_enabled().then(Instant::now);
+    let phase2_errors = starmagic_analysis::error_checks(&g, catalog);
+    let scan_time = scan_start.map_or(Duration::ZERO, |s| s.elapsed());
+    if let Some(k) = keep.as_deref_mut() {
+        k.phase2 = Some(g.clone());
+    }
 
     // Phase 3: links are consumed; simplify.
     let t = trace.start("rewrite.phase3");
@@ -259,38 +369,34 @@ pub fn optimize(
     planner::annotate_join_orders(&mut g, catalog);
     let cost_with_magic = planner::estimate_graph_cost(&g, catalog);
     trace.finish(t);
-    let phase3 = g;
 
     let chose_magic = opts.force_magic || cost_with_magic <= cost_without_magic;
+    let (chosen, unchosen) = if chose_magic {
+        (g, phase1)
+    } else {
+        (phase1, g)
+    };
+    if let Some(k) = keep {
+        k.unchosen = Some(unchosen);
+    }
     let t = trace.start("lint");
-    let lint = starmagic_lint::lint(if chose_magic { &phase3 } else { &phase1 }, catalog);
+    let lint = starmagic_lint::lint(&chosen, catalog);
     trace.finish(t);
     let t = trace.start("analysis");
-    let mut analysis =
-        starmagic_analysis::analyze(if chose_magic { &phase3 } else { &phase1 }, catalog);
-    // Phase-3 merges can dissolve the magic boxes that carry an L2xx
-    // signature (the merge rule substitutes the magic quantifier away),
-    // and the cost model may pick the phase-1 plan outright — either
-    // way an unsound EMST fire would vanish from the chosen graph.
-    // Scan the pre-cleanup phase-2 graph too and keep its errors.
-    for d in starmagic_analysis::checks(&phase2, catalog).diagnostics {
-        if d.code.severity() == starmagic_lint::Severity::Error {
-            analysis
-                .report
-                .push(d.code, d.box_id, d.quant, format!("phase 2: {}", d.message));
-        }
+    let mut analysis = starmagic_analysis::analyze(&chosen, catalog);
+    for d in phase2_errors.diagnostics {
+        analysis
+            .report
+            .push(d.code, d.box_id, d.quant, format!("phase 2: {}", d.message));
     }
-    trace.finish(t);
-    Ok(Optimized {
-        initial,
-        phase1,
-        phase2,
-        phase3,
+    trace.finish_with(t, scan_time);
+    Ok(Compiled {
+        chosen,
+        chose_magic,
         cost_without_magic,
         cost_with_magic,
         stats: [stats1, stats2, stats3],
         plan_optimizations: 2,
-        chose_magic,
         lint,
         analysis,
         trace,

@@ -97,6 +97,44 @@ fn sound_decorrelation_stays_clean() {
     );
 }
 
+/// A release prepare runs the same checks and does not drop their
+/// verdict: every error-severity finding on the fresh plan, the
+/// `phase 2:` copies included, counts into `engine.plan_check_errors`.
+#[test]
+fn unsound_prepare_counts_its_check_errors() {
+    let mut engine = engine();
+    engine.set_metrics(starmagic::MetricsRegistry::enabled());
+    let optimized = engine
+        .optimize_with_options(&corpus_sql(), options(true))
+        .unwrap();
+    let expected = optimized.lint.errors().count() + optimized.analysis.report.errors().count();
+    assert!(
+        optimized
+            .analysis
+            .report
+            .errors()
+            .any(|d| d.message.starts_with("phase 2: ")),
+        "the repro's evidence should survive in the phase-2 scan:\n{}",
+        optimized.analysis.report
+    );
+    let counted = || {
+        engine
+            .metrics_registry()
+            .snapshot()
+            .counter("engine.plan_check_errors")
+    };
+    assert_eq!(counted(), 0, "optimize_with_options is not a prepare");
+    engine
+        .prepare_with_options(&corpus_sql(), options(true))
+        .unwrap();
+    assert!(expected > 0);
+    assert_eq!(counted(), expected as u64);
+    engine
+        .prepare_with_options(&corpus_sql(), options(false))
+        .unwrap();
+    assert_eq!(counted(), expected as u64, "the sound plan adds nothing");
+}
+
 /// The flag must stay off by default — it exists only for this gate.
 #[test]
 fn unsound_flag_defaults_off() {

@@ -2140,12 +2140,15 @@ mod tests {
     #[test]
     fn view_expansion_executes() {
         let mut cat = catalog();
-        cat.add_view(ViewDef {
-            name: "rich".into(),
-            columns: vec!["empno".into(), "deptno".into()],
-            body_sql: "SELECT empno, deptno FROM emp WHERE salary >= 200".into(),
-            recursive: false,
-        })
+        cat.add_view(
+            ViewDef::new(
+                "rich",
+                vec!["empno".into(), "deptno".into()],
+                "SELECT empno, deptno FROM emp WHERE salary >= 200",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         let rows = run(
             &cat,
@@ -2157,14 +2160,16 @@ mod tests {
     #[test]
     fn recursive_transitive_closure() {
         let mut cat = catalog();
-        cat.add_view(ViewDef {
-            name: "reach".into(),
-            columns: vec!["src".into(), "dst".into()],
-            body_sql: "SELECT src, dst FROM edge \
-                       UNION SELECT r.src, e.dst FROM reach r, edge e WHERE r.dst = e.src"
-                .into(),
-            recursive: true,
-        })
+        cat.add_view(
+            ViewDef::new(
+                "reach",
+                vec!["src".into(), "dst".into()],
+                "SELECT src, dst FROM edge \
+                       UNION SELECT r.src, e.dst FROM reach r, edge e WHERE r.dst = e.src",
+                true,
+            )
+            .unwrap(),
+        )
         .unwrap();
         let rows = run(&cat, "SELECT src, dst FROM reach WHERE src = 1");
         // 1→2, 1→3, 1→4
@@ -2188,12 +2193,15 @@ mod tests {
     #[test]
     fn shared_view_materialized_once() {
         let mut cat = catalog();
-        cat.add_view(ViewDef {
-            name: "v".into(),
-            columns: vec!["deptno".into()],
-            body_sql: "SELECT deptno FROM emp WHERE deptno IS NOT NULL".into(),
-            recursive: false,
-        })
+        cat.add_view(
+            ViewDef::new(
+                "v",
+                vec!["deptno".into()],
+                "SELECT deptno FROM emp WHERE deptno IS NOT NULL",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         let g = build_qgm(
             &cat,
@@ -2248,14 +2256,16 @@ mod outerjoin_fixpoint_tests {
             .unwrap(),
         )
         .unwrap();
-        c.add_view(ViewDef {
-            name: "reach".into(),
-            columns: vec!["src".into(), "dst".into()],
-            body_sql: "SELECT src, dst FROM edge \
-                       UNION SELECT r.src, e.dst FROM reach r, edge e WHERE r.dst = e.src"
-                .into(),
-            recursive: true,
-        })
+        c.add_view(
+            ViewDef::new(
+                "reach",
+                vec!["src".into(), "dst".into()],
+                "SELECT src, dst FROM edge \
+                       UNION SELECT r.src, e.dst FROM reach r, edge e WHERE r.dst = e.src",
+                true,
+            )
+            .unwrap(),
+        )
         .unwrap();
         c
     }
@@ -2567,12 +2577,15 @@ mod boundary_tests {
                 "SELECT DISTINCT deptno, bonus FROM emp",
             ),
         ] {
-            c.add_view(ViewDef {
-                name: name.into(),
-                columns: columns.iter().map(|c| (*c).to_string()).collect(),
-                body_sql: body.into(),
-                recursive: false,
-            })
+            c.add_view(
+                ViewDef::new(
+                    name,
+                    columns.iter().map(|c| (*c).to_string()).collect(),
+                    body,
+                    false,
+                )
+                .unwrap(),
+            )
             .unwrap();
         }
         c

@@ -47,8 +47,9 @@ pub fn lint(qgm: &Qgm, catalog: &Catalog) -> LintReport {
     if report.has_errors() {
         return report;
     }
-    passes::strata::run(qgm, &mut report);
-    passes::recursion::run(qgm, &mut report);
+    let strata = starmagic_qgm::strata::compute(qgm);
+    passes::strata::run(qgm, &strata, &mut report);
+    passes::recursion::run(qgm, &strata.sccs, &mut report);
     passes::magic::run(qgm, &mut report);
     passes::duplicates::run(qgm, catalog, &mut report);
     passes::quantifiers::run(qgm, &mut report);

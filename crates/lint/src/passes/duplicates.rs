@@ -7,23 +7,27 @@
 //! tables"), but nothing re-checks it as later rules restructure the
 //! graph — and `keys::is_dup_free` itself trusts Preserve marks, so a
 //! broken claim can silently launder further claims. This pass
-//! re-proves every claim from scratch: the box's mark is flipped to
-//! `Permit` on a probe clone (so the proof cannot assume its own
-//! conclusion) and key inference must still find a key.
+//! re-proves every claim from scratch: key inference must still find a
+//! key with the box's own mark read as `Permit` (so the proof cannot
+//! assume its own conclusion), everything else as it stands.
 
 use starmagic_catalog::Catalog;
-use starmagic_qgm::{keys, DistinctMode, Qgm};
+use starmagic_qgm::keys::KeyTable;
+use starmagic_qgm::{DistinctMode, Qgm};
 
 use crate::diag::{Code, LintReport};
 
 pub fn run(qgm: &Qgm, catalog: &Catalog, report: &mut LintReport) {
+    // Built on the first claim: most graphs make none.
+    let mut table = None;
     for id in qgm.box_ids() {
         if qgm.boxed(id).distinct != DistinctMode::Preserve {
             continue;
         }
-        let mut probe = qgm.clone();
-        probe.boxed_mut(id).distinct = DistinctMode::Permit;
-        if !keys::is_dup_free(&probe, catalog, id) {
+        let keys = table
+            .get_or_insert_with(|| KeyTable::new(qgm, catalog))
+            .keys_with_mode(id, DistinctMode::Permit);
+        if keys.is_empty() {
             report.push(
                 Code::L030UnprovableDistinctClaim,
                 Some(id),

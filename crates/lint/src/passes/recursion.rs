@@ -21,12 +21,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use starmagic_qgm::{strata, BoxId, BoxKind, Qgm, QuantId};
+use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId};
 
 use crate::diag::{Code, LintReport};
 
-pub fn run(qgm: &Qgm, report: &mut LintReport) {
-    for scc in strata::sccs(qgm) {
+/// `sccs`: the graph's strongly connected components, as
+/// `strata::sccs` returns them.
+pub fn run(qgm: &Qgm, sccs: &[Vec<BoxId>], report: &mut LintReport) {
+    for scc in sccs {
         let members: BTreeSet<BoxId> = scc.iter().copied().collect();
         let cyclic = scc.len() > 1
             || qgm
@@ -39,7 +41,7 @@ pub fn run(qgm: &Qgm, report: &mut LintReport) {
         }
 
         // L024: the aggregate exemption on every cycle member.
-        for &b in &scc {
+        for &b in scc {
             let qb = qgm.boxed(b);
             if !matches!(qb.kind, BoxKind::GroupBy(_)) {
                 continue;
@@ -66,7 +68,7 @@ pub fn run(qgm: &Qgm, report: &mut LintReport) {
         // recursive union.
         let mut indeg: BTreeMap<BoxId, usize> = members.iter().map(|&b| (b, 0)).collect();
         let mut edges: Vec<(BoxId, QuantId, BoxId)> = Vec::new();
-        for &b in &scc {
+        for &b in scc {
             for &q in &qgm.boxed(b).quants {
                 let input = qgm.quant(q).input;
                 if members.contains(&input) && !qgm.boxed(input).is_recursive_union() {

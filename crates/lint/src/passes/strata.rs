@@ -2,8 +2,9 @@
 //!
 //! Strata are assigned once, at build time (`strata::assign`); rewrite
 //! rules do not maintain them. New boxes start at stratum 0, which for
-//! a non-base box means "unassigned". This pass recomputes strata on a
-//! clone of the graph and checks two things:
+//! a non-base box means "unassigned". This pass compares the stored
+//! strata with a recomputation (`strata::compute`, shared with the
+//! recursion pass) and checks two things:
 //!
 //! * **L010 (error)** — stored strata must be *monotone*: a box whose
 //!   stratum is assigned must sit strictly above every assigned input
@@ -16,17 +17,15 @@
 
 use std::collections::BTreeMap;
 
-use starmagic_qgm::{strata, BoxId, BoxKind, Qgm};
+use starmagic_qgm::strata::Strata;
+use starmagic_qgm::{BoxId, BoxKind, Qgm};
 
 use crate::diag::{Code, LintReport};
 
-pub fn run(qgm: &Qgm, report: &mut LintReport) {
-    let recomputed: BTreeMap<BoxId, u32> = {
-        let mut probe = qgm.clone();
-        strata::assign(&mut probe)
-    };
+pub fn run(qgm: &Qgm, computed: &Strata, report: &mut LintReport) {
+    let recomputed = &computed.strata;
     let mut scc_of: BTreeMap<BoxId, usize> = BTreeMap::new();
-    for (i, scc) in strata::sccs(qgm).iter().enumerate() {
+    for (i, scc) in computed.sccs.iter().enumerate() {
         for &b in scc {
             scc_of.insert(b, i);
         }

@@ -437,14 +437,16 @@ mod shape_tests {
 
     fn setup_with_views(sql_text: &str) -> (Qgm, Catalog) {
         let mut cat = generator::benchmark_catalog(generator::Scale::small()).unwrap();
-        cat.add_view(ViewDef {
-            name: "people".into(),
-            columns: vec!["no".into(), "dept".into()],
-            body_sql: "SELECT empno, workdept FROM employee \
-                       UNION ALL SELECT mgrno, deptno FROM department"
-                .into(),
-            recursive: false,
-        })
+        cat.add_view(
+            ViewDef::new(
+                "people",
+                vec!["no".into(), "dept".into()],
+                "SELECT empno, workdept FROM employee \
+                       UNION ALL SELECT mgrno, deptno FROM department",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         let g = build_qgm(&cat, &starmagic_sql::parse_query(sql_text).unwrap()).unwrap();
         (g, cat)

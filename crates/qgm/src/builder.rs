@@ -141,12 +141,11 @@ impl<'a> Builder<'a> {
         if self.catalog.is_table(&lname) {
             return self.base_table_box(&lname);
         }
-        let view = self
-            .catalog
+        let catalog = self.catalog;
+        let view = catalog
             .view(&lname)
-            .ok_or_else(|| Error::NotFound(format!("table or view {name}")))?
-            .clone();
-        let body = sql::parse_query(&view.body_sql)?;
+            .ok_or_else(|| Error::NotFound(format!("table or view {name}")))?;
+        let body = &*view.body;
         // Pre-create the shell box so self references (recursion) work.
         let shell = match &body.body {
             SetExpr::Select(_) => self.qgm.add_box(lname.to_uppercase(), BoxKind::Select),
@@ -1222,26 +1221,31 @@ mod tests {
 
     fn catalog() -> Catalog {
         let mut c = generator::benchmark_catalog(generator::Scale::small()).unwrap();
-        c.add_view(ViewDef {
-            name: "mgrsal".into(),
-            columns: vec![
-                "empno".into(),
-                "empname".into(),
-                "workdept".into(),
-                "salary".into(),
-            ],
-            body_sql: "SELECT e.empno, e.empname, e.workdept, e.salary \
-                       FROM employee e, department d WHERE e.empno = d.mgrno"
-                .into(),
-            recursive: false,
-        })
+        c.add_view(
+            ViewDef::new(
+                "mgrsal",
+                vec![
+                    "empno".into(),
+                    "empname".into(),
+                    "workdept".into(),
+                    "salary".into(),
+                ],
+                "SELECT e.empno, e.empname, e.workdept, e.salary \
+                       FROM employee e, department d WHERE e.empno = d.mgrno",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
-        c.add_view(ViewDef {
-            name: "avgmgrsal".into(),
-            columns: vec!["workdept".into(), "avgsalary".into()],
-            body_sql: "SELECT workdept, AVG(salary) FROM mgrsal GROUP BY workdept".into(),
-            recursive: false,
-        })
+        c.add_view(
+            ViewDef::new(
+                "avgmgrsal",
+                vec!["workdept".into(), "avgsalary".into()],
+                "SELECT workdept, AVG(salary) FROM mgrsal GROUP BY workdept",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         c
     }
@@ -1485,17 +1489,19 @@ mod tests {
     #[test]
     fn recursive_view_creates_cycle() {
         let mut cat = catalog();
-        cat.add_view(ViewDef {
-            name: "subord".into(),
-            columns: vec!["mgr".into(), "emp".into()],
-            body_sql: "SELECT d.mgrno, e.empno FROM department d, employee e \
+        cat.add_view(
+            ViewDef::new(
+                "subord",
+                vec!["mgr".into(), "emp".into()],
+                "SELECT d.mgrno, e.empno FROM department d, employee e \
                        WHERE e.workdept = d.deptno \
                        UNION \
                        SELECT s.mgr, e2.empno FROM subord s, employee e2 \
-                       WHERE e2.workdept = s.emp"
-                .into(),
-            recursive: true,
-        })
+                       WHERE e2.workdept = s.emp",
+                true,
+            )
+            .unwrap(),
+        )
         .unwrap();
         let q = sql::parse_query("SELECT mgr, emp FROM subord WHERE mgr = 0").unwrap();
         let g = build_qgm(&cat, &q).unwrap();

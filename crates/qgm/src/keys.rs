@@ -16,6 +16,8 @@
 //! * a box with `DistinctMode::Enforce`/`Preserve` is keyed by the
 //!   whole row.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 use starmagic_catalog::Catalog;
@@ -25,6 +27,7 @@ use crate::boxes::{BoxKind, DistinctMode, QuantKind};
 use crate::expr::ScalarExpr;
 use crate::graph::Qgm;
 use crate::ids::BoxId;
+use crate::strata;
 
 /// Maximum number of candidate keys tracked per box, to bound the
 /// combinatorial growth across joins.
@@ -38,8 +41,7 @@ type QuantKeys = (u32, Vec<BTreeSet<(u32, usize)>>);
 /// offsets. The empty set is a valid key (at most one row, e.g. a
 /// global aggregate). An empty `Vec` means "no key known".
 pub fn output_keys(qgm: &Qgm, catalog: &Catalog, b: BoxId) -> Vec<BTreeSet<usize>> {
-    let mut visiting = BTreeSet::new();
-    keys_rec(qgm, catalog, b, &mut visiting)
+    Walk::new(qgm, catalog, None).keys(b).into_owned()
 }
 
 /// Whether the box's output is provably duplicate-free.
@@ -47,26 +49,156 @@ pub fn is_dup_free(qgm: &Qgm, catalog: &Catalog, b: BoxId) -> bool {
     !output_keys(qgm, catalog, b).is_empty()
 }
 
-fn keys_rec(
-    qgm: &Qgm,
-    catalog: &Catalog,
-    b: BoxId,
-    visiting: &mut BTreeSet<BoxId>,
-) -> Vec<BTreeSet<usize>> {
-    if !visiting.insert(b) {
-        // Recursive cycle: claim nothing.
-        return Vec::new();
-    }
-    let result = keys_inner(qgm, catalog, b, visiting);
-    visiting.remove(&b);
-    result
+/// The output keys of every box of one graph, each derived at most
+/// once — what one analysis solve or one lint run asks for, box after
+/// box.
+///
+/// On an acyclic graph the walk behind [`output_keys`] never cuts a
+/// path, so a box's keys (and its constant columns, which key
+/// inference also recurses through) do not depend on who asks: each is
+/// computed once and every later ask, and every parent's derivation,
+/// reads it from the table. On a cyclic graph the path cut makes a
+/// nested result depend on the path it was reached by, so nothing
+/// nested is shared: each box's answer is [`output_keys`]'s own walk,
+/// and only that answer is kept. Either way `keys(b)` equals
+/// `output_keys(qgm, catalog, b)`.
+///
+/// The table is only valid for the graph as it was borrowed; rewrite
+/// rules, which mutate the graph between asks, call [`output_keys`].
+pub struct KeyTable<'a> {
+    qgm: &'a Qgm,
+    catalog: &'a Catalog,
+    acyclic: bool,
+    keys: Vec<OnceCell<Vec<BTreeSet<usize>>>>,
+    consts: Vec<OnceCell<BTreeSet<usize>>>,
 }
 
+impl<'a> KeyTable<'a> {
+    pub fn new(qgm: &'a Qgm, catalog: &'a Catalog) -> KeyTable<'a> {
+        let slots = qgm.box_ids().last().map_or(0, |b| b.index() + 1);
+        KeyTable {
+            qgm,
+            catalog,
+            acyclic: !strata::is_recursive(qgm),
+            keys: (0..slots).map(|_| OnceCell::new()).collect(),
+            consts: (0..slots).map(|_| OnceCell::new()).collect(),
+        }
+    }
+
+    /// [`output_keys`] of `b`.
+    pub fn keys(&self, b: BoxId) -> &[BTreeSet<usize>] {
+        self.keys[b.index()].get_or_init(|| {
+            if self.acyclic {
+                keys_inner(
+                    self.qgm,
+                    self.catalog,
+                    b,
+                    self.qgm.boxed(b).distinct,
+                    &mut Memo(self),
+                )
+            } else {
+                output_keys(self.qgm, self.catalog, b)
+            }
+        })
+    }
+
+    /// The keys `b` would have with its distinct mode set to `mode` and
+    /// the rest of the graph as it is: what [`output_keys`] returns on a
+    /// copy of the graph with that one mode changed. The duplicates
+    /// lint re-proves a `Preserve` claim this way, with the claim
+    /// itself set aside.
+    pub fn keys_with_mode(&self, b: BoxId, mode: DistinctMode) -> Vec<BTreeSet<usize>> {
+        if self.acyclic {
+            // No child reaches `b`, so the children's keys are the
+            // table's whatever `b`'s mode is.
+            keys_inner(self.qgm, self.catalog, b, mode, &mut Memo(self))
+        } else {
+            Walk::new(self.qgm, self.catalog, Some((b, mode)))
+                .keys(b)
+                .into_owned()
+        }
+    }
+
+    fn const_outputs(&self, b: BoxId) -> &BTreeSet<usize> {
+        self.consts[b.index()].get_or_init(|| const_outputs_inner(self.qgm, b, &mut Memo(self)))
+    }
+}
+
+/// Where key inference finds the keys and constant columns of the boxes
+/// below the one it is deriving.
+trait Inputs {
+    fn keys(&mut self, b: BoxId) -> Cow<'_, [BTreeSet<usize>]>;
+    fn const_outputs(&mut self, b: BoxId) -> Cow<'_, BTreeSet<usize>>;
+}
+
+/// A fresh depth-first walk that cuts every path returning to a box it
+/// is already inside (a recursive cycle claims nothing), optionally
+/// seeing one box under another distinct mode.
+struct Walk<'a> {
+    qgm: &'a Qgm,
+    catalog: &'a Catalog,
+    visiting: BTreeSet<BoxId>,
+    mode: Option<(BoxId, DistinctMode)>,
+}
+
+impl<'a> Walk<'a> {
+    fn new(qgm: &'a Qgm, catalog: &'a Catalog, mode: Option<(BoxId, DistinctMode)>) -> Walk<'a> {
+        Walk {
+            qgm,
+            catalog,
+            visiting: BTreeSet::new(),
+            mode,
+        }
+    }
+}
+
+impl Inputs for Walk<'_> {
+    fn keys(&mut self, b: BoxId) -> Cow<'_, [BTreeSet<usize>]> {
+        if !self.visiting.insert(b) {
+            // Recursive cycle: claim nothing.
+            return Cow::Owned(Vec::new());
+        }
+        let distinct = match self.mode {
+            Some((m, mode)) if m == b => mode,
+            _ => self.qgm.boxed(b).distinct,
+        };
+        let result = keys_inner(self.qgm, self.catalog, b, distinct, self);
+        self.visiting.remove(&b);
+        Cow::Owned(result)
+    }
+
+    fn const_outputs(&mut self, b: BoxId) -> Cow<'_, BTreeSet<usize>> {
+        if !self.visiting.insert(b) {
+            return Cow::Owned(BTreeSet::new());
+        }
+        let out = const_outputs_inner(self.qgm, b, self);
+        self.visiting.remove(&b);
+        Cow::Owned(out)
+    }
+}
+
+/// Inputs read from (and filled into) a [`KeyTable`] of an acyclic
+/// graph.
+struct Memo<'t, 'a>(&'t KeyTable<'a>);
+
+impl Inputs for Memo<'_, '_> {
+    fn keys(&mut self, b: BoxId) -> Cow<'_, [BTreeSet<usize>]> {
+        Cow::Borrowed(self.0.keys(b))
+    }
+
+    fn const_outputs(&mut self, b: BoxId) -> Cow<'_, BTreeSet<usize>> {
+        Cow::Borrowed(self.0.const_outputs(b))
+    }
+}
+
+/// The keys of box `b` seen under `distinct`, its inputs' keys and
+/// constants taken from `inputs`.
 fn keys_inner(
     qgm: &Qgm,
     catalog: &Catalog,
     b: BoxId,
-    visiting: &mut BTreeSet<BoxId>,
+    distinct: DistinctMode,
+    inputs: &mut impl Inputs,
 ) -> Vec<BTreeSet<usize>> {
     let qb = qgm.boxed(b);
     let mut keys: Vec<BTreeSet<usize>> = Vec::new();
@@ -84,7 +216,7 @@ fn keys_inner(
             // group keys are a key of the output. Keys pinned to a
             // constant in the input drop out. Zero (non-constant) group
             // keys ⇒ single-row output ⇒ the empty set is a key.
-            let const_keys = const_group_keys(qgm, b, g, visiting);
+            let const_keys = const_group_keys(qgm, b, g, inputs);
             keys.push(
                 (0..g.group_keys.len())
                     .filter(|i| !const_keys.contains(i))
@@ -112,7 +244,7 @@ fn keys_inner(
             // column, and a constant member drops out of the key.
             let (eq_classes, const_cols) = if matches!(qb.kind, BoxKind::Select) {
                 let eq = select_eq_classes(qgm, b);
-                let cc = select_const_cols(qgm, b, &eq, visiting);
+                let cc = select_const_cols(qgm, b, &eq, inputs);
                 (eq, cc)
             } else {
                 (Vec::new(), BTreeSet::new())
@@ -122,7 +254,7 @@ fn keys_inner(
             let mut all_have_keys = true;
             for &q in &fquants {
                 let input = qgm.quant(q).input;
-                let input_keys = keys_rec(qgm, catalog, input, visiting);
+                let input_keys = inputs.keys(input);
                 if input_keys.is_empty() {
                     all_have_keys = false;
                     break;
@@ -130,8 +262,8 @@ fn keys_inner(
                 per_quant.push((
                     q.0,
                     input_keys
-                        .into_iter()
-                        .map(|k| k.into_iter().map(|c| (q.0, c)).collect())
+                        .iter()
+                        .map(|k| k.iter().map(|&c| (q.0, c)).collect())
                         .collect(),
                 ));
             }
@@ -259,7 +391,7 @@ fn keys_inner(
     }
 
     // Dedup enforcement (or prior inference) keys the whole row.
-    if matches!(qb.distinct, DistinctMode::Enforce | DistinctMode::Preserve)
+    if matches!(distinct, DistinctMode::Enforce | DistinctMode::Preserve)
         && !matches!(qb.kind, BoxKind::BaseTable { .. })
     {
         keys.push((0..qb.arity()).collect());
@@ -348,7 +480,7 @@ fn select_const_cols(
     qgm: &Qgm,
     b: BoxId,
     eq_classes: &[BTreeSet<(u32, usize)>],
-    visiting: &mut BTreeSet<BoxId>,
+    inputs: &mut impl Inputs,
 ) -> BTreeSet<(u32, usize)> {
     let qb = qgm.boxed(b);
     let fset = foreach_ids(qgm, b);
@@ -379,7 +511,7 @@ fn select_const_cols(
         if qgm.quant(q).kind != QuantKind::Foreach {
             continue;
         }
-        for c in const_outputs(qgm, qgm.quant(q).input, visiting) {
+        for &c in inputs.const_outputs(qgm.quant(q).input).iter() {
             consts.insert((q.0, c));
         }
     }
@@ -394,20 +526,17 @@ fn select_const_cols(
 /// Output-column offsets of a box provably holding the same value in
 /// every row. Conservative: only selects and group-bys propagate
 /// constancy (an outer join NULL-pads, a set op mixes arms).
-fn const_outputs(qgm: &Qgm, b: BoxId, visiting: &mut BTreeSet<BoxId>) -> BTreeSet<usize> {
-    if !visiting.insert(b) {
-        return BTreeSet::new();
-    }
+fn const_outputs_inner(qgm: &Qgm, b: BoxId, inputs: &mut impl Inputs) -> BTreeSet<usize> {
     let qb = qgm.boxed(b);
     let mut out = BTreeSet::new();
     match &qb.kind {
         BoxKind::BaseTable { .. } | BoxKind::SetOp(_) | BoxKind::OuterJoin(_) => {}
         BoxKind::GroupBy(g) => {
-            out = const_group_keys(qgm, b, g, visiting);
+            out = const_group_keys(qgm, b, g, inputs);
         }
         BoxKind::Select => {
             let eq = select_eq_classes(qgm, b);
-            let consts = select_const_cols(qgm, b, &eq, visiting);
+            let consts = select_const_cols(qgm, b, &eq, inputs);
             for (i, oc) in qb.columns.iter().enumerate() {
                 if expr_const(&oc.expr, &consts) {
                     out.insert(i);
@@ -415,7 +544,6 @@ fn const_outputs(qgm: &Qgm, b: BoxId, visiting: &mut BTreeSet<BoxId>) -> BTreeSe
             }
         }
     }
-    visiting.remove(&b);
     out
 }
 
@@ -426,7 +554,7 @@ fn const_group_keys(
     qgm: &Qgm,
     b: BoxId,
     g: &crate::boxes::GroupByBox,
-    visiting: &mut BTreeSet<BoxId>,
+    inputs: &mut impl Inputs,
 ) -> BTreeSet<usize> {
     let qb = qgm.boxed(b);
     let mut consts: BTreeSet<(u32, usize)> = BTreeSet::new();
@@ -434,7 +562,7 @@ fn const_group_keys(
         if qgm.quant(q).kind != QuantKind::Foreach {
             continue;
         }
-        for c in const_outputs(qgm, qgm.quant(q).input, visiting) {
+        for &c in inputs.const_outputs(qgm.quant(q).input).iter() {
             consts.insert((q.0, c));
         }
     }
@@ -731,6 +859,73 @@ mod tests {
         assert!(!is_dup_free(&g, &cat, s));
         g.boxed_mut(s).distinct = DistinctMode::Enforce;
         assert!(is_dup_free(&g, &cat, s));
+    }
+
+    #[test]
+    fn key_table_on_a_cyclic_graph_is_the_fresh_walk() {
+        // r ranges over itself and dept; p over r and dept. Asked from
+        // p, r's walk is cut where it meets r again — a result a table
+        // must not share with an ask that starts at r.
+        let cat = catalog();
+        let mut g = Qgm::new();
+        let d = base_box(&mut g, "dept", &["deptno", "deptname"]);
+        let r = g.add_box("R", BoxKind::Select);
+        let rr = g.add_quant(r, r, QuantKind::Foreach, "r");
+        let rd = g.add_quant(r, d, QuantKind::Foreach, "d");
+        g.boxed_mut(r).columns = vec![
+            OutputCol {
+                name: "x".into(),
+                expr: ScalarExpr::col(rr, 0),
+            },
+            OutputCol {
+                name: "y".into(),
+                expr: ScalarExpr::col(rd, 0),
+            },
+        ];
+        g.boxed_mut(r).distinct = DistinctMode::Preserve;
+        let p = g.add_box("P", BoxKind::Select);
+        let pr = g.add_quant(p, r, QuantKind::Foreach, "r");
+        let pd = g.add_quant(p, d, QuantKind::Foreach, "d");
+        g.boxed_mut(p).columns = vec![
+            OutputCol {
+                name: "x".into(),
+                expr: ScalarExpr::col(pr, 0),
+            },
+            OutputCol {
+                name: "y".into(),
+                expr: ScalarExpr::col(pd, 0),
+            },
+        ];
+        let table = KeyTable::new(&g, &cat);
+        for b in [p, r, d] {
+            assert_eq!(table.keys(b), output_keys(&g, &cat, b).as_slice(), "{b}");
+        }
+        let mut probe = g.clone();
+        probe.boxed_mut(r).distinct = DistinctMode::Permit;
+        assert_eq!(
+            table.keys_with_mode(r, DistinctMode::Permit),
+            output_keys(&probe, &cat, r)
+        );
+    }
+
+    #[test]
+    fn key_table_overrides_one_mode() {
+        // s projects dept's non-key column and claims Preserve: the
+        // claim alone keys it.
+        let cat = catalog();
+        let mut g = Qgm::new();
+        let d = base_box(&mut g, "dept", &["deptno", "deptname"]);
+        let s = g.add_box("S", BoxKind::Select);
+        let q = g.add_quant(s, d, QuantKind::Foreach, "d");
+        g.boxed_mut(s).columns = vec![OutputCol {
+            name: "deptname".into(),
+            expr: ScalarExpr::col(q, 1),
+        }];
+        g.boxed_mut(s).distinct = DistinctMode::Preserve;
+        let table = KeyTable::new(&g, &cat);
+        assert!(!table.keys(s).is_empty());
+        assert!(table.keys_with_mode(s, DistinctMode::Permit).is_empty());
+        assert_eq!(table.keys(s), output_keys(&g, &cat, s).as_slice());
     }
 
     #[test]

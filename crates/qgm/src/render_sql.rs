@@ -177,19 +177,21 @@ mod tests {
 
     fn catalog() -> Catalog {
         let mut c = generator::benchmark_catalog(generator::Scale::small()).unwrap();
-        c.add_view(ViewDef {
-            name: "mgrsal".into(),
-            columns: vec![
-                "empno".into(),
-                "empname".into(),
-                "workdept".into(),
-                "salary".into(),
-            ],
-            body_sql: "SELECT e.empno, e.empname, e.workdept, e.salary \
-                       FROM employee e, department d WHERE e.empno = d.mgrno"
-                .into(),
-            recursive: false,
-        })
+        c.add_view(
+            ViewDef::new(
+                "mgrsal",
+                vec![
+                    "empno".into(),
+                    "empname".into(),
+                    "workdept".into(),
+                    "salary".into(),
+                ],
+                "SELECT e.empno, e.empname, e.workdept, e.salary \
+                       FROM employee e, department d WHERE e.empno = d.mgrno",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         c
     }

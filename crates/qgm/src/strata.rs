@@ -15,10 +15,31 @@ use crate::boxes::{BoxKind, QuantKind};
 use crate::graph::Qgm;
 use crate::ids::BoxId;
 
+/// What [`compute`] derives from a graph: the stratum of every live box
+/// and the strongly connected components it was layered from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Strata {
+    /// Stratum per live box.
+    pub strata: BTreeMap<BoxId, u32>,
+    /// The SCCs of the box dependency graph, as [`sccs`] returns them.
+    pub sccs: Vec<Vec<BoxId>>,
+}
+
 /// Assign stratum numbers to every live box in the graph, storing them
 /// on the boxes and returning the map. Boxes in the same strongly
 /// connected component (mutual recursion) share a stratum.
 pub fn assign(qgm: &mut Qgm) -> BTreeMap<BoxId, u32> {
+    let Strata { strata, .. } = compute(qgm);
+    for (&id, &s) in &strata {
+        qgm.boxed_mut(id).stratum = s;
+    }
+    strata
+}
+
+/// The strata [`assign`] would store, and the SCCs they come from,
+/// without touching the graph: one Tarjan pass for readers that need
+/// both (the lint's strata and recursion passes).
+pub fn compute(qgm: &Qgm) -> Strata {
     let ids = qgm.box_ids();
     let sccs = tarjan_sccs(qgm, &ids);
     // Map box → SCC index.
@@ -50,13 +71,11 @@ pub fn assign(qgm: &mut Qgm) -> BTreeMap<BoxId, u32> {
         }
         stratum_of_scc[i] = if is_base { 0 } else { s.max(1) };
     }
-    let mut out = BTreeMap::new();
-    for id in ids {
-        let s = stratum_of_scc[scc_of[&id]];
-        qgm.boxed_mut(id).stratum = s;
-        out.insert(id, s);
-    }
-    out
+    let strata = ids
+        .into_iter()
+        .map(|id| (id, stratum_of_scc[scc_of[&id]]))
+        .collect();
+    Strata { strata, sccs }
 }
 
 /// The strongly connected components of the box dependency graph, in
@@ -238,14 +257,9 @@ fn tarjan_sccs(qgm: &Qgm, ids: &[BoxId]) -> Vec<Vec<BoxId>> {
                 counter += 1;
                 stack.push(node);
             }
-            let children: Vec<BoxId> = qgm
-                .boxed(node)
-                .quants
-                .iter()
-                .map(|&q| qgm.quant(q).input)
-                .collect();
-            if *cursor < children.len() {
-                let child = children[*cursor];
+            let quants = &qgm.boxed(node).quants;
+            if *cursor < quants.len() {
+                let child = qgm.quant(quants[*cursor]).input;
                 *cursor += 1;
                 if !state[child.index()].visited {
                     dfs.push((child, 0));

@@ -127,6 +127,11 @@ impl RewriteEngine {
         rules: &[&dyn RewriteRule],
     ) -> Result<RewriteStats> {
         let mut stats = RewriteStats::default();
+        // Fires and declined offers per rule, by position in `rules`:
+        // an offer is a counter bump, and the named maps are filled
+        // once, when the run ends.
+        let mut fires = vec![0usize; rules.len()];
+        let mut no_ops = vec![0usize; rules.len()];
         for pass in 0..self.max_passes {
             stats.passes += 1;
             let pass_start = Instant::now();
@@ -141,7 +146,7 @@ impl RewriteEngine {
                 // Refreshed after each clean fire, so the cost is one
                 // clone per visited box plus one per fire.
                 let mut pre = (self.check == CheckLevel::PerFire).then(|| qgm.clone());
-                for rule in rules {
+                for (i, rule) in rules.iter().enumerate() {
                     if !qgm.box_exists(b) {
                         break;
                     }
@@ -151,7 +156,7 @@ impl RewriteEngine {
                         registry,
                     };
                     if rule.apply(&mut ctx, b)? {
-                        *stats.fires.entry(rule.name().to_string()).or_insert(0) += 1;
+                        fires[i] += 1;
                         fired = true;
                         if let Some(snapshot) = &pre {
                             let mut report = starmagic_lint::lint(qgm, catalog);
@@ -171,10 +176,7 @@ impl RewriteEngine {
                             pre = Some(qgm.clone());
                         }
                     } else {
-                        *stats
-                            .no_op_offers
-                            .entry(rule.name().to_string())
-                            .or_insert(0) += 1;
+                        no_ops[i] += 1;
                     }
                 }
             }
@@ -189,6 +191,16 @@ impl RewriteEngine {
                 }
             }
             if !fired {
+                for (i, rule) in rules.iter().enumerate() {
+                    for (map, n) in [
+                        (&mut stats.fires, fires[i]),
+                        (&mut stats.no_op_offers, no_ops[i]),
+                    ] {
+                        if n > 0 {
+                            *map.entry(rule.name().to_string()).or_insert(0) += n;
+                        }
+                    }
+                }
                 return Ok(stats);
             }
         }

@@ -146,26 +146,31 @@ mod tests {
 
     fn catalog() -> Catalog {
         let mut c = generator::benchmark_catalog(generator::Scale::small()).unwrap();
-        c.add_view(ViewDef {
-            name: "mgrsal".into(),
-            columns: vec![
-                "empno".into(),
-                "empname".into(),
-                "workdept".into(),
-                "salary".into(),
-            ],
-            body_sql: "SELECT e.empno, e.empname, e.workdept, e.salary \
-                       FROM employee e, department d WHERE e.empno = d.mgrno"
-                .into(),
-            recursive: false,
-        })
+        c.add_view(
+            ViewDef::new(
+                "mgrsal",
+                vec![
+                    "empno".into(),
+                    "empname".into(),
+                    "workdept".into(),
+                    "salary".into(),
+                ],
+                "SELECT e.empno, e.empname, e.workdept, e.salary \
+                       FROM employee e, department d WHERE e.empno = d.mgrno",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
-        c.add_view(ViewDef {
-            name: "highpaid".into(),
-            columns: vec!["empno".into()],
-            body_sql: "SELECT DISTINCT empno FROM employee WHERE salary > 70000".into(),
-            recursive: false,
-        })
+        c.add_view(
+            ViewDef::new(
+                "highpaid",
+                vec!["empno".into()],
+                "SELECT DISTINCT empno FROM employee WHERE salary > 70000",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         c
     }
@@ -240,12 +245,15 @@ mod tests {
     #[test]
     fn merge_is_transitive_through_view_chains() {
         let mut cat = catalog();
-        cat.add_view(ViewDef {
-            name: "mgrdept".into(),
-            columns: vec!["workdept".into()],
-            body_sql: "SELECT workdept FROM mgrsal WHERE salary > 0".into(),
-            recursive: false,
-        })
+        cat.add_view(
+            ViewDef::new(
+                "mgrdept",
+                vec!["workdept".into()],
+                "SELECT workdept FROM mgrsal WHERE salary > 0",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         let g = run_merge(&cat, "SELECT workdept FROM mgrdept");
         // Everything collapses into QUERY over the two base tables.
@@ -258,12 +266,15 @@ mod tests {
         // AVGMGRSAL(groupby) -> T1(join of employee, department), plus
         // the DEPARTMENT quantifier in QUERY.
         let mut cat = catalog();
-        cat.add_view(ViewDef {
-            name: "avgmgrsal".into(),
-            columns: vec!["workdept".into(), "avgsalary".into()],
-            body_sql: "SELECT workdept, AVG(salary) FROM mgrsal GROUP BY workdept".into(),
-            recursive: false,
-        })
+        cat.add_view(
+            ViewDef::new(
+                "avgmgrsal",
+                vec!["workdept".into(), "avgsalary".into()],
+                "SELECT workdept, AVG(salary) FROM mgrsal GROUP BY workdept",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         let g = run_merge(
             &cat,
@@ -334,12 +345,15 @@ mod tests {
         // leaves the middle box's stale join order naming a quantifier
         // the next merge removes. PerFire linting must stay clean.
         let mut cat = catalog();
-        cat.add_view(ViewDef {
-            name: "mgrdept".into(),
-            columns: vec!["workdept".into()],
-            body_sql: "SELECT workdept FROM mgrsal WHERE salary > 0".into(),
-            recursive: false,
-        })
+        cat.add_view(
+            ViewDef::new(
+                "mgrdept",
+                vec!["workdept".into()],
+                "SELECT workdept FROM mgrsal WHERE salary > 0",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         let mut g = build_qgm(
             &cat,

@@ -143,18 +143,21 @@ mod tests {
 
     fn catalog() -> Catalog {
         let mut c = generator::benchmark_catalog(generator::Scale::small()).unwrap();
-        c.add_view(ViewDef {
-            name: "wide".into(),
-            columns: vec![
-                "empno".into(),
-                "empname".into(),
-                "workdept".into(),
-                "salary".into(),
-                "bonus".into(),
-            ],
-            body_sql: "SELECT empno, empname, workdept, salary, bonus FROM employee".into(),
-            recursive: false,
-        })
+        c.add_view(
+            ViewDef::new(
+                "wide",
+                vec![
+                    "empno".into(),
+                    "empname".into(),
+                    "workdept".into(),
+                    "salary".into(),
+                    "bonus".into(),
+                ],
+                "SELECT empno, empname, workdept, salary, bonus FROM employee",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         c
     }
@@ -211,12 +214,15 @@ mod tests {
     #[test]
     fn distinct_box_is_not_pruned() {
         let mut cat = catalog();
-        cat.add_view(ViewDef {
-            name: "dw".into(),
-            columns: vec!["a".into(), "b".into()],
-            body_sql: "SELECT DISTINCT workdept, salary FROM employee".into(),
-            recursive: false,
-        })
+        cat.add_view(
+            ViewDef::new(
+                "dw",
+                vec!["a".into(), "b".into()],
+                "SELECT DISTINCT workdept, salary FROM employee",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         let g = run(&cat, "SELECT d.a FROM dw d");
         let dw = g

@@ -153,21 +153,26 @@ mod tests {
 
     fn catalog() -> Catalog {
         let mut c = generator::benchmark_catalog(generator::Scale::small()).unwrap();
-        c.add_view(ViewDef {
-            name: "deptavg".into(),
-            columns: vec!["workdept".into(), "avgsal".into()],
-            body_sql: "SELECT workdept, AVG(salary) FROM employee GROUP BY workdept".into(),
-            recursive: false,
-        })
+        c.add_view(
+            ViewDef::new(
+                "deptavg",
+                vec!["workdept".into(), "avgsal".into()],
+                "SELECT workdept, AVG(salary) FROM employee GROUP BY workdept",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
-        c.add_view(ViewDef {
-            name: "allpeople".into(),
-            columns: vec!["no".into(), "dept".into()],
-            body_sql: "SELECT empno, workdept FROM employee \
-                       UNION ALL SELECT mgrno, deptno FROM department"
-                .into(),
-            recursive: false,
-        })
+        c.add_view(
+            ViewDef::new(
+                "allpeople",
+                vec!["no".into(), "dept".into()],
+                "SELECT empno, workdept FROM employee \
+                       UNION ALL SELECT mgrno, deptno FROM department",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         c
     }
@@ -194,12 +199,15 @@ mod tests {
     fn pushes_into_exclusive_view_box() {
         let cat = catalog();
         let mut c2 = generator::benchmark_catalog(generator::Scale::small()).unwrap();
-        c2.add_view(ViewDef {
-            name: "v".into(),
-            columns: vec!["empno".into(), "salary".into()],
-            body_sql: "SELECT empno, salary FROM employee".into(),
-            recursive: false,
-        })
+        c2.add_view(
+            ViewDef::new(
+                "v",
+                vec!["empno".into(), "salary".into()],
+                "SELECT empno, salary FROM employee",
+                false,
+            )
+            .unwrap(),
+        )
         .unwrap();
         let g = run(&c2, "SELECT empno FROM v WHERE salary > 1000");
         let _ = cat;

@@ -87,10 +87,17 @@ impl TraceSink {
 
     /// Finish a span started on this sink.
     pub fn finish(&mut self, timer: SpanTimer) {
+        self.finish_with(timer, Duration::ZERO);
+    }
+
+    /// Finish a span that also owns `earlier`: work done on its behalf
+    /// before it started, measured by the caller (zero when this sink
+    /// is disabled, since nothing was timed).
+    pub fn finish_with(&mut self, timer: SpanTimer, earlier: Duration) {
         if let Some((name, start, wall_start_us)) = timer.inner {
             self.spans.push(Span {
                 name,
-                elapsed: start.elapsed(),
+                elapsed: start.elapsed() + earlier,
                 wall_start_us,
             });
         }

@@ -56,12 +56,15 @@ fn engine() -> Engine {
         ),
     ] {
         catalog
-            .add_view(ViewDef {
-                name: name.into(),
-                columns: columns.into_iter().map(String::from).collect(),
-                body_sql: body.into(),
-                recursive,
-            })
+            .add_view(
+                ViewDef::new(
+                    name,
+                    columns.into_iter().map(String::from).collect(),
+                    body,
+                    recursive,
+                )
+                .unwrap(),
+            )
             .unwrap();
     }
     Engine::new(catalog)
