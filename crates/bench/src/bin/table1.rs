@@ -2,8 +2,7 @@
 //! Correlated / EMST for experiments A–H, normalized to Original=100.
 //!
 //! Usage: `cargo run --release -p starmagic-bench --bin table1 \
-//!   [--small] [--threads n] [--trace-json <path>] \
-//!   [--throughput [--budget-ms n] [--bench-json <path>]]`
+//!   [--small] [--threads n] [--trace-json <path>]`
 //!
 //! Prints both wall-clock-normalized numbers (the paper's metric) and
 //! the deterministic row-work normalization, plus the paper's own
@@ -14,20 +13,10 @@
 //! (schema pinned in `starmagic_bench::tracejson`).
 //!
 //! `--threads n` runs the executor with `n` worker threads (results
-//! are byte-identical at any setting). `--throughput` switches to the
-//! throughput mode: replay the whole suite round-robin for
-//! `--budget-ms` per strategy at one thread and at `--threads n`, and
-//! write queries/sec plus per-strategy speedup to `--bench-json`
-//! (default `BENCH_table1.json`, schema pinned in
-//! `starmagic_bench::benchjson`).
-
-use std::time::Duration;
+//! are byte-identical at any setting).
 
 use starmagic::Strategy;
-use starmagic_bench::{
-    bench_engine, benchjson, experiments, recursion, run_experiment, sorted_rows, throughput,
-    tracejson,
-};
+use starmagic_bench::{bench_engine, experiments, run_experiment, sorted_rows, tracejson};
 use starmagic_catalog::generator::Scale;
 
 /// Parse `--flag <value>`'s value, if the flag is present.
@@ -57,15 +46,6 @@ fn main() {
     );
     let mut engine = bench_engine(scale).expect("catalog build");
     engine.set_threads(threads);
-
-    if args.iter().any(|a| a == "--throughput") {
-        let budget_ms: u64 = flag_value(&args, "--budget-ms")
-            .map_or(1000, |v| v.parse().expect("--budget-ms needs an integer"));
-        let path =
-            flag_value(&args, "--bench-json").unwrap_or_else(|| "BENCH_table1.json".to_string());
-        run_throughput_mode(&mut engine, scale, threads, budget_ms, &path);
-        return;
-    }
 
     // Verify the formulations agree before timing anything.
     for exp in experiments() {
@@ -147,85 +127,4 @@ fn main() {
         tracejson::write_trace_json(&path, &doc).expect("write trace json");
         eprintln!("trace written");
     }
-}
-
-/// `--throughput`: replay the suite for a wall-clock budget per
-/// strategy, serial then parallel, and write `BENCH_table1.json`.
-fn run_throughput_mode(
-    engine: &mut starmagic::Engine,
-    scale: Scale,
-    threads: usize,
-    budget_ms: u64,
-    path: &str,
-) {
-    let budget = Duration::from_millis(budget_ms);
-    eprintln!(
-        "throughput mode: replaying the Table-1 suite for {budget_ms} ms per strategy, \
-         serial (1 thread) then parallel ({threads} threads)..."
-    );
-    let report = throughput::run_throughput(engine, &experiments(), threads, budget)
-        .expect("throughput run");
-
-    println!(
-        "Throughput — Table-1 suite, {} ms budget per window, {} host CPUs",
-        budget_ms, report.host_cpus
-    );
-    println!("{}", "-".repeat(78));
-    println!(
-        "{:<12} | {:>10} {:>12} | {:>10} {:>12} | {:>8}",
-        "Strategy", "queries", "serial q/s", "queries", "par q/s", "speedup"
-    );
-    println!("{}", "-".repeat(78));
-    for (name, s) in &report.strategies {
-        println!(
-            "{:<12} | {:>10} {:>12.1} | {:>10} {:>12.1} | {:>7.2}x",
-            name,
-            s.serial_queries,
-            s.serial_qps(),
-            s.parallel_queries,
-            s.parallel_qps(),
-            s.speedup()
-        );
-    }
-    println!("{}", "-".repeat(78));
-    let t = report.totals();
-    println!(
-        "{:<12} | {:>10} {:>12.1} | {:>10} {:>12.1} | {:>7.2}x",
-        "total",
-        t.serial_queries,
-        t.serial_qps(),
-        t.parallel_queries,
-        t.parallel_qps(),
-        t.speedup()
-    );
-
-    // The recursion experiment: bound transitive closure, naive vs
-    // magic, on each graph shape (deterministic work numbers).
-    eprintln!("\nrunning the recursion experiment (chain / tree / cyclic)...");
-    let rec = recursion::run_recursion(threads).expect("recursion experiment");
-    println!("\nRecursion — bound transitive closure, naive vs magic");
-    println!("{}", "-".repeat(78));
-    println!(
-        "{:<8} | {:>6} {:>6} | {:>12} {:>12} {:>7} | {:>5} {:>5}",
-        "Graph", "edges", "rows", "naive work", "magic work", "ratio", "n-it", "m-it"
-    );
-    println!("{}", "-".repeat(78));
-    for r in &rec {
-        println!(
-            "{:<8} | {:>6} {:>6} | {:>12} {:>12} {:>6.1}% | {:>5} {:>5}",
-            r.graph,
-            r.edges,
-            r.naive.rows,
-            r.naive.work,
-            r.magic.work,
-            100.0 * r.work_ratio(),
-            r.naive.iterations,
-            r.magic.iterations
-        );
-    }
-    println!("{}", "-".repeat(78));
-
-    let doc = benchjson::bench_report(&report, scale, &rec);
-    benchjson::write_bench_json(path, &doc).expect("write bench json");
-    eprintln!("\nthroughput document written to {path}");
 }

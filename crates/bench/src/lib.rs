@@ -18,12 +18,18 @@
 //! EXPERIMENTS.md): correlation is excellent on the very selective
 //! experiments (A, F), catastrophic when the outer is large (C, D),
 //! and EMST is stable everywhere.
+//!
+//! The crate holds the experiments and the engines they run on. The
+//! `table1` and `figures` binaries print the paper's tables,
+//! [`tracejson`] writes their per-box profile (estimated next to
+//! actual cardinality), and [`recursion`] defines the graph shapes of
+//! the bound-closure workload. Performance is measured in one place,
+//! the repository benchmark under `benchmark/` (see its README), which
+//! imports these definitions.
 
 #![forbid(unsafe_code)]
 
-pub mod benchjson;
 pub mod recursion;
-pub mod throughput;
 pub mod tracejson;
 
 use std::time::{Duration, Instant};

@@ -1,19 +1,17 @@
-//! The recursion experiment: bound transitive closure on three graph
-//! shapes, naive (semi-naive over the whole graph) versus magic
-//! (semi-naive over the bound reachable region).
+//! The recursion workload: bound transitive closure on three graph
+//! shapes.
 //!
 //! The paper's Table 1 has no recursive workload — recursion is the
-//! §2.2 motivation the EMST generalizes to. This experiment supplies
-//! the missing row: for each graph the same `WITH RECURSIVE` closure,
-//! with the source bound in the outer block, runs once under
-//! `Strategy::Original` (the fixpoint computes the full closure, the
-//! bound filters afterwards) and once under `Strategy::Magic` (the
-//! magic seed restricts the fixpoint itself). Work numbers are the
-//! executor's deterministic row metric, so the ratio is stable across
-//! machines and thread counts; convergence depth comes from the
-//! fixpoint profile.
+//! §2.2 motivation the EMST generalizes to. Each graph hosts the same
+//! `WITH RECURSIVE` closure with the source bound in the outer block:
+//! under `Strategy::Original` the fixpoint computes the full closure
+//! and the bound filters afterwards, under `Strategy::Magic` the magic
+//! seed restricts the fixpoint itself. `tests/boundary.rs` and this
+//! module's tests run these graphs; the repository benchmark's
+//! `recursion_fixpoint` workload runs [`RECURSION_SQL`] on its own,
+//! seeded graphs.
 
-use starmagic::{Engine, Strategy};
+use starmagic::Engine;
 use starmagic_catalog::{Catalog, ColumnDef, Table, TableSchema};
 use starmagic_common::{DataType, Result, Row, Value};
 
@@ -99,81 +97,6 @@ pub fn recursion_engine(spec: &GraphSpec) -> Result<Engine> {
     Ok(Engine::new(catalog))
 }
 
-/// One strategy's numbers on one graph.
-#[derive(Debug, Clone, Copy)]
-pub struct RecursionMeasurement {
-    /// Deterministic row-work metric.
-    pub work: u64,
-    /// Output rows of the bound closure.
-    pub rows: usize,
-    /// Deepest fixpoint convergence (step iterations) in the plan.
-    pub iterations: u64,
-}
-
-/// Naive-vs-magic comparison on one graph.
-#[derive(Debug, Clone)]
-pub struct RecursionResult {
-    pub graph: &'static str,
-    pub edges: usize,
-    pub naive: RecursionMeasurement,
-    pub magic: RecursionMeasurement,
-}
-
-impl RecursionResult {
-    /// Magic's work as a fraction of naive's (< 1.0 means magic won).
-    pub fn work_ratio(&self) -> f64 {
-        self.magic.work as f64 / self.naive.work.max(1) as f64
-    }
-}
-
-fn measure_recursive(
-    engine: &Engine,
-    sql: &str,
-    strategy: Strategy,
-) -> Result<RecursionMeasurement> {
-    let p = engine.query_profiled(sql, strategy)?;
-    Ok(RecursionMeasurement {
-        work: p.result.metrics.work(),
-        rows: p.result.rows.len(),
-        iterations: p
-            .profile
-            .fixpoint
-            .values()
-            .map(|f| f.iterations)
-            .max()
-            .unwrap_or(0),
-    })
-}
-
-/// Run the experiment on every graph: verify the two strategies return
-/// the same bag, then record work, rows, and convergence depth.
-pub fn run_recursion(threads: usize) -> Result<Vec<RecursionResult>> {
-    let mut out = Vec::new();
-    for spec in graphs() {
-        let mut engine = recursion_engine(&spec)?;
-        engine.set_threads(threads);
-        let sql = format!("{RECURSION_SQL}{}", spec.bound);
-        let mut naive_rows = engine.query_with(&sql, Strategy::Original)?.rows;
-        let mut magic_rows = engine.query_with(&sql, Strategy::Magic)?.rows;
-        naive_rows.sort_by(Row::group_cmp);
-        magic_rows.sort_by(Row::group_cmp);
-        assert_eq!(
-            naive_rows, magic_rows,
-            "strategies disagree on graph {}",
-            spec.name
-        );
-        let naive = measure_recursive(&engine, &sql, Strategy::Original)?;
-        let magic = measure_recursive(&engine, &sql, Strategy::Magic)?;
-        out.push(RecursionResult {
-            graph: spec.name,
-            edges: spec.edges.len(),
-            naive,
-            magic,
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,19 +111,38 @@ mod tests {
         assert!(g.iter().all(|s| !s.edges.is_empty()));
     }
 
+    /// On every graph magic returns the naive bag for strictly less
+    /// row work, through a fixpoint that actually ran.
     #[test]
     fn magic_beats_naive_on_every_graph() {
-        for r in run_recursion(1).unwrap() {
-            assert!(r.naive.rows > 0, "{}: empty closure", r.graph);
-            assert_eq!(r.naive.rows, r.magic.rows, "{}: row drift", r.graph);
+        use starmagic::Strategy;
+        for spec in graphs() {
+            let e = recursion_engine(&spec).unwrap();
+            let sql = format!("{RECURSION_SQL}{}", spec.bound);
+            let naive = e.query_profiled(&sql, Strategy::Original).unwrap();
+            let magic = e.query_profiled(&sql, Strategy::Magic).unwrap();
+
+            let mut nrows = naive.result.rows.clone();
+            let mut mrows = magic.result.rows.clone();
+            nrows.sort_by(Row::group_cmp);
+            mrows.sort_by(Row::group_cmp);
+            assert!(!nrows.is_empty(), "{}: empty closure", spec.name);
+            assert_eq!(nrows, mrows, "{}: strategies disagree", spec.name);
+
+            let (nwork, mwork) = (naive.result.metrics.work(), magic.result.metrics.work());
             assert!(
-                r.magic.work < r.naive.work,
-                "{}: magic work {} !< naive work {}",
-                r.graph,
-                r.magic.work,
-                r.naive.work
+                mwork < nwork,
+                "{}: magic work {mwork} !< naive work {nwork}",
+                spec.name
             );
-            assert!(r.magic.iterations > 0, "{}: no fixpoint ran", r.graph);
+            let rounds = magic
+                .profile
+                .fixpoint
+                .values()
+                .map(|f| f.iterations)
+                .max()
+                .unwrap_or(0);
+            assert!(rounds > 0, "{}: no fixpoint ran", spec.name);
         }
     }
 }

@@ -3,28 +3,27 @@
 //! ```text
 //! cargo run --release -p starmagic-server --bin starmagic-loadgen -- \
 //!     [--addr host:port]        # target server; omit to self-host in-process
-//!     [--connections 8] [--budget-ms 500] [--threads 1]
-//!     [--scale small|benchmark] # self-hosted server's database
-//!     [--json BENCH_server.json]
+//!     [--connections 8] [--budget-ms 500]
 //!     [--metrics-json PATH]     # save METRICS JSON; exit 1 unless it
 //!                               # parses with sessions_opened > 0 and
 //!                               # the latency cross-check agrees
-//!     [--require-hits]          # exit 1 unless the cache hit rate > 0
+//!     [--require-hits]          # exit 1 unless the concurrent cache
+//!                               # hit rate > 0
 //!     [--min-speedup X]         # exit 1 unless every strategy's
 //!                               # N-vs-1-connection qps ratio is >= X;
 //!                               # auto-skipped on hosts with fewer
 //!                               # than 4 cores (no parallelism to show)
 //! ```
 //!
-//! Replays the Table-1 suite per strategy from 1 and N connections,
-//! prints a throughput/latency table, and writes the versioned
-//! `BENCH_server.json`. After the run it replays the suite once more
-//! on a single idle connection and cross-checks its client-side
-//! timing against the delta of the server's `server.query_us`
-//! histogram over exactly that pass (the self-hosted server runs
-//! with a live registry), then fetches the final `METRICS JSON`
-//! snapshot. Exits nonzero on any query error (and, with
-//! `--require-hits`, on a zero cache hit rate) so CI can gate on it.
+//! Replays the Table-1 suite per strategy from 1 and N connections and
+//! prints a throughput/latency table. After the run it replays the
+//! suite once more on a single idle connection and cross-checks its
+//! client-side timing against the delta of the server's
+//! `server.query_us` histogram over exactly that pass (the
+//! self-hosted server runs with a live registry on the small
+//! benchmark database), then fetches the final `METRICS JSON`
+//! snapshot. Exits nonzero on any query error and on every failed
+//! gate above, so CI can gate on it.
 
 use std::time::Duration;
 
@@ -45,20 +44,15 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let defaults = LoadgenConfig::default();
     let cfg = LoadgenConfig {
         connections: flag_value(&args, "--connections")
             .and_then(|v| v.parse().ok())
-            .unwrap_or(8),
-        budget: Duration::from_millis(
-            flag_value(&args, "--budget-ms")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(500),
-        ),
-        threads: flag_value(&args, "--threads")
+            .unwrap_or(defaults.connections),
+        budget: flag_value(&args, "--budget-ms")
             .and_then(|v| v.parse().ok())
-            .unwrap_or(1),
+            .map_or(defaults.budget, Duration::from_millis),
     };
-    let json_path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_server.json".to_string());
     let metrics_path = flag_value(&args, "--metrics-json");
     let require_hits = args.iter().any(|a| a == "--require-hits");
     let min_speedup: Option<f64> = flag_value(&args, "--min-speedup").map(|v| {
@@ -72,11 +66,8 @@ fn main() {
     let (addr, local) = match flag_value(&args, "--addr") {
         Some(a) => (a.parse().expect("bad --addr"), None),
         None => {
-            let scale = match flag_value(&args, "--scale").as_deref() {
-                Some("benchmark") => Scale::benchmark(),
-                _ => Scale::small(),
-            };
-            let engine = starmagic_bench::bench_engine(scale).expect("build benchmark engine");
+            let engine =
+                starmagic_bench::bench_engine(Scale::small()).expect("build benchmark engine");
             let handle = serve_engine(
                 engine,
                 "127.0.0.1:0",
@@ -91,10 +82,9 @@ fn main() {
     };
 
     eprintln!(
-        "loadgen: {} connections, {}ms budget/window, {} executor thread(s), target {addr}",
+        "loadgen: {} connections, {}ms budget/window, target {addr}",
         cfg.connections,
-        cfg.budget.as_millis(),
-        cfg.threads
+        cfg.budget.as_millis()
     );
     let report = loadgen::run(addr, cfg).expect("load run failed");
 
@@ -109,9 +99,9 @@ fn main() {
                 s.strategy,
                 w.connections,
                 w.qps(),
-                w.percentile_us(50.0),
-                w.percentile_us(95.0),
-                w.percentile_us(99.0),
+                loadgen::percentile(&w.latencies_us, 50.0),
+                loadgen::percentile(&w.latencies_us, 95.0),
+                loadgen::percentile(&w.latencies_us, 99.0),
                 w.hit_rate() * 100.0,
                 w.errors
             );
@@ -127,7 +117,6 @@ fn main() {
     // (a metrics-off external target) degrade to "no cross-check",
     // but --metrics-json demands a live snapshot.
     let mut cross_check_failed = false;
-    let mut checks = Vec::new();
     match Client::connect(addr)
         .map_err(|e| starmagic_common::Error::execution(format!("connect: {e}")))
         .and_then(|mut c| loadgen::cross_check(&mut c, &loadgen::suite(), 25))
@@ -143,7 +132,6 @@ fn main() {
                 );
                 cross_check_failed |= !c.agree;
             }
-            checks = cs;
         }
         Err(e) => {
             eprintln!("loadgen: cross-check skipped: {e}");
@@ -154,7 +142,7 @@ fn main() {
     }
 
     // Fetch the server's final view of the run (load windows plus the
-    // calibration pass) for the report and the --metrics-json gate.
+    // calibration pass) for the --metrics-json gate.
     let server_metrics = Client::connect(addr)
         .ok()
         .and_then(|mut c| c.metrics_json().ok())
@@ -186,11 +174,6 @@ fn main() {
         }
     }
 
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let doc = loadgen::bench_server_report(&report, host_cpus, server_metrics.as_ref(), &checks);
-    std::fs::write(&json_path, format!("{doc}\n")).expect("write BENCH_server.json");
-    eprintln!("wrote {json_path}");
-
     if let Some(handle) = local {
         handle.shutdown();
     }
@@ -203,6 +186,7 @@ fn main() {
     // must outrun 1 on a multi-core host. Meaningless on near-serial
     // hardware, so it self-skips below MIN_GATE_CPUS cores.
     if let Some(min) = min_speedup {
+        let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
         if host_cpus < loadgen::MIN_GATE_CPUS {
             eprintln!(
                 "loadgen: --min-speedup skipped ({host_cpus} core(s) < {} required for the gate)",

@@ -23,8 +23,11 @@
 //! admission gate, and deadline-bounded graceful shutdown; [`client`]
 //! is the matching blocking client (with `BUSY`-retrying
 //! `*_admitted` variants); [`loadgen`] replays the Table-1 suite from
-//! many connections and measures throughput, tail latency, and cache
-//! hit rate.
+//! one and many connections and gates a live server on its cache hit
+//! rate, its concurrency speedup, and a client/server latency
+//! cross-check of its metrics. Wire latency and throughput as numbers
+//! to compare across commits are the repository benchmark's
+//! (`benchmark/`).
 //!
 //! Observability: hand the config a live [`starmagic_metrics`]
 //! registry and every layer records into it — wire counters and

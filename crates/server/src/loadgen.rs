@@ -1,6 +1,5 @@
 //! Load generator: replay the Table-1 suite from N concurrent
-//! connections and measure throughput, tail latency, and plan-cache
-//! hit rate per strategy.
+//! connections and gate the server on what only a live server shows.
 //!
 //! Each worker owns one connection, pins the strategy under test, and
 //! replays the eight experiments round-robin (starting at a
@@ -11,18 +10,18 @@
 //! `connections`, per strategy — the qps ratio is the concurrency
 //! speedup the shared engine delivers on this hardware.
 //!
-//! [`bench_server_report`] serializes a run into the versioned
-//! `BENCH_server.json` document (schema pinned by a test, like
-//! `BENCH_table1.json`). When the target server has live metrics,
-//! [`ServerSideMetrics::from_doc`] lifts its `METRICS JSON` snapshot
-//! into the report, and [`cross_check`] audits the server's
-//! `server.query_us` histogram against client-side timing: it
-//! snapshots the histogram, replays the suite once over a single
-//! connection, snapshots again, and compares the percentiles of the
-//! *delta* histogram (bucket-wise subtraction — the merge operation
-//! run backwards) against the client-measured samples of exactly
-//! those queries. Identical populations, measured from opposite ends
-//! of the socket, must land within one log2 bucket of each other.
+//! Two checks ride on a run. [`min_speedup`] is the concurrency gate:
+//! the weakest strategy's N-vs-1-connection qps ratio. [`cross_check`]
+//! audits the server's `server.query_us` histogram against
+//! client-side timing: it snapshots the histogram, replays the suite
+//! over a single connection, snapshots again, and compares the
+//! percentiles of the *delta* histogram (bucket-wise subtraction — the
+//! merge operation run backwards) against the client-measured samples
+//! of exactly those queries. Identical populations, measured from
+//! opposite ends of the socket, must land within one log2 bucket of
+//! each other. Latency and throughput as numbers to compare across
+//! commits are the repository benchmark's (`benchmark/`), not this
+//! module's.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -33,15 +32,7 @@ use starmagic_common::{Error, Result};
 use starmagic_metrics::HistogramSnapshot;
 
 use crate::client::Client;
-
-/// Schema version of `BENCH_server.json`. Bump on shape changes.
-/// v2: added the `server_metrics` section (server-side percentiles
-/// from `METRICS JSON` plus the client/server cross-check).
-/// v3: epoch-snapshot server — `server_metrics` gains the catalog
-/// `epoch` gauge and the `admission` counters (admitted/busy), and
-/// each window reports `busy_retries` (queries the admission gate
-/// deferred with `BUSY` before serving).
-pub const SCHEMA_VERSION: u64 = 3;
+use crate::protocol::Response;
 
 /// Cores below which the `--min-speedup` concurrency gate is
 /// meaningless (a serial host cannot show parallel speedup).
@@ -54,8 +45,6 @@ pub struct LoadgenConfig {
     pub connections: usize,
     /// Wall-clock budget per measured window.
     pub budget: Duration,
-    /// Per-session executor workers (`SET THREADS`).
-    pub threads: usize,
 }
 
 impl Default for LoadgenConfig {
@@ -63,7 +52,6 @@ impl Default for LoadgenConfig {
         LoadgenConfig {
             connections: 8,
             budget: Duration::from_millis(500),
-            threads: 1,
         }
     }
 }
@@ -75,9 +63,6 @@ pub struct Window {
     pub queries: u64,
     pub errors: u64,
     pub cache_hits: u64,
-    /// `BUSY` answers absorbed by retrying (admission backpressure);
-    /// the retried query still completes and counts in `queries`.
-    pub busy_retries: u64,
     pub elapsed: Duration,
     /// Per-query latencies in microseconds, sorted ascending.
     pub latencies_us: Vec<u64>,
@@ -100,21 +85,23 @@ impl Window {
             self.cache_hits as f64 / self.queries as f64
         }
     }
+}
 
-    /// The `p`-th percentile latency in microseconds (nearest-rank on
-    /// the sorted samples).
-    pub fn percentile_us(&self, p: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss
-        )]
-        let idx = ((p / 100.0) * (self.latencies_us.len() - 1) as f64).round() as usize;
-        self.latencies_us[idx.min(self.latencies_us.len() - 1)]
+/// The `p`-th percentile of ascending-sorted samples: the sample at
+/// index `round(p/100 · (n−1))`, i.e. the one closest to the linearly
+/// interpolated percentile. This is not nearest-rank — the p50 of
+/// 1..=10 is 6 here, where nearest-rank gives 5. 0 when empty.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
     }
+    #[allow(
+        clippy::cast_precision_loss,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss
+    )]
+    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// One strategy's serial and concurrent windows.
@@ -136,19 +123,10 @@ impl StrategyLoad {
 /// A full load-generator run.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
-    pub config: LoadgenConfig,
     pub strategies: Vec<StrategyLoad>,
 }
 
 impl LoadReport {
-    /// Total queries across every window.
-    pub fn total_queries(&self) -> u64 {
-        self.strategies
-            .iter()
-            .map(|s| s.serial.queries + s.concurrent.queries)
-            .sum()
-    }
-
     /// Total errors across every window.
     pub fn total_errors(&self) -> u64 {
         self.strategies
@@ -190,18 +168,15 @@ pub fn run(addr: SocketAddr, cfg: LoadgenConfig) -> Result<LoadReport> {
     let suite = suite();
     let mut strategies = Vec::new();
     for strategy in STRATEGIES {
-        let serial = window(addr, strategy, &suite, 1, cfg)?;
-        let concurrent = window(addr, strategy, &suite, cfg.connections, cfg)?;
+        let serial = window(addr, strategy, &suite, 1, cfg.budget)?;
+        let concurrent = window(addr, strategy, &suite, cfg.connections, cfg.budget)?;
         strategies.push(StrategyLoad {
             strategy,
             serial,
             concurrent,
         });
     }
-    Ok(LoadReport {
-        config: cfg,
-        strategies,
-    })
+    Ok(LoadReport { strategies })
 }
 
 fn window(
@@ -209,22 +184,21 @@ fn window(
     strategy: &str,
     suite: &[String],
     connections: usize,
-    cfg: LoadgenConfig,
+    budget: Duration,
 ) -> Result<Window> {
     let start = Instant::now();
-    let deadline = start + cfg.budget;
+    let deadline = start + budget;
     let mut handles = Vec::new();
     for w in 0..connections.max(1) {
         let suite = suite.to_vec();
         let strategy = strategy.to_string();
         handles.push(std::thread::spawn(move || {
-            worker(addr, &strategy, &suite, w, deadline, cfg.threads)
+            worker(addr, &strategy, &suite, w, deadline)
         }));
     }
     let mut queries = 0u64;
     let mut errors = 0u64;
     let mut cache_hits = 0u64;
-    let mut busy_retries = 0u64;
     let mut latencies_us = Vec::new();
     for h in handles {
         let w = h
@@ -233,7 +207,6 @@ fn window(
         queries += w.queries;
         errors += w.errors;
         cache_hits += w.cache_hits;
-        busy_retries += w.busy_retries;
         latencies_us.extend(w.latencies_us);
     }
     latencies_us.sort_unstable();
@@ -242,7 +215,6 @@ fn window(
         queries,
         errors,
         cache_hits,
-        busy_retries,
         elapsed: start.elapsed(),
         latencies_us,
     })
@@ -252,7 +224,6 @@ struct WorkerStats {
     queries: u64,
     errors: u64,
     cache_hits: u64,
-    busy_retries: u64,
     latencies_us: Vec<u64>,
 }
 
@@ -262,19 +233,14 @@ fn worker(
     suite: &[String],
     offset: usize,
     deadline: Instant,
-    threads: usize,
 ) -> Result<WorkerStats> {
     let mut client =
         Client::connect(addr).map_err(|e| Error::execution(format!("connect: {e}")))?;
     client.set_strategy(strategy)?;
-    if threads > 1 {
-        client.set_threads(threads)?;
-    }
     let mut stats = WorkerStats {
         queries: 0,
         errors: 0,
         cache_hits: 0,
-        busy_retries: 0,
         latencies_us: Vec::new(),
     };
     let mut i = offset % suite.len().max(1);
@@ -282,18 +248,12 @@ fn worker(
         let sql = &suite[i];
         i = (i + 1) % suite.len();
         let t = Instant::now();
-        // BUSY is backpressure: retry the same query (counted, so the
-        // report shows admission pressure) — the client-observed
-        // latency sample includes the retry wait, as a real client's
-        // would.
-        let mut outcome = client.query(sql);
-        while matches!(outcome, Ok(crate::protocol::Response::Busy(_))) {
-            stats.busy_retries += 1;
-            std::thread::sleep(Duration::from_millis(1));
-            outcome = client.query(sql);
-        }
-        match outcome {
-            Ok(crate::protocol::Response::Rows { cache_hit, .. }) => {
+        // BUSY is backpressure: the client retries with capped backoff
+        // and gives up (an error) once the server stays saturated past
+        // its retry deadline. The latency sample includes the retry
+        // wait, as a real client's would.
+        match client.query_admitted(sql) {
+            Ok(Response::Rows { cache_hit, .. }) => {
                 stats.queries += 1;
                 if cache_hit {
                     stats.cache_hits += 1;
@@ -321,12 +281,6 @@ pub struct ServerSideMetrics {
     pub p50_us: u64,
     pub p95_us: u64,
     pub p99_us: u64,
-    /// `server.epoch` gauge: catalog epoch of the latest snapshot.
-    pub epoch: u64,
-    /// `server.admission.admitted` / `server.admission.busy`
-    /// counters: gated commands that got a permit vs. answered BUSY.
-    pub admission_admitted: u64,
-    pub admission_busy: u64,
 }
 
 impl ServerSideMetrics {
@@ -334,26 +288,23 @@ impl ServerSideMetrics {
     /// JSON` document. `None` when the server ran with metrics off
     /// (no `server.query_us` histogram).
     pub fn from_doc(doc: &Value) -> Option<ServerSideMetrics> {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        fn num(v: Option<&Value>) -> u64 {
-            v.and_then(Value::as_f64).unwrap_or(0.0) as u64
-        }
-        let counter = |name: &str| num(doc.get("counters").and_then(|c| c.get(name)));
         let h = doc.get("histograms")?.get("server.query_us")?;
         Some(ServerSideMetrics {
-            sessions_opened: counter("server.sessions_opened"),
+            sessions_opened: num(doc
+                .get("counters")
+                .and_then(|c| c.get("server.sessions_opened"))),
             queries: num(h.get("count")),
             p50_us: num(h.get("p50_us")),
             p95_us: num(h.get("p95_us")),
             p99_us: num(h.get("p99_us")),
-            epoch: num(doc
-                .get("gauges")
-                .and_then(|g| g.get("server.epoch"))
-                .and_then(|g| g.get("value"))),
-            admission_admitted: counter("server.admission.admitted"),
-            admission_busy: counter("server.admission.busy"),
         })
     }
+}
+
+/// A `METRICS JSON` number as a count (0 when absent).
+#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+fn num(v: Option<&Value>) -> u64 {
+    v.and_then(Value::as_f64).unwrap_or(0.0) as u64
 }
 
 /// One quantile's client/server comparison.
@@ -361,8 +312,8 @@ impl ServerSideMetrics {
 pub struct CrossCheck {
     /// `p50` / `p95` / `p99`.
     pub quantile: &'static str,
-    /// Nearest-rank percentile over the calibration pass's
-    /// client-side samples.
+    /// [`percentile`] over the calibration pass's client-side
+    /// samples.
     pub client_us: u64,
     /// The server delta-histogram's percentile (bucket ceiling).
     pub server_us: u64,
@@ -388,10 +339,6 @@ fn buckets_agree(client_us: u64, server_us: u64) -> bool {
 /// Lift the `server.query_us` histogram out of a `METRICS JSON`
 /// document.
 fn query_histogram(doc: &Value) -> Option<HistogramSnapshot> {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    fn num(v: Option<&Value>) -> u64 {
-        v.and_then(Value::as_f64).unwrap_or(0.0) as u64
-    }
     let h = doc.get("histograms")?.get("server.query_us")?;
     let Some(Value::Arr(arr)) = h.get("buckets") else {
         return None;
@@ -420,21 +367,6 @@ fn histogram_delta(before: &HistogramSnapshot, after: &HistogramSnapshot) -> His
     delta
 }
 
-/// Nearest-rank percentile over sorted client samples (same
-/// convention as [`Window::percentile_us`]).
-fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    #[allow(
-        clippy::cast_precision_loss,
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
-    )]
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// Build the per-quantile verdicts from a calibration pass: the
 /// client's sorted samples vs the server's delta histogram covering
 /// exactly those queries.
@@ -443,7 +375,7 @@ fn cross_check_verdicts(sorted_client_us: &[u64], delta: &HistogramSnapshot) -> 
         .into_iter()
         .map(|(quantile, p)| {
             #[allow(clippy::cast_precision_loss)]
-            let client_us = nearest_rank(sorted_client_us, p as f64);
+            let client_us = percentile(sorted_client_us, p as f64);
             let server_us = delta.percentile_us(p).unwrap_or(0);
             CrossCheck {
                 quantile,
@@ -490,24 +422,6 @@ pub fn cross_check(
     ))
 }
 
-fn window_obj(w: &Window) -> Value {
-    Value::Obj(vec![
-        ("connections".to_string(), Value::from(w.connections)),
-        ("queries".to_string(), Value::from(w.queries)),
-        ("errors".to_string(), Value::from(w.errors)),
-        (
-            "elapsed_ms".to_string(),
-            Value::from(u64::try_from(w.elapsed.as_millis()).unwrap_or(u64::MAX)),
-        ),
-        ("qps".to_string(), Value::from(w.qps())),
-        ("p50_us".to_string(), Value::from(w.percentile_us(50.0))),
-        ("p95_us".to_string(), Value::from(w.percentile_us(95.0))),
-        ("p99_us".to_string(), Value::from(w.percentile_us(99.0))),
-        ("cache_hit_rate".to_string(), Value::from(w.hit_rate())),
-        ("busy_retries".to_string(), Value::from(w.busy_retries)),
-    ])
-}
-
 /// The smallest concurrent/serial qps ratio across strategies — the
 /// number the CI `--min-speedup` gate compares against. A regression
 /// in *any* strategy (the RwLock bug hit all three) fails the gate.
@@ -519,233 +433,19 @@ pub fn min_speedup(report: &LoadReport) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Build the `BENCH_server.json` document. `server` carries the
-/// target's own `METRICS JSON` view when available, and `checks` the
-/// calibration verdicts from [`cross_check`]; the document then
-/// records both sides plus the per-quantile cross-check verdicts
-/// (`server_metrics` is JSON `null` when the server ran metrics-off).
-pub fn bench_server_report(
-    report: &LoadReport,
-    host_cpus: usize,
-    server: Option<&ServerSideMetrics>,
-    checks: &[CrossCheck],
-) -> Value {
-    let server_metrics = server.map_or(Value::Null, |s| {
-        let checks: Vec<(String, Value)> = checks
-            .iter()
-            .map(|c| {
-                (
-                    c.quantile.to_string(),
-                    Value::Obj(vec![
-                        ("client_us".to_string(), Value::from(c.client_us)),
-                        ("server_us".to_string(), Value::from(c.server_us)),
-                        ("agree".to_string(), Value::from(c.agree)),
-                    ]),
-                )
-            })
-            .collect();
-        Value::Obj(vec![
-            (
-                "sessions_opened".to_string(),
-                Value::from(s.sessions_opened),
-            ),
-            ("queries".to_string(), Value::from(s.queries)),
-            ("p50_us".to_string(), Value::from(s.p50_us)),
-            ("p95_us".to_string(), Value::from(s.p95_us)),
-            ("p99_us".to_string(), Value::from(s.p99_us)),
-            ("epoch".to_string(), Value::from(s.epoch)),
-            (
-                "admission".to_string(),
-                Value::Obj(vec![
-                    ("admitted".to_string(), Value::from(s.admission_admitted)),
-                    ("busy".to_string(), Value::from(s.admission_busy)),
-                ]),
-            ),
-            ("cross_check".to_string(), Value::Obj(checks)),
-        ])
-    });
-    let strategies: Vec<(String, Value)> = report
-        .strategies
-        .iter()
-        .map(|s| {
-            (
-                s.strategy.to_string(),
-                Value::Obj(vec![
-                    ("serial".to_string(), window_obj(&s.serial)),
-                    ("concurrent".to_string(), window_obj(&s.concurrent)),
-                    ("speedup".to_string(), Value::from(s.speedup())),
-                ]),
-            )
-        })
-        .collect();
-    Value::Obj(vec![
-        ("schema_version".to_string(), Value::from(SCHEMA_VERSION)),
-        ("generated_by".to_string(), Value::from("starmagic-loadgen")),
-        ("mode".to_string(), Value::from("server-load")),
-        (
-            "connections".to_string(),
-            Value::from(report.config.connections),
-        ),
-        (
-            "budget_ms".to_string(),
-            Value::from(u64::try_from(report.config.budget.as_millis()).unwrap_or(u64::MAX)),
-        ),
-        ("threads".to_string(), Value::from(report.config.threads)),
-        ("host_cpus".to_string(), Value::from(host_cpus)),
-        ("strategies".to_string(), Value::Obj(strategies)),
-        ("min_speedup".to_string(), Value::from(min_speedup(report))),
-        ("server_metrics".to_string(), server_metrics),
-        (
-            "concurrent_hit_rate".to_string(),
-            Value::from(report.concurrent_hit_rate()),
-        ),
-        (
-            "total_errors".to_string(),
-            Value::from(report.total_errors()),
-        ),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn dummy_window() -> Window {
-        Window {
-            connections: 2,
-            queries: 10,
-            errors: 0,
-            cache_hits: 8,
-            busy_retries: 1,
-            elapsed: Duration::from_millis(100),
-            latencies_us: (1..=10).collect(),
-        }
-    }
-
     #[test]
-    fn percentiles_are_nearest_rank() {
-        let w = dummy_window();
-        assert_eq!(w.percentile_us(50.0), 6);
-        assert_eq!(w.percentile_us(99.0), 10);
-        assert_eq!(w.percentile_us(0.0), 1);
-    }
-
-    fn dummy_report() -> LoadReport {
-        LoadReport {
-            config: LoadgenConfig::default(),
-            strategies: STRATEGIES
-                .iter()
-                .map(|s| StrategyLoad {
-                    strategy: s,
-                    serial: dummy_window(),
-                    concurrent: dummy_window(),
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn schema_is_stable() {
-        let report = dummy_report();
-        let server = ServerSideMetrics {
-            sessions_opened: 7,
-            queries: 60,
-            p50_us: 6,
-            p95_us: 10,
-            p99_us: 10,
-            epoch: 5,
-            admission_admitted: 58,
-            admission_busy: 2,
-        };
-        let checks = vec![
-            CrossCheck {
-                quantile: "p50",
-                client_us: 150,
-                server_us: 127,
-                agree: true,
-            },
-            CrossCheck {
-                quantile: "p95",
-                client_us: 300,
-                server_us: 255,
-                agree: true,
-            },
-            CrossCheck {
-                quantile: "p99",
-                client_us: 600,
-                server_us: 511,
-                agree: true,
-            },
-        ];
-        let doc = bench_server_report(&report, 4, Some(&server), &checks);
-        assert_eq!(doc.get("schema_version").and_then(Value::as_f64), Some(3.0));
-        for key in [
-            "generated_by",
-            "mode",
-            "connections",
-            "budget_ms",
-            "threads",
-            "host_cpus",
-            "strategies",
-            "min_speedup",
-            "server_metrics",
-            "concurrent_hit_rate",
-            "total_errors",
-        ] {
-            assert!(doc.get(key).is_some(), "missing top-level key {key}");
-        }
-        let strategies = doc.get("strategies").unwrap();
-        for s in STRATEGIES {
-            let obj = strategies.get(s).unwrap_or_else(|| panic!("missing {s}"));
-            for sect in ["serial", "concurrent"] {
-                let w = obj.get(sect).unwrap();
-                for key in [
-                    "connections",
-                    "queries",
-                    "errors",
-                    "elapsed_ms",
-                    "qps",
-                    "p50_us",
-                    "p95_us",
-                    "p99_us",
-                    "cache_hit_rate",
-                    "busy_retries",
-                ] {
-                    assert!(w.get(key).is_some(), "missing {s}.{sect}.{key}");
-                }
-            }
-            assert!(obj.get("speedup").is_some());
-        }
-        let sm = doc.get("server_metrics").expect("server_metrics section");
-        for key in [
-            "sessions_opened",
-            "queries",
-            "p50_us",
-            "p95_us",
-            "p99_us",
-            "epoch",
-        ] {
-            assert!(sm.get(key).is_some(), "missing server_metrics.{key}");
-        }
-        let admission = sm.get("admission").expect("admission section");
-        assert_eq!(
-            admission.get("admitted").and_then(Value::as_f64),
-            Some(58.0)
-        );
-        assert_eq!(admission.get("busy").and_then(Value::as_f64), Some(2.0));
-        assert_eq!(sm.get("epoch").and_then(Value::as_f64), Some(5.0));
-        let checks = sm.get("cross_check").unwrap();
-        for q in ["p50", "p95", "p99"] {
-            let c = checks.get(q).unwrap_or_else(|| panic!("missing {q}"));
-            assert!(c.get("client_us").is_some());
-            assert!(c.get("server_us").is_some());
-            assert!(c.get("agree").is_some());
-        }
-        // Metrics-off target: the section is present but null.
-        let doc = bench_server_report(&report, 4, None, &[]);
-        assert!(matches!(doc.get("server_metrics"), Some(Value::Null)));
-        // The whole document survives the strict parser.
-        starmagic_trace::json::parse(&doc.to_string()).expect("report round-trips");
+    fn percentile_rounds_the_interpolated_index() {
+        let samples: Vec<u64> = (1..=10).collect();
+        // round(0.5 · 9) = 5 → the sixth sample; nearest-rank would
+        // pick the fifth.
+        assert_eq!(percentile(&samples, 50.0), 6);
+        assert_eq!(percentile(&samples, 99.0), 10);
+        assert_eq!(percentile(&samples, 0.0), 1);
+        assert_eq!(percentile(&[], 50.0), 0);
     }
 
     #[test]
@@ -801,10 +501,7 @@ mod tests {
     fn server_side_metrics_lift_from_a_metrics_doc() {
         let doc = starmagic_trace::json::parse(
             r#"{"schema_version":1,"enabled":true,
-                "counters":{"server.sessions_opened":9,
-                            "server.admission.admitted":40,
-                            "server.admission.busy":2},
-                "gauges":{"server.epoch":{"value":3,"peak":3}},
+                "counters":{"server.sessions_opened":9},
                 "histograms":{"server.query_us":
                     {"count":42,"sum":4200,"mean":100,"max":900,
                      "p50_us":127,"p95_us":511,"p99_us":1023,"buckets":[]}},
@@ -815,8 +512,6 @@ mod tests {
         assert_eq!(s.sessions_opened, 9);
         assert_eq!(s.queries, 42);
         assert_eq!((s.p50_us, s.p95_us, s.p99_us), (127, 511, 1023));
-        assert_eq!(s.epoch, 3);
-        assert_eq!((s.admission_admitted, s.admission_busy), (40, 2));
         let off = starmagic_trace::json::parse(r#"{"enabled":false,"histograms":{}}"#).unwrap();
         assert!(ServerSideMetrics::from_doc(&off).is_none());
     }
