@@ -5,19 +5,18 @@
 //! of a rewrite: whether a magic join could drop NULL-valued outer
 //! rows (L200), whether a duplicate-freedom claim is a lie (L201),
 //! whether declared bindings are actually enforced (L202), and whether
-//! the planner's estimates / the executor's parallel heuristics agree
-//! with the proven bounds (L210/L211).
+//! the planner's estimates agree with the proven bounds (L210).
 
 use std::collections::BTreeMap;
 
 use starmagic_catalog::Catalog;
 use starmagic_lint::{Code, LintReport};
 use starmagic_planner as planner;
-use starmagic_qgm::{BoxId, BoxKind, DistinctMode, Qgm, QuantId, ScalarExpr};
+use starmagic_qgm::{BoxId, DistinctMode, Qgm, QuantId, ScalarExpr};
 use starmagic_sql::BinOp;
 
 use crate::domains::{BoxFacts, DupVerdict};
-use crate::transfer::{null_propagating, PARALLEL_THRESHOLD};
+use crate::transfer::null_propagating;
 
 /// Multiplicative slack before an estimate counts as out of bounds
 /// (L210): estimates are heuristics, bounds are proofs — flag only a
@@ -49,7 +48,6 @@ pub(crate) fn scan(
         binding_flow(qgm, b, f, &mut report);
         if warnings {
             cardinality_estimate(qgm, catalog, b, f, &mut report);
-            serial_pinning(qgm, facts, b, f, &mut report);
         }
     }
     report
@@ -268,41 +266,6 @@ fn cardinality_estimate(
                 "planner estimates {est:.1} rows but the multiplicity domain \
                  proves {} — the cost model disagrees with a proof",
                 f.card
-            ),
-        );
-    }
-}
-
-/// L211: a large join loop pinned to the serial executor path by an
-/// impure expression (upgrades the L110 heuristic with the purity
-/// analysis plus the proven input sizes).
-fn serial_pinning(
-    qgm: &Qgm,
-    facts: &BTreeMap<BoxId, BoxFacts>,
-    b: BoxId,
-    f: &BoxFacts,
-    report: &mut LintReport,
-) {
-    let qb = qgm.boxed(b);
-    if f.pure || !matches!(qb.kind, BoxKind::Select) {
-        return;
-    }
-    let big_input = qb.quants.iter().any(|&q| {
-        qgm.quant(q).kind.is_foreach()
-            && facts.get(&qgm.quant(q).input).map_or(true, |inf| {
-                inf.card.hi.map_or(true, |h| h > PARALLEL_THRESHOLD)
-            })
-    });
-    if big_input {
-        report.push(
-            Code::L211ImpureSerialPinned,
-            Some(b),
-            None,
-            format!(
-                "box joins an input above the {PARALLEL_THRESHOLD}-row \
-                 parallel threshold but an impure expression (aggregate, \
-                 quantified test, or subquery column) pins it to the serial \
-                 executor path"
             ),
         );
     }

@@ -191,9 +191,6 @@ pub struct BoxFacts {
     /// Binding-flow domain: output columns provably restricted to
     /// values drawn from a magic box's bindings.
     pub restricted: BTreeSet<usize>,
-    /// Expression purity: every predicate and output expression of the
-    /// box passes the executor's `parallel_safe` criteria.
-    pub pure: bool,
     /// Duplicate-freedom verdict.
     pub dup_free: DupVerdict,
 }
@@ -207,7 +204,6 @@ impl BoxFacts {
             keys: Vec::new(),
             const_cols: BTreeSet::new(),
             restricted: BTreeSet::new(),
-            pure: false,
             dup_free: DupVerdict::Unknown,
         }
     }

@@ -17,13 +17,12 @@
 //!   group-bys, and set operations.
 //!
 //! On top of the facts, [`checks`] re-proves rewrite soundness as
-//! lint diagnostics (codes L200–L211; see `starmagic-lint`): the EMST
+//! lint diagnostics (codes L200–L210; see `starmagic-lint`): the EMST
 //! null-strictness gate on the *output* graph, duplicate claims
-//! against the multiplicity domain, binding-flow enforcement, and
-//! cross-checks of the planner's estimates and the executor's
-//! parallel heuristics. The rewrite engine appends these checks to
-//! its PerFire/PerPass lint runs, so an unsound fire is caught and
-//! attributed the moment it happens.
+//! against the multiplicity domain, binding-flow enforcement, and a
+//! cross-check of the planner's estimates. The rewrite engine appends
+//! these checks to its PerFire/PerPass lint runs, so an unsound fire is
+//! caught and attributed the moment it happens.
 
 #![forbid(unsafe_code)]
 
@@ -84,8 +83,8 @@ impl Analysis {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "  {:<18} {:<15} {:>14} {:>8} {:>5}  {:<12} restricted",
-            "box", "kind", "rows", "dup", "pure", "nulls"
+            "  {:<18} {:<15} {:>14} {:>8}  {:<12} restricted",
+            "box", "kind", "rows", "dup", "nulls"
         );
         for (&b, f) in &self.facts {
             if !qgm.box_exists(b) {
@@ -106,12 +105,11 @@ impl Analysis {
             };
             let _ = writeln!(
                 out,
-                "  {:<18} {:<15} {:>14} {:>8} {:>5}  {:<12} {}",
+                "  {:<18} {:<15} {:>14} {:>8}  {:<12} {}",
                 qb.display_name(),
                 qb.kind.label(),
                 f.card.to_string(),
                 f.dup_free.label(),
-                if f.pure { "yes" } else { "no" },
                 f.null_mask(),
                 restricted
             );

@@ -9,17 +9,12 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use starmagic_catalog::Catalog;
-use starmagic_qgm::boxes::{GroupByBox, OuterJoinBox, SetOpBox};
+use starmagic_qgm::boxes::{GroupByBox, SetOpBox};
 use starmagic_qgm::keys::KeyTable;
 use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId, QuantKind, ScalarExpr, SetOpKind};
 use starmagic_sql::{AggFunc, BinOp};
 
 use crate::domains::{BoxFacts, Card, DupVerdict, Nullability};
-
-/// The executor parallelizes a scan loop only past this many rows
-/// (mirrors `PARALLEL_THRESHOLD` in `starmagic-exec`); check L211 uses
-/// it to decide whether an impure expression actually costs anything.
-pub const PARALLEL_THRESHOLD: u64 = 512;
 
 /// Read-only context threaded through a transfer evaluation.
 pub struct Ctx<'a> {
@@ -222,24 +217,6 @@ pub fn null_propagating(e: &ScalarExpr) -> bool {
     }
 }
 
-/// The executor's `parallel_safe` mirror: an expression whose
-/// evaluation may re-enter the executor (aggregates, quantified tests,
-/// references to non-Foreach quantifiers) pins its loop to the serial
-/// path.
-pub fn expr_pure(qgm: &Qgm, e: &ScalarExpr) -> bool {
-    let mut ok = true;
-    e.walk(&mut |x| match x {
-        ScalarExpr::Agg { .. } | ScalarExpr::Quantified { .. } => ok = false,
-        ScalarExpr::ColRef { quant, .. }
-            if !qgm.quant_exists(*quant) || !qgm.quant(*quant).kind.is_foreach() =>
-        {
-            ok = false;
-        }
-        _ => {}
-    });
-    ok
-}
-
 /// One transfer step: facts of box `b` from its inputs' facts.
 pub fn transfer(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
     let qb = ctx.qgm.boxed(b);
@@ -248,7 +225,7 @@ pub fn transfer(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
         BoxKind::Select => select(ctx, b),
         BoxKind::GroupBy(g) => groupby(ctx, b, g),
         BoxKind::SetOp(s) => setop(ctx, b, s),
-        BoxKind::OuterJoin(oj) => outerjoin(ctx, b, oj),
+        BoxKind::OuterJoin(_) => outerjoin(ctx, b),
     };
 
     // Key/FD refinement: a key all of whose columns are constant pins
@@ -304,7 +281,6 @@ fn base_table(ctx: &Ctx<'_>, b: BoxId, table: &str) -> BoxFacts {
         keys: Vec::new(),
         const_cols: BTreeSet::new(),
         restricted: BTreeSet::new(),
-        pure: true,
         dup_free: DupVerdict::Unknown,
     }
 }
@@ -353,19 +329,12 @@ fn select(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
     // box's equality conjuncts.
     let restricted = eq.restricted_outputs(ctx, b);
 
-    let pure = qb
-        .predicates
-        .iter()
-        .chain(qb.columns.iter().map(|c| &c.expr))
-        .all(|e| expr_pure(ctx.qgm, e));
-
     BoxFacts {
         card,
         nullability,
         keys: Vec::new(),
         const_cols,
         restricted,
-        pure,
         dup_free: DupVerdict::Unknown,
     }
 }
@@ -428,7 +397,6 @@ fn groupby(ctx: &Ctx<'_>, b: BoxId, g: &GroupByBox) -> BoxFacts {
         keys: Vec::new(),
         const_cols,
         restricted,
-        pure: false,
         dup_free: DupVerdict::Unknown,
     };
     // All group keys constant => at most one group.
@@ -520,12 +488,11 @@ fn setop(ctx: &Ctx<'_>, b: BoxId, s: &SetOpBox) -> BoxFacts {
         keys: Vec::new(),
         const_cols: BTreeSet::new(),
         restricted,
-        pure: true,
         dup_free: DupVerdict::Unknown,
     }
 }
 
-fn outerjoin(ctx: &Ctx<'_>, b: BoxId, oj: &OuterJoinBox) -> BoxFacts {
+fn outerjoin(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
     let qb = ctx.qgm.boxed(b);
     let arity = qb.arity();
     let (Some(&pres), Some(&ns)) = (qb.quants.first(), qb.quants.get(1)) else {
@@ -580,19 +547,12 @@ fn outerjoin(ctx: &Ctx<'_>, b: BoxId, oj: &OuterJoinBox) -> BoxFacts {
         .map(|(i, _)| i)
         .collect();
 
-    let pure = oj
-        .on
-        .iter()
-        .chain(qb.columns.iter().map(|c| &c.expr))
-        .all(|e| expr_pure(ctx.qgm, e));
-
     BoxFacts {
         card,
         nullability,
         keys: Vec::new(),
         const_cols: BTreeSet::new(),
         restricted,
-        pure,
         dup_free: DupVerdict::Unknown,
     }
 }

@@ -8,12 +8,10 @@
 //! * **Figure 5** — the SQL statements before optimization and after
 //!   (the SD0–SD5 / SD2′ forms).
 //!
-//! Usage: `cargo run -p starmagic-bench --bin figures [--threads n] [--trace-json <path>]`
+//! Usage: `cargo run -p starmagic-bench --bin figures [--trace-json <path>]`
 //!
 //! `--trace-json <path>` writes the instrumented profile of the
-//! running example (experiment G, query D) to a JSON file;
-//! `--threads n` runs that profile with `n` executor worker threads
-//! (byte-identical results at any setting).
+//! running example (experiment G, query D) to a JSON file.
 
 use starmagic::qgm::{printer, render_sql};
 use starmagic::Strategy;
@@ -30,18 +28,7 @@ fn main() {
         .iter()
         .position(|a| a == "--trace-json")
         .map(|i| args.get(i + 1).expect("--trace-json needs a path").clone());
-    let threads: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .map_or(1, |i| {
-            args.get(i + 1)
-                .expect("--threads needs an integer >= 1")
-                .parse()
-                .expect("--threads needs an integer >= 1")
-        })
-        .max(1);
-    let mut engine = bench_engine(Scale::small()).expect("catalog");
-    engine.set_threads(threads);
+    let engine = bench_engine(Scale::small()).expect("catalog");
     let o = engine
         .optimize_sql(QUERY_D, Strategy::Magic)
         .expect("optimize query D");

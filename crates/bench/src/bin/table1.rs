@@ -2,7 +2,7 @@
 //! Correlated / EMST for experiments A–H, normalized to Original=100.
 //!
 //! Usage: `cargo run --release -p starmagic-bench --bin table1 \
-//!   [--small] [--threads n] [--trace-json <path>]`
+//!   [--small] [--trace-json <path>]`
 //!
 //! Prints both wall-clock-normalized numbers (the paper's metric) and
 //! the deterministic row-work normalization, plus the paper's own
@@ -11,9 +11,6 @@
 //! `--trace-json <path>` additionally runs every formulation fully
 //! instrumented and writes the machine-readable profile document
 //! (schema pinned in `starmagic_bench::tracejson`).
-//!
-//! `--threads n` runs the executor with `n` worker threads (results
-//! are byte-identical at any setting).
 
 use starmagic::Strategy;
 use starmagic_bench::{bench_engine, experiments, run_experiment, sorted_rows, tracejson};
@@ -32,9 +29,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let small = args.iter().any(|a| a == "--small");
     let trace_json = flag_value(&args, "--trace-json");
-    let threads: usize = flag_value(&args, "--threads")
-        .map_or(1, |v| v.parse().expect("--threads needs an integer >= 1"))
-        .max(1);
     let scale = if small {
         Scale::small()
     } else {
@@ -44,8 +38,7 @@ fn main() {
         "building benchmark database ({} departments x {} employees/dept)...",
         scale.departments, scale.emps_per_dept
     );
-    let mut engine = bench_engine(scale).expect("catalog build");
-    engine.set_threads(threads);
+    let engine = bench_engine(scale).expect("catalog build");
 
     // Verify the formulations agree before timing anything.
     for exp in experiments() {

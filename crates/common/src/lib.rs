@@ -22,8 +22,9 @@ pub use types::DataType;
 pub use value::Value;
 
 // Compile-time proof that the value substrate crosses threads: the
-// executor's morsel workers share rows and values by reference, and
-// worker errors travel back through join handles. `Value`'s strings
+// server's session threads share one engine snapshot — its stored rows,
+// cached plans and index cache — and an error is built on the session
+// that answers it. `Value`'s strings
 // and `Row`'s payload are `Arc`-backed, so all three are `Send + Sync`
 // by construction — this breaks the build if a non-thread-safe field
 // (an `Rc`, a `Cell`) ever sneaks in.

@@ -43,7 +43,6 @@ meta-commands:
   \\strategy original|magic|cost  pin the optimizer strategy
   \\timing [on|off]             toggle the per-query timing footer
   \\trace on|off                print phase spans after each query
-  \\threads [n]                 executor worker threads (1 = serial)
   \\cache [clear]               plan-cache counters by strategy (clear to flush)
   \\metrics [json]              live metrics snapshot (json: one parseable line)
   \\tables                      list tables with row counts
@@ -164,19 +163,6 @@ fn meta_command(engine: &mut Engine, session: &mut Session, cmd: &str) -> bool {
                 println!("trace is {}", if v { "on" } else { "off" });
             }
             None => println!("usage: \\trace on|off"),
-        },
-        "\\threads" => match rest.trim() {
-            "" => println!("threads is {}", engine.threads()),
-            n => match n.parse::<usize>() {
-                Ok(v) if v >= 1 => {
-                    engine.set_threads(v);
-                    println!(
-                        "threads set to {} (results stay byte-identical at any setting)",
-                        engine.threads()
-                    );
-                }
-                _ => println!("usage: \\threads [n]  (n >= 1)"),
-            },
         },
         "\\cache" => match rest.trim() {
             "" => print!(

@@ -122,10 +122,6 @@ pub struct Prepared {
     pub used_magic: bool,
     pub cost_without_magic: f64,
     pub cost_with_magic: f64,
-    /// Executor worker threads recorded at prepare time (from
-    /// [`PipelineOptions::threads`]); [`Engine::execute_prepared`]
-    /// honors it on every execution of this plan.
-    pub threads: usize,
     /// Whether eligible select boxes use the columnar batch path
     /// (results are byte-identical either way; off mainly for the
     /// fuzzer's cross-path oracle and A/B benchmarks).
@@ -170,13 +166,7 @@ impl Lowered {
 }
 
 impl Prepared {
-    fn new(
-        qgm: Qgm,
-        used_magic: bool,
-        cost_without_magic: f64,
-        cost_with_magic: f64,
-        threads: usize,
-    ) -> Prepared {
+    fn new(qgm: Qgm, used_magic: bool, cost_without_magic: f64, cost_with_magic: f64) -> Prepared {
         let columns = qgm
             .boxed(qgm.top())
             .columns
@@ -189,20 +179,18 @@ impl Prepared {
             used_magic,
             cost_without_magic,
             cost_with_magic,
-            threads: threads.max(1),
             columnar: true,
             lowered: OnceLock::new(),
         }
     }
 
     /// The plan a pipeline run chose, moved in without a copy.
-    fn compiled(c: Compiled, threads: usize) -> Prepared {
+    fn compiled(c: Compiled) -> Prepared {
         Prepared::new(
             c.chosen,
             c.chose_magic,
             c.cost_without_magic,
             c.cost_with_magic,
-            threads,
         )
     }
 
@@ -286,9 +274,6 @@ pub struct Engine {
     /// Catalog version: bumped by every DDL. Plan-cache entries are
     /// pinned to the epoch that built them.
     epoch: u64,
-    /// Executor worker threads injected into every plan this engine
-    /// prepares (REPL `\threads n`, benchmark `--threads n`).
-    threads: usize,
     /// Shared sharded plan cache over normalized (parameterized) SQL.
     /// Interior mutability (per-shard mutexes) so the read-mostly
     /// server path (`&Engine` snapshots) can record hits and insert
@@ -320,7 +305,6 @@ impl Engine {
                 indexes: starmagic_exec::IndexCache::default(),
             }),
             epoch: 0,
-            threads: 1,
             plans: Arc::new(ShardedPlanCache::with_defaults()),
             metrics: EngineMetrics::default(),
             max_recursion: 10_000,
@@ -344,18 +328,6 @@ impl Engine {
         self.snapshot = Arc::new(next);
         self.epoch += 1;
         self.plans.note_epoch(self.epoch);
-    }
-
-    /// Set the executor worker-thread count used by every subsequent
-    /// query (1 = serial, the default). Results are byte-identical at
-    /// any setting — parallelism only changes wall-clock time.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The configured executor worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Set the iteration cap for recursive-query fixpoints (default
@@ -515,7 +487,7 @@ impl Engine {
     pub fn prepare_with_options(&self, sql: &str, opts: PipelineOptions) -> Result<Prepared> {
         let query = starmagic_sql::parse_query(sql)?;
         let compiled = self.compile(&query, opts)?;
-        Ok(Prepared::compiled(compiled, opts.threads))
+        Ok(Prepared::compiled(compiled))
     }
 
     /// Optimize a query for execution: the pipeline without its
@@ -550,14 +522,14 @@ impl Engine {
     /// Lets benchmarks time execution separately from optimization
     /// (the paper's Table 1 reports execution elapsed time).
     pub fn prepare(&self, sql: &str, strategy: Strategy) -> Result<Prepared> {
-        self.prepare_with_options(sql, self.options_for(strategy))
+        self.prepare_with_options(sql, strategy_options(strategy))
     }
 
     /// Execute a prepared plan. Each call evaluates from scratch (the
     /// materialization cache lives per execution); the first also
     /// lowers the plan.
     pub fn execute_prepared(&self, prepared: &Prepared) -> Result<QueryResult> {
-        self.run_prepared(prepared, &[], prepared.threads, prepared.columnar)
+        self.run_prepared(prepared, &[], prepared.columnar)
     }
 
     /// Run a prepared plan with `params` bound to its `?N` markers.
@@ -565,7 +537,6 @@ impl Engine {
         &self,
         prepared: &Prepared,
         params: &[Value],
-        threads: usize,
         columnar: bool,
     ) -> Result<QueryResult> {
         let lowered = prepared.lowered(&self.metrics);
@@ -575,7 +546,7 @@ impl Engine {
             params,
             &self.snapshot.catalog,
             &self.snapshot.indexes,
-            self.exec_options(threads, columnar, false),
+            self.exec_options(columnar, false),
         )?;
         self.note_execution(lowered, &prepared.qgm, &profile);
         Ok(QueryResult {
@@ -588,13 +559,13 @@ impl Engine {
         })
     }
 
-    fn exec_options(&self, threads: usize, columnar: bool, timing: bool) -> ExecOptions {
+    fn exec_options(&self, columnar: bool, timing: bool) -> ExecOptions {
         ExecOptions {
             timing,
-            threads: threads.max(1),
             columnar,
             metrics: self.metrics.registry.clone(),
             max_recursion: self.max_recursion,
+            ..ExecOptions::default()
         }
     }
 
@@ -677,23 +648,44 @@ impl Engine {
         let query = starmagic_sql::parse_query(sql)?;
         let p = starmagic_sql::parameterize(&query);
         let key = Engine::cache_key(strategy, p.first_index, &p.key);
+        let (plan, hit) = self.lookup_or_compile(&p, key, strategy, None)?;
+        Ok((plan, p.args, hit))
+    }
+
+    /// The cache entry under `key`, or — on a miss — `p` compiled and
+    /// inserted there; and whether the lookup hit. Every miss feeds the
+    /// per-rule fire counters, and `sink`, when given, the pipeline's
+    /// spans.
+    fn lookup_or_compile(
+        &self,
+        p: &starmagic_sql::Parameterized,
+        key: String,
+        strategy: Strategy,
+        sink: Option<&mut TraceSink>,
+    ) -> Result<(Arc<CachedPlan>, bool)> {
         let shard = self.plans.shard_index(&key);
-        if let Some(plan) = self.plans.get(&key, self.epoch) {
-            self.metrics.note_cache_lookup(strategy, true);
-            self.metrics.note_shard_lookup(shard, true);
-            return Ok((plan, p.args, true));
+        // Bind the lookup to a statement so the cache guard drops
+        // before the miss arm re-locks to insert.
+        let looked_up = self.plans.get(&key, self.epoch);
+        let hit = looked_up.is_some();
+        self.metrics.note_cache_lookup(strategy, hit);
+        self.metrics.note_shard_lookup(shard, hit);
+        if let Some(plan) = looked_up {
+            return Ok((plan, true));
         }
-        self.metrics.note_cache_lookup(strategy, false);
-        self.metrics.note_shard_lookup(shard, false);
-        let compiled = self.compile(&p.query, self.options_for(strategy))?;
+        let compiled = self.compile(&p.query, strategy_options(strategy))?;
+        if let Some(sink) = sink {
+            sink.extend(&compiled.trace);
+        }
+        self.note_rewrite_stats(&compiled.stats);
         let plan = CachedPlan {
-            key: key.clone(),
-            prepared: Prepared::compiled(compiled, self.threads),
+            key,
+            prepared: Prepared::compiled(compiled),
             param_count: p.first_index + p.args.len(),
             user_params: p.first_index,
             epoch: self.epoch,
         };
-        Ok((self.plans.insert(plan), p.args, false))
+        Ok((self.plans.insert(plan), false))
     }
 
     /// Execute a cached plan with `user_args` filling the user-written
@@ -705,21 +697,8 @@ impl Engine {
         user_args: &[Value],
         extracted: &[Value],
     ) -> Result<QueryResult> {
-        self.execute_cached_with(plan, user_args, extracted, self.threads)
-    }
-
-    /// [`Engine::execute_cached`] with an explicit executor worker
-    /// count — server sessions carry their own `SET THREADS` value
-    /// without mutating the shared engine.
-    pub fn execute_cached_with(
-        &self,
-        plan: &CachedPlan,
-        user_args: &[Value],
-        extracted: &[Value],
-        threads: usize,
-    ) -> Result<QueryResult> {
         let params = self.bind_cached(plan, user_args, extracted)?;
-        self.run_prepared(&plan.prepared, &params, threads, true)
+        self.run_prepared(&plan.prepared, &params, true)
     }
 
     /// Run a query through the plan cache (parameterize, fetch or
@@ -734,52 +713,19 @@ impl Engine {
     /// verdict — the engine behind the server's per-request tracing
     /// and the cache-correctness tests.
     pub fn query_cached_traced(&self, sql: &str, strategy: Strategy) -> Result<CachedQuery> {
-        self.query_cached_traced_with(sql, strategy, self.threads)
-    }
-
-    /// [`Engine::query_cached_traced`] with an explicit executor
-    /// worker count (per-session `SET THREADS`).
-    pub fn query_cached_traced_with(
-        &self,
-        sql: &str,
-        strategy: Strategy,
-        threads: usize,
-    ) -> Result<CachedQuery> {
         let mut sink = TraceSink::enabled();
         let t = sink.start("parse");
         let query = starmagic_sql::parse_query(sql)?;
         sink.finish(t);
         let p = starmagic_sql::parameterize(&query);
         let key = Engine::cache_key(strategy, p.first_index, &p.key);
-
-        // Bind the lookup to a statement so the cache guard drops
-        // before the miss arm re-locks to insert.
-        let shard = self.plans.shard_index(&key);
-        let looked_up = self.plans.get(&key, self.epoch);
-        let (plan, hit) = match looked_up {
-            Some(plan) => (plan, true),
-            None => {
-                let compiled = self.compile(&p.query, self.options_for(strategy))?;
-                sink.extend(&compiled.trace);
-                self.note_rewrite_stats(&compiled.stats);
-                let plan = CachedPlan {
-                    key: key.clone(),
-                    prepared: Prepared::compiled(compiled, self.threads),
-                    param_count: p.first_index + p.args.len(),
-                    user_params: p.first_index,
-                    epoch: self.epoch,
-                };
-                (self.plans.insert(plan), false)
-            }
-        };
-        self.metrics.note_cache_lookup(strategy, hit);
-        self.metrics.note_shard_lookup(shard, hit);
+        let (plan, hit) = self.lookup_or_compile(&p, key.clone(), strategy, Some(&mut sink))?;
 
         let t = sink.start("bind");
         let params = self.bind_cached(&plan, &[], &p.args)?;
         sink.finish(t);
         let t = sink.start("execute");
-        let result = self.run_prepared(&plan.prepared, &params, threads, true)?;
+        let result = self.run_prepared(&plan.prepared, &params, true)?;
         sink.finish(t);
         self.note_spans(&sink);
         Ok(CachedQuery {
@@ -788,6 +734,19 @@ impl Engine {
             hit,
             key,
         })
+    }
+
+    /// [`Engine::query_cached_traced`]. The executor is serial and
+    /// `_threads` is ignored; the signature stays only because the
+    /// benchmark harness still calls it (`benchmark/src/layers.rs`, the
+    /// in-process wire replay). Delete it with that call site.
+    pub fn query_cached_traced_with(
+        &self,
+        sql: &str,
+        strategy: Strategy,
+        _threads: usize,
+    ) -> Result<CachedQuery> {
+        self.query_cached_traced(sql, strategy)
     }
 
     /// Feed a request's spans into the per-phase latency histograms
@@ -885,17 +844,8 @@ impl Engine {
             &self.snapshot.catalog,
             &self.snapshot.registry,
             &query,
-            self.options_for(strategy),
+            strategy_options(strategy),
         )
-    }
-
-    /// Pipeline options for a strategy, carrying this engine's
-    /// execution knobs (worker threads).
-    fn options_for(&self, strategy: Strategy) -> PipelineOptions {
-        PipelineOptions {
-            threads: self.threads,
-            ..strategy_options(strategy)
-        }
     }
 
     /// Run a query with full instrumentation: pipeline spans (with a
@@ -911,7 +861,7 @@ impl Engine {
             &self.snapshot.catalog,
             &self.snapshot.registry,
             &query,
-            self.options_for(strategy),
+            strategy_options(strategy),
         )?;
         optimized.trace.prepend("parse", parse_elapsed);
 
@@ -931,7 +881,7 @@ impl Engine {
             &[],
             &self.snapshot.catalog,
             &self.snapshot.indexes,
-            self.exec_options(self.threads, true, true),
+            self.exec_options(true, true),
         )?;
         optimized.trace.record("execute", exec_start.elapsed());
         self.note_execution(&lowered, optimized.chosen(), &profile);
@@ -1007,20 +957,19 @@ impl Engine {
             &self.snapshot.catalog,
             &self.snapshot.registry,
             &query,
-            self.options_for(Strategy::CostBased),
+            strategy_options(Strategy::CostBased),
         )
     }
 }
 
 /// Package an optimization result as an executable [`Prepared`] (a copy
 /// of its chosen graph).
-pub fn prepared_from(optimized: &Optimized, threads: usize) -> Prepared {
+pub fn prepared_from(optimized: &Optimized) -> Prepared {
     Prepared::new(
         optimized.chosen().clone(),
         optimized.chose_magic,
         optimized.cost_without_magic,
         optimized.cost_with_magic,
-        threads,
     )
 }
 
@@ -1492,6 +1441,43 @@ mod ddl_tests {
 
     fn index_builds(e: &Engine) -> u64 {
         e.metrics_registry().snapshot().counter("exec.index.builds")
+    }
+
+    /// The `rewrite.fires.*` counters of an engine's registry.
+    fn rule_fires(e: &Engine) -> BTreeMap<String, u64> {
+        e.metrics_registry()
+            .snapshot()
+            .counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("rewrite.fires."))
+            .collect()
+    }
+
+    #[test]
+    fn every_cache_miss_counts_rule_fires() {
+        let fresh = || {
+            let mut e = metered_engine();
+            e.run_sql(
+                "CREATE VIEW deptavg (workdept, avgsal) AS \
+                 SELECT workdept, AVG(salary) FROM employee GROUP BY workdept",
+            )
+            .unwrap();
+            e
+        };
+        let sql = "SELECT d.deptname, s.avgsal FROM department d, deptavg s \
+                   WHERE d.deptno = s.workdept AND d.deptname = 'Planning'";
+        let traced = fresh();
+        traced.query_cached_traced(sql, Strategy::Magic).unwrap();
+        let expected = rule_fires(&traced);
+        assert!(!expected.is_empty(), "a magic plan fires rules");
+
+        let prepared = fresh();
+        let (_, _, hit) = prepared.prepare_cached(sql, Strategy::Magic).unwrap();
+        assert!(!hit);
+        assert_eq!(rule_fires(&prepared), expected);
+        // A hit compiles nothing, so it counts nothing.
+        prepared.query_cached(sql, Strategy::Magic).unwrap();
+        assert_eq!(rule_fires(&prepared), expected);
     }
 
     /// One department row probing `project`'s index on `deptno`.

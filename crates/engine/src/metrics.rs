@@ -22,8 +22,6 @@
 //!   lookups split by strategy token (`cost`, `original`, `magic`)
 //! * `exec.rows_scanned` / `exec.rows_produced` / `exec.box_evals` —
 //!   the executor's flat work counters
-//! * `exec.morsel.runs` / `exec.morsel.queue_depth` — parallel-loop
-//!   dispatches (registered by the executor itself)
 //! * `exec.index.builds` — base-table access structures (row index,
 //!   columnar batch, id index) an execution had to build because the
 //!   index cache held none for the table's current contents: nonzero
@@ -31,7 +29,7 @@
 //!   (registered by the executor)
 //! * `exec.batch.batches` / `exec.batch.gather_rows` /
 //!   `exec.batch.rows` / `exec.batch.selectivity_pct` — columnar
-//!   batch-executor telemetry: stage dispatches in morsel units, rows
+//!   batch-executor telemetry: stage dispatches in 256-row units, rows
 //!   gathered during late materialization, per-stage input rows, and
 //!   filter selectivity (also registered by the executor; kept out of
 //!   the deterministic `ExecProfile` on purpose — batch counts are a
@@ -41,7 +39,8 @@
 //!   (`within2x` … `beyond100x`)
 //! * `phase.<span>_us` — request-span latencies (`phase.parse_us`,
 //!   `phase.execute_us`, `phase.rewrite.phase2_us`, …)
-//! * `rewrite.fires.<rule>` — per-rule fire counts on cache misses
+//! * `rewrite.fires.<rule>` — per-rule fire counts on plan-cache
+//!   misses, whichever entry point missed
 //!
 //! All handles come from one [`Registry`]; when it is noop (the
 //! default) every field is a storage-free handle and the engine's

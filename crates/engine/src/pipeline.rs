@@ -111,12 +111,6 @@ pub struct PipelineOptions {
     /// Collect per-phase spans into [`Optimized::trace`]. When off the
     /// sink is disabled and records nothing (no clock reads).
     pub trace: bool,
-    /// Executor worker threads for surfaces that run the plan (the
-    /// engine copies this into [`crate::Prepared`] at prepare time).
-    /// Optimization itself is unaffected. `1` = the classic serial
-    /// executor; higher counts parallelize the executor's hot loops
-    /// with byte-identical results.
-    pub threads: usize,
     /// Test-only seeded unsoundness: run EMST with its null-strictness
     /// gate disabled, re-introducing the PR 4 decorrelation bug class.
     /// Exists so regression tests can prove the static analysis flags
@@ -134,7 +128,6 @@ impl Default for PipelineOptions {
             prune_projections: false,
             check: CheckLevel::default(),
             trace: true,
-            threads: 1,
             unsound_decorrelation: false,
         }
     }

@@ -258,11 +258,10 @@ impl Column {
         }
     }
 
-    /// Append `other`'s slots: an accumulator's growth, or the next
-    /// chunk of a column computed in chunks. Columns of one variant stay
-    /// typed, the bitmap appearing with the first NULL; a variant mix
-    /// (e.g. `Int` rows, then `Double` ones) turns the column `Mixed`,
-    /// every value kept exactly as it went in.
+    /// Append `other`'s slots: an accumulator's growth. Columns of one
+    /// variant stay typed, the bitmap appearing with the first NULL; a
+    /// variant mix (e.g. `Int` rows, then `Double` ones) turns the
+    /// column `Mixed`, every value kept exactly as it went in.
     pub fn append(&mut self, other: Column) {
         if self.is_empty() {
             *self = other;
@@ -320,17 +319,6 @@ impl Column {
             },
             Value::Null => Column::Mixed(vec![Value::Null; len]),
         }
-    }
-
-    /// Concatenate chunk outputs of one expression, in order (see
-    /// [`Column::append`]).
-    pub fn concat(parts: Vec<Column>) -> Column {
-        let mut parts = parts.into_iter();
-        let mut out = parts.next().unwrap_or(Column::Mixed(Vec::new()));
-        for part in parts {
-            out.append(part);
-        }
-        out
     }
 }
 
@@ -579,11 +567,9 @@ mod tests {
     fn concat_keeps_types_and_validity_and_degrades_to_mixed() {
         let batch = Batch::from_rows(&rows());
         let ints = batch.column(0);
-        let joined = Column::concat(vec![
-            ints.take(&[0, 1]),
-            ints.take(&[2]),
-            ints.take(&[1, 0]),
-        ]);
+        let mut joined = ints.take(&[0, 1]);
+        joined.append(ints.take(&[2]));
+        joined.append(ints.take(&[1, 0]));
         assert!(matches!(joined, Column::Int64 { .. }));
         let values: Vec<Value> = (0..joined.len()).map(|k| joined.value(k)).collect();
         assert_eq!(
@@ -596,7 +582,8 @@ mod tests {
                 Value::Int(1)
             ]
         );
-        let mixed = Column::concat(vec![ints.take(&[0]), batch.column(1).take(&[0])]);
+        let mut mixed = ints.take(&[0]);
+        mixed.append(batch.column(1).take(&[0]));
         assert!(matches!(mixed, Column::Mixed(_)));
         assert_eq!(mixed.value(1), Value::str("a"));
         assert_eq!(Column::constant(&Value::Int(7), 2).value(1), Value::Int(7));

@@ -36,7 +36,7 @@
 //!
 //! The net contract, pinned by the determinism suite and the fuzzer's
 //! columnar oracle: rows, order, profile, and errors are byte-for-byte
-//! those of the row executor, at any thread count.
+//! those of the row executor.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -48,10 +48,13 @@ use crate::batch::{Batch, Column};
 use crate::boundary::{BoxOutput, Fallback};
 use crate::dedup::distinct_ids;
 use crate::executor::{Executor, Frame};
-use crate::parallel::{run_batches, MORSEL_ROWS, PARALLEL_THRESHOLD};
 use crate::plan::SelectPlan;
 use crate::profile::ExecProfile;
 use crate::vector::{eval, Env, SlotView, VExpr, Vector};
+
+/// The counting unit of `exec.batch.batches`: a stage over `n` rows
+/// counts `ceil(n / BATCH_ROWS)` batches (at least one).
+pub(crate) const BATCH_ROWS: usize = 256;
 
 /// Why a columnar attempt stopped: fall back silently, or propagate a
 /// real executor error (one the row path would hit identically).
@@ -229,29 +232,8 @@ struct Stats {
 
 impl Stats {
     fn stage(&mut self, n: usize) {
-        self.batches += n.div_ceil(MORSEL_ROWS).max(1) as u64;
+        self.batches += n.div_ceil(BATCH_ROWS).max(1) as u64;
         self.rows.push(n as u64);
-    }
-}
-
-/// Run one stage's per-position work serially or over position chunks
-/// on the worker pool; chunk outputs come back in position order and
-/// chunk counters merge into `scratch` (commutative sums), so the
-/// result is byte-identical either way.
-fn dispatch<R: Send>(
-    exec: &Executor<'_>,
-    n: usize,
-    scratch: &mut ExecProfile,
-    f: impl Fn(&[u32], &mut ExecProfile) -> Result<R> + Sync,
-) -> Result<Vec<R>> {
-    if exec.threads > 1 && n >= PARALLEL_THRESHOLD {
-        exec.note_morsel_run(n);
-        let (parts, profile) = run_batches(exec.threads, n, f)?;
-        scratch.merge(&profile);
-        Ok(parts)
-    } else {
-        let positions: Vec<u32> = (0..n as u32).collect();
-        Ok(vec![f(&positions, scratch)?])
     }
 }
 
@@ -300,56 +282,46 @@ fn run(
                 let slots = state.views();
                 let positions: Vec<u32> = (0..state.len as u32).collect();
                 let keys = vk!(eval(&compiled.probe[probe.pred], &slots, &positions, env));
-                let tbatch_ref = tbatch.as_ref();
-                let parts = vk!(dispatch(exec, state.len, &mut scratch, |chunk, prof| {
-                    let mut parent: Vec<u32> = Vec::new();
-                    let mut mids: Vec<u32> = Vec::new();
-                    for &pos in chunk {
-                        let key = keys.value_at(pos as usize);
-                        if key.is_null() {
-                            continue;
-                        }
-                        let Some(matches) = index.get(&key) else {
-                            continue;
-                        };
-                        prof.entry(child).rows_scanned += matches.len() as u64;
-                        prof.entry(b).rows_in += matches.len() as u64;
-                        for &m in matches {
-                            parent.push(pos);
-                            mids.push(m);
+                let mut parent: Vec<u32> = Vec::new();
+                let mut mids: Vec<u32> = Vec::new();
+                for pos in positions {
+                    let key = keys.value_at(pos as usize);
+                    if key.is_null() {
+                        continue;
+                    }
+                    let Some(matches) = index.get(&key) else {
+                        continue;
+                    };
+                    scratch.entry(child).rows_scanned += matches.len() as u64;
+                    scratch.entry(b).rows_in += matches.len() as u64;
+                    for &m in matches {
+                        parent.push(pos);
+                        mids.push(m);
+                    }
+                }
+                // Remaining equality predicates filter the expanded
+                // candidates, in classification order.
+                for &(pv, bv) in &rest {
+                    if parent.is_empty() {
+                        break;
+                    }
+                    let probe = vk!(eval(pv, &slots, &parent, env));
+                    let bids: Vec<u32> = (0..mids.len() as u32).collect();
+                    let bslots = [SlotView {
+                        batch: tbatch.as_ref(),
+                        ids: &mids,
+                    }];
+                    let build = vk!(eval(bv, &bslots, &bids, env));
+                    let mut kept_parent = Vec::new();
+                    let mut kept_mids = Vec::new();
+                    for k in 0..parent.len() {
+                        if probe.value_at(k).sql_eq(&build.value_at(k)).passes() {
+                            kept_parent.push(parent[k]);
+                            kept_mids.push(mids[k]);
                         }
                     }
-                    // Remaining equality predicates filter the
-                    // expanded candidates, in classification order.
-                    for &(pv, bv) in &rest {
-                        if parent.is_empty() {
-                            break;
-                        }
-                        let probe = eval(pv, &slots, &parent, env)?;
-                        let bids: Vec<u32> = (0..mids.len() as u32).collect();
-                        let bslots = [SlotView {
-                            batch: tbatch_ref,
-                            ids: &mids,
-                        }];
-                        let build = eval(bv, &bslots, &bids, env)?;
-                        let mut kept_parent = Vec::new();
-                        let mut kept_mids = Vec::new();
-                        for k in 0..parent.len() {
-                            if probe.value_at(k).sql_eq(&build.value_at(k)).passes() {
-                                kept_parent.push(parent[k]);
-                                kept_mids.push(mids[k]);
-                            }
-                        }
-                        parent = kept_parent;
-                        mids = kept_mids;
-                    }
-                    Ok((parent, mids))
-                }));
-                let mut parent = Vec::new();
-                let mut mids = Vec::new();
-                for (p, m) in parts {
-                    parent.extend(p);
-                    mids.extend(m);
+                    parent = kept_parent;
+                    mids = kept_mids;
                 }
                 (parent, mids, tbatch)
             } else if !compiled.probe.is_empty() {
@@ -391,51 +363,41 @@ fn run(
                 for pv in &compiled.probe {
                     probe_cols.push(vk!(eval(pv, &slots, &positions, env)));
                 }
-                let join_map = build.map(&probe_cols);
-                let parts = vk!(dispatch(exec, state.len, &mut scratch, |chunk, _| {
-                    let mut parent: Vec<u32> = Vec::new();
-                    let mut cid: Vec<u32> = Vec::new();
-                    match join_map {
-                        JoinMap::I64(map) => {
-                            for &pos in chunk {
-                                let Value::Int(key) = probe_cols[0].value_at(pos as usize) else {
-                                    continue; // NULL probe keys never match
-                                };
-                                if let Some(bucket) = map.get(&key) {
-                                    for &j in bucket {
-                                        parent.push(pos);
-                                        cid.push(j);
-                                    }
-                                }
-                            }
-                        }
-                        JoinMap::Generic(map) => {
-                            let mut key: Vec<Value> = Vec::with_capacity(probe_cols.len());
-                            'pos: for &pos in chunk {
-                                key.clear();
-                                for pc in &probe_cols {
-                                    let v = pc.value_at(pos as usize);
-                                    if v.is_null() {
-                                        continue 'pos;
-                                    }
-                                    key.push(v);
-                                }
-                                if let Some(bucket) = map.get(&key) {
-                                    for &j in bucket {
-                                        parent.push(pos);
-                                        cid.push(j);
-                                    }
+                let mut parent: Vec<u32> = Vec::new();
+                let mut cid: Vec<u32> = Vec::new();
+                match build.map(&probe_cols) {
+                    JoinMap::I64(map) => {
+                        for pos in positions {
+                            let Value::Int(key) = probe_cols[0].value_at(pos as usize) else {
+                                continue; // NULL probe keys never match
+                            };
+                            if let Some(bucket) = map.get(&key) {
+                                for &j in bucket {
+                                    parent.push(pos);
+                                    cid.push(j);
                                 }
                             }
                         }
                     }
-                    Ok((parent, cid))
-                }));
-                let mut parent = Vec::new();
-                let mut cid = Vec::new();
-                for (p, c) in parts {
-                    parent.extend(p);
-                    cid.extend(c);
+                    JoinMap::Generic(map) => {
+                        let mut key: Vec<Value> = Vec::with_capacity(probe_cols.len());
+                        'pos: for pos in positions {
+                            key.clear();
+                            for pc in &probe_cols {
+                                let v = pc.value_at(pos as usize);
+                                if v.is_null() {
+                                    continue 'pos;
+                                }
+                                key.push(v);
+                            }
+                            if let Some(bucket) = map.get(&key) {
+                                for &j in bucket {
+                                    parent.push(pos);
+                                    cid.push(j);
+                                }
+                            }
+                        }
+                    }
                 }
                 (parent, cid, build.batch.clone())
             } else {
@@ -466,24 +428,20 @@ fn run(
             let n = state.len;
             stats.stage(n);
             let slots = state.views();
-            let parts = vk!(dispatch(exec, n, &mut scratch, |chunk, _| {
-                let mut pos: Vec<u32> = chunk.to_vec();
-                for v in &compiled.ready {
-                    if pos.is_empty() {
-                        break;
-                    }
-                    let tv = eval(v, &slots, &pos, env)?;
-                    pos = pos
-                        .iter()
-                        .enumerate()
-                        .filter(|&(k, _)| tv.passes_at(k))
-                        .map(|(_, &p)| p)
-                        .collect();
+            let mut keep: Vec<u32> = (0..n as u32).collect();
+            for v in &compiled.ready {
+                if keep.is_empty() {
+                    break;
                 }
-                Ok(pos)
-            }));
+                let tv = vk!(eval(v, &slots, &keep, env));
+                keep = keep
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| tv.passes_at(k))
+                    .map(|(_, &p)| p)
+                    .collect();
+            }
             drop(slots);
-            let keep: Vec<u32> = parts.into_iter().flatten().collect();
             if let Some(pct) = (keep.len() * 100).checked_div(n) {
                 stats.selectivity.push(pct as u64);
             }
@@ -504,38 +462,17 @@ fn run(
     stats.stage(state.len);
     stats.gather += (state.len * live.iter().filter(|&&l| l).count()) as u64;
     let slots = state.views();
-    let mut parts = vk!(dispatch(exec, state.len, &mut scratch, |chunk, _| {
-        col_vs
-            .iter()
-            .zip(live)
-            .map(|(v, &live)| {
-                if !live && v.is_leaf() {
-                    return Ok(None);
-                }
-                let column = eval(v, &slots, chunk, env)?.into_column();
-                Ok(live.then_some(column))
-            })
-            .collect::<Result<Vec<Option<Column>>>>()
-    }));
+    let positions: Vec<u32> = (0..state.len as u32).collect();
+    let mut columns: Vec<Option<Column>> = Vec::with_capacity(col_vs.len());
+    for (v, &live) in col_vs.iter().zip(live) {
+        if !live && v.is_leaf() {
+            columns.push(None);
+            continue;
+        }
+        let column = vk!(eval(v, &slots, &positions, env)).into_column();
+        columns.push(live.then_some(column));
+    }
     drop(slots);
-    let columns = if parts.len() == 1 {
-        parts.pop().expect("one chunk")
-    } else {
-        // Chunk outputs back into whole columns, in chunk order. Every
-        // chunk iterator advances (no short-circuiting collect): a
-        // column is dead in all chunks or in none.
-        let mut chunks: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
-        (0..col_vs.len())
-            .map(|_| {
-                let parts: Vec<Option<Column>> = chunks
-                    .iter_mut()
-                    .map(|chunk| chunk.next().expect("one entry per column"))
-                    .collect();
-                let parts: Option<Vec<Column>> = parts.into_iter().collect();
-                parts.map(Column::concat)
-            })
-            .collect()
-    };
     let batch = Batch::from_columns(columns, state.len);
     scratch.entry(b).rows_produced += state.len as u64;
     let out = if exec.qgm.boxed(b).distinct.needs_dedup() {

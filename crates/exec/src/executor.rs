@@ -18,7 +18,6 @@ use crate::columnar::JoinBuild;
 use crate::dedup::dedupe;
 use crate::like::like_match;
 use crate::metrics::Metrics;
-use crate::parallel::{run_morsels, PARALLEL_THRESHOLD};
 use crate::plan::{GroupByPlan, IndexProbe, Op, Plan, SelectPlan, Stage};
 use crate::profile::ExecProfile;
 use crate::vector::{self, Env, SlotView, Vector};
@@ -29,11 +28,9 @@ pub struct ExecOptions {
     /// Collect per-box wall time in the profile. Off by default so the
     /// counters stay free of clock reads.
     pub timing: bool,
-    /// Worker threads for the data-parallel loops. `0` or `1` (the
-    /// default) never spawns a thread, keeping the classic serial
-    /// executor; higher counts split hot loops into morsels whose
-    /// results are concatenated in input order, so rows and counters
-    /// stay byte-identical to serial at any setting.
+    /// Accepted and ignored: the executor is serial. Kept only because
+    /// the benchmark harness still sets it (`benchmark/src/layers.rs`,
+    /// the `exec.parallel_speedup_t2` probe); delete it with that probe.
     pub threads: usize,
     /// Evaluate eligible select boxes through the columnar batch path
     /// (vectorized filters and hash joins with late materialization).
@@ -44,12 +41,11 @@ pub struct ExecOptions {
     /// Group-by runs the same aggregation kernel either way; with the
     /// knob off it is simply handed rows.
     pub columnar: bool,
-    /// Metrics registry for morsel-scheduling telemetry (batch counts
-    /// and queue depth). These live **outside** [`ExecProfile`] on
-    /// purpose: the profile is pinned byte-identical across thread
-    /// counts by the determinism suite, while morsel scheduling is a
-    /// property of the thread count. The default (noop) registry
-    /// records nothing and costs a branch.
+    /// Metrics registry for batch, fixpoint and index telemetry. These
+    /// live **outside** [`ExecProfile`] on purpose: the profile is
+    /// pinned byte-identical between the columnar and row paths, while
+    /// batch counts are a property of which path ran. The default
+    /// (noop) registry records nothing and costs a branch.
     pub metrics: Registry,
     /// Iteration cap for semi-naive fixpoints. UNION recursion always
     /// terminates on finite domains, but UNION ALL recursion only
@@ -115,7 +111,7 @@ pub fn execute_profiled(
     )
 }
 
-/// Evaluate with explicit execution options (timing, worker threads):
+/// Evaluate with explicit execution options (timing, columnar path):
 /// lower the graph, then run it with no parameters bound. The narrower
 /// entry points above are serial shorthands for it.
 pub fn execute_with_options(
@@ -143,13 +139,10 @@ pub fn execute_plan(
     if opts.timing {
         exec.profile = ExecProfile::with_timing();
     }
-    exec.threads = opts.threads.max(1);
     exec.columnar = opts.columnar;
     exec.shared_indexes = Some(indexes);
     exec.max_recursion = opts.max_recursion.max(1);
     if !opts.metrics.is_noop() {
-        exec.morsel_runs = opts.metrics.counter("exec.morsel.runs");
-        exec.morsel_depth = opts.metrics.histogram("exec.morsel.queue_depth");
         exec.batch_runs = opts.metrics.counter("exec.batch.batches");
         exec.batch_gather = opts.metrics.counter("exec.batch.gather_rows");
         exec.batch_rows = opts.metrics.histogram("exec.batch.rows");
@@ -169,7 +162,7 @@ pub fn execute_plan(
 }
 
 /// A hash index on one base-table column. `Arc`, not `Rc`: indexes are
-/// probed from inside parallel regions.
+/// shared across engine threads through the [`IndexCache`].
 pub type ColumnIndex = Arc<HashMap<Value, Vec<Row>>>;
 
 /// Semi-join index for quantified tests: non-NULL-keyed buckets plus
@@ -331,8 +324,6 @@ pub struct Executor<'a> {
     /// Per-box work counters (and, when enabled, timings). The legacy
     /// flat [`Metrics`] is this profile's aggregate: [`Executor::metrics`].
     pub profile: ExecProfile,
-    /// Worker threads for data-parallel loops; 1 = serial.
-    pub(crate) threads: usize,
     /// Whether eligible select boxes go through the columnar path.
     pub(crate) columnar: bool,
     cache: HashMap<BoxId, Arc<BoxOutput>>,
@@ -373,17 +364,9 @@ pub struct Executor<'a> {
     table_batches: HashMap<String, Arc<Batch>>,
     /// Lazily built id-keyed column indexes for columnar INL probes.
     id_indexes: HashMap<(String, usize), IdIndex>,
-    /// Parallel-loop dispatches through [`run_morsels`]. Noop by
-    /// default; see [`ExecOptions::metrics`] for why these stay out
-    /// of the profile.
-    morsel_runs: starmagic_metrics::Counter,
-    /// Morsel-queue depth (morsels per parallel dispatch).
-    morsel_depth: starmagic_metrics::Histogram,
-    /// Columnar stage dispatches (in [`crate::parallel::MORSEL_ROWS`]
-    /// units). Like the morsel metrics, batch telemetry lives outside
-    /// [`ExecProfile`]: the profile is pinned byte-identical between
-    /// the columnar and row paths, while batch counts are a property
-    /// of which path ran.
+    /// Columnar stage dispatches (in [`crate::columnar::BATCH_ROWS`]
+    /// units). Noop by default; see [`ExecOptions::metrics`] for why
+    /// batch telemetry stays out of the profile.
     pub(crate) batch_runs: starmagic_metrics::Counter,
     /// Rows gathered during late materialization.
     pub(crate) batch_gather: starmagic_metrics::Counter,
@@ -416,7 +399,6 @@ impl<'a> Executor<'a> {
             plan,
             catalog,
             profile: ExecProfile::default(),
-            threads: 1,
             columnar: true,
             cache: HashMap::new(),
             recursive_acc: HashMap::new(),
@@ -431,8 +413,6 @@ impl<'a> Executor<'a> {
             quantified_indexes: HashMap::new(),
             table_batches: HashMap::new(),
             id_indexes: HashMap::new(),
-            morsel_runs: starmagic_metrics::Counter::default(),
-            morsel_depth: starmagic_metrics::Histogram::default(),
             batch_runs: starmagic_metrics::Counter::default(),
             batch_gather: starmagic_metrics::Counter::default(),
             batch_rows: starmagic_metrics::Histogram::default(),
@@ -449,17 +429,6 @@ impl<'a> Executor<'a> {
     /// profile, kept for the deterministic benchmark numbers.
     pub fn metrics(&self) -> Metrics {
         self.profile.aggregate()
-    }
-
-    /// Record one parallel dispatch of `items` rows: counts the run
-    /// and the morsel-queue depth it enqueued. Free when metrics are
-    /// off (noop handles).
-    pub(crate) fn note_morsel_run(&self, items: usize) {
-        if !self.morsel_runs.is_noop() {
-            self.morsel_runs.inc();
-            self.morsel_depth
-                .record(items.div_ceil(crate::parallel::MORSEL_ROWS) as u64);
-        }
     }
 
     /// Hash fast path for `EXISTS`-mode quantified tests.
@@ -984,72 +953,33 @@ impl<'a> Executor<'a> {
                     .map(|(_, p)| p)
                     .collect();
                 let cq = [q];
-                let pure = stage.probe_pure && stage.build_pure;
-                if self.threads > 1 && combos.len() >= PARALLEL_THRESHOLD && pure {
-                    let probe_expr = &hash_preds[pred_idx].0;
-                    let bound_q: &[QuantId] = &bound;
-                    self.note_morsel_run(combos.len());
-                    let (par, scratch) = run_morsels(self.threads, &combos, |morsel, profile| {
-                        let mut out: Vec<Vec<Row>> = Vec::new();
-                        for combo in morsel {
-                            let cframe = frame.extended(bound_q, combo);
-                            let key = eval_pure(probe_expr, &cframe)?;
-                            if key.is_null() {
-                                continue;
-                            }
-                            let Some(matches) = index.get(&key) else {
-                                continue;
-                            };
-                            profile.entry(child).rows_scanned += matches.len() as u64;
-                            profile.entry(b).rows_in += matches.len() as u64;
-                            'probe: for m in matches {
-                                for &(probe, build) in &rest {
-                                    let pv = eval_pure(probe, &cframe)?;
-                                    let mrows = [m.clone()];
-                                    let mframe = frame.extended(&cq, &mrows);
-                                    let bv = eval_pure(build, &mframe)?;
-                                    if !pv.sql_eq(&bv).passes() {
-                                        continue 'probe;
-                                    }
-                                }
-                                let mut c = combo.clone();
-                                c.push(m.clone());
-                                out.push(c);
+                for combo in &combos {
+                    let cframe = frame.extended(&bound, combo);
+                    let key = self.eval_expr(&hash_preds[pred_idx].0, &cframe)?;
+                    if key.is_null() {
+                        continue;
+                    }
+                    let Some(matches) = index.get(&key) else {
+                        continue;
+                    };
+                    // Probed rows are charged to the base table being
+                    // probed, not the probing select box.
+                    self.profile.entry(child).rows_scanned += matches.len() as u64;
+                    self.profile.entry(b).rows_in += matches.len() as u64;
+                    'probe: for m in matches {
+                        // Remaining equality predicates filter here.
+                        for &(probe, build) in &rest {
+                            let pv = self.eval_expr(probe, &cframe)?;
+                            let mrows = [m.clone()];
+                            let mframe = frame.extended(&cq, &mrows);
+                            let bv = self.eval_expr(build, &mframe)?;
+                            if !pv.sql_eq(&bv).passes() {
+                                continue 'probe;
                             }
                         }
-                        Ok(out)
-                    })?;
-                    next = par;
-                    self.profile.merge(&scratch);
-                } else {
-                    for combo in &combos {
-                        let cframe = frame.extended(&bound, combo);
-                        let key = self.eval_expr(&hash_preds[pred_idx].0, &cframe)?;
-                        if key.is_null() {
-                            continue;
-                        }
-                        let Some(matches) = index.get(&key) else {
-                            continue;
-                        };
-                        // Probed rows are charged to the base table being
-                        // probed, not the probing select box.
-                        self.profile.entry(child).rows_scanned += matches.len() as u64;
-                        self.profile.entry(b).rows_in += matches.len() as u64;
-                        'probe: for m in matches {
-                            // Remaining equality predicates filter here.
-                            for &(probe, build) in &rest {
-                                let pv = self.eval_expr(probe, &cframe)?;
-                                let mrows = [m.clone()];
-                                let mframe = frame.extended(&cq, &mrows);
-                                let bv = self.eval_expr(build, &mframe)?;
-                                if !pv.sql_eq(&bv).passes() {
-                                    continue 'probe;
-                                }
-                            }
-                            let mut c = combo.clone();
-                            c.push(m.clone());
-                            next.push(c);
-                        }
+                        let mut c = combo.clone();
+                        c.push(m.clone());
+                        next.push(c);
                     }
                 }
             } else if !hash_preds.is_empty() {
@@ -1076,57 +1006,25 @@ impl<'a> Executor<'a> {
                     }
                     table.entry(key).or_default().push(row.clone());
                 }
-                if self.threads > 1 && combos.len() >= PARALLEL_THRESHOLD && stage.probe_pure {
-                    let table = &table;
-                    let bound_q: &[QuantId] = &bound;
-                    self.note_morsel_run(combos.len());
-                    let (par, scratch) = run_morsels(self.threads, &combos, |morsel, _| {
-                        let mut out: Vec<Vec<Row>> = Vec::new();
-                        // Scratch probe key, reused across the morsel's rows.
-                        let mut key: Vec<Value> = Vec::with_capacity(hash_preds.len());
-                        'combo: for combo in morsel {
-                            let cframe = frame.extended(bound_q, combo);
-                            key.clear();
-                            for (probe, _) in hash_preds {
-                                let v = eval_pure(probe, &cframe)?;
-                                if v.is_null() {
-                                    continue 'combo;
-                                }
-                                key.push(v);
-                            }
-                            if let Some(matches) = table.get(&key) {
-                                for m in matches {
-                                    let mut c = combo.clone();
-                                    c.push(m.clone());
-                                    out.push(c);
-                                }
-                            }
+                // Scratch probe key, reused across combos instead of
+                // allocated per probe row (this loop is the hottest
+                // allocation site in the join path).
+                let mut key: Vec<Value> = Vec::with_capacity(hash_preds.len());
+                'probe_combo: for combo in &combos {
+                    let cframe = frame.extended(&bound, combo);
+                    key.clear();
+                    for (probe, _) in hash_preds {
+                        let v = self.eval_expr(probe, &cframe)?;
+                        if v.is_null() {
+                            continue 'probe_combo;
                         }
-                        Ok(out)
-                    })?;
-                    next = par;
-                    self.profile.merge(&scratch);
-                } else {
-                    // Scratch probe key, reused across combos instead of
-                    // allocated per probe row (this loop is the hottest
-                    // allocation site in the join path).
-                    let mut key: Vec<Value> = Vec::with_capacity(hash_preds.len());
-                    'probe_combo: for combo in &combos {
-                        let cframe = frame.extended(&bound, combo);
-                        key.clear();
-                        for (probe, _) in hash_preds {
-                            let v = self.eval_expr(probe, &cframe)?;
-                            if v.is_null() {
-                                continue 'probe_combo;
-                            }
-                            key.push(v);
-                        }
-                        if let Some(matches) = table.get(&key) {
-                            for m in matches {
-                                let mut c = combo.clone();
-                                c.push(m.clone());
-                                next.push(c);
-                            }
+                        key.push(v);
+                    }
+                    if let Some(matches) = table.get(&key) {
+                        for m in matches {
+                            let mut c = combo.clone();
+                            c.push(m.clone());
+                            next.push(c);
                         }
                     }
                 }
@@ -1164,25 +1062,6 @@ impl<'a> Executor<'a> {
             let ready = &stage.ready;
             if ready.is_empty() {
                 filtered = next;
-            } else if self.threads > 1 && next.len() >= PARALLEL_THRESHOLD && stage.ready_pure {
-                let bound_q: &[QuantId] = &bound;
-                self.note_morsel_run(next.len());
-                let (kept, scratch) = run_morsels(self.threads, &next, |morsel, _| {
-                    let mut out: Vec<Vec<Row>> = Vec::new();
-                    'row: for combo in morsel {
-                        let cframe = frame.extended(bound_q, combo);
-                        for &i in ready {
-                            let v = eval_pure(&preds[i], &cframe)?;
-                            if !truth_of(&v).passes() {
-                                continue 'row;
-                            }
-                        }
-                        out.push(combo.clone());
-                    }
-                    Ok(out)
-                })?;
-                filtered = kept;
-                self.profile.merge(&scratch);
             } else {
                 'row: for combo in next {
                     let cframe = frame.extended(&bound, &combo);
@@ -1202,48 +1081,21 @@ impl<'a> Executor<'a> {
         // Residual predicates: anything no stage applied (subquery
         // tests, purely-correlated predicates, ...).
         let residual = &select.residual;
-        let mut result: Vec<Row>;
-        if self.threads > 1 && combos.len() >= PARALLEL_THRESHOLD && select.residual_pure {
-            let columns = &qb.columns;
-            let bound_q: &[QuantId] = &bound;
-            self.note_morsel_run(combos.len());
-            let (rows, scratch) = run_morsels(self.threads, &combos, |morsel, _| {
-                let mut out: Vec<Row> = Vec::new();
-                'combo: for combo in morsel {
-                    let cframe = frame.extended(bound_q, combo);
-                    for &i in residual {
-                        let v = eval_pure(&preds[i], &cframe)?;
-                        if !truth_of(&v).passes() {
-                            continue 'combo;
-                        }
-                    }
-                    let mut vals = Vec::with_capacity(columns.len());
-                    for c in columns {
-                        vals.push(eval_pure(&c.expr, &cframe)?);
-                    }
-                    out.push(Row::new(vals));
+        let mut result: Vec<Row> = Vec::with_capacity(combos.len());
+        'combo: for combo in &combos {
+            let cframe = frame.extended(&bound, combo);
+            for &i in residual {
+                let v = self.eval_expr(&preds[i], &cframe)?;
+                if !truth_of(&v).passes() {
+                    continue 'combo;
                 }
-                Ok(out)
-            })?;
-            result = rows;
-            self.profile.merge(&scratch);
-        } else {
-            result = Vec::with_capacity(combos.len());
-            'combo: for combo in &combos {
-                let cframe = frame.extended(&bound, combo);
-                for &i in residual {
-                    let v = self.eval_expr(&preds[i], &cframe)?;
-                    if !truth_of(&v).passes() {
-                        continue 'combo;
-                    }
-                }
-                // Project.
-                let mut out = Vec::with_capacity(qb.columns.len());
-                for c in &qb.columns {
-                    out.push(self.eval_expr(&c.expr, &cframe)?);
-                }
-                result.push(Row::new(out));
             }
+            // Project.
+            let mut out = Vec::with_capacity(qb.columns.len());
+            for c in &qb.columns {
+                out.push(self.eval_expr(&c.expr, &cframe)?);
+            }
+            result.push(Row::new(out));
         }
         self.profile.entry(b).rows_produced += result.len() as u64;
 
@@ -1671,114 +1523,6 @@ pub(crate) fn truth_to_value(t: Truth) -> Value {
         Truth::True => Value::Bool(true),
         Truth::False => Value::Bool(false),
         Truth::Unknown => Value::Null,
-    }
-}
-
-/// Executor-free expression evaluation for the parallel loops. Exactly
-/// mirrors [`Executor::eval_expr`] on the pure subset lowering admits
-/// to a parallel region (`plan::parallel_safe`) — any divergence between the two would break the
-/// byte-identical determinism contract, which is why the determinism
-/// suite runs every benchmark query at several thread counts. Reaching
-/// an impure variant here is an engine bug, not a user error.
-fn eval_pure(e: &ScalarExpr, frame: &Frame<'_>) -> Result<Value> {
-    match e {
-        ScalarExpr::ColRef { quant, col } => frame
-            .lookup(*quant)
-            .map(|row| row.get(*col).clone())
-            .ok_or_else(|| Error::internal(format!("unbound quantifier {quant} in parallel loop"))),
-        ScalarExpr::Literal(v) => Ok(v.clone()),
-        ScalarExpr::Param(i) => frame.param(*i),
-        ScalarExpr::Bin { op, left, right } => eval_bin_pure(*op, left, right, frame),
-        ScalarExpr::Neg(x) => {
-            let v = eval_pure(x, frame)?;
-            if v.is_null() {
-                Ok(Value::Null)
-            } else {
-                Value::Int(0).arith('-', &v)
-            }
-        }
-        ScalarExpr::Not(x) => {
-            let v = eval_pure(x, frame)?;
-            Ok(truth_to_value(truth_of(&v).not()))
-        }
-        ScalarExpr::IsNull { expr, negated } => {
-            let v = eval_pure(expr, frame)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        ScalarExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval_pure(expr, frame)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Bool(like_match(&s, pattern) != *negated)),
-                other => Err(Error::execution(format!("LIKE on non-string {other}"))),
-            }
-        }
-        ScalarExpr::Agg { .. } | ScalarExpr::Quantified { .. } => Err(Error::internal(
-            "impure expression reached a parallel loop".to_string(),
-        )),
-    }
-}
-
-fn eval_bin_pure(
-    op: BinOp,
-    left: &ScalarExpr,
-    right: &ScalarExpr,
-    frame: &Frame<'_>,
-) -> Result<Value> {
-    match op {
-        BinOp::And => {
-            let l = truth_of(&eval_pure(left, frame)?);
-            // Short circuit only on False (Unknown must still look
-            // right to distinguish False from Unknown).
-            if l == Truth::False {
-                return Ok(Value::Bool(false));
-            }
-            let r = truth_of(&eval_pure(right, frame)?);
-            Ok(truth_to_value(l.and(r)))
-        }
-        BinOp::Or => {
-            let l = truth_of(&eval_pure(left, frame)?);
-            if l == Truth::True {
-                return Ok(Value::Bool(true));
-            }
-            let r = truth_of(&eval_pure(right, frame)?);
-            Ok(truth_to_value(l.or(r)))
-        }
-        BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let l = eval_pure(left, frame)?;
-            let r = eval_pure(right, frame)?;
-            let t = match op {
-                BinOp::Eq => l.sql_eq(&r),
-                BinOp::Neq => l.sql_eq(&r).not(),
-                _ => match l.sql_cmp(&r) {
-                    None => Truth::Unknown,
-                    Some(ord) => match op {
-                        BinOp::Lt => (ord == std::cmp::Ordering::Less).into(),
-                        BinOp::Le => (ord != std::cmp::Ordering::Greater).into(),
-                        BinOp::Gt => (ord == std::cmp::Ordering::Greater).into(),
-                        BinOp::Ge => (ord != std::cmp::Ordering::Less).into(),
-                        _ => unreachable!(),
-                    },
-                },
-            };
-            Ok(truth_to_value(t))
-        }
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-            let l = eval_pure(left, frame)?;
-            let r = eval_pure(right, frame)?;
-            let ch = match op {
-                BinOp::Add => '+',
-                BinOp::Sub => '-',
-                BinOp::Mul => '*',
-                BinOp::Div => '/',
-                _ => unreachable!(),
-            };
-            l.arith(ch, &r)
-        }
     }
 }
 

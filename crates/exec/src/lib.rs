@@ -50,7 +50,6 @@ pub mod executor;
 mod fixpoint;
 pub mod like;
 pub mod metrics;
-pub mod parallel;
 mod plan;
 pub mod profile;
 mod vector;

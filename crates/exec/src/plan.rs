@@ -21,7 +21,7 @@
 //! correlated block. What depends on the data stays a run-time decision
 //! of the executor: index-nested-loop vs hash join (combinations
 //! against the table's row count), the build table's shape, a kernel
-//! error's fallback, the morsel split, and the `columnar` option.
+//! error's fallback, and the `columnar` option.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -74,9 +74,6 @@ pub(crate) struct SelectPlan {
     /// Predicates no stage applies (subquery tests, references to a
     /// correlated child), checked per combination before projection.
     pub(crate) residual: Vec<usize>,
-    /// Residual predicates and output columns may run in a parallel
-    /// region ([`parallel_safe`]).
-    pub(crate) residual_pure: bool,
     pub(crate) program: Program,
 }
 
@@ -97,11 +94,6 @@ pub(crate) struct Stage {
     /// Predicates every combination must pass once `quant` is bound,
     /// in declaration order.
     pub(crate) ready: Vec<usize>,
-    /// Whether the probe sides, the build sides and the ready
-    /// predicates may run in a parallel region.
-    pub(crate) probe_pure: bool,
-    pub(crate) build_pure: bool,
-    pub(crate) ready_pure: bool,
 }
 
 /// Probe `table`'s index on `col` with hash equality `pred`'s probe
@@ -335,17 +327,12 @@ fn lower_select(qgm: &Qgm, b: BoxId, correlated: &HashMap<BoxId, bool>) -> Selec
             quant: q,
             child,
             child_correlated,
-            probe_pure: hash.iter().all(|(p, _)| parallel_safe(qgm, p)),
-            build_pure: hash.iter().all(|(_, bld)| parallel_safe(qgm, bld)),
-            ready_pure: ready.iter().all(|&i| parallel_safe(qgm, &preds[i])),
             hash,
             index,
             ready,
         });
     }
     let residual: Vec<usize> = (0..preds.len()).filter(|&i| !applied[i]).collect();
-    let residual_pure = residual.iter().all(|&i| parallel_safe(qgm, &preds[i]))
-        && qb.columns.iter().all(|c| parallel_safe(qgm, &c.expr));
     let mut outer = OuterRefs::default();
     let mut checks = Vec::new();
     let kernels = lower_program(
@@ -362,7 +349,6 @@ fn lower_select(qgm: &Qgm, b: BoxId, correlated: &HashMap<BoxId, bool>) -> Selec
     SelectPlan {
         stages,
         residual,
-        residual_pure,
         program: Program {
             outer,
             checks,
@@ -484,24 +470,6 @@ fn lower_groupby(qgm: &Qgm, b: BoxId) -> GroupByPlan {
         })
         .collect();
     GroupByPlan { outer, exprs }
-}
-
-/// May `e` be evaluated inside a parallel region? Parallel workers
-/// have no access to the executor, so the expression must need nothing
-/// beyond frame lookups: no quantified subquery tests, no aggregates,
-/// and every column reference bound to a Foreach quantifier (a Scalar
-/// quantifier's column evaluates a subquery on demand; Existential and
-/// Universal quantifiers re-enter the executor through their tests).
-/// Anything unsafe runs the serial loop, which is always correct —
-/// this only gates the optimization.
-fn parallel_safe(qgm: &Qgm, e: &ScalarExpr) -> bool {
-    let mut ok = true;
-    e.walk(&mut |x| match x {
-        ScalarExpr::Agg { .. } | ScalarExpr::Quantified { .. } => ok = false,
-        ScalarExpr::ColRef { quant, .. } if !qgm.quant(*quant).kind.is_foreach() => ok = false,
-        _ => {}
-    });
-    ok
 }
 
 /// Every parameter marker of the graph, first occurrences in graph

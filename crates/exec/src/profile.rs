@@ -45,7 +45,7 @@ pub struct BoxProfile {
 /// Convergence record of one fixpoint (recursive union) box: how many
 /// iterations the driver ran and how many new rows each one added.
 /// Deterministic — no clocks — so the determinism suite can pin it
-/// across thread counts and the columnar toggle.
+/// across the columnar toggle.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FixpointStats {
     /// Step iterations after the seed (a query whose step never fires
@@ -120,11 +120,10 @@ impl ExecProfile {
         self.boxes.get(&b).copied().unwrap_or_default()
     }
 
-    /// Fold another profile's counters into this one. The parallel
-    /// runner gives each worker a private scratch profile and merges
-    /// them once after the join — counters are commutative sums, so
-    /// the merged totals equal a serial run's regardless of how rows
-    /// were distributed across workers (no per-row locking anywhere).
+    /// Fold another profile's counters into this one. The columnar path
+    /// charges a select's stages to a scratch profile and merges it only
+    /// when the attempt succeeds, so a fallback to the row path charges
+    /// nothing twice.
     pub fn merge(&mut self, other: &ExecProfile) {
         for (b, p) in &other.boxes {
             let e = self.entry(*b);
@@ -135,9 +134,9 @@ impl ExecProfile {
             e.evals += p.evals;
             e.elapsed += p.elapsed;
         }
-        // Fixpoints run on the coordinating executor, never inside a
-        // morsel worker, so entries cannot collide in practice; summing
-        // keeps merge commutative anyway.
+        // A columnar scratch profile never records a fixpoint, so
+        // entries cannot collide in practice; summing keeps merge
+        // commutative anyway.
         for (b, fs) in &other.fixpoint {
             let e = self.fixpoint.entry(*b).or_default();
             e.iterations += fs.iterations;

@@ -2,16 +2,15 @@
 //!
 //! ```text
 //! starmagic-fuzz [--seed N] [--count N] [--budget-ms N]
-//!                [--corpus-dir PATH] [--threads a,b,...]
-//!                [--server host:port] [--no-analysis-oracle]
-//!                [--no-columnar-oracle]
+//!                [--corpus-dir PATH] [--server host:port]
+//!                [--no-analysis-oracle] [--no-columnar-oracle]
 //! ```
 //!
 //! Generates `count` seeded queries, runs each under Original /
-//! CostBased / Magic at every thread count — with the columnar batch
-//! executor both on and off, so the two select paths cross-check each
-//! other (disable the row-path second run with
-//! `--no-columnar-oracle`) — and compares results as bags; each
+//! CostBased / Magic — with the columnar batch executor both on and
+//! off, so the two select paths cross-check each other (disable the
+//! row-path second run with `--no-columnar-oracle`) — and compares
+//! results as bags; each
 //! in-process execution is additionally cross-checked against the
 //! static analysis (disable with `--no-analysis-oracle`).
 //! Divergences are minimized by the shrinker and printed (and, with
@@ -40,15 +39,6 @@ fn main() -> ExitCode {
             "--no-analysis-oracle" => cfg.analysis = false,
             "--columnar-oracle" => cfg.columnar = true,
             "--no-columnar-oracle" => cfg.columnar = false,
-            "--threads" => {
-                cfg.threads = take("--threads")
-                    .split(',')
-                    .map(|t| parse(t.trim(), "--threads"))
-                    .collect();
-                if cfg.threads.is_empty() {
-                    die("--threads needs at least one count");
-                }
-            }
             "--help" | "-h" => {
                 println!(
                     "starmagic-fuzz: differential query fuzzer\n\n\
@@ -57,7 +47,6 @@ fn main() -> ExitCode {
                      --count N         queries to generate (default 100)\n  \
                      --budget-ms N     wall-clock budget, 0 = unlimited (default 0)\n  \
                      --corpus-dir DIR  persist minimized repros as .sql files\n  \
-                     --threads a,b     executor thread counts (default 1,4)\n  \
                      --server ADDR     run the Magic strategy over the wire against a\n                    \
                      running `starmagic-server --scale fuzz` at host:port\n  \
                      --analysis-oracle     cross-check executions against the static\n                        \

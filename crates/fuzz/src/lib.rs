@@ -6,8 +6,8 @@
 //!
 //! 1. [`gen`] produces seeded, grammar-directed query ASTs over the
 //!    benchmark catalog (NULL-rich, view-heavy, subquery-heavy);
-//! 2. [`oracle`] runs each query under Original / CostBased / Magic at
-//!    every configured thread count with PerFire rewrite linting, and
+//! 2. [`oracle`] runs each query under Original / CostBased / Magic,
+//!    columnar path on and off, with PerFire rewrite linting, and
 //!    compares results as sorted bags;
 //! 3. on divergence, [`shrink`] minimizes the AST while the divergence
 //!    keeps reproducing, and the run emits a self-contained repro —
@@ -55,8 +55,6 @@ pub struct FuzzConfig {
     pub budget_ms: u64,
     /// Where to persist minimized repros (one `.sql` file each).
     pub corpus_dir: Option<PathBuf>,
-    /// Executor thread counts every strategy runs at.
-    pub threads: Vec<usize>,
     /// Candidate-evaluation cap per shrink.
     pub shrink_checks: usize,
     /// When set, route the Magic strategy through a running
@@ -81,7 +79,6 @@ impl Default for FuzzConfig {
             count: 100,
             budget_ms: 0,
             corpus_dir: None,
-            threads: vec![1, 4],
             shrink_checks: 600,
             server: None,
             analysis: true,
@@ -99,7 +96,7 @@ pub struct Repro {
     pub original_sql: String,
     /// After shrinking (still diverging).
     pub minimized_sql: String,
-    /// Strategy/thread pair and row-level diff of the *minimized*
+    /// Configuration pair and row-level diff of the *minimized*
     /// query.
     pub left: String,
     pub right: String,
@@ -131,10 +128,10 @@ pub fn run_fuzz(engine: &Engine, cfg: &FuzzConfig) -> FuzzReport {
         Some(addr) => {
             let client = starmagic_server::Client::connect(addr.as_str())
                 .unwrap_or_else(|e| panic!("cannot connect to --server {addr}: {e}"));
-            Oracle::with_remote_magic(engine, cfg.threads.clone(), client)
+            Oracle::with_remote_magic(engine, client)
                 .unwrap_or_else(|e| panic!("cannot pin magic strategy on {addr}: {e}"))
         }
-        None => Oracle::new(engine, cfg.threads.clone()),
+        None => Oracle::new(engine),
     };
     oracle.set_analysis(cfg.analysis);
     oracle.set_columnar(cfg.columnar);

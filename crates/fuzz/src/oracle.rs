@@ -1,16 +1,13 @@
-//! The differential oracle: three strategies × thread counts ×
-//! columnar/row executor, results compared as bags.
+//! The differential oracle: three strategies × columnar/row executor,
+//! results compared as bags.
 //!
 //! The three independent execution paths — Original (no EMST, so
 //! subqueries stay correlated and run tuple-at-a-time), Magic (EMST
 //! forced), and CostBased (the paper's heuristic, picking either) —
 //! must agree on every query, row for row, duplicate for duplicate.
-//! Each prepared plan additionally runs at every configured thread
-//! count, which the morsel-parallel executor promises is
-//! byte-identical to serial. The rewrite engine lints at
-//! [`CheckLevel::PerFire`] during every prepare, so a rule application
-//! that breaks a QGM invariant surfaces as a divergence too (the
-//! secondary oracle).
+//! The rewrite engine lints at [`CheckLevel::PerFire`] during every
+//! prepare, so a rule application that breaks a QGM invariant surfaces
+//! as a divergence too (the secondary oracle).
 //!
 //! A further secondary oracle cross-checks execution against the
 //! static analysis: the chosen plan's L2xx report must be
@@ -31,7 +28,6 @@ use starmagic_server::{Client, Response};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
     pub strategy: StrategyKind,
-    pub threads: usize,
     /// Whether the columnar batch path was enabled; `false` pins the
     /// row-at-a-time executor, making the two select paths each
     /// other's oracle.
@@ -41,7 +37,7 @@ pub struct Config {
 impl std::fmt::Display for Config {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let suffix = if self.columnar { "" } else { "·row" };
-        write!(f, "{}×{}{suffix}", self.strategy.name(), self.threads)
+        write!(f, "{}{suffix}", self.strategy.name())
     }
 }
 
@@ -124,11 +120,9 @@ pub struct Divergence {
     pub detail: String,
 }
 
-/// The oracle over one engine. Thread counts beyond the first add
-/// extra executions of each prepared plan.
+/// The oracle over one engine.
 pub struct Oracle<'a> {
     engine: &'a Engine,
-    threads: Vec<usize>,
     /// When set, the Magic strategy runs over the wire protocol
     /// against this connection instead of in-process, so the whole
     /// server stack (codec, session, shared plan cache) sits inside
@@ -148,11 +142,9 @@ pub struct Oracle<'a> {
 }
 
 impl<'a> Oracle<'a> {
-    pub fn new(engine: &'a Engine, threads: Vec<usize>) -> Oracle<'a> {
-        assert!(!threads.is_empty());
+    pub fn new(engine: &'a Engine) -> Oracle<'a> {
         Oracle {
             engine,
-            threads,
             remote_magic: None,
             analysis: true,
             columnar: true,
@@ -171,16 +163,10 @@ impl<'a> Oracle<'a> {
 
     /// An oracle whose Magic strategy executes through `client`. Pins
     /// the session strategy to magic up front.
-    pub fn with_remote_magic(
-        engine: &'a Engine,
-        threads: Vec<usize>,
-        mut client: Client,
-    ) -> Result<Oracle<'a>, Error> {
-        assert!(!threads.is_empty());
+    pub fn with_remote_magic(engine: &'a Engine, mut client: Client) -> Result<Oracle<'a>, Error> {
         client.set_strategy("magic")?;
         Ok(Oracle {
             engine,
-            threads,
             remote_magic: Some(RefCell::new(client)),
             analysis: true,
             columnar: true,
@@ -202,66 +188,44 @@ impl<'a> Oracle<'a> {
             };
             if strategy == StrategyKind::Magic {
                 if let Some(remote) = &self.remote_magic {
-                    let mut client = remote.borrow_mut();
-                    for &threads in &self.threads {
-                        let rows = remote_run(&mut client, sql, threads);
-                        runs.push((
-                            Config {
-                                strategy,
-                                threads,
-                                columnar: true,
-                            },
-                            rows,
-                        ));
-                    }
+                    let rows = remote_run(&mut remote.borrow_mut(), sql);
+                    let cfg = Config {
+                        strategy,
+                        columnar: true,
+                    };
+                    runs.push((cfg, rows));
                     continue;
                 }
             }
             match self.engine.optimize_with_options(sql, strategy.options()) {
                 Err(e) => {
-                    // A prepare failure applies to every thread count.
-                    for &threads in &self.threads {
-                        for &columnar in modes {
-                            runs.push((
-                                Config {
-                                    strategy,
-                                    threads,
-                                    columnar,
-                                },
-                                Err(e.clone()),
-                            ));
-                        }
+                    // A prepare failure applies to every mode.
+                    for &columnar in modes {
+                        runs.push((Config { strategy, columnar }, Err(e.clone())));
                     }
                 }
                 Ok(optimized) => {
-                    let mut prepared = starmagic::prepared_from(&optimized, 1);
-                    for &threads in &self.threads {
-                        for &columnar in modes {
-                            prepared.threads = threads;
-                            prepared.columnar = columnar;
-                            let rows = self.engine.execute_prepared(&prepared).map(|r| {
-                                let mut rows = r.rows;
-                                rows.sort_by(Row::group_cmp);
-                                rows
-                            });
-                            let cfg = Config {
-                                strategy,
-                                threads,
-                                columnar,
-                            };
-                            if self.analysis {
-                                if let Ok(rows) = &rows {
-                                    if let Some(detail) = analysis_disagreement(&optimized, rows) {
-                                        return Outcome::Diverged(Divergence {
-                                            left: cfg.to_string(),
-                                            right: "analysis".to_string(),
-                                            detail,
-                                        });
-                                    }
+                    let mut prepared = starmagic::prepared_from(&optimized);
+                    for &columnar in modes {
+                        prepared.columnar = columnar;
+                        let rows = self.engine.execute_prepared(&prepared).map(|r| {
+                            let mut rows = r.rows;
+                            rows.sort_by(Row::group_cmp);
+                            rows
+                        });
+                        let cfg = Config { strategy, columnar };
+                        if self.analysis {
+                            if let Ok(rows) = &rows {
+                                if let Some(detail) = analysis_disagreement(&optimized, rows) {
+                                    return Outcome::Diverged(Divergence {
+                                        left: cfg.to_string(),
+                                        right: "analysis".to_string(),
+                                        detail,
+                                    });
                                 }
                             }
-                            runs.push((cfg, rows));
                         }
+                        runs.push((cfg, rows));
                     }
                 }
             }
@@ -313,14 +277,12 @@ pub fn analysis_disagreement(optimized: &Optimized, rows: &[Row]) -> Option<Stri
     None
 }
 
-/// One wire-protocol execution: pin the session's thread count, run
-/// the query, sort the bag. The codec carries the error variant, so a
-/// server-side failure reconstructs as the same [`Error`] the
-/// in-process run would produce and error-vs-error comparison works
-/// unchanged; doubles travel as their IEEE-754 bits, so row bags
-/// compare byte-identically.
-fn remote_run(client: &mut Client, sql: &str, threads: usize) -> Result<Vec<Row>, Error> {
-    client.set_threads(threads)?;
+/// One wire-protocol execution: run the query, sort the bag. The codec
+/// carries the error variant, so a server-side failure reconstructs as
+/// the same [`Error`] the in-process run would produce and
+/// error-vs-error comparison works unchanged; doubles travel as their
+/// IEEE-754 bits, so row bags compare byte-identically.
+fn remote_run(client: &mut Client, sql: &str) -> Result<Vec<Row>, Error> {
     match client.query(sql)? {
         Response::Rows { mut rows, .. } => {
             rows.sort_by(Row::group_cmp);

@@ -28,7 +28,8 @@ impl fmt::Display for Severity {
 /// `starmagic-analysis` checks: L20x are errors (statically proven
 /// rewrite unsoundness), L21x are warnings (estimate/heuristic
 /// disagreements). Codes are never renumbered so test suites and docs
-/// can reference them.
+/// can reference them, and a retired code's number is never reused:
+/// retired are L110 and L211, which explained the removed parallel executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Code {
     /// A box lists a quantifier id that is dead.
@@ -103,12 +104,6 @@ pub enum Code {
     /// (strata are assigned at build time and go stale as rewrites
     /// restructure the graph).
     L104StaleStratum,
-    /// A deposited join order references a parallel-unsafe quantifier:
-    /// a correlated existential/universal quantifier, whose evaluation
-    /// re-enters the executor per outer row. The parallel executor
-    /// refuses to parallelize loops touching such quantifiers; a join
-    /// order that names one pins the box to the serial path.
-    L110ParallelUnsafeJoinOrder,
     /// A predicate references a magic Foreach quantifier but is not
     /// null-strict in it: a NULL binding could satisfy the predicate,
     /// so the magic restriction may drop rows the original query
@@ -126,10 +121,6 @@ pub enum Code {
     /// The planner's row estimate for a box falls outside the
     /// multiplicity bounds the analysis proved.
     L210CardinalityOutsideBounds,
-    /// A join loop above the executor's parallel threshold is pinned
-    /// to the serial path by an impure expression (the purity-analysis
-    /// upgrade of the L110 heuristic).
-    L211ImpureSerialPinned,
 }
 
 impl Code {
@@ -159,12 +150,10 @@ impl Code {
         Code::L102UnusedOutputColumn,
         Code::L103JoinOrderForeignQuant,
         Code::L104StaleStratum,
-        Code::L110ParallelUnsafeJoinOrder,
         Code::L200NullStrictnessViolation,
         Code::L201DuplicateClaimRefuted,
         Code::L202BindingFlowUnsound,
         Code::L210CardinalityOutsideBounds,
-        Code::L211ImpureSerialPinned,
     ];
 
     /// The stable "Lnnn" tag.
@@ -194,12 +183,10 @@ impl Code {
             Code::L102UnusedOutputColumn => "L102",
             Code::L103JoinOrderForeignQuant => "L103",
             Code::L104StaleStratum => "L104",
-            Code::L110ParallelUnsafeJoinOrder => "L110",
             Code::L200NullStrictnessViolation => "L200",
             Code::L201DuplicateClaimRefuted => "L201",
             Code::L202BindingFlowUnsound => "L202",
             Code::L210CardinalityOutsideBounds => "L210",
-            Code::L211ImpureSerialPinned => "L211",
         }
     }
 
@@ -212,9 +199,7 @@ impl Code {
             | Code::L102UnusedOutputColumn
             | Code::L103JoinOrderForeignQuant
             | Code::L104StaleStratum
-            | Code::L110ParallelUnsafeJoinOrder
-            | Code::L210CardinalityOutsideBounds
-            | Code::L211ImpureSerialPinned => Severity::Warn,
+            | Code::L210CardinalityOutsideBounds => Severity::Warn,
             _ => Severity::Error,
         }
     }
@@ -246,12 +231,10 @@ impl Code {
             Code::L102UnusedOutputColumn => "output column never referenced",
             Code::L103JoinOrderForeignQuant => "join order entry foreign or non-Foreach",
             Code::L104StaleStratum => "stored stratum differs from recomputed",
-            Code::L110ParallelUnsafeJoinOrder => "join order names a correlated subquery quant",
             Code::L200NullStrictnessViolation => "magic predicate not null-strict",
             Code::L201DuplicateClaimRefuted => "Preserve claim refuted by multiplicity bounds",
             Code::L202BindingFlowUnsound => "magic binding unconsumed or Bound column untraced",
             Code::L210CardinalityOutsideBounds => "planner estimate outside proven bounds",
-            Code::L211ImpureSerialPinned => "large join pinned serial by impure expression",
         }
     }
 }

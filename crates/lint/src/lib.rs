@@ -1,7 +1,7 @@
 //! Semantic invariant checker for the QGM.
 //!
 //! [`Qgm::validate`] stops at the first structural breakage; this crate
-//! is the full diagnosis. Eight passes sweep the graph and report every
+//! is the full diagnosis. Seven passes sweep the graph and report every
 //! violation as a [`Diagnostic`] with a stable code (L0xx = error,
 //! L1xx = warning), the offending box/quantifier, and a human message:
 //!
@@ -19,10 +19,7 @@
 //! 6. **quantifiers** — subquery quantifiers stay inside predicates
 //!    (L040, L041);
 //! 7. **hygiene** — unreachable boxes, orphan quantifiers, unused
-//!    columns, foreign join-order entries (L100–L103);
-//! 8. **parallel** — join orders naming parallel-unsafe (correlated
-//!    existential/universal) quantifiers, which pin the box to the
-//!    executor's serial path (L110).
+//!    columns, foreign join-order entries (L100–L103).
 //!
 //! The rewrite engine runs this after every rule application in
 //! `CheckLevel::PerFire` mode, attributing any error to the rule that
@@ -54,7 +51,6 @@ pub fn lint(qgm: &Qgm, catalog: &Catalog) -> LintReport {
     passes::duplicates::run(qgm, catalog, &mut report);
     passes::quantifiers::run(qgm, &mut report);
     passes::hygiene::run(qgm, &mut report);
-    passes::parallel::run(qgm, &mut report);
     report
 }
 

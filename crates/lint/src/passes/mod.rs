@@ -3,7 +3,6 @@
 pub mod duplicates;
 pub mod hygiene;
 pub mod magic;
-pub mod parallel;
 pub mod quantifiers;
 pub mod recursion;
 pub mod strata;

@@ -118,28 +118,6 @@ pub fn compare_cardinalities(
     rows
 }
 
-/// Merge per-worker actual-row maps into one, summing `(rows_out,
-/// evals)` per box — the bridge from the parallel executor's per-worker
-/// scratch profiles to [`cardinality_report`], which expects one flat
-/// map per execution. Sums are commutative, so the merged map (and
-/// therefore the misestimation histogram) is identical however the
-/// rows were split across workers — a 4-thread run feeds the planner
-/// exactly the numbers a serial run would.
-pub fn merge_actuals<I>(parts: I) -> BTreeMap<BoxId, (u64, u64)>
-where
-    I: IntoIterator<Item = BTreeMap<BoxId, (u64, u64)>>,
-{
-    let mut merged: BTreeMap<BoxId, (u64, u64)> = BTreeMap::new();
-    for part in parts {
-        for (b, (rows_out, evals)) in part {
-            let e = merged.entry(b).or_insert((0, 0));
-            e.0 += rows_out;
-            e.1 += evals;
-        }
-    }
-    merged
-}
-
 /// Histogram of misestimation buckets, in bucket order
 /// (`<=2x`, `<=10x`, `<=100x`, `>100x`).
 pub fn bucket_histogram(rows: &[CardRow]) -> [(MisestimateBucket, usize); 4] {
@@ -187,32 +165,6 @@ mod tests {
             MisestimateBucket::from_ratio(101.0),
             MisestimateBucket::Beyond100x
         );
-    }
-
-    #[test]
-    fn merge_actuals_sums_per_box() {
-        let a: BTreeMap<BoxId, (u64, u64)> = [(BoxId(1), (10, 1)), (BoxId(2), (4, 2))].into();
-        let b: BTreeMap<BoxId, (u64, u64)> = [(BoxId(1), (5, 1)), (BoxId(3), (7, 1))].into();
-        let merged = merge_actuals([a, b]);
-        assert_eq!(merged[&BoxId(1)], (15, 2));
-        assert_eq!(merged[&BoxId(2)], (4, 2));
-        assert_eq!(merged[&BoxId(3)], (7, 1));
-    }
-
-    #[test]
-    fn merge_actuals_is_partition_invariant() {
-        // One flat map vs the same counts split across four "workers"
-        // must merge to the same totals — the property that keeps the
-        // misestimation histogram identical at any thread count.
-        let flat: BTreeMap<BoxId, (u64, u64)> = [(BoxId(1), (100, 4)), (BoxId(2), (20, 1))].into();
-        let quarters = vec![
-            BTreeMap::from([(BoxId(1), (25, 1))]),
-            BTreeMap::from([(BoxId(1), (25, 1)), (BoxId(2), (20, 1))]),
-            BTreeMap::from([(BoxId(1), (25, 1))]),
-            BTreeMap::from([(BoxId(1), (25, 1))]),
-        ];
-        assert_eq!(merge_actuals([flat.clone()]), merge_actuals(quarters));
-        assert_eq!(merge_actuals([flat.clone()]), flat);
     }
 
     #[test]

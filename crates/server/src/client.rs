@@ -184,11 +184,6 @@ impl Client {
             .map(|_| ())
     }
 
-    /// Set the session's executor worker count.
-    pub fn set_threads(&mut self, threads: usize) -> Result<()> {
-        self.request(&format!("SET THREADS {threads}")).map(|_| ())
-    }
-
     /// EXPLAIN over the wire.
     pub fn explain(&mut self, sql: &str) -> Result<String> {
         match self.request(&format!("EXPLAIN {}", single_line(sql)))? {

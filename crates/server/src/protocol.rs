@@ -14,7 +14,6 @@
 //! EXECUTE <name> [<value>..]  run a named statement with bound values
 //! CLOSE <name>                forget a named statement
 //! SET STRATEGY original|magic|cost
-//! SET THREADS <n>             per-session executor workers
 //! SET SLOWLOG <ms>|OFF        arm/disarm the slow-query log threshold
 //! EXPLAIN <sql>               optimizer report (text frame)
 //! ANALYZE <sql>               EXPLAIN ANALYZE (text frame)

@@ -455,7 +455,6 @@ struct Session {
     shutdown: Arc<ShutdownSignal>,
     gate: Arc<AdmissionGate>,
     strategy: Strategy,
-    threads: usize,
     /// Named prepared statements, each holding its plan. A plan is run
     /// only at the epoch it was built for; after a DDL the statement
     /// resolves again through the shared plan cache, so a session never
@@ -480,7 +479,6 @@ impl Session {
             shutdown,
             gate,
             strategy: Strategy::CostBased,
-            threads: 1,
             statements: HashMap::new(),
             metrics,
             slowlog,
@@ -621,13 +619,6 @@ impl Session {
                 }
                 other => err_line(&Error::unsupported(format!("unknown strategy {other}"))),
             },
-            "THREADS" => match value.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => {
-                    self.threads = n;
-                    "OK\n".to_string()
-                }
-                _ => err_line(&Error::unsupported("SET THREADS needs an integer >= 1")),
-            },
             "SLOWLOG" => {
                 let Some(log) = &self.slowlog else {
                     return err_line(&Error::unsupported(
@@ -716,7 +707,7 @@ impl Session {
         // — runs against this one snapshot: one consistent catalog at
         // one epoch, no engine lock held.
         let engine = self.engine.snapshot();
-        match engine.query_cached_traced_with(sql, self.strategy, self.threads) {
+        match engine.query_cached_traced(sql, self.strategy) {
             Ok(c) => {
                 if let Some((log, started)) = slow {
                     let duration_us =
@@ -826,7 +817,7 @@ impl Session {
             }
         };
         let plan = &statement.plan;
-        match engine.execute_cached_with(plan, &args, &statement.extracted, self.threads) {
+        match engine.execute_cached(plan, &args, &statement.extracted) {
             Ok(r) => {
                 if let Some((log, started)) = slow {
                     let duration_us =

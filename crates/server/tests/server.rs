@@ -420,16 +420,23 @@ fn per_session_strategy_controls_the_executed_plan() {
         }
         other => panic!("expected rows, got {other:?}"),
     }
+    handle.shutdown();
+}
 
-    client.set_threads(4).expect("SET THREADS");
-    match client.query(SUITE_QUERY).expect("threaded run") {
-        Response::Rows { rows, .. } => {
-            assert_eq!(bag(&rows), magic, "thread count never changes results");
-        }
+#[test]
+fn a_retired_thread_setting_is_unsupported_and_the_session_lives() {
+    let (handle, addr) = start();
+    let mut client = Client::connect(addr).expect("connect");
+    let err = client.request("SET THREADS 4").unwrap_err();
+    assert!(matches!(err, Error::Unsupported(_)), "got {err:?}");
+    client.ping().expect("PING after the rejected SET");
+    match client
+        .query(SUITE_QUERY)
+        .expect("QUERY after the rejected SET")
+    {
+        Response::Rows { rows, .. } => assert!(!rows.is_empty()),
         other => panic!("expected rows, got {other:?}"),
     }
-    let err = client.request("SET THREADS 0").unwrap_err();
-    assert!(matches!(err, Error::Unsupported(_)), "got {err:?}");
     handle.shutdown();
 }
 

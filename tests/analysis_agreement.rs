@@ -41,7 +41,7 @@ fn assert_agreement(engine: &starmagic::Engine, label: &str, sql: &str) {
             continue;
         };
         let mut rows: Vec<Row> = engine
-            .execute_prepared(&starmagic::prepared_from(&optimized, 1))
+            .execute_prepared(&starmagic::prepared_from(&optimized))
             .unwrap_or_else(|e| panic!("{label} [{name}] prepared but failed to run: {e}"))
             .rows;
         rows.sort_by(Row::group_cmp);

@@ -5,7 +5,7 @@
 //! vectorized kernel (DESIGN.md "The box boundary"). Outside, nothing
 //! may move: for the 32 Table-1 plans and 8 transitive closures the
 //! rows — in order — and the whole [`ExecProfile`] are the same with
-//! the columnar knob on and off, at one worker thread and at four.
+//! the columnar knob on and off.
 //!
 //! The second test is the number ROADMAP item 5 asks for: how many box
 //! evaluations stay on the batch path, and why the rest leave it, over
@@ -15,8 +15,8 @@
 //! The last three pin the physical plan (DESIGN.md "Physical plan"): a
 //! cached entry, lowered once with its literals as parameter slots,
 //! runs exactly like a plan freshly prepared with the literals in it —
-//! at every setting, from eight threads at once, and as seen by the
-//! misestimate feedback.
+//! with the columnar knob on and off, from eight threads at once, and as
+//! seen by the misestimate feedback.
 //!
 //! Attached to the fuzz crate, which sees the bench experiments, the
 //! recursion graphs and the query generator at once.
@@ -39,12 +39,10 @@ fn run(
     engine: &Engine,
     qgm: &Qgm,
     indexes: &IndexCache,
-    threads: usize,
     columnar: bool,
     metrics: Registry,
 ) -> (Vec<Row>, ExecProfile) {
     let opts = ExecOptions {
-        threads,
         columnar,
         metrics,
         ..ExecOptions::default()
@@ -52,16 +50,13 @@ fn run(
     execute_with_options(qgm, engine.catalog(), indexes, opts).expect("execution")
 }
 
-/// Every (threads, columnar) setting against the serial columnar run.
+/// The row path against the columnar run.
 fn assert_invisible(engine: &Engine, qgm: &Qgm, what: &str) {
     let indexes = IndexCache::default();
-    let base = run(engine, qgm, &indexes, 1, true, Registry::noop());
-    for (threads, columnar) in [(1, false), (4, true), (4, false)] {
-        let other = run(engine, qgm, &indexes, threads, columnar, Registry::noop());
-        let setting = format!("{what}: threads={threads} columnar={columnar}");
-        assert_eq!(base.0, other.0, "{setting}: rows or their order differ");
-        assert_eq!(base.1, other.1, "{setting}: profile differs");
-    }
+    let base = run(engine, qgm, &indexes, true, Registry::noop());
+    let other = run(engine, qgm, &indexes, false, Registry::noop());
+    assert_eq!(base.0, other.0, "{what}: rows or their order differ");
+    assert_eq!(base.1, other.1, "{what}: profile differs");
 }
 
 /// The 32 plans `table1_exec` prepares: each experiment's view
@@ -103,7 +98,7 @@ fn closure_graphs() -> Vec<GraphSpec> {
 }
 
 #[test]
-fn table1_and_closures_are_identical_across_paths_and_threads() {
+fn table1_and_closures_are_identical_across_paths() {
     let engine = bench_engine(Scale::small()).unwrap();
     let plans = table1_plans(&engine);
     assert_eq!(plans.len(), 32);
@@ -139,7 +134,7 @@ fn tally(engine: &Engine, plans: &[(String, Qgm)]) -> (u64, BTreeMap<&'static st
     let registry = Registry::enabled();
     let indexes = IndexCache::default();
     for (_, qgm) in plans {
-        run(engine, qgm, &indexes, 1, true, registry.clone());
+        run(engine, qgm, &indexes, true, registry.clone());
     }
     let snap = registry.snapshot();
     let reasons = Fallback::ALL
@@ -239,17 +234,15 @@ fn wire_templates(dept: u64) -> [String; 4] {
     ]
 }
 
-/// One execution of a prepared plan at one setting, through its
-/// lowered form with `params` bound.
+/// One execution of a prepared plan on one path, through its lowered
+/// form with `params` bound.
 fn run_prepared(
     engine: &Engine,
     prepared: &Prepared,
     params: &[Value],
-    threads: usize,
     columnar: bool,
 ) -> Result<(Vec<Row>, ExecProfile)> {
     let opts = ExecOptions {
-        threads,
         columnar,
         ..ExecOptions::default()
     };
@@ -266,8 +259,8 @@ fn run_prepared(
 
 /// `sql` through the plan cache against `sql` prepared with its
 /// literals: the engine's own entry points at the default setting,
-/// then rows in order, profile, path markers and errors at every
-/// (threads, columnar) setting.
+/// then rows in order, profile, path markers and errors with the
+/// columnar knob on and off.
 fn assert_cached_is_literal(engine: &Engine, sql: &str, strategy: Strategy) {
     let what = format!("{strategy:?} {sql}");
     let literal = engine.prepare(sql, strategy).expect("prepare");
@@ -283,20 +276,18 @@ fn assert_cached_is_literal(engine: &Engine, sql: &str, strategy: Strategy) {
         (Err(c), Err(l)) => assert_eq!(c, l, "{what}: errors differ"),
         (c, l) => panic!("{what}: cached {c:?} vs literal {l:?}"),
     }
-    for threads in [1, 4] {
-        for columnar in [true, false] {
-            let setting = format!("{what}: threads={threads} columnar={columnar}");
-            let c = run_prepared(engine, &entry.prepared, &extracted, threads, columnar);
-            let l = run_prepared(engine, &literal, &[], threads, columnar);
-            match (c, l) {
-                (Ok(c), Ok(l)) => {
-                    assert_eq!(c.0, l.0, "{setting}: rows or their order differ");
-                    assert_eq!(c.1, l.1, "{setting}: profile differs");
-                    assert_eq!(c.1.paths, l.1.paths, "{setting}: paths differ");
-                }
-                (Err(c), Err(l)) => assert_eq!(c, l, "{setting}: errors differ"),
-                (c, l) => panic!("{setting}: cached {c:?} vs literal {l:?}"),
+    for columnar in [true, false] {
+        let setting = format!("{what}: columnar={columnar}");
+        let c = run_prepared(engine, &entry.prepared, &extracted, columnar);
+        let l = run_prepared(engine, &literal, &[], columnar);
+        match (c, l) {
+            (Ok(c), Ok(l)) => {
+                assert_eq!(c.0, l.0, "{setting}: rows or their order differ");
+                assert_eq!(c.1, l.1, "{setting}: profile differs");
+                assert_eq!(c.1.paths, l.1.paths, "{setting}: paths differ");
             }
+            (Err(c), Err(l)) => assert_eq!(c, l, "{setting}: errors differ"),
+            (c, l) => panic!("{setting}: cached {c:?} vs literal {l:?}"),
         }
     }
 }

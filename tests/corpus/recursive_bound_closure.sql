@@ -2,7 +2,7 @@
 -- with the destination bound in the outer block — the shape that puts
 -- a *grown* magic set inside the fixpoint (sideways information
 -- passing through the step arm). Replays under every strategy ×
--- thread count × columnar toggle; a bag divergence here means the
+-- columnar toggle; a bag divergence here means the
 -- recursive magic transformation drifted.
 WITH RECURSIVE tc (a, b) AS (
   SELECT e.src AS a, e.dst AS b FROM edge AS e

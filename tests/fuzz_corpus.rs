@@ -1,6 +1,5 @@
 //! Corpus replay: every `.sql` file under `tests/corpus/` runs under
-//! all three strategies × all configured thread counts and must
-//! bag-agree.
+//! all three strategies, columnar path on and off, and must bag-agree.
 //!
 //! The corpus holds minimized repros from `starmagic-fuzz` plus
 //! hand-written 3VL/set-op edge cases; each file's `--` header says
@@ -33,11 +32,7 @@ fn corpus_is_seeded() {
 #[test]
 fn corpus_replays_clean() {
     let engine = fuzz_engine().expect("fuzz engine builds");
-    let threads = match std::env::var("STARMAGIC_TEST_THREADS") {
-        Ok(v) => vec![1, v.parse().expect("STARMAGIC_TEST_THREADS is a number")],
-        Err(_) => vec![1, 4],
-    };
-    let oracle = Oracle::new(&engine, threads);
+    let oracle = Oracle::new(&engine);
     for path in corpus_files() {
         let sql = std::fs::read_to_string(&path).expect("readable corpus file");
         match oracle.check(&sql) {

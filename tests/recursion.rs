@@ -1,7 +1,7 @@
 //! End-to-end recursive-query coverage: `WITH RECURSIVE` through the
 //! full pipeline (parse → cyclic QGM → stratification → semi-naive
 //! fixpoint), checked against hand-computed expected bags under every
-//! strategy × thread count, plus the stratification diagnostics and
+//! strategy, plus the stratification diagnostics and
 //! the UNION ALL depth guard.
 
 use starmagic::{Engine, Strategy};
@@ -86,28 +86,21 @@ fn engine() -> Engine {
     Engine::new(c)
 }
 
-/// Run `sql` under every strategy × thread count, assert all agree,
-/// and return the sorted rows as integer tuples (NULL-free queries).
-fn all_configs(engine: &mut Engine, sql: &str) -> Vec<Vec<i64>> {
+/// Run `sql` under every strategy, assert all agree, and return the
+/// sorted rows as integer tuples (NULL-free queries).
+fn all_configs(engine: &Engine, sql: &str) -> Vec<Vec<i64>> {
     let mut reference: Option<Vec<Row>> = None;
     for strategy in [Strategy::CostBased, Strategy::Original, Strategy::Magic] {
-        for threads in [1usize, 4] {
-            engine.set_threads(threads);
-            let mut rows = engine
-                .query_with(sql, strategy)
-                .unwrap_or_else(|e| panic!("{strategy:?}/{threads}: {e}"))
-                .rows;
-            rows.sort_by(Row::group_cmp);
-            match &reference {
-                None => reference = Some(rows),
-                Some(r) => assert_eq!(
-                    *r, rows,
-                    "strategy {strategy:?} × threads {threads} diverged on {sql}"
-                ),
-            }
+        let mut rows = engine
+            .query_with(sql, strategy)
+            .unwrap_or_else(|e| panic!("{strategy:?}: {e}"))
+            .rows;
+        rows.sort_by(Row::group_cmp);
+        match &reference {
+            None => reference = Some(rows),
+            Some(r) => assert_eq!(*r, rows, "strategy {strategy:?} diverged on {sql}"),
         }
     }
-    engine.set_threads(1);
     reference
         .unwrap()
         .iter()
@@ -148,9 +141,9 @@ fn expected_tc() -> Vec<Vec<i64>> {
 
 #[test]
 fn transitive_closure_all_strategies() {
-    let mut e = engine();
+    let e = engine();
     let got = all_configs(
-        &mut e,
+        &e,
         "WITH RECURSIVE tc (src, dst) AS ( \
            SELECT src, dst FROM edge \
            UNION \
@@ -162,9 +155,9 @@ fn transitive_closure_all_strategies() {
 
 #[test]
 fn bound_transitive_closure() {
-    let mut e = engine();
+    let e = engine();
     let got = all_configs(
-        &mut e,
+        &e,
         "WITH RECURSIVE tc (src, dst) AS ( \
            SELECT src, dst FROM edge \
            UNION \
@@ -176,9 +169,9 @@ fn bound_transitive_closure() {
 
 #[test]
 fn same_generation() {
-    let mut e = engine();
+    let e = engine();
     let got = all_configs(
-        &mut e,
+        &e,
         "WITH RECURSIVE sg (x, y) AS ( \
            SELECT p1.child, p2.child FROM par p1, par p2 \
            WHERE p1.parent = p2.parent \
@@ -197,9 +190,9 @@ fn same_generation() {
 
 #[test]
 fn mutual_recursion_even_odd() {
-    let mut e = engine();
+    let e = engine();
     let got = all_configs(
-        &mut e,
+        &e,
         "WITH RECURSIVE \
            ev (n) AS ( \
              SELECT n FROM nums WHERE n = 0 \
@@ -239,9 +232,9 @@ fn union_all_keeps_duplicate_derivations() {
         .unwrap(),
     )
     .unwrap();
-    let mut e = Engine::new(c);
+    let e = Engine::new(c);
     let got = all_configs(
-        &mut e,
+        &e,
         "WITH RECURSIVE tc (src, dst) AS ( \
            SELECT src, dst FROM edge \
            UNION ALL \
@@ -363,9 +356,9 @@ fn recursive_cte_requires_column_list() {
 
 #[test]
 fn nonrecursive_with_is_plain_sugar() {
-    let mut e = engine();
+    let e = engine();
     let got = all_configs(
-        &mut e,
+        &e,
         "WITH out (src, dst) AS (SELECT src, dst FROM edge WHERE src = 1) \
          SELECT dst FROM out",
     );
@@ -376,9 +369,9 @@ fn nonrecursive_with_is_plain_sugar() {
 fn stratified_aggregate_on_top_of_recursion() {
     // Aggregation *above* the fixpoint is legal (the exemption gate
     // only bars it inside the cycle).
-    let mut e = engine();
+    let e = engine();
     let got = all_configs(
-        &mut e,
+        &e,
         "WITH RECURSIVE tc (src, dst) AS ( \
            SELECT src, dst FROM edge \
            UNION \
@@ -494,14 +487,14 @@ fn bound_destination_grows_magic_through_the_fixpoint() {
         .unwrap(),
     )
     .unwrap();
-    let mut e = Engine::new(c);
+    let e = Engine::new(c);
     let sql = "WITH RECURSIVE tc (src, dst) AS ( \
                  SELECT src, dst FROM edge \
                  UNION \
                  SELECT tc.src, e.dst FROM tc, edge e WHERE e.src = tc.dst \
                ) SELECT src, dst FROM tc WHERE dst = 3";
 
-    let got = all_configs(&mut e, sql);
+    let got = all_configs(&e, sql);
     assert_eq!(got, vec![vec![0, 3], vec![1, 3], vec![2, 3]]);
 
     let naive = e.query_profiled(sql, Strategy::Original).unwrap();
@@ -606,7 +599,7 @@ fn destination_bound_step_arms_join_before_they_cross() {
             .unwrap(),
         )
         .unwrap();
-        let mut e = Engine::new(c);
+        let e = Engine::new(c);
         let sql = format!(
             "WITH RECURSIVE tc (src, dst) AS ( \
                SELECT src, dst FROM edge \
@@ -615,7 +608,7 @@ fn destination_bound_step_arms_join_before_they_cross() {
              ) SELECT src, dst FROM tc WHERE dst = {bound}"
         );
         // Every strategy still agrees on the answer.
-        let got = all_configs(&mut e, &sql);
+        let got = all_configs(&e, &sql);
         assert!(!got.is_empty() && got.iter().all(|r| r[1] == bound));
 
         let qgm = e.prepare(&sql, Strategy::Magic).unwrap().qgm;

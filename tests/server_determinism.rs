@@ -1,7 +1,6 @@
 //! Concurrency determinism over the wire: the corpus replayed from 8
-//! concurrent server sessions — at 1 and 4 executor threads, under
-//! all three strategies — must return bags byte-identical to
-//! in-process single-shot execution.
+//! concurrent server sessions, under all three strategies, must return
+//! bags byte-identical to in-process single-shot execution.
 //!
 //! "Byte-identical" is literal: rows travel as protocol tokens whose
 //! doubles are IEEE-754 bit patterns, and the comparison is on those
@@ -19,7 +18,6 @@ use starmagic_server::protocol::{encode_row, Response};
 use starmagic_server::{serve_engine, Client, ServerConfig};
 
 const SESSIONS: usize = 8;
-const THREAD_COUNTS: [usize; 2] = [1, 4];
 const STRATEGIES: [(&str, Strategy); 3] = [
     ("original", Strategy::Original),
     ("cost", Strategy::CostBased),
@@ -55,7 +53,7 @@ fn concurrent_sessions_match_in_process_bags() {
     let suite = corpus_queries();
     assert!(!suite.is_empty(), "corpus must not be empty");
 
-    // In-process single-shot baseline (fresh engine, default threads).
+    // In-process single-shot baseline (fresh engine).
     let engine = fuzz_engine().expect("fuzz engine builds");
     let mut expected: HashMap<(usize, &str), Bag> = HashMap::new();
     for (i, sql) in suite.iter().enumerate() {
@@ -91,29 +89,25 @@ fn concurrent_sessions_match_in_process_bags() {
             std::thread::spawn(move || {
                 // Each session pins one strategy (round-robin over the
                 // workers, so all three run concurrently against the
-                // shared cache) and replays the corpus at both thread
-                // counts.
+                // shared cache) and replays the corpus.
                 let (name, _) = STRATEGIES[w % STRATEGIES.len()];
                 let mut client = Client::connect(addr).expect("connect");
                 client.set_strategy(name).expect("SET STRATEGY");
-                for threads in THREAD_COUNTS {
-                    client.set_threads(threads).expect("SET THREADS");
-                    // Worker-specific rotation so the sessions hit the
-                    // shared cache in different orders.
-                    for k in 0..suite.len() {
-                        let i = (k + w) % suite.len();
-                        let got: Bag = match client.query_admitted(&suite[i]) {
-                            Ok(Response::Rows { rows, .. }) => Ok(encoded_bag(&rows)),
-                            Ok(other) => Err(format!("unexpected frame {other:?}")),
-                            Err(e) => Err(e.to_string()),
-                        };
-                        assert_eq!(
-                            &got,
-                            &expected[&(i, name)],
-                            "worker {w}: corpus query {i} under {name}×{threads} \
-                             diverged from in-process execution"
-                        );
-                    }
+                // Worker-specific rotation so the sessions hit the
+                // shared cache in different orders.
+                for k in 0..suite.len() {
+                    let i = (k + w) % suite.len();
+                    let got: Bag = match client.query_admitted(&suite[i]) {
+                        Ok(Response::Rows { rows, .. }) => Ok(encoded_bag(&rows)),
+                        Ok(other) => Err(format!("unexpected frame {other:?}")),
+                        Err(e) => Err(e.to_string()),
+                    };
+                    assert_eq!(
+                        &got,
+                        &expected[&(i, name)],
+                        "worker {w}: corpus query {i} under {name} \
+                         diverged from in-process execution"
+                    );
                 }
             })
         })
