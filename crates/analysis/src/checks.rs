@@ -7,15 +7,13 @@
 //! whether declared bindings are actually enforced (L202), and whether
 //! the planner's estimates agree with the proven bounds (L210).
 
-use std::collections::BTreeMap;
-
 use starmagic_catalog::Catalog;
 use starmagic_lint::{Code, LintReport};
 use starmagic_planner as planner;
 use starmagic_qgm::{BoxId, DistinctMode, Qgm, QuantId, ScalarExpr};
 use starmagic_sql::BinOp;
 
-use crate::domains::{BoxFacts, DupVerdict};
+use crate::domains::{BoxFacts, DupVerdict, FactTable};
 use crate::transfer::null_propagating;
 
 /// Multiplicative slack before an estimate counts as out of bounds
@@ -24,30 +22,29 @@ use crate::transfer::null_propagating;
 const ESTIMATE_SLACK: f64 = 2.0;
 const ESTIMATE_SLACK_ABS: f64 = 10.0;
 
-/// Run every analysis-backed check over the solved graph.
-pub fn run(qgm: &Qgm, catalog: &Catalog, facts: &BTreeMap<BoxId, BoxFacts>) -> LintReport {
-    scan(qgm, catalog, facts, true)
+/// Run every analysis-backed check over the solved graph. `acyclic`
+/// says the graph has no cycle (the planner then estimates every box's
+/// rows from one memo).
+pub fn run(qgm: &Qgm, catalog: &Catalog, facts: &FactTable, acyclic: bool) -> LintReport {
+    let boxes = facts.iter().map(|(b, _)| b).filter(|&b| qgm.box_exists(b));
+    let rows = planner::estimate_rows_by_box(qgm, catalog, acyclic, boxes);
+    scan(qgm, facts, Some(&rows))
 }
 
-/// [`run`], or with `warnings` off only its error-severity checks
-/// (L200–L202): the same report without the warnings, which are then
-/// never computed.
-pub(crate) fn scan(
-    qgm: &Qgm,
-    catalog: &Catalog,
-    facts: &BTreeMap<BoxId, BoxFacts>,
-    warnings: bool,
-) -> LintReport {
+/// [`run`], or without `rows` (the planner's estimates by
+/// `BoxId::index`) only its error-severity checks (L200–L202): the same
+/// report without the warnings, which are then never computed.
+pub(crate) fn scan(qgm: &Qgm, facts: &FactTable, rows: Option<&[f64]>) -> LintReport {
     let mut report = LintReport::default();
-    for (&b, f) in facts {
+    for (b, f) in facts.iter() {
         if !qgm.box_exists(b) {
             continue;
         }
         null_strictness(qgm, b, &mut report);
         duplicate_claims(qgm, b, f, &mut report);
         binding_flow(qgm, b, f, &mut report);
-        if warnings {
-            cardinality_estimate(qgm, catalog, b, f, &mut report);
+        if let Some(rows) = rows {
+            cardinality_estimate(b, f, rows[b.index()], &mut report);
         }
     }
     report
@@ -81,7 +78,7 @@ fn is_magic_foreach(qgm: &Qgm, q: QuantId) -> bool {
 fn null_strictness(qgm: &Qgm, b: BoxId, report: &mut LintReport) {
     let is_m = |q: QuantId| is_magic_foreach(qgm, q);
     for p in &qgm.boxed(b).predicates {
-        if !p.quantifiers().into_iter().any(is_m) {
+        if !mentions(p, &is_m) {
             continue;
         }
         if !strict_in_magic(p, &is_m) {
@@ -102,7 +99,7 @@ fn null_strictness(qgm: &Qgm, b: BoxId, report: &mut LintReport) {
 /// The same strictness predicate `starmagic-magic` gates decorrelation
 /// on, applied to the *magic* references of the rewritten graph.
 fn strict_in_magic(p: &ScalarExpr, is_m: &dyn Fn(QuantId) -> bool) -> bool {
-    let has_m = |e: &ScalarExpr| e.quantifiers().into_iter().any(is_m);
+    let has_m = |e: &ScalarExpr| mentions(e, is_m);
     if !has_m(p) {
         return true;
     }
@@ -116,6 +113,17 @@ fn strict_in_magic(p: &ScalarExpr, is_m: &dyn Fn(QuantId) -> bool) -> bool {
         ScalarExpr::Like { expr, .. } => null_propagating(expr),
         _ => false,
     }
+}
+
+/// Whether `e` references a quantifier `is_m` accepts.
+fn mentions(e: &ScalarExpr, is_m: &dyn Fn(QuantId) -> bool) -> bool {
+    let mut hit = false;
+    e.walk(&mut |x| {
+        if let ScalarExpr::ColRef { quant, .. } | ScalarExpr::Quantified { quant, .. } = x {
+            hit = hit || is_m(*quant);
+        }
+    });
+    hit
 }
 
 /// L201: duplicate-freedom claims, cross-checked against the
@@ -221,7 +229,7 @@ fn binding_flow(qgm: &Qgm, b: BoxId, f: &BoxFacts, report: &mut LintReport) {
     // (b) Declared Bound columns are actually restricted.
     if let Some(a) = &qb.adornment {
         for j in a.bound_cols() {
-            if !f.restricted.contains(&j) {
+            if !f.restricted.contains(j) {
                 report.push(
                     Code::L202BindingFlowUnsound,
                     Some(b),
@@ -237,18 +245,11 @@ fn binding_flow(qgm: &Qgm, b: BoxId, f: &BoxFacts, report: &mut LintReport) {
     }
 }
 
-/// L210: the planner's per-evaluation row estimate against the proven
-/// multiplicity bounds. An estimate far outside a *proof* means the
-/// cost model and the semantics disagree — worth a warning, since the
-/// magic-vs-original decision rides on these numbers.
-fn cardinality_estimate(
-    qgm: &Qgm,
-    catalog: &Catalog,
-    b: BoxId,
-    f: &BoxFacts,
-    report: &mut LintReport,
-) {
-    let est = planner::estimate_box_rows(qgm, catalog, b);
+/// L210: the planner's per-evaluation row estimate `est` against the
+/// proven multiplicity bounds. An estimate far outside a *proof* means
+/// the cost model and the semantics disagree — worth a warning, since
+/// the magic-vs-original decision rides on these numbers.
+fn cardinality_estimate(b: BoxId, f: &BoxFacts, est: f64, report: &mut LintReport) {
     if !est.is_finite() {
         return;
     }

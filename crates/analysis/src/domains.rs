@@ -5,8 +5,9 @@
 //! obligation the executor's output must honor, so transfer functions
 //! only strengthen a fact when the semantics guarantee it.
 
-use std::collections::BTreeSet;
 use std::fmt;
+
+use starmagic_qgm::{BoxId, ColSet};
 
 /// Three-valued-logic nullability of one output column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -183,14 +184,14 @@ pub struct BoxFacts {
     pub nullability: Vec<Nullability>,
     /// Candidate keys of the output (from the key/FD domain; offsets
     /// of output columns, empty set = at most one row).
-    pub keys: Vec<BTreeSet<usize>>,
+    pub keys: Vec<ColSet>,
     /// Output columns provably constant across the box's output (a
     /// literal, a parameter, or equated to one) — the FD refinement
     /// that lets the multiplicity domain cap keyed outputs.
-    pub const_cols: BTreeSet<usize>,
+    pub const_cols: ColSet,
     /// Binding-flow domain: output columns provably restricted to
     /// values drawn from a magic box's bindings.
-    pub restricted: BTreeSet<usize>,
+    pub restricted: ColSet,
     /// Duplicate-freedom verdict.
     pub dup_free: DupVerdict,
 }
@@ -202,8 +203,8 @@ impl BoxFacts {
             card: Card::top(),
             nullability: vec![Nullability::MaybeNull; arity],
             keys: Vec::new(),
-            const_cols: BTreeSet::new(),
-            restricted: BTreeSet::new(),
+            const_cols: ColSet::new(),
+            restricted: ColSet::new(),
             dup_free: DupVerdict::Unknown,
         }
     }
@@ -211,6 +212,37 @@ impl BoxFacts {
     /// Compact one-line null mask, e.g. `N?0N`.
     pub fn null_mask(&self) -> String {
         self.nullability.iter().map(|n| n.glyph()).collect()
+    }
+}
+
+/// The facts of every solved box, indexed by `BoxId::index`.
+#[derive(Debug, Clone, Default)]
+pub struct FactTable {
+    slots: Vec<Option<BoxFacts>>,
+}
+
+impl FactTable {
+    /// An empty table for box ids below `slots`.
+    pub(crate) fn with_slots(slots: usize) -> FactTable {
+        FactTable {
+            slots: vec![None; slots],
+        }
+    }
+
+    pub fn get(&self, b: BoxId) -> Option<&BoxFacts> {
+        self.slots.get(b.index())?.as_ref()
+    }
+
+    pub(crate) fn set(&mut self, b: BoxId, facts: BoxFacts) {
+        self.slots[b.index()] = Some(facts);
+    }
+
+    /// Every solved box with its facts, in `BoxId` order.
+    pub fn iter(&self) -> impl Iterator<Item = (BoxId, &BoxFacts)> {
+        self.slots.iter().enumerate().filter_map(|(i, f)| {
+            let id = u32::try_from(i).expect("box ids are u32");
+            f.as_ref().map(|f| (BoxId(id), f))
+        })
     }
 }
 

@@ -10,13 +10,13 @@
 //! sweep; a per-box update budget widens runaway boxes to the
 //! conservative element so the engine terminates on any input.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use starmagic_catalog::Catalog;
 use starmagic_qgm::keys::KeyTable;
-use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId, ScalarExpr};
+use starmagic_qgm::{BoxId, BoxKind, ColSet, Qgm, QuantId, ScalarExpr};
 
-use crate::domains::BoxFacts;
+use crate::domains::{BoxFacts, FactTable};
 use crate::transfer::{transfer, Ctx};
 
 /// Updates allowed per box before its facts are widened to the
@@ -25,48 +25,43 @@ const WIDEN_AT: usize = 8;
 
 /// Solve the dataflow equations for every box reachable from the top
 /// (following quantifier and magic-link edges).
-pub fn solve(qgm: &Qgm, catalog: &Catalog) -> BTreeMap<BoxId, BoxFacts> {
-    let order = postorder(qgm);
-    let deps = dependencies(qgm, &order);
-    // Invert: who must be re-solved when b changes.
-    let mut dependents: BTreeMap<BoxId, BTreeSet<BoxId>> = BTreeMap::new();
-    for (&b, ds) in &deps {
-        for &d in ds {
-            dependents.entry(d).or_default().insert(b);
-        }
-    }
+pub fn solve(qgm: &Qgm, catalog: &Catalog) -> FactTable {
+    solve_with(qgm, catalog, &KeyTable::new(qgm, catalog))
+}
 
-    let keys = KeyTable::new(qgm, catalog);
-    let mut facts: BTreeMap<BoxId, BoxFacts> = BTreeMap::new();
-    let mut updates: BTreeMap<BoxId, usize> = BTreeMap::new();
-    let mut queued: BTreeSet<BoxId> = order.iter().copied().collect();
+/// [`solve`], reading the boxes' keys from `keys`, a table over `qgm`.
+pub(crate) fn solve_with(qgm: &Qgm, catalog: &Catalog, keys: &KeyTable<'_>) -> FactTable {
+    let order = postorder(qgm);
+    let dependents = Dependents::new(qgm, &order);
+    let mut facts = FactTable::with_slots(qgm.box_slots());
+    let mut updates = vec![0usize; qgm.box_slots()];
+    // `BoxId::index` of every box in `work`.
+    let mut queued: ColSet = order.iter().map(|b| b.index()).collect();
     let mut work: VecDeque<BoxId> = order.iter().copied().collect();
 
     while let Some(b) = work.pop_front() {
-        queued.remove(&b);
+        queued.remove(b.index());
         let new = {
             let ctx = Ctx {
                 qgm,
                 catalog,
                 facts: &facts,
-                keys: &keys,
+                keys,
             };
             transfer(&ctx, b)
         };
-        let count = updates.entry(b).or_insert(0);
+        let count = &mut updates[b.index()];
         let new = if *count >= WIDEN_AT {
             BoxFacts::conservative(qgm.boxed(b).arity())
         } else {
             new
         };
-        if facts.get(&b) != Some(&new) {
+        if facts.get(b) != Some(&new) {
             *count += 1;
-            facts.insert(b, new);
-            if let Some(users) = dependents.get(&b) {
-                for &u in users {
-                    if queued.insert(u) {
-                        work.push_back(u);
-                    }
+            facts.set(b, new);
+            for u in dependents.of(b) {
+                if queued.insert(u.index()) {
+                    work.push_back(u);
                 }
             }
         }
@@ -77,7 +72,8 @@ pub fn solve(qgm: &Qgm, catalog: &Catalog) -> BTreeMap<BoxId, BoxFacts> {
 /// Boxes reachable from the top, children before parents, following
 /// quantifier inputs and magic links.
 pub fn postorder(qgm: &Qgm) -> Vec<BoxId> {
-    let mut seen = BTreeSet::new();
+    // `BoxId::index` of every box pushed for a visit.
+    let mut seen = ColSet::new();
     let mut order = Vec::new();
     // Iterative DFS with an explicit visit/emit stack.
     let mut stack = vec![(qgm.top(), false)];
@@ -86,25 +82,24 @@ pub fn postorder(qgm: &Qgm) -> Vec<BoxId> {
             order.push(b);
             continue;
         }
-        if !seen.insert(b) {
+        if !seen.insert(b.index()) {
             continue;
         }
         stack.push((b, true));
         let qb = qgm.boxed(b);
-        let mut children: Vec<BoxId> = qb
+        let children = qb
             .quants
             .iter()
             .filter(|&&q| qgm.quant_exists(q))
             .map(|&q| qgm.quant(q).input)
-            .collect();
-        children.extend(
-            qb.magic_links
-                .iter()
-                .copied()
-                .filter(|&m| qgm.box_exists(m)),
-        );
+            .chain(
+                qb.magic_links
+                    .iter()
+                    .copied()
+                    .filter(|&m| qgm.box_exists(m)),
+            );
         for c in children {
-            if !seen.contains(&c) {
+            if !seen.contains(c.index()) {
                 stack.push((c, false));
             }
         }
@@ -112,38 +107,73 @@ pub fn postorder(qgm: &Qgm) -> Vec<BoxId> {
     order
 }
 
-/// The boxes whose facts each box's transfer function reads: the
-/// inputs of its own quantifiers plus the inputs of every quantifier
-/// its expressions reference (correlation edges).
-fn dependencies(qgm: &Qgm, order: &[BoxId]) -> BTreeMap<BoxId, BTreeSet<BoxId>> {
-    let mut deps: BTreeMap<BoxId, BTreeSet<BoxId>> = BTreeMap::new();
-    for &b in order {
-        let qb = qgm.boxed(b);
-        let mut quants: BTreeSet<QuantId> = qb.quants.iter().copied().collect();
-        let mut exprs: Vec<&ScalarExpr> = Vec::new();
-        exprs.extend(qb.predicates.iter());
-        exprs.extend(qb.columns.iter().map(|c| &c.expr));
-        match &qb.kind {
-            BoxKind::GroupBy(g) => {
-                exprs.extend(g.group_keys.iter());
-                exprs.extend(g.aggs.iter().filter_map(|a| a.arg.as_ref()));
-            }
-            BoxKind::OuterJoin(oj) => exprs.extend(oj.on.iter()),
-            _ => {}
-        }
-        for e in exprs {
-            e.walk(&mut |x| {
-                if let ScalarExpr::ColRef { quant, .. } | ScalarExpr::Quantified { quant, .. } = x {
-                    quants.insert(*quant);
+/// For each box, the boxes whose transfer functions read its facts:
+/// the boxes with a quantifier over it, and the boxes whose expressions
+/// reference a quantifier over it (correlation edges).
+struct Dependents {
+    /// `(input, reader)` pairs, sorted and distinct.
+    edges: Vec<(BoxId, BoxId)>,
+    /// Where each box's pairs start in `edges`, by `BoxId::index`, with
+    /// one more entry marking the end.
+    start: Vec<usize>,
+}
+
+impl Dependents {
+    fn new(qgm: &Qgm, order: &[BoxId]) -> Dependents {
+        let mut edges: Vec<(BoxId, BoxId)> = Vec::new();
+        for &b in order {
+            let qb = qgm.boxed(b);
+            let first = edges.len();
+            let mut read = |q: QuantId| {
+                if qgm.quant_exists(q) {
+                    let input = qgm.quant(q).input;
+                    if !edges[first..].iter().any(|&(i, _)| i == input) {
+                        edges.push((input, b));
+                    }
                 }
-            });
-        }
-        let entry = deps.entry(b).or_default();
-        for q in quants {
-            if qgm.quant_exists(q) {
-                entry.insert(qgm.quant(q).input);
+            };
+            for &q in &qb.quants {
+                read(q);
+            }
+            let mut walk = |e: &ScalarExpr| {
+                e.walk(&mut |x| {
+                    if let ScalarExpr::ColRef { quant, .. } | ScalarExpr::Quantified { quant, .. } =
+                        x
+                    {
+                        read(*quant);
+                    }
+                });
+            };
+            qb.predicates.iter().for_each(&mut walk);
+            qb.columns.iter().for_each(|c| walk(&c.expr));
+            match &qb.kind {
+                BoxKind::GroupBy(g) => {
+                    g.group_keys.iter().for_each(&mut walk);
+                    g.aggs
+                        .iter()
+                        .filter_map(|a| a.arg.as_ref())
+                        .for_each(&mut walk);
+                }
+                BoxKind::OuterJoin(oj) => oj.on.iter().for_each(&mut walk),
+                _ => {}
             }
         }
+        // Each box's readers once, ascending.
+        edges.sort_unstable();
+        let mut start = vec![0; qgm.box_slots() + 1];
+        for &(input, _) in &edges {
+            start[input.index() + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        Dependents { edges, start }
     }
-    deps
+
+    /// The readers of `b`'s facts, ascending.
+    fn of(&self, b: BoxId) -> impl Iterator<Item = BoxId> + '_ {
+        self.edges[self.start[b.index()]..self.start[b.index() + 1]]
+            .iter()
+            .map(|&(_, reader)| reader)
+    }
 }

@@ -31,29 +31,35 @@ pub mod domains;
 pub mod fixpoint;
 pub mod transfer;
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use starmagic_catalog::Catalog;
 use starmagic_lint::LintReport;
+use starmagic_qgm::keys::KeyTable;
 use starmagic_qgm::{BoxId, Qgm};
 
-pub use domains::{BoxFacts, Card, DupVerdict, Nullability};
+pub use domains::{BoxFacts, Card, DupVerdict, FactTable, Nullability};
 
 /// The result of analyzing one graph: the solved facts plus the
 /// diagnostics the checks derived from them.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     /// Facts per reachable box.
-    pub facts: BTreeMap<BoxId, BoxFacts>,
+    pub facts: FactTable,
     /// L2xx findings.
     pub report: LintReport,
 }
 
 /// Solve the dataflow equations and run every analysis-backed check.
 pub fn analyze(qgm: &Qgm, catalog: &Catalog) -> Analysis {
-    let facts = fixpoint::solve(qgm, catalog);
-    let report = checks::run(qgm, catalog, &facts);
+    analyze_with(qgm, catalog, &KeyTable::new(qgm, catalog))
+}
+
+/// [`analyze`], reading the boxes' keys from `keys`, a table over `qgm`
+/// — the one the pipeline's final check shares with the lint.
+pub fn analyze_with(qgm: &Qgm, catalog: &Catalog, keys: &KeyTable<'_>) -> Analysis {
+    let facts = fixpoint::solve_with(qgm, catalog, keys);
+    let report = checks::run(qgm, catalog, &facts, keys.is_acyclic());
     Analysis { facts, report }
 }
 
@@ -68,13 +74,13 @@ pub fn checks(qgm: &Qgm, catalog: &Catalog) -> LintReport {
 /// scan of the pre-cleanup phase-2 graph.
 pub fn error_checks(qgm: &Qgm, catalog: &Catalog) -> LintReport {
     let facts = fixpoint::solve(qgm, catalog);
-    checks::scan(qgm, catalog, &facts, false)
+    checks::scan(qgm, &facts, None)
 }
 
 impl Analysis {
     /// Facts of one box, if it was reachable.
     pub fn facts_for(&self, b: BoxId) -> Option<&BoxFacts> {
-        self.facts.get(&b)
+        self.facts.get(b)
     }
 
     /// Human-readable fact table plus diagnostics — the body of
@@ -86,7 +92,7 @@ impl Analysis {
             "  {:<18} {:<15} {:>14} {:>8}  {:<12} restricted",
             "box", "kind", "rows", "dup", "nulls"
         );
-        for (&b, f) in &self.facts {
+        for (b, f) in self.facts.iter() {
             if !qgm.box_exists(b) {
                 continue;
             }
@@ -94,14 +100,7 @@ impl Analysis {
             let restricted = if f.restricted.is_empty() {
                 "-".to_string()
             } else {
-                format!(
-                    "{{{}}}",
-                    f.restricted
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join(",")
-                )
+                f.restricted.to_string()
             };
             let _ = writeln!(
                 out,

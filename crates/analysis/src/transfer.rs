@@ -6,21 +6,21 @@
 //! engine tracks those extra dependency edges.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
 
 use starmagic_catalog::Catalog;
 use starmagic_qgm::boxes::{GroupByBox, SetOpBox};
+use starmagic_qgm::colset::{ColSet, Terms};
 use starmagic_qgm::keys::KeyTable;
 use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId, QuantKind, ScalarExpr, SetOpKind};
 use starmagic_sql::{AggFunc, BinOp};
 
-use crate::domains::{BoxFacts, Card, DupVerdict, Nullability};
+use crate::domains::{BoxFacts, Card, DupVerdict, FactTable, Nullability};
 
 /// Read-only context threaded through a transfer evaluation.
 pub struct Ctx<'a> {
     pub qgm: &'a Qgm,
     pub catalog: &'a Catalog,
-    pub facts: &'a BTreeMap<BoxId, BoxFacts>,
+    pub facts: &'a FactTable,
     /// Output keys of the graph's boxes, shared by every transfer of
     /// one solve.
     pub keys: &'a KeyTable<'a>,
@@ -31,7 +31,7 @@ impl<'a> Ctx<'a> {
     /// the fixpoint has not reached it yet.
     fn input_facts(&self, q: QuantId) -> Cow<'a, BoxFacts> {
         let input = self.qgm.quant(q).input;
-        match self.facts.get(&input) {
+        match self.facts.get(input) {
             Some(f) => Cow::Borrowed(f),
             None => Cow::Owned(BoxFacts::conservative(self.qgm.boxed(input).arity())),
         }
@@ -42,8 +42,8 @@ impl<'a> Ctx<'a> {
     /// conjuncts). A Scalar quantifier yields NULL when its box is
     /// empty, so its columns are only NotNull when the box provably
     /// produces a row.
-    fn colref(&self, not_null: &BTreeSet<(QuantId, usize)>, q: QuantId, col: usize) -> Nullability {
-        if not_null.contains(&(q, col)) {
+    fn colref(&self, not_null: &NotNull<'_>, q: QuantId, col: usize) -> Nullability {
+        if not_null.contains(q, col) {
             return Nullability::NotNull;
         }
         if !self.qgm.quant_exists(q) {
@@ -63,18 +63,30 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// Columns of a box's own quantifiers that its conjuncts null-reject:
+/// a set of the box's terms.
+#[derive(Default)]
+struct NotNull<'t> {
+    terms: Option<&'t Terms>,
+    cols: ColSet,
+}
+
+impl NotNull<'_> {
+    fn contains(&self, q: QuantId, col: usize) -> bool {
+        self.terms
+            .and_then(|t| t.index(q, col))
+            .is_some_and(|t| self.cols.contains(t))
+    }
+}
+
 /// Nullability of a scalar expression under the given refinement.
-pub fn expr_nullability(
-    ctx: &Ctx<'_>,
-    not_null: &BTreeSet<(QuantId, usize)>,
-    e: &ScalarExpr,
-) -> Nullability {
+fn expr_nullability(ctx: &Ctx<'_>, not_null: &NotNull<'_>, e: &ScalarExpr) -> Nullability {
     nullability_rec(ctx, not_null, e, /* agg_sees_rows */ false)
 }
 
 fn nullability_rec(
     ctx: &Ctx<'_>,
-    not_null: &BTreeSet<(QuantId, usize)>,
+    not_null: &NotNull<'_>,
     e: &ScalarExpr,
     agg_sees_rows: bool,
 ) -> Nullability {
@@ -147,16 +159,19 @@ fn nullability_rec(
 
 /// Columns of the box's *own* quantifiers that a conjunct null-rejects:
 /// if the column were NULL, the conjunct could not come out True, so
-/// surviving rows carry a non-NULL value there.
-fn null_rejected(qgm: &Qgm, b: BoxId, p: &ScalarExpr, out: &mut BTreeSet<(QuantId, usize)>) {
-    let local_strict_cols = |e: &ScalarExpr, out: &mut BTreeSet<(QuantId, usize)>| {
+/// surviving rows carry a non-NULL value there. `out` is a set of
+/// `terms`, which lays out the box's own quantifiers.
+fn null_rejected(qgm: &Qgm, b: BoxId, p: &ScalarExpr, terms: &Terms, out: &mut ColSet) {
+    let local_strict_cols = |e: &ScalarExpr, out: &mut ColSet| {
         if !null_propagating(e) {
             return;
         }
         e.walk(&mut |sub| {
             if let ScalarExpr::ColRef { quant, col } = sub {
                 if qgm.quant_exists(*quant) && qgm.quant(*quant).parent == b {
-                    out.insert((*quant, *col));
+                    if let Some(t) = terms.index(*quant, *col) {
+                        out.insert(t);
+                    }
                 }
             }
         });
@@ -167,8 +182,8 @@ fn null_rejected(qgm: &Qgm, b: BoxId, p: &ScalarExpr, out: &mut BTreeSet<(QuantI
             left,
             right,
         } => {
-            null_rejected(qgm, b, left, out);
-            null_rejected(qgm, b, right, out);
+            null_rejected(qgm, b, left, terms, out);
+            null_rejected(qgm, b, right, terms, out);
         }
         // A strict comparison is Unknown (row dropped) when either
         // NULL-propagating side reads a NULL column.
@@ -279,8 +294,8 @@ fn base_table(ctx: &Ctx<'_>, b: BoxId, table: &str) -> BoxFacts {
         card: Card::exact(rows),
         nullability,
         keys: Vec::new(),
-        const_cols: BTreeSet::new(),
-        restricted: BTreeSet::new(),
+        const_cols: ColSet::new(),
+        restricted: ColSet::new(),
         dup_free: DupVerdict::Unknown,
     }
 }
@@ -300,11 +315,18 @@ fn select(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
         card.lo = 0;
     }
 
+    // FD/constants: equality classes over (quant, col) terms seeded by
+    // literals and parameters.
+    let eq = EqClasses::from_select(ctx.qgm, b);
+
     // Predicate refinement for nullability: every conjunct must come
     // out True on surviving rows.
-    let mut not_null = BTreeSet::new();
+    let mut not_null = NotNull {
+        terms: Some(&eq.terms),
+        cols: ColSet::new(),
+    };
     for p in &qb.predicates {
-        null_rejected(ctx.qgm, b, p, &mut not_null);
+        null_rejected(ctx.qgm, b, p, &eq.terms, &mut not_null.cols);
     }
 
     let nullability = qb
@@ -312,10 +334,6 @@ fn select(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
         .iter()
         .map(|c| expr_nullability(ctx, &not_null, &c.expr))
         .collect();
-
-    // FD/constants: equality classes over (quant, col) terms seeded by
-    // literals and parameters.
-    let eq = EqClasses::from_select(ctx.qgm, b);
     let const_cols = qb
         .columns
         .iter()
@@ -366,24 +384,23 @@ fn groupby(ctx: &Ctx<'_>, b: BoxId, g: &GroupByBox) -> BoxFacts {
     // aggregate sees rows only when the input is provably non-empty.
     let agg_sees_rows = n_keys > 0 || in_facts.card.lo >= 1;
 
-    let not_null = BTreeSet::new();
     let nullability = qb
         .columns
         .iter()
-        .map(|c| nullability_rec(ctx, &not_null, &c.expr, agg_sees_rows))
+        .map(|c| nullability_rec(ctx, &NotNull::default(), &c.expr, agg_sees_rows))
         .collect();
 
     // Constants and binding flow pass through the group keys.
-    let mut const_cols = BTreeSet::new();
-    let mut restricted = BTreeSet::new();
+    let mut const_cols = ColSet::new();
+    let mut restricted = ColSet::new();
     for (i, k) in g.group_keys.iter().enumerate() {
         if let ScalarExpr::ColRef { quant, col } = k {
             if Some(*quant) == input {
                 let f = ctx.input_facts(*quant);
-                if f.const_cols.contains(col) {
+                if f.const_cols.contains(*col) {
                     const_cols.insert(i);
                 }
-                if f.restricted.contains(col) {
+                if f.restricted.contains(*col) {
                     restricted.insert(i);
                 }
             }
@@ -479,14 +496,14 @@ fn setop(ctx: &Ctx<'_>, b: BoxId, s: &SetOpBox) -> BoxFacts {
 
     // A column restricted in every arm stays restricted (positional).
     let restricted = (0..arity)
-        .filter(|i| arms.iter().all(|a| a.restricted.contains(i)))
+        .filter(|&i| arms.iter().all(|a| a.restricted.contains(i)))
         .collect();
 
     BoxFacts {
         card,
         nullability,
         keys: Vec::new(),
-        const_cols: BTreeSet::new(),
+        const_cols: ColSet::new(),
         restricted,
         dup_free: DupVerdict::Unknown,
     }
@@ -513,12 +530,11 @@ fn outerjoin(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
     };
 
     // Null-supplying-side columns gain NULL padding on unmatched rows.
-    let not_null = BTreeSet::new();
     let nullability = qb
         .columns
         .iter()
         .map(|c| {
-            let mut n = expr_nullability(ctx, &not_null, &c.expr);
+            let mut n = expr_nullability(ctx, &NotNull::default(), &c.expr);
             let mut touches_ns = false;
             c.expr.walk(&mut |e| {
                 if let ScalarExpr::ColRef { quant, .. } = e {
@@ -541,7 +557,7 @@ fn outerjoin(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
         .iter()
         .enumerate()
         .filter(|(_, c)| match &c.expr {
-            ScalarExpr::ColRef { quant, col } if *quant == pres => pf.restricted.contains(col),
+            ScalarExpr::ColRef { quant, col } if *quant == pres => pf.restricted.contains(*col),
             _ => false,
         })
         .map(|(i, _)| i)
@@ -551,7 +567,7 @@ fn outerjoin(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
         card,
         nullability,
         keys: Vec::new(),
-        const_cols: BTreeSet::new(),
+        const_cols: ColSet::new(),
         restricted,
         dup_free: DupVerdict::Unknown,
     }
@@ -562,89 +578,94 @@ fn outerjoin(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
 /// "constant" (equated to a literal or parameter) and "restricted"
 /// (containing a column that carries magic-binding flow).
 pub struct EqClasses {
-    /// Class id per term.
-    classes: BTreeMap<(QuantId, usize), usize>,
-    /// Classes containing a literal/parameter.
-    const_classes: BTreeSet<usize>,
+    /// The box's own quantifiers, then any other quantifier an equality
+    /// conjunct references (a correlated column).
+    terms: Terms,
+    /// Disjoint classes of `terms`.
+    classes: Vec<ColSet>,
+    /// Terms in a class containing a literal/parameter.
+    consts: ColSet,
 }
 
 impl EqClasses {
     pub fn from_select(qgm: &Qgm, b: BoxId) -> EqClasses {
         let qb = qgm.boxed(b);
-        let mut terms: Vec<BTreeSet<(QuantId, usize)>> = Vec::new();
-        let mut const_flags: Vec<bool> = Vec::new();
-        let find = |terms: &[BTreeSet<(QuantId, usize)>], t: &(QuantId, usize)| {
-            terms.iter().position(|s| s.contains(t))
-        };
+        let width = |q: QuantId| qgm.boxed(qgm.quant(q).input).arity();
+        let mut terms = Terms::default();
+        for &q in &qb.quants {
+            if qgm.quant_exists(q) {
+                terms.push(q, width(q));
+            }
+        }
+        let mut classes: Vec<ColSet> = Vec::new();
+        // Indices of the classes containing a literal/parameter.
+        let mut const_classes = ColSet::new();
         for p in &qb.predicates {
             let Some((l, r)) = p.as_equality() else {
                 continue;
             };
-            let as_term = |e: &ScalarExpr| match e {
-                ScalarExpr::ColRef { quant, col } => Some((*quant, *col)),
-                _ => None,
+            let mut as_term = |e: &ScalarExpr| {
+                let ScalarExpr::ColRef { quant, col } = e else {
+                    return None;
+                };
+                if terms.columns(*quant).is_none() && qgm.quant_exists(*quant) {
+                    terms.push(*quant, width(*quant));
+                }
+                terms.index(*quant, *col)
             };
+            let (lt, rt) = (as_term(l), as_term(r));
             let is_const = |e: &ScalarExpr| {
                 matches!(e, ScalarExpr::Param(_))
                     || matches!(e, ScalarExpr::Literal(v) if !v.is_null())
             };
-            match (as_term(l), as_term(r)) {
-                (Some(a), Some(bt)) => {
-                    let ia = find(&terms, &a);
-                    let ib = find(&terms, &bt);
-                    match (ia, ib) {
-                        (Some(x), Some(y)) if x != y => {
-                            let merged = std::mem::take(&mut terms[y]);
-                            terms[x].extend(merged);
-                            let cy = const_flags[y];
-                            const_flags[x] |= cy;
-                        }
-                        (Some(_), Some(_)) => {}
-                        (Some(x), None) => {
-                            terms[x].insert(bt);
-                        }
-                        (None, Some(y)) => {
-                            terms[y].insert(a);
-                        }
-                        (None, None) => {
-                            terms.push([a, bt].into_iter().collect());
-                            const_flags.push(false);
+            let find = |classes: &[ColSet], t: usize| classes.iter().position(|s| s.contains(t));
+            match (lt, rt) {
+                (Some(a), Some(bt)) => match (find(&classes, a), find(&classes, bt)) {
+                    (Some(x), Some(y)) if x != y => {
+                        let merged = std::mem::take(&mut classes[y]);
+                        classes[x].union_with(&merged);
+                        if const_classes.contains(y) {
+                            const_classes.insert(x);
                         }
                     }
-                }
-                (Some(t), None) if is_const(r) => match find(&terms, &t) {
-                    Some(x) => const_flags[x] = true,
+                    (Some(_), Some(_)) => {}
+                    (Some(x), None) => {
+                        classes[x].insert(bt);
+                    }
+                    (None, Some(y)) => {
+                        classes[y].insert(a);
+                    }
+                    (None, None) => classes.push([a, bt].into_iter().collect()),
+                },
+                (Some(t), None) if is_const(r) => match find(&classes, t) {
+                    Some(x) => {
+                        const_classes.insert(x);
+                    }
                     None => {
-                        terms.push([t].into_iter().collect());
-                        const_flags.push(true);
+                        const_classes.insert(classes.len());
+                        classes.push([t].into_iter().collect());
                     }
                 },
-                (None, Some(t)) if is_const(l) => match find(&terms, &t) {
-                    Some(x) => const_flags[x] = true,
+                (None, Some(t)) if is_const(l) => match find(&classes, t) {
+                    Some(x) => {
+                        const_classes.insert(x);
+                    }
                     None => {
-                        terms.push([t].into_iter().collect());
-                        const_flags.push(true);
+                        const_classes.insert(classes.len());
+                        classes.push([t].into_iter().collect());
                     }
                 },
                 _ => {}
             }
         }
-        let mut classes = BTreeMap::new();
-        let mut const_classes = BTreeSet::new();
-        for (i, set) in terms.iter().enumerate() {
-            if set.is_empty() {
-                continue; // merged away
-            }
-            for t in set {
-                classes.insert(*t, i);
-            }
-            if const_flags[i] {
-                const_classes.insert(i);
-            }
+        let mut consts = ColSet::new();
+        for x in &const_classes {
+            consts.union_with(&classes[x]);
         }
         EqClasses {
+            terms,
             classes,
-            const_classes,
+            consts,
         }
     }
 
@@ -655,11 +676,10 @@ impl EqClasses {
             ScalarExpr::Param(_) => true,
             ScalarExpr::Literal(_) => true,
             ScalarExpr::ColRef { quant, col } => {
-                let t = (*quant, *col);
-                self.classes
-                    .get(&t)
-                    .is_some_and(|c| self.const_classes.contains(c))
-                    || ctx.input_facts(*quant).const_cols.contains(col)
+                self.terms
+                    .index(*quant, *col)
+                    .is_some_and(|t| self.consts.contains(t))
+                    || ctx.input_facts(*quant).const_cols.contains(*col)
             }
             _ => false,
         }
@@ -668,28 +688,31 @@ impl EqClasses {
     /// Output columns of `b` whose values provably stay inside a magic
     /// box's binding set: inherited from a restricted input column, or
     /// equated (directly or through an equality class) to one.
-    fn restricted_outputs(&self, ctx: &Ctx<'_>, b: BoxId) -> BTreeSet<usize> {
+    fn restricted_outputs(&self, ctx: &Ctx<'_>, b: BoxId) -> ColSet {
         let qb = ctx.qgm.boxed(b);
-        let term_restricted = |q: QuantId, c: usize| -> bool {
-            ctx.qgm.quant_exists(q)
-                && ctx.qgm.quant(q).parent == b
-                && ctx.input_facts(q).restricted.contains(&c)
-        };
-        // Classes tainted by a restricted term.
-        let tainted: BTreeSet<usize> = self
-            .classes
-            .iter()
-            .filter(|(&(q, c), _)| term_restricted(q, c))
-            .map(|(_, &cls)| cls)
-            .collect();
+        // Terms of the box's own quantifiers over restricted columns.
+        let mut restricted = ColSet::new();
+        for &q in &qb.quants {
+            if !ctx.qgm.quant_exists(q) || ctx.qgm.quant(q).parent != b {
+                continue;
+            }
+            for c in &ctx.input_facts(q).restricted {
+                if let Some(t) = self.terms.index(q, c) {
+                    restricted.insert(t);
+                }
+            }
+        }
+        // Terms in a class tainted by a restricted term.
+        let mut tainted = ColSet::new();
+        for class in self.classes.iter().filter(|c| c.intersects(&restricted)) {
+            tainted.union_with(class);
+        }
         let colref_restricted = |q: QuantId, c: usize| -> bool {
-            term_restricted(q, c)
-                || self
-                    .classes
-                    .get(&(q, c))
-                    .is_some_and(|cls| tainted.contains(cls))
+            self.terms
+                .index(q, c)
+                .is_some_and(|t| restricted.contains(t) || tainted.contains(t))
         };
-        let mut out = BTreeSet::new();
+        let mut out = ColSet::new();
         for (i, oc) in qb.columns.iter().enumerate() {
             let hit = match &oc.expr {
                 ScalarExpr::ColRef { quant, col } => colref_restricted(*quant, *col),

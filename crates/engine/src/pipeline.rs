@@ -20,11 +20,13 @@
 
 use std::time::{Duration, Instant};
 
+use starmagic_analysis::Analysis;
 use starmagic_catalog::Catalog;
 use starmagic_common::Result;
 use starmagic_lint::LintReport;
 use starmagic_magic::EmstRule;
 use starmagic_planner as planner;
+use starmagic_qgm::keys::KeyTable;
 use starmagic_qgm::{build_qgm, strata, Qgm};
 use starmagic_rewrite::engine::{CheckLevel, RewriteEngine};
 use starmagic_rewrite::rules::{
@@ -279,12 +281,13 @@ fn run(
     trace.finish(t);
 
     if !opts.enable_magic {
-        let t = trace.start("lint");
-        let lint = starmagic_lint::lint(&g, catalog);
-        trace.finish(t);
-        let t = trace.start("analysis");
-        let analysis = starmagic_analysis::analyze(&g, catalog);
-        trace.finish(t);
+        let (lint, analysis) = check_chosen(
+            &g,
+            catalog,
+            LintReport::default(),
+            Duration::ZERO,
+            &mut trace,
+        );
         return Ok(Compiled {
             chosen: g,
             chose_magic: false,
@@ -334,8 +337,11 @@ fn run(
     // rewrites it in place, and keep its errors. The scan is analysis
     // work: its time goes to the `analysis` span.
     let scan_start = trace.is_enabled().then(Instant::now);
-    let phase2_errors = starmagic_analysis::error_checks(&g, catalog);
+    let mut phase2_errors = starmagic_analysis::error_checks(&g, catalog);
     let scan_time = scan_start.map_or(Duration::ZERO, |s| s.elapsed());
+    for d in &mut phase2_errors.diagnostics {
+        d.message = format!("phase 2: {}", d.message);
+    }
     if let Some(k) = keep.as_deref_mut() {
         k.phase2 = Some(g.clone());
     }
@@ -372,17 +378,7 @@ fn run(
     if let Some(k) = keep {
         k.unchosen = Some(unchosen);
     }
-    let t = trace.start("lint");
-    let lint = starmagic_lint::lint(&chosen, catalog);
-    trace.finish(t);
-    let t = trace.start("analysis");
-    let mut analysis = starmagic_analysis::analyze(&chosen, catalog);
-    for d in phase2_errors.diagnostics {
-        analysis
-            .report
-            .push(d.code, d.box_id, d.quant, format!("phase 2: {}", d.message));
-    }
-    trace.finish_with(t, scan_time);
+    let (lint, analysis) = check_chosen(&chosen, catalog, phase2_errors, scan_time, &mut trace);
     Ok(Compiled {
         chosen,
         chose_magic,
@@ -394,4 +390,27 @@ fn run(
         analysis,
         trace,
     })
+}
+
+/// The final check of the chosen plan: the lint and the analysis, which
+/// share one `Strata` and one `KeyTable` of it. The phase-2 scan's
+/// errors (already labelled) are appended to the analysis report and
+/// its time to the `analysis` span.
+fn check_chosen(
+    chosen: &Qgm,
+    catalog: &Catalog,
+    phase2_errors: LintReport,
+    scan_time: Duration,
+    trace: &mut TraceSink,
+) -> (LintReport, Analysis) {
+    let t = trace.start("lint");
+    let strata = strata::compute(chosen);
+    let keys = KeyTable::for_strata(chosen, catalog, &strata);
+    let lint = starmagic_lint::lint_with(chosen, &strata, &keys);
+    trace.finish(t);
+    let t = trace.start("analysis");
+    let mut analysis = starmagic_analysis::analyze_with(chosen, catalog, &keys);
+    analysis.report.extend(phase2_errors);
+    trace.finish_with(t, scan_time);
+    (lint, analysis)
 }

@@ -33,6 +33,8 @@ pub mod passes;
 pub use diag::{Code, Diagnostic, LintReport, Severity};
 
 use starmagic_catalog::Catalog;
+use starmagic_qgm::keys::KeyTable;
+use starmagic_qgm::strata::{self, Strata};
 use starmagic_qgm::Qgm;
 
 /// Run every pass over the graph. If the structural pass finds errors,
@@ -41,17 +43,34 @@ use starmagic_qgm::Qgm;
 pub fn lint(qgm: &Qgm, catalog: &Catalog) -> LintReport {
     let mut report = LintReport::default();
     passes::structural::run(qgm, &mut report);
-    if report.has_errors() {
-        return report;
+    if !report.has_errors() {
+        let strata = strata::compute(qgm);
+        let keys = KeyTable::for_strata(qgm, catalog, &strata);
+        semantic_passes(qgm, &strata, &keys, &mut report);
     }
-    let strata = starmagic_qgm::strata::compute(qgm);
-    passes::strata::run(qgm, &strata, &mut report);
-    passes::recursion::run(qgm, &strata.sccs, &mut report);
-    passes::magic::run(qgm, &mut report);
-    passes::duplicates::run(qgm, catalog, &mut report);
-    passes::quantifiers::run(qgm, &mut report);
-    passes::hygiene::run(qgm, &mut report);
     report
+}
+
+/// [`lint`] of a graph that passes `Qgm::validate`, reading its strata
+/// and keys from `strata` and `keys` — what the pipeline's final check
+/// derives once and shares with the analysis.
+pub fn lint_with(qgm: &Qgm, strata: &Strata, keys: &KeyTable<'_>) -> LintReport {
+    let mut report = LintReport::default();
+    passes::structural::run(qgm, &mut report);
+    if !report.has_errors() {
+        semantic_passes(qgm, strata, keys, &mut report);
+    }
+    report
+}
+
+/// Every pass after the structural one.
+fn semantic_passes(qgm: &Qgm, strata: &Strata, keys: &KeyTable<'_>, report: &mut LintReport) {
+    passes::strata::run(qgm, strata, report);
+    passes::recursion::run(qgm, &strata.sccs, report);
+    passes::magic::run(qgm, report);
+    passes::duplicates::run(qgm, keys, report);
+    passes::quantifiers::run(qgm, report);
+    passes::hygiene::run(qgm, report);
 }
 
 #[cfg(test)]

@@ -11,23 +11,18 @@
 //! key with the box's own mark read as `Permit` (so the proof cannot
 //! assume its own conclusion), everything else as it stands.
 
-use starmagic_catalog::Catalog;
 use starmagic_qgm::keys::KeyTable;
 use starmagic_qgm::{DistinctMode, Qgm};
 
 use crate::diag::{Code, LintReport};
 
-pub fn run(qgm: &Qgm, catalog: &Catalog, report: &mut LintReport) {
-    // Built on the first claim: most graphs make none.
-    let mut table = None;
+/// Re-prove every claim, with `keys` a table over `qgm`.
+pub fn run(qgm: &Qgm, keys: &KeyTable<'_>, report: &mut LintReport) {
     for id in qgm.box_ids() {
         if qgm.boxed(id).distinct != DistinctMode::Preserve {
             continue;
         }
-        let keys = table
-            .get_or_insert_with(|| KeyTable::new(qgm, catalog))
-            .keys_with_mode(id, DistinctMode::Permit);
-        if keys.is_empty() {
+        if keys.keys_with_mode(id, DistinctMode::Permit).is_empty() {
             report.push(
                 Code::L030UnprovableDistinctClaim,
                 Some(id),

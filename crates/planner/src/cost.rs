@@ -20,6 +20,31 @@ pub fn estimate_box_rows(qgm: &Qgm, catalog: &Catalog, b: BoxId) -> f64 {
     rows(qgm, catalog, b, &mut memo, 0)
 }
 
+/// [`estimate_box_rows`] of each of `boxes`, by `BoxId::index` (NaN for
+/// a box not asked for). `acyclic` says the graph has no cycle: a box's
+/// estimate then never reads a cycle-cutting guess, and with no more
+/// boxes than an estimate may descend it never hits the depth cut
+/// either, so it is the same in any memo and every box shares one.
+/// Otherwise each box gets a memo of its own, as in
+/// [`estimate_box_rows`].
+pub fn estimate_rows_by_box(
+    qgm: &Qgm,
+    catalog: &Catalog,
+    acyclic: bool,
+    boxes: impl IntoIterator<Item = BoxId>,
+) -> Vec<f64> {
+    let shared = acyclic && qgm.box_count() <= MAX_DEPTH + 1;
+    let mut memo = BTreeMap::new();
+    let mut out = vec![f64::NAN; qgm.box_slots()];
+    for b in boxes {
+        if !shared {
+            memo.clear();
+        }
+        out[b.index()] = rows(qgm, catalog, b, &mut memo, 0);
+    }
+    out
+}
+
 /// Estimated cost of evaluating the whole graph (each box once, plus
 /// per-outer-row charges for correlated subqueries).
 pub fn estimate_graph_cost(qgm: &Qgm, catalog: &Catalog) -> f64 {
@@ -326,6 +351,26 @@ mod tests {
         let cat = generator::benchmark_catalog(generator::Scale::small()).unwrap();
         let g = build_qgm(&cat, &starmagic_sql::parse_query(sql_text).unwrap()).unwrap();
         (g, cat)
+    }
+
+    #[test]
+    fn every_box_estimate_equals_its_own_estimate() {
+        for sql in [
+            "SELECT e.empno, d.deptname FROM employee e, department d \
+             WHERE e.workdept = d.deptno AND d.deptno IN \
+             (SELECT workdept FROM employee GROUP BY workdept)",
+            "WITH RECURSIVE r (a, b) AS (SELECT empno, workdept FROM employee \
+             UNION SELECT r.a, e.workdept FROM r, employee e WHERE e.empno = r.b) \
+             SELECT a, b FROM r WHERE a = 1",
+        ] {
+            let (g, cat) = setup(sql);
+            let acyclic = !starmagic_qgm::strata::is_recursive(&g);
+            let all = estimate_rows_by_box(&g, &cat, acyclic, g.box_ids());
+            for b in g.box_ids() {
+                let own = estimate_box_rows(&g, &cat, b);
+                assert_eq!(all[b.index()].to_bits(), own.to_bits(), "{b} of {sql}");
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,6 @@ pub mod feedback;
 pub mod joinorder;
 pub mod selectivity;
 
-pub use cost::{estimate_box_rows, estimate_graph_cost};
+pub use cost::{estimate_box_rows, estimate_graph_cost, estimate_rows_by_box};
 pub use feedback::{bucket_histogram, cardinality_report, CardRow, MisestimateBucket};
 pub use joinorder::annotate_join_orders;

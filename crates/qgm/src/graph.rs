@@ -164,6 +164,12 @@ impl Qgm {
             .collect()
     }
 
+    /// One past the highest box id ever allocated: every `BoxId` of this
+    /// graph indexes a table this long.
+    pub fn box_slots(&self) -> usize {
+        self.boxes.len()
+    }
+
     /// Number of live boxes — "the number of boxes determines the
     /// complexity of the query".
     pub fn box_count(&self) -> usize {

@@ -15,32 +15,34 @@
 //! * a non-ALL set operation is keyed by the whole row;
 //! * a box with `DistinctMode::Enforce`/`Preserve` is keyed by the
 //!   whole row.
+//!
+//! Every column set here is a [`ColSet`]: a key is a set of output
+//! offsets, and inside a join the `(quantifier, input column)` terms of
+//! its Foreach quantifiers are numbered densely ([`Terms`]) so that key
+//! candidates, equality classes and constant columns are sets too.
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::BTreeSet;
+use std::ops::Range;
 
 use starmagic_catalog::Catalog;
 use starmagic_sql::BinOp;
 
-use crate::boxes::{BoxKind, DistinctMode, QuantKind};
+use crate::boxes::{BoxKind, DistinctMode, GroupByBox, QuantKind};
+use crate::colset::{ColSet, Terms};
 use crate::expr::ScalarExpr;
 use crate::graph::Qgm;
-use crate::ids::BoxId;
-use crate::strata;
+use crate::ids::{BoxId, QuantId};
+use crate::strata::{self, Strata};
 
 /// Maximum number of candidate keys tracked per box, to bound the
 /// combinatorial growth across joins.
 const MAX_KEYS: usize = 4;
 
-/// One Foreach quantifier's candidate keys: the quant id plus keys
-/// expressed over (quant id, input column) pairs.
-type QuantKeys = (u32, Vec<BTreeSet<(u32, usize)>>);
-
 /// Candidate keys of a box's *output*, as sets of output-column
 /// offsets. The empty set is a valid key (at most one row, e.g. a
 /// global aggregate). An empty `Vec` means "no key known".
-pub fn output_keys(qgm: &Qgm, catalog: &Catalog, b: BoxId) -> Vec<BTreeSet<usize>> {
+pub fn output_keys(qgm: &Qgm, catalog: &Catalog, b: BoxId) -> Vec<ColSet> {
     Walk::new(qgm, catalog, None).keys(b).into_owned()
 }
 
@@ -69,25 +71,47 @@ pub struct KeyTable<'a> {
     qgm: &'a Qgm,
     catalog: &'a Catalog,
     acyclic: bool,
-    keys: Vec<OnceCell<Vec<BTreeSet<usize>>>>,
-    consts: Vec<OnceCell<BTreeSet<usize>>>,
+    /// Indexed by `BoxId::index`.
+    slots: Vec<Slot>,
+}
+
+/// One box's derivations, each made on the first ask.
+#[derive(Default)]
+struct Slot {
+    keys: OnceCell<Vec<ColSet>>,
+    consts: OnceCell<ColSet>,
 }
 
 impl<'a> KeyTable<'a> {
     pub fn new(qgm: &'a Qgm, catalog: &'a Catalog) -> KeyTable<'a> {
-        let slots = qgm.box_ids().last().map_or(0, |b| b.index() + 1);
+        KeyTable::with_acyclic(qgm, catalog, !strata::is_recursive(qgm))
+    }
+
+    /// [`KeyTable::new`] for a graph whose strata were already computed:
+    /// whether it has a cycle is read off their SCCs instead of found
+    /// again.
+    pub fn for_strata(qgm: &'a Qgm, catalog: &'a Catalog, strata: &Strata) -> KeyTable<'a> {
+        KeyTable::with_acyclic(qgm, catalog, !strata.is_recursive(qgm))
+    }
+
+    fn with_acyclic(qgm: &'a Qgm, catalog: &'a Catalog, acyclic: bool) -> KeyTable<'a> {
         KeyTable {
             qgm,
             catalog,
-            acyclic: !strata::is_recursive(qgm),
-            keys: (0..slots).map(|_| OnceCell::new()).collect(),
-            consts: (0..slots).map(|_| OnceCell::new()).collect(),
+            acyclic,
+            slots: (0..qgm.box_slots()).map(|_| Slot::default()).collect(),
         }
     }
 
+    /// Whether the graph has no cycle, so that every derivation is
+    /// shared.
+    pub fn is_acyclic(&self) -> bool {
+        self.acyclic
+    }
+
     /// [`output_keys`] of `b`.
-    pub fn keys(&self, b: BoxId) -> &[BTreeSet<usize>] {
-        self.keys[b.index()].get_or_init(|| {
+    pub fn keys(&self, b: BoxId) -> &[ColSet] {
+        self.slots[b.index()].keys.get_or_init(|| {
             if self.acyclic {
                 keys_inner(
                     self.qgm,
@@ -107,7 +131,7 @@ impl<'a> KeyTable<'a> {
     /// copy of the graph with that one mode changed. The duplicates
     /// lint re-proves a `Preserve` claim this way, with the claim
     /// itself set aside.
-    pub fn keys_with_mode(&self, b: BoxId, mode: DistinctMode) -> Vec<BTreeSet<usize>> {
+    pub fn keys_with_mode(&self, b: BoxId, mode: DistinctMode) -> Vec<ColSet> {
         if self.acyclic {
             // No child reaches `b`, so the children's keys are the
             // table's whatever `b`'s mode is.
@@ -119,16 +143,18 @@ impl<'a> KeyTable<'a> {
         }
     }
 
-    fn const_outputs(&self, b: BoxId) -> &BTreeSet<usize> {
-        self.consts[b.index()].get_or_init(|| const_outputs_inner(self.qgm, b, &mut Memo(self)))
+    fn const_outputs(&self, b: BoxId) -> &ColSet {
+        self.slots[b.index()]
+            .consts
+            .get_or_init(|| const_outputs_inner(self.qgm, b, &mut Memo(self)))
     }
 }
 
 /// Where key inference finds the keys and constant columns of the boxes
 /// below the one it is deriving.
 trait Inputs {
-    fn keys(&mut self, b: BoxId) -> Cow<'_, [BTreeSet<usize>]>;
-    fn const_outputs(&mut self, b: BoxId) -> Cow<'_, BTreeSet<usize>>;
+    fn keys(&mut self, b: BoxId) -> Cow<'_, [ColSet]>;
+    fn const_outputs(&mut self, b: BoxId) -> Cow<'_, ColSet>;
 }
 
 /// A fresh depth-first walk that cuts every path returning to a box it
@@ -137,7 +163,8 @@ trait Inputs {
 struct Walk<'a> {
     qgm: &'a Qgm,
     catalog: &'a Catalog,
-    visiting: BTreeSet<BoxId>,
+    /// `BoxId::index` of every box on the current path.
+    visiting: ColSet,
     mode: Option<(BoxId, DistinctMode)>,
 }
 
@@ -146,15 +173,15 @@ impl<'a> Walk<'a> {
         Walk {
             qgm,
             catalog,
-            visiting: BTreeSet::new(),
+            visiting: ColSet::new(),
             mode,
         }
     }
 }
 
 impl Inputs for Walk<'_> {
-    fn keys(&mut self, b: BoxId) -> Cow<'_, [BTreeSet<usize>]> {
-        if !self.visiting.insert(b) {
+    fn keys(&mut self, b: BoxId) -> Cow<'_, [ColSet]> {
+        if !self.visiting.insert(b.index()) {
             // Recursive cycle: claim nothing.
             return Cow::Owned(Vec::new());
         }
@@ -163,16 +190,16 @@ impl Inputs for Walk<'_> {
             _ => self.qgm.boxed(b).distinct,
         };
         let result = keys_inner(self.qgm, self.catalog, b, distinct, self);
-        self.visiting.remove(&b);
+        self.visiting.remove(b.index());
         Cow::Owned(result)
     }
 
-    fn const_outputs(&mut self, b: BoxId) -> Cow<'_, BTreeSet<usize>> {
-        if !self.visiting.insert(b) {
-            return Cow::Owned(BTreeSet::new());
+    fn const_outputs(&mut self, b: BoxId) -> Cow<'_, ColSet> {
+        if !self.visiting.insert(b.index()) {
+            return Cow::Owned(ColSet::new());
         }
         let out = const_outputs_inner(self.qgm, b, self);
-        self.visiting.remove(&b);
+        self.visiting.remove(b.index());
         Cow::Owned(out)
     }
 }
@@ -182,11 +209,11 @@ impl Inputs for Walk<'_> {
 struct Memo<'t, 'a>(&'t KeyTable<'a>);
 
 impl Inputs for Memo<'_, '_> {
-    fn keys(&mut self, b: BoxId) -> Cow<'_, [BTreeSet<usize>]> {
+    fn keys(&mut self, b: BoxId) -> Cow<'_, [ColSet]> {
         Cow::Borrowed(self.0.keys(b))
     }
 
-    fn const_outputs(&mut self, b: BoxId) -> Cow<'_, BTreeSet<usize>> {
+    fn const_outputs(&mut self, b: BoxId) -> Cow<'_, ColSet> {
         Cow::Borrowed(self.0.const_outputs(b))
     }
 }
@@ -199,9 +226,9 @@ fn keys_inner(
     b: BoxId,
     distinct: DistinctMode,
     inputs: &mut impl Inputs,
-) -> Vec<BTreeSet<usize>> {
+) -> Vec<ColSet> {
     let qb = qgm.boxed(b);
-    let mut keys: Vec<BTreeSet<usize>> = Vec::new();
+    let mut keys: Vec<ColSet> = Vec::new();
 
     match &qb.kind {
         BoxKind::BaseTable { table } => {
@@ -219,7 +246,7 @@ fn keys_inner(
             let const_keys = const_group_keys(qgm, b, g, inputs);
             keys.push(
                 (0..g.group_keys.len())
-                    .filter(|i| !const_keys.contains(i))
+                    .filter(|&i| !const_keys.contains(i))
                     .collect(),
             );
         }
@@ -231,160 +258,27 @@ fn keys_inner(
         BoxKind::Select | BoxKind::OuterJoin(_) => {
             // One key from each Foreach quantifier's input; the union,
             // mapped through the output columns, keys the join output.
-            let fquants: Vec<_> = qb
-                .quants
-                .iter()
-                .copied()
-                .filter(|&q| qgm.quant(q).kind == QuantKind::Foreach)
-                .collect();
-            // Equality classes and constant columns from the box's
-            // top-level conjuncts (plain selects only — an outer
-            // join's NULL-padded rows are not filtered by its
-            // predicate): a key member may map through any equivalent
-            // column, and a constant member drops out of the key.
-            let (eq_classes, const_cols) = if matches!(qb.kind, BoxKind::Select) {
-                let eq = select_eq_classes(qgm, b);
-                let cc = select_const_cols(qgm, b, &eq, inputs);
-                (eq, cc)
-            } else {
-                (Vec::new(), BTreeSet::new())
-            };
-            // Per-quant candidate keys expressed as (quant, input col).
-            let mut per_quant: Vec<QuantKeys> = Vec::new();
-            let mut all_have_keys = true;
-            for &q in &fquants {
-                let input = qgm.quant(q).input;
-                let input_keys = inputs.keys(input);
-                if input_keys.is_empty() {
-                    all_have_keys = false;
-                    break;
-                }
-                per_quant.push((
-                    q.0,
-                    input_keys
-                        .iter()
-                        .map(|k| k.iter().map(|&c| (q.0, c)).collect())
-                        .collect(),
-                ));
-            }
-            if all_have_keys {
-                let n = per_quant.len();
-                // A subset R of the Foreach quants keys the join alone
-                // when every quant outside R is transitively *pinned*
-                // by R: some key of it is entirely equated to columns
-                // of quants already accounted for, so it joins at most
-                // one row per valuation of R (the magic-join shape —
-                // the magic table's whole-row key is equated to the
-                // adorned subquery's binding columns).
-                let covers = |r: &[usize]| -> bool {
-                    let mut have: Vec<u32> = r.iter().map(|&i| per_quant[i].0).collect();
-                    let mut todo: Vec<usize> = (0..n).filter(|i| !r.contains(i)).collect();
-                    loop {
-                        let pos = todo.iter().position(|&i| {
-                            let (qi, qkeys) = &per_quant[i];
-                            qkeys.iter().any(|k| {
-                                k.iter().all(|member| {
-                                    const_cols.contains(member)
-                                        || eq_classes.iter().any(|cls| {
-                                            cls.contains(member)
-                                                && cls
-                                                    .iter()
-                                                    .any(|(q2, _)| q2 != qi && have.contains(q2))
-                                        })
-                                })
-                            })
-                        });
-                        match pos {
-                            Some(p) => {
-                                have.push(per_quant[todo[p]].0);
-                                todo.remove(p);
-                            }
-                            None => break,
-                        }
-                    }
-                    todo.is_empty()
-                };
-                // Smallest subsets first so minimal keys surface before
-                // the MAX_KEYS truncation; past 8 quants only the full
-                // set is tried (no pinning, the pre-equivalence rule).
-                let subsets: Vec<Vec<usize>> = if n <= 8 {
-                    let mut all: Vec<Vec<usize>> = (0u32..(1 << n))
-                        .map(|mask| (0..n).filter(|i| mask >> i & 1 == 1).collect())
-                        .collect();
-                    all.sort_by_key(Vec::len);
-                    all
-                } else {
-                    vec![(0..n).collect()]
-                };
-                for r in subsets {
-                    if !covers(&r) {
-                        continue;
-                    }
-                    // Cartesian combination, truncated to MAX_KEYS.
-                    let mut combos: Vec<BTreeSet<(u32, usize)>> = vec![BTreeSet::new()];
-                    for &i in &r {
-                        let mut next = Vec::new();
-                        for base in &combos {
-                            for opt in &per_quant[i].1 {
-                                let mut merged = base.clone();
-                                merged.extend(opt.iter().copied());
-                                next.push(merged);
-                                if next.len() >= MAX_KEYS {
-                                    break;
-                                }
-                            }
-                            if next.len() >= MAX_KEYS {
-                                break;
-                            }
-                        }
-                        combos = next;
-                    }
-                    // Map each combo through the output columns: every
-                    // (quant, col) member must appear as a plain ColRef
-                    // — or as one of its equivalents. Members with
-                    // several images fan out into several keys.
-                    'combo: for combo in combos {
-                        let mut offset_sets: Vec<BTreeSet<usize>> = vec![BTreeSet::new()];
-                        for (q, c) in &combo {
-                            let member = (*q, *c);
-                            if const_cols.contains(&member) {
+            if let Some(join) = Join::new(qgm, b, inputs) {
+                let n = join.sides.len();
+                if n <= 8 {
+                    // Smallest subsets first (ascending bit patterns
+                    // within a size) so minimal keys surface before the
+                    // MAX_KEYS truncation.
+                    for size in 0..=n {
+                        for mask in 0u32..1 << n {
+                            if mask.count_ones() as usize != size {
                                 continue;
                             }
-                            let class = eq_classes.iter().find(|s| s.contains(&member));
-                            let images: Vec<usize> = qb
-                                .columns
-                                .iter()
-                                .enumerate()
-                                .filter_map(|(off, oc)| {
-                                    let ScalarExpr::ColRef { quant, col } = &oc.expr else {
-                                        return None;
-                                    };
-                                    let out = (quant.0, *col);
-                                    (out == member || class.is_some_and(|s| s.contains(&out)))
-                                        .then_some(off)
-                                })
-                                .collect();
-                            if images.is_empty() {
-                                continue 'combo;
+                            let r: ColSet = (0..n).filter(|i| mask >> i & 1 == 1).collect();
+                            if join.covers(&r) {
+                                join.extend_keys(&r, &mut keys);
                             }
-                            let mut next = Vec::new();
-                            for base in &offset_sets {
-                                for &img in &images {
-                                    let mut merged = base.clone();
-                                    merged.insert(img);
-                                    next.push(merged);
-                                    if next.len() >= MAX_KEYS {
-                                        break;
-                                    }
-                                }
-                                if next.len() >= MAX_KEYS {
-                                    break;
-                                }
-                            }
-                            offset_sets = next;
                         }
-                        keys.extend(offset_sets);
                     }
+                } else {
+                    // Past 8 quants only the full set is tried (no
+                    // pinning, the pre-equivalence rule).
+                    join.extend_keys(&(0..n).collect(), &mut keys);
                 }
             }
         }
@@ -398,93 +292,242 @@ fn keys_inner(
     }
 
     // Minimize: drop keys that are supersets of other keys; dedupe.
-    keys.sort_by_key(std::collections::BTreeSet::len);
-    let mut minimal: Vec<BTreeSet<usize>> = Vec::new();
-    for k in keys {
-        if !minimal.iter().any(|m| m.is_subset(&k)) {
-            minimal.push(k);
-        }
-        if minimal.len() >= MAX_KEYS {
-            break;
-        }
-    }
-    minimal
-}
-
-/// Foreach quantifier ids of a box — the only quants whose predicates
-/// act as plain row filters (conjuncts touching E/A quants carry
-/// quantified semantics instead).
-fn foreach_ids(qgm: &Qgm, b: BoxId) -> BTreeSet<u32> {
-    qgm.boxed(b)
-        .quants
-        .iter()
-        .copied()
-        .filter(|&q| qgm.quant(q).kind == QuantKind::Foreach)
-        .map(|q| q.0)
-        .collect()
-}
-
-/// Column-equivalence classes from a select box's top-level `a = b`
-/// conjuncts between Foreach columns: a surviving row has both sides
-/// equal and non-NULL.
-fn select_eq_classes(qgm: &Qgm, b: BoxId) -> Vec<BTreeSet<(u32, usize)>> {
-    let fset = foreach_ids(qgm, b);
-    let mut classes: Vec<BTreeSet<(u32, usize)>> = Vec::new();
-    for p in &qgm.boxed(b).predicates {
-        let ScalarExpr::Bin {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = p
-        else {
-            continue;
-        };
-        let (ScalarExpr::ColRef { quant: ql, col: cl }, ScalarExpr::ColRef { quant: qr, col: cr }) =
-            (&**left, &**right)
-        else {
-            continue;
-        };
-        if !fset.contains(&ql.0) || !fset.contains(&qr.0) {
-            continue;
-        }
-        let a = (ql.0, *cl);
-        let bb = (qr.0, *cr);
-        let ia = classes.iter().position(|s| s.contains(&a));
-        let ib = classes.iter().position(|s| s.contains(&bb));
-        match (ia, ib) {
-            (Some(i), Some(j)) if i != j => {
-                let merged = classes.swap_remove(i.max(j));
-                classes[i.min(j)].extend(merged);
-            }
-            (Some(_), Some(_)) => {}
-            (Some(i), None) => {
-                classes[i].insert(bb);
-            }
-            (None, Some(j)) => {
-                classes[j].insert(a);
-            }
-            (None, None) => {
-                classes.push([a, bb].into_iter().collect());
+    keys.sort_by_key(ColSet::len);
+    let mut kept = 0;
+    for i in 0..keys.len() {
+        if !keys[..kept].iter().any(|m| m.is_subset(&keys[i])) {
+            keys.swap(kept, i);
+            kept += 1;
+            if kept >= MAX_KEYS {
+                break;
             }
         }
     }
-    classes
+    keys.truncate(kept);
+    keys
 }
 
-/// (quant, col) pairs of a select box provably constant across all
-/// surviving rows: equated to a literal by a top-level conjunct,
-/// constant in the quantifier's input, or equality-connected to either.
-/// Constant columns never contribute multiplicity, so they drop out of
-/// candidate keys.
-fn select_const_cols(
+/// At most MAX_KEYS column sets, held inline: an input's keys, or the
+/// combinations key inference builds from them.
+#[derive(Default)]
+struct Few {
+    sets: [ColSet; MAX_KEYS],
+    len: usize,
+}
+
+impl Few {
+    /// Add `set`; whether there is room for another.
+    fn push(&mut self, set: ColSet) -> bool {
+        self.sets[self.len] = set;
+        self.len += 1;
+        self.len < MAX_KEYS
+    }
+
+    fn as_slice(&self) -> &[ColSet] {
+        &self.sets[..self.len]
+    }
+
+    fn one_empty() -> Few {
+        let mut few = Few::default();
+        few.push(ColSet::new());
+        few
+    }
+
+    /// Every set extended by every option, in that order, up to
+    /// MAX_KEYS results.
+    fn fan_out<T>(
+        &self,
+        options: impl Iterator<Item = T> + Clone,
+        extend: impl Fn(&mut ColSet, T),
+    ) -> Few {
+        let mut out = Few::default();
+        for base in self.as_slice() {
+            for option in options.clone() {
+                let mut merged = base.clone();
+                extend(&mut merged, option);
+                if !out.push(merged) {
+                    return out;
+                }
+            }
+        }
+        out
+    }
+}
+
+/// One Foreach quantifier of a join: its input's keys as sets of the
+/// join's terms, and the run of its columns among them.
+struct Side {
+    quant: QuantId,
+    keys: Few,
+    cols: Range<usize>,
+}
+
+/// What key inference knows about a select or outer-join box whose
+/// Foreach inputs all have keys: the quantifiers in box order with their
+/// inputs' keys, and (plain selects only — an outer join's NULL-padded
+/// rows are not filtered by its predicate) the equality classes and
+/// constant terms of its top-level conjuncts: a key member may map
+/// through any equivalent column, and a constant member drops out of the
+/// key.
+struct Join<'q> {
+    qgm: &'q Qgm,
+    b: BoxId,
+    terms: Terms,
+    sides: Vec<Side>,
+    classes: Vec<ColSet>,
+    consts: ColSet,
+}
+
+impl<'q> Join<'q> {
+    /// `None` when some Foreach input has no key: then the join has
+    /// none either.
+    fn new(qgm: &'q Qgm, b: BoxId, inputs: &mut impl Inputs) -> Option<Join<'q>> {
+        let qb = qgm.boxed(b);
+        let mut terms = Terms::default();
+        let mut sides = Vec::new();
+        for &q in &qb.quants {
+            if qgm.quant(q).kind != QuantKind::Foreach {
+                continue;
+            }
+            let input = qgm.quant(q).input;
+            let mut keys = Few::default();
+            let mut width = qgm.boxed(input).arity();
+            for k in inputs.keys(input).iter() {
+                width = width.max(k.iter().last().map_or(0, |c| c + 1));
+                keys.push(k.clone());
+            }
+            if keys.len == 0 {
+                return None;
+            }
+            terms.push(q, width);
+            sides.push(Side {
+                quant: q,
+                keys,
+                cols: 0..0,
+            });
+        }
+        // A key's members fan out in ascending (quantifier, column)
+        // order below.
+        terms.sort();
+        for side in &mut sides {
+            side.cols = terms.columns(side.quant).expect("every side is laid out");
+            let start = side.cols.start;
+            for k in &mut side.keys.sets[..side.keys.len] {
+                *k = k.iter().map(|c| start + c).collect();
+            }
+        }
+        let (classes, consts) = if matches!(qb.kind, BoxKind::Select) {
+            select_equalities(qgm, b, &terms, inputs)
+        } else {
+            (Vec::new(), ColSet::new())
+        };
+        Some(Join {
+            qgm,
+            b,
+            terms,
+            sides,
+            classes,
+            consts,
+        })
+    }
+
+    /// Whether the quantifiers at positions `r` key the join alone:
+    /// every quantifier outside `r` is transitively *pinned* by `r` —
+    /// some key of it is entirely constant or equated to columns of
+    /// quantifiers already accounted for, so it joins at most one row
+    /// per valuation of `r` (the magic-join shape — the magic table's
+    /// whole-row key is equated to the adorned subquery's binding
+    /// columns).
+    fn covers(&self, r: &ColSet) -> bool {
+        let mut have = r.clone();
+        let mut have_terms = ColSet::new();
+        for i in r {
+            have_terms.extend(self.sides[i].cols.clone());
+        }
+        while let Some(i) =
+            (0..self.sides.len()).find(|&i| !have.contains(i) && self.pinned(i, &have_terms))
+        {
+            have.insert(i);
+            have_terms.extend(self.sides[i].cols.clone());
+        }
+        have.len() == self.sides.len()
+    }
+
+    /// Whether some key of the quantifier at position `i` is entirely
+    /// constant or equated to `have` terms.
+    fn pinned(&self, i: usize, have: &ColSet) -> bool {
+        self.sides[i].keys.as_slice().iter().any(|k| {
+            k.iter().all(|m| {
+                self.consts.contains(m)
+                    || self
+                        .classes
+                        .iter()
+                        .any(|cls| cls.contains(m) && cls.intersects(have))
+            })
+        })
+    }
+
+    /// The keys the quantifiers at positions `r` give the join: one key
+    /// of each, combined (truncated to MAX_KEYS) and mapped through the
+    /// output columns — every non-constant member must appear as a plain
+    /// column reference, or as one of its equivalents. A member with
+    /// several images fans out into several keys.
+    fn extend_keys(&self, r: &ColSet, keys: &mut Vec<ColSet>) {
+        let mut combos = Few::one_empty();
+        for i in r {
+            combos = combos.fan_out(self.sides[i].keys.as_slice().iter(), |base, key| {
+                base.union_with(key);
+            });
+        }
+        let columns = &self.qgm.boxed(self.b).columns;
+        'combo: for combo in combos.as_slice() {
+            let mut offsets = Few::one_empty();
+            for m in combo {
+                if self.consts.contains(m) {
+                    continue;
+                }
+                let class = self.classes.iter().find(|s| s.contains(m));
+                let images: ColSet = columns
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(off, oc)| {
+                        let ScalarExpr::ColRef { quant, col } = &oc.expr else {
+                            return None;
+                        };
+                        let out = self.terms.index(*quant, *col)?;
+                        (out == m || class.is_some_and(|s| s.contains(out))).then_some(off)
+                    })
+                    .collect();
+                if images.is_empty() {
+                    continue 'combo;
+                }
+                offsets = offsets.fan_out(images.iter(), |base, img| {
+                    base.insert(img);
+                });
+            }
+            keys.extend_from_slice(offsets.as_slice());
+        }
+    }
+}
+
+/// A select box's column-equivalence classes — from its top-level
+/// `a = b` conjuncts between Foreach columns: a surviving row has both
+/// sides equal and non-NULL — and its terms provably constant across
+/// all surviving rows: equated to a literal or parameter by a top-level
+/// conjunct, constant in the quantifier's input, or in a class with
+/// either. Constant columns never contribute multiplicity, so they drop
+/// out of candidate keys. Both are sets of `terms`, which lays out the
+/// box's Foreach quantifiers (conjuncts touching E/A quants carry
+/// quantified semantics instead of filtering rows).
+fn select_equalities(
     qgm: &Qgm,
     b: BoxId,
-    eq_classes: &[BTreeSet<(u32, usize)>],
+    terms: &Terms,
     inputs: &mut impl Inputs,
-) -> BTreeSet<(u32, usize)> {
+) -> (Vec<ColSet>, ColSet) {
     let qb = qgm.boxed(b);
-    let fset = foreach_ids(qgm, b);
-    let mut consts: BTreeSet<(u32, usize)> = BTreeSet::new();
+    let mut classes: Vec<ColSet> = Vec::new();
+    let mut consts = ColSet::new();
     for p in &qb.predicates {
         let ScalarExpr::Bin {
             op: BinOp::Eq,
@@ -494,94 +537,117 @@ fn select_const_cols(
         else {
             continue;
         };
-        // A parameter pins a column just like a literal: it has one
-        // fixed (non-NULL) value for the whole execution.
-        let col = match (&**left, &**right) {
+        match (&**left, &**right) {
+            (
+                ScalarExpr::ColRef { quant: ql, col: cl },
+                ScalarExpr::ColRef { quant: qr, col: cr },
+            ) => {
+                let (Some(a), Some(bb)) = (terms.index(*ql, *cl), terms.index(*qr, *cr)) else {
+                    continue;
+                };
+                let ia = classes.iter().position(|s| s.contains(a));
+                let ib = classes.iter().position(|s| s.contains(bb));
+                match (ia, ib) {
+                    (Some(i), Some(j)) if i != j => {
+                        let merged = classes.swap_remove(i.max(j));
+                        classes[i.min(j)].union_with(&merged);
+                    }
+                    (Some(_), Some(_)) => {}
+                    (Some(i), None) => {
+                        classes[i].insert(bb);
+                    }
+                    (None, Some(j)) => {
+                        classes[j].insert(a);
+                    }
+                    (None, None) => classes.push([a, bb].into_iter().collect()),
+                }
+            }
+            // A parameter pins a column just like a literal: it has one
+            // fixed (non-NULL) value for the whole execution.
             (ScalarExpr::ColRef { quant, col }, ScalarExpr::Literal(_) | ScalarExpr::Param(_))
             | (ScalarExpr::Literal(_) | ScalarExpr::Param(_), ScalarExpr::ColRef { quant, col }) => {
-                (quant.0, *col)
+                if let Some(t) = terms.index(*quant, *col) {
+                    consts.insert(t);
+                }
             }
-            _ => continue,
-        };
-        if fset.contains(&col.0) {
-            consts.insert(col);
+            _ => {}
         }
     }
     for &q in &qb.quants {
-        if qgm.quant(q).kind != QuantKind::Foreach {
+        let Some(cols) = terms.columns(q) else {
             continue;
-        }
-        for &c in inputs.const_outputs(qgm.quant(q).input).iter() {
-            consts.insert((q.0, c));
-        }
-    }
-    for cls in eq_classes {
-        if cls.iter().any(|m| consts.contains(m)) {
-            consts.extend(cls.iter().copied());
+        };
+        for c in inputs.const_outputs(qgm.quant(q).input).iter() {
+            if c < cols.len() {
+                consts.insert(cols.start + c);
+            }
         }
     }
-    consts
+    for cls in &classes {
+        if cls.intersects(&consts) {
+            consts.union_with(cls);
+        }
+    }
+    (classes, consts)
 }
 
 /// Output-column offsets of a box provably holding the same value in
 /// every row. Conservative: only selects and group-bys propagate
 /// constancy (an outer join NULL-pads, a set op mixes arms).
-fn const_outputs_inner(qgm: &Qgm, b: BoxId, inputs: &mut impl Inputs) -> BTreeSet<usize> {
+fn const_outputs_inner(qgm: &Qgm, b: BoxId, inputs: &mut impl Inputs) -> ColSet {
     let qb = qgm.boxed(b);
-    let mut out = BTreeSet::new();
     match &qb.kind {
-        BoxKind::BaseTable { .. } | BoxKind::SetOp(_) | BoxKind::OuterJoin(_) => {}
-        BoxKind::GroupBy(g) => {
-            out = const_group_keys(qgm, b, g, inputs);
-        }
+        BoxKind::BaseTable { .. } | BoxKind::SetOp(_) | BoxKind::OuterJoin(_) => ColSet::new(),
+        BoxKind::GroupBy(g) => const_group_keys(qgm, b, g, inputs),
         BoxKind::Select => {
-            let eq = select_eq_classes(qgm, b);
-            let consts = select_const_cols(qgm, b, &eq, inputs);
-            for (i, oc) in qb.columns.iter().enumerate() {
-                if expr_const(&oc.expr, &consts) {
-                    out.insert(i);
+            let mut terms = Terms::default();
+            for &q in &qb.quants {
+                if qgm.quant(q).kind == QuantKind::Foreach {
+                    terms.push(q, qgm.boxed(qgm.quant(q).input).arity());
                 }
+            }
+            let (_, consts) = select_equalities(qgm, b, &terms, inputs);
+            qb.columns
+                .iter()
+                .enumerate()
+                .filter(|(_, oc)| match &oc.expr {
+                    ScalarExpr::Literal(_) | ScalarExpr::Param(_) => true,
+                    ScalarExpr::ColRef { quant, col } => terms
+                        .index(*quant, *col)
+                        .is_some_and(|t| consts.contains(t)),
+                    _ => false,
+                })
+                .map(|(i, _)| i)
+                .collect()
+        }
+    }
+}
+
+/// Group-key output offsets whose grouping expression is a literal, a
+/// parameter or a column constant in the input — every group shares
+/// that value, and with *all* group keys constant there is at most one
+/// group.
+fn const_group_keys(qgm: &Qgm, b: BoxId, g: &GroupByBox, inputs: &mut impl Inputs) -> ColSet {
+    let mut out: ColSet = g
+        .group_keys
+        .iter()
+        .enumerate()
+        .filter(|(_, k)| matches!(k, ScalarExpr::Literal(_) | ScalarExpr::Param(_)))
+        .map(|(i, _)| i)
+        .collect();
+    for &q in &qgm.boxed(b).quants {
+        if qgm.quant(q).kind != QuantKind::Foreach {
+            continue;
+        }
+        let consts = inputs.const_outputs(qgm.quant(q).input);
+        for (i, k) in g.group_keys.iter().enumerate() {
+            if matches!(k, ScalarExpr::ColRef { quant, col } if *quant == q && consts.contains(*col))
+            {
+                out.insert(i);
             }
         }
     }
     out
-}
-
-/// Group-key output offsets whose grouping expression is constant in
-/// the input — every group shares that value, and with *all* group
-/// keys constant there is at most one group.
-fn const_group_keys(
-    qgm: &Qgm,
-    b: BoxId,
-    g: &crate::boxes::GroupByBox,
-    inputs: &mut impl Inputs,
-) -> BTreeSet<usize> {
-    let qb = qgm.boxed(b);
-    let mut consts: BTreeSet<(u32, usize)> = BTreeSet::new();
-    for &q in &qb.quants {
-        if qgm.quant(q).kind != QuantKind::Foreach {
-            continue;
-        }
-        for &c in inputs.const_outputs(qgm.quant(q).input).iter() {
-            consts.insert((q.0, c));
-        }
-    }
-    g.group_keys
-        .iter()
-        .enumerate()
-        .filter(|(_, k)| expr_const(k, &consts))
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Whether an output/grouping expression is a literal or a reference to
-/// a provably-constant column.
-fn expr_const(e: &ScalarExpr, consts: &BTreeSet<(u32, usize)>) -> bool {
-    match e {
-        ScalarExpr::Literal(_) | ScalarExpr::Param(_) => true,
-        ScalarExpr::ColRef { quant, col } => consts.contains(&(quant.0, *col)),
-        _ => false,
-    }
 }
 
 #[cfg(test)]
@@ -634,7 +700,7 @@ mod tests {
         let mut g = Qgm::new();
         let d = base_box(&mut g, "dept", &["deptno", "deptname"]);
         let keys = output_keys(&g, &cat, d);
-        assert_eq!(keys, vec![[0usize].into_iter().collect::<BTreeSet<_>>()]);
+        assert_eq!(keys, vec![[0usize].into_iter().collect::<ColSet>()]);
         assert!(is_dup_free(&g, &cat, d));
     }
 
@@ -820,6 +886,34 @@ mod tests {
             expr: ScalarExpr::col(qsm, 1),
         }];
         assert!(is_dup_free(&g, &cat, j), "pinned t drops from the key");
+    }
+
+    #[test]
+    fn key_members_fan_out_in_quantifier_id_order() {
+        // Each side's key column is projected twice, so each member has
+        // two images and the keys fan out; FROM lists b before a. The
+        // fan-out follows quantifier ids (a first), whatever the FROM
+        // order, and fixes which keys survive MAX_KEYS.
+        let cat = catalog();
+        let mut g = Qgm::new();
+        let d = base_box(&mut g, "dept", &["deptno", "deptname"]);
+        let j = g.add_box("J", BoxKind::Select);
+        let qa = g.add_quant(j, d, QuantKind::Foreach, "a");
+        let qb = g.add_quant(j, d, QuantKind::Foreach, "b");
+        g.boxed_mut(j).quants.reverse();
+        g.boxed_mut(j).columns = [qa, qa, qb, qb]
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| OutputCol {
+                name: format!("c{i}"),
+                expr: ScalarExpr::col(q, 0),
+            })
+            .collect();
+        let keys: Vec<Vec<usize>> = output_keys(&g, &cat, j)
+            .iter()
+            .map(|k| k.iter().collect())
+            .collect();
+        assert_eq!(keys, [[0, 2], [0, 3], [1, 2], [1, 3]]);
     }
 
     #[test]

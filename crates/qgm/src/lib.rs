@@ -1,6 +1,7 @@
 #![forbid(unsafe_code)]
 pub mod boxes;
 pub mod builder;
+pub mod colset;
 pub mod expr;
 pub mod graph;
 pub mod ids;
@@ -10,6 +11,7 @@ pub mod render_sql;
 pub mod strata;
 pub use boxes::*;
 pub use builder::build_qgm;
+pub use colset::ColSet;
 pub use expr::ScalarExpr;
 pub use graph::Qgm;
 pub use ids::{BoxId, QuantId};

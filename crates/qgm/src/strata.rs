@@ -89,19 +89,28 @@ pub fn sccs(qgm: &Qgm) -> Vec<Vec<BoxId>> {
 /// Whether the graph contains recursion (a non-trivial SCC or a box
 /// that references itself).
 pub fn is_recursive(qgm: &Qgm) -> bool {
-    let ids = qgm.box_ids();
-    for scc in tarjan_sccs(qgm, &ids) {
-        if scc.len() > 1 {
-            return true;
-        }
-        let b = scc[0];
-        for &q in &qgm.boxed(b).quants {
-            if qgm.quant(q).input == b {
-                return true;
-            }
-        }
+    let mut cyclic = false;
+    tarjan(qgm, &qgm.box_ids(), |scc| cyclic |= is_cycle(qgm, scc));
+    cyclic
+}
+
+impl Strata {
+    /// [`is_recursive`] of the graph these strata were computed from,
+    /// read off its SCCs.
+    pub fn is_recursive(&self, qgm: &Qgm) -> bool {
+        self.sccs.iter().any(|scc| is_cycle(qgm, scc))
     }
-    false
+}
+
+/// Whether an SCC is a cycle: more than one box, or one box that
+/// references itself.
+fn is_cycle(qgm: &Qgm, scc: &[BoxId]) -> bool {
+    scc.len() > 1
+        || qgm
+            .boxed(scc[0])
+            .quants
+            .iter()
+            .any(|&q| qgm.quant(q).input == scc[0])
 }
 
 /// Whether `b` lies on a dependency cycle (references itself directly
@@ -139,13 +148,7 @@ pub fn in_cycle(qgm: &Qgm, b: BoxId) -> bool {
 /// surface them verbatim.
 pub fn validate_stratification(qgm: &Qgm) -> Result<()> {
     for scc in sccs(qgm) {
-        let cyclic = scc.len() > 1
-            || qgm
-                .boxed(scc[0])
-                .quants
-                .iter()
-                .any(|&q| qgm.quant(q).input == scc[0]);
-        if !cyclic {
+        if !is_cycle(qgm, &scc) {
             continue;
         }
         let members: BTreeSet<BoxId> = scc.iter().copied().collect();
@@ -218,8 +221,19 @@ pub fn validate_stratification(qgm: &Qgm) -> Result<()> {
 }
 
 /// Iterative Tarjan SCC over the box graph (edges: box → inputs of its
-/// quantifiers). Emits SCCs in reverse topological order.
+/// quantifiers). Returns SCCs in reverse topological order.
 fn tarjan_sccs(qgm: &Qgm, ids: &[BoxId]) -> Vec<Vec<BoxId>> {
+    let mut sccs = Vec::new();
+    tarjan(qgm, ids, |scc| {
+        sccs.push(scc.iter().rev().copied().collect());
+    });
+    sccs
+}
+
+/// The Tarjan pass behind [`tarjan_sccs`]: hands each SCC to `emit` as
+/// it completes, in reverse topological order, its boxes in the order
+/// they were reached.
+fn tarjan(qgm: &Qgm, ids: &[BoxId], mut emit: impl FnMut(&[BoxId])) {
     #[derive(Clone, Copy)]
     struct NodeState {
         index: u32,
@@ -239,14 +253,14 @@ fn tarjan_sccs(qgm: &Qgm, ids: &[BoxId]) -> Vec<Vec<BoxId>> {
     ];
     let mut counter = 0u32;
     let mut stack: Vec<BoxId> = Vec::new();
-    let mut sccs: Vec<Vec<BoxId>> = Vec::new();
-
     // Explicit DFS stack: (node, child cursor).
+    let mut dfs: Vec<(BoxId, usize)> = Vec::new();
+
     for &root in ids {
         if state[root.index()].visited {
             continue;
         }
-        let mut dfs: Vec<(BoxId, usize)> = vec![(root, 0)];
+        dfs.push((root, 0));
         while let Some(&mut (node, ref mut cursor)) = dfs.last_mut() {
             if *cursor == 0 {
                 let st = &mut state[node.index()];
@@ -277,21 +291,19 @@ fn tarjan_sccs(qgm: &Qgm, ids: &[BoxId]) -> Vec<Vec<BoxId>> {
                     st.lowlink = st.lowlink.min(nl);
                 }
                 if state[node.index()].lowlink == state[node.index()].index {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
+                    let at = stack
+                        .iter()
+                        .rposition(|&w| w == node)
+                        .expect("tarjan stack holds the root of its SCC");
+                    for &w in &stack[at..] {
                         state[w.index()].on_stack = false;
-                        scc.push(w);
-                        if w == node {
-                            break;
-                        }
                     }
-                    sccs.push(scc);
+                    emit(&stack[at..]);
+                    stack.truncate(at);
                 }
             }
         }
     }
-    sccs
 }
 
 #[cfg(test)]

@@ -7,10 +7,8 @@
 //! by `IS NOT NULL` on the kept side (a NULL key never joined, so the
 //! filter must survive the elimination).
 
-use std::collections::BTreeSet;
-
 use starmagic_common::Result;
-use starmagic_qgm::{keys, BoxId, BoxKind, Qgm, QuantId, ScalarExpr};
+use starmagic_qgm::{keys, BoxId, BoxKind, ColSet, Qgm, QuantId, ScalarExpr};
 
 use crate::engine::RuleContext;
 use crate::rules::RewriteRule;
@@ -54,10 +52,10 @@ fn key_equalities(
     b: BoxId,
     keep: QuantId,
     drop: QuantId,
-    key: &BTreeSet<usize>,
+    key: &ColSet,
 ) -> Option<Vec<usize>> {
     let mut found: Vec<usize> = Vec::new();
-    let mut covered: BTreeSet<usize> = BTreeSet::new();
+    let mut covered = ColSet::new();
     for (i, p) in qgm.boxed(b).predicates.iter().enumerate() {
         let Some((l, r)) = p.as_equality() else {
             continue;
@@ -76,7 +74,7 @@ fn key_equalities(
             _ => None,
         };
         if let Some(c) = pair {
-            if key.contains(&c) {
+            if key.contains(c) {
                 covered.insert(c);
                 found.push(i);
             }
@@ -90,7 +88,7 @@ fn eliminate(
     b: BoxId,
     keep: QuantId,
     drop: QuantId,
-    key: &BTreeSet<usize>,
+    key: &ColSet,
     pred_idxs: &[usize],
 ) {
     // Replace the key equalities with NOT NULL filters on the kept side.
@@ -101,7 +99,7 @@ fn eliminate(
         for i in remove {
             preds.remove(i);
         }
-        for &c in key {
+        for c in key {
             preds.push(ScalarExpr::IsNull {
                 expr: Box::new(ScalarExpr::col(keep, c)),
                 negated: true,
