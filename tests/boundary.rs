@@ -5,9 +5,10 @@
 //! vectorized kernel (DESIGN.md "The box boundary"). Outside, nothing
 //! may move: for the 32 Table-1 plans and 8 transitive closures the
 //! rows — in order — and the whole [`ExecProfile`] are the same with
-//! the columnar knob on and off.
+//! the columnar knob on and off. The second pins that output itself, as
+//! one digest over the same plans and a set of lookup-shape queries.
 //!
-//! The second test is the number ROADMAP item 5 asks for: how many box
+//! The third test is the number ROADMAP item 5 asks for: how many box
 //! evaluations stay on the batch path, and why the rest leave it, over
 //! Table 1 and the fuzz corpus. DESIGN.md quotes its output; run it
 //! with `--nocapture` to regenerate.
@@ -127,6 +128,102 @@ fn table1_and_closures_are_identical_across_paths() {
         }
     }
     assert_eq!(closures, 8);
+}
+
+/// FNV-1a, 64-bit: a digest that is the same on every platform and
+/// build profile.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn add(&mut self, text: &str) {
+        for &byte in text.as_bytes().iter().chain(b"\n") {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Queries over the fuzz database that reach every shape an equality
+/// lookup can take, as index probes and as hash joins.
+const LOOKUP_SHAPES: [&str; 10] = [
+    // `employee.empno` is sparse: 0..640 plus the NULL-rich 9001..9006.
+    "SELECT e.empname, a.hours FROM employee e, emp_act a WHERE a.empno = e.empno",
+    "SELECT empname, salary FROM employee WHERE empno = 9003",
+    // A negative literal, below every key.
+    "SELECT empname FROM employee WHERE empno = -1",
+    "SELECT d.deptname, e.empno FROM department d, employee e \
+     WHERE e.workdept = d.deptno AND d.deptno = -3",
+    // An index probe on a string column.
+    "SELECT deptno, mgrno FROM department WHERE deptname = 'Planning'",
+    // A composite-key hash join.
+    "SELECT a.empno, b.hours FROM emp_act a, emp_act b \
+     WHERE a.empno = b.empno AND a.projno = b.projno",
+    // Double probes against Int keys, and Int probes against Doubles.
+    "SELECT deptname FROM department d WHERE d.deptno = 3.0",
+    "SELECT deptname FROM department d WHERE d.deptno = 2.5",
+    "SELECT d.deptname, e.empno FROM department d, employee e \
+     WHERE e.workdept * 1.0 = d.deptno",
+    "SELECT d.deptname, e.empno FROM employee e, department d \
+     WHERE d.deptno * 1.0 = e.workdept",
+];
+
+/// The executor's observable output, pinned: rows in order, the whole
+/// profile (per-box counters and fixpoint rounds) and the path markers
+/// of the 32 Table-1 plans, the source- and destination-bound closures,
+/// and [`LOOKUP_SHAPES`], each with the columnar knob on and off. A
+/// change to how the executor finds rows must leave every digit alone.
+#[test]
+fn executor_output_is_pinned() {
+    let mut digest = Fnv::new();
+    let mut add = |engine: &Engine, what: &str, qgm: &Qgm| {
+        for columnar in [true, false] {
+            let (rows, profile) = run(
+                engine,
+                qgm,
+                &IndexCache::default(),
+                columnar,
+                Registry::noop(),
+            );
+            digest.add(&format!(
+                "{what} columnar={columnar}\n{rows:?}\n{:?}\n{:?}\n{:?}",
+                profile.boxes, profile.fixpoint, profile.paths
+            ));
+        }
+    };
+    let engine = bench_engine(Scale::small()).unwrap();
+    for (what, qgm) in &table1_plans(&engine) {
+        add(&engine, what, qgm);
+    }
+    for g in closure_graphs() {
+        let engine = recursion_engine(&g).unwrap();
+        let target = g.edges[g.edges.len() / 2].1;
+        let source = format!("{RECURSION_SQL}{}", g.bound);
+        let dest = format!(
+            "{}{target}",
+            RECURSION_SQL.replace("WHERE src = ", "WHERE dst = ")
+        );
+        for sql in [source, dest] {
+            for strategy in [Strategy::Original, Strategy::Magic] {
+                let prepared = engine.prepare(&sql, strategy).unwrap();
+                add(&engine, &format!("{strategy:?} {sql}"), &prepared.qgm);
+            }
+        }
+    }
+    let engine = fuzz_engine().unwrap();
+    for sql in LOOKUP_SHAPES {
+        for strategy in [Strategy::Original, Strategy::Magic] {
+            let prepared = engine.prepare(sql, strategy).unwrap();
+            add(&engine, &format!("{strategy:?} {sql}"), &prepared.qgm);
+        }
+    }
+    assert_eq!(
+        digest.0, 6_915_138_973_350_929_048,
+        "executor output digest"
+    );
 }
 
 /// `exec.batch.boxes` and `exec.batch.fallback.*` over one corpus.
