@@ -22,8 +22,8 @@
 //!   lookups split by strategy token (`cost`, `original`, `magic`)
 //! * `exec.rows_scanned` / `exec.rows_produced` / `exec.box_evals` —
 //!   the executor's flat work counters
-//! * `exec.index.builds` — base-table access structures (row index,
-//!   columnar batch, id index) an execution had to build because the
+//! * `exec.index.builds` — base-table access structures (columnar
+//!   batch, row-id index) an execution had to build because the
 //!   index cache held none for the table's current contents: nonzero
 //!   on a cold engine and after a write to a table the query reads
 //!   (registered by the executor)

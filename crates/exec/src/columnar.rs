@@ -38,10 +38,9 @@
 //! columnar oracle: rows, order, profile, and errors are byte-for-byte
 //! those of the row executor.
 
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use starmagic_common::{Error, Result, Value};
+use starmagic_common::{Error, Result};
 use starmagic_qgm::BoxId;
 
 use crate::batch::{Batch, Column};
@@ -50,6 +49,7 @@ use crate::dedup::distinct_ids;
 use crate::executor::{Executor, Frame};
 use crate::plan::SelectPlan;
 use crate::profile::ExecProfile;
+use crate::rowids::RowIds;
 use crate::vector::{eval, Env, SlotView, VExpr, Vector};
 
 /// The counting unit of `exec.batch.batches`: a stage over `n` rows
@@ -103,79 +103,13 @@ pub(crate) fn try_eval_select(
     }
 }
 
-/// A hash join's build side: the child's batch, its key columns, and a
-/// hash table over them, built on first use in the shape the probe side
-/// needs. Single-Int64 keys join through a raw `i64` table (no per-row
-/// key vector); Int-Int equality is exact under both SQL and grouping
-/// semantics, so its buckets match the generic map's. A step arm's build
-/// outlives one evaluation (`Executor::step_builds`), and a later
-/// round's delta may need the other shape (a probe column that is not
-/// `Int64`), hence one lazily built table per shape.
+/// A hash join's build side: the child's batch and the row-id table
+/// over its key columns. A step arm's build outlives one evaluation
+/// (`Executor::step_builds`); a later round's delta may probe it with
+/// keys of another type, which the table answers as well.
 pub(crate) struct JoinBuild {
     batch: Arc<Batch>,
-    keys: Vec<Vector>,
-    by_int: OnceLock<HashMap<i64, Vec<u32>>>,
-    by_values: OnceLock<HashMap<Vec<Value>, Vec<u32>>>,
-}
-
-enum JoinMap<'m> {
-    I64(&'m HashMap<i64, Vec<u32>>),
-    Generic(&'m HashMap<Vec<Value>, Vec<u32>>),
-}
-
-impl JoinBuild {
-    fn new(batch: Arc<Batch>, keys: Vec<Vector>) -> JoinBuild {
-        JoinBuild {
-            batch,
-            keys,
-            by_int: OnceLock::new(),
-            by_values: OnceLock::new(),
-        }
-    }
-
-    /// The table to probe with `probe` (one vector per key), buckets in
-    /// build-row order.
-    fn map(&self, probe: &[Vector]) -> JoinMap<'_> {
-        let int_keyed = |v: &Vector| {
-            matches!(
-                v,
-                Vector::Col(Column::Int64 { .. })
-                    | Vector::Const {
-                        value: Value::Int(_) | Value::Null,
-                        ..
-                    }
-            )
-        };
-        let m = self.batch.len();
-        if let ([key], [probe]) = (self.keys.as_slice(), probe) {
-            if int_keyed(key) && int_keyed(probe) {
-                return JoinMap::I64(self.by_int.get_or_init(|| {
-                    let mut map: HashMap<i64, Vec<u32>> = HashMap::new();
-                    for j in 0..m {
-                        if let Value::Int(x) = key.value_at(j) {
-                            map.entry(x).or_default().push(j as u32);
-                        }
-                    }
-                    map
-                }));
-            }
-        }
-        JoinMap::Generic(self.by_values.get_or_init(|| {
-            let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
-            'build: for j in 0..m {
-                let mut key = Vec::with_capacity(self.keys.len());
-                for column in &self.keys {
-                    let v = column.value_at(j);
-                    if v.is_null() {
-                        continue 'build; // NULL keys never join
-                    }
-                    key.push(v);
-                }
-                map.entry(key).or_default().push(j as u32);
-            }
-            map
-        }))
-    }
+    ids: RowIds,
 }
 
 /// Join state: one shared batch + one id vector per bound quantifier.
@@ -284,20 +218,10 @@ fn run(
                 let keys = vk!(eval(&compiled.probe[probe.pred], &slots, &positions, env));
                 let mut parent: Vec<u32> = Vec::new();
                 let mut mids: Vec<u32> = Vec::new();
-                for pos in positions {
-                    let key = keys.value_at(pos as usize);
-                    if key.is_null() {
-                        continue;
-                    }
-                    let Some(matches) = index.get(&key) else {
-                        continue;
-                    };
-                    scratch.entry(child).rows_scanned += matches.len() as u64;
-                    scratch.entry(b).rows_in += matches.len() as u64;
-                    for &m in matches {
-                        parent.push(pos);
-                        mids.push(m);
-                    }
+                index.probe(&[keys], &mut parent, &mut mids);
+                if !mids.is_empty() {
+                    scratch.entry(child).rows_scanned += mids.len() as u64;
+                    scratch.entry(b).rows_in += mids.len() as u64;
                 }
                 // Remaining equality predicates filter the expanded
                 // candidates, in classification order.
@@ -350,7 +274,10 @@ fn run(
                     for bv in &compiled.build {
                         keys.push(vk!(eval(bv, &bslots, &cids, env)));
                     }
-                    let build = Arc::new(JoinBuild::new(cbatch, keys));
+                    let build = Arc::new(JoinBuild {
+                        batch: cbatch,
+                        ids: RowIds::build(&keys),
+                    });
                     if reusable {
                         exec.step_builds.insert((b, q), build.clone());
                         exec.note_step_build(b, false);
@@ -365,40 +292,7 @@ fn run(
                 }
                 let mut parent: Vec<u32> = Vec::new();
                 let mut cid: Vec<u32> = Vec::new();
-                match build.map(&probe_cols) {
-                    JoinMap::I64(map) => {
-                        for pos in positions {
-                            let Value::Int(key) = probe_cols[0].value_at(pos as usize) else {
-                                continue; // NULL probe keys never match
-                            };
-                            if let Some(bucket) = map.get(&key) {
-                                for &j in bucket {
-                                    parent.push(pos);
-                                    cid.push(j);
-                                }
-                            }
-                        }
-                    }
-                    JoinMap::Generic(map) => {
-                        let mut key: Vec<Value> = Vec::with_capacity(probe_cols.len());
-                        'pos: for pos in positions {
-                            key.clear();
-                            for pc in &probe_cols {
-                                let v = pc.value_at(pos as usize);
-                                if v.is_null() {
-                                    continue 'pos;
-                                }
-                                key.push(v);
-                            }
-                            if let Some(bucket) = map.get(&key) {
-                                for &j in bucket {
-                                    parent.push(pos);
-                                    cid.push(j);
-                                }
-                            }
-                        }
-                    }
-                }
+                build.ids.probe(&probe_cols, &mut parent, &mut cid);
                 (parent, cid, build.batch.clone())
             } else {
                 // Nested loop over an uncorrelated child: prefetch

@@ -20,6 +20,7 @@ use crate::like::like_match;
 use crate::metrics::Metrics;
 use crate::plan::{GroupByPlan, IndexProbe, Op, Plan, SelectPlan, Stage};
 use crate::profile::ExecProfile;
+use crate::rowids::RowIds;
 use crate::vector::{self, Env, SlotView, Vector};
 
 /// Execution knobs.
@@ -161,27 +162,23 @@ pub fn execute_plan(
     Ok((rows, exec.profile))
 }
 
-/// A hash index on one base-table column. `Arc`, not `Rc`: indexes are
-/// shared across engine threads through the [`IndexCache`].
-pub type ColumnIndex = Arc<HashMap<Value, Vec<Row>>>;
-
 /// Semi-join index for quantified tests: non-NULL-keyed buckets plus
 /// the NULL-keyed remainder (needed for Unknown accounting).
 pub type SemiJoinIndex = Arc<(HashMap<Vec<Value>, Vec<Row>>, Vec<Row>)>;
 
-/// A hash index mapping a base-table column value to the table row
-/// ids holding it — the columnar executor's counterpart of
-/// [`ColumnIndex`], probing into a shared [`Batch`] instead of cloning
-/// rows.
-pub type IdIndex = Arc<HashMap<Value, Vec<u32>>>;
+/// An index on one base-table column: the ids of the table rows
+/// holding each key, which both select paths read — the row path as
+/// `table.rows()[id]`, the batch path through the shared [`Batch`].
+/// `Arc`, not `Rc`: indexes are shared across engine threads through
+/// the [`IndexCache`].
+type IdIndex = Arc<RowIds>;
 
 /// One map of an [`IndexCache`]: each structure is stored with the
 /// table version it was built from.
 type CacheMap<K, V> = Mutex<HashMap<K, (Arc<Table>, V)>>;
 
-/// A shareable cache of base-table access structures: row-keyed column
-/// indexes for the row executor, plus columnar batches and id-keyed
-/// indexes for the vectorized path. Interior mutability is a `Mutex`
+/// A shareable cache of base-table access structures: columnar batches
+/// and id indexes. Interior mutability is a `Mutex`
 /// (taken only on lookup/insert of whole entries, never per row) so
 /// the cache can be shared across engine threads.
 ///
@@ -198,7 +195,6 @@ type CacheMap<K, V> = Mutex<HashMap<K, (Arc<Table>, V)>>;
 /// table a write did not touch.
 #[derive(Default)]
 pub struct IndexCache {
-    map: CacheMap<(String, usize), ColumnIndex>,
     batches: CacheMap<String, Arc<Batch>>,
     ids: CacheMap<(String, usize), IdIndex>,
 }
@@ -209,7 +205,6 @@ impl Clone for IndexCache {
             Mutex::new(m.lock().expect("index cache poisoned").clone())
         }
         IndexCache {
-            map: copy(&self.map),
             batches: copy(&self.batches),
             ids: copy(&self.ids),
         }
@@ -225,7 +220,6 @@ impl IndexCache {
         fn exclusive<K, V>(m: &mut CacheMap<K, V>) -> &mut HashMap<K, (Arc<Table>, V)> {
             m.get_mut().expect("index cache poisoned")
         }
-        exclusive(&mut self.map).retain(|(t, _), _| t != table);
         exclusive(&mut self.batches).retain(|t, _| t != table);
         exclusive(&mut self.ids).retain(|(t, _), _| t != table);
     }
@@ -350,20 +344,20 @@ pub struct Executor<'a> {
     /// Iteration cap for semi-naive fixpoints (see
     /// [`ExecOptions::max_recursion`]).
     pub(crate) max_recursion: usize,
-    /// Lazily built hash indexes on base-table columns. The benchmark
-    /// database is assumed fully indexed (as DB2's was): building is
-    /// not charged to the query; probes charge only the matched rows.
-    indexes: HashMap<(String, usize), ColumnIndex>,
     /// Optional cross-execution index cache supplied by the caller.
     shared_indexes: Option<&'a IndexCache>,
     /// Hash semi-join indexes for quantified tests: (quantifier,
     /// key columns) → (hash of non-NULL-key rows, rows with a NULL in
     /// the key — those need Unknown accounting).
     quantified_indexes: HashMap<(QuantId, Vec<usize>), SemiJoinIndex>,
-    /// Lazily built columnar views of base tables (cf. [`Executor::indexes`]).
+    /// Lazily built columnar views of base tables.
     table_batches: HashMap<String, Arc<Batch>>,
-    /// Lazily built id-keyed column indexes for columnar INL probes.
-    id_indexes: HashMap<(String, usize), IdIndex>,
+    /// The column indexes this execution has probed, by table and
+    /// column: a handful, so a scan that compares names finds one
+    /// without building a key. The benchmark database is assumed fully
+    /// indexed (as DB2's was): building is not charged to the query;
+    /// probes charge only the matched rows.
+    id_indexes: Vec<(String, usize, IdIndex)>,
     /// Columnar stage dispatches (in [`crate::columnar::BATCH_ROWS`]
     /// units). Noop by default; see [`ExecOptions::metrics`] for why
     /// batch telemetry stays out of the profile.
@@ -385,7 +379,7 @@ pub struct Executor<'a> {
     pub(crate) fixpoint_total_rows: starmagic_metrics::Counter,
     /// Step-arm hash joins that probed a build made by an earlier round.
     pub(crate) fixpoint_build_reuses: starmagic_metrics::Counter,
-    /// Base-table structures (row index, batch, id index) actually
+    /// Base-table structures (batch, column index) actually
     /// built by this execution, i.e. not served by the shared cache:
     /// what a read pays after a write to a table it uses.
     index_builds: starmagic_metrics::Counter,
@@ -408,11 +402,10 @@ impl<'a> Executor<'a> {
             step_builds: HashMap::new(),
             max_fixpoint_rounds: 100_000,
             max_recursion: 10_000,
-            indexes: HashMap::new(),
             shared_indexes: None,
             quantified_indexes: HashMap::new(),
             table_batches: HashMap::new(),
-            id_indexes: HashMap::new(),
+            id_indexes: Vec::new(),
             batch_runs: starmagic_metrics::Counter::default(),
             batch_gather: starmagic_metrics::Counter::default(),
             batch_rows: starmagic_metrics::Histogram::default(),
@@ -584,35 +577,8 @@ impl<'a> Executor<'a> {
         }))
     }
 
-    /// Fetch (building lazily) the hash index on one base-table column.
-    fn table_index(&mut self, table: &str, col: usize) -> Result<ColumnIndex> {
-        let key = (table.to_string(), col);
-        if let Some(idx) = self.indexes.get(&key) {
-            return Ok(idx.clone());
-        }
-        let idx = cached_or_build(
-            self.shared_indexes.map(|s| &s.map),
-            &key,
-            self.catalog.table_arc(table)?,
-            &self.index_builds,
-            |t| {
-                let mut map: HashMap<Value, Vec<Row>> = HashMap::new();
-                for r in t.rows() {
-                    let v = r.get(col);
-                    if v.is_null() {
-                        continue; // NULL keys never match an equality probe
-                    }
-                    map.entry(v.clone()).or_default().push(r.clone());
-                }
-                Arc::new(map)
-            },
-        );
-        self.indexes.insert(key, idx.clone());
-        Ok(idx)
-    }
-
     /// Fetch (building lazily) the columnar view of a base table,
-    /// shared across executions via [`IndexCache`] like [`Executor::table_index`].
+    /// shared across executions via [`IndexCache`].
     pub(crate) fn table_batch(&mut self, table: &str) -> Result<Arc<Batch>> {
         if let Some(batch) = self.table_batches.get(table) {
             return Ok(batch.clone());
@@ -631,32 +597,28 @@ impl<'a> Executor<'a> {
         Ok(batch)
     }
 
-    /// Fetch (building lazily) the row-id index on one base-table
-    /// column — the columnar mirror of [`Executor::table_index`],
-    /// mapping key values to row positions instead of row clones.
+    /// Fetch (building lazily) the index on one base-table column,
+    /// shared across executions via [`IndexCache`].
     pub(crate) fn table_id_index(&mut self, table: &str, col: usize) -> Result<IdIndex> {
-        let key = (table.to_string(), col);
-        if let Some(idx) = self.id_indexes.get(&key) {
+        if let Some((_, _, idx)) = self
+            .id_indexes
+            .iter()
+            .find(|(t, c, _)| t == table && *c == col)
+        {
             return Ok(idx.clone());
         }
+        let key = (table.to_string(), col);
         let idx = cached_or_build(
             self.shared_indexes.map(|s| &s.ids),
             &key,
             self.catalog.table_arc(table)?,
             &self.index_builds,
             |t| {
-                let mut map: HashMap<Value, Vec<u32>> = HashMap::new();
-                for (i, r) in t.rows().iter().enumerate() {
-                    let v = r.get(col);
-                    if v.is_null() {
-                        continue; // NULL keys never match an equality probe
-                    }
-                    map.entry(v.clone()).or_default().push(i as u32);
-                }
-                Arc::new(map)
+                let keys = Vector::Col(Column::from_rows(t.rows(), col));
+                Arc::new(RowIds::build(&[keys]))
             },
         );
-        self.id_indexes.insert(key, idx.clone());
+        self.id_indexes.push((key.0, col, idx.clone()));
         Ok(idx)
     }
 
@@ -945,7 +907,9 @@ impl<'a> Executor<'a> {
             let mut next: Vec<Vec<Row>> = Vec::new();
             if let Some(probe) = self.index_probe(stage, combos.len()) {
                 let pred_idx = probe.pred;
-                let index = self.table_index(&probe.table, probe.col)?;
+                let index = self.table_id_index(&probe.table, probe.col)?;
+                let table = self.catalog.table_arc(&probe.table)?;
+                let mut matched = 0;
                 let rest: Vec<&(ScalarExpr, ScalarExpr)> = hash_preds
                     .iter()
                     .enumerate()
@@ -956,17 +920,9 @@ impl<'a> Executor<'a> {
                 for combo in &combos {
                     let cframe = frame.extended(&bound, combo);
                     let key = self.eval_expr(&hash_preds[pred_idx].0, &cframe)?;
-                    if key.is_null() {
-                        continue;
-                    }
-                    let Some(matches) = index.get(&key) else {
-                        continue;
-                    };
-                    // Probed rows are charged to the base table being
-                    // probed, not the probing select box.
-                    self.profile.entry(child).rows_scanned += matches.len() as u64;
-                    self.profile.entry(b).rows_in += matches.len() as u64;
-                    'probe: for m in matches {
+                    let matches = index.get(std::slice::from_ref(&key));
+                    matched += matches.len() as u64;
+                    'probe: for m in matches.iter().map(|&id| &table.rows()[id as usize]) {
                         // Remaining equality predicates filter here.
                         for &(probe, build) in &rest {
                             let pv = self.eval_expr(probe, &cframe)?;
@@ -981,6 +937,12 @@ impl<'a> Executor<'a> {
                         c.push(m.clone());
                         next.push(c);
                     }
+                }
+                // Probed rows are charged to the base table being
+                // probed, not the probing select box.
+                if matched > 0 {
+                    self.profile.entry(child).rows_scanned += matched;
+                    self.profile.entry(b).rows_in += matched;
                 }
             } else if !hash_preds.is_empty() {
                 // Hash join: build on the child once, probe per combo.
@@ -2196,6 +2158,33 @@ mod access_path_tests {
     }
 
     #[test]
+    fn an_index_probe_with_a_double_literal_finds_the_int_key() {
+        let cat = benchmark_catalog(Scale::small()).unwrap();
+        let query = |literal: &str| {
+            let sql =
+                format!("SELECT deptno, deptname FROM department d WHERE d.deptno = {literal}");
+            let g = build_qgm(&cat, &starmagic_sql::parse_query(&sql).unwrap()).unwrap();
+            [true, false].map(|columnar| {
+                let opts = ExecOptions {
+                    columnar,
+                    ..ExecOptions::default()
+                };
+                let (rows, profile) =
+                    execute_with_options(&g, &cat, &IndexCache::default(), opts).unwrap();
+                assert!(
+                    profile.aggregate().rows_scanned <= 1,
+                    "{literal}: an index probe, not a scan"
+                );
+                rows
+            })
+        };
+        let [by_int, _] = query("3");
+        assert_eq!(by_int.len(), 1);
+        assert_eq!(query("3.0"), [by_int.clone(), by_int]);
+        assert_eq!(query("2.5"), [vec![], vec![]]);
+    }
+
+    #[test]
     fn shared_index_cache_avoids_rebuild_cost() {
         let cat = benchmark_catalog(Scale::small()).unwrap();
         let g = build_qgm(
@@ -2213,7 +2202,7 @@ mod access_path_tests {
     fn a_cached_structure_is_served_only_to_the_table_it_was_built_from() {
         // One cache, two versions of the database: whatever order they
         // ask in, each gets an answer over its own rows, with or
-        // without the columnar path (id index + batch vs row index).
+        // without the columnar path (both probe the one column index).
         let old = benchmark_catalog(Scale::small()).unwrap();
         let mut new = old.clone();
         new.table_mut("employee")

@@ -52,13 +52,14 @@ pub mod like;
 pub mod metrics;
 mod plan;
 pub mod profile;
+mod rowids;
 mod vector;
 
 pub use batch::{Batch, Bitmap, Column};
 pub use boundary::{BoxOutput, BoxPath, Fallback};
 pub use executor::{
     execute, execute_plan, execute_profiled, execute_with_indexes, execute_with_metrics,
-    execute_with_options, ExecOptions, Executor, IdIndex, IndexCache,
+    execute_with_options, ExecOptions, Executor, IndexCache,
 };
 pub use metrics::Metrics;
 pub use plan::Plan;
