@@ -485,7 +485,6 @@ mod tests {
                 used_magic: false,
                 cost_without_magic: 1.0,
                 cost_with_magic: 1.0,
-                columnar: true,
                 lowered: std::sync::OnceLock::new(),
             },
             param_count: 0,

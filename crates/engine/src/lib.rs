@@ -122,10 +122,6 @@ pub struct Prepared {
     pub used_magic: bool,
     pub cost_without_magic: f64,
     pub cost_with_magic: f64,
-    /// Whether eligible select boxes use the columnar batch path
-    /// (results are byte-identical either way; off mainly for the
-    /// fuzzer's cross-path oracle and A/B benchmarks).
-    pub columnar: bool,
     /// `qgm` lowered: built by the first execution, then shared by
     /// every later one — concurrent executions of a cached entry and
     /// clones of this `Prepared` included.
@@ -179,7 +175,6 @@ impl Prepared {
             used_magic,
             cost_without_magic,
             cost_with_magic,
-            columnar: true,
             lowered: OnceLock::new(),
         }
     }
@@ -529,16 +524,11 @@ impl Engine {
     /// materialization cache lives per execution); the first also
     /// lowers the plan.
     pub fn execute_prepared(&self, prepared: &Prepared) -> Result<QueryResult> {
-        self.run_prepared(prepared, &[], prepared.columnar)
+        self.run_prepared(prepared, &[])
     }
 
     /// Run a prepared plan with `params` bound to its `?N` markers.
-    fn run_prepared(
-        &self,
-        prepared: &Prepared,
-        params: &[Value],
-        columnar: bool,
-    ) -> Result<QueryResult> {
+    fn run_prepared(&self, prepared: &Prepared, params: &[Value]) -> Result<QueryResult> {
         let lowered = prepared.lowered(&self.metrics);
         let (rows, profile) = starmagic_exec::execute_plan(
             &prepared.qgm,
@@ -546,7 +536,7 @@ impl Engine {
             params,
             &self.snapshot.catalog,
             &self.snapshot.indexes,
-            self.exec_options(columnar, false),
+            self.exec_options(false),
         )?;
         self.note_execution(lowered, &prepared.qgm, &profile);
         Ok(QueryResult {
@@ -559,10 +549,9 @@ impl Engine {
         })
     }
 
-    fn exec_options(&self, columnar: bool, timing: bool) -> ExecOptions {
+    fn exec_options(&self, timing: bool) -> ExecOptions {
         ExecOptions {
             timing,
-            columnar,
             metrics: self.metrics.registry.clone(),
             max_recursion: self.max_recursion,
             ..ExecOptions::default()
@@ -698,7 +687,7 @@ impl Engine {
         extracted: &[Value],
     ) -> Result<QueryResult> {
         let params = self.bind_cached(plan, user_args, extracted)?;
-        self.run_prepared(&plan.prepared, &params, true)
+        self.run_prepared(&plan.prepared, &params)
     }
 
     /// Run a query through the plan cache (parameterize, fetch or
@@ -725,7 +714,7 @@ impl Engine {
         let params = self.bind_cached(&plan, &[], &p.args)?;
         sink.finish(t);
         let t = sink.start("execute");
-        let result = self.run_prepared(&plan.prepared, &params, true)?;
+        let result = self.run_prepared(&plan.prepared, &params)?;
         sink.finish(t);
         self.note_spans(&sink);
         Ok(CachedQuery {
@@ -881,7 +870,7 @@ impl Engine {
             &[],
             &self.snapshot.catalog,
             &self.snapshot.indexes,
-            self.exec_options(true, true),
+            self.exec_options(true),
         )?;
         optimized.trace.record("execute", exec_start.elapsed());
         self.note_execution(&lowered, optimized.chosen(), &profile);

@@ -22,19 +22,18 @@
 //!   lookups split by strategy token (`cost`, `original`, `magic`)
 //! * `exec.rows_scanned` / `exec.rows_produced` / `exec.box_evals` —
 //!   the executor's flat work counters
-//! * `exec.index.builds` — base-table access structures (columnar
+//! * `exec.index.builds` — base-table access structures (table
 //!   batch, row-id index) an execution had to build because the
 //!   index cache held none for the table's current contents: nonzero
 //!   on a cold engine and after a write to a table the query reads
 //!   (registered by the executor)
 //! * `exec.batch.batches` / `exec.batch.gather_rows` /
-//!   `exec.batch.rows` / `exec.batch.selectivity_pct` — columnar
-//!   batch-executor telemetry: stage dispatches in 256-row units, rows
+//!   `exec.batch.rows` / `exec.batch.selectivity_pct` — select
+//!   executor telemetry: stage dispatches in 256-row units, rows
 //!   gathered during late materialization, per-stage input rows, and
 //!   filter selectivity (also registered by the executor; kept out of
-//!   the deterministic `ExecProfile` on purpose — batch counts are a
-//!   property of which path ran, and the profile is pinned
-//!   byte-identical between the columnar and row executors)
+//!   the deterministic `ExecProfile` on purpose — they describe how the
+//!   executor touched the rows, the profile which rows it touched)
 //! * `planner.misestimate.<bucket>` — cardinality feedback buckets
 //!   (`within2x` … `beyond100x`)
 //! * `phase.<span>_us` — request-span latencies (`phase.parse_us`,

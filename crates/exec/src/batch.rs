@@ -3,7 +3,7 @@
 //! A [`Batch`] is the columnar mirror of a `Vec<Row>`: one typed
 //! vector per column ([`Column`]), each with an optional validity
 //! bitmap marking NULL slots. The executor's vectorized operators
-//! (`columnar` selects, the aggregation kernel) flow batches through
+//! (the select executor, the aggregation kernel) flow batches through
 //! scans, filters, hash joins, and group-by, touching values
 //! column-at-a-time for cache locality; row-oriented operators (set
 //! ops, outer join) consume the same data through the [`Batch::rows`]
@@ -451,6 +451,19 @@ impl Batch {
                 .append(src.column(c).take(ids));
         }
         self.len += ids.len();
+    }
+
+    /// Row `i`: the source's own row, shared, or one gathered from the
+    /// columns (a pruned column reads as NULL, as in [`Batch::rows`]).
+    pub(crate) fn row(&self, i: usize) -> Row {
+        if let Some(source) = &self.source {
+            return source.rows()[i].clone();
+        }
+        let values = self
+            .columns
+            .iter()
+            .map(|c| c.get().map_or(Value::Null, |c| c.value(i)));
+        Row::new(values.collect())
     }
 
     /// Materialize every row, in order. A pruned column reads as NULL

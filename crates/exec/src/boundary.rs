@@ -2,17 +2,17 @@
 //!
 //! A box's result is a [`BoxOutput`]: rows, a [`Batch`], or both, each
 //! representation built at most once and only when a consumer asks for
-//! it. Columnar consumers (the join and scan stages of `columnar`, the
-//! aggregation kernel, the fixpoint accumulators) ask for the batch;
-//! the query root and the row-at-a-time operators (`eval_select`, set
-//! operations, outer join) ask for rows. A columnar select hands
-//! over its projection vectors and never builds a row unless one of
-//! the latter reads it; a stored table is both at once — its rows are
+//! it. The select executor (`columnar`), the aggregation kernel and the
+//! fixpoint accumulators ask for the batch; the query root, set
+//! operations, outer join and subquery tests ask for rows, and so does
+//! a select that concatenates a correlated child's results. A select
+//! hands over its projection vectors and never builds a row unless one
+//! of those reads it; a stored table is both at once — its rows are
 //! borrowed in place and its batch lives in the `IndexCache`.
 //!
 //! [`live_columns`] is the other half of the contract: which output
-//! columns of a box some consumer reads, so a columnar producer
-//! gathers only those.
+//! columns of a box some consumer reads, so a select gathers only
+//! those.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -116,15 +116,10 @@ impl BoxOutput {
     }
 }
 
-/// Why a box evaluation left the batch path.
+/// Why a box evaluation ran something row by row: an expression on the
+/// scalar evaluator (the first six), or a row-at-a-time operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fallback {
-    /// `ExecOptions::columnar` is off.
-    ColumnarOff,
-    /// The select has no FROM-clause quantifier to scan.
-    NoInput,
-    /// An input quantifier ranges over a correlated box.
-    CorrelatedInput,
     /// A predicate tests a subquery quantifier.
     SubqueryPredicate,
     /// A predicate does not compile to a vector expression.
@@ -146,10 +141,7 @@ pub enum Fallback {
 }
 
 impl Fallback {
-    pub const ALL: [Fallback; 11] = [
-        Fallback::ColumnarOff,
-        Fallback::NoInput,
-        Fallback::CorrelatedInput,
+    pub const ALL: [Fallback; 8] = [
         Fallback::SubqueryPredicate,
         Fallback::UncompilablePredicate,
         Fallback::UncompilableColumn,
@@ -164,9 +156,6 @@ impl Fallback {
     /// and of EXPLAIN ANALYZE's `path=row(<reason>)`.
     pub fn name(self) -> &'static str {
         match self {
-            Fallback::ColumnarOff => "columnar_off",
-            Fallback::NoInput => "no_input",
-            Fallback::CorrelatedInput => "correlated_input",
             Fallback::SubqueryPredicate => "subquery_predicate",
             Fallback::UncompilablePredicate => "uncompilable_predicate",
             Fallback::UncompilableColumn => "uncompilable_column",

@@ -26,7 +26,7 @@
 //!   operations and outer joins ask for rows ([`boundary`]).
 //! * **Lowered once, run many times**: [`Plan::lower`] derives every
 //!   data-independent fact — correlation, recursive components, live
-//!   columns, join stages, batch eligibility, compiled kernels — once
+//!   columns, join stages, compiled kernels — once
 //!   per plan; an execution ([`execute_plan`]) binds the parameter
 //!   vector and runs, reading `?N` and outer references from slots.
 //! * Recursive boxes (cyclic subgraphs) are evaluated by a semi-naive

@@ -44,8 +44,8 @@ pub struct BoxProfile {
 
 /// Convergence record of one fixpoint (recursive union) box: how many
 /// iterations the driver ran and how many new rows each one added.
-/// Deterministic — no clocks — so the determinism suite can pin it
-/// across the columnar toggle.
+/// Deterministic — no clocks — so the executor's pinned digest covers
+/// it.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FixpointStats {
     /// Step iterations after the seed (a query whose step never fires
@@ -80,16 +80,15 @@ pub struct ExecProfile {
     /// Whether elapsed times were collected. Off by default: the
     /// deterministic counters are free of clock reads.
     pub timing: bool,
-    /// Which physical path evaluated each box: `batch`, or `row` with
-    /// the reason the box left the batch path (the first one, for a
-    /// box evaluated many times). An annotation for EXPLAIN ANALYZE,
-    /// deliberately **not** part of `==`: equality is the contract that
-    /// the two paths charge identical counters.
+    /// How each box ran: `batch`, or `row` with the reason something of
+    /// it ran row by row (the first one, for a box evaluated many
+    /// times). An annotation for EXPLAIN ANALYZE, deliberately **not**
+    /// part of `==`: equality compares the rows the query's definition
+    /// touches, not how the executor touched them.
     pub paths: BTreeMap<BoxId, BoxPath>,
     /// Per step arm, its build-side reuse across fixpoint rounds. Also
-    /// an annotation outside `==`: only the batch path reuses a build
-    /// (the row path rebuilds every round), and the counters it charges
-    /// are the same either way.
+    /// an annotation outside `==`: a reused build charges the same
+    /// counters as a fresh one.
     pub builds: BTreeMap<BoxId, StepBuilds>,
 }
 
@@ -118,32 +117,6 @@ impl ExecProfile {
     /// Counters for a box (zeroes when the box never evaluated).
     pub fn get(&self, b: BoxId) -> BoxProfile {
         self.boxes.get(&b).copied().unwrap_or_default()
-    }
-
-    /// Fold another profile's counters into this one. The columnar path
-    /// charges a select's stages to a scratch profile and merges it only
-    /// when the attempt succeeds, so a fallback to the row path charges
-    /// nothing twice.
-    pub fn merge(&mut self, other: &ExecProfile) {
-        for (b, p) in &other.boxes {
-            let e = self.entry(*b);
-            e.rows_scanned += p.rows_scanned;
-            e.rows_in += p.rows_in;
-            e.rows_produced += p.rows_produced;
-            e.rows_out += p.rows_out;
-            e.evals += p.evals;
-            e.elapsed += p.elapsed;
-        }
-        // A columnar scratch profile never records a fixpoint, so
-        // entries cannot collide in practice; summing keeps merge
-        // commutative anyway.
-        for (b, fs) in &other.fixpoint {
-            let e = self.fixpoint.entry(*b).or_default();
-            e.iterations += fs.iterations;
-            e.delta_rows.extend_from_slice(&fs.delta_rows);
-            e.rejected_rows.extend_from_slice(&fs.rejected_rows);
-            e.total_rows += fs.total_rows;
-        }
     }
 
     /// The flat aggregate the benchmarks report: per-box counters
@@ -186,36 +159,6 @@ mod tests {
         assert_eq!(m.rows_produced, 5);
         assert_eq!(m.box_evals, 3);
         assert_eq!(m.work(), 15);
-    }
-
-    #[test]
-    fn merge_sums_counters_per_box() {
-        let mut a = ExecProfile::default();
-        a.entry(BoxId(1)).rows_scanned = 10;
-        a.entry(BoxId(1)).evals = 1;
-        let mut b = ExecProfile::default();
-        b.entry(BoxId(1)).rows_scanned = 5;
-        b.entry(BoxId(2)).rows_produced = 3;
-        b.entry(BoxId(2)).elapsed = Duration::from_nanos(7);
-        a.merge(&b);
-        assert_eq!(a.get(BoxId(1)).rows_scanned, 15);
-        assert_eq!(a.get(BoxId(1)).evals, 1);
-        assert_eq!(a.get(BoxId(2)).rows_produced, 3);
-        assert_eq!(a.get(BoxId(2)).elapsed, Duration::from_nanos(7));
-    }
-
-    #[test]
-    fn merge_is_commutative_on_counters() {
-        let mut a = ExecProfile::default();
-        a.entry(BoxId(1)).rows_in = 4;
-        let mut b = ExecProfile::default();
-        b.entry(BoxId(1)).rows_in = 9;
-        b.entry(BoxId(3)).rows_out = 2;
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
     }
 
     #[test]

@@ -5,22 +5,22 @@
 //! pairs, parameters and references to any other quantifier become
 //! constant slots ([`VExpr::Param`], [`VExpr::Outer`]), and anything
 //! that would need the executor (aggregates, quantified tests) refuses
-//! to compile, which makes the whole box fall back to the
-//! row-at-a-time path. An outer reference is read from the frame once
-//! per evaluation ([`OuterRefs::resolve`]); one that the frame does not
-//! bind (a scalar subquery's quantifier) leaves the kernel reading it
-//! unusable for that evaluation, exactly as if it had not compiled.
+//! to compile, which leaves that expression to the scalar evaluator,
+//! row by row. An outer reference is read from the frame once per
+//! evaluation ([`OuterRefs::resolve`]); one that the frame does not
+//! bind leaves the kernel reading it unusable for that evaluation,
+//! exactly as if it had not compiled.
 //!
 //! [`eval`] evaluates a [`VExpr`] for a set of row positions,
 //! producing a [`Vector`] column-at-a-time. Every kernel mirrors the
 //! executor's `eval_expr` *on values*: typed fast paths exist only
 //! where they are bit-exact (`i64`/`i64` comparison and arithmetic,
 //! string comparison), everything else goes through the same
-//! [`Value`] operations the row path uses. Errors need no such care:
-//! the columnar path treats any kernel error as "fall back to the row
-//! path", and the kernels evaluate a superset of the (row, expression)
-//! pairs the row path would, so a query the row path fails is never
-//! silently answered and a query the row path answers is never failed.
+//! [`Value`] operations the scalar evaluator uses. Errors need no such
+//! care: a kernel evaluates every (row, sub-expression) pair, where the
+//! scalar evaluator short-circuits, so its caller treats any kernel
+//! error as "ask the scalar evaluator", which decides whether the query
+//! really fails (the select executor's "Kernels of last resort").
 
 use std::sync::Arc;
 
@@ -465,8 +465,9 @@ fn cmp_passes(op: BinOp, ord: std::cmp::Ordering) -> bool {
 }
 
 /// Value-level mirror of the executor's binary evaluation on two
-/// already-computed operands. The row path's AND/OR short-circuits are
-/// pure evaluation-avoidance: the produced value is identical.
+/// already-computed operands. The scalar evaluator's AND/OR
+/// short-circuits are pure evaluation-avoidance: the produced value is
+/// identical.
 fn bin_values(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     match op {
         BinOp::And => Ok(truth_to_value(truth_of(l).and(truth_of(r)))),
@@ -670,7 +671,7 @@ mod tests {
         let v = run(&bin(BinOp::Add, col(0), lit(Value::Int(10))));
         assert_eq!(v.value_at(0), Value::Int(11));
         assert!(v.is_null_at(2));
-        // Division by zero errors (the columnar caller falls back).
+        // Division by zero errors (the caller asks the scalar evaluator).
         let b = batch();
         let ids: Vec<u32> = (0..b.len() as u32).collect();
         let slots = [SlotView {

@@ -3,16 +3,13 @@
 //! ```text
 //! starmagic-fuzz [--seed N] [--count N] [--budget-ms N]
 //!                [--corpus-dir PATH] [--server host:port]
-//!                [--no-analysis-oracle] [--no-columnar-oracle]
+//!                [--no-analysis-oracle]
 //! ```
 //!
 //! Generates `count` seeded queries, runs each under Original /
-//! CostBased / Magic — with the columnar batch executor both on and
-//! off, so the two select paths cross-check each other (disable the
-//! row-path second run with `--no-columnar-oracle`) — and compares
-//! results as bags; each
-//! in-process execution is additionally cross-checked against the
-//! static analysis (disable with `--no-analysis-oracle`).
+//! CostBased / Magic and compares results as bags; each in-process
+//! execution is additionally cross-checked against the static
+//! analysis (disable with `--no-analysis-oracle`).
 //! Divergences are minimized by the shrinker and printed (and, with
 //! `--corpus-dir`, persisted as replayable `.sql` repros). Exits
 //! nonzero if any divergence was found.
@@ -37,8 +34,6 @@ fn main() -> ExitCode {
             "--server" => cfg.server = Some(take("--server")),
             "--analysis-oracle" => cfg.analysis = true,
             "--no-analysis-oracle" => cfg.analysis = false,
-            "--columnar-oracle" => cfg.columnar = true,
-            "--no-columnar-oracle" => cfg.columnar = false,
             "--help" | "-h" => {
                 println!(
                     "starmagic-fuzz: differential query fuzzer\n\n\
@@ -51,10 +46,7 @@ fn main() -> ExitCode {
                      running `starmagic-server --scale fuzz` at host:port\n  \
                      --analysis-oracle     cross-check executions against the static\n                        \
                      analysis (default on)\n  \
-                     --no-analysis-oracle  disable that cross-check\n  \
-                     --columnar-oracle     run each configuration with the columnar\n                        \
-                     executor on and off and compare (default on)\n  \
-                     --no-columnar-oracle  run only the engine default (columnar on)"
+                     --no-analysis-oracle  disable that cross-check"
                 );
                 return ExitCode::SUCCESS;
             }

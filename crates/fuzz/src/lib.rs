@@ -7,8 +7,8 @@
 //! 1. [`gen`] produces seeded, grammar-directed query ASTs over the
 //!    benchmark catalog (NULL-rich, view-heavy, subquery-heavy);
 //! 2. [`oracle`] runs each query under Original / CostBased / Magic,
-//!    columnar path on and off, with PerFire rewrite linting, and
-//!    compares results as sorted bags;
+//!    with PerFire rewrite linting, and compares results as sorted
+//!    bags;
 //! 3. on divergence, [`shrink`] minimizes the AST while the divergence
 //!    keeps reproducing, and the run emits a self-contained repro —
 //!    minimal SQL, seed, case, strategy pair, row-level diff — which
@@ -65,11 +65,6 @@ pub struct FuzzConfig {
     /// analysis (nullability / multiplicity-bounds agreement plus
     /// L2xx cleanliness). On by default.
     pub analysis: bool,
-    /// Run every in-process configuration with the columnar batch
-    /// path both on and off, so the vectorized and row-at-a-time
-    /// executors cross-check each other. On by default;
-    /// `--no-columnar-oracle` is the escape hatch.
-    pub columnar: bool,
 }
 
 impl Default for FuzzConfig {
@@ -82,7 +77,6 @@ impl Default for FuzzConfig {
             shrink_checks: 600,
             server: None,
             analysis: true,
-            columnar: true,
         }
     }
 }
@@ -134,7 +128,6 @@ pub fn run_fuzz(engine: &Engine, cfg: &FuzzConfig) -> FuzzReport {
         None => Oracle::new(engine),
     };
     oracle.set_analysis(cfg.analysis);
-    oracle.set_columnar(cfg.columnar);
     run_fuzz_with(&oracle, cfg)
 }
 

@@ -1,5 +1,5 @@
-//! The differential oracle: three strategies × columnar/row executor,
-//! results compared as bags.
+//! The differential oracle: three strategies, results compared as
+//! bags.
 //!
 //! The three independent execution paths — Original (no EMST, so
 //! subqueries stay correlated and run tuple-at-a-time), Magic (EMST
@@ -24,23 +24,6 @@ use starmagic_common::{Error, Row, Value};
 use starmagic_rewrite::engine::CheckLevel;
 use starmagic_server::{Client, Response};
 
-/// One execution configuration of the oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Config {
-    pub strategy: StrategyKind,
-    /// Whether the columnar batch path was enabled; `false` pins the
-    /// row-at-a-time executor, making the two select paths each
-    /// other's oracle.
-    pub columnar: bool,
-}
-
-impl std::fmt::Display for Config {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let suffix = if self.columnar { "" } else { "·row" };
-        write!(f, "{}{suffix}", self.strategy.name())
-    }
-}
-
 /// The strategy axis. A separate enum (rather than
 /// [`starmagic::Strategy`]) so the oracle controls the exact pipeline
 /// options, PerFire lint included.
@@ -52,6 +35,12 @@ pub enum StrategyKind {
     CostBased,
     /// EMST forced.
     Magic,
+}
+
+impl std::fmt::Display for StrategyKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
 }
 
 impl StrategyKind {
@@ -134,11 +123,6 @@ pub struct Oracle<'a> {
     /// default; the remote-magic path is exempt (no in-process
     /// [`Optimized`] record exists for it).
     analysis: bool,
-    /// Run every in-process configuration a second time with the
-    /// columnar batch path disabled, so the columnar and row
-    /// executors cross-check each other. On by default; the
-    /// remote-magic path always runs the server's default.
-    columnar: bool,
 }
 
 impl<'a> Oracle<'a> {
@@ -147,18 +131,12 @@ impl<'a> Oracle<'a> {
             engine,
             remote_magic: None,
             analysis: true,
-            columnar: true,
         }
     }
 
     /// Enable or disable the analysis secondary oracle.
     pub fn set_analysis(&mut self, on: bool) {
         self.analysis = on;
-    }
-
-    /// Enable or disable the columnar-vs-row oracle dimension.
-    pub fn set_columnar(&mut self, on: bool) {
-        self.columnar = on;
     }
 
     /// An oracle whose Magic strategy executes through `client`. Pins
@@ -169,7 +147,6 @@ impl<'a> Oracle<'a> {
             engine,
             remote_magic: Some(RefCell::new(client)),
             analysis: true,
-            columnar: true,
         })
     }
 
@@ -179,54 +156,35 @@ impl<'a> Oracle<'a> {
 
     /// Run `sql` under every configuration and classify.
     pub fn check(&self, sql: &str) -> Outcome {
-        let mut runs: Vec<(Config, Result<Vec<Row>, Error>)> = Vec::new();
+        let mut runs: Vec<(StrategyKind, Result<Vec<Row>, Error>)> = Vec::new();
         for strategy in StrategyKind::ALL {
-            let modes: &[bool] = if self.columnar {
-                &[true, false]
-            } else {
-                &[true]
-            };
             if strategy == StrategyKind::Magic {
                 if let Some(remote) = &self.remote_magic {
-                    let rows = remote_run(&mut remote.borrow_mut(), sql);
-                    let cfg = Config {
-                        strategy,
-                        columnar: true,
-                    };
-                    runs.push((cfg, rows));
+                    runs.push((strategy, remote_run(&mut remote.borrow_mut(), sql)));
                     continue;
                 }
             }
             match self.engine.optimize_with_options(sql, strategy.options()) {
-                Err(e) => {
-                    // A prepare failure applies to every mode.
-                    for &columnar in modes {
-                        runs.push((Config { strategy, columnar }, Err(e.clone())));
-                    }
-                }
+                Err(e) => runs.push((strategy, Err(e))),
                 Ok(optimized) => {
-                    let mut prepared = starmagic::prepared_from(&optimized);
-                    for &columnar in modes {
-                        prepared.columnar = columnar;
-                        let rows = self.engine.execute_prepared(&prepared).map(|r| {
-                            let mut rows = r.rows;
-                            rows.sort_by(Row::group_cmp);
-                            rows
-                        });
-                        let cfg = Config { strategy, columnar };
-                        if self.analysis {
-                            if let Ok(rows) = &rows {
-                                if let Some(detail) = analysis_disagreement(&optimized, rows) {
-                                    return Outcome::Diverged(Divergence {
-                                        left: cfg.to_string(),
-                                        right: "analysis".to_string(),
-                                        detail,
-                                    });
-                                }
+                    let prepared = starmagic::prepared_from(&optimized);
+                    let rows = self.engine.execute_prepared(&prepared).map(|r| {
+                        let mut rows = r.rows;
+                        rows.sort_by(Row::group_cmp);
+                        rows
+                    });
+                    if self.analysis {
+                        if let Ok(rows) = &rows {
+                            if let Some(detail) = analysis_disagreement(&optimized, rows) {
+                                return Outcome::Diverged(Divergence {
+                                    left: strategy.to_string(),
+                                    right: "analysis".to_string(),
+                                    detail,
+                                });
                             }
                         }
-                        runs.push((cfg, rows));
                     }
+                    runs.push((strategy, rows));
                 }
             }
         }
@@ -294,7 +252,7 @@ fn remote_run(client: &mut Client, sql: &str) -> Result<Vec<Row>, Error> {
     }
 }
 
-fn classify(runs: &[(Config, Result<Vec<Row>, Error>)]) -> Outcome {
+fn classify(runs: &[(StrategyKind, Result<Vec<Row>, Error>)]) -> Outcome {
     // Internal errors (and PerFire lint aborts, which surface as
     // internal) are bugs no matter how uniform.
     if let Some((cfg, Err(e))) = runs
@@ -372,7 +330,7 @@ fn classify(runs: &[(Config, Result<Vec<Row>, Error>)]) -> Outcome {
 }
 
 /// Row-level diff of two sorted bags, capped for readability.
-fn bag_diff(la: &Config, a: &[Row], lb: &Config, b: &[Row]) -> String {
+fn bag_diff(la: &StrategyKind, a: &[Row], lb: &StrategyKind, b: &[Row]) -> String {
     let mut only_a = Vec::new();
     let mut only_b = Vec::new();
     let (mut i, mut j) = (0, 0);
@@ -396,7 +354,7 @@ fn bag_diff(la: &Config, a: &[Row], lb: &Config, b: &[Row]) -> String {
     only_b.extend(&b[j..]);
 
     let mut s = format!("{la}: {} rows, {lb}: {} rows", a.len(), b.len());
-    let show = |s: &mut String, label: &Config, rows: &[&Row]| {
+    let show = |s: &mut String, label: &StrategyKind, rows: &[&Row]| {
         if rows.is_empty() {
             return;
         }

@@ -39,8 +39,9 @@ struct SharedInner {
 }
 
 // The server hands `SharedEngine` to one thread per connection; this
-// is the single point that demands `Engine: Send + Sync` (columnar
-// state is `Arc`-shared, the plan cache is lock-sharded internally).
+// is the single point that demands `Engine: Send + Sync` (table
+// batches and indexes are `Arc`-shared, the plan cache is
+// lock-sharded internally).
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Engine>();

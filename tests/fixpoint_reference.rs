@@ -5,8 +5,7 @@
 //! became column chunks with a hashed key set. On random small edge
 //! sets (chains, cycles, self-loops, diamonds that derive one pair
 //! twice, NULL endpoints) and a step that turns `dst` into the `Double`
-//! equal to the stored `Int`, every configuration — UNION and UNION
-//! ALL, columnar on and off — must return the
+//! equal to the stored `Int`, UNION and UNION ALL must return the
 //! reference's rows in its order with the same variant of every equal
 //! pair, the same [`FixpointStats`], and, for a UNION ALL that runs out
 //! of rounds, the same error at the same round.
@@ -169,31 +168,27 @@ fn fixpoint_agrees_with_the_reference_loop() {
             let expected = reference(&edges, all, widen, max);
             let sql = closure_sql(all, widen);
             let qgm = build_qgm(&cat, &starmagic_sql::parse_query(&sql).unwrap()).unwrap();
-            for columnar in [true, false] {
-                let opts = ExecOptions {
-                    columnar,
-                    max_recursion: max,
-                    ..ExecOptions::default()
-                };
-                let what =
-                    format!("case {k} {edges:?}: all={all} widen={widen} columnar={columnar}");
-                let got = execute_with_options(&qgm, &cat, &IndexCache::default(), opts);
-                match (&expected, got) {
-                    (Ok((rows, st)), Ok((got, profile))) => {
-                        assert_eq!(exact(&got), exact(rows), "{what}");
-                        let stats: Vec<&FixpointStats> = profile.fixpoint.values().collect();
-                        assert_eq!(stats, vec![st], "{what}");
-                    }
-                    (Err(want), Err(e)) => {
-                        assert_eq!(e.to_string(), want.to_string(), "{what}");
-                    }
-                    (want, got) => panic!("{what}: expected {want:?}, got {got:?}"),
+            let opts = ExecOptions {
+                max_recursion: max,
+                ..ExecOptions::default()
+            };
+            let what = format!("case {k} {edges:?}: all={all} widen={widen}");
+            let got = execute_with_options(&qgm, &cat, &IndexCache::default(), opts);
+            match (&expected, got) {
+                (Ok((rows, st)), Ok((got, profile))) => {
+                    assert_eq!(exact(&got), exact(rows), "{what}");
+                    let stats: Vec<&FixpointStats> = profile.fixpoint.values().collect();
+                    assert_eq!(stats, vec![st], "{what}");
                 }
-                cases += 1;
+                (Err(want), Err(e)) => {
+                    assert_eq!(e.to_string(), want.to_string(), "{what}");
+                }
+                (want, got) => panic!("{what}: expected {want:?}, got {got:?}"),
             }
+            cases += 1;
         }
     }
-    assert_eq!(cases, 48 * 4 * 2);
+    assert_eq!(cases, 48 * 4);
 }
 
 /// A UNION ALL fixpoint that converges in `r` rounds runs with a cap of
@@ -308,29 +303,24 @@ fn a_nonlinear_closure_runs_the_naive_iteration_unchanged() {
              ) SELECT src, dst FROM tc"
         );
         let qgm = build_qgm(&cat, &starmagic_sql::parse_query(&sql).unwrap()).unwrap();
-        for columnar in [true, false] {
-            let opts = ExecOptions {
-                columnar,
-                ..ExecOptions::default()
-            };
-            let (rows, profile) =
-                execute_with_options(&qgm, &cat, &IndexCache::default(), opts).unwrap();
-            let what = format!("UNION {all} columnar={columnar}");
-            assert_eq!(exact(&rows), exact(&expected), "{what}");
-            let stats: Vec<&FixpointStats> = profile.fixpoint.values().collect();
-            let want = FixpointStats {
-                iterations: 5,
-                delta_rows: vec![14, 10, 9, 1, 0],
-                rejected_rows: rejected.to_vec(),
-                total_rows: 34,
-            };
-            assert_eq!(stats, vec![&want], "{what}");
-            let work = profile.aggregate();
-            assert_eq!(
-                (work.rows_scanned, work.rows_produced, work.box_evals),
-                (14, produced, 4),
-                "{what}"
-            );
-        }
+        let (rows, profile) =
+            execute_with_options(&qgm, &cat, &IndexCache::default(), ExecOptions::default())
+                .unwrap();
+        let what = format!("UNION {all}");
+        assert_eq!(exact(&rows), exact(&expected), "{what}");
+        let stats: Vec<&FixpointStats> = profile.fixpoint.values().collect();
+        let want = FixpointStats {
+            iterations: 5,
+            delta_rows: vec![14, 10, 9, 1, 0],
+            rejected_rows: rejected.to_vec(),
+            total_rows: 34,
+        };
+        assert_eq!(stats, vec![&want], "{what}");
+        let work = profile.aggregate();
+        assert_eq!(
+            (work.rows_scanned, work.rows_produced, work.box_evals),
+            (14, produced, 4),
+            "{what}"
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! Corpus replay: every `.sql` file under `tests/corpus/` runs under
-//! all three strategies, columnar path on and off, and must bag-agree.
+//! all three strategies and must bag-agree.
 //!
 //! The corpus holds minimized repros from `starmagic-fuzz` plus
 //! hand-written 3VL/set-op edge cases; each file's `--` header says
