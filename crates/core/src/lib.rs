@@ -41,4 +41,4 @@
 pub mod bindings;
 pub mod rule;
 
-pub use rule::EmstRule;
+pub use rule::{recursive_magic_cases, EmstRule, RecursiveMagic};

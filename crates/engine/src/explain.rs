@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use starmagic_catalog::Catalog;
 use starmagic_exec::Plan;
+use starmagic_magic::recursive_magic_cases;
 use starmagic_planner::feedback;
 use starmagic_qgm::{printer, render_sql, Qgm};
 use starmagic_rewrite::RewriteStats;
@@ -42,6 +43,13 @@ pub fn render(o: &Optimized) -> String {
         o.phase2.box_count()
     );
     out.push_str(&printer::print_graph(&o.phase2));
+    for (b, case) in recursive_magic_cases(&o.phase2) {
+        let _ = writeln!(
+            out,
+            "recursive magic: {} {case}",
+            o.phase2.boxed(b).display_name()
+        );
+    }
     let _ = writeln!(
         out,
         "== after phase 3 cleanup ({} boxes), estimated cost {:.0}",
