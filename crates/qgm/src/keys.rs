@@ -13,6 +13,9 @@
 //!   top-level join conjunct may map through that column instead;
 //! * a group-by box is keyed by its group columns;
 //! * a non-ALL set operation is keyed by the whole row;
+//! * a column pinned to a constant drops out of a key: a select's by a
+//!   top-level equality, a union's when every arm pins it to one same
+//!   literal or parameter;
 //! * a box with `DistinctMode::Enforce`/`Preserve` is keyed by the
 //!   whole row.
 //!
@@ -26,7 +29,7 @@ use std::cell::OnceCell;
 use std::ops::Range;
 
 use starmagic_catalog::Catalog;
-use starmagic_sql::BinOp;
+use starmagic_sql::{BinOp, SetOpKind};
 
 use crate::boxes::{BoxKind, DistinctMode, GroupByBox, QuantKind};
 use crate::colset::{ColSet, Terms};
@@ -592,11 +595,26 @@ fn select_equalities(
 }
 
 /// Output-column offsets of a box provably holding the same value in
-/// every row. Conservative: only selects and group-bys propagate
-/// constancy (an outer join NULL-pads, a set op mixes arms).
+/// every row. Conservative: selects and group-bys propagate constancy,
+/// a union only where every arm pins the column to one same constant
+/// (an outer join NULL-pads).
 fn const_outputs_inner(qgm: &Qgm, b: BoxId, inputs: &mut impl Inputs) -> ColSet {
     let qb = qgm.boxed(b);
     match &qb.kind {
+        BoxKind::SetOp(s) if s.op == SetOpKind::Union => (0..qb.arity())
+            .filter(|&i| {
+                let pins: Vec<Vec<&ScalarExpr>> = qb
+                    .quants
+                    .iter()
+                    .map(|&aq| pinned_constants(qgm, qgm.quant(aq).input, i))
+                    .collect();
+                pins.first().is_some_and(|first| {
+                    first
+                        .iter()
+                        .any(|c| pins[1..].iter().all(|arm| arm.contains(c)))
+                })
+            })
+            .collect(),
         BoxKind::BaseTable { .. } | BoxKind::SetOp(_) | BoxKind::OuterJoin(_) => ColSet::new(),
         BoxKind::GroupBy(g) => const_group_keys(qgm, b, g, inputs),
         BoxKind::Select => {
@@ -621,6 +639,33 @@ fn const_outputs_inner(qgm: &Qgm, b: BoxId, inputs: &mut impl Inputs) -> ColSet 
                 .collect()
         }
     }
+}
+
+/// The literals and parameters select box `x` pins output column `col`
+/// to: its output expression, or each top-level equality between that
+/// expression and a constant. (A local pushdown through a union leaves
+/// `col = c` in every arm, and the union's consumer then keeps knowing
+/// the column is constant.)
+fn pinned_constants(qgm: &Qgm, x: BoxId, col: usize) -> Vec<&ScalarExpr> {
+    let xb = qgm.boxed(x);
+    let Some(out) = xb.columns.get(col).map(|c| &c.expr) else {
+        return Vec::new();
+    };
+    if !matches!(xb.kind, BoxKind::Select) {
+        return Vec::new();
+    }
+    let is_const = |e: &ScalarExpr| matches!(e, ScalarExpr::Literal(_) | ScalarExpr::Param(_));
+    if is_const(out) {
+        return vec![out];
+    }
+    xb.predicates
+        .iter()
+        .filter_map(|p| match p.as_comparison()? {
+            (BinOp::Eq, l, r) if l == out && is_const(r) => Some(r),
+            (BinOp::Eq, l, r) if r == out && is_const(l) => Some(l),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Group-key output offsets whose grouping expression is a literal, a
@@ -937,6 +982,66 @@ mod tests {
         assert!(is_dup_free(&g, &cat, j));
         g.boxed_mut(j).predicates.clear();
         assert!(!is_dup_free(&g, &cat, j));
+    }
+
+    #[test]
+    fn union_column_pinned_alike_in_every_arm_is_constant() {
+        // q := SELECT u.deptname FROM (arm1 UNION arm2) u, each arm
+        // SELECT deptname, deptno FROM dept WHERE deptno = <pins>: the
+        // union is keyed by its whole row, so q is dup-free exactly
+        // when every arm pins deptno to one same constant.
+        let cat = catalog();
+        let dup_free_with = |pins: [&[i64]; 2]| {
+            let mut g = Qgm::new();
+            let d = base_box(&mut g, "dept", &["deptno", "deptname"]);
+            let u = g.add_box(
+                "U",
+                BoxKind::SetOp(crate::boxes::SetOpBox {
+                    op: SetOpKind::Union,
+                    all: false,
+                }),
+            );
+            for arm_pins in pins {
+                let arm = g.add_box("ARM", BoxKind::Select);
+                let q = g.add_quant(arm, d, QuantKind::Foreach, "d");
+                g.boxed_mut(arm).columns = vec![
+                    OutputCol {
+                        name: "deptname".into(),
+                        expr: ScalarExpr::col(q, 1),
+                    },
+                    OutputCol {
+                        name: "deptno".into(),
+                        expr: ScalarExpr::col(q, 0),
+                    },
+                ];
+                g.boxed_mut(arm).predicates = arm_pins
+                    .iter()
+                    .map(|&v| ScalarExpr::eq(ScalarExpr::col(q, 0), ScalarExpr::lit(v)))
+                    .collect();
+                g.add_quant(u, arm, QuantKind::Foreach, "arm");
+            }
+            let first = g.boxed(u).quants[0];
+            g.boxed_mut(u).columns = ["deptname", "deptno"]
+                .iter()
+                .enumerate()
+                .map(|(i, name)| OutputCol {
+                    name: (*name).into(),
+                    expr: ScalarExpr::col(first, i),
+                })
+                .collect();
+            let top = g.add_box("Q", BoxKind::Select);
+            let uq = g.add_quant(top, u, QuantKind::Foreach, "u");
+            g.boxed_mut(top).columns = vec![OutputCol {
+                name: "deptname".into(),
+                expr: ScalarExpr::col(uq, 0),
+            }];
+            is_dup_free(&g, &cat, top)
+        };
+        assert!(dup_free_with([&[5], &[5]]));
+        // A contradictory arm pins both values; one is shared.
+        assert!(dup_free_with([&[6, 5], &[5]]));
+        assert!(!dup_free_with([&[5], &[6]]));
+        assert!(!dup_free_with([&[5], &[]]));
     }
 
     #[test]
