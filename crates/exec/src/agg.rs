@@ -15,10 +15,10 @@
 
 use std::collections::HashMap;
 
-use starmagic_common::{Error, Result, Row, Value};
+use starmagic_common::{Error, Result, Value};
 use starmagic_sql::AggFunc;
 
-use crate::batch::{Bitmap, Column};
+use crate::batch::{Batch, Bitmap, Column};
 use crate::dedup::{value_key, KeySet};
 use crate::vector::Vector;
 
@@ -142,20 +142,28 @@ pub(crate) struct AggInput<'a> {
     pub arg: Option<&'a Vector>,
 }
 
-/// Group the first `n` rows by `keys` and fold `aggs` per group. Output
-/// rows are the first-seen key values followed by the aggregate results,
-/// one per group in first-appearance order; no keys means one global
-/// group, present even for `n == 0`. Of several failing aggregates the
-/// error of the earliest (row, aggregate) wins: the one the row-at-a-time
-/// definition (for each row, every aggregate in turn) meets first.
-pub(crate) fn hash_aggregate(keys: &[Vector], aggs: &[AggInput<'_>], n: usize) -> Result<Vec<Row>> {
+/// Group the first `n` rows by `keys` and fold `aggs` per group. The
+/// output holds one row per group in first-appearance order: the keys
+/// gathered at the group's first row, then one column per aggregate; no
+/// keys means one global group, present even for `n == 0`. Of several
+/// failing aggregates the error of the earliest (row, aggregate) wins:
+/// the one the row-at-a-time definition (for each row, every aggregate
+/// in turn) meets first.
+pub(crate) fn hash_aggregate(keys: &[Vector], aggs: &[AggInput<'_>], n: usize) -> Result<Batch> {
     let (gids, first) = group_ids(keys, n);
-    let groups = first.len();
-    let mut results: Vec<Vec<Value>> = Vec::with_capacity(aggs.len());
+    let mut columns: Vec<Option<Column>> = keys
+        .iter()
+        .map(|k| {
+            Some(match k {
+                Vector::Col(c) => c.take(&first),
+                Vector::Const { value, .. } => Column::constant(value, first.len()),
+            })
+        })
+        .collect();
     let mut failed: Option<(usize, Error)> = None;
     for agg in aggs {
-        match fold(agg, &gids, groups) {
-            Ok(values) => results.push(values),
+        match fold(agg, &gids, first.len()) {
+            Ok(values) => columns.push(Some(Column::from_values(&values))),
             // Strictly earlier row: of two aggregates failing on one
             // row, the first in the list raises.
             Err((row, error)) => {
@@ -165,21 +173,10 @@ pub(crate) fn hash_aggregate(keys: &[Vector], aggs: &[AggInput<'_>], n: usize) -
             }
         }
     }
-    if let Some((_, error)) = failed {
-        return Err(error);
+    match failed {
+        Some((_, error)) => Err(error),
+        None => Ok(Batch::from_columns(columns, first.len())),
     }
-    let mut out = Vec::with_capacity(groups);
-    for (g, &at) in first.iter().enumerate() {
-        let mut row = Vec::with_capacity(keys.len() + aggs.len());
-        row.extend(keys.iter().map(|k| k.value_at(at as usize)));
-        row.extend(
-            results
-                .iter_mut()
-                .map(|r| std::mem::replace(&mut r[g], Value::Null)),
-        );
-        out.push(Row::new(row));
-    }
-    Ok(out)
 }
 
 /// Dense group ids for rows `0..n`, numbered in first-appearance order,
@@ -451,6 +448,7 @@ mod edge_tests {
 mod kernel_tests {
     use super::*;
     use proptest::prelude::*;
+    use starmagic_common::Row;
 
     /// The row-at-a-time group-by: for each row, find or open its
     /// group (first appearance fixes output order and the printed key),
@@ -509,7 +507,7 @@ mod kernel_tests {
                 arg: arg.as_ref(),
             })
             .collect();
-        hash_aggregate(&key_vectors, &inputs, rows.len())
+        hash_aggregate(&key_vectors, &inputs, rows.len()).map(|groups| groups.rows())
     }
 
     /// `Debug`, not `==`: [`Value`] equality is grouping equality, under

@@ -1,20 +1,18 @@
 //! Columnar batches: typed column vectors with validity bitmaps.
 //!
-//! A [`Batch`] is the columnar mirror of a `Vec<Row>`: one typed
-//! vector per column ([`Column`]), each with an optional validity
-//! bitmap marking NULL slots. The executor's vectorized operators
-//! (the select executor, the aggregation kernel) flow batches through
-//! scans, filters, hash joins, and group-by, touching values
-//! column-at-a-time for cache locality; row-oriented operators (set
-//! ops, outer join) consume the same data through the [`Batch::rows`]
-//! adapter, so the two representations interconvert losslessly. The
-//! fixpoint accumulators are batches too, grown by [`Batch::append`].
+//! A [`Batch`] is what every box hands its consumer: one typed vector
+//! per column ([`Column`]), each with an optional validity bitmap
+//! marking NULL slots. The executor's operators — the select executor,
+//! the aggregation kernel, set operations, the fixpoint accumulators —
+//! read and produce batches; rows are built only for the query root
+//! ([`Batch::rows`]) and for the scalar evaluator's frame
+//! ([`Batch::row`]).
 //!
-//! A batch pays only for the columns somebody reads. One built *over
-//! rows* ([`Batch::from_rows`], a base table) type-detects and copies a
-//! column on its first [`Batch::column`] call; one built *from columns*
-//! (a columnar select's projection) holds exactly the live columns its
-//! producer gathered.
+//! A batch pays only for the columns somebody reads. One over a stored
+//! table ([`Batch::over_table`]) type-detects and copies a column on
+//! its first [`Batch::column`] call and hands out the table's own rows;
+//! one built *from columns* (a select's projection) holds exactly the
+//! live columns its producer gathered.
 //!
 //! Hand-rolled on purpose: the build environment is offline, so no
 //! arrow — a `Vec<i64>` plus a `u64`-word bitmap is all the layout the
@@ -125,47 +123,57 @@ impl Column {
     /// Build a column from one slot of each row, detecting the type
     /// from the non-NULL values (two passes, both cheap).
     pub fn from_rows(rows: &[Row], col: usize) -> Column {
+        Column::detect(rows.iter().map(|r| r.get(col)))
+    }
+
+    /// Build a column of `values`, typed like [`Column::from_rows`].
+    pub fn from_values(values: &[Value]) -> Column {
+        Column::detect(values.iter())
+    }
+
+    fn detect<'v>(values: impl ExactSizeIterator<Item = &'v Value> + Clone) -> Column {
         let mut ty: Option<u8> = None; // 0=Int 1=Double 2=Str 3=Bool
         let mut nulls = false;
-        for r in rows {
-            match r.get(col) {
-                Value::Null => nulls = true,
-                v => {
-                    let t = match v {
-                        Value::Int(_) => 0,
-                        Value::Double(_) => 1,
-                        Value::Str(_) => 2,
-                        Value::Bool(_) => 3,
-                        Value::Null => unreachable!(),
-                    };
-                    match ty {
-                        None => ty = Some(t),
-                        Some(seen) if seen == t => {}
-                        Some(_) => return Column::mixed_from(rows, col),
-                    }
+        for v in values.clone() {
+            let t = match v {
+                Value::Null => {
+                    nulls = true;
+                    continue;
                 }
+                Value::Int(_) => 0,
+                Value::Double(_) => 1,
+                Value::Str(_) => 2,
+                Value::Bool(_) => 3,
+            };
+            match ty {
+                None => ty = Some(t),
+                Some(seen) if seen == t => {}
+                Some(_) => return Column::Mixed(values.cloned().collect()),
             }
         }
         let Some(ty) = ty else {
             // All NULL: no typed representation is better than another.
-            return Column::mixed_from(rows, col);
+            return Column::Mixed(values.cloned().collect());
         };
-        let n = rows.len();
+        let n = values.len();
         let mut validity = nulls.then(|| Bitmap::filled(n, true));
         macro_rules! build {
             ($variant:ident, $default:expr, $pat:pat => $val:expr) => {{
-                let mut values = Vec::with_capacity(n);
-                for (i, r) in rows.iter().enumerate() {
-                    match r.get(col) {
-                        $pat => values.push($val),
+                let mut out = Vec::with_capacity(n);
+                for (i, v) in values.enumerate() {
+                    match v {
+                        $pat => out.push($val),
                         Value::Null => {
-                            values.push($default);
+                            out.push($default);
                             validity.as_mut().expect("nulls seen").set(i, false);
                         }
                         _ => unreachable!("type detected in first pass"),
                     }
                 }
-                Column::$variant { values, validity }
+                Column::$variant {
+                    values: out,
+                    validity,
+                }
             }};
         }
         match ty {
@@ -174,10 +182,6 @@ impl Column {
             2 => build!(Str, Arc::from(""), Value::Str(v) => v.clone()),
             _ => build!(Bool, false, Value::Bool(v) => *v),
         }
-    }
-
-    fn mixed_from(rows: &[Row], col: usize) -> Column {
-        Column::Mixed(rows.iter().map(|r| r.get(col).clone()).collect())
     }
 
     /// Number of slots.
@@ -322,54 +326,38 @@ impl Column {
     }
 }
 
-/// Rows a box result or a lazily built batch reads from: an operator's
-/// own output, or a stored table's rows borrowed in place (no copy per
-/// scan; the handle keeps that table version alive).
-#[derive(Debug, Clone)]
-pub(crate) enum RowSource {
-    Owned(Arc<Vec<Row>>),
-    Table(Arc<Table>),
-}
-
-impl RowSource {
-    pub(crate) fn rows(&self) -> &[Row] {
-        match self {
-            RowSource::Owned(rows) => rows,
-            RowSource::Table(t) => t.rows(),
-        }
-    }
-}
-
 /// A columnar batch: typed column vectors of equal length, each built
 /// at most once and only when read.
 #[derive(Debug, Clone)]
 pub struct Batch {
     columns: Vec<OnceLock<Column>>,
     len: usize,
-    /// Where a column not yet built comes from. `None` for a batch
-    /// assembled from columns: every column a consumer may read is
-    /// already there, the rest were pruned as dead.
-    source: Option<RowSource>,
+    /// The stored table a column not yet built comes from, its rows
+    /// borrowed in place (the handle keeps that table version alive).
+    /// `None` for a batch assembled from columns: every column a
+    /// consumer may read is already there, the rest were pruned as dead.
+    source: Option<Arc<Table>>,
 }
 
 impl Batch {
-    /// A batch over `rows`. All rows must share the arity of the first
-    /// (true for every operator output in this executor). Copies the
-    /// row handles, not the values; columns are built on first touch.
+    /// A batch holding `rows`, every column built. All rows must share
+    /// the arity of the first.
     pub fn from_rows(rows: &[Row]) -> Batch {
-        Batch::over(RowSource::Owned(Arc::new(rows.to_vec())))
+        let arity = rows.first().map_or(0, Row::arity);
+        let columns = (0..arity)
+            .map(|c| Some(Column::from_rows(rows, c)))
+            .collect();
+        Batch::from_columns(columns, rows.len())
     }
 
-    /// A batch over a row source, sharing it.
-    pub(crate) fn over(source: RowSource) -> Batch {
-        let arity = match &source {
-            RowSource::Owned(rows) => rows.first().map_or(0, Row::arity),
-            RowSource::Table(t) => t.schema().arity(),
-        };
+    /// A batch over a stored table's rows, sharing them.
+    pub(crate) fn over_table(table: Arc<Table>) -> Batch {
         Batch {
-            columns: (0..arity).map(|_| OnceLock::new()).collect(),
-            len: source.rows().len(),
-            source: Some(source),
+            columns: (0..table.schema().arity())
+                .map(|_| OnceLock::new())
+                .collect(),
+            len: table.row_count(),
+            source: Some(table),
         }
     }
 
@@ -389,6 +377,22 @@ impl Batch {
         }
     }
 
+    /// The rows of `parts`, each of `arity` columns, one part after
+    /// another. A column some part pruned as dead is pruned here too.
+    pub(crate) fn concat(arity: usize, parts: &[Arc<Batch>]) -> Batch {
+        let parts: Vec<&Arc<Batch>> = parts.iter().filter(|p| !p.is_empty()).collect();
+        let columns = (0..arity)
+            .map(|c| {
+                let mut out = Column::Mixed(Vec::new());
+                for part in &parts {
+                    out.append(part.try_column(c)?.clone());
+                }
+                Some(out)
+            })
+            .collect();
+        Batch::from_columns(columns, parts.iter().map(|p| p.len()).sum())
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
@@ -404,19 +408,25 @@ impl Batch {
         self.columns.len()
     }
 
-    /// Column `c`, built from the source rows on first use.
+    /// Column `c`, built from the table's rows on first use.
     ///
     /// # Panics
     /// If the producer pruned `c` as dead: the live-column pass missed a
     /// reader, which is an executor bug.
     pub fn column(&self, c: usize) -> &Column {
-        self.columns[c].get_or_init(|| {
-            let source = self
-                .source
-                .as_ref()
-                .unwrap_or_else(|| panic!("column {c} was pruned as dead but is read"));
-            Column::from_rows(source.rows(), c)
-        })
+        self.try_column(c)
+            .unwrap_or_else(|| panic!("column {c} was pruned as dead but is read"))
+    }
+
+    /// Column `c`, unless the producer pruned it as dead.
+    fn try_column(&self, c: usize) -> Option<&Column> {
+        match (self.columns[c].get(), &self.source) {
+            (Some(column), _) => Some(column),
+            (None, Some(table)) => {
+                Some(self.columns[c].get_or_init(|| Column::from_rows(table.rows(), c)))
+            }
+            (None, None) => None,
+        }
     }
 
     /// Whether column `c` has been built (or was handed over built).
@@ -441,9 +451,10 @@ impl Batch {
     /// (see [`Column::append`]). Every column of `src` is read.
     ///
     /// # Panics
-    /// On a batch over rows: only a batch assembled from columns grows.
+    /// On a batch over a table: only a batch assembled from columns
+    /// grows.
     pub(crate) fn append(&mut self, src: &Batch, ids: &[u32]) {
-        assert!(self.source.is_none(), "a batch over rows does not grow");
+        assert!(self.source.is_none(), "a batch over a table does not grow");
         for (c, column) in self.columns.iter_mut().enumerate() {
             column
                 .get_mut()
@@ -453,11 +464,11 @@ impl Batch {
         self.len += ids.len();
     }
 
-    /// Row `i`: the source's own row, shared, or one gathered from the
+    /// Row `i`: the table's own row, shared, or one gathered from the
     /// columns (a pruned column reads as NULL, as in [`Batch::rows`]).
     pub(crate) fn row(&self, i: usize) -> Row {
-        if let Some(source) = &self.source {
-            return source.rows()[i].clone();
+        if let Some(table) = &self.source {
+            return table.rows()[i].clone();
         }
         let values = self
             .columns
@@ -469,8 +480,8 @@ impl Batch {
     /// Materialize every row, in order. A pruned column reads as NULL
     /// (nobody reads it, but the row keeps its arity and offsets).
     pub fn rows(&self) -> Vec<Row> {
-        if let Some(source) = &self.source {
-            return source.rows().to_vec();
+        if let Some(table) = &self.source {
+            return table.rows().to_vec();
         }
         let columns: Vec<Option<&Column>> = self.columns.iter().map(OnceLock::get).collect();
         (0..self.len)
@@ -546,15 +557,26 @@ mod tests {
 
     #[test]
     fn a_column_is_built_by_its_first_reader_only() {
-        // The satellite fix: a batch over rows pays per column read. A
-        // reader of the Int column must leave the Str column unscanned.
-        let batch = Batch::from_rows(&rows());
+        // A batch over a stored table pays per column read. A reader of
+        // the Int column must leave the Str column unscanned.
+        use starmagic_catalog::{ColumnDef, TableSchema};
+        use starmagic_common::DataType;
+        let schema = TableSchema::new(
+            "t",
+            [DataType::Int, DataType::Str, DataType::Double]
+                .into_iter()
+                .enumerate()
+                .map(|(c, ty)| ColumnDef::new(format!("c{c}"), ty))
+                .collect(),
+        );
+        let table = Arc::new(Table::with_rows(schema, rows()).unwrap());
+        let batch = Batch::over_table(table);
         assert!((0..3).all(|c| !batch.is_built(c)), "nothing built up front");
         assert!(matches!(batch.column(0), Column::Int64 { .. }));
         assert!(batch.is_built(0));
         assert!(!batch.is_built(1), "the untouched Str column was scanned");
         assert!(!batch.is_built(2));
-        // Rows come from the shared source, not from rebuilt columns.
+        // Rows come from the shared table, not from rebuilt columns.
         assert_eq!(batch.rows(), rows());
         assert!(!batch.is_built(1));
         // A second read serves the same column.

@@ -6,7 +6,7 @@
 //! row combinations. Values are gathered only when a kernel touches
 //! them, and the box hands over its projection vectors as a [`Batch`]
 //! of the output columns some consumer reads (`boundary`): rows exist
-//! again only if a row-at-a-time consumer, or the query root, asks.
+//! again only at the query root and in the scalar evaluator's frames.
 //!
 //! Each stage binds one quantifier — by probing a stored table's index
 //! per combination, by a hash join over the child's batch, or by a
@@ -38,8 +38,8 @@ use std::sync::Arc;
 use starmagic_common::{Result, Row, Value};
 use starmagic_qgm::{BoxId, QuantId};
 
-use crate::batch::{Batch, Column, RowSource};
-use crate::boundary::{BoxOutput, BoxPath, Fallback};
+use crate::batch::{Batch, Column};
+use crate::boundary::{BoxPath, Fallback};
 use crate::dedup::distinct_ids;
 use crate::executor::{truth_of, Executor, Frame, IdIndex};
 use crate::plan::{IndexProbe, Item, SelectPlan, Stage};
@@ -142,7 +142,7 @@ pub(crate) fn run(
     b: BoxId,
     select: &SelectPlan,
     frame: &Frame<'_>,
-) -> Result<(BoxOutput, BoxPath)> {
+) -> Result<(Batch, BoxPath)> {
     let outer = select.outer.resolve(frame);
     let mut cx = Cx {
         exec,
@@ -217,8 +217,8 @@ impl Cx<'_, '_> {
             // the recursion for the whole fixpoint; the child is still
             // asked for (a cache hit) and charged every round, exactly
             // as a fresh build would be.
-            let out = self.exec.eval_box(child, self.frame)?;
-            self.exec.profile.entry(b).rows_in += out.len() as u64;
+            let batch = self.exec.eval_box(child, self.frame)?;
+            self.exec.profile.entry(b).rows_in += batch.len() as u64;
             let reusable = self.exec.step_build_site(b, child);
             let cached = reusable
                 .then(|| self.exec.step_builds.get(&(b, stage.quant)).cloned())
@@ -227,8 +227,11 @@ impl Cx<'_, '_> {
                 self.exec.note_step_build(b, true);
                 build
             } else {
-                let batch = self.exec.batch_of(child, &out)?;
-                let rows = State::over(stage.quant, batch.clone(), (0..out.len() as u32).collect());
+                let rows = State::over(
+                    stage.quant,
+                    batch.clone(),
+                    (0..batch.len() as u32).collect(),
+                );
                 let keys = self.keys(&stage.build, &rows)?;
                 let build = Arc::new(JoinBuild {
                     batch,
@@ -270,15 +273,14 @@ impl Cx<'_, '_> {
                 parent.extend(std::iter::repeat(p).take(out.len()));
                 ids.extend(0..out.len() as u32);
             }
-            self.exec.batch_of(child, out)?
+            out.clone()
         } else {
-            let mut rows: Vec<Row> = Vec::new();
             for (p, out) in outs.iter().enumerate() {
                 parent.extend(std::iter::repeat(p as u32).take(out.len()));
-                rows.extend_from_slice(self.exec.rows_of(child, out));
             }
-            ids.extend(0..rows.len() as u32);
-            Arc::new(Batch::over(RowSource::Owned(Arc::new(rows))))
+            ids.extend(0..parent.len() as u32);
+            let arity = self.exec.qgm.boxed(child).arity();
+            Arc::new(Batch::concat(arity, &outs))
         };
         Ok((parent, ids, batch))
     }
@@ -468,7 +470,7 @@ impl Cx<'_, '_> {
     /// The residual predicates, then the columns some consumer reads
     /// (a DISTINCT box's are all of them: width is semantics), gathered
     /// only for the surviving combinations.
-    fn project(&mut self, b: BoxId, select: &SelectPlan, state: &State) -> Result<BoxOutput> {
+    fn project(&mut self, b: BoxId, select: &SelectPlan, state: &State) -> Result<Batch> {
         let live = self.exec.live_columns(b);
         self.exec.note_stage(state.len);
         let columns: Vec<(&Item, bool)> = (select.columns.iter().enumerate())
@@ -480,9 +482,9 @@ impl Cx<'_, '_> {
         self.exec.profile.entry(b).rows_produced += keep.len() as u64;
         let batch = Batch::from_columns(columns, keep.len());
         Ok(if self.exec.qgm.boxed(b).distinct.needs_dedup() {
-            BoxOutput::from_batch(batch.take(&distinct_ids(&batch)))
+            batch.take(&distinct_ids(&batch))
         } else {
-            BoxOutput::from_batch(batch)
+            batch
         })
     }
 

@@ -19,11 +19,10 @@
 //!   semantics exactly (three-valued logic in predicates, NULLs equal
 //!   for grouping, `COUNT`=0 vs `SUM`=NULL on empty input, bag
 //!   `EXCEPT ALL`/`INTERSECT ALL`).
-//! * **Rows only where somebody reads rows**: a box hands its consumer
-//!   a [`BoxOutput`] — a columnar batch of the output columns some
-//!   consumer reads, rows, or both, each built at most once. Selects,
-//!   group-by and fixpoints exchange batches; the query root, set
-//!   operations and outer joins ask for rows ([`boundary`]).
+//! * **Rows only at the root**: every box hands its consumer one
+//!   [`Batch`] — a stored table's, or the output columns some consumer
+//!   reads ([`boundary`]). Rows are built for the query root and for
+//!   the scalar evaluator's frame, nowhere else.
 //! * **Lowered once, run many times**: [`Plan::lower`] derives every
 //!   data-independent fact — correlation, recursive components, live
 //!   columns, join stages, compiled kernels — once
@@ -40,6 +39,7 @@
 //! report alongside wall-clock time.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod agg;
 pub mod batch;
@@ -56,7 +56,7 @@ mod rowids;
 mod vector;
 
 pub use batch::{Batch, Bitmap, Column};
-pub use boundary::{BoxOutput, BoxPath, Fallback};
+pub use boundary::{BoxPath, Fallback};
 pub use executor::{
     execute, execute_plan, execute_profiled, execute_with_indexes, execute_with_metrics,
     execute_with_options, ExecOptions, Executor, IndexCache,

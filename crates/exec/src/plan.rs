@@ -64,8 +64,9 @@ pub(crate) enum Op {
     Scan,
     Select(SelectPlan),
     GroupBy(GroupByPlan),
-    /// A set operation or an outer join: row-at-a-time.
-    Rows,
+    SetOperation,
+    /// Pair by pair, on the scalar evaluator.
+    OuterJoin,
 }
 
 /// A select box: its join stages, then its residue and its columns.
@@ -181,7 +182,8 @@ impl Plan {
                 BoxKind::BaseTable { .. } => Op::Scan,
                 BoxKind::Select => Op::Select(lower_select(qgm, b, &correlated)),
                 BoxKind::GroupBy(_) => Op::GroupBy(lower_groupby(qgm, b)),
-                BoxKind::SetOp(_) | BoxKind::OuterJoin(_) => Op::Rows,
+                BoxKind::SetOp(_) => Op::SetOperation,
+                BoxKind::OuterJoin(_) => Op::OuterJoin,
             };
             boxes[b.index()] = Some(BoxPlan {
                 correlated: correlated[&b],
@@ -213,7 +215,7 @@ impl Plan {
     pub fn path(&self, b: BoxId) -> Option<BoxPath> {
         let bp = self.boxes.get(b.index())?.as_ref()?;
         Some(match &bp.op {
-            Op::Scan => BoxPath::Batch,
+            Op::Scan | Op::SetOperation => BoxPath::Batch,
             Op::Select(sp) => path_of(
                 sp.stages
                     .iter()
@@ -222,7 +224,7 @@ impl Plan {
                     .chain(&sp.columns),
             ),
             Op::GroupBy(gp) => path_of(gp.exprs.iter()),
-            Op::Rows => BoxPath::Row(Fallback::RowOperator),
+            Op::OuterJoin => BoxPath::Row(Fallback::OuterJoin),
         })
     }
 
