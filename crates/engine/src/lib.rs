@@ -1141,34 +1141,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_pruning_clears_unused_column_warnings() {
-        use starmagic_lint::Code;
-        let e = paper_engine();
-        // With pruning off, the chosen plan legitimately carries unused
-        // view columns — the linter warns (L102) but does not error.
-        let kept = e.optimize_sql(QUERY_D, Strategy::CostBased).unwrap();
-        assert!(kept.lint.find(Code::L102UnusedOutputColumn).is_some());
-        // Turning the pruning rule on removes exactly that hygiene
-        // issue: the plan lints fully clean.
-        let query = starmagic_sql::parse_query(QUERY_D).unwrap();
-        let pruned = optimize(
-            e.catalog(),
-            e.registry(),
-            &query,
-            PipelineOptions {
-                prune_projections: true,
-                ..PipelineOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            pruned.lint.is_clean(),
-            "pruned plan not clean: {:?}",
-            pruned.lint.diagnostics
-        );
-    }
-
-    #[test]
     fn lint_method_reports_on_the_chosen_plan() {
         let e = paper_engine();
         let report = e.lint(QUERY_D).unwrap();

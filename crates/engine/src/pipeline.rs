@@ -30,7 +30,7 @@ use starmagic_qgm::keys::KeyTable;
 use starmagic_qgm::{build_qgm, strata, Qgm};
 use starmagic_rewrite::engine::{CheckLevel, RewriteEngine};
 use starmagic_rewrite::rules::{
-    DistinctPullup, LocalPredicatePushdown, Merge, ProjectionPrune, RedundantSelfJoin, RewriteRule,
+    DistinctPullup, LocalPredicatePushdown, Merge, RedundantSelfJoin, RewriteRule,
     SimplifyPredicates,
 };
 use starmagic_rewrite::{OpRegistry, RewriteStats};
@@ -100,11 +100,6 @@ pub struct PipelineOptions {
     /// EMST needs the other rewrite rules to remove the complexity it
     /// introduces.
     pub cleanup_phase3: bool,
-    /// Enable the projection-pruning rule in phases 1 and 3. Off by
-    /// default so printed graphs keep the paper's `SELECT *` triplet
-    /// shapes; turning it on narrows every exclusive select box to its
-    /// referenced columns.
-    pub prune_projections: bool,
     /// How aggressively the rewrite engine lints while rewriting:
     /// [`CheckLevel::PerFire`] aborts on the first rule application
     /// that leaves the graph semantically invalid, attributed to the
@@ -127,7 +122,6 @@ impl Default for PipelineOptions {
             force_magic: false,
             use_supplementary: true,
             cleanup_phase3: true,
-            prune_projections: false,
             check: CheckLevel::default(),
             trace: true,
             unsound_decorrelation: false,
@@ -257,12 +251,8 @@ fn run(
     let pushdown = LocalPredicatePushdown;
     let pullup = DistinctPullup;
     let redundant = RedundantSelfJoin;
-    let prune = ProjectionPrune;
-    let mut traditional: Vec<&dyn RewriteRule> =
+    let traditional: Vec<&dyn RewriteRule> =
         vec![&simplify, &merge, &pushdown, &pullup, &redundant];
-    if opts.prune_projections {
-        traditional.push(&prune);
-    }
 
     // Phase 1.
     let t = trace.start("rewrite.phase1");

@@ -8,14 +8,12 @@ use crate::engine::RuleContext;
 
 pub mod distinct_pullup;
 pub mod merge;
-pub mod projection;
 pub mod pushdown;
 pub mod redundant_join;
 pub mod simplify;
 
 pub use distinct_pullup::DistinctPullup;
 pub use merge::Merge;
-pub use projection::ProjectionPrune;
 pub use pushdown::LocalPredicatePushdown;
 pub use redundant_join::RedundantSelfJoin;
 pub use simplify::SimplifyPredicates;

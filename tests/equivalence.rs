@@ -209,31 +209,6 @@ fn work_metric_is_deterministic() {
 }
 
 #[test]
-fn projection_pruning_preserves_results() {
-    use starmagic::PipelineOptions;
-    let engine = engine();
-    for sql in QUERIES {
-        let base = sorted(&engine, sql, Strategy::Magic);
-        let prepared = engine
-            .prepare_with_options(
-                sql,
-                PipelineOptions {
-                    force_magic: true,
-                    prune_projections: true,
-                    ..PipelineOptions::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("prepare failed for {sql}: {e}"));
-        let mut pruned = engine.execute_prepared(&prepared).unwrap().rows;
-        pruned.sort_by(starmagic_common::Row::group_cmp);
-        assert_eq!(
-            base, pruned,
-            "projection pruning changed results for:\n{sql}"
-        );
-    }
-}
-
-#[test]
 fn ablation_options_preserve_results_on_query_d() {
     use starmagic::PipelineOptions;
     let engine = engine();
