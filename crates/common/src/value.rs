@@ -82,7 +82,8 @@ impl Value {
     }
 
     /// SQL ordering comparison. Returns `None` when NULL is involved
-    /// (truth value Unknown) or the types are not comparable.
+    /// (truth value Unknown) or the types are not comparable. `-0.0`
+    /// and `0` are equal here, as under [`Value::sql_eq`].
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
@@ -90,6 +91,7 @@ impl Value {
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (a, b) => match (a.as_f64(), b.as_f64()) {
+                (Some(x), Some(y)) if x == y => Some(Ordering::Equal),
                 (Some(x), Some(y)) => Some(x.total_cmp(&y)),
                 _ => None,
             },
@@ -266,6 +268,17 @@ mod tests {
     fn sql_eq_coerces_int_double() {
         assert_eq!(Value::Int(3).sql_eq(&Value::Double(3.0)), Truth::True);
         assert_eq!(Value::Int(3).sql_eq(&Value::Double(3.5)), Truth::False);
+    }
+
+    #[test]
+    fn negative_zero_compares_equal_to_zero() {
+        let (neg, zero) = (Value::Double(-0.0), Value::Int(0));
+        assert_eq!(neg.sql_eq(&zero), Truth::True);
+        assert_eq!(neg.sql_cmp(&zero), Some(Ordering::Equal));
+        assert_eq!(neg.sql_cmp(&Value::Double(0.0)), Some(Ordering::Equal));
+        assert_eq!(neg.sql_cmp(&Value::Double(-0.5)), Some(Ordering::Greater));
+        // Grouping keeps the two apart.
+        assert_ne!(neg, zero);
     }
 
     #[test]

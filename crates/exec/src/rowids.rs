@@ -18,8 +18,9 @@
 //!   every composite key): a map keyed by the values under grouping
 //!   equality.
 //!
-//! Whatever the shape, a probe answers what [`Value`]'s grouping
-//! equality answers. An `Int` probe into an `Int` table is exact; any
+//! Whatever the shape, a probe answers what [`Value::sql_eq`] answers:
+//! grouping equality over canonical keys, `-0.0` read as `0.0` at build
+//! and at probe time. An `Int` probe into an `Int` table is exact; any
 //! other probe into one (`3.0` finds `3`) goes through a `Value` map over
 //! the same groups, built on first need; NULL never matches.
 //!
@@ -88,6 +89,20 @@ impl<'v> Ints<'v> {
     }
 }
 
+fn is_negative_zero(v: &Value) -> bool {
+    matches!(v, Value::Double(d) if *d == 0.0 && d.is_sign_negative())
+}
+
+/// A key value as the table stores it: `-0.0` as `0.0`, which it equals
+/// under [`Value::sql_eq`] but not under grouping equality.
+fn canonical(v: Value) -> Value {
+    if is_negative_zero(&v) {
+        Value::Double(0.0)
+    } else {
+        v
+    }
+}
+
 impl RowIds {
     /// The table over rows `0..n` whose key is slot `i` of `keys`, one
     /// vector of length `n` per key column.
@@ -103,7 +118,7 @@ impl RowIds {
         let row_groups: Vec<u32> = (0..n)
             .map(|i| {
                 key.clear();
-                key.extend(keys.iter().map(|k| k.value_at(i)));
+                key.extend(keys.iter().map(|k| canonical(k.value_at(i))));
                 if key.iter().any(Value::is_null) {
                     return NONE;
                 }
@@ -205,6 +220,10 @@ impl RowIds {
         }
         match key {
             [Value::Int(k)] => self.int_group(*k),
+            _ if key.iter().any(is_negative_zero) => {
+                let key: Vec<Value> = key.iter().cloned().map(canonical).collect();
+                self.value_map().get(&key).copied()
+            }
             _ => self.value_map().get(key).copied(),
         }
     }
@@ -272,25 +291,30 @@ mod tests {
     const EXACT: i64 = 1 << 53;
 
     /// A column index as it was built before row-id tables: every
-    /// non-NULL key's rows, by `Value`.
+    /// non-NULL key's rows, by `Value` — `-0.0` keyed as `0.0`, which it
+    /// equals in a predicate.
     fn reference_index(keys: &[Value]) -> HashMap<Value, Vec<u32>> {
         let mut map: HashMap<Value, Vec<u32>> = HashMap::new();
         for (i, k) in keys.iter().enumerate().filter(|(_, k)| !k.is_null()) {
-            map.entry(k.clone()).or_default().push(i as u32);
+            map.entry(canonical(k.clone())).or_default().push(i as u32);
         }
         map
     }
 
     /// A hash join's build as it was: rows by composite key, none with
-    /// a NULL part.
+    /// a NULL part, `-0.0` keyed as `0.0`.
     fn reference_build(rows: &[Vec<Value>]) -> HashMap<Vec<Value>, Vec<u32>> {
         let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
         for (i, key) in rows.iter().enumerate() {
             if !key.iter().any(Value::is_null) {
-                map.entry(key.clone()).or_default().push(i as u32);
+                map.entry(canonical_key(key)).or_default().push(i as u32);
             }
         }
         map
+    }
+
+    fn canonical_key(key: &[Value]) -> Vec<Value> {
+        key.iter().cloned().map(canonical).collect()
     }
 
     /// Column `c` of `rows`, typed the way a batch types it.
@@ -339,10 +363,12 @@ mod tests {
             4 => Just(Value::Null).boxed(),
             // Strings.
             5 => "[ab]{0,2}".prop_map(Value::str).boxed(),
-            // Int and Double in one column: 1 and 1.0 are one key.
+            // Int and Double in one column: 1 and 1.0 are one key, and
+            // so are 0, 0.0 and -0.0.
             6 => prop_oneof![
                 int(0, 6),
-                (0i64..12).prop_map(|h| Value::Double(h as f64 * 0.5))
+                (0i64..12).prop_map(|h| Value::Double(h as f64 * 0.5)),
+                Just(Value::Double(-0.0)),
             ]
             .boxed(),
             // Past 2^53 beside small keys: 2^53 + 1 is the only key a
@@ -406,7 +432,8 @@ mod tests {
         fn one_key_column_agrees_with_a_value_map(rows in keys()) {
             let keys: Vec<Value> = rows.iter().map(|r| r[0].clone()).collect();
             let reference = reference_index(&keys);
-            let want = |key: &[Value]| reference.get(&key[0]).cloned().unwrap_or_default();
+            let want =
+                |key: &[Value]| reference.get(&canonical(key[0].clone())).cloned().unwrap_or_default();
             let table = RowIds::build(&[column(&rows, 0)]);
             let probes: Vec<Vec<Value>> = probes(&keys).into_iter().map(|p| vec![p]).collect();
             for key in &probes {
@@ -444,7 +471,7 @@ mod tests {
         #[test]
         fn composite_keys_agree_with_a_vec_map(rows in keys()) {
             let reference = reference_build(&rows);
-            let want = |key: &[Value]| reference.get(key).cloned().unwrap_or_default();
+            let want = |key: &[Value]| reference.get(&canonical_key(key)).cloned().unwrap_or_default();
             let table = RowIds::build(&[column(&rows, 0), column(&rows, 1)]);
             let firsts = probes(&rows.iter().map(|r| r[0].clone()).collect::<Vec<_>>());
             let mut probes: Vec<Vec<Value>> = rows.clone();
