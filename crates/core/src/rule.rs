@@ -338,16 +338,9 @@ impl EmstRule {
         let mut copies = self.copies.borrow_mut();
         if let Some(info) = copies.get_mut(&key) {
             // Shared adorned copy: union the new contributions in —
-            // unless sharing closes a cycle: a contribution reaches the
-            // copy itself (bindings derived from a prefix that
-            // *contains* the copy), or the copy reaches its new user.
-            // Either would turn the nonrecursive query into a
-            // recursive one — the hazard the paper's introduction
-            // names — so such a user gets its own private copy below.
-            let cyclic = reaches(qgm, info.copy, b)
-                || magic.is_some_and(|m| reaches(qgm, m, info.copy))
-                || cond_magic.is_some_and(|m| reaches(qgm, m, info.copy));
-            if !cyclic {
+            // unless sharing closes a cycle, in which case this user
+            // gets its own private copy below.
+            if may_share(qgm, info.copy, b, magic.into_iter().chain(cond_magic)) {
                 if let (Some(existing), Some(addition)) = (info.magic, magic) {
                     info.magic = Some(extend_with_union(qgm, existing, addition));
                 }
@@ -406,15 +399,13 @@ impl EmstRule {
         let shared = self.copies.borrow().get(&key).cloned();
         if let Some(info) = shared {
             let qgm = &mut *ctx.qgm;
-            // Same recursion guard as the non-recursive path, in both
-            // directions: the copy must not reach its new consumer, and
-            // bindings derived from a prefix containing the copy must
-            // not feed the copy its own output.
-            if reaches(qgm, info.copy, b) {
+            // The same guard as the non-recursive path; the copy's side
+            // first, so a declined share builds no seed.
+            if !may_share(qgm, info.copy, b, []) {
                 return false;
             }
             let seed = build_recursive_seed(qgm, b, eligible, r, ar);
-            if reaches(qgm, seed, info.copy) {
+            if !may_share(qgm, info.copy, b, [seed]) {
                 return false;
             }
             if let Some(existing) = info.magic {
@@ -564,8 +555,7 @@ impl EmstRule {
             let key = (child, memo_key(&ar));
             let mut copies = self.copies.borrow_mut();
             if let Some(info) = copies.get_mut(&key) {
-                // Same recursion guard as the select path.
-                if !reaches(qgm, magic, info.copy) {
+                if may_share(qgm, info.copy, b, [magic]) {
                     if let Some(existing) = info.magic {
                         info.magic = Some(extend_with_union(qgm, existing, magic));
                     }
@@ -1384,6 +1374,21 @@ fn has_inward_correlation(qgm: &Qgm, x: BoxId) -> bool {
         }
     }
     false
+}
+
+/// Whether `consumer` may share the adorned `copy`, unioning the magic
+/// boxes `contributions` into the copy's: only if the graph stays
+/// acyclic. The copy must not reach its new consumer, and no
+/// contribution may reach the copy (bindings derived from a prefix that
+/// contains it). Either cycle would turn a nonrecursive query into a
+/// recursive one — the hazard the paper's introduction names.
+fn may_share(
+    qgm: &Qgm,
+    copy: BoxId,
+    consumer: BoxId,
+    contributions: impl IntoIterator<Item = BoxId>,
+) -> bool {
+    !reaches(qgm, copy, consumer) && contributions.into_iter().all(|m| !reaches(qgm, m, copy))
 }
 
 /// Whether `from` reaches `to` through quantifier edges.
