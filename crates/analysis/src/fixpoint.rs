@@ -69,8 +69,8 @@ pub(crate) fn solve_with(qgm: &Qgm, catalog: &Catalog, keys: &KeyTable<'_>) -> F
     facts
 }
 
-/// Boxes reachable from the top, children before parents, following
-/// quantifier inputs and magic links.
+/// Boxes reachable from the top over [`Qgm::inputs`], children before
+/// parents.
 pub fn postorder(qgm: &Qgm) -> Vec<BoxId> {
     // `BoxId::index` of every box pushed for a visit.
     let mut seen = ColSet::new();
@@ -86,19 +86,7 @@ pub fn postorder(qgm: &Qgm) -> Vec<BoxId> {
             continue;
         }
         stack.push((b, true));
-        let qb = qgm.boxed(b);
-        let children = qb
-            .quants
-            .iter()
-            .filter(|&&q| qgm.quant_exists(q))
-            .map(|&q| qgm.quant(q).input)
-            .chain(
-                qb.magic_links
-                    .iter()
-                    .copied()
-                    .filter(|&m| qgm.box_exists(m)),
-            );
-        for c in children {
+        for (_, c) in qgm.inputs(b) {
             if !seen.contains(c.index()) {
                 stack.push((c, false));
             }

@@ -7,8 +7,8 @@ use starmagic_common::Result;
 use starmagic_qgm::boxes::SetOpBox;
 use starmagic_qgm::expr::QuantMode;
 use starmagic_qgm::{
-    BoxFlavor, BoxId, BoxKind, DistinctMode, OutputCol, Qgm, QuantId, QuantKind, ScalarExpr,
-    SetOpKind,
+    strata, BoxFlavor, BoxId, BoxKind, DistinctMode, OutputCol, Qgm, QuantId, QuantKind,
+    ScalarExpr, SetOpKind,
 };
 use starmagic_rewrite::{OpRegistry, RewriteRule, RuleContext};
 
@@ -205,8 +205,7 @@ impl EmstRule {
             if !matches!(ctx.qgm.boxed(s).kind, BoxKind::Select)
                 || ctx.qgm.boxed(s).flavor != BoxFlavor::Regular
                 || ctx.qgm.boxed(s).adornment.is_some()
-                || s == b
-                || reaches(ctx.qgm, s, b)
+                || ctx.qgm.reaches(s, b)
                 || ctx.qgm.users(s).len() != 1
                 || has_inward_correlation(ctx.qgm, s)
             {
@@ -223,7 +222,7 @@ impl EmstRule {
             // Collect the outer references; they must all sit in the
             // subquery's own predicates and point at b's F-quantifiers.
             let Some(outer_refs) =
-                collect_decorrelatable_refs(ctx.qgm, b, s, &fquants, self.skip_null_strict_gate)
+                collect_decorrelatable_refs(ctx.qgm, s, &fquants, self.skip_null_strict_gate)
             else {
                 continue;
             };
@@ -585,22 +584,11 @@ impl EmstRule {
 /// quantifiers. Returns `None` when any reference violates that.
 fn collect_decorrelatable_refs(
     qgm: &Qgm,
-    _b: BoxId,
     s: BoxId,
     fquants: &BTreeSet<QuantId>,
     skip_null_strict_gate: bool,
 ) -> Option<Vec<(QuantId, usize)>> {
-    // Boxes of the subtree under s.
-    let mut subtree = BTreeSet::new();
-    let mut stack = vec![s];
-    while let Some(x) = stack.pop() {
-        if !subtree.insert(x) {
-            continue;
-        }
-        for &qq in &qgm.boxed(x).quants {
-            stack.push(qgm.quant(qq).input);
-        }
-    }
+    let subtree = qgm.descendants(s);
     let is_external = |qq: QuantId| !subtree.contains(&qgm.quant(qq).parent);
     let mut refs: Vec<(QuantId, usize)> = Vec::new();
     let mut ok = true;
@@ -795,13 +783,13 @@ fn recursive_magic_plan(qgm: &Qgm, b: BoxId, r: BoxId, bound: &[Binding]) -> Opt
     }
     let union_all = s.all;
 
-    // SCC members: boxes mutually reachable with r.
-    let members: BTreeSet<BoxId> = qgm
-        .box_ids()
+    let members: BTreeSet<BoxId> = strata::sccs(qgm)
         .into_iter()
-        .filter(|&x| x == r || (reaches(qgm, r, x) && reaches(qgm, x, r)))
+        .find(|scc| scc.contains(&r))
+        .expect("every box lies in one SCC")
+        .into_iter()
         .collect();
-    if members.contains(&b) || reaches(qgm, r, b) {
+    if qgm.reaches(r, b) {
         return None;
     }
     if members
@@ -1330,7 +1318,7 @@ fn transformable(qgm: &Qgm, b: BoxId, child: BoxId) -> bool {
     if cb.flavor != BoxFlavor::Regular || cb.adornment.is_some() {
         return false;
     }
-    if child == b || reaches(qgm, child, b) {
+    if qgm.reaches(child, b) {
         return false;
     }
     if has_inward_correlation(qgm, child) {
@@ -1343,17 +1331,7 @@ fn transformable(qgm: &Qgm, b: BoxId, child: BoxId) -> bool {
 /// quantifiers (a subquery correlating back into `x`).
 fn has_inward_correlation(qgm: &Qgm, x: BoxId) -> bool {
     let own: BTreeSet<QuantId> = qgm.boxed(x).quants.iter().copied().collect();
-    let mut seen = BTreeSet::new();
-    let mut stack: Vec<BoxId> = qgm
-        .boxed(x)
-        .quants
-        .iter()
-        .map(|&q| qgm.quant(q).input)
-        .collect();
-    while let Some(y) = stack.pop() {
-        if !seen.insert(y) || y == x {
-            continue;
-        }
+    qgm.descendants(x).into_iter().filter(|&y| y != x).any(|y| {
         let qb = qgm.boxed(y);
         let mut exprs: Vec<&ScalarExpr> = qb.predicates.iter().collect();
         exprs.extend(qb.columns.iter().map(|c| &c.expr));
@@ -1364,16 +1342,10 @@ fn has_inward_correlation(qgm: &Qgm, x: BoxId) -> bool {
         if let BoxKind::OuterJoin(oj) = &qb.kind {
             exprs.extend(oj.on.iter());
         }
-        for e in exprs {
-            if e.quantifiers().iter().any(|q| own.contains(q)) {
-                return true;
-            }
-        }
-        for &q in &qb.quants {
-            stack.push(qgm.quant(q).input);
-        }
-    }
-    false
+        exprs
+            .iter()
+            .any(|e| e.quantifiers().iter().any(|q| own.contains(q)))
+    })
 }
 
 /// Whether `consumer` may share the adorned `copy`, unioning the magic
@@ -1381,32 +1353,16 @@ fn has_inward_correlation(qgm: &Qgm, x: BoxId) -> bool {
 /// acyclic. The copy must not reach its new consumer, and no
 /// contribution may reach the copy (bindings derived from a prefix that
 /// contains it). Either cycle would turn a nonrecursive query into a
-/// recursive one — the hazard the paper's introduction names.
+/// recursive one — the hazard the paper's introduction names. Both
+/// tests follow pending magic links ([`Qgm::reaches`]): a link becomes
+/// a quantifier when `process_nmq` fires on a later pass.
 fn may_share(
     qgm: &Qgm,
     copy: BoxId,
     consumer: BoxId,
     contributions: impl IntoIterator<Item = BoxId>,
 ) -> bool {
-    !reaches(qgm, copy, consumer) && contributions.into_iter().all(|m| !reaches(qgm, m, copy))
-}
-
-/// Whether `from` reaches `to` through quantifier edges.
-fn reaches(qgm: &Qgm, from: BoxId, to: BoxId) -> bool {
-    let mut seen = BTreeSet::new();
-    let mut stack = vec![from];
-    while let Some(x) = stack.pop() {
-        if x == to {
-            return true;
-        }
-        if !seen.insert(x) {
-            continue;
-        }
-        for &q in &qgm.boxed(x).quants {
-            stack.push(qgm.quant(q).input);
-        }
-    }
-    false
+    !qgm.reaches(copy, consumer) && contributions.into_iter().all(|m| !qgm.reaches(m, copy))
 }
 
 /// Key for the adorned-copy memo: adornment plus the condition
@@ -2126,48 +2082,15 @@ mod decorrelation_tests {
         generator::benchmark_catalog(generator::Scale::small()).unwrap()
     }
 
-    /// No box in the graph references quantifiers outside its subtree.
+    /// No subquery in the graph references quantifiers outside its
+    /// subtree.
     fn is_fully_decorrelated(g: &Qgm) -> bool {
-        use std::collections::BTreeSet;
-        for b in g.box_ids() {
-            let mut subtree = BTreeSet::new();
-            let mut stack = vec![b];
-            while let Some(x) = stack.pop() {
-                if subtree.insert(x) {
-                    for &q in &g.boxed(x).quants {
-                        stack.push(g.quant(q).input);
-                    }
-                }
-            }
-            let qb = g.boxed(b);
-            let mut exprs: Vec<&ScalarExpr> = qb.predicates.iter().collect();
-            exprs.extend(qb.columns.iter().map(|c| &c.expr));
-            for e in exprs {
-                for q in e.quantifiers() {
-                    // Refs must be to own quants or to quants of boxes
-                    // that *contain* this box (allowed upward), i.e. a
-                    // correlated ref is one whose parent is NOT in this
-                    // box's subtree and this box is in the parent's
-                    // subtree... simpler: inside box b itself, refs to
-                    // quants of other boxes are correlation.
-                    if b != g.quant(q).parent && qb.quants.contains(&q) {
-                        continue;
-                    }
-                    let _ = q;
-                }
-            }
-        }
-        // Use the planner's detector on every subquery input instead.
-        for b in g.box_ids() {
-            for &q in &g.boxed(b).quants {
-                if !g.quant(q).kind.is_foreach()
-                    && starmagic_planner::cost::is_correlated_subtree(g, b, g.quant(q).input)
-                {
-                    return false;
-                }
-            }
-        }
-        true
+        g.box_ids().into_iter().all(|b| {
+            g.boxed(b).quants.iter().all(|&q| {
+                g.quant(q).kind.is_foreach()
+                    || !starmagic_planner::cost::is_correlated_subtree(g, g.quant(q).input)
+            })
+        })
     }
 
     #[test]

@@ -119,17 +119,12 @@ struct DriverArms {
     all: bool,
 }
 
-/// Lower the recursive component reachable from `b`, one of the
-/// `recursive` boxes.
-pub(crate) fn lower_fixpoint(qgm: &Qgm, b: BoxId, recursive: &BTreeSet<BoxId>) -> Fixpoint {
-    let members: Vec<BoxId> = recursive
-        .iter()
-        .copied()
-        .filter(|&x| reaches(qgm, b, x) && reaches(qgm, x, b))
-        .collect();
+/// Lower the recursive component of `b`: `members`, its strongly
+/// connected component in ascending id order.
+pub(crate) fn lower_fixpoint(qgm: &Qgm, b: BoxId, members: &[BoxId]) -> Fixpoint {
     Fixpoint {
-        semi_naive: semi_naive_plan(qgm, b, &members),
-        members,
+        semi_naive: semi_naive_plan(qgm, b, members),
+        members: members.to_vec(),
     }
 }
 
@@ -439,35 +434,4 @@ impl<'a> Executor<'a> {
             e.built += 1;
         }
     }
-}
-
-/// Boxes participating in any cycle.
-pub(crate) fn find_recursive_boxes(qgm: &Qgm) -> BTreeSet<BoxId> {
-    let mut out = BTreeSet::new();
-    for b in qgm.box_ids() {
-        for &q in &qgm.boxed(b).quants {
-            let input = qgm.quant(q).input;
-            if input == b || reaches(qgm, input, b) {
-                out.insert(b);
-            }
-        }
-    }
-    out
-}
-
-fn reaches(qgm: &Qgm, from: BoxId, to: BoxId) -> bool {
-    let mut seen = BTreeSet::new();
-    let mut stack = vec![from];
-    while let Some(x) = stack.pop() {
-        if x == to {
-            return true;
-        }
-        if !seen.insert(x) {
-            continue;
-        }
-        for &q in &qgm.boxed(x).quants {
-            stack.push(qgm.quant(q).input);
-        }
-    }
-    false
 }

@@ -28,10 +28,10 @@ use std::collections::{BTreeSet, HashMap};
 
 use starmagic_common::{Error, Result, Value};
 use starmagic_planner::cost::is_correlated_subtree;
-use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId, ScalarExpr};
+use starmagic_qgm::{strata, BoxId, BoxKind, Qgm, QuantId, ScalarExpr};
 
 use crate::boundary::{live_columns, BoxPath, Fallback};
-use crate::fixpoint::{find_recursive_boxes, lower_fixpoint, Fixpoint};
+use crate::fixpoint::{lower_fixpoint, Fixpoint};
 use crate::vector::{compile, OuterRefs, VExpr};
 
 /// A query graph lowered for execution. Immutable: one plan serves any
@@ -169,12 +169,21 @@ impl Plan {
     pub fn lower(qgm: &Qgm) -> Plan {
         let ids = qgm.box_ids();
         let top = qgm.top();
-        let recursive = find_recursive_boxes(qgm);
+        // Every box on a cycle, with its strongly connected component.
+        let mut cycles: HashMap<BoxId, Vec<BoxId>> = HashMap::new();
+        for mut scc in strata::sccs(qgm) {
+            if strata::is_cycle(qgm, &scc) {
+                scc.sort();
+                for &b in &scc {
+                    cycles.insert(b, scc.clone());
+                }
+            }
+        }
         let correlated: HashMap<BoxId, bool> = ids
             .iter()
-            .map(|&b| (b, is_correlated_subtree(qgm, top, b)))
+            .map(|&b| (b, is_correlated_subtree(qgm, b)))
             .collect();
-        let mut live = live_columns(qgm, |b| recursive.contains(&b));
+        let mut live = live_columns(qgm, |b| cycles.contains_key(&b));
         let mut boxes: Vec<Option<BoxPlan>> = Vec::new();
         boxes.resize_with(ids.last().map_or(0, |b| b.index() + 1), || None);
         for &b in &ids {
@@ -187,9 +196,7 @@ impl Plan {
             };
             boxes[b.index()] = Some(BoxPlan {
                 correlated: correlated[&b],
-                fixpoint: recursive
-                    .contains(&b)
-                    .then(|| lower_fixpoint(qgm, b, &recursive)),
+                fixpoint: cycles.get(&b).map(|scc| lower_fixpoint(qgm, b, scc)),
                 live: live.remove(&b).filter(|_| b != top),
                 op,
             });

@@ -18,39 +18,11 @@ pub fn run(qgm: &Qgm, report: &mut LintReport) {
     join_order_foreign(qgm, report);
 }
 
-/// L100: boxes no edge (quantifier, correlated reference, or magic
-/// link) reaches from the top — the traversal `garbage_collect(true)`
-/// uses, so anything flagged here is one GC away from deletion.
+/// L100: boxes `Qgm::live_boxes(true)` does not reach from the top —
+/// the walk `garbage_collect(true)` keeps boxes by, so anything flagged
+/// here is one GC away from deletion.
 fn unreachable_boxes(qgm: &Qgm, report: &mut LintReport) {
-    let mut live: BTreeSet<BoxId> = BTreeSet::new();
-    let mut stack = vec![qgm.top()];
-    while let Some(b) = stack.pop() {
-        if !qgm.box_exists(b) || !live.insert(b) {
-            continue;
-        }
-        let qb = qgm.boxed(b);
-        for &q in &qb.quants {
-            if qgm.quant_exists(q) {
-                stack.push(qgm.quant(q).input);
-            }
-        }
-        let follow = |e: &ScalarExpr, stack: &mut Vec<BoxId>| {
-            for q in e.quantifiers() {
-                if qgm.quant_exists(q) {
-                    stack.push(qgm.quant(q).input);
-                }
-            }
-        };
-        for p in &qb.predicates {
-            follow(p, &mut stack);
-        }
-        for c in &qb.columns {
-            follow(&c.expr, &mut stack);
-        }
-        for &m in &qb.magic_links {
-            stack.push(m);
-        }
-    }
+    let live = qgm.live_boxes(true);
     for id in qgm.box_ids() {
         if !live.contains(&id) {
             report.push(

@@ -12,7 +12,9 @@
 //!   builder invariant "every cycle passes through a recursive union's
 //!   step quantifier". Mechanically: within each cyclic SCC, delete
 //!   the recursive-reference edges (quantifiers ranging over a
-//!   recursive union) and require the remainder to be acyclic.
+//!   recursive union) and require the remainder to be acyclic. Edges
+//!   are `Qgm::inputs`, so a cycle that a pending magic link will
+//!   close is reported before `process_nmq` makes it a quantifier.
 //! * **L024 (error)** — the aggregate exemption. A GROUP BY box on a
 //!   cycle must never carry a Bound adornment: the magic
 //!   transformation refuses to push bindings into an aggregate inside
@@ -21,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId};
+use starmagic_qgm::{strata, BoxId, BoxKind, Edge, Qgm};
 
 use crate::diag::{Code, LintReport};
 
@@ -29,16 +31,10 @@ use crate::diag::{Code, LintReport};
 /// `strata::sccs` returns them.
 pub fn run(qgm: &Qgm, sccs: &[Vec<BoxId>], report: &mut LintReport) {
     for scc in sccs {
-        let members: BTreeSet<BoxId> = scc.iter().copied().collect();
-        let cyclic = scc.len() > 1
-            || qgm
-                .boxed(scc[0])
-                .quants
-                .iter()
-                .any(|&q| qgm.quant(q).input == scc[0]);
-        if !cyclic {
+        if !strata::is_cycle(qgm, scc) {
             continue;
         }
+        let members: BTreeSet<BoxId> = scc.iter().copied().collect();
 
         // L024: the aggregate exemption on every cycle member.
         for &b in scc {
@@ -67,12 +63,11 @@ pub fn run(qgm: &Qgm, sccs: &[Vec<BoxId>], report: &mut LintReport) {
         // SCC. Anything left sits on a cycle that avoids every
         // recursive union.
         let mut indeg: BTreeMap<BoxId, usize> = members.iter().map(|&b| (b, 0)).collect();
-        let mut edges: Vec<(BoxId, QuantId, BoxId)> = Vec::new();
+        let mut edges: Vec<(BoxId, Edge, BoxId)> = Vec::new();
         for &b in scc {
-            for &q in &qgm.boxed(b).quants {
-                let input = qgm.quant(q).input;
+            for (edge, input) in qgm.inputs(b) {
                 if members.contains(&input) && !qgm.boxed(input).is_recursive_union() {
-                    edges.push((b, q, input));
+                    edges.push((b, edge, input));
                     *indeg.get_mut(&input).expect("member") += 1;
                 }
             }
@@ -101,7 +96,10 @@ pub fn run(qgm: &Qgm, sccs: &[Vec<BoxId>], report: &mut LintReport) {
             let quant = edges
                 .iter()
                 .find(|(src, _, dst)| *src == b && remaining.contains(dst))
-                .map(|&(_, q, _)| q);
+                .and_then(|&(_, edge, _)| match edge {
+                    Edge::Quantifier(q) => Some(q),
+                    Edge::MagicLink => None,
+                });
             report.push(
                 Code::L011RecursiveCycleShape,
                 Some(b),

@@ -207,7 +207,7 @@ fn graph_cost(
                     continue;
                 }
                 let sub = quant.input;
-                if is_correlated_subtree(qgm, b, sub) {
+                if is_correlated_subtree(qgm, sub) {
                     // Re-evaluated per outer row: charge the subquery's
                     // full evaluation cost (fresh memos — nothing is
                     // shared between evaluations) once per row.
@@ -292,19 +292,9 @@ pub fn join_pipeline_cost(
 }
 
 /// Whether the subquery rooted at `sub` references quantifiers outside
-/// its own subtree (correlation into `parent` or beyond).
-pub fn is_correlated_subtree(qgm: &Qgm, _parent: BoxId, sub: BoxId) -> bool {
-    // Collect boxes in the subtree.
-    let mut seen = std::collections::BTreeSet::new();
-    let mut stack = vec![sub];
-    while let Some(x) = stack.pop() {
-        if !seen.insert(x) {
-            continue;
-        }
-        for &q in &qgm.boxed(x).quants {
-            stack.push(qgm.quant(q).input);
-        }
-    }
+/// its own subtree (correlation into an enclosing box).
+pub fn is_correlated_subtree(qgm: &Qgm, sub: BoxId) -> bool {
+    let seen = qgm.descendants(sub);
     // Any expression referencing a quantifier whose parent is outside?
     for &x in &seen {
         let qb = qgm.boxed(x);
@@ -431,7 +421,7 @@ mod tests {
             .find(|&&q| !g.quant(q).kind.is_foreach())
             .map(|&q| g.quant(q).input)
             .unwrap();
-        assert!(is_correlated_subtree(&g, g.top(), sub));
+        assert!(is_correlated_subtree(&g, sub));
         let _ = cat;
     }
 
@@ -448,7 +438,7 @@ mod tests {
             .find(|&&q| !g.quant(q).kind.is_foreach())
             .map(|&q| g.quant(q).input)
             .unwrap();
-        assert!(!is_correlated_subtree(&g, g.top(), sub));
+        assert!(!is_correlated_subtree(&g, sub));
     }
 
     #[test]

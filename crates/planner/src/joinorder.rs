@@ -61,7 +61,7 @@ pub fn best_order(qgm: &Qgm, catalog: &Catalog, b: BoxId) -> Vec<QuantId> {
     // last).
     let cycle_closing = |q: QuantId| {
         let input = qgm.quant(q).input;
-        qgm.boxed(input).is_recursive_union() && reaches_box(qgm, input, b)
+        qgm.boxed(input).is_recursive_union() && qgm.reaches(input, b)
     };
     let cards: Vec<f64> = fquants
         .iter()
@@ -103,26 +103,6 @@ fn may_extend(mask: u32, i: usize, n: usize, preds: &[(u32, f64)], connected_fir
             .any(|&(pm, _)| pm & (1 << i) != 0 && pm & mask != 0)
     };
     !connected_first || mask == 0 || joins(i) || !(0..n).any(|j| mask & (1 << j) == 0 && joins(j))
-}
-
-/// Whether `from` reaches `to` through quantifier edges (used to spot
-/// cycle-closing quantifiers: a step arm's input that leads back to
-/// the arm itself).
-fn reaches_box(qgm: &Qgm, from: BoxId, to: BoxId) -> bool {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut stack = vec![from];
-    while let Some(x) = stack.pop() {
-        if x == to {
-            return true;
-        }
-        if !seen.insert(x) {
-            continue;
-        }
-        for &q in &qgm.boxed(x).quants {
-            stack.push(qgm.quant(q).input);
-        }
-    }
-    false
 }
 
 /// Bitmask of the local Foreach quantifiers a predicate touches, or

@@ -199,7 +199,7 @@ impl<'a> Builder<'a> {
         }
         // A recursive view shaped as base UNION step is a fixpoint
         // driver, same as a WITH RECURSIVE CTE.
-        if strata::in_cycle(&self.qgm, shell) {
+        if self.closes_cycle(shell) {
             if let BoxKind::SetOp(s) = &self.qgm.boxed(shell).kind {
                 if s.op == sql::SetOpKind::Union {
                     self.qgm.boxed_mut(shell).flavor = BoxFlavor::Recursive;
@@ -313,7 +313,7 @@ impl<'a> Builder<'a> {
         // driver must be a UNION of base and step branches; a self
         // reference anywhere else has no seed row set to start from.
         for (cte, &shell) in with.ctes.iter().zip(&shells) {
-            if !strata::in_cycle(&self.qgm, shell) {
+            if !self.closes_cycle(shell) {
                 continue;
             }
             match &self.qgm.boxed(shell).kind {
@@ -330,6 +330,12 @@ impl<'a> Builder<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Whether `shell` lies on a cycle: one of its inputs reaches it.
+    fn closes_cycle(&self, shell: BoxId) -> bool {
+        let g = &self.qgm;
+        g.inputs(shell).any(|(_, input)| g.reaches(input, shell))
     }
 
     /// Apply a CTE's declared column list (arity check + rename); a

@@ -5,8 +5,21 @@ use std::collections::{BTreeMap, BTreeSet};
 use starmagic_common::{Error, Result};
 
 use crate::boxes::{BoxFlavor, BoxKind, DistinctMode, OutputCol, QBox, QuantKind, Quantifier};
+use crate::colset::ColSet;
 use crate::expr::ScalarExpr;
 use crate::ids::{BoxId, QuantId};
+
+/// Why a box depends on another: the two kinds of box-graph edge
+/// [`Qgm::inputs`] yields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Edge {
+    /// The box ranges over the input through this quantifier.
+    Quantifier(QuantId),
+    /// A pending magic link of an adorned copy: the copy will read the
+    /// linked magic box once `process_nmq` makes the link a magic
+    /// quantifier, so it depends on that box already.
+    MagicLink,
+}
 
 /// A query graph: arenas of boxes and quantifiers plus the designated
 /// top (query) box. Rewrite rules mutate the graph in place; removed
@@ -375,46 +388,117 @@ impl Qgm {
             .count()
     }
 
-    // ---- garbage collection ------------------------------------------
+    // ---- edges -------------------------------------------------------
 
-    /// Drop boxes unreachable from the top box. When `keep_links` is
-    /// true, magic-box links count as edges (needed while EMST is still
-    /// running); final cleanup passes `false` and also clears the links.
-    pub fn garbage_collect(&mut self, keep_links: bool) {
-        let mut live: BTreeSet<BoxId> = BTreeSet::new();
+    /// The boxes `b` depends on: its quantifiers' inputs in FROM order,
+    /// then its pending magic links. Dead quantifiers and dead boxes are
+    /// skipped, since the lint and the analysis read broken graphs.
+    /// Every walk of the box graph is built on this one definition.
+    pub fn inputs(&self, b: BoxId) -> impl Iterator<Item = (Edge, BoxId)> + '_ {
+        let qb = self.boxed(b);
+        let quants = qb.quants.iter().filter_map(|&q| {
+            let quant = self.quants.get(q.index())?.as_ref()?;
+            Some((Edge::Quantifier(q), quant.input))
+        });
+        let links = qb.magic_links.iter().map(|&m| (Edge::MagicLink, m));
+        quants
+            .chain(links)
+            .filter(|&(_, input)| self.box_exists(input))
+    }
+
+    /// Whether `to` is reachable from `from` over both kinds of edge;
+    /// every box reaches itself.
+    pub fn reaches(&self, from: BoxId, to: BoxId) -> bool {
+        let mut seen = ColSet::new();
+        let mut stack = vec![from];
+        while let Some(x) = stack.pop() {
+            if x == to {
+                return true;
+            }
+            if seen.insert(x.index()) {
+                stack.extend(self.inputs(x).map(|(_, input)| input));
+            }
+        }
+        false
+    }
+
+    /// `b` and every box below it through quantifiers: the scope of
+    /// correlated references. Quantifier nesting is scope, so magic
+    /// links are not followed.
+    pub fn descendants(&self, b: BoxId) -> BTreeSet<BoxId> {
+        let mut seen = BTreeSet::new();
+        let mut stack = vec![b];
+        while let Some(x) = stack.pop() {
+            if seen.insert(x) {
+                stack.extend(
+                    self.inputs(x)
+                        .filter(|&(edge, _)| edge != Edge::MagicLink)
+                        .map(|(_, input)| input),
+                );
+            }
+        }
+        seen
+    }
+
+    /// Every box reachable from the top, parents before children: a
+    /// depth-first walk taking each box's inputs in [`Qgm::inputs`]
+    /// order. The rewrite engine offers boxes to its rules in this
+    /// order, and the printers print them in it.
+    pub fn preorder(&self) -> Vec<BoxId> {
+        let mut seen = ColSet::new();
+        let mut order = Vec::new();
         let mut stack = vec![self.top];
         while let Some(b) = stack.pop() {
-            if !live.insert(b) {
+            if !seen.insert(b.index()) {
                 continue;
             }
+            order.push(b);
+            // Pushed in reverse, the inputs pop in order.
+            let at = stack.len();
+            stack.extend(self.inputs(b).map(|(_, input)| input));
+            stack[at..].reverse();
+        }
+        order
+    }
+
+    /// The boxes garbage collection keeps: reachable from the top over
+    /// quantifier edges, over correlated references (a box referencing
+    /// another box's quantifier keeps that quantifier's input alive)
+    /// and, when `links`, over magic links.
+    pub fn live_boxes(&self, links: bool) -> BTreeSet<BoxId> {
+        let mut live = BTreeSet::new();
+        let mut stack = vec![self.top];
+        while let Some(b) = stack.pop() {
+            if !self.box_exists(b) || !live.insert(b) {
+                continue;
+            }
+            stack.extend(
+                self.inputs(b)
+                    .filter(|&(edge, _)| links || edge != Edge::MagicLink)
+                    .map(|(_, input)| input),
+            );
             let qb = self.boxed(b);
-            for &q in &qb.quants {
-                stack.push(self.quant(q).input);
-            }
-            // Correlated references can point at quantifiers whose
-            // parent boxes are elsewhere in the graph; those parents
-            // are reachable through the quantifier path already, but
-            // the *inputs* of correlated quantifiers must stay live.
-            for p in &qb.predicates {
-                for q in p.quantifiers() {
-                    if let Some(Some(quant)) = self.quants.get(q.index()) {
-                        stack.push(quant.input);
-                    }
-                }
-            }
-            for c in &qb.columns {
-                for q in c.expr.quantifiers() {
-                    if let Some(Some(quant)) = self.quants.get(q.index()) {
-                        stack.push(quant.input);
-                    }
-                }
-            }
-            if keep_links {
-                for &m in &qb.magic_links {
-                    stack.push(m);
+            let exprs = qb
+                .predicates
+                .iter()
+                .chain(qb.columns.iter().map(|c| &c.expr));
+            for q in exprs.flat_map(ScalarExpr::quantifiers) {
+                if let Some(Some(quant)) = self.quants.get(q.index()) {
+                    stack.push(quant.input);
                 }
             }
         }
+        live
+    }
+
+    // ---- garbage collection ------------------------------------------
+
+    /// Drop boxes unreachable from the top box ([`Qgm::live_boxes`]).
+    /// When `keep_links` is true, magic-box links count as edges (needed
+    /// while EMST is still running); final cleanup passes `false` and
+    /// also clears the links.
+    pub fn garbage_collect(&mut self, keep_links: bool) {
+        let live = self.live_boxes(keep_links);
         for i in 0..self.boxes.len() {
             let id = BoxId(i as u32);
             if self.boxes[i].is_some() && !live.contains(&id) {
@@ -616,6 +700,36 @@ mod tests {
             expr: ScalarExpr::col(q, 0),
         }];
         (g, base, q)
+    }
+
+    #[test]
+    fn edges_are_quantifiers_then_links_over_live_ids() {
+        let mut g = Qgm::new();
+        let top = g.top();
+        let t = g.add_box("T", BoxKind::BaseTable { table: "t".into() });
+        let m = g.add_box("M", BoxKind::Select);
+        g.add_quant(m, t, QuantKind::Foreach, "t");
+        let gone = g.add_box("GONE", BoxKind::Select);
+        // Links set before any quantifier still come after them.
+        g.boxed_mut(top).magic_links = vec![m, gone];
+        let q = g.add_quant(top, m, QuantKind::Foreach, "m");
+        let dead = g.add_quant(top, gone, QuantKind::Foreach, "g");
+        // Dead ids a broken graph still lists are skipped.
+        g.quants[dead.index()] = None;
+        g.boxes[gone.index()] = None;
+        let inputs: Vec<(Edge, BoxId)> = g.inputs(top).collect();
+        assert_eq!(inputs, [(Edge::Quantifier(q), m), (Edge::MagicLink, m)]);
+
+        // The only path from the top to X is a magic link: reachable,
+        // live while links count, but outside the top's scope.
+        let x = g.add_box("X", BoxKind::Select);
+        g.boxed_mut(top).magic_links.push(x);
+        assert!(g.reaches(top, x));
+        assert!(!g.reaches(x, top));
+        assert_eq!(g.descendants(top), BTreeSet::from([top, m, t]));
+        assert_eq!(g.preorder(), [top, m, t, x]);
+        assert!(g.live_boxes(true).contains(&x));
+        assert!(!g.live_boxes(false).contains(&x));
     }
 
     #[test]

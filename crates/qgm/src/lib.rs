@@ -13,6 +13,6 @@ pub use boxes::*;
 pub use builder::build_qgm;
 pub use colset::ColSet;
 pub use expr::ScalarExpr;
-pub use graph::Qgm;
+pub use graph::{Edge, Qgm};
 pub use ids::{BoxId, QuantId};
 pub use starmagic_sql::SetOpKind;

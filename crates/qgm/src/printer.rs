@@ -1,7 +1,6 @@
 //! Textual rendering of a query graph, used by EXPLAIN, the figure
 //! reproduction binary, and the golden tests.
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use crate::boxes::{BoxKind, DistinctMode, QuantKind};
@@ -9,27 +8,10 @@ use crate::expr::ScalarExpr;
 use crate::graph::Qgm;
 use crate::ids::{BoxId, QuantId};
 
-/// Render the whole graph, top box first, one block per box, children
-/// in depth-first discovery order.
+/// Render the whole graph, one block per box, in [`Qgm::preorder`].
 pub fn print_graph(qgm: &Qgm) -> String {
     let mut out = String::new();
-    let mut seen: BTreeSet<BoxId> = BTreeSet::new();
-    let mut stack = vec![qgm.top()];
-    let mut order = Vec::new();
-    while let Some(b) = stack.pop() {
-        if !seen.insert(b) {
-            continue;
-        }
-        order.push(b);
-        let qb = qgm.boxed(b);
-        // Push children in reverse so they pop in FROM order.
-        let mut children: Vec<BoxId> = qb.quants.iter().map(|&q| qgm.quant(q).input).collect();
-        children.extend(qb.magic_links.iter().copied());
-        for c in children.into_iter().rev() {
-            stack.push(c);
-        }
-    }
-    for b in order {
+    for b in qgm.preorder() {
         out.push_str(&print_box(qgm, b));
         out.push('\n');
     }

@@ -1,7 +1,6 @@
 //! Render a query graph back to SQL, one statement per box — the
 //! format of the paper's Figure 5 (statements D0–D2, SD0–SD5, SD2′).
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use crate::boxes::{BoxKind, DistinctMode};
@@ -10,29 +9,15 @@ use crate::graph::Qgm;
 use crate::ids::BoxId;
 use crate::printer::expr_str;
 
-/// Render every non-base box reachable from the top, top box first.
+/// Render every non-base box reachable from the top, in
+/// [`Qgm::preorder`].
 pub fn render_graph(qgm: &Qgm) -> String {
     let mut out = String::new();
-    let mut seen: BTreeSet<BoxId> = BTreeSet::new();
-    let mut stack = vec![qgm.top()];
-    let mut order = Vec::new();
-    while let Some(b) = stack.pop() {
-        if !seen.insert(b) {
-            continue;
+    for b in qgm.preorder() {
+        if !matches!(qgm.boxed(b).kind, BoxKind::BaseTable { .. }) {
+            out.push_str(&render_box(qgm, b));
+            out.push('\n');
         }
-        let qb = qgm.boxed(b);
-        if !matches!(qb.kind, BoxKind::BaseTable { .. }) {
-            order.push(b);
-        }
-        let mut children: Vec<BoxId> = qb.quants.iter().map(|&q| qgm.quant(q).input).collect();
-        children.extend(qb.magic_links.iter().copied());
-        for c in children.into_iter().rev() {
-            stack.push(c);
-        }
-    }
-    for b in order {
-        out.push_str(&render_box(qgm, b));
-        out.push('\n');
     }
     out
 }

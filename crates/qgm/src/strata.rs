@@ -1,9 +1,9 @@
 //! Stratum numbers (§2).
 //!
-//! Build the blob dependency graph (box U → box V when V references U
-//! through a quantifier), collapse strongly connected components
-//! (recursion), and assign stratum numbers by topological order, with
-//! base tables at stratum 0.
+//! Build the blob dependency graph (box U → box V when V depends on U
+//! through a quantifier or a pending magic link, [`Qgm::inputs`]),
+//! collapse strongly connected components (recursion), and assign
+//! stratum numbers by topological order, with base tables at stratum 0.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -61,8 +61,7 @@ pub fn compute(qgm: &Qgm) -> Strata {
             if !matches!(qgm.boxed(b).kind, BoxKind::BaseTable { .. }) {
                 is_base = false;
             }
-            for &q in &qgm.boxed(b).quants {
-                let input = qgm.quant(q).input;
+            for (_, input) in qgm.inputs(b) {
                 let j = scc_of[&input];
                 if j != i {
                     s = s.max(stratum_of_scc[j] + 1);
@@ -103,38 +102,9 @@ impl Strata {
 }
 
 /// Whether an SCC is a cycle: more than one box, or one box that
-/// references itself.
-fn is_cycle(qgm: &Qgm, scc: &[BoxId]) -> bool {
-    scc.len() > 1
-        || qgm
-            .boxed(scc[0])
-            .quants
-            .iter()
-            .any(|&q| qgm.quant(q).input == scc[0])
-}
-
-/// Whether `b` lies on a dependency cycle (references itself directly
-/// or through other boxes).
-pub fn in_cycle(qgm: &Qgm, b: BoxId) -> bool {
-    let mut seen = BTreeSet::new();
-    let mut stack: Vec<BoxId> = qgm
-        .boxed(b)
-        .quants
-        .iter()
-        .map(|&q| qgm.quant(q).input)
-        .collect();
-    while let Some(x) = stack.pop() {
-        if x == b {
-            return true;
-        }
-        if !seen.insert(x) {
-            continue;
-        }
-        for &q in &qgm.boxed(x).quants {
-            stack.push(qgm.quant(q).input);
-        }
-    }
-    false
+/// depends on itself.
+pub fn is_cycle(qgm: &Qgm, scc: &[BoxId]) -> bool {
+    scc.len() > 1 || qgm.inputs(scc[0]).any(|(_, input)| input == scc[0])
 }
 
 /// Reject graphs whose recursion is not stratifiable: a cycle running
@@ -220,8 +190,8 @@ pub fn validate_stratification(qgm: &Qgm) -> Result<()> {
     Ok(())
 }
 
-/// Iterative Tarjan SCC over the box graph (edges: box → inputs of its
-/// quantifiers). Returns SCCs in reverse topological order.
+/// Iterative Tarjan SCC over the box graph (edges: [`Qgm::inputs`]).
+/// Returns SCCs in reverse topological order.
 fn tarjan_sccs(qgm: &Qgm, ids: &[BoxId]) -> Vec<Vec<BoxId>> {
     let mut sccs = Vec::new();
     tarjan(qgm, ids, |scc| {
@@ -253,16 +223,18 @@ fn tarjan(qgm: &Qgm, ids: &[BoxId], mut emit: impl FnMut(&[BoxId])) {
     ];
     let mut counter = 0u32;
     let mut stack: Vec<BoxId> = Vec::new();
-    // Explicit DFS stack: (node, child cursor).
-    let mut dfs: Vec<(BoxId, usize)> = Vec::new();
+    // Explicit DFS stack: (node, its inputs not yet followed), the
+    // inputs taken when the node is first visited.
+    let mut dfs = Vec::new();
 
     for &root in ids {
         if state[root.index()].visited {
             continue;
         }
-        dfs.push((root, 0));
-        while let Some(&mut (node, ref mut cursor)) = dfs.last_mut() {
-            if *cursor == 0 {
+        dfs.push((root, None));
+        while let Some((node, children)) = dfs.last_mut() {
+            let node = *node;
+            let children = children.get_or_insert_with(|| {
                 let st = &mut state[node.index()];
                 st.visited = true;
                 st.index = counter;
@@ -270,13 +242,11 @@ fn tarjan(qgm: &Qgm, ids: &[BoxId], mut emit: impl FnMut(&[BoxId])) {
                 st.on_stack = true;
                 counter += 1;
                 stack.push(node);
-            }
-            let quants = &qgm.boxed(node).quants;
-            if *cursor < quants.len() {
-                let child = qgm.quant(quants[*cursor]).input;
-                *cursor += 1;
+                qgm.inputs(node)
+            });
+            if let Some((_, child)) = children.next() {
                 if !state[child.index()].visited {
-                    dfs.push((child, 0));
+                    dfs.push((child, None));
                 } else if state[child.index()].on_stack {
                     let cl = state[child.index()].index;
                     let st = &mut state[node.index()];

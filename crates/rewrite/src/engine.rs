@@ -136,8 +136,9 @@ impl RewriteEngine {
             stats.passes += 1;
             let pass_start = Instant::now();
             let mut fired = false;
-            let order = depth_first_boxes(qgm);
-            for b in order {
+            // Parents before children, the order of the paper's cursor
+            // facility.
+            for b in qgm.preorder() {
                 if !qgm.box_exists(b) {
                     continue; // a previous fire removed it
                 }
@@ -250,28 +251,6 @@ fn pass_violation(pass: usize, qgm: &Qgm, report: &LintReport) -> Error {
     }
     msg.push_str(&format!("graph:\n{}", printer::print_graph(qgm)));
     Error::internal(msg)
-}
-
-/// Depth-first box order from the top box, parents before children —
-/// the traversal the paper's cursor facility uses. Magic links are
-/// visited after quantifier children.
-pub fn depth_first_boxes(qgm: &Qgm) -> Vec<BoxId> {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut order = Vec::new();
-    let mut stack = vec![qgm.top()];
-    while let Some(b) = stack.pop() {
-        if !seen.insert(b) {
-            continue;
-        }
-        order.push(b);
-        let qb = qgm.boxed(b);
-        let mut children: Vec<BoxId> = qb.quants.iter().map(|&q| qgm.quant(q).input).collect();
-        children.extend(qb.magic_links.iter().copied());
-        for c in children.into_iter().rev() {
-            stack.push(c);
-        }
-    }
-    order
 }
 
 #[cfg(test)]
@@ -444,7 +423,7 @@ mod tests {
     #[test]
     fn depth_first_visits_parents_before_children() {
         let (g, _) = graph();
-        let order = depth_first_boxes(&g);
+        let order = g.preorder();
         assert_eq!(order[0], g.top());
         assert_eq!(order.len(), g.box_count());
     }

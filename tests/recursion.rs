@@ -537,21 +537,6 @@ fn fixpoint_profile_records_convergence() {
     );
 }
 
-/// Whether box `from` reaches box `to` through quantifier edges.
-fn reaches(qgm: &starmagic_qgm::Qgm, from: starmagic_qgm::BoxId, to: starmagic_qgm::BoxId) -> bool {
-    let mut stack = vec![from];
-    let mut seen = std::collections::BTreeSet::new();
-    while let Some(b) = stack.pop() {
-        if b == to {
-            return true;
-        }
-        if seen.insert(b) {
-            stack.extend(qgm.boxed(b).quants.iter().map(|&q| qgm.quant(q).input));
-        }
-    }
-    false
-}
-
 /// The step arms of a destination-bound closure under grown magic —
 /// the selects holding a quantifier over a recursive union that
 /// reaches back to them — never join a quantifier sharing no predicate
@@ -613,7 +598,7 @@ fn destination_bound_step_arms_join_before_they_cross() {
             let quants = qgm.foreach_quants(b);
             let closes_cycle = quants.iter().any(|&q| {
                 let input = qgm.quant(q).input;
-                qgm.boxed(input).is_recursive_union() && reaches(&qgm, input, b)
+                qgm.boxed(input).is_recursive_union() && qgm.reaches(input, b)
             });
             if !closes_cycle || quants.len() < 3 {
                 continue;
