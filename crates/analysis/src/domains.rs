@@ -182,12 +182,12 @@ pub struct BoxFacts {
     pub card: Card,
     /// Per-output-column nullability.
     pub nullability: Vec<Nullability>,
-    /// Candidate keys of the output (from the key/FD domain; offsets
-    /// of output columns, empty set = at most one row).
+    /// Candidate keys of the output (key inference's; offsets of
+    /// output columns, empty set = at most one row).
     pub keys: Vec<ColSet>,
-    /// Output columns provably constant across the box's output (a
-    /// literal, a parameter, or equated to one) — the FD refinement
-    /// that lets the multiplicity domain cap keyed outputs.
+    /// Output columns provably constant across the box's output (key
+    /// inference's `KeyTable::const_outputs`) — the FD refinement that
+    /// lets the multiplicity domain cap keyed outputs.
     pub const_cols: ColSet,
     /// Binding-flow domain: output columns provably restricted to
     /// values drawn from a magic box's bindings.

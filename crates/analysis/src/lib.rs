@@ -10,8 +10,10 @@
 //! * **multiplicity bounds** — per-box `[lo, hi]` row counts per
 //!   evaluation, proving (or refuting) duplicate-freedom more
 //!   precisely than `keys::is_dup_free` alone;
-//! * **key/functional dependencies** — candidate keys plus
-//!   constant-column tracking, feeding the multiplicity refinements;
+//! * **key/functional dependencies** — candidate keys, constant
+//!   columns and column-equality classes, read from key inference
+//!   (`starmagic_qgm::keys`) rather than derived again, feeding the
+//!   multiplicity refinements;
 //! * **binding flow** — which output columns are provably restricted
 //!   to a magic box's binding set, traced through joins, selects,
 //!   group-bys, and set operations.

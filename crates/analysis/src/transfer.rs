@@ -10,7 +10,7 @@ use std::borrow::Cow;
 use starmagic_catalog::Catalog;
 use starmagic_qgm::boxes::{GroupByBox, SetOpBox};
 use starmagic_qgm::colset::{ColSet, Terms};
-use starmagic_qgm::keys::KeyTable;
+use starmagic_qgm::keys::{self, KeyTable};
 use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId, QuantKind, ScalarExpr, SetOpKind};
 use starmagic_sql::{AggFunc, BinOp};
 
@@ -21,8 +21,8 @@ pub struct Ctx<'a> {
     pub qgm: &'a Qgm,
     pub catalog: &'a Catalog,
     pub facts: &'a FactTable,
-    /// Output keys of the graph's boxes, shared by every transfer of
-    /// one solve.
+    /// Output keys and constant columns of the graph's boxes, shared
+    /// by every transfer of one solve.
     pub keys: &'a KeyTable<'a>,
 }
 
@@ -246,6 +246,7 @@ pub fn transfer(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
     // Key/FD refinement: a key all of whose columns are constant pins
     // the output to at most one row (the empty key trivially so).
     f.keys = ctx.keys.keys(b).to_vec();
+    f.const_cols = ctx.keys.const_outputs(b).clone();
     if f.keys.iter().any(|k| k.is_subset(&f.const_cols)) {
         f.card = f.card.cap(1);
     }
@@ -315,8 +316,6 @@ fn select(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
         card.lo = 0;
     }
 
-    // FD/constants: equality classes over (quant, col) terms seeded by
-    // literals and parameters.
     let eq = EqClasses::from_select(ctx.qgm, b);
 
     // Predicate refinement for nullability: every conjunct must come
@@ -334,13 +333,6 @@ fn select(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
         .iter()
         .map(|c| expr_nullability(ctx, &not_null, &c.expr))
         .collect();
-    let const_cols = qb
-        .columns
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| eq.is_const(ctx, &c.expr))
-        .map(|(i, _)| i)
-        .collect();
 
     // Binding flow: a column is restricted when its value provably
     // comes from a restricted input column — directly, or through the
@@ -351,7 +343,7 @@ fn select(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
         card,
         nullability,
         keys: Vec::new(),
-        const_cols,
+        const_cols: ColSet::new(),
         restricted,
         dup_free: DupVerdict::Unknown,
     }
@@ -390,37 +382,26 @@ fn groupby(ctx: &Ctx<'_>, b: BoxId, g: &GroupByBox) -> BoxFacts {
         .map(|c| nullability_rec(ctx, &NotNull::default(), &c.expr, agg_sees_rows))
         .collect();
 
-    // Constants and binding flow pass through the group keys.
-    let mut const_cols = ColSet::new();
-    let mut restricted = ColSet::new();
-    for (i, k) in g.group_keys.iter().enumerate() {
-        if let ScalarExpr::ColRef { quant, col } = k {
-            if Some(*quant) == input {
-                let f = ctx.input_facts(*quant);
-                if f.const_cols.contains(*col) {
-                    const_cols.insert(i);
-                }
-                if f.restricted.contains(*col) {
-                    restricted.insert(i);
-                }
-            }
-        } else if matches!(k, ScalarExpr::Literal(_) | ScalarExpr::Param(_)) {
-            const_cols.insert(i);
-        }
-    }
-    let mut f = BoxFacts {
+    // Binding flow passes through the group keys. (All of them
+    // constant leaves the empty key, which caps the output at one row.)
+    let restricted = g
+        .group_keys
+        .iter()
+        .enumerate()
+        .filter(|(_, k)| {
+            matches!(k, ScalarExpr::ColRef { quant, col }
+                if Some(*quant) == input && in_facts.restricted.contains(*col))
+        })
+        .map(|(i, _)| i)
+        .collect();
+    BoxFacts {
         card,
         nullability,
         keys: Vec::new(),
-        const_cols,
+        const_cols: ColSet::new(),
         restricted,
         dup_free: DupVerdict::Unknown,
-    };
-    // All group keys constant => at most one group.
-    if n_keys > 0 && f.const_cols.len() >= n_keys {
-        f.card = f.card.cap(1);
     }
-    f
 }
 
 fn setop(ctx: &Ctx<'_>, b: BoxId, s: &SetOpBox) -> BoxFacts {
@@ -573,116 +554,38 @@ fn outerjoin(ctx: &Ctx<'_>, b: BoxId) -> BoxFacts {
     }
 }
 
-/// Equality classes over the `(quant, col)` terms of a select box's
-/// top-level equality conjuncts, with two distinguished taints:
-/// "constant" (equated to a literal or parameter) and "restricted"
-/// (containing a column that carries magic-binding flow).
+/// The equality classes of a select box's top-level conjuncts
+/// ([`keys::equality_classes`]) over the `(quant, col)` terms of every
+/// quantifier they read, for the "restricted" taint: a class holding a
+/// column that carries magic-binding flow. Constant columns are key
+/// inference's ([`KeyTable::const_outputs`]).
 pub struct EqClasses {
     /// The box's own quantifiers, then any other quantifier an equality
     /// conjunct references (a correlated column).
     terms: Terms,
     /// Disjoint classes of `terms`.
     classes: Vec<ColSet>,
-    /// Terms in a class containing a literal/parameter.
-    consts: ColSet,
 }
 
 impl EqClasses {
     pub fn from_select(qgm: &Qgm, b: BoxId) -> EqClasses {
         let qb = qgm.boxed(b);
-        let width = |q: QuantId| qgm.boxed(qgm.quant(q).input).arity();
         let mut terms = Terms::default();
-        for &q in &qb.quants {
-            if qgm.quant_exists(q) {
-                terms.push(q, width(q));
+        let mut lay_out = |q: QuantId| {
+            if qgm.quant_exists(q) && terms.columns(q).is_none() {
+                terms.push(q, qgm.boxed(qgm.quant(q).input).arity());
             }
-        }
-        let mut classes: Vec<ColSet> = Vec::new();
-        // Indices of the classes containing a literal/parameter.
-        let mut const_classes = ColSet::new();
-        for p in &qb.predicates {
-            let Some((l, r)) = p.as_equality() else {
-                continue;
-            };
-            let mut as_term = |e: &ScalarExpr| {
-                let ScalarExpr::ColRef { quant, col } = e else {
-                    return None;
-                };
-                if terms.columns(*quant).is_none() && qgm.quant_exists(*quant) {
-                    terms.push(*quant, width(*quant));
+        };
+        qb.quants.iter().for_each(|&q| lay_out(q));
+        for (l, r) in qb.predicates.iter().filter_map(ScalarExpr::as_equality) {
+            for side in [l, r] {
+                if let ScalarExpr::ColRef { quant, .. } = side {
+                    lay_out(*quant);
                 }
-                terms.index(*quant, *col)
-            };
-            let (lt, rt) = (as_term(l), as_term(r));
-            let is_const = |e: &ScalarExpr| {
-                matches!(e, ScalarExpr::Param(_))
-                    || matches!(e, ScalarExpr::Literal(v) if !v.is_null())
-            };
-            let find = |classes: &[ColSet], t: usize| classes.iter().position(|s| s.contains(t));
-            match (lt, rt) {
-                (Some(a), Some(bt)) => match (find(&classes, a), find(&classes, bt)) {
-                    (Some(x), Some(y)) if x != y => {
-                        let merged = std::mem::take(&mut classes[y]);
-                        classes[x].union_with(&merged);
-                        if const_classes.contains(y) {
-                            const_classes.insert(x);
-                        }
-                    }
-                    (Some(_), Some(_)) => {}
-                    (Some(x), None) => {
-                        classes[x].insert(bt);
-                    }
-                    (None, Some(y)) => {
-                        classes[y].insert(a);
-                    }
-                    (None, None) => classes.push([a, bt].into_iter().collect()),
-                },
-                (Some(t), None) if is_const(r) => match find(&classes, t) {
-                    Some(x) => {
-                        const_classes.insert(x);
-                    }
-                    None => {
-                        const_classes.insert(classes.len());
-                        classes.push([t].into_iter().collect());
-                    }
-                },
-                (None, Some(t)) if is_const(l) => match find(&classes, t) {
-                    Some(x) => {
-                        const_classes.insert(x);
-                    }
-                    None => {
-                        const_classes.insert(classes.len());
-                        classes.push([t].into_iter().collect());
-                    }
-                },
-                _ => {}
             }
         }
-        let mut consts = ColSet::new();
-        for x in &const_classes {
-            consts.union_with(&classes[x]);
-        }
-        EqClasses {
-            terms,
-            classes,
-            consts,
-        }
-    }
-
-    /// Whether an output expression is provably constant across the
-    /// box's output.
-    fn is_const(&self, ctx: &Ctx<'_>, e: &ScalarExpr) -> bool {
-        match e {
-            ScalarExpr::Param(_) => true,
-            ScalarExpr::Literal(_) => true,
-            ScalarExpr::ColRef { quant, col } => {
-                self.terms
-                    .index(*quant, *col)
-                    .is_some_and(|t| self.consts.contains(t))
-                    || ctx.input_facts(*quant).const_cols.contains(*col)
-            }
-            _ => false,
-        }
+        let classes = keys::equality_classes(qgm, b, &terms);
+        EqClasses { terms, classes }
     }
 
     /// Output columns of `b` whose values provably stay inside a magic

@@ -140,13 +140,14 @@ fn meta_command(engine: &mut Engine, session: &mut Session, cmd: &str) -> bool {
         }
         "\\strategy" => {
             session.strategy = match rest.trim() {
-                "original" => Strategy::Original,
-                "magic" => Strategy::Magic,
-                "cost" | "" => Strategy::CostBased,
-                other => {
-                    println!("unknown strategy {other}; use original|magic|cost");
-                    return true;
-                }
+                "" => Strategy::CostBased,
+                name => match name.parse() {
+                    Ok(strategy) => strategy,
+                    Err(e) => {
+                        println!("{e}; use original|magic|cost");
+                        return true;
+                    }
+                },
             };
             println!("strategy set to {:?}", session.strategy);
         }

@@ -47,7 +47,9 @@
 //! guarantee `TraceSink` gives for spans.
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
+use starmagic_common::Error;
 use starmagic_metrics::{Counter, GaugeSnapshot, Histogram, HistogramSnapshot, Registry, Snapshot};
 use starmagic_planner::feedback::MisestimateBucket;
 use starmagic_trace::json::Value;
@@ -62,6 +64,21 @@ pub fn strategy_token(strategy: Strategy) -> &'static str {
         Strategy::CostBased => "cost",
         Strategy::Original => "original",
         Strategy::Magic => "magic",
+    }
+}
+
+/// The inverse of [`strategy_token`], which also reads `costbased` and
+/// `cost-based` as [`Strategy::CostBased`].
+impl FromStr for Strategy {
+    type Err = Error;
+
+    fn from_str(s: &str) -> Result<Strategy, Error> {
+        match s {
+            "cost" | "costbased" | "cost-based" => Ok(Strategy::CostBased),
+            "original" => Ok(Strategy::Original),
+            "magic" => Ok(Strategy::Magic),
+            other => Err(Error::unsupported(format!("unknown strategy {other}"))),
+        }
     }
 }
 
@@ -331,6 +348,14 @@ mod tests {
         assert_eq!(strategy_token(Strategy::CostBased), "cost");
         assert_eq!(strategy_token(Strategy::Original), "original");
         assert_eq!(strategy_token(Strategy::Magic), "magic");
+        for strategy in [Strategy::CostBased, Strategy::Original, Strategy::Magic] {
+            assert_eq!(strategy_token(strategy).parse(), Ok(strategy));
+        }
+        assert_eq!("cost-based".parse(), Ok(Strategy::CostBased));
+        assert_eq!(
+            "fast".parse::<Strategy>(),
+            Err(Error::unsupported("unknown strategy fast"))
+        );
         assert_eq!(bucket_token(MisestimateBucket::Within2x), "within2x");
         assert_eq!(bucket_token(MisestimateBucket::Beyond100x), "beyond100x");
     }

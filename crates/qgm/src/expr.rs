@@ -108,6 +108,16 @@ impl ScalarExpr {
         ScalarExpr::bin(BinOp::Eq, l, r)
     }
 
+    /// Whether this is a literal or a parameter under any number of
+    /// negations: one value for the whole execution.
+    pub fn is_constant(&self) -> bool {
+        match self {
+            ScalarExpr::Literal(_) | ScalarExpr::Param(_) => true,
+            ScalarExpr::Neg(e) => e.is_constant(),
+            _ => false,
+        }
+    }
+
     /// Visit every subexpression (preorder).
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a ScalarExpr)) {
         f(self);
@@ -428,6 +438,17 @@ mod tests {
         let ne = ScalarExpr::bin(BinOp::Lt, ScalarExpr::col(q(0), 0), ScalarExpr::lit(1i64));
         assert!(ne.as_equality().is_none());
         assert!(ne.as_comparison().is_some());
+    }
+
+    #[test]
+    fn is_constant_sees_through_negation() {
+        let neg = |e: ScalarExpr| ScalarExpr::Neg(Box::new(e));
+        assert!(ScalarExpr::lit(1i64).is_constant());
+        assert!(neg(neg(ScalarExpr::lit(1i64))).is_constant(), "-(-1)");
+        assert!(neg(ScalarExpr::Param(1)).is_constant(), "-?1");
+        assert!(!neg(ScalarExpr::col(q(0), 0)).is_constant(), "-col");
+        let sum = ScalarExpr::bin(BinOp::Add, ScalarExpr::lit(1i64), ScalarExpr::lit(2i64));
+        assert!(!sum.is_constant());
     }
 
     #[test]

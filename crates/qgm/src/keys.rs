@@ -13,11 +13,16 @@
 //!   top-level join conjunct may map through that column instead;
 //! * a group-by box is keyed by its group columns;
 //! * a non-ALL set operation is keyed by the whole row;
-//! * a column pinned to a constant drops out of a key: a select's by a
-//!   top-level equality, a union's when every arm pins it to one same
-//!   literal or parameter;
+//! * a column pinned to a constant ([`ScalarExpr::is_constant`]) drops
+//!   out of a key: a select's by a top-level equality, a union's when
+//!   every arm pins it to one same constant;
 //! * a box with `DistinctMode::Enforce`/`Preserve` is keyed by the
 //!   whole row.
+//!
+//! This module is the one place that derives a box's constant columns
+//! ([`KeyTable::const_outputs`]) and the equality classes of its
+//! conjuncts ([`equality_classes`]); the static analysis reads both
+//! from here rather than deriving its own.
 //!
 //! Every column set here is a [`ColSet`]: a key is a set of output
 //! offsets, and inside a join the `(quantifier, input column)` terms of
@@ -29,7 +34,7 @@ use std::cell::OnceCell;
 use std::ops::Range;
 
 use starmagic_catalog::Catalog;
-use starmagic_sql::{BinOp, SetOpKind};
+use starmagic_sql::SetOpKind;
 
 use crate::boxes::{BoxKind, DistinctMode, GroupByBox, QuantKind};
 use crate::colset::{ColSet, Terms};
@@ -54,18 +59,17 @@ pub fn is_dup_free(qgm: &Qgm, catalog: &Catalog, b: BoxId) -> bool {
     !output_keys(qgm, catalog, b).is_empty()
 }
 
-/// The output keys of every box of one graph, each derived at most
-/// once — what one analysis solve or one lint run asks for, box after
-/// box.
+/// The output keys and constant columns of every box of one graph,
+/// each derived at most once — what one analysis solve or one lint run
+/// asks for, box after box.
 ///
 /// On an acyclic graph the walk behind [`output_keys`] never cuts a
-/// path, so a box's keys (and its constant columns, which key
-/// inference also recurses through) do not depend on who asks: each is
-/// computed once and every later ask, and every parent's derivation,
-/// reads it from the table. On a cyclic graph the path cut makes a
-/// nested result depend on the path it was reached by, so nothing
-/// nested is shared: each box's answer is [`output_keys`]'s own walk,
-/// and only that answer is kept. Either way `keys(b)` equals
+/// path, so a box's keys and constant columns do not depend on who
+/// asks: each is computed once and every later ask, and every parent's
+/// derivation, reads it from the table. On a cyclic graph the path cut
+/// makes a nested result depend on the path it was reached by, so
+/// nothing nested is shared: each box's answer is a fresh walk of its
+/// own, and only that answer is kept. Either way `keys(b)` equals
 /// `output_keys(qgm, catalog, b)`.
 ///
 /// The table is only valid for the graph as it was borrowed; rewrite
@@ -146,10 +150,19 @@ impl<'a> KeyTable<'a> {
         }
     }
 
-    fn const_outputs(&self, b: BoxId) -> &ColSet {
-        self.slots[b.index()]
-            .consts
-            .get_or_init(|| const_outputs_inner(self.qgm, b, &mut Memo(self)))
+    /// Output-column offsets of `b` provably holding the same value in
+    /// every row, derived as key inference derives them.
+    pub fn const_outputs(&self, b: BoxId) -> &ColSet {
+        self.slots[b.index()].consts.get_or_init(|| {
+            if self.acyclic {
+                const_outputs_inner(self.qgm, b, &mut Memo(self))
+            } else {
+                // Through a cycle the memo would re-enter this cell.
+                Walk::new(self.qgm, self.catalog, None)
+                    .const_outputs(b)
+                    .into_owned()
+            }
+        })
     }
 }
 
@@ -513,15 +526,45 @@ impl<'q> Join<'q> {
     }
 }
 
-/// A select box's column-equivalence classes — from its top-level
-/// `a = b` conjuncts between Foreach columns: a surviving row has both
-/// sides equal and non-NULL — and its terms provably constant across
-/// all surviving rows: equated to a literal or parameter by a top-level
-/// conjunct, constant in the quantifier's input, or in a class with
-/// either. Constant columns never contribute multiplicity, so they drop
-/// out of candidate keys. Both are sets of `terms`, which lays out the
-/// box's Foreach quantifiers (conjuncts touching E/A quants carry
-/// quantified semantics instead of filtering rows).
+/// The column-equivalence classes of box `b`'s top-level `a = b`
+/// conjuncts between two columns laid out in `terms`: disjoint sets of
+/// `terms`, each holding columns equal (and non-NULL) on every row the
+/// conjuncts keep. Key inference lays out a select's Foreach
+/// quantifiers (conjuncts touching E/A quants carry quantified
+/// semantics instead of filtering rows); the analysis lays out every
+/// quantifier a conjunct reads, correlated ones included.
+pub fn equality_classes(qgm: &Qgm, b: BoxId, terms: &Terms) -> Vec<ColSet> {
+    let mut classes: Vec<ColSet> = Vec::new();
+    for p in &qgm.boxed(b).predicates {
+        let Some((
+            ScalarExpr::ColRef { quant: ql, col: cl },
+            ScalarExpr::ColRef { quant: qr, col: cr },
+        )) = p.as_equality()
+        else {
+            continue;
+        };
+        let (Some(a), Some(bb)) = (terms.index(*ql, *cl), terms.index(*qr, *cr)) else {
+            continue;
+        };
+        let mut merged: ColSet = [a, bb].into_iter().collect();
+        classes.retain(|s| {
+            let apart = !s.contains(a) && !s.contains(bb);
+            if !apart {
+                merged.union_with(s);
+            }
+            apart
+        });
+        classes.push(merged);
+    }
+    classes
+}
+
+/// A select box's [`equality_classes`] over `terms`, which lays out its
+/// Foreach quantifiers, and its terms provably constant across all
+/// surviving rows: equated to a constant by a top-level conjunct,
+/// constant in the quantifier's input, or in a class with either.
+/// Constant columns never contribute multiplicity, so they drop out of
+/// candidate keys.
 fn select_equalities(
     qgm: &Qgm,
     b: BoxId,
@@ -529,53 +572,17 @@ fn select_equalities(
     inputs: &mut impl Inputs,
 ) -> (Vec<ColSet>, ColSet) {
     let qb = qgm.boxed(b);
-    let mut classes: Vec<ColSet> = Vec::new();
-    let mut consts = ColSet::new();
-    for p in &qb.predicates {
-        let ScalarExpr::Bin {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = p
-        else {
-            continue;
-        };
-        match (&**left, &**right) {
-            (
-                ScalarExpr::ColRef { quant: ql, col: cl },
-                ScalarExpr::ColRef { quant: qr, col: cr },
-            ) => {
-                let (Some(a), Some(bb)) = (terms.index(*ql, *cl), terms.index(*qr, *cr)) else {
-                    continue;
-                };
-                let ia = classes.iter().position(|s| s.contains(a));
-                let ib = classes.iter().position(|s| s.contains(bb));
-                match (ia, ib) {
-                    (Some(i), Some(j)) if i != j => {
-                        let merged = classes.swap_remove(i.max(j));
-                        classes[i.min(j)].union_with(&merged);
-                    }
-                    (Some(_), Some(_)) => {}
-                    (Some(i), None) => {
-                        classes[i].insert(bb);
-                    }
-                    (None, Some(j)) => {
-                        classes[j].insert(a);
-                    }
-                    (None, None) => classes.push([a, bb].into_iter().collect()),
-                }
-            }
-            // A parameter pins a column just like a literal: it has one
-            // fixed (non-NULL) value for the whole execution.
-            (ScalarExpr::ColRef { quant, col }, ScalarExpr::Literal(_) | ScalarExpr::Param(_))
-            | (ScalarExpr::Literal(_) | ScalarExpr::Param(_), ScalarExpr::ColRef { quant, col }) => {
-                if let Some(t) = terms.index(*quant, *col) {
-                    consts.insert(t);
-                }
-            }
-            _ => {}
-        }
-    }
+    let classes = equality_classes(qgm, b, terms);
+    let mut consts: ColSet = qb
+        .predicates
+        .iter()
+        .filter_map(|p| match p.as_equality() {
+            Some(
+                (ScalarExpr::ColRef { quant, col }, k) | (k, ScalarExpr::ColRef { quant, col }),
+            ) if k.is_constant() => terms.index(*quant, *col),
+            _ => None,
+        })
+        .collect();
     for &q in &qb.quants {
         let Some(cols) = terms.columns(q) else {
             continue;
@@ -629,11 +636,10 @@ fn const_outputs_inner(qgm: &Qgm, b: BoxId, inputs: &mut impl Inputs) -> ColSet 
                 .iter()
                 .enumerate()
                 .filter(|(_, oc)| match &oc.expr {
-                    ScalarExpr::Literal(_) | ScalarExpr::Param(_) => true,
                     ScalarExpr::ColRef { quant, col } => terms
                         .index(*quant, *col)
                         .is_some_and(|t| consts.contains(t)),
-                    _ => false,
+                    e => e.is_constant(),
                 })
                 .map(|(i, _)| i)
                 .collect()
@@ -641,8 +647,8 @@ fn const_outputs_inner(qgm: &Qgm, b: BoxId, inputs: &mut impl Inputs) -> ColSet 
     }
 }
 
-/// The literals and parameters select box `x` pins output column `col`
-/// to: its output expression, or each top-level equality between that
+/// The constants select box `x` pins output column `col` to: its
+/// output expression, or each top-level equality between that
 /// expression and a constant. (A local pushdown through a union leaves
 /// `col = c` in every arm, and the union's consumer then keeps knowing
 /// the column is constant.)
@@ -654,30 +660,28 @@ fn pinned_constants(qgm: &Qgm, x: BoxId, col: usize) -> Vec<&ScalarExpr> {
     if !matches!(xb.kind, BoxKind::Select) {
         return Vec::new();
     }
-    let is_const = |e: &ScalarExpr| matches!(e, ScalarExpr::Literal(_) | ScalarExpr::Param(_));
-    if is_const(out) {
+    if out.is_constant() {
         return vec![out];
     }
     xb.predicates
         .iter()
-        .filter_map(|p| match p.as_comparison()? {
-            (BinOp::Eq, l, r) if l == out && is_const(r) => Some(r),
-            (BinOp::Eq, l, r) if r == out && is_const(l) => Some(l),
+        .filter_map(|p| match p.as_equality()? {
+            (l, r) if l == out && r.is_constant() => Some(r),
+            (l, r) if r == out && l.is_constant() => Some(l),
             _ => None,
         })
         .collect()
 }
 
-/// Group-key output offsets whose grouping expression is a literal, a
-/// parameter or a column constant in the input — every group shares
-/// that value, and with *all* group keys constant there is at most one
-/// group.
+/// Group-key output offsets whose grouping expression is a constant or
+/// a column constant in the input — every group shares that value, and
+/// with *all* group keys constant there is at most one group.
 fn const_group_keys(qgm: &Qgm, b: BoxId, g: &GroupByBox, inputs: &mut impl Inputs) -> ColSet {
     let mut out: ColSet = g
         .group_keys
         .iter()
         .enumerate()
-        .filter(|(_, k)| matches!(k, ScalarExpr::Literal(_) | ScalarExpr::Param(_)))
+        .filter(|(_, k)| k.is_constant())
         .map(|(i, _)| i)
         .collect();
     for &q in &qgm.boxed(b).quants {
@@ -980,6 +984,12 @@ mod tests {
             expr: ScalarExpr::col(qb, 0),
         }];
         assert!(is_dup_free(&g, &cat, j));
+        // `-1` reaches the graph as a negated literal, and pins alike.
+        g.boxed_mut(j).predicates = vec![ScalarExpr::eq(
+            ScalarExpr::col(qa, 0),
+            ScalarExpr::Neg(Box::new(ScalarExpr::lit(1i64))),
+        )];
+        assert!(is_dup_free(&g, &cat, j));
         g.boxed_mut(j).predicates.clear();
         assert!(!is_dup_free(&g, &cat, j));
     }
@@ -1095,10 +1105,18 @@ mod tests {
                 expr: ScalarExpr::col(pd, 0),
             },
         ];
+        // p pins its `y` column; asking for that walks through r's
+        // cycle, which the table must not re-enter.
+        g.boxed_mut(p).predicates = vec![ScalarExpr::eq(
+            ScalarExpr::col(pd, 0),
+            ScalarExpr::lit(3i64),
+        )];
         let table = KeyTable::new(&g, &cat);
         for b in [p, r, d] {
             assert_eq!(table.keys(b), output_keys(&g, &cat, b).as_slice(), "{b}");
         }
+        assert_eq!(table.const_outputs(p), &[1usize].into_iter().collect());
+        assert!(table.const_outputs(r).is_empty());
         let mut probe = g.clone();
         probe.boxed_mut(r).distinct = DistinctMode::Permit;
         assert_eq!(

@@ -604,20 +604,12 @@ impl Session {
     fn set(&mut self, rest: &str) -> String {
         let (what, value) = split_word(rest);
         match what.to_ascii_uppercase().as_str() {
-            "STRATEGY" => match value.trim().to_ascii_lowercase().as_str() {
-                "original" => {
-                    self.strategy = Strategy::Original;
+            "STRATEGY" => match value.trim().to_ascii_lowercase().parse() {
+                Ok(strategy) => {
+                    self.strategy = strategy;
                     "OK\n".to_string()
                 }
-                "magic" => {
-                    self.strategy = Strategy::Magic;
-                    "OK\n".to_string()
-                }
-                "cost" | "costbased" | "cost-based" => {
-                    self.strategy = Strategy::CostBased;
-                    "OK\n".to_string()
-                }
-                other => err_line(&Error::unsupported(format!("unknown strategy {other}"))),
+                Err(e) => err_line(&e),
             },
             "SLOWLOG" => {
                 let Some(log) = &self.slowlog else {

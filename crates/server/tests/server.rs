@@ -196,7 +196,9 @@ fn saturation_answers_busy_and_the_session_recovers() {
         ..ServerConfig::default()
     });
     let mut blocked = Client::connect(addr).expect("connect holder");
-    let holder = std::thread::spawn(move || blocked.query(SLOW_QUERY));
+    // The probe below may hold the permit when the holder arrives, so
+    // the holder retries its BUSY answers too.
+    let holder = std::thread::spawn(move || blocked.query_admitted(SLOW_QUERY));
 
     let mut client = Client::connect(addr).expect("connect prober");
     client.ping().expect("non-gated commands bypass admission");

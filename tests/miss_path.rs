@@ -111,6 +111,16 @@ fn per_graph_facts_match_fresh_derivations() {
                 assert_eq!(down.keys(b), fresh.as_slice(), "keys of {b}, {}", at());
             }
 
+            // The analysis's constant columns are key inference's.
+            for (b, f) in starmagic::analysis::analyze(g, catalog).facts.iter() {
+                assert_eq!(
+                    &f.const_cols,
+                    up.const_outputs(b),
+                    "constants of {b}, {}",
+                    at()
+                );
+            }
+
             // Strata and SCCs from one pure pass.
             let computed = strata::compute(g);
             let mut copy = g.clone();
@@ -239,7 +249,7 @@ fn corpus_facts_digest_is_pinned() {
             ));
         }
     }
-    assert_eq!(format!("{:016x}", digest.0), "b3e95bef9d971c86");
+    assert_eq!(format!("{:016x}", digest.0), "07e235acfc0da5b5");
 }
 
 /// Tables `w70` and `w130` of 70 and 130 INT columns `c0, c1, ...`,
