@@ -59,6 +59,24 @@ fn lookup<'m, 'n, V>(map: &'m BTreeMap<String, V>, name: &'n str) -> Option<(Cow
     Some((Cow::Owned(lower), v))
 }
 
+/// Reject a relation whose (lowercase) column names repeat: a reference
+/// to the name would silently bind to the first of them.
+fn distinct_columns<'c>(
+    kind: &str,
+    relation: &str,
+    columns: impl IntoIterator<Item = &'c str>,
+) -> Result<()> {
+    let mut seen = std::collections::HashSet::new();
+    for column in columns {
+        if !seen.insert(column) {
+            return Err(Error::semantic(format!(
+                "duplicate column {column} in {kind} {relation}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// The catalog of base tables and views.
 ///
 /// Cloning is a handful of pointer bumps: every table and the view map
@@ -78,31 +96,35 @@ impl Catalog {
     }
 
     /// Register a base table. Errors if any table or view already has
-    /// the name.
+    /// the name, or two of its columns share one.
     pub fn add_table(&mut self, table: Table) -> Result<()> {
         let name = table.schema().name.clone();
         if self.tables.contains_key(&name) || self.views.contains_key(&name) {
             return Err(Error::AlreadyExists(name));
         }
+        distinct_columns("table", &name, table.schema().column_names())?;
         self.tables.insert(name, Arc::new(table));
         Ok(())
     }
 
-    /// Register a view definition. Errors on name collisions.
+    /// Register a view definition. Errors on name collisions, among
+    /// relations or among the view's columns.
     pub fn add_view(&mut self, view: ViewDef) -> Result<()> {
         let name = view.name.to_ascii_lowercase();
         if self.tables.contains_key(&name) || self.views.contains_key(&name) {
             return Err(Error::AlreadyExists(name));
         }
+        let columns: Vec<String> = view
+            .columns
+            .iter()
+            .map(|c| c.to_ascii_lowercase())
+            .collect();
+        distinct_columns("view", &name, columns.iter().map(String::as_str))?;
         Arc::make_mut(&mut self.views).insert(
             name.clone(),
             ViewDef {
                 name,
-                columns: view
-                    .columns
-                    .iter()
-                    .map(|c| c.to_ascii_lowercase())
-                    .collect(),
+                columns,
                 ..view
             },
         );
@@ -265,6 +287,36 @@ mod tests {
         assert!(c.drop_view("Missing").is_err());
         c.drop_view("BIGorders").unwrap();
         assert!(c.view("bigorders").is_none());
+    }
+
+    #[test]
+    fn duplicate_column_names_are_rejected_after_case_folding() {
+        let mut c = Catalog::new();
+        let twice = |a: &str, b: &str| {
+            Table::new(TableSchema::new(
+                "t",
+                vec![
+                    ColumnDef::new(a, DataType::Int),
+                    ColumnDef::new(b, DataType::Int),
+                ],
+            ))
+        };
+        for (a, b) in [("a", "a"), ("A", "a")] {
+            let err = c.add_table(twice(a, b)).unwrap_err();
+            assert!(matches!(err, Error::Semantic(_)), "{err}");
+            assert!(err.to_string().contains("column a in table t"), "{err}");
+        }
+        assert!(!c.is_table("t"));
+        let v = ViewDef::new(
+            "VV",
+            vec!["x".into(), "X".into()],
+            "SELECT k, s FROM w",
+            false,
+        );
+        let err = c.add_view(v.unwrap()).unwrap_err();
+        assert!(err.to_string().contains("column x in view vv"), "{err}");
+        assert!(c.view("vv").is_none());
+        c.add_table(twice("a", "b")).unwrap();
     }
 
     #[test]

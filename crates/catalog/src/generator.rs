@@ -259,7 +259,7 @@ mod tests {
             .table("department")
             .unwrap()
             .rows()
-            .iter()
+            .into_iter()
             .filter(|r| r.get(1) == &Value::str("Planning"))
             .collect();
         assert_eq!(planning.len(), 1);
@@ -275,7 +275,7 @@ mod tests {
             let mgrno = d.get(2);
             let mgr = emp
                 .rows()
-                .iter()
+                .into_iter()
                 .find(|e| e.get(0) == mgrno)
                 .expect("manager exists");
             assert_eq!(mgr.get(2), deptno, "manager works in own department");

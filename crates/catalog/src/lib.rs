@@ -1,6 +1,6 @@
 //! Catalog and in-memory storage for starmagic.
 //!
-//! Holds base-table schemas, their rows, primary-key metadata (used by
+//! Holds base-table schemas, their rows as typed columns, primary-key metadata (used by
 //! the duplicate-freeness inference behind the distinct-pullup rewrite
 //! rule), and per-column statistics (used by the cost-based plan
 //! optimizer). Also ships seeded synthetic data generators for the
@@ -9,12 +9,14 @@
 #![forbid(unsafe_code)]
 
 pub mod catalog;
+pub mod column;
 pub mod generator;
 pub mod schema;
 pub mod stats;
 pub mod table;
 
 pub use catalog::{Catalog, ViewDef};
+pub use column::{Bitmap, Column};
 pub use schema::{ColumnDef, TableSchema};
 pub use stats::{ColumnStats, TableStats};
 pub use table::Table;

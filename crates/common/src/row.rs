@@ -69,6 +69,16 @@ impl Row {
     }
 }
 
+/// One allocation when the iterator knows its length (a slice or a
+/// range mapped), where [`Row::new`] copies its `Vec` into a second.
+impl FromIterator<Value> for Row {
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Row {
+        Row {
+            values: values.into_iter().collect(),
+        }
+    }
+}
+
 impl fmt::Display for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("(")?;

@@ -230,7 +230,7 @@ pub struct CachedQuery {
 /// `Clone` is the writer's private copy and costs a few pointer bumps:
 /// the catalog shares every table and the view map with the original
 /// ([`Catalog`]), and the index cache carries its entries forward
-/// ([`starmagic_exec::IndexCache`]). The copy's maps are its own, so
+/// ([`starmagic_exec::IndexCache`]). The copy's map is its own, so
 /// nothing a reader of the old snapshot builds later shows up in it.
 #[derive(Clone)]
 pub struct EngineSnapshot {
@@ -1484,6 +1484,18 @@ mod ddl_tests {
                 "CREATE VIEW broken (x) AS SELECT nosuchcol FROM project",
                 "nosuchcol",
             ),
+            (
+                "CREATE TABLE t (a INT, a INT)",
+                "duplicate column a in table t",
+            ),
+            (
+                "CREATE TABLE x (A INT, a INT)",
+                "duplicate column a in table x",
+            ),
+            (
+                "CREATE VIEW vv (x, X) AS SELECT projno, deptno FROM project",
+                "duplicate column x in view vv",
+            ),
         ] {
             let err = e.run_sql(rejected).unwrap_err().to_string();
             assert!(err.contains(why), "{rejected}: {err}");
@@ -1497,6 +1509,27 @@ mod ddl_tests {
         assert!(e.catalog().view("broken").is_none());
         assert_eq!(e.query(PROJECTS_OF_DEPT_3).unwrap().rows.len(), rows);
         assert_eq!(index_builds(&e), warm, "a warm index went cold");
+    }
+
+    #[test]
+    fn a_read_after_a_write_builds_only_indexes() {
+        let mut e = metered_engine();
+        let staff = "SELECT e.empno FROM department d, employee e \
+                     WHERE e.workdept = d.deptno AND d.deptno = 3";
+        let rows = e.query(PROJECTS_OF_DEPT_3).unwrap().rows.len();
+        let staff_rows = e.query(staff).unwrap().rows.len();
+        e.run_sql("INSERT INTO project VALUES (9000, 'New', 3, 1.0)")
+            .unwrap();
+        // The next read of `project` builds the one index it probes,
+        // `project.deptno`, and no batch: a scan borrows the stored
+        // columns.
+        let before = index_builds(&e);
+        assert_eq!(e.query(PROJECTS_OF_DEPT_3).unwrap().rows.len(), rows + 1);
+        assert_eq!(index_builds(&e) - before, 1);
+        // A read of tables the write did not touch builds nothing.
+        let before = index_builds(&e);
+        assert_eq!(e.query(staff).unwrap().rows.len(), staff_rows);
+        assert_eq!(index_builds(&e), before);
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!   lookups split by strategy token (`cost`, `original`, `magic`)
 //! * `exec.rows_scanned` / `exec.rows_produced` / `exec.box_evals` —
 //!   the executor's flat work counters
-//! * `exec.index.builds` — base-table access structures (table
-//!   batch, row-id index) an execution had to build because the
-//!   index cache held none for the table's current contents: nonzero
+//! * `exec.index.builds` — base-table row-id indexes an execution
+//!   had to build because the index cache held none for the table's
+//!   current contents (a scan builds nothing: it borrows the stored
+//!   columns): nonzero
 //!   on a cold engine and after a write to a table the query reads
 //!   (registered by the executor)
 //! * `exec.batch.batches` / `exec.batch.gather_rows` /

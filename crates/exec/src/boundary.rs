@@ -1,11 +1,11 @@
 //! The box boundary: what one box hands the next.
 //!
 //! A box's result is one [`Batch`](crate::Batch): a stored table's, its
-//! rows borrowed in place and each column built on first read, or the
-//! columns its operator produced — a select's projection vectors, a
-//! group-by's keys and aggregates, a set operation's gathered arms, an
-//! outer join's pairs, a fixpoint's accumulation. Rows are built only at
-//! the query root and for the scalar evaluator's frame.
+//! columns borrowed in place, or the columns its operator produced — a
+//! select's projection vectors, a group-by's keys and aggregates, a set
+//! operation's gathered arms, an outer join's pairs, a fixpoint's
+//! accumulation. Rows are built only at the query root: the scalar
+//! evaluator's frame binds positions in batches and reads them in place.
 //!
 //! [`live_columns`] is the other half of the contract: which output
 //! columns of a box some consumer reads, so a select gathers only

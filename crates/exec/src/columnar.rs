@@ -6,7 +6,8 @@
 //! row combinations. Values are gathered only when a kernel touches
 //! them, and the box hands over its projection vectors as a [`Batch`]
 //! of the output columns some consumer reads (`boundary`): rows exist
-//! again only at the query root and in the scalar evaluator's frames.
+//! again only at the query root. A frame for the scalar evaluator binds
+//! a combination's positions, read in place.
 //!
 //! Each stage binds one quantifier — by probing a stored table's index
 //! per combination, by a hash join over the child's batch, or by a
@@ -35,13 +36,13 @@
 
 use std::sync::Arc;
 
-use starmagic_common::{Result, Row, Value};
+use starmagic_common::{Result, Value};
 use starmagic_qgm::{BoxId, QuantId};
 
 use crate::batch::{Batch, Column};
 use crate::boundary::{BoxPath, Fallback};
 use crate::dedup::distinct_ids;
-use crate::executor::{truth_of, Executor, Frame, IdIndex};
+use crate::executor::{truth_of, Executor, Frame, IdIndex, RowAt};
 use crate::plan::{IndexProbe, Item, SelectPlan, Stage};
 use crate::rowids::RowIds;
 use crate::vector::{eval, Env, SlotView, VExpr, Vector};
@@ -119,11 +120,11 @@ impl State {
     }
 
     /// Fill `rows` with the rows position `p` binds, one per
-    /// quantifier: a stored table's is its own row, shared.
-    fn rows_at(&self, p: u32, rows: &mut Vec<Row>) {
+    /// quantifier, each read in place.
+    fn rows_at<'s>(&'s self, p: u32, rows: &mut Vec<RowAt<'s>>) {
         rows.clear();
         let bound = self.batches.iter().zip(&self.ids);
-        rows.extend(bound.map(|(batch, ids)| batch.row(ids[p as usize] as usize)));
+        rows.extend(bound.map(|(batch, ids)| RowAt(batch, ids[p as usize] as usize)));
     }
 }
 
@@ -340,7 +341,7 @@ impl Cx<'_, '_> {
             let found = index.get(std::slice::from_ref(&key));
             matched += found.len() as u64;
             'matched: for &id in found {
-                let row = [table.row(id as usize)];
+                let row = [RowAt(table, id as usize)];
                 let candidate = self.frame.extended(&quant, &row);
                 for (i, (pv, bv)) in stage.probe.iter().zip(&stage.build).enumerate() {
                     if i == probe.pred {

@@ -21,8 +21,8 @@
 //!   `EXCEPT ALL`/`INTERSECT ALL`).
 //! * **Rows only at the root**: every box hands its consumer one
 //!   [`Batch`] — a stored table's, or the output columns some consumer
-//!   reads ([`boundary`]). Rows are built for the query root and for
-//!   the scalar evaluator's frame, nowhere else.
+//!   reads ([`boundary`]). Rows are built for the query root, nowhere
+//!   else: the scalar evaluator's frame reads positions in batches.
 //! * **Lowered once, run many times**: [`Plan::lower`] derives every
 //!   data-independent fact — correlation, recursive components, live
 //!   columns, join stages, compiled kernels — once

@@ -57,19 +57,56 @@ enum Keys {
     Values(HashMap<Vec<Value>, u32>),
 }
 
+/// A key column as [`RowIds::build`] reads it: an evaluated vector, or
+/// a stored table's column borrowed in place.
+pub(crate) trait KeyColumn {
+    fn len(&self) -> usize;
+    fn value_at(&self, i: usize) -> Value;
+    fn ints(&self) -> Option<Ints<'_>>;
+}
+
+impl KeyColumn for Vector {
+    fn len(&self) -> usize {
+        Vector::len(self)
+    }
+    fn value_at(&self, i: usize) -> Value {
+        Vector::value_at(self, i)
+    }
+    fn ints(&self) -> Option<Ints<'_>> {
+        Ints::of(self)
+    }
+}
+
+impl KeyColumn for Column {
+    fn len(&self) -> usize {
+        Column::len(self)
+    }
+    fn value_at(&self, i: usize) -> Value {
+        self.value(i)
+    }
+    fn ints(&self) -> Option<Ints<'_>> {
+        Ints::of_column(self)
+    }
+}
+
 /// A single key vector read as `Int`s (`None` at a NULL slot), when
 /// every non-NULL key in it is one.
-enum Ints<'v> {
+pub(crate) enum Ints<'v> {
     Typed(&'v [i64], Option<&'v Bitmap>),
     Const(Option<i64>),
 }
 
 impl<'v> Ints<'v> {
+    fn of_column(column: &'v Column) -> Option<Ints<'v>> {
+        match column {
+            Column::Int64 { values, validity } => Some(Ints::Typed(values, validity.as_ref())),
+            _ => None,
+        }
+    }
+
     fn of(key: &'v Vector) -> Option<Ints<'v>> {
         match key {
-            Vector::Col(Column::Int64 { values, validity }) => {
-                Some(Ints::Typed(values, validity.as_ref()))
-            }
+            Vector::Col(column) => Ints::of_column(column),
             Vector::Const {
                 value: Value::Int(k),
                 ..
@@ -106,10 +143,10 @@ fn canonical(v: Value) -> Value {
 impl RowIds {
     /// The table over rows `0..n` whose key is slot `i` of `keys`, one
     /// vector of length `n` per key column.
-    pub(crate) fn build(keys: &[Vector]) -> RowIds {
-        let n = keys.first().map_or(0, Vector::len);
+    pub(crate) fn build<K: KeyColumn>(keys: &[K]) -> RowIds {
+        let n = keys.first().map_or(0, K::len);
         if let [key] = keys {
-            if let Some(ints) = Ints::of(key) {
+            if let Some(ints) = key.ints() {
                 return RowIds::over_ints(&ints, n);
             }
         }

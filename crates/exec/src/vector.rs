@@ -117,7 +117,7 @@ impl OuterRefs {
     pub(crate) fn resolve(&self, frame: &Frame<'_>) -> Vec<Option<Value>> {
         self.0
             .iter()
-            .map(|&(quant, col)| frame.lookup(quant).map(|row| row.get(col).clone()))
+            .map(|&(quant, col)| frame.value(quant, col))
             .collect()
     }
 }

@@ -10,6 +10,8 @@
 //! CostBased / Magic and compares results as bags; each in-process
 //! execution is additionally cross-checked against the static
 //! analysis (disable with `--no-analysis-oracle`).
+//! The summary line names the slowest case and its wall time, so a
+//! seed dominated by one query shows in the log.
 //! Divergences are minimized by the shrinker and printed (and, with
 //! `--corpus-dir`, persisted as replayable `.sql` repros). Exits
 //! nonzero if any divergence was found.
@@ -62,8 +64,11 @@ fn main() -> ExitCode {
     let report = run_fuzz(&engine, &cfg);
     let elapsed = started.elapsed();
 
+    let slowest = report.slowest.map_or(String::new(), |(case, took)| {
+        format!(", slowest case {case} in {:.2}s", took.as_secs_f64())
+    });
     println!(
-        "fuzz: seed {}, {} generated in {:.1}s — {} agreed, {} rejected, {} divergence(s){}",
+        "fuzz: seed {}, {} generated in {:.1}s{slowest} — {} agreed, {} rejected, {} divergence(s){}",
         cfg.seed,
         report.generated,
         elapsed.as_secs_f64(),

@@ -110,6 +110,9 @@ pub struct FuzzReport {
     pub repros: Vec<Repro>,
     /// True when the wall-clock budget cut the run short.
     pub out_of_budget: bool,
+    /// The case whose check took longest, and that wall time (its
+    /// shrinking, if it diverged, not included).
+    pub slowest: Option<(u64, Duration)>,
 }
 
 /// Run the fuzzer. Deterministic for a given `(engine, config)`.
@@ -147,7 +150,13 @@ pub fn run_fuzz_with(oracle: &Oracle<'_>, cfg: &FuzzConfig) -> FuzzReport {
         let query = gen::generate(cfg.seed, case);
         let sql = query_sql(&query);
         report.generated += 1;
-        match oracle.check(&sql) {
+        let checked = Instant::now();
+        let outcome = oracle.check(&sql);
+        let took = checked.elapsed();
+        if report.slowest.map_or(true, |(_, t)| took > t) {
+            report.slowest = Some((case, took));
+        }
+        match outcome {
             Outcome::Agree { .. } => report.agreed += 1,
             Outcome::Rejected { .. } => report.rejected += 1,
             Outcome::Diverged(_) => {

@@ -145,15 +145,11 @@ fn figure_4_final_graph_still_evaluates_query_d_correctly() {
     let r = e.query_with(QUERY_D, Strategy::Magic).unwrap();
     assert_eq!(r.rows.len(), 1);
     // Average salary of the single manager of dept 0 ('Planning').
-    let catalog = e.catalog();
-    let dept0_mgr = catalog
-        .table("employee")
-        .unwrap()
-        .rows()
-        .iter()
+    let employee = e.catalog().table("employee").unwrap();
+    let dept0_mgr = (0..employee.row_count())
+        .map(|i| employee.row(i))
         .find(|r| r.get(0) == &starmagic_common::Value::Int(0))
-        .unwrap()
-        .clone();
+        .unwrap();
     let expected = dept0_mgr.get(3).as_f64().unwrap();
     assert!((r.rows[0].get(2).as_f64().unwrap() - expected).abs() < 1e-9);
 }
