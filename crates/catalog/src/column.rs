@@ -339,13 +339,80 @@ impl Column {
         }
     }
 
-    /// `self.value(i).group_cmp(v)`, without cloning a string.
-    pub(crate) fn group_cmp_at(&self, i: usize, v: &Value) -> Ordering {
-        match (self, v) {
-            _ if self.is_null(i) => Value::Null.group_cmp(v),
-            (Column::Int64 { values, .. }, Value::Int(b)) => values[i].cmp(b),
-            (Column::Str { values, .. }, Value::Str(b)) => values[i].cmp(b),
-            _ => self.value(i).group_cmp(v),
+    /// Flag in `held` each of `values` (distinct, non-NULL, sorted by
+    /// [`Value::group_cmp`]) that some slot of this column equals under
+    /// `group_cmp`, so `1` finds `1.0` and `-0.0` does not find `0.0`.
+    /// The column's type is matched once: the values comparable with
+    /// it are taken in that type, and one pass over the typed slots
+    /// binary-searches them at each valid slot, ending once every one
+    /// is flagged. Strings are searched by length first, which the
+    /// slot's `Arc<str>` holds inline, so a slot of a length no value
+    /// has is passed over without reading its bytes. `Mixed` compares
+    /// `Value`s.
+    pub(crate) fn mark_held(&self, values: &[Value], held: &mut [bool]) {
+        // The filters keep `values`' order, which for the numeric and
+        // boolean keys is already the order their comparison needs.
+        fn keys<K>(values: &[Value], key: impl Fn(&Value) -> Option<K>) -> Vec<(K, usize)> {
+            (values.iter().enumerate())
+                .filter_map(|(i, v)| Some((key(v)?, i)))
+                .collect()
+        }
+        match self {
+            Column::Int64 {
+                values: slots,
+                validity,
+            } => {
+                // An `Int` compares as an integer, a `Double` against
+                // the slot widened, as `group_cmp` has it.
+                let ints = keys(values, |v| match v {
+                    Value::Int(b) => Some(*b),
+                    _ => None,
+                });
+                mark(slots, validity, &ints, held, i64::cmp);
+                let doubles = keys(values, |v| match v {
+                    Value::Double(d) => Some(*d),
+                    _ => None,
+                });
+                mark(slots, validity, &doubles, held, |&a, d| {
+                    (a as f64).total_cmp(d)
+                });
+            }
+            Column::Float64 {
+                values: slots,
+                validity,
+            } => {
+                let numbers = keys(values, Value::as_f64);
+                mark(slots, validity, &numbers, held, f64::total_cmp);
+            }
+            Column::Str {
+                values: slots,
+                validity,
+            } => {
+                let len_first = |a: &Arc<str>, b: &Arc<str>| {
+                    (a.len().cmp(&b.len())).then_with(|| a.as_bytes().cmp(b.as_bytes()))
+                };
+                let mut strings = keys(values, |v| match v {
+                    Value::Str(s) => Some(s.clone()),
+                    _ => None,
+                });
+                strings.sort_by(|(a, _), (b, _)| len_first(a, b));
+                mark(slots, validity, &strings, held, len_first);
+            }
+            Column::Bool {
+                values: slots,
+                validity,
+            } => {
+                let bools = keys(values, |v| match v {
+                    Value::Bool(b) => Some(*b),
+                    _ => None,
+                });
+                mark(slots, validity, &bools, held, bool::cmp);
+            }
+            Column::Mixed(slots) => {
+                // A NULL slot sorts below every key, so it finds none.
+                let all = keys(values, |v| Some(v.clone()));
+                mark(slots, &None, &all, held, Value::group_cmp);
+            }
         }
     }
 
@@ -370,6 +437,34 @@ impl Column {
                 validity: None,
             },
             Value::Null => Column::Mixed(vec![Value::Null; len]),
+        }
+    }
+}
+
+/// Flag `held[i]` for each key `(k, i)` (sorted under `cmp`) that some
+/// valid slot equals: one binary search per slot, stopping once every
+/// key is flagged.
+fn mark<T, K>(
+    slots: &[T],
+    validity: &Option<Bitmap>,
+    keys: &[(K, usize)],
+    held: &mut [bool],
+    cmp: impl Fn(&T, &K) -> Ordering,
+) {
+    let mut left = keys.len();
+    for (s, slot) in slots.iter().enumerate() {
+        if left == 0 {
+            return;
+        }
+        if validity.as_ref().is_some_and(|v| !v.get(s)) {
+            continue;
+        }
+        if let Ok(k) = keys.binary_search_by(|(key, _)| cmp(slot, key).reverse()) {
+            let i = keys[k].1;
+            if !held[i] {
+                held[i] = true;
+                left -= 1;
+            }
         }
     }
 }

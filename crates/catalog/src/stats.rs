@@ -105,7 +105,7 @@ impl TableStats {
             }
         }
         for (col, values) in self.columns.iter_mut().zip(&fresh.0) {
-            col.ndv += values.iter().filter(|(_, held)| !held).count() as u64;
+            col.ndv += values.held.iter().filter(|&&held| !held).count() as u64;
         }
     }
 
@@ -123,36 +123,47 @@ impl TableStats {
 /// rows, sorted, each flagged once an existing row is seen to hold it
 /// ([`FreshValues::strike`]); the values left unflagged are new to the
 /// column.
-pub(crate) struct FreshValues(Vec<Vec<(Value, bool)>>);
+pub(crate) struct FreshValues(Vec<FreshColumn>);
+
+struct FreshColumn {
+    values: Vec<Value>,
+    held: Vec<bool>,
+}
 
 impl FreshValues {
     pub(crate) fn of(arity: usize, new_rows: &[Row]) -> FreshValues {
-        let mut columns: Vec<Vec<(Value, bool)>> = vec![Vec::new(); arity];
+        let mut columns: Vec<Vec<Value>> = vec![Vec::new(); arity];
         for row in new_rows {
             for (col, v) in columns.iter_mut().zip(row.values()) {
                 if !v.is_null() {
-                    col.push((v.clone(), false));
+                    col.push(v.clone());
                 }
             }
         }
-        for col in &mut columns {
-            col.sort_by(|a, b| a.0.group_cmp(&b.0));
-            col.dedup_by(|a, b| a.0 == b.0);
-        }
-        FreshValues(columns)
+        let columns = columns.into_iter().map(|mut values| {
+            values.sort_by(Value::group_cmp);
+            values.dedup();
+            FreshColumn {
+                held: vec![false; values.len()],
+                values,
+            }
+        });
+        FreshValues(columns.collect())
     }
 
     /// Flag the new values the existing `columns` already hold: one
-    /// binary search among them per stored slot.
+    /// typed pass per column ([`Column::mark_held`]).
     pub(crate) fn strike(&mut self, columns: &[Column]) {
         for (fresh, column) in self.0.iter_mut().zip(columns) {
-            for i in (0..column.len()).filter(|&i| !column.is_null(i)) {
-                let found = fresh.binary_search_by(|(v, _)| column.group_cmp_at(i, v).reverse());
-                if let Ok(k) = found {
-                    fresh[k].1 = true;
-                }
-            }
+            column.mark_held(&fresh.values, &mut fresh.held);
         }
+    }
+
+    /// Whether the existing columns hold `v` (non-NULL) in column `c`;
+    /// only meaningful after [`FreshValues::strike`].
+    pub(crate) fn held(&self, c: usize, v: &Value) -> bool {
+        let fresh = &self.0[c];
+        (fresh.values.binary_search_by(|x| x.group_cmp(v))).is_ok_and(|k| fresh.held[k])
     }
 }
 

@@ -67,47 +67,70 @@ impl Table {
     }
 
     /// Append rows. Arity and column types are checked on the new rows
-    /// only; key uniqueness and the exact statistics look the new
-    /// values up in the stored columns (one pass per column, binary
-    /// searching the new values at each stored slot). Then every
-    /// column grows in place. Atomic: on any error the table is
+    /// only. One typed pass per stored column looks the statement's
+    /// distinct new values up ([`Column::mark_held`]); what it finds
+    /// keeps the statistics exact and decides key uniqueness. Then
+    /// every column grows in place. Atomic: on any error the table is
     /// unchanged.
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<()> {
         for r in &rows {
             self.check_arity(r)?;
             self.check_types(r)?;
         }
-        let key = self.schema.key.as_deref().unwrap_or(&[]);
-        // Without a key no two rows can collide: nothing to search.
-        if !key.is_empty() {
-            let key_cmp = |a: &Row, b: &Row| {
-                key.iter()
-                    .map(|&c| a.get(c).group_cmp(b.get(c)))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(Ordering::Equal)
-            };
-            let mut new_keys: Vec<&Row> = rows.iter().collect();
-            new_keys.sort_by(|a, b| key_cmp(a, b));
-            if new_keys.windows(2).any(|w| key_cmp(w[0], w[1]).is_eq()) {
-                return Err(self.duplicate_key());
-            }
-            let stored_cmp = |new: &Row, i: usize| {
-                key.iter()
-                    .map(|&c| self.columns[c].group_cmp_at(i, new.get(c)).reverse())
-                    .find(|o| o.is_ne())
-                    .unwrap_or(Ordering::Equal)
-            };
-            if (0..self.len).any(|i| new_keys.binary_search_by(|new| stored_cmp(new, i)).is_ok()) {
-                return Err(self.duplicate_key());
-            }
-        }
         let mut fresh = FreshValues::of(self.schema.arity(), &rows);
         fresh.strike(&self.columns);
+        if let Some(key) = &self.schema.key {
+            self.check_new_keys(key, &rows, &fresh)?;
+        }
         self.stats.append(&rows, &fresh);
         for (c, column) in self.columns.iter_mut().enumerate() {
             column.append_detected(Column::from_rows(&rows, c));
         }
         self.len += rows.len();
+        Ok(())
+    }
+
+    /// Reject `rows` if two of them share a key, or one shares a stored
+    /// row's key. A new row can collide only if the stored columns hold
+    /// each of its key values, as `fresh` (struck) records; a NULL is
+    /// held where a NULL is stored, since grouping has NULL = NULL.
+    /// With one key column that already is a collision; a composite key
+    /// compares whole keys with the stored rows for those rows only.
+    fn check_new_keys(&self, key: &[usize], rows: &[Row], fresh: &FreshValues) -> Result<()> {
+        let key_cmp = |a: &Row, b: &Row| {
+            key.iter()
+                .map(|&c| a.get(c).group_cmp(b.get(c)))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        };
+        let mut candidates: Vec<&Row> = rows.iter().collect();
+        candidates.sort_by(|a, b| key_cmp(a, b));
+        if candidates.windows(2).any(|w| key_cmp(w[0], w[1]).is_eq()) {
+            return Err(self.duplicate_key());
+        }
+        let held = |c: usize, v: &Value| match v {
+            Value::Null => self.stats.columns[c].nulls > 0,
+            v => fresh.held(c, v),
+        };
+        candidates.retain(|r| key.iter().all(|&c| held(c, r.get(c))));
+        if candidates.is_empty() {
+            return Ok(());
+        }
+        let stored_cmp = |new: &Row, i: usize| {
+            key.iter()
+                .map(|&c| new.get(c).group_cmp(&self.columns[c].value(i)))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        };
+        if key.len() == 1
+            || (0..self.len).any(|i| {
+                candidates
+                    .binary_search_by(|new| stored_cmp(new, i))
+                    .is_ok()
+            })
+        {
+            return Err(self.duplicate_key());
+        }
         Ok(())
     }
 
@@ -387,14 +410,33 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// An INT cell: an integer or NULL, or with `strings` also a
-        /// string (which only a load accepts).
-        fn int_cell(strings: bool) -> BoxedStrategy<Value> {
+        /// What a drawn row may hold beyond its columns' own types.
+        #[derive(Debug, Clone, Copy)]
+        enum Cells {
+            Typed,
+            /// Strings in the INT column, which only a load accepts.
+            StrInInt,
+            /// Doubles in the INT column: `2.0` equals a stored `2`,
+            /// `-0.0` equals no integer.
+            DoubleInInt,
+        }
+
+        /// An INT cell: an integer or NULL, or per `cells` a string or
+        /// a double.
+        fn int_cell(cells: Cells) -> BoxedStrategy<Value> {
             let int = || (-3i64..12).prop_map(Value::Int);
-            if strings {
-                prop_oneof![Just(Value::Null), int(), int(), "[xy]".prop_map(Value::str)].boxed()
-            } else {
-                prop_oneof![Just(Value::Null), int(), int()].boxed()
+            match cells {
+                Cells::Typed => prop_oneof![Just(Value::Null), int(), int()].boxed(),
+                Cells::StrInInt => {
+                    prop_oneof![Just(Value::Null), int(), int(), "[xy]".prop_map(Value::str)]
+                        .boxed()
+                }
+                Cells::DoubleInInt => prop_oneof![
+                    Just(Value::Null),
+                    int(),
+                    prop_oneof![Just(2.0), Just(-0.0), Just(0.5)].prop_map(Value::Double)
+                ]
+                .boxed(),
             }
         }
 
@@ -407,23 +449,35 @@ mod tests {
             ]
         }
 
+        /// A VARCHAR cell: strings of one length that differ in one
+        /// byte (`a`, `b`), and strings that prefix others (`a`, `ab`).
         fn str_cell() -> impl Strategy<Value = Value> {
             prop::option::of("[ab]{0,2}".prop_map(Value::str))
                 .prop_map(|v| v.unwrap_or(Value::Null))
         }
 
-        fn rows(max: usize, strings: bool) -> impl Strategy<Value = Vec<Row>> {
+        fn bool_cell() -> impl Strategy<Value = Value> {
+            prop::option::of(any::<bool>().prop_map(Value::Bool))
+                .prop_map(|v| v.unwrap_or(Value::Null))
+        }
+
+        fn rows(max: usize, cells: Cells) -> impl Strategy<Value = Vec<Row>> {
             prop::collection::vec(
-                (int_cell(strings), double_cell(), str_cell())
-                    .prop_map(|(a, b, c)| Row::new(vec![a, b, c])),
+                (int_cell(cells), double_cell(), str_cell(), bool_cell())
+                    .prop_map(|(a, b, c, d)| Row::new(vec![a, b, c, d])),
                 0..max,
             )
         }
 
         /// An insert: mostly well-typed, up to 23 rows; sometimes short,
-        /// with strings for the INT column.
+        /// with strings or doubles for the INT column.
         fn statement() -> impl Strategy<Value = Vec<Row>> {
-            prop_oneof![rows(24, false), rows(24, false), rows(6, true)]
+            prop_oneof![
+                rows(24, Cells::Typed),
+                rows(24, Cells::Typed),
+                rows(6, Cells::StrInInt),
+                rows(6, Cells::DoubleInInt)
+            ]
         }
 
         /// Every column's `Debug` text, which tells `-0.0` from `0.0`
@@ -445,13 +499,14 @@ mod tests {
             #[test]
             fn stored_columns_equal_their_rows_columns(
                 key_shape in 0usize..3,
-                loaded in rows(8, true),
+                loaded in rows(8, Cells::StrInInt),
                 statements in prop::collection::vec(statement(), 1..8),
             ) {
                 let columns = vec![
                     ColumnDef::new("a", DataType::Int),
                     ColumnDef::new("b", DataType::Double),
                     ColumnDef::new("c", DataType::Str),
+                    ColumnDef::new("d", DataType::Bool),
                 ];
                 let schema = match key_shape {
                     0 => TableSchema::new("t", columns),
@@ -482,14 +537,98 @@ mod tests {
                     let rows = table.rows();
                     prop_assert_eq!(format!("{rows:?}"), format!("{model:?}"));
                     let rebuilt: Vec<Column> =
-                        (0..3).map(|c| Column::from_rows(&rows, c)).collect();
+                        (0..4).map(|c| Column::from_rows(&rows, c)).collect();
                     prop_assert_eq!(text(table.columns()), text(&rebuilt));
                     prop_assert_eq!(
                         format!("{:?}", table.stats()),
-                        format!("{:?}", TableStats::compute(3, &rows))
+                        format!("{:?}", TableStats::compute(4, &rows))
                     );
                 }
             }
         }
+    }
+
+    /// A bulk statement: 5 000 rows into a 20 000-row table, with fresh
+    /// keys, strings repeated inside the statement and from the table,
+    /// NULLs, and integers into the DOUBLE column. The grown table
+    /// equals one loaded from all the rows; the same statement with
+    /// one key equal to the last stored row's changes nothing.
+    #[test]
+    fn a_bulk_insert_equals_a_load_of_all_rows() {
+        let schema = TableSchema::new(
+            "t",
+            vec![
+                ColumnDef::new("id", DataType::Int),
+                ColumnDef::new("name", DataType::Str),
+                ColumnDef::new("score", DataType::Double),
+                ColumnDef::new("flag", DataType::Bool),
+            ],
+        )
+        .with_key(&["id"])
+        .unwrap();
+        let stored: Vec<Row> = (0..20_000i64)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int(i * 7 % 20_000),
+                    Value::str(format!("name{}", i % 101)),
+                    match i % 11 {
+                        0 => Value::Null,
+                        k => Value::Double(k as f64 / 4.0),
+                    },
+                    Value::Bool(i % 3 == 0),
+                ])
+            })
+            .collect();
+        let statement: Vec<Row> = (0..5_000i64)
+            .map(|k| {
+                Row::new(vec![
+                    Value::Int(20_000 + k * 3),
+                    match k % 4 {
+                        0 => Value::Null,
+                        1 => Value::str(format!("name{}", k % 150)),
+                        _ => Value::str(format!("new{}", k % 7)),
+                    },
+                    match k % 5 {
+                        0 => Value::Null,
+                        1 => Value::Double(-0.0),
+                        r => Value::Int(r),
+                    },
+                    if k % 6 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Bool(k % 2 == 0)
+                    },
+                ])
+            })
+            .collect();
+        let text =
+            |t: &Table| -> Vec<String> { t.columns().iter().map(|c| format!("{c:?}")).collect() };
+        let table = Table::with_rows(schema.clone(), stored.clone()).unwrap();
+
+        let mut grown = table.clone();
+        grown.insert(statement.clone()).unwrap();
+        let all: Vec<Row> = stored.iter().chain(&statement).cloned().collect();
+        let loaded = Table::with_rows(schema, all).unwrap();
+        assert_eq!(text(&grown), text(&loaded));
+        assert_eq!(
+            format!("{:?}", grown.stats()),
+            format!("{:?}", loaded.stats())
+        );
+
+        let mut colliding = statement;
+        colliding[2_500] = Row::new(vec![
+            stored.last().unwrap().get(0).clone(),
+            Value::str("new0"),
+            Value::Int(1),
+            Value::Null,
+        ]);
+        let mut rejected = table.clone();
+        let err = rejected.insert(colliding).unwrap_err();
+        assert!(err.to_string().contains("duplicate primary key"), "{err}");
+        assert_eq!(text(&rejected), text(&table));
+        assert_eq!(
+            format!("{:?}", rejected.stats()),
+            format!("{:?}", table.stats())
+        );
     }
 }

@@ -90,11 +90,18 @@ impl SharedEngine {
         let mut next = (*self.snapshot()).clone();
         let result = next.run_sql(sql)?;
         let epoch = next.epoch();
-        *self
-            .inner
-            .current
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
+        let replaced = std::mem::replace(
+            &mut *self
+                .inner
+                .current
+                .write()
+                .unwrap_or_else(PoisonError::into_inner),
+            Arc::new(next),
+        );
+        // The write guard is gone: if no session still holds the old
+        // engine, freeing it (the replaced table version with it) must
+        // not keep `snapshot` waiting.
+        drop(replaced);
         Ok((result, epoch))
     }
 }
