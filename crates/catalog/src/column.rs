@@ -362,8 +362,8 @@ impl Column {
                 values: slots,
                 validity,
             } => {
-                // An `Int` compares as an integer, a `Double` against
-                // the slot widened, as `group_cmp` has it.
+                // An `Int` compares as an integer, a `Double` as
+                // `group_cmp` has it ([`Value::int_cmp_double`]).
                 let ints = keys(values, |v| match v {
                     Value::Int(b) => Some(*b),
                     _ => None,
@@ -373,16 +373,18 @@ impl Column {
                     Value::Double(d) => Some(*d),
                     _ => None,
                 });
-                mark(slots, validity, &doubles, held, |&a, d| {
-                    (a as f64).total_cmp(d)
+                mark(slots, validity, &doubles, held, |&a, &d| {
+                    Value::int_cmp_double(a, d)
                 });
             }
             Column::Float64 {
                 values: slots,
                 validity,
             } => {
-                let numbers = keys(values, Value::as_f64);
-                mark(slots, validity, &numbers, held, f64::total_cmp);
+                let numbers = keys(values, |v| v.as_f64().map(|_| v.clone()));
+                mark(slots, validity, &numbers, held, |&a, v| {
+                    Value::Double(a).group_cmp(v)
+                });
             }
             Column::Str {
                 values: slots,

@@ -7,6 +7,7 @@
 //! benchmark database the paper's Table 1 experiments run against.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod catalog;
 pub mod column;

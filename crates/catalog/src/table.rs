@@ -329,6 +329,39 @@ mod tests {
         assert_eq!(t.row_count(), 2);
     }
 
+    /// Beyond 2^53 `Int(2^53 + 1)` rounds onto `Double(2^53)` but is
+    /// not equal to it: an INSERT counts it as a new value, as a load of
+    /// all the rows does, in whichever order the cluster arrives.
+    #[test]
+    fn insert_and_load_agree_on_ndv_beyond_2_pow_53() {
+        let exact = 1i64 << 53;
+        let cluster = [
+            Value::Int(exact + 1),
+            Value::Double(exact as f64),
+            Value::Int(exact),
+        ];
+        for ty in [DataType::Double, DataType::Int] {
+            let schema = TableSchema::new("t", vec![ColumnDef::new("x", ty)]);
+            for order in [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0],
+            ] {
+                let rows: Vec<Row> = (order.iter())
+                    .map(|&i| Row::new(vec![cluster[i].clone()]))
+                    .collect();
+                let loaded = TableStats::compute(1, &rows);
+                assert_eq!(loaded.columns[0].ndv, 2, "{order:?}");
+                let mut table = Table::with_rows(schema.clone(), rows[..2].to_vec()).unwrap();
+                table.insert(rows[2..].to_vec()).unwrap();
+                assert_eq!(table.stats(), &loaded, "{ty:?} {order:?}");
+            }
+        }
+    }
+
     mod incremental_stats {
         use super::*;
         use proptest::prelude::*;

@@ -8,6 +8,7 @@
 //! layer agrees on them.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod error;
 pub mod row;

@@ -113,14 +113,27 @@ impl Value {
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Double(a), Value::Double(b)) => a.total_cmp(b),
+            (Value::Int(a), Value::Double(b)) => Value::int_cmp_double(*a, *b),
+            (Value::Double(a), Value::Int(b)) => Value::int_cmp_double(*b, *a).reverse(),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (a, b) if tag(a) == tag(b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => x.total_cmp(&y),
-                _ => Ordering::Equal,
-            },
             (a, b) => tag(a).cmp(&tag(b)),
         }
+    }
+
+    /// How `Int(i)` orders against `Double(d)` under grouping semantics:
+    /// by `i as f64`, and where that rounds onto `d`, by the exact
+    /// integers. Beyond 2^53 neighbouring integers share one `f64`:
+    /// `2^53 + 1` sorts above the double `2^53`, which equals `2^53`
+    /// alone, so the order stays total (and `Hash`, which hashes the
+    /// `f64` image, stays consistent with it). Predicates keep the
+    /// widening ([`Value::sql_cmp`]).
+    pub fn int_cmp_double(i: i64, d: f64) -> Ordering {
+        // Equal images make `d` an integer within ±2^63: exact in i128.
+        (i as f64)
+            .total_cmp(&d)
+            .then_with(|| i128::from(i).cmp(&(d as i128)))
     }
 
     /// Arithmetic with NULL propagation. `op` is one of `+ - * /`.
@@ -354,6 +367,35 @@ mod tests {
         assert_eq!(vals[1], Value::Double(1.5));
         assert_eq!(vals[2], Value::Int(2));
         assert_eq!(vals[3], Value::str("x"));
+    }
+
+    #[test]
+    fn group_cmp_is_exact_beyond_2_pow_53_and_predicates_widen() {
+        let exact = 1i64 << 53;
+        let (low, high, double) = (
+            Value::Int(exact),
+            Value::Int(exact + 1),
+            Value::Double(exact as f64),
+        );
+        // `2^53 + 1 as f64` is `2^53`: only `Int(2^53)` equals the double.
+        assert_eq!(low, double);
+        assert_ne!(high, double);
+        assert_eq!(high.group_cmp(&double), Ordering::Greater);
+        assert_eq!(double.group_cmp(&high), Ordering::Less);
+        assert_eq!(hash_of(&high), hash_of(&double));
+        // `i64::MAX as f64` is 2^63, which no `Int` reaches.
+        let top = Value::Double(i64::MAX as f64);
+        assert_eq!(Value::Int(i64::MAX).group_cmp(&top), Ordering::Less);
+        assert_eq!(
+            Value::Int(0).group_cmp(&Value::Double(-0.0)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            Value::Int(3).group_cmp(&Value::Double(2.5)),
+            Ordering::Greater
+        );
+        assert_eq!(high.sql_eq(&double), Truth::True);
+        assert_eq!(high.sql_cmp(&double), Some(Ordering::Equal));
     }
 
     #[test]

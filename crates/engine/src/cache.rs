@@ -326,10 +326,6 @@ impl ShardedPlanCache {
         ShardedPlanCache::new(DEFAULT_PLAN_CACHE_CAP, PLAN_CACHE_SHARDS)
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Which shard a key lands in (stable for the cache's lifetime;
     /// exposed so the engine can attribute `cache.shard.<i>` metrics).
     pub fn shard_index(&self, key: &str) -> usize {
@@ -347,11 +343,6 @@ impl ShardedPlanCache {
         self.shards[i]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The newest epoch announced via [`ShardedPlanCache::note_epoch`].
-    pub fn latest_epoch(&self) -> u64 {
-        self.latest.load(Ordering::Acquire)
     }
 
     /// Look up a plan built at `epoch` (see [`PlanCache::get`] for the

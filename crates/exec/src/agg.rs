@@ -13,13 +13,11 @@
 //! inputs **in input order**: `f64` addition does not commute, and the
 //! sums feed pinned checksums.
 
-use std::collections::HashMap;
-
 use starmagic_common::{Error, Result, Value};
 use starmagic_sql::AggFunc;
 
 use crate::batch::{Batch, Bitmap, Column};
-use crate::dedup::{value_key, KeySet};
+use crate::dedup::{group, key_hash, KeySet};
 use crate::vector::Vector;
 
 /// One accumulator instance (per group, per aggregate).
@@ -62,7 +60,10 @@ impl Accumulator {
         }
         if self.distinct {
             let seen = &self.seen;
-            if !self.keys.insert(value_key(v), |k| seen[k] == *v) {
+            if !self
+                .keys
+                .insert(key_hash(std::slice::from_ref(v)), |k| seen[k] == *v)
+            {
                 return Ok(());
             }
             self.seen.push(v.clone());
@@ -180,47 +181,20 @@ pub(crate) fn hash_aggregate(keys: &[Vector], aggs: &[AggInput<'_>], n: usize) -
 }
 
 /// Dense group ids for rows `0..n`, numbered in first-appearance order,
-/// plus each group's first row. Keys group under [`Value`]'s equality
-/// (NULLs equal, `1` equal to `1.0`); a single `Int64` key column takes
-/// a raw `i64` table, where that equality is plain integer equality.
+/// plus each group's first row ([`group`]). A constant key never splits
+/// a group, so it is not hashed at all.
 fn group_ids(keys: &[Vector], n: usize) -> (Vec<u32>, Vec<u32>) {
     if keys.is_empty() {
         return (vec![0; n], vec![0]);
     }
-    let mut gids = Vec::with_capacity(n);
-    let mut first: Vec<u32> = Vec::new();
-    if let [Vector::Col(Column::Int64 { values, validity })] = keys {
-        let mut table: HashMap<i64, u32> = HashMap::new();
-        let mut null_group: Option<u32> = None;
-        for (k, v) in values[..n].iter().enumerate() {
-            let next = first.len() as u32;
-            let g = if validity.as_ref().map_or(true, |bits| bits.get(k)) {
-                *table.entry(*v).or_insert(next)
-            } else {
-                *null_group.get_or_insert(next)
-            };
-            if g == next {
-                first.push(k as u32);
-            }
-            gids.push(g);
-        }
-        return (gids, first);
-    }
-    let mut table: HashMap<Vec<Value>, u32> = HashMap::new();
-    // Scratch key, cloned only when it opens a new group.
-    let mut key: Vec<Value> = Vec::with_capacity(keys.len());
-    for k in 0..n {
-        key.clear();
-        key.extend(keys.iter().map(|c| c.value_at(k)));
-        let next = first.len() as u32;
-        let g = table.get(key.as_slice()).copied().unwrap_or_else(|| {
-            table.insert(key.clone(), next);
-            first.push(k as u32);
-            next
-        });
-        gids.push(g);
-    }
-    (gids, first)
+    let columns: Vec<&Column> = (keys.iter())
+        .filter_map(|k| match k {
+            Vector::Col(c) => Some(c),
+            Vector::Const { .. } => None,
+        })
+        .collect();
+    let groups = group(&columns, n);
+    (groups.ids, groups.first)
 }
 
 /// Fold one aggregate over `gids.len()` rows into one value per group,
@@ -449,6 +423,7 @@ mod kernel_tests {
     use super::*;
     use proptest::prelude::*;
     use starmagic_common::Row;
+    use std::collections::HashMap;
 
     /// The row-at-a-time group-by: for each row, find or open its
     /// group (first appearance fixes output order and the printed key),
@@ -601,6 +576,73 @@ mod kernel_tests {
         let global = kernel(&[], &[], &aggs).unwrap();
         assert_eq!(exact(&Ok(global)), "[Row { values: [Int(0), Null] }]");
         assert!(kernel(&[], &[0], &aggs).unwrap().is_empty());
+    }
+
+    #[test]
+    fn constant_keys_form_one_group_over_rows_and_none_over_no_rows() {
+        let constants = |len: usize| {
+            [
+                Vector::Const {
+                    value: Value::Int(7),
+                    len,
+                },
+                Vector::Const {
+                    value: Value::str("k"),
+                    len,
+                },
+            ]
+        };
+        assert_eq!(group_ids(&constants(0), 0), (vec![], vec![]));
+        assert_eq!(group_ids(&constants(3), 3), (vec![0, 0, 0], vec![0]));
+        let count = [AggInput {
+            func: AggFunc::Count,
+            distinct: false,
+            arg: None,
+        }];
+        assert_eq!(hash_aggregate(&constants(0), &count, 0).unwrap().len(), 0);
+        let out = hash_aggregate(&constants(3), &count, 3).unwrap().rows();
+        assert_eq!(
+            exact(&Ok(out)),
+            r#"[Row { values: [Int(7), Str("k"), Int(3)] }]"#
+        );
+    }
+
+    /// `Int(2^53 + 1)` rounds onto `Double(2^53)` without equalling it:
+    /// GROUP BY and DISTINCT find the same two keys in every row order.
+    #[test]
+    fn a_rounding_cluster_groups_alike_in_every_order() {
+        let exact = 1i64 << 53;
+        let cluster = [
+            Value::Int(exact + 1),
+            Value::Double(exact as f64),
+            Value::Int(exact),
+        ];
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let rows: Vec<Row> = (order.iter())
+                .map(|&i| Row::new(vec![cluster[i].clone()]))
+                .collect();
+            let mut counts: Vec<(Value, Value)> =
+                (kernel(&rows, &[0], &[(AggFunc::Count, false, None)]))
+                    .unwrap()
+                    .iter()
+                    .map(|r| (r.get(0).clone(), r.get(1).clone()))
+                    .collect();
+            counts.sort_by(|a, b| a.0.group_cmp(&b.0));
+            let expected = [
+                (Value::Int(exact), Value::Int(2)),
+                (Value::Int(exact + 1), Value::Int(1)),
+            ];
+            assert_eq!(counts, expected, "{order:?}");
+            let batch = Batch::from_rows(&rows);
+            assert_eq!(crate::dedup::distinct_ids(&batch).len(), 2, "{order:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Duplicate elimination: one hashed key set behind DISTINCT, the set
-//! operations ([`set_op`]), DISTINCT aggregates and the fixpoint
-//! accumulators.
+//! Key numbering: one hashed key set behind every equality key the
+//! executor keeps — GROUP BY ([`group`]), DISTINCT, the set operations
+//! ([`set_op`]), DISTINCT aggregates, the fixpoint accumulators and the
+//! row-id tables of indexes and hash joins.
 //!
 //! A [`KeySet`] stores no keys, only their hashes and the positions of
 //! the rows holding them; when a candidate's hash matches a stored one
@@ -9,9 +10,9 @@
 //! first-admitted representative of every key is the one kept.
 //!
 //! Hashes are computed a column at a time over a batch
-//! ([`hash_columns`]) or a value at a time ([`value_key`]) and agree with
-//! [`Value`]'s `Hash`/`Eq`: NULL hashes like NULL, and `Int` and `Double`
-//! both hash the `f64` bits of the number — exactly what
+//! ([`hash_columns`]) or a value slice at a time ([`key_hash`]) and
+//! agree with [`Value`]'s `Hash`/`Eq`: NULL hashes like NULL, and `Int`
+//! and `Double` both hash the `f64` bits of the number — exactly what
 //! `impl Hash for Value` feeds its hasher — so `1` and `1.0`, equal
 //! under grouping semantics, always land on the same hash. The mixing
 //! is FxHash's multiply-rotate per value and a murmur finalizer per
@@ -154,9 +155,10 @@ fn finish(mut h: u64) -> u64 {
     h ^ (h >> 33)
 }
 
-/// The key hash of one value (a DISTINCT aggregate's argument).
-pub(crate) fn value_key(v: &Value) -> u64 {
-    finish(value_hash(v))
+/// The hash of one key given as values, one per key column: what
+/// [`hash_columns`] computes for a row holding them.
+pub(crate) fn key_hash(key: &[Value]) -> u64 {
+    finish(key.iter().fold(0, |h, v| fold(h, value_hash(v))))
 }
 
 /// The row hashes of the first `n` slots of `columns`, one column at a
@@ -227,19 +229,39 @@ pub(crate) fn same_row(a: &[&Column], i: usize, b: &[&Column], j: usize) -> bool
     a.iter().zip(b).all(|(x, y)| same_at(x, i, y, j))
 }
 
+/// Rows numbered by key ([`group`]).
+pub(crate) struct Groups {
+    /// Group `g`'s key is position `g`.
+    pub set: KeySet,
+    /// Per row, its group.
+    pub ids: Vec<u32>,
+    /// Per group, its first row.
+    pub first: Vec<u32>,
+}
+
+/// Number the first `n` rows of `keys` by key, groups in
+/// first-appearance order (grouping semantics: NULLs equal, `1` equal
+/// to `1.0`). No key column puts every row in one group, none for
+/// `n == 0`.
+pub(crate) fn group(keys: &[&Column], n: usize) -> Groups {
+    let mut set = KeySet::default();
+    let mut first: Vec<u32> = Vec::new();
+    let ids = (hash_columns(keys, n).into_iter().enumerate())
+        .map(|(i, h)| {
+            let (g, fresh) = set.position(h, |g| same_row(keys, first[g] as usize, keys, i));
+            if fresh {
+                first.push(i as u32);
+            }
+            g as u32
+        })
+        .collect();
+    Groups { set, ids, first }
+}
+
 /// The positions of each distinct row's first occurrence in `batch`, in
-/// order (grouping semantics: NULLs equal, `1` equal to `1.0`; the first
-/// spelling stays).
+/// order (the first spelling stays).
 pub(crate) fn distinct_ids(batch: &Batch) -> Vec<u32> {
-    let columns = all_columns(batch);
-    let mut keys = KeySet::default();
-    let mut kept: Vec<u32> = Vec::new();
-    for (i, h) in hash_columns(&columns, batch.len()).into_iter().enumerate() {
-        if keys.insert(h, |k| same_row(&columns, kept[k] as usize, &columns, i)) {
-            kept.push(i as u32);
-        }
-    }
-    kept
+    group(&all_columns(batch), batch.len()).first
 }
 
 fn all_columns(batch: &Batch) -> Vec<&Column> {
@@ -281,19 +303,10 @@ pub(crate) fn set_op(
             let right = Batch::concat(arity, others.unwrap_or_default());
             let right_columns = all_columns(&right);
             // Per right key: its first row, and how many rows hold it.
-            let (mut keys, mut first, mut counts) = (KeySet::default(), Vec::new(), Vec::new());
-            for (j, h) in hash_columns(&right_columns, right.len())
-                .into_iter()
-                .enumerate()
-            {
-                let same = |k: usize| same_row(&right_columns, first[k], &right_columns, j);
-                match keys.position(h, same) {
-                    (_, true) => {
-                        first.push(j);
-                        counts.push(1u64);
-                    }
-                    (k, false) => counts[k] += 1,
-                }
+            let Groups { set, ids, first } = group(&right_columns, right.len());
+            let mut counts = vec![0u64; first.len()];
+            for &g in &ids {
+                counts[g as usize] += 1;
             }
             let left_columns = all_columns(left);
             let mut kept: Vec<u32> = Vec::new();
@@ -301,7 +314,9 @@ pub(crate) fn set_op(
                 .into_iter()
                 .enumerate()
             {
-                let found = keys.find(h, |k| same_row(&right_columns, first[k], &left_columns, i));
+                let found = set.find(h, |g| {
+                    same_row(&right_columns, first[g] as usize, &left_columns, i)
+                });
                 // A bag match spends one of its key's right rows.
                 let matched = match found {
                     Some(k) if all => {
@@ -340,11 +355,6 @@ mod tests {
         Row::new(values.to_vec())
     }
 
-    /// The hash of one row, value by value.
-    fn row_hash(row: &Row) -> u64 {
-        finish(row.values().iter().fold(0, |h, v| fold(h, value_hash(v))))
-    }
-
     #[test]
     fn typed_and_mixed_columns_hash_like_rows() {
         let rows = vec![
@@ -356,7 +366,7 @@ mod tests {
         let columns: Vec<&Column> = (0..3).map(|c| batch.column(c)).collect();
         assert!(matches!(columns[0], Column::Int64 { .. }));
         assert!(matches!(columns[2], Column::Mixed(_)));
-        let by_row: Vec<u64> = rows.iter().map(row_hash).collect();
+        let by_row: Vec<u64> = rows.iter().map(|r| key_hash(r.values())).collect();
         assert_eq!(hash_columns(&columns, 3), by_row);
     }
 

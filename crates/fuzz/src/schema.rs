@@ -56,13 +56,6 @@ pub struct Rel {
     pub view: bool,
 }
 
-impl Rel {
-    /// Columns of a given type.
-    pub fn cols_of(&self, ty: Ty) -> impl Iterator<Item = &'static Col> + '_ {
-        self.cols.iter().filter(move |c| c.ty == ty)
-    }
-}
-
 const fn col(name: &'static str, ty: Ty, lo: i64, hi: i64) -> Col {
     Col {
         name,

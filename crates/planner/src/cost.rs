@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use starmagic_catalog::Catalog;
-use starmagic_qgm::{BoxId, BoxKind, DistinctMode, Qgm, QuantKind, ScalarExpr, SetOpKind};
+use starmagic_qgm::{BoxId, BoxKind, DistinctMode, Qgm, ScalarExpr, SetOpKind};
 
 use crate::selectivity::{ndv_of, selectivity};
 
@@ -314,21 +314,6 @@ pub fn is_correlated_subtree(qgm: &Qgm, sub: BoxId) -> bool {
         }
     }
     false
-}
-
-/// Count of Foreach quantifiers whose kind is subquery-like — exposed
-/// for tests.
-pub fn subquery_quant_count(qgm: &Qgm, b: BoxId) -> usize {
-    qgm.boxed(b)
-        .quants
-        .iter()
-        .filter(|&&q| {
-            matches!(
-                qgm.quant(q).kind,
-                QuantKind::Existential { .. } | QuantKind::Universal | QuantKind::Scalar
-            )
-        })
-        .count()
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use crate::boxes::{BoxKind, DistinctMode, QuantKind};
 use crate::expr::ScalarExpr;
 use crate::graph::Qgm;
-use crate::ids::{BoxId, QuantId};
+use crate::ids::BoxId;
 
 /// Render the whole graph, one block per box, in [`Qgm::preorder`].
 pub fn print_graph(qgm: &Qgm) -> String {
@@ -162,11 +162,6 @@ pub fn expr_str(qgm: &Qgm, home: BoxId, e: &ScalarExpr) -> String {
             format!("{kw}[{}]({})", q.name, inner.join(" AND "))
         }
     }
-}
-
-/// Name a quantifier for rendering (used by `render_sql` too).
-pub fn quant_name(qgm: &Qgm, q: QuantId) -> String {
-    qgm.quant(q).name.clone()
 }
 
 /// Which quantifier kinds exist in the printout of a box — handy for

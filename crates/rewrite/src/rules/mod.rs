@@ -29,14 +29,3 @@ pub trait RewriteRule {
     /// repeated application (the engine runs to fixpoint).
     fn apply(&self, ctx: &mut RuleContext<'_>, b: BoxId) -> Result<bool>;
 }
-
-/// The standard non-EMST rule set, in firing-priority order.
-pub fn standard_rules() -> Vec<Box<dyn RewriteRule>> {
-    vec![
-        Box::new(SimplifyPredicates),
-        Box::new(Merge),
-        Box::new(LocalPredicatePushdown),
-        Box::new(DistinctPullup),
-        Box::new(RedundantSelfJoin),
-    ]
-}
