@@ -341,7 +341,7 @@ impl Column {
 
     /// Flag in `held` each of `values` (distinct, non-NULL, sorted by
     /// [`Value::group_cmp`]) that some slot of this column equals under
-    /// `group_cmp`, so `1` finds `1.0` and `-0.0` does not find `0.0`.
+    /// `group_cmp`, so `1` finds `1.0` and `-0.0` finds `0` and `0.0`.
     /// The column's type is matched once: the values comparable with
     /// it are taken in that type, and one pass over the typed slots
     /// binary-searches them at each valid slot, ending once every one

@@ -450,7 +450,7 @@ mod tests {
             /// Strings in the INT column, which only a load accepts.
             StrInInt,
             /// Doubles in the INT column: `2.0` equals a stored `2`,
-            /// `-0.0` equals no integer.
+            /// `-0.0` a stored `0`.
             DoubleInInt,
         }
 

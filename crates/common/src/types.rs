@@ -11,7 +11,7 @@ use std::fmt;
 pub enum DataType {
     /// 64-bit signed integer (`INTEGER`).
     Int,
-    /// 64-bit float (`DECIMAL`/`DOUBLE`); totally ordered via `f64::total_cmp`.
+    /// 64-bit float (`DECIMAL`/`DOUBLE`); ordered by `Value::group_cmp`.
     Double,
     /// Variable-length character string (`VARCHAR`).
     Str,

@@ -1,14 +1,19 @@
 //! SQL values.
 //!
-//! [`Value`] implements two distinct comparison semantics, both of which
-//! SQL requires:
+//! [`Value`] has one order, [`Value::group_cmp`], and every comparison
+//! the engine makes reads it: predicates, grouping, probes, key checks
+//! and statistics. Numbers compare by exact value whatever their type:
+//! `1` equals `1.0`, `-0.0` equals `0`, and beyond 2^53 an `Int` equals
+//! only the `Double` that is exactly it ([`Value::int_cmp_double`]), so
+//! the order is transitive and a hash table can implement it. Two truth
+//! domains read it:
 //!
-//! * **Predicate semantics** ([`Value::sql_eq`], [`Value::sql_cmp`]):
-//!   three-valued; any comparison involving NULL is [`Truth::Unknown`].
-//!   Used by WHERE/HAVING/ON predicates.
-//! * **Grouping semantics** (the `Eq`/`Hash`/`Ord` impls): two-valued;
+//! * **Predicates** ([`Value::sql_eq`], [`Value::sql_cmp`]):
+//!   three-valued; any comparison involving NULL is [`Truth::Unknown`],
+//!   and values of incomparable types are unequal and unordered.
+//! * **Grouping** (`group_cmp` and the `Eq`/`Hash` impls): two-valued;
 //!   NULL equals NULL and sorts first. Used by GROUP BY, DISTINCT, set
-//!   operations, and hash-join build keys on the executor's magic tables.
+//!   operations and the executor's key tables.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -65,75 +70,70 @@ impl Value {
         }
     }
 
-    /// SQL equality: NULL makes the answer Unknown; mismatched,
-    /// non-coercible types compare false (the frontend rejects such
-    /// comparisons, but the executor stays total).
+    /// SQL equality: Unknown when NULL is involved, false for
+    /// incomparable types (the frontend rejects such comparisons, but the
+    /// executor stays total), otherwise [`Value::group_cmp`]'s answer.
     pub fn sql_eq(&self, other: &Value) -> Truth {
         match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => Truth::Unknown,
             (Value::Int(a), Value::Int(b)) => (a == b).into(),
             (Value::Str(a), Value::Str(b)) => (a == b).into(),
-            (Value::Bool(a), Value::Bool(b)) => (a == b).into(),
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => (x == y).into(),
-                _ => Truth::False,
-            },
+            (Value::Null, _) | (_, Value::Null) => Truth::Unknown,
+            (a, b) => (a.sql_cmp(b) == Some(Ordering::Equal)).into(),
         }
     }
 
-    /// SQL ordering comparison. Returns `None` when NULL is involved
-    /// (truth value Unknown) or the types are not comparable. `-0.0`
-    /// and `0` are equal here, as under [`Value::sql_eq`].
+    /// SQL ordering comparison: `None` when NULL is involved (truth
+    /// value Unknown) or the types are not comparable, otherwise
+    /// [`Value::group_cmp`].
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
-            (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) if x == y => Some(Ordering::Equal),
-                (Some(x), Some(y)) => Some(x.total_cmp(&y)),
-                _ => None,
-            },
+            (Value::Null, _) | (_, Value::Null) => None,
+            (a, b) => (a.rank() == b.rank()).then(|| a.group_cmp(b)),
         }
     }
 
-    /// Grouping-semantics ordering: NULL first, then by type tag, then
-    /// by value. Total, so usable for sorting result sets in tests.
+    /// The engine's one order: NULL first, then by type, then by value,
+    /// numbers by exact value across `Int` and `Double`. Total, so
+    /// usable for sorting result sets in tests.
     pub fn group_cmp(&self, other: &Value) -> Ordering {
-        fn tag(v: &Value) -> u8 {
-            match v {
-                Value::Null => 0,
-                Value::Bool(_) => 1,
-                Value::Int(_) => 2,
-                Value::Double(_) => 2, // numerics compare cross-type
-                Value::Str(_) => 3,
-            }
-        }
         match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Double(a), Value::Double(b)) => a.total_cmp(b),
+            (Value::Double(a), Value::Double(b)) => Value::double_cmp(*a, *b),
             (Value::Int(a), Value::Double(b)) => Value::int_cmp_double(*a, *b),
             (Value::Double(a), Value::Int(b)) => Value::int_cmp_double(*b, *a).reverse(),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (a, b) => tag(a).cmp(&tag(b)),
+            (a, b) => a.rank().cmp(&b.rank()),
         }
     }
 
-    /// How `Int(i)` orders against `Double(d)` under grouping semantics:
-    /// by `i as f64`, and where that rounds onto `d`, by the exact
-    /// integers. Beyond 2^53 neighbouring integers share one `f64`:
-    /// `2^53 + 1` sorts above the double `2^53`, which equals `2^53`
-    /// alone, so the order stays total (and `Hash`, which hashes the
-    /// `f64` image, stays consistent with it). Predicates keep the
-    /// widening ([`Value::sql_cmp`]).
+    /// The type's place in [`Value::group_cmp`]; both numerics share one.
+    fn rank(&self) -> u8 {
+        match self {
+            Value::Null => 0,
+            Value::Bool(_) => 1,
+            Value::Int(_) | Value::Double(_) => 2,
+            Value::Str(_) => 3,
+        }
+    }
+
+    /// How two doubles order: numerically, so `-0.0` equals `0.0`, and
+    /// where a NaN leaves no numeric order, by `total_cmp`, so a NaN
+    /// equals itself.
+    pub fn double_cmp(a: f64, b: f64) -> Ordering {
+        a.partial_cmp(&b).unwrap_or_else(|| a.total_cmp(&b))
+    }
+
+    /// How `Int(i)` orders against `Double(d)`: by `i as f64`, and where
+    /// that rounds onto `d`, by the exact integers. Beyond 2^53 neighbouring
+    /// integers share one `f64`: `2^53 + 1` sorts above the double `2^53`,
+    /// which equals `2^53` alone, so the order stays transitive, and `Hash`,
+    /// which hashes the `f64` image, agrees with it.
     pub fn int_cmp_double(i: i64, d: f64) -> Ordering {
         // Equal images make `d` an integer within ±2^63: exact in i128.
-        (i as f64)
-            .total_cmp(&d)
-            .then_with(|| i128::from(i).cmp(&(d as i128)))
+        Value::double_cmp(i as f64, d).then_with(|| i128::from(i).cmp(&(d as i128)))
     }
 
     /// Arithmetic with NULL propagation. `op` is one of `+ - * /`.
@@ -179,7 +179,7 @@ impl Value {
     }
 }
 
-/// Grouping-semantics equality: NULL == NULL, Int 1 == Double 1.0.
+/// Grouping equality: NULL == NULL, `1` == `1.0`, `-0.0` == `0`.
 impl PartialEq for Value {
     fn eq(&self, other: &Value) -> bool {
         self.group_cmp(other) == Ordering::Equal
@@ -196,16 +196,15 @@ impl Hash for Value {
                 1u8.hash(state);
                 b.hash(state);
             }
-            // Int and Double must hash identically when numerically equal
-            // (1 == 1.0 under grouping semantics): hash the f64 bits of
-            // the canonical numeric form.
+            // Equal numbers hash alike: the bits of the `f64` image, a
+            // zero as `+0.0` (`-0.0 + 0.0` is `+0.0`).
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
             Value::Double(d) => {
                 2u8.hash(state);
-                d.to_bits().hash(state);
+                (d + 0.0).to_bits().hash(state);
             }
             Value::Str(s) => {
                 3u8.hash(state);
@@ -290,8 +289,11 @@ mod tests {
         assert_eq!(neg.sql_cmp(&zero), Some(Ordering::Equal));
         assert_eq!(neg.sql_cmp(&Value::Double(0.0)), Some(Ordering::Equal));
         assert_eq!(neg.sql_cmp(&Value::Double(-0.5)), Some(Ordering::Greater));
-        // Grouping keeps the two apart.
-        assert_ne!(neg, zero);
+        // Grouping, and so every hash table, finds them one key.
+        assert_eq!(neg, zero);
+        assert_eq!(neg, Value::Double(0.0));
+        assert_eq!(hash_of(&neg), hash_of(&zero));
+        assert_eq!(hash_of(&neg), hash_of(&Value::Double(0.0)));
     }
 
     #[test]
@@ -370,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn group_cmp_is_exact_beyond_2_pow_53_and_predicates_widen() {
+    fn group_cmp_and_predicates_are_exact_beyond_2_pow_53() {
         let exact = 1i64 << 53;
         let (low, high, double) = (
             Value::Int(exact),
@@ -388,14 +390,30 @@ mod tests {
         assert_eq!(Value::Int(i64::MAX).group_cmp(&top), Ordering::Less);
         assert_eq!(
             Value::Int(0).group_cmp(&Value::Double(-0.0)),
-            Ordering::Greater
+            Ordering::Equal
         );
         assert_eq!(
             Value::Int(3).group_cmp(&Value::Double(2.5)),
             Ordering::Greater
         );
-        assert_eq!(high.sql_eq(&double), Truth::True);
-        assert_eq!(high.sql_cmp(&double), Some(Ordering::Equal));
+        // Predicates read the same order.
+        assert_eq!(high.sql_eq(&double), Truth::False);
+        assert_eq!(high.sql_cmp(&double), Some(Ordering::Greater));
+        assert_eq!(low.sql_eq(&double), Truth::True);
+        assert_eq!(double.sql_cmp(&high), Some(Ordering::Less));
+    }
+
+    #[test]
+    fn a_nan_equals_itself_and_incomparable_types_are_unequal() {
+        let nan = Value::Double(f64::NAN);
+        assert_eq!(nan.group_cmp(&nan), Ordering::Equal);
+        assert_eq!(nan.sql_eq(&nan), Truth::True);
+        assert_eq!(Value::Int(1).sql_eq(&Value::str("1")), Truth::False);
+        assert_eq!(Value::Int(1).sql_cmp(&Value::Bool(true)), None);
+        assert_eq!(
+            Value::Bool(true).sql_cmp(&Value::Bool(false)),
+            Some(Ordering::Greater)
+        );
     }
 
     #[test]

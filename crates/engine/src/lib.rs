@@ -28,6 +28,7 @@
 //! side.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod cache;
 pub mod explain;

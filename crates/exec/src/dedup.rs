@@ -12,9 +12,9 @@
 //! Hashes are computed a column at a time over a batch
 //! ([`hash_columns`]) or a value slice at a time ([`key_hash`]) and
 //! agree with [`Value`]'s `Hash`/`Eq`: NULL hashes like NULL, and `Int`
-//! and `Double` both hash the `f64` bits of the number — exactly what
-//! `impl Hash for Value` feeds its hasher — so `1` and `1.0`, equal
-//! under grouping semantics, always land on the same hash. The mixing
+//! and `Double` both hash the bits of the number's `f64` image, a zero
+//! as `+0.0` — exactly what `impl Hash for Value` feeds its hasher — so
+//! `1` and `1.0`, or `-0.0` and `0`, always land on one hash. The mixing
 //! is FxHash's multiply-rotate per value and a murmur finalizer per
 //! row: std only, and no SipHash round per value.
 
@@ -114,8 +114,9 @@ const BOOL: u64 = 1;
 const NUMBER: u64 = 2;
 const STR: u64 = 3;
 
-fn number_hash(bits: u64) -> u64 {
-    fold(NUMBER, bits)
+/// A number's hash: its `f64` image, `-0.0 + 0.0` being `+0.0`.
+fn number_hash(d: f64) -> u64 {
+    fold(NUMBER, (d + 0.0).to_bits())
 }
 
 fn bool_hash(b: bool) -> u64 {
@@ -139,8 +140,8 @@ fn value_hash(v: &Value) -> u64 {
     match v {
         Value::Null => NULL,
         Value::Bool(b) => bool_hash(*b),
-        Value::Int(i) => number_hash((*i as f64).to_bits()),
-        Value::Double(d) => number_hash(d.to_bits()),
+        Value::Int(i) => number_hash(*i as f64),
+        Value::Double(d) => number_hash(*d),
         Value::Str(s) => str_hash(s),
     }
 }
@@ -185,12 +186,10 @@ fn fold_column(column: &Column, hashes: &mut [u64]) {
     }
     match column {
         Column::Int64 { values, validity } => {
-            typed!(values, validity, |i: &i64| number_hash(
-                (*i as f64).to_bits()
-            ));
+            typed!(values, validity, |i: &i64| number_hash(*i as f64));
         }
         Column::Float64 { values, validity } => {
-            typed!(values, validity, |d: &f64| number_hash(d.to_bits()));
+            typed!(values, validity, |d: &f64| number_hash(*d));
         }
         Column::Str { values, validity } => {
             typed!(values, validity, |s: &std::sync::Arc<str>| str_hash(s));
@@ -214,9 +213,8 @@ fn same_at(a: &Column, i: usize, b: &Column, j: usize) -> bool {
     }
     match (a, b) {
         (Column::Int64 { values: x, .. }, Column::Int64 { values: y, .. }) => x[i] == y[j],
-        // `total_cmp` is Equal exactly when the bits are.
         (Column::Float64 { values: x, .. }, Column::Float64 { values: y, .. }) => {
-            x[i].to_bits() == y[j].to_bits()
+            Value::double_cmp(x[i], y[j]).is_eq()
         }
         (Column::Str { values: x, .. }, Column::Str { values: y, .. }) => x[i] == y[j],
         (Column::Bool { values: x, .. }, Column::Bool { values: y, .. }) => x[i] == y[j],
@@ -241,8 +239,8 @@ pub(crate) struct Groups {
 
 /// Number the first `n` rows of `keys` by key, groups in
 /// first-appearance order (grouping semantics: NULLs equal, `1` equal
-/// to `1.0`). No key column puts every row in one group, none for
-/// `n == 0`.
+/// to `1.0`, `-0.0` to `0`). No key column puts every row in one group,
+/// none for `n == 0`.
 pub(crate) fn group(keys: &[&Column], n: usize) -> Groups {
     let mut set = KeySet::default();
     let mut first: Vec<u32> = Vec::new();
@@ -379,17 +377,24 @@ mod tests {
             row(&[Value::Int(0), Value::Null]),
         ];
         let out = distinct(Batch::from_rows(&rows)).rows();
-        // -0.0 and 0 differ under grouping semantics (total order).
-        assert_eq!(
-            format!("{out:?}"),
-            format!("{:?}", [&rows[0], &rows[2], &rows[3]])
-        );
+        // -0.0 and 0 are one key, as 1 and 1.0 are.
+        assert_eq!(format!("{out:?}"), format!("{:?}", [&rows[0], &rows[2]]));
         // An Int64 column against a Float64 one: the same answer.
-        let ints = Batch::from_rows(&rows[..1]);
-        let doubles = Batch::from_rows(&rows[1..2]);
-        let (a, b) = ([ints.column(0)], [doubles.column(0)]);
-        assert!(same_row(&a, 0, &b, 0));
-        assert_eq!(hash_columns(&a, 1), hash_columns(&b, 1));
+        for (int, double) in [(0, 1), (3, 2)] {
+            let ints = Batch::from_rows(&rows[int..=int]);
+            let doubles = Batch::from_rows(&rows[double..=double]);
+            let (a, b) = ([ints.column(0)], [doubles.column(0)]);
+            assert!(same_row(&a, 0, &b, 0));
+            assert_eq!(hash_columns(&a, 1), hash_columns(&b, 1));
+        }
+        // Two Float64 zeros: one key.
+        let zeros = Batch::from_rows(&[row(&[Value::Double(0.0)]), row(&[Value::Double(-0.0)])]);
+        let zeros = [zeros.column(0)];
+        assert!(matches!(zeros[0], Column::Float64 { .. }));
+        assert!(same_row(&zeros, 0, &zeros, 1));
+        let hashes = hash_columns(&zeros, 2);
+        assert_eq!(hashes[0], hashes[1]);
+        assert_eq!(distinct_ids(&Batch::from_rows(&rows[2..])), [0]);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::batch::{Batch, Column};
 use crate::boundary::{BoxPath, Fallback};
 use crate::columnar::JoinBuild;
 use crate::dedup::set_op;
-use crate::like::like_match;
 use crate::metrics::Metrics;
 use crate::plan::{GroupByPlan, IndexProbe, Op, Plan, Stage};
 use crate::profile::ExecProfile;
@@ -919,14 +918,7 @@ impl<'a> Executor<'a> {
             ScalarExpr::Literal(v) => Ok(v.clone()),
             ScalarExpr::Param(i) => frame.param(*i),
             ScalarExpr::Bin { op, left, right } => self.eval_bin(*op, left, right, frame),
-            ScalarExpr::Neg(x) => {
-                let v = self.eval_expr(x, frame)?;
-                if v.is_null() {
-                    Ok(Value::Null)
-                } else {
-                    Value::Int(0).arith('-', &v)
-                }
-            }
+            ScalarExpr::Neg(x) => vector::neg_value(&self.eval_expr(x, frame)?),
             ScalarExpr::Not(x) => {
                 let v = self.eval_expr(x, frame)?;
                 Ok(truth_to_value(truth_of(&v).not()))
@@ -939,14 +931,7 @@ impl<'a> Executor<'a> {
                 expr,
                 pattern,
                 negated,
-            } => {
-                let v = self.eval_expr(expr, frame)?;
-                match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Str(s) => Ok(Value::Bool(like_match(&s, pattern) != *negated)),
-                    other => Err(Error::execution(format!("LIKE on non-string {other}"))),
-                }
-            }
+            } => vector::like_value(self.eval_expr(expr, frame)?, pattern, *negated),
             ScalarExpr::Agg { .. } => Err(Error::internal(
                 "aggregate call outside a group-by box".to_string(),
             )),
@@ -983,36 +968,10 @@ impl<'a> Executor<'a> {
                 let r = truth_of(&self.eval_expr(right, frame)?);
                 Ok(truth_to_value(l.or(r)))
             }
-            BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+            _ => {
                 let l = self.eval_expr(left, frame)?;
                 let r = self.eval_expr(right, frame)?;
-                let t = match op {
-                    BinOp::Eq => l.sql_eq(&r),
-                    BinOp::Neq => l.sql_eq(&r).not(),
-                    _ => match l.sql_cmp(&r) {
-                        None => Truth::Unknown,
-                        Some(ord) => match op {
-                            BinOp::Lt => (ord == std::cmp::Ordering::Less).into(),
-                            BinOp::Le => (ord != std::cmp::Ordering::Greater).into(),
-                            BinOp::Gt => (ord == std::cmp::Ordering::Greater).into(),
-                            BinOp::Ge => (ord != std::cmp::Ordering::Less).into(),
-                            _ => unreachable!(),
-                        },
-                    },
-                };
-                Ok(truth_to_value(t))
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                let l = self.eval_expr(left, frame)?;
-                let r = self.eval_expr(right, frame)?;
-                let ch = match op {
-                    BinOp::Add => '+',
-                    BinOp::Sub => '-',
-                    BinOp::Mul => '*',
-                    BinOp::Div => '/',
-                    _ => unreachable!(),
-                };
-                l.arith(ch, &r)
+                vector::bin_values(op, &l, &r)
             }
         }
     }

@@ -17,13 +17,11 @@
 //!   key set ([`group`]), plus each group's key as columns, one row per
 //!   group, against which a probe's candidates are compared.
 //!
-//! Whatever the shape, a probe answers grouping equality over canonical
-//! keys, which is what [`Value::sql_eq`] answers up to 2^53: `-0.0`
-//! reads as `0.0` at build and at probe time, `3.0` finds `3`, and NULL
-//! never matches. Beyond 2^53 an `Int` and a `Double` match only when
-//! equal as exact numbers, where `sql_eq` widens the `Int` to `f64`: a
-//! hash table needs a transitive equality. A dense table answers a
-//! `Double` probe through its exact integer, and a `Str` or `Bool`
+//! Whatever the shape, a probe answers the engine's one equality
+//! ([`Value::group_cmp`]), which is what [`Value::sql_eq`] answers for
+//! non-NULL keys: `3.0` finds `3`, `-0.0` finds `0`, and NULL never
+//! matches. A key is stored and probed as it is. A dense table answers
+//! a `Double` probe through its exact integer, and a `Str` or `Bool`
 //! probe never.
 //!
 //! The build is two passes with no allocation per key: number each
@@ -55,7 +53,7 @@ enum Keys {
         min: i64,
     },
     /// Group `g` is position `g` of `set`; its key is row `g` of
-    /// `columns`, canonical.
+    /// `columns`, spelled as its first row spells it.
     Hashed {
         set: KeySet,
         columns: Vec<Column>,
@@ -83,50 +81,11 @@ impl KeyColumn for Column {
     }
 }
 
-fn is_negative_zero(v: &Value) -> bool {
-    matches!(v, Value::Double(d) if *d == 0.0 && d.is_sign_negative())
-}
-
-/// A key value as the table stores it: `-0.0` as `0.0`, which it equals
-/// under [`Value::sql_eq`] but not under grouping equality.
-fn canonical(v: &Value) -> Value {
-    if is_negative_zero(v) {
-        Value::Double(0.0)
-    } else {
-        v.clone()
-    }
-}
-
-/// A key column with its values [`canonical`], copied only when one of
-/// them is `-0.0`.
-fn canonical_column(column: Cow<'_, Column>) -> Cow<'_, Column> {
-    let copy = match column.as_ref() {
-        Column::Float64 { values, validity }
-            if values.iter().any(|&d| is_negative_zero(&Value::Double(d))) =>
-        {
-            Some(Column::Float64 {
-                values: values
-                    .iter()
-                    .map(|&d| if d == 0.0 { 0.0 } else { d })
-                    .collect(),
-                validity: validity.clone(),
-            })
-        }
-        Column::Mixed(values) if values.iter().any(is_negative_zero) => {
-            Some(Column::Mixed(values.iter().map(canonical).collect()))
-        }
-        _ => None,
-    };
-    copy.map_or(column, Cow::Owned)
-}
-
 impl RowIds {
     /// The table over rows `0..n` whose key is slot `i` of `keys`, one
     /// column of length `n` per key column.
     pub(crate) fn build<K: KeyColumn>(keys: &[K]) -> RowIds {
-        let columns: Vec<Cow<'_, Column>> = (keys.iter())
-            .map(|k| canonical_column(k.column()))
-            .collect();
+        let columns: Vec<Cow<'_, Column>> = keys.iter().map(KeyColumn::column).collect();
         if let [column] = columns.as_slice() {
             if let Column::Int64 { values, validity } = column.as_ref() {
                 if let Some(dense) = RowIds::dense(values, validity.as_ref()) {
@@ -209,10 +168,6 @@ impl RowIds {
 
     /// The group of a key, one value per key column.
     fn group(&self, key: &[Value]) -> Option<usize> {
-        if key.iter().any(is_negative_zero) {
-            let key: Vec<Value> = key.iter().map(canonical).collect();
-            return self.group(&key);
-        }
         match (&self.keys, key) {
             (Keys::Dense { min }, [Value::Int(k)]) => self.dense_group(*min, *k),
             // A double's exact integer, if it has one.
@@ -274,9 +229,7 @@ impl RowIds {
             }
             (Keys::Hashed { set, columns }, _) => {
                 let stored: Vec<&Column> = columns.iter().collect();
-                let probe: Vec<Cow<'_, Column>> = (keys.iter())
-                    .map(|k| canonical_column(k.column()))
-                    .collect();
+                let probe: Vec<Cow<'_, Column>> = keys.iter().map(KeyColumn::column).collect();
                 let probe: Vec<&Column> = probe.iter().map(AsRef::as_ref).collect();
                 for (p, h) in hash_columns(&probe, n).into_iter().enumerate() {
                     emit(p, set.find(h, |g| same_row(&stored, g, &probe, p)));
@@ -297,30 +250,25 @@ mod tests {
     const EXACT: i64 = 1 << 53;
 
     /// A column index as it was built before row-id tables: every
-    /// non-NULL key's rows, by `Value` — `-0.0` keyed as `0.0`, which it
-    /// equals in a predicate.
+    /// non-NULL key's rows, by `Value`.
     fn reference_index(keys: &[Value]) -> HashMap<Value, Vec<u32>> {
         let mut map: HashMap<Value, Vec<u32>> = HashMap::new();
         for (i, k) in keys.iter().enumerate().filter(|(_, k)| !k.is_null()) {
-            map.entry(canonical(k)).or_default().push(i as u32);
+            map.entry(k.clone()).or_default().push(i as u32);
         }
         map
     }
 
     /// A hash join's build as it was: rows by composite key, none with
-    /// a NULL part, `-0.0` keyed as `0.0`.
+    /// a NULL part.
     fn reference_build(rows: &[Vec<Value>]) -> HashMap<Vec<Value>, Vec<u32>> {
         let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
         for (i, key) in rows.iter().enumerate() {
             if !key.iter().any(Value::is_null) {
-                map.entry(canonical_key(key)).or_default().push(i as u32);
+                map.entry(key.clone()).or_default().push(i as u32);
             }
         }
         map
-    }
-
-    fn canonical_key(key: &[Value]) -> Vec<Value> {
-        key.iter().map(canonical).collect()
     }
 
     /// Column `c` of `rows`, typed the way a batch types it.
@@ -444,8 +392,7 @@ mod tests {
         fn one_key_column_agrees_with_a_value_map(rows in keys()) {
             let keys: Vec<Value> = rows.iter().map(|r| r[0].clone()).collect();
             let reference = reference_index(&keys);
-            let want =
-                |key: &[Value]| reference.get(&canonical(&key[0])).cloned().unwrap_or_default();
+            let want = |key: &[Value]| reference.get(&key[0]).cloned().unwrap_or_default();
             let table = RowIds::build(&[column(&rows, 0)]);
             let probes: Vec<Vec<Value>> = probes(&keys).into_iter().map(|p| vec![p]).collect();
             for key in &probes {
@@ -483,7 +430,7 @@ mod tests {
         #[test]
         fn composite_keys_agree_with_a_vec_map(rows in keys()) {
             let reference = reference_build(&rows);
-            let want = |key: &[Value]| reference.get(&canonical_key(key)).cloned().unwrap_or_default();
+            let want = |key: &[Value]| reference.get(key).cloned().unwrap_or_default();
             let table = RowIds::build(&[column(&rows, 0), column(&rows, 1)]);
             let firsts = probes(&rows.iter().map(|r| r[0].clone()).collect::<Vec<_>>());
             let mut probes: Vec<Vec<Value>> = rows.clone();

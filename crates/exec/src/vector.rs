@@ -12,11 +12,13 @@
 //! exactly as if it had not compiled.
 //!
 //! [`eval`] evaluates a [`VExpr`] for a set of row positions,
-//! producing a [`Vector`] column-at-a-time. Every kernel mirrors the
-//! executor's `eval_expr` *on values*: typed fast paths exist only
-//! where they are bit-exact (`i64`/`i64` comparison and arithmetic,
-//! string comparison), everything else goes through the same
-//! [`Value`] operations the scalar evaluator uses. Errors need no such
+//! producing a [`Vector`] column-at-a-time. Each operator is defined
+//! once, on values ([`bin_values`], [`neg_value`], [`like_value`]), and
+//! both evaluators run that definition: a kernel's generic loop calls
+//! it per slot, and the executor's scalar evaluator per row, keeping
+//! only its AND/OR short-circuits and its subquery arms. Typed fast
+//! paths exist only where they are bit-exact (`i64`/`i64` comparison
+//! and arithmetic, string comparison). Errors need no such
 //! care: a kernel evaluates every (row, sub-expression) pair, where the
 //! scalar evaluator short-circuits, so its caller treats any kernel
 //! error as "ask the scalar evaluator", which decides whether the query
@@ -273,16 +275,7 @@ pub(crate) fn eval(
             let r = sub(right)?;
             eval_bin(*op, &l, &r)
         }
-        VExpr::Neg(x) => {
-            let v = sub(x)?;
-            map_values(&v, |val| {
-                if val.is_null() {
-                    Ok(Value::Null)
-                } else {
-                    Value::Int(0).arith('-', &val)
-                }
-            })
-        }
+        VExpr::Neg(x) => map_values(&sub(x)?, |val| neg_value(&val)),
         VExpr::Not(x) => {
             let v = sub(x)?;
             if let Vector::Const { value, len } = &v {
@@ -317,14 +310,7 @@ pub(crate) fn eval(
             expr,
             pattern,
             negated,
-        } => {
-            let v = sub(expr)?;
-            map_values(&v, |val| match val {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Bool(like_match(&s, pattern) != *negated)),
-                other => Err(Error::execution(format!("LIKE on non-string {other}"))),
-            })
-        }
+        } => map_values(&sub(expr)?, |val| like_value(val, pattern, *negated)),
     }
 }
 
@@ -464,35 +450,43 @@ fn cmp_passes(op: BinOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
-/// Value-level mirror of the executor's binary evaluation on two
-/// already-computed operands. The scalar evaluator's AND/OR
-/// short-circuits are pure evaluation-avoidance: the produced value is
-/// identical.
-fn bin_values(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+/// A comparison of two values in SQL's three-valued logic.
+fn compare(op: BinOp, l: &Value, r: &Value) -> Truth {
+    match op {
+        BinOp::Eq => l.sql_eq(r),
+        BinOp::Neq => l.sql_eq(r).not(),
+        _ => l
+            .sql_cmp(r)
+            .map_or(Truth::Unknown, |ord| cmp_passes(op, ord).into()),
+    }
+}
+
+/// The binary operator `op` on two computed operands: its one
+/// definition. The scalar evaluator's AND/OR short-circuits are pure
+/// evaluation-avoidance: the produced value is identical.
+pub(crate) fn bin_values(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     match op {
         BinOp::And => Ok(truth_to_value(truth_of(l).and(truth_of(r)))),
         BinOp::Or => Ok(truth_to_value(truth_of(l).or(truth_of(r)))),
-        BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let t = match op {
-                BinOp::Eq => l.sql_eq(r),
-                BinOp::Neq => l.sql_eq(r).not(),
-                _ => match l.sql_cmp(r) {
-                    None => Truth::Unknown,
-                    Some(ord) => cmp_passes(op, ord).into(),
-                },
-            };
-            Ok(truth_to_value(t))
-        }
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-            let ch = match op {
-                BinOp::Add => '+',
-                BinOp::Sub => '-',
-                BinOp::Mul => '*',
-                BinOp::Div => '/',
-                _ => unreachable!(),
-            };
-            l.arith(ch, r)
-        }
+        BinOp::Add => l.arith('+', r),
+        BinOp::Sub => l.arith('-', r),
+        BinOp::Mul => l.arith('*', r),
+        BinOp::Div => l.arith('/', r),
+        _ => Ok(truth_to_value(compare(op, l, r))),
+    }
+}
+
+/// Unary minus; NULL stays NULL.
+pub(crate) fn neg_value(v: &Value) -> Result<Value> {
+    Value::Int(0).arith('-', v)
+}
+
+/// `v LIKE pattern`, or `NOT LIKE` when `negated`; NULL stays NULL.
+pub(crate) fn like_value(v: Value, pattern: &str, negated: bool) -> Result<Value> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Str(s) => Ok(Value::Bool(like_match(&s, pattern) != negated)),
+        other => Err(Error::execution(format!("LIKE on non-string {other}"))),
     }
 }
 
@@ -549,16 +543,7 @@ fn eval_bin(op: BinOp, l: &Vector, r: &Vector) -> Result<Vector> {
             }
             let mut out = TruthBuilder::new(n);
             for k in 0..n {
-                let (lv, rv) = (l.value_at(k), r.value_at(k));
-                let t = match op {
-                    BinOp::Eq => lv.sql_eq(&rv),
-                    BinOp::Neq => lv.sql_eq(&rv).not(),
-                    _ => match lv.sql_cmp(&rv) {
-                        None => Truth::Unknown,
-                        Some(ord) => cmp_passes(op, ord).into(),
-                    },
-                };
-                out.push(k, t);
+                out.push(k, compare(op, &l.value_at(k), &r.value_at(k)));
             }
             Ok(out.finish())
         }

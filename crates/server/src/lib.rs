@@ -39,6 +39,7 @@
 //! clock reads.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod client;
 pub mod loadgen;

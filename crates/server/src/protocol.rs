@@ -254,7 +254,9 @@ mod tests {
                 !tok.contains(' ') && !tok.contains('\n'),
                 "token must be atomic: {tok:?}"
             );
-            assert_eq!(decode_value(&tok).unwrap(), v, "token {tok:?}");
+            // `Debug` tells `-0.0` from `0.0`, which `==` equates.
+            let back = decode_value(&tok).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{v:?}"), "token {tok:?}");
         }
     }
 

@@ -6,6 +6,7 @@
 //! aggregates, `BETWEEN`, `LIKE`, `IS NULL`, and NULL literals.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod ast;
 pub mod lexer;

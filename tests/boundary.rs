@@ -331,10 +331,20 @@ fn eligibility_rate_over_table1_and_the_fuzz_corpus() {
 /// `-0.0` equals `0` in a predicate, whichever path compares them: a
 /// filter kernel, the scalar evaluator, an ordering, a hash join, an
 /// index probe and a hashed `IN`. Each query is paired with a twin that
-/// takes another path, or with the answer itself.
+/// takes another path, or with the answer itself. Grouping agrees: over
+/// a DOUBLE column holding both zeros, DISTINCT and GROUP BY find one
+/// zero, and EXCEPT and INTERSECT answer what NOT IN and IN do.
 #[test]
 fn negative_zero_equals_zero_on_every_path() {
-    let engine = fuzz_engine().unwrap();
+    let mut engine = fuzz_engine().unwrap();
+    for sql in [
+        "CREATE TABLE zeros (a DOUBLE)",
+        "INSERT INTO zeros VALUES (0.0), (-0.0), (NULL)",
+        "CREATE TABLE negzero (a DOUBLE)",
+        "INSERT INTO negzero VALUES (-0.0)",
+    ] {
+        engine.run_sql(sql).unwrap();
+    }
     let answer = |sql: &str, strategy: Strategy| -> Vec<String> {
         let prepared = engine.prepare(sql, strategy).unwrap();
         let rows = engine.execute_prepared(&prepared).unwrap().rows;
@@ -376,6 +386,106 @@ fn negative_zero_equals_zero_on_every_path() {
         assert_eq!(answer(filter, strategy), ["(0)"], "{strategy:?}");
         let truth = "SELECT d.deptno * -1.0 = 0 FROM department d WHERE d.deptno = 0";
         assert_eq!(answer(truth, strategy), ["(TRUE)"], "{strategy:?}");
+        // The first spelling of a group stays its representative.
+        let grouped = [
+            ("SELECT DISTINCT a FROM zeros", vec!["(0.0)", "(NULL)"]),
+            (
+                "SELECT a, COUNT(*) FROM zeros GROUP BY a",
+                vec!["(0.0, 2)", "(NULL, 1)"],
+            ),
+        ];
+        for (sql, want) in grouped {
+            assert_eq!(answer(sql, strategy), want, "{strategy:?}: {sql}");
+        }
+        let set_ops = [
+            (
+                "SELECT a FROM zeros WHERE a IS NOT NULL EXCEPT SELECT a FROM negzero",
+                "SELECT DISTINCT a FROM zeros WHERE a NOT IN (SELECT a FROM negzero)",
+                vec![],
+            ),
+            (
+                "SELECT a FROM zeros INTERSECT SELECT a FROM negzero",
+                "SELECT DISTINCT a FROM zeros WHERE a IN (SELECT a FROM negzero)",
+                vec!["(0.0)"],
+            ),
+        ];
+        for (set_op, subquery, want) in set_ops {
+            assert_eq!(answer(set_op, strategy), want, "{strategy:?}: {set_op}");
+            assert_eq!(answer(subquery, strategy), want, "{strategy:?}: {subquery}");
+        }
+    }
+}
+
+/// Beyond 2^53 an `Int` and a `Double` compare by exact value on every
+/// path. `2^53 + 1` rounds onto the double `2^53`, yet only `2^53`
+/// equals it, so for that cluster, stored in each of its six row orders
+/// in an INT and in a DOUBLE column, an index probe, a hash-join key,
+/// the projected predicate, `COUNT(*)` under the predicate and the
+/// range form answer the same rows.
+#[test]
+fn the_rounding_cluster_beyond_2_pow_53_answers_alike_on_every_path() {
+    // (literal, tag): `Int(2^53 + 1)`, `Double(2^53)`, `Int(2^53)`.
+    let cluster = [
+        ("9007199254740993", 1),
+        ("9007199254740992.0", 2),
+        ("9007199254740992", 3),
+    ];
+    // Per literal, the tags of the values that equal it.
+    let equal = [vec!["(1)"], vec!["(2)", "(3)"], vec!["(2)", "(3)"]];
+    let orders = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    for order in orders {
+        let mut engine = Engine::new(starmagic_catalog::Catalog::new());
+        engine
+            .run_sql("CREATE TABLE c (i INT, d DOUBLE, tag INT)")
+            .unwrap();
+        // Eight rows of filler: one lookup is few against the table, so
+        // an equality on a bare column probes its index.
+        let filler: Vec<String> = (1..=8).map(|k| format!("({k}, {k}.0, 0)")).collect();
+        let insert = format!("INSERT INTO c VALUES {}", filler.join(", "));
+        engine.run_sql(&insert).unwrap();
+        for k in order {
+            let (v, tag) = cluster[k];
+            let insert = format!("INSERT INTO c VALUES ({v}, {v}, {tag})");
+            engine.run_sql(&insert).unwrap();
+        }
+        let answer = |sql: &str, strategy: Strategy| -> Vec<String> {
+            let prepared = engine.prepare(sql, strategy).unwrap();
+            let rows = engine.execute_prepared(&prepared).unwrap().rows;
+            let mut rows: Vec<String> = rows.iter().map(ToString::to_string).collect();
+            rows.sort();
+            rows
+        };
+        for strategy in [Strategy::Original, Strategy::Magic, Strategy::CostBased] {
+            for column in ["i", "d"] {
+                for ((literal, _), want) in cluster.iter().zip(&equal) {
+                    let eq = format!("{column} = {literal}");
+                    let at = format!("{order:?} {strategy:?}: {eq}");
+                    let forms = [
+                        format!("SELECT tag FROM c WHERE {eq}"),
+                        format!("SELECT tag FROM c WHERE {column} + 0 = {literal}"),
+                        format!("SELECT tag FROM c WHERE {column} >= {literal} AND {column} <= {literal}"),
+                    ];
+                    for sql in &forms {
+                        assert_eq!(&answer(sql, strategy), want, "{at}: {sql}");
+                    }
+                    let projected: Vec<String> =
+                        answer(&format!("SELECT tag, {eq} FROM c"), strategy)
+                            .iter()
+                            .filter_map(|r| r.strip_suffix(", TRUE)").map(|tag| format!("{tag})")))
+                            .collect();
+                    assert_eq!(&projected, want, "{at}: projected");
+                    let count = answer(&format!("SELECT COUNT(*) FROM c WHERE {eq}"), strategy);
+                    assert_eq!(count, [format!("({})", want.len())], "{at}: COUNT(*)");
+                }
+            }
+        }
     }
 }
 
