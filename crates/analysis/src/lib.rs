@@ -27,6 +27,7 @@
 //! caught and attributed the moment it happens.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod checks;
 pub mod domains;

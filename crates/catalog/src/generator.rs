@@ -10,9 +10,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use starmagic_common::{Result, Row, Value};
+use starmagic_common::{Result, Value};
 
 use crate::catalog::Catalog;
+use crate::column::Column;
 use crate::schema::{ColumnDef, TableSchema};
 use crate::table::Table;
 
@@ -96,7 +97,7 @@ pub fn benchmark_catalog(scale: Scale) -> Result<Catalog> {
     let n_emps = scale.total_employees().max(1);
 
     // Employees first, so manager numbers can point at real employees.
-    let mut employees = Vec::with_capacity(n_emps);
+    let mut employees = columns(n_emps);
     for empno in 0..n_emps as i64 {
         let workdept = empno % n_depts as i64; // round-robin keeps depts even
         let salary = 30_000.0 + rng.gen_range(0..50_000) as f64;
@@ -106,17 +107,35 @@ pub fn benchmark_catalog(scale: Scale) -> Result<Catalog> {
             Value::Double((rng.gen_range(0..100) * 100) as f64)
         };
         let yearhired = 1970 + rng.gen_range(0..25);
-        employees.push(Row::new(vec![
-            Value::Int(empno),
-            Value::str(format!("Emp_{empno}")),
-            Value::Int(workdept),
-            Value::Double(salary),
-            bonus,
-            Value::Int(yearhired),
-        ]));
+        push(
+            &mut employees,
+            [
+                Value::Int(empno),
+                Value::str(format!("Emp_{empno}")),
+                Value::Int(workdept),
+                Value::Double(salary),
+                bonus,
+                Value::Int(yearhired),
+            ],
+        );
     }
+    let employees = table(
+        TableSchema::new(
+            "employee",
+            vec![
+                ColumnDef::new("empno", Int),
+                ColumnDef::new("empname", Str),
+                ColumnDef::new("workdept", Int),
+                ColumnDef::new("salary", Double),
+                ColumnDef::new("bonus", Double),
+                ColumnDef::new("yearhired", Int),
+            ],
+        )
+        .with_key(&["empno"])?,
+        employees,
+    )?;
 
-    let mut departments = Vec::with_capacity(n_depts);
+    let mut departments = columns(n_depts);
     for deptno in 0..n_depts as i64 {
         let deptname = if deptno == 0 {
             "Planning".to_string()
@@ -127,45 +146,50 @@ pub fn benchmark_catalog(scale: Scale) -> Result<Catalog> {
         let mgrno = deptno;
         let division = DIVISIONS[(deptno as usize) % DIVISIONS.len()];
         let budget = 100_000.0 + rng.gen_range(0..900_000) as f64;
-        departments.push(Row::new(vec![
-            Value::Int(deptno),
-            Value::str(deptname),
-            Value::Int(mgrno),
-            Value::str(division),
-            Value::Double(budget),
-        ]));
+        push(
+            &mut departments,
+            [
+                Value::Int(deptno),
+                Value::str(deptname),
+                Value::Int(mgrno),
+                Value::str(division),
+                Value::Double(budget),
+            ],
+        );
     }
 
     let n_projects = n_depts * scale.projects_per_dept.max(1);
-    let mut projects = Vec::with_capacity(n_projects);
+    let mut projects = columns(n_projects);
     for projno in 0..n_projects as i64 {
         let deptno = projno % n_depts as i64;
         let budget = 10_000.0 + rng.gen_range(0..90_000) as f64;
-        projects.push(Row::new(vec![
-            Value::Int(projno),
-            Value::str(format!("Proj_{projno}")),
-            Value::Int(deptno),
-            Value::Double(budget),
-        ]));
+        push(
+            &mut projects,
+            [
+                Value::Int(projno),
+                Value::str(format!("Proj_{projno}")),
+                Value::Int(deptno),
+                Value::Double(budget),
+            ],
+        );
     }
 
-    let mut acts = Vec::with_capacity(n_emps * scale.acts_per_emp);
+    let mut acts = columns(n_emps * scale.acts_per_emp);
     for empno in 0..n_emps as i64 {
         let mut chosen = std::collections::HashSet::new();
         for _ in 0..scale.acts_per_emp {
             let projno = rng.gen_range(0..n_projects as i64);
             if chosen.insert(projno) {
                 let hours = rng.gen_range(1..40) as f64;
-                acts.push(Row::new(vec![
-                    Value::Int(empno),
-                    Value::Int(projno),
-                    Value::Double(hours),
-                ]));
+                push(
+                    &mut acts,
+                    [Value::Int(empno), Value::Int(projno), Value::Double(hours)],
+                );
             }
         }
     }
 
-    catalog.add_table(Table::with_rows(
+    catalog.add_table(table(
         TableSchema::new(
             "department",
             vec![
@@ -180,23 +204,9 @@ pub fn benchmark_catalog(scale: Scale) -> Result<Catalog> {
         departments,
     )?)?;
 
-    catalog.add_table(Table::with_rows(
-        TableSchema::new(
-            "employee",
-            vec![
-                ColumnDef::new("empno", Int),
-                ColumnDef::new("empname", Str),
-                ColumnDef::new("workdept", Int),
-                ColumnDef::new("salary", Double),
-                ColumnDef::new("bonus", Double),
-                ColumnDef::new("yearhired", Int),
-            ],
-        )
-        .with_key(&["empno"])?,
-        employees,
-    )?)?;
+    catalog.add_table(employees)?;
 
-    catalog.add_table(Table::with_rows(
+    catalog.add_table(table(
         TableSchema::new(
             "project",
             vec![
@@ -210,7 +220,7 @@ pub fn benchmark_catalog(scale: Scale) -> Result<Catalog> {
         projects,
     )?)?;
 
-    catalog.add_table(Table::with_rows(
+    catalog.add_table(table(
         TableSchema::new(
             "emp_act",
             vec![
@@ -224,6 +234,25 @@ pub fn benchmark_catalog(scale: Scale) -> Result<Catalog> {
     )?)?;
 
     Ok(catalog)
+}
+
+/// Per-column value vectors of one table, each with room for `rows`.
+fn columns<const N: usize>(rows: usize) -> [Vec<Value>; N] {
+    std::array::from_fn(|_| Vec::with_capacity(rows))
+}
+
+/// Append one row's values, each to its column's vector.
+fn push<const N: usize>(columns: &mut [Vec<Value>; N], row: [Value; N]) {
+    for (column, v) in columns.iter_mut().zip(row) {
+        column.push(v);
+    }
+}
+
+/// The table `schema` describes, over per-column value vectors, each
+/// typed by [`Column::from_values`] and freed once converted.
+fn table<const N: usize>(schema: TableSchema, columns: [Vec<Value>; N]) -> Result<Table> {
+    let columns = columns.map(|values| Column::from_values(&values));
+    Table::with_columns(schema, columns.into())
 }
 
 #[cfg(test)]
@@ -242,6 +271,24 @@ mod tests {
             a.table("emp_act").unwrap().rows(),
             b.table("emp_act").unwrap().rows()
         );
+    }
+
+    #[test]
+    fn generated_tables_are_what_their_rows_would_load() {
+        let c = benchmark_catalog(Scale::small()).unwrap();
+        for name in ["department", "employee", "project", "emp_act"] {
+            let t = c.table(name).unwrap();
+            let rows = t.rows();
+            let arity = t.schema().arity();
+            let columns: Vec<Column> = (0..arity).map(|i| Column::from_rows(&rows, i)).collect();
+            assert_eq!(
+                format!("{:?}", t.columns()),
+                format!("{columns:?}"),
+                "{name}"
+            );
+            let stats = crate::stats::TableStats::compute(arity, &rows);
+            assert_eq!(format!("{:?}", t.stats()), format!("{stats:?}"), "{name}");
+        }
     }
 
     #[test]

@@ -93,6 +93,28 @@ impl TableStats {
         }
     }
 
+    /// The statistics [`TableStats::compute`] gives over the `len` rows
+    /// that `columns` hold, read column by column: each column's values
+    /// are observed in row order, so ties keep the same value.
+    pub(crate) fn of_columns(columns: &[Column], len: usize) -> TableStats {
+        let columns = columns.iter().map(|column| {
+            let mut stats = ColumnStats::empty();
+            let mut distinct = HashSet::new();
+            for i in 0..len {
+                let v = column.value(i);
+                if stats.observe(&v) {
+                    distinct.insert(v);
+                }
+            }
+            stats.ndv = distinct.len() as u64;
+            stats
+        });
+        TableStats {
+            rows: len as u64,
+            columns: columns.collect(),
+        }
+    }
+
     /// Extend these statistics to cover `new_rows` appended after the
     /// rows they describe. `fresh` must have been built from
     /// `new_rows` and shown the existing columns. The

@@ -15,8 +15,9 @@ use crate::stats::{FreshValues, TableStats};
 /// Column `c` always equals [`Column::from_rows`] over the table's rows
 /// at `c`, whatever sequence of loads and inserts produced them: a
 /// reader borrows the columns as they are, with nothing to convert.
-/// Rows exist only when somebody asks for one ([`Table::row`]): the
-/// executor does at the query root.
+/// A table builds a row only when somebody asks for one
+/// ([`Table::row`]); the executor's query root reads the columns
+/// straight into its result buffer instead.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
@@ -45,24 +46,56 @@ impl Table {
         Ok(t)
     }
 
+    /// Build a table from its columns, one per schema column, each typed
+    /// as [`Column::from_values`] types its values (validates the column
+    /// count, their lengths and key uniqueness, then computes the
+    /// statistics [`Table::with_rows`] would over the same rows). No row
+    /// is built.
+    pub fn with_columns(schema: TableSchema, columns: Vec<Column>) -> Result<Table> {
+        let len = columns.first().map_or(0, Column::len);
+        let mut t = Table::new(schema);
+        if columns.len() != t.schema.arity() || columns.iter().any(|c| c.len() != len) {
+            return Err(Error::semantic(format!(
+                "table {} needs {} columns of one length",
+                t.schema.name,
+                t.schema.arity()
+            )));
+        }
+        t.store(columns, len)?;
+        Ok(t)
+    }
+
     /// Replace the table's contents.
     pub fn load(&mut self, rows: Vec<Row>) -> Result<()> {
         for r in &rows {
             self.check_arity(r)?;
         }
+        let columns = (0..self.schema.arity())
+            .map(|c| Column::from_rows(&rows, c))
+            .collect();
+        self.store(columns, rows.len())
+    }
+
+    /// Replace the table's contents with `columns` of `len` slots, unless
+    /// two rows share a key: sorted by key, a duplicate sits next to its
+    /// twin. The statistics are computed column by column, in row order.
+    fn store(&mut self, columns: Vec<Column>, len: usize) -> Result<()> {
         if let Some(key) = &self.schema.key {
-            let mut seen = std::collections::HashSet::with_capacity(rows.len());
-            for r in &rows {
-                let k: Vec<Value> = key.iter().map(|&c| r.get(c).clone()).collect();
-                if !seen.insert(k) {
-                    return Err(self.duplicate_key());
-                }
+            let key_cmp = |a: usize, b: usize| {
+                key.iter()
+                    .map(|&c| columns[c].value(a).group_cmp(&columns[c].value(b)))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            };
+            let mut ids: Vec<usize> = (0..len).collect();
+            ids.sort_unstable_by(|&a, &b| key_cmp(a, b));
+            if ids.windows(2).any(|w| key_cmp(w[0], w[1]).is_eq()) {
+                return Err(self.duplicate_key());
             }
         }
-        let arity = self.schema.arity();
-        self.stats = TableStats::compute(arity, &rows);
-        self.columns = (0..arity).map(|c| Column::from_rows(&rows, c)).collect();
-        self.len = rows.len();
+        self.stats = TableStats::of_columns(&columns, len);
+        self.columns = columns;
+        self.len = len;
         Ok(())
     }
 
@@ -243,6 +276,18 @@ mod tests {
             ],
         );
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn with_columns_rejects_a_wrong_count_or_ragged_columns() {
+        let ids = Column::from_values(&[Value::Int(1), Value::Int(2)]);
+        let names = Column::from_values(&[Value::str("a")]);
+        assert!(Table::with_columns(schema(), vec![ids.clone()]).is_err());
+        assert!(Table::with_columns(schema(), vec![ids.clone(), names]).is_err());
+        let names = Column::from_values(&[Value::str("a"), Value::str("b")]);
+        let t = Table::with_columns(schema(), vec![ids, names]).unwrap();
+        assert_eq!(t.row_count(), 2);
+        assert_eq!(t.row(1), Row::new(vec![Value::Int(2), Value::str("b")]));
     }
 
     #[test]
@@ -434,6 +479,71 @@ mod tests {
                             prop_assert_eq!((table.rows(), table.stats().clone()), before);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    mod from_columns {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A row of three narrow-range cells, NULL one time in four: an
+        /// INT, a numeric mix of `Int` and `Double`, and a short string.
+        fn row() -> impl Strategy<Value = Row> {
+            let int = || (-3i64..6).prop_map(Value::Int).boxed();
+            let number = prop_oneof![
+                int(),
+                (-2i64..4).prop_map(|h| Value::Double(h as f64 / 2.0))
+            ];
+            let string = "[ab]{0,2}".prop_map(Value::str).boxed();
+            let nullable = |s: BoxedStrategy<Value>| {
+                prop::option::of(s).prop_map(|v| v.unwrap_or(Value::Null))
+            };
+            (nullable(int()), nullable(number.boxed()), nullable(string))
+                .prop_map(|(a, b, c)| Row::new(vec![a, b, c]))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// A table built from the columns of some rows is the table
+            /// those rows load: accepted exactly when no two rows share
+            /// a key, with the same columns, and statistics equal, bit
+            /// for bit, to `TableStats::compute` over the rows.
+            #[test]
+            fn columns_build_what_rows_load(
+                key_shape in 0usize..3,
+                rows in prop::collection::vec(row(), 0..30),
+            ) {
+                let columns = vec![
+                    ColumnDef::new("a", DataType::Int),
+                    ColumnDef::new("b", DataType::Double),
+                    ColumnDef::new("c", DataType::Str),
+                ];
+                let schema = match key_shape {
+                    0 => TableSchema::new("t", columns),
+                    1 => TableSchema::new("t", columns).with_key(&["a"]).unwrap(),
+                    _ => TableSchema::new("t", columns).with_key(&["c", "a"]).unwrap(),
+                };
+                let key = schema.key.clone().unwrap_or_default();
+                let mut keys = std::collections::HashSet::new();
+                let unique = key.is_empty()
+                    || rows.iter().all(|r| {
+                        keys.insert(key.iter().map(|&c| r.get(c).clone()).collect::<Vec<_>>())
+                    });
+                let columns: Vec<Column> = (0..3).map(|c| Column::from_rows(&rows, c)).collect();
+                let built = Table::with_columns(schema.clone(), columns.clone());
+                prop_assert_eq!(built.is_ok(), unique);
+                prop_assert_eq!(Table::with_rows(schema, rows.clone()).is_ok(), unique);
+                if let Ok(table) = built {
+                    prop_assert_eq!(table.row_count(), rows.len());
+                    prop_assert_eq!(format!("{:?}", table.rows()), format!("{rows:?}"));
+                    prop_assert_eq!(format!("{:?}", table.columns()), format!("{columns:?}"));
+                    prop_assert_eq!(
+                        format!("{:?}", table.stats()),
+                        format!("{:?}", TableStats::compute(3, &rows))
+                    );
                 }
             }
         }

@@ -136,6 +136,18 @@ impl Value {
         Value::double_cmp(i as f64, d).then_with(|| i128::from(i).cmp(&(d as i128)))
     }
 
+    /// Negation with NULL propagation: wrapping for `Int`, like
+    /// [`Value::arith`], and IEEE `-d` for `Double`, so `-0.0` negates
+    /// `0.0`. `None` for a value that is no number.
+    pub fn neg(&self) -> Option<Value> {
+        match self {
+            Value::Null => Some(Value::Null),
+            Value::Int(i) => Some(Value::Int(i.wrapping_neg())),
+            Value::Double(d) => Some(Value::Double(-d)),
+            Value::Str(_) | Value::Bool(_) => None,
+        }
+    }
+
     /// Arithmetic with NULL propagation. `op` is one of `+ - * /`.
     pub fn arith(&self, op: char, other: &Value) -> Result<Value> {
         if self.is_null() || other.is_null() {
@@ -343,6 +355,20 @@ mod tests {
             Value::Int(1).arith('+', &Value::Double(0.5)).unwrap(),
             Value::Double(1.5)
         );
+    }
+
+    #[test]
+    fn negation_wraps_ints_and_flips_the_sign_of_doubles() {
+        assert_eq!(Value::Int(5).neg(), Some(Value::Int(-5)));
+        assert_eq!(Value::Int(i64::MIN).neg(), Some(Value::Int(i64::MIN)));
+        let Some(Value::Double(d)) = Value::Double(0.0).neg() else {
+            panic!("a double negates to a double")
+        };
+        assert!(d == 0.0 && d.is_sign_negative());
+        assert_eq!(format!("{}", Value::Double(-0.0).neg().unwrap()), "0.0");
+        assert!(Value::Null.neg().is_some_and(|v| v.is_null()));
+        assert_eq!(Value::str("a").neg(), None);
+        assert_eq!(Value::Bool(true).neg(), None);
     }
 
     #[test]

@@ -982,14 +982,13 @@ fn strategy_options(strategy: Strategy) -> PipelineOptions {
 /// Evaluate a literal INSERT expression (literals and negation only —
 /// INSERT does not evaluate queries).
 fn literal_value(e: &starmagic_sql::Expr) -> Result<starmagic_common::Value> {
-    use starmagic_common::Value;
     match e {
         starmagic_sql::Expr::Literal(v) => Ok(v.clone()),
-        starmagic_sql::Expr::Neg(inner) => match literal_value(inner)? {
-            Value::Int(i) => Ok(Value::Int(-i)),
-            Value::Double(d) => Ok(Value::Double(-d)),
-            other => Err(Error::semantic(format!("cannot negate {other}"))),
-        },
+        starmagic_sql::Expr::Neg(inner) => {
+            let v = literal_value(inner)?;
+            v.neg()
+                .ok_or_else(|| Error::semantic(format!("cannot negate {v}")))
+        }
         _ => Err(Error::semantic(
             "INSERT VALUES must be literals".to_string(),
         )),

@@ -5,14 +5,16 @@
 //! tables in them). The executor's operators — the select executor,
 //! the aggregation kernel, set operations, the fixpoint accumulators —
 //! read and produce batches; rows are built only for the query root
-//! ([`Batch::rows`]). The scalar evaluator's frame reads a position in
-//! a batch in place ([`Batch::value`]).
+//! ([`Batch::rows`]), as views of one buffer per result. The scalar
+//! evaluator's frame reads a position in a batch in place
+//! ([`Batch::value`]).
 //!
 //! A batch over a stored table ([`Batch::over_table`]) borrows the
 //! table's own columns: nothing is converted or copied. One built
 //! *from columns* (a select's projection) holds exactly the live
 //! columns its producer gathered.
 
+use std::slice::ChunksExactMut;
 use std::sync::Arc;
 
 use starmagic_catalog::Table;
@@ -162,19 +164,49 @@ impl Batch {
             .map_or(Value::Null, |column| column.value(i))
     }
 
-    /// Row `i`, gathered from the columns (a pruned column reads as
-    /// NULL, as in [`Batch::rows`]).
-    pub(crate) fn row(&self, i: usize) -> Row {
-        if let Columns::Table(table) = &self.columns {
-            return table.row(i);
-        }
-        (0..self.arity()).map(|c| self.value(c, i)).collect()
-    }
-
-    /// Materialize every row, in order. A pruned column reads as NULL
-    /// (nobody reads it, but the row keeps its arity and offsets).
+    /// Materialize every row, in order: one buffer of `len × arity`
+    /// values, filled column by column, each row a view of it
+    /// ([`Row::views`]). A pruned column reads as NULL (nobody reads
+    /// it, but the row keeps its arity and offsets).
     pub fn rows(&self) -> Vec<Row> {
-        (0..self.len).map(|i| self.row(i)).collect()
+        let arity = self.arity();
+        let mut buffer: Arc<[Value]> = (0..self.len * arity).map(|_| Value::Null).collect();
+        let slots = Arc::get_mut(&mut buffer).expect("a buffer just built has no other owner");
+        for c in 0..arity {
+            if let Some(column) = self.try_column(c) {
+                fill(slots.chunks_exact_mut(arity), c, column);
+            }
+        }
+        Row::views(&buffer, arity, self.len)
+    }
+}
+
+/// Write `column` into slot `c` of each row of `rows`: one `match`, then
+/// a typed loop; a NULL slot keeps the `Null` the buffer starts with.
+fn fill(rows: ChunksExactMut<'_, Value>, c: usize, column: &Column) {
+    fn typed<T>(
+        rows: ChunksExactMut<'_, Value>,
+        c: usize,
+        values: &[T],
+        validity: &Option<Bitmap>,
+        value: impl Fn(&T) -> Value,
+    ) {
+        for (i, (row, v)) in rows.zip(values).enumerate() {
+            if validity.as_ref().map_or(true, |bits| bits.get(i)) {
+                row[c] = value(v);
+            }
+        }
+    }
+    match column {
+        Column::Int64 { values, validity } => typed(rows, c, values, validity, |&v| Value::Int(v)),
+        Column::Float64 { values, validity } => {
+            typed(rows, c, values, validity, |&v| Value::Double(v));
+        }
+        Column::Str { values, validity } => {
+            typed(rows, c, values, validity, |v| Value::Str(v.clone()));
+        }
+        Column::Bool { values, validity } => typed(rows, c, values, validity, |&v| Value::Bool(v)),
+        Column::Mixed(values) => typed(rows, c, values, &None, Value::clone),
     }
 }
 
@@ -261,7 +293,7 @@ mod tests {
         }
         assert!(matches!(batch.column(0), Column::Int64 { .. }));
         assert_eq!(batch.rows(), rows());
-        assert_eq!(batch.row(1), table.row(1));
+        assert_eq!(batch.rows()[1], table.row(1));
     }
 
     #[test]
@@ -332,5 +364,128 @@ mod tests {
         assert_eq!(batch.len(), 0);
         assert_eq!(batch.arity(), 0);
         assert!(batch.rows().is_empty());
+    }
+
+    /// Every row of `batch` as [`Column::value`] reads it slot by slot,
+    /// NULL in a pruned column: what [`Batch::rows`] must equal.
+    fn per_slot(batch: &Batch) -> Vec<Row> {
+        (0..batch.len())
+            .map(|i| (0..batch.arity()).map(|c| batch.value(c, i)).collect())
+            .collect()
+    }
+
+    /// Rows from one buffer follow each other in it, `arity` apart.
+    fn assert_one_buffer(rows: &[Row], arity: usize) {
+        for (k, row) in rows.iter().enumerate() {
+            assert_eq!(row.arity(), arity);
+            assert_eq!(
+                row.values().as_ptr(),
+                rows[0].values().as_ptr().wrapping_add(k * arity)
+            );
+        }
+    }
+
+    #[test]
+    fn a_result_is_one_buffer_of_contiguous_rows() {
+        let batch = Batch::from_rows(&rows());
+        let got = batch.rows();
+        assert_one_buffer(&got, 3);
+        for (view, alone) in got.iter().zip(rows()) {
+            assert_eq!(view, &alone);
+            assert_eq!(format!("{view:?}"), format!("{alone:?}"));
+        }
+        // Zero arity: rows without values; zero rows: no rows.
+        assert_eq!(
+            Batch::from_columns(Vec::new(), 3).rows(),
+            vec![Row::empty(); 3]
+        );
+        assert!(Batch::from_columns(vec![None, None], 0).rows().is_empty());
+    }
+
+    mod one_buffer {
+        use super::*;
+        use proptest::prelude::*;
+        use starmagic_catalog::{ColumnDef, TableSchema};
+        use starmagic_common::DataType;
+
+        /// A value of `kind` (0 `Int`, 1 `Double` with both zeros, 2
+        /// `Str`, 3 `Bool`, else any of them, so the column is `Mixed`),
+        /// NULL one time in four.
+        fn cell(kind: usize) -> BoxedStrategy<Value> {
+            let ints = || (-5i64..5).prop_map(Value::Int).boxed();
+            let doubles = || {
+                prop_oneof![
+                    Just(Value::Double(-0.0)),
+                    (-4i64..4).prop_map(|h| Value::Double(h as f64 / 2.0))
+                ]
+                .boxed()
+            };
+            let strs = || "[ab]{0,2}".prop_map(Value::str).boxed();
+            let bools = || any::<bool>().prop_map(Value::Bool).boxed();
+            let non_null = match kind {
+                0 => ints(),
+                1 => doubles(),
+                2 => strs(),
+                3 => bools(),
+                _ => prop_oneof![ints(), doubles(), strs(), bools()].boxed(),
+            };
+            prop::option::of(non_null)
+                .prop_map(|v| v.unwrap_or(Value::Null))
+                .boxed()
+        }
+
+        /// Up to four columns of up to 12 slots each, one length for
+        /// all; each column's values and whether the producer pruned it.
+        fn columns() -> impl Strategy<Value = (usize, Vec<(Vec<Value>, bool)>)> {
+            (0usize..5, 0usize..13).prop_flat_map(|(arity, len)| {
+                let column = (0usize..6, any::<bool>()).prop_flat_map(move |(kind, pruned)| {
+                    prop::collection::vec(cell(kind), len).prop_map(move |v| (v, pruned))
+                });
+                prop::collection::vec(column, arity).prop_map(move |cols| (len, cols))
+            })
+        }
+
+        /// Every row's `Debug` text, which tells `-0.0` from `0.0` and
+        /// `1` from `1.0` where `==` does not.
+        fn text(rows: &[Row]) -> Vec<String> {
+            rows.iter().map(|r| format!("{r:?}")).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Over typed, `Mixed`, NULL-bearing and pruned columns, zero
+            /// rows and zero arity, a batch from columns and one over a
+            /// table give the rows that reading every slot gives, as
+            /// views of one buffer.
+            #[test]
+            fn rows_equal_the_per_slot_reference(drawn in columns()) {
+                let (len, drawn) = (drawn.0, &drawn.1);
+                let arity = drawn.len();
+                let built: Vec<Column> =
+                    drawn.iter().map(|(v, _)| Column::from_values(v)).collect();
+                let pruned = drawn.iter().zip(&built).map(|((_, pruned), column)| {
+                    (!pruned).then(|| column.clone())
+                });
+                let batch = Batch::from_columns(pruned.collect(), len);
+                let got = batch.rows();
+                prop_assert_eq!(got.len(), len);
+                prop_assert_eq!(text(&got), text(&per_slot(&batch)));
+                assert_one_buffer(&got, arity);
+
+                let schema = TableSchema::new(
+                    "t",
+                    (0..arity)
+                        .map(|c| ColumnDef::new(format!("c{c}"), DataType::Int))
+                        .collect(),
+                );
+                let table = Table::with_columns(schema, built).unwrap();
+                let over_table = Batch::over_table(Arc::new(table));
+                let got = over_table.rows();
+                prop_assert_eq!(got.len(), if arity == 0 { 0 } else { len });
+                prop_assert_eq!(text(&got), text(&per_slot(&over_table)));
+                assert_one_buffer(&got, arity);
+            }
+        }
     }
 }

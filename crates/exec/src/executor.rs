@@ -2223,7 +2223,7 @@ mod boundary_tests {
             "live: both parents' columns"
         );
         // A row reader gets the arity and offsets right, NULL where dead.
-        let row = batch.row(0);
+        let row = &batch.rows()[0];
         assert_eq!(row.arity(), 4);
         assert_eq!(row.get(2), &Value::Int(1000));
         assert!(row.get(3).is_null());

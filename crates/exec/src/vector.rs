@@ -478,7 +478,8 @@ pub(crate) fn bin_values(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 
 /// Unary minus; NULL stays NULL.
 pub(crate) fn neg_value(v: &Value) -> Result<Value> {
-    Value::Int(0).arith('-', v)
+    v.neg()
+        .ok_or_else(|| Error::execution(format!("cannot negate {v}")))
 }
 
 /// `v LIKE pattern`, or `NOT LIKE` when `negated`; NULL stays NULL.

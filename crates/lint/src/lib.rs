@@ -26,6 +26,7 @@
 //! fired; `\lint` in the REPL and `EXPLAIN` expose the same report.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod diag;
 pub mod passes;

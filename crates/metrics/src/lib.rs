@@ -30,6 +30,7 @@
 //! index without agreeing on sample storage.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

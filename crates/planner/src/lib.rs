@@ -19,6 +19,7 @@
 //! crate on top of these pieces.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod cost;
 pub mod feedback;

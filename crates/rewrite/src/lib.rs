@@ -16,6 +16,7 @@
 //!   hard-coding per-operation behavior.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod engine;
 pub mod props;

@@ -416,6 +416,32 @@ fn negative_zero_equals_zero_on_every_path() {
     }
 }
 
+/// Negation is IEEE `-x` wherever it runs: a negated literal and a
+/// negated stored `0.0` on the vectorized path, the same inside an item
+/// that reads a scalar subquery (which the scalar evaluator runs), and
+/// an inserted `-0.0` all print `-0.0`; negating `-0.0` gives `0.0`.
+#[test]
+fn a_negated_double_zero_prints_negative_zero_on_every_path() {
+    let mut engine = fuzz_engine().unwrap();
+    for sql in [
+        "CREATE TABLE z (a DOUBLE, b DOUBLE)",
+        "INSERT INTO z VALUES (0.0, -0.0)",
+    ] {
+        engine.run_sql(sql).unwrap();
+    }
+    for strategy in [Strategy::Original, Strategy::Magic, Strategy::CostBased] {
+        for (sql, want) in [
+            ("SELECT -0.0, -a, b, -b FROM z", "(-0.0, -0.0, -0.0, 0.0)"),
+            ("SELECT -(a + (SELECT MIN(x.a) FROM z x)) FROM z", "(-0.0)"),
+        ] {
+            let prepared = engine.prepare(sql, strategy).unwrap();
+            let rows = engine.execute_prepared(&prepared).unwrap().rows;
+            let text: Vec<String> = rows.iter().map(ToString::to_string).collect();
+            assert_eq!(text, [want], "{strategy:?}: {sql}");
+        }
+    }
+}
+
 /// Beyond 2^53 an `Int` and a `Double` compare by exact value on every
 /// path. `2^53 + 1` rounds onto the double `2^53`, yet only `2^53`
 /// equals it, so for that cluster, stored in each of its six row orders
