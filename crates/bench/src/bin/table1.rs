@@ -6,7 +6,8 @@
 //!
 //! Prints both wall-clock-normalized numbers (the paper's metric) and
 //! the deterministic row-work normalization, plus the paper's own
-//! numbers for comparison. Result agreement between the three
+//! numbers for comparison, and the Correlated formulation's time per
+//! box evaluation: the cost of one re-evaluation of its subquery. Result agreement between the three
 //! formulations is verified before any timing is trusted.
 //! `--trace-json <path>` additionally runs every formulation fully
 //! instrumented and writes the machine-readable profile document
@@ -102,7 +103,7 @@ fn main() {
     for exp in experiments() {
         let r = run_experiment(&engine, &exp).expect("ran above");
         println!(
-            "Exp {}: {}\n       original {:>10.3?} ({} rows work)   correlated {:>10.3?} ({})   emst {:>10.3?} ({})",
+            "Exp {}: {}\n       original {:>10.3?} ({} rows work)   correlated {:>10.3?} ({})   emst {:>10.3?} ({})\n       correlated: {} box evaluations, {:.3} µs per evaluation",
             exp.id,
             exp.title,
             r.original.elapsed,
@@ -111,6 +112,8 @@ fn main() {
             r.correlated.work,
             r.emst.elapsed,
             r.emst.work,
+            r.correlated.evals,
+            r.correlated.us_per_eval(),
         );
     }
 

@@ -68,6 +68,17 @@ pub struct Measurement {
     /// Deterministic row-work metric from the executor.
     pub work: u64,
     pub rows: usize,
+    /// Box evaluations the execution started: a correlated box counts
+    /// once per outer binding, a cached one once.
+    pub evals: u64,
+}
+
+impl Measurement {
+    /// Elapsed time per box evaluation, in microseconds: what one
+    /// re-evaluation of a correlated block costs, set-up included.
+    pub fn us_per_eval(&self) -> f64 {
+        self.elapsed.as_secs_f64() * 1e6 / self.evals.max(1) as f64
+    }
 }
 
 /// A full Table 1 row: the three measurements.
@@ -363,6 +374,7 @@ pub fn measure(engine: &Engine, sql: &str, strategy: Strategy) -> Result<Measure
         elapsed,
         work: result.metrics.work(),
         rows: result.rows.len(),
+        evals: result.metrics.box_evals,
     })
 }
 

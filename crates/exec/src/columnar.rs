@@ -45,7 +45,7 @@ use crate::dedup::distinct_ids;
 use crate::executor::{truth_of, Executor, Frame, IdIndex, RowAt};
 use crate::plan::{IndexProbe, Item, SelectPlan, Stage};
 use crate::rowids::RowIds;
-use crate::vector::{eval, Env, SlotView, VExpr, Vector};
+use crate::vector::{eval, Env, Sel, SlotView, VExpr, Vector};
 
 /// The counting unit of `exec.batch.batches`: a stage over `n` rows
 /// counts `ceil(n / BATCH_ROWS)` batches (at least one).
@@ -53,33 +53,39 @@ pub(crate) const BATCH_ROWS: usize = 256;
 
 /// A hash join's build side: the child's batch and the row-id table
 /// over its key columns. A step arm's build outlives one evaluation
-/// (`Executor::step_builds`); a later round's delta may probe it with
+/// (`BoxState::step_builds`); a later round's delta may probe it with
 /// keys of another type, which the table answers as well.
 pub(crate) struct JoinBuild {
     batch: Arc<Batch>,
     ids: RowIds,
 }
 
-/// Join state: per bound quantifier, one shared batch and one id
-/// vector. All id vectors have length `len` — position `k` across them
-/// is one join combination, never materialized as a row until a frame
-/// needs it.
+/// Join state: per bound quantifier, one shared batch and its ids. All
+/// id vectors have length `len` — position `k` across them is one join
+/// combination, never materialized as a row until a frame needs it.
 #[derive(Default)]
 struct State {
     quants: Vec<QuantId>,
     batches: Vec<Arc<Batch>>,
-    ids: Vec<Vec<u32>>,
+    ids: Vec<Ids>,
     len: usize,
 }
 
+/// One slot's ids into its batch.
+enum Ids {
+    /// Every row of the batch, in order (`len` is the batch's length).
+    All,
+    Of(Vec<u32>),
+}
+
 impl State {
-    /// One quantifier bound to the `ids` rows of `batch`.
-    fn over(quant: QuantId, batch: Arc<Batch>, ids: Vec<u32>) -> State {
+    /// One quantifier bound to every row of `batch`, in order.
+    fn over(quant: QuantId, batch: Arc<Batch>) -> State {
         State {
             quants: vec![quant],
+            len: batch.len(),
             batches: vec![batch],
-            len: ids.len(),
-            ids: vec![ids],
+            ids: vec![Ids::All],
         }
     }
 
@@ -89,34 +95,57 @@ impl State {
             .zip(&self.ids)
             .map(|(batch, ids)| SlotView {
                 batch: batch.as_ref(),
-                ids,
+                ids: match ids {
+                    Ids::All => self.all(),
+                    Ids::Of(ids) => Sel::Ids(ids),
+                },
             })
             .collect()
     }
 
-    fn positions(&self) -> Vec<u32> {
-        (0..self.len as u32).collect()
+    /// Every position.
+    fn all(&self) -> Sel<'static> {
+        Sel::All(self.len)
     }
 
     /// Gather every id vector through `parent` positions, then bind
     /// `quant`. One join stage's late materialization: only id vectors
     /// move, never values.
-    fn advance(&mut self, quant: QuantId, parent: &[u32], batch: Arc<Batch>, new_ids: Vec<u32>) {
-        for ids in &mut self.ids {
-            *ids = parent.iter().map(|&p| ids[p as usize]).collect();
-        }
+    fn advance(
+        &mut self,
+        quant: QuantId,
+        parent: Vec<u32>,
+        batch: Arc<Batch>,
+        new_ids: Vec<u32>,
+        spare: &mut Spare,
+    ) {
+        self.gather(&parent, spare);
+        spare.give(parent);
         self.len = new_ids.len();
         self.quants.push(quant);
         self.batches.push(batch);
-        self.ids.push(new_ids);
+        self.ids.push(Ids::Of(new_ids));
     }
 
     /// Keep only `keep` positions (a filter stage).
-    fn retain(&mut self, keep: &[u32]) {
-        for ids in &mut self.ids {
-            *ids = keep.iter().map(|&p| ids[p as usize]).collect();
-        }
+    fn retain(&mut self, keep: Vec<u32>, spare: &mut Spare) {
+        self.gather(&keep, spare);
         self.len = keep.len();
+        spare.give(keep);
+    }
+
+    /// Replace every id vector by its values at `positions`.
+    fn gather(&mut self, positions: &[u32], spare: &mut Spare) {
+        for ids in &mut self.ids {
+            let mut out = spare.take();
+            match ids {
+                Ids::All => out.extend_from_slice(positions),
+                Ids::Of(ids) => out.extend(positions.iter().map(|&p| ids[p as usize])),
+            }
+            if let Ids::Of(old) = std::mem::replace(ids, Ids::Of(out)) {
+                spare.give(old);
+            }
+        }
     }
 
     /// Fill `rows` with the rows position `p` binds, one per
@@ -124,9 +153,55 @@ impl State {
     fn rows_at<'s>(&'s self, p: u32, rows: &mut Vec<RowAt<'s>>) {
         rows.clear();
         let bound = self.batches.iter().zip(&self.ids);
-        rows.extend(bound.map(|(batch, ids)| RowAt(batch, ids[p as usize] as usize)));
+        rows.extend(bound.map(|(batch, ids)| {
+            let id = match ids {
+                Ids::All => p,
+                Ids::Of(ids) => ids[p as usize],
+            };
+            RowAt(batch, id as usize)
+        }));
+    }
+
+    /// Hand every id vector to `spare`.
+    fn release(self, spare: &mut Spare) {
+        for ids in self.ids {
+            if let Ids::Of(ids) = ids {
+                spare.give(ids);
+            }
+        }
     }
 }
+
+/// The id buffers of one evaluation of a select. A re-evaluated box — a
+/// correlated one, or a step arm of a running fixpoint — keeps its own
+/// across evaluations: each buffer an evaluation is done with goes back,
+/// cleared with its capacity kept, and a later take reuses it, so a
+/// buffer grows to the sizes the box needs once, not once per
+/// evaluation. The buffers are the box's alone, so they hold at most one
+/// evaluation's worth. A box evaluated once allocates every buffer
+/// afresh and drops it when done.
+struct Spare {
+    recycle: bool,
+    bufs: Vec<Vec<u32>>,
+}
+
+impl Spare {
+    /// An empty buffer, with the capacity of one given back before.
+    fn take(&mut self) -> Vec<u32> {
+        self.bufs.pop().unwrap_or_default()
+    }
+
+    fn give(&mut self, mut buf: Vec<u32>) {
+        if self.recycle {
+            buf.clear();
+            self.bufs.push(buf);
+        }
+    }
+}
+
+/// What a filter step kept — its surviving positions, `None` when that
+/// is all of them — and the columns it evaluated at those.
+type Filtered = (Option<Vec<u32>>, Vec<Option<Column>>);
 
 /// One evaluation of one select box.
 struct Cx<'c, 'a> {
@@ -135,6 +210,7 @@ struct Cx<'c, 'a> {
     env: Env<'c>,
     /// `row(<reason>)` once some item ran on the scalar evaluator.
     path: BoxPath,
+    spare: Spare,
 }
 
 /// Evaluate select `b` under `frame`; also says which path it took.
@@ -145,6 +221,11 @@ pub(crate) fn run(
     frame: &Frame<'_>,
 ) -> Result<(Batch, BoxPath)> {
     let outer = select.outer.resolve(frame);
+    let recycle = exec.plan.get(b).correlated || exec.state(b).fresh;
+    let spare = Spare {
+        recycle,
+        bufs: std::mem::take(&mut exec.state(b).spare),
+    };
     let mut cx = Cx {
         exec,
         frame,
@@ -153,6 +234,7 @@ pub(crate) fn run(
             outer: &outer,
         },
         path: BoxPath::Batch,
+        spare,
     };
     // No quantifier bound yet: the single empty combination.
     let mut state = State {
@@ -165,24 +247,30 @@ pub(crate) fn run(
         cx.exec
             .batch_gather
             .add((parent.len() * (state.ids.len() + 1)) as u64);
-        state.advance(stage.quant, &parent, batch, new_ids);
+        state.advance(stage.quant, parent, batch, new_ids, &mut cx.spare);
 
         // Apply every predicate that just became available.
         if !stage.ready.is_empty() {
             let n = state.len;
             cx.exec.note_stage(n);
-            let keep = cx.filter_step(&stage.ready, &[], &state)?.0;
-            if let Some(pct) = (keep.len() * 100).checked_div(n) {
-                cx.exec.batch_selectivity.record(pct as u64);
+            // Every position kept is no position at all: `n` is zero.
+            if let Some(keep) = cx.filter_step(&stage.ready, &[], &state)?.0 {
+                if let Some(pct) = (keep.len() * 100).checked_div(n) {
+                    cx.exec.batch_selectivity.record(pct as u64);
+                }
+                cx.exec
+                    .batch_gather
+                    .add((keep.len() * state.ids.len()) as u64);
+                state.retain(keep, &mut cx.spare);
             }
-            cx.exec
-                .batch_gather
-                .add((keep.len() * state.ids.len()) as u64);
-            state.retain(&keep);
         }
-        cx.exec.profile.entry(b).rows_produced += state.len as u64;
+        cx.exec.entry(b).rows_produced += state.len as u64;
     }
     let out = cx.project(b, select, &state)?;
+    state.release(&mut cx.spare);
+    if recycle {
+        cx.exec.state(b).spare = cx.spare.bufs;
+    }
     Ok((out, cx.path))
 }
 
@@ -196,19 +284,19 @@ impl Cx<'_, '_> {
         state: &State,
     ) -> Result<(Vec<u32>, Vec<u32>, Arc<Batch>)> {
         let child = stage.child;
-        if let Some(probe) = self.exec.index_probe(stage, state.len) {
+        let target = (stage.index.as_ref())
+            .and_then(|probe| Some((probe, self.exec.probe_target(probe, state.len)?)));
+        if let Some((probe, (index, table))) = target {
             // Probed rows are charged to the base table being probed,
             // not the probing select box.
-            let index = self.exec.table_id_index(&probe.table, probe.col)?;
-            let table = self.exec.table_batch(&probe.table)?;
             let (matched, parent, ids) = match self.index_probe(stage, probe, &index, &table, state)
             {
                 Ok(found) => found,
                 Err(_) => self.index_probe_rowwise(stage, probe, &index, &table, state)?,
             };
             if matched > 0 {
-                self.exec.profile.entry(child).rows_scanned += matched;
-                self.exec.profile.entry(b).rows_in += matched;
+                self.exec.entry(child).rows_scanned += matched;
+                self.exec.entry(b).rows_in += matched;
             }
             return Ok((parent, ids, table));
         }
@@ -219,35 +307,34 @@ impl Cx<'_, '_> {
             // asked for (a cache hit) and charged every round, exactly
             // as a fresh build would be.
             let batch = self.exec.eval_box(child, self.frame)?;
-            self.exec.profile.entry(b).rows_in += batch.len() as u64;
+            self.exec.entry(b).rows_in += batch.len() as u64;
             let reusable = self.exec.step_build_site(b, child);
             let cached = reusable
-                .then(|| self.exec.step_builds.get(&(b, stage.quant)).cloned())
+                .then(|| {
+                    let builds = &self.exec.state(b).step_builds;
+                    let found = builds.iter().find(|(q, _)| *q == stage.quant);
+                    found.map(|(_, build)| build.clone())
+                })
                 .flatten();
             let build = if let Some(build) = cached {
                 self.exec.note_step_build(b, true);
                 build
             } else {
-                let rows = State::over(
-                    stage.quant,
-                    batch.clone(),
-                    (0..batch.len() as u32).collect(),
-                );
+                let rows = State::over(stage.quant, batch.clone());
                 let keys = self.keys(&stage.build, &rows)?;
                 let build = Arc::new(JoinBuild {
                     batch,
                     ids: RowIds::build(&keys),
                 });
                 if reusable {
-                    self.exec
-                        .step_builds
-                        .insert((b, stage.quant), build.clone());
+                    let builds = &mut self.exec.state(b).step_builds;
+                    builds.push((stage.quant, build.clone()));
                     self.exec.note_step_build(b, false);
                 }
                 build
             };
             let keys = self.keys(&stage.probe, state)?;
-            let (mut parent, mut ids) = (Vec::new(), Vec::new());
+            let (mut parent, mut ids) = (self.spare.take(), self.spare.take());
             build.ids.probe(&keys, &mut parent, &mut ids);
             return Ok((parent, ids, build.batch.clone()));
         }
@@ -265,9 +352,9 @@ impl Cx<'_, '_> {
             outs.push(self.exec.eval_box(child, self.frame)?);
         }
         for out in &outs {
-            self.exec.profile.entry(b).rows_in += out.len() as u64;
+            self.exec.entry(b).rows_in += out.len() as u64;
         }
-        let (mut parent, mut ids) = (Vec::new(), Vec::new());
+        let (mut parent, mut ids) = (self.spare.take(), self.spare.take());
         let batch = if let [out] = &outs[..] {
             // One child result serves every combination as it is.
             for p in 0..state.len as u32 {
@@ -297,27 +384,34 @@ impl Cx<'_, '_> {
         state: &State,
     ) -> Result<(u64, Vec<u32>, Vec<u32>)> {
         let slots = state.views();
-        let key = self.item(&stage.probe[probe.pred], state, &slots, &state.positions())?;
-        let (mut parent, mut ids) = (Vec::new(), Vec::new());
+        let key = self.item(&stage.probe[probe.pred], state, &slots, state.all())?;
+        let (mut parent, mut ids) = (self.spare.take(), self.spare.take());
         index.probe(&[key], &mut parent, &mut ids);
         let matched = ids.len() as u64;
         for (i, (pv, bv)) in stage.probe.iter().zip(&stage.build).enumerate() {
             if i == probe.pred || parent.is_empty() {
                 continue;
             }
-            let probed = self.item(pv, state, &slots, &parent)?;
-            let candidates = State::over(stage.quant, table.clone(), ids.clone());
-            let built = self.item(
-                bv,
-                &candidates,
-                &candidates.views(),
-                &candidates.positions(),
-            )?;
+            let probed = self.item(pv, state, &slots, Sel::Ids(&parent))?;
+            let candidates = State {
+                quants: vec![stage.quant],
+                batches: vec![table.clone()],
+                ids: vec![Ids::Of(ids)],
+                len: parent.len(),
+            };
+            let built = self.item(bv, &candidates, &candidates.views(), candidates.all())?;
+            let Some(Ids::Of(candidates)) = candidates.ids.into_iter().next() else {
+                unreachable!("the candidates are listed")
+            };
             let keep: Vec<usize> = (0..parent.len())
                 .filter(|&k| probed.value_at(k).sql_eq(&built.value_at(k)).passes())
                 .collect();
-            parent = keep.iter().map(|&k| parent[k]).collect();
-            ids = keep.iter().map(|&k| ids[k]).collect();
+            let mut kept = self.spare.take();
+            kept.extend(keep.iter().map(|&k| parent[k]));
+            self.spare.give(std::mem::replace(&mut parent, kept));
+            ids = self.spare.take();
+            ids.extend(keep.iter().map(|&k| candidates[k]));
+            self.spare.give(candidates);
         }
         Ok((matched, parent, ids))
     }
@@ -332,7 +426,7 @@ impl Cx<'_, '_> {
         table: &Batch,
         state: &State,
     ) -> Result<(u64, Vec<u32>, Vec<u32>)> {
-        let (mut matched, mut parent, mut ids) = (0, Vec::new(), Vec::new());
+        let (mut matched, mut parent, mut ids) = (0, self.spare.take(), self.spare.take());
         let (quant, mut rows) = ([stage.quant], Vec::new());
         for p in 0..state.len as u32 {
             state.rows_at(p, &mut rows);
@@ -365,17 +459,16 @@ impl Cx<'_, '_> {
     /// keys after a NULL one left unevaluated (NULL keys never join).
     fn keys(&mut self, items: &[Item], state: &State) -> Result<Vec<Vector>> {
         let slots = state.views();
-        let positions = state.positions();
         let batched: Result<Vec<Vector>> = items
             .iter()
-            .map(|item| self.item(item, state, &slots, &positions))
+            .map(|item| self.item(item, state, &slots, state.all()))
             .collect();
         if batched.is_ok() {
             return batched;
         }
         let mut keys = vec![Vec::with_capacity(state.len); items.len()];
         let mut rows = Vec::new();
-        for p in positions {
+        for p in 0..state.len as u32 {
             state.rows_at(p, &mut rows);
             let frame = self.frame.extended(&state.quants, &rows);
             let mut null = false;
@@ -395,9 +488,10 @@ impl Cx<'_, '_> {
             .collect())
     }
 
-    /// The positions of `state` that pass every predicate in `preds`,
-    /// and the values of `columns` at those: predicate by predicate over
-    /// a shrinking selection, then column by column. On an error, the
+    /// The positions of `state` that pass every predicate in `preds` —
+    /// `None` when that is all of them, as with no predicate — and the
+    /// values of `columns` at those: predicate by predicate over a
+    /// shrinking selection, then column by column. On an error, the
     /// definition's order: position by position, the predicates up to
     /// the first that fails, then the columns.
     fn filter_step(
@@ -405,13 +499,13 @@ impl Cx<'_, '_> {
         preds: &[Item],
         columns: &[(&Item, bool)],
         state: &State,
-    ) -> Result<(Vec<u32>, Vec<Option<Column>>)> {
+    ) -> Result<Filtered> {
         if let Ok(done) = self.filter_items(preds, columns, state) {
             return Ok(done);
         }
-        let (mut keep, mut rows) = (Vec::new(), Vec::new());
+        let (mut keep, mut rows) = (self.spare.take(), Vec::new());
         let mut values = vec![Vec::new(); columns.len()];
-        'position: for p in state.positions() {
+        'position: for p in 0..state.len as u32 {
             state.rows_at(p, &mut rows);
             let frame = self.frame.extended(&state.quants, &rows);
             for item in preds {
@@ -429,7 +523,7 @@ impl Cx<'_, '_> {
             .zip(columns)
             .map(|(v, &(_, live))| live.then_some(Column::Mixed(v)))
             .collect();
-        Ok((keep, values))
+        Ok((Some(keep), values))
     }
 
     /// [`Cx::filter_step`] item by item.
@@ -438,31 +532,34 @@ impl Cx<'_, '_> {
         preds: &[Item],
         columns: &[(&Item, bool)],
         state: &State,
-    ) -> Result<(Vec<u32>, Vec<Option<Column>>)> {
+    ) -> Result<Filtered> {
         let slots = state.views();
-        let mut keep = state.positions();
+        let mut keep: Option<Vec<u32>> = None;
         for item in preds {
-            if keep.is_empty() {
+            let positions = keep.as_deref().map_or(state.all(), Sel::Ids);
+            if positions.is_empty() {
                 break;
             }
-            let truth = self.item(item, state, &slots, &keep)?;
-            keep = keep
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| truth.passes_at(k))
-                .map(|(_, &p)| p)
-                .collect();
+            let truth = self.item(item, state, &slots, positions)?;
+            let mut kept = self.spare.take();
+            kept.extend(
+                (positions.iter().enumerate()).filter_map(|(k, p)| truth.passes_at(k).then_some(p)),
+            );
+            if let Some(old) = keep.replace(kept) {
+                self.spare.give(old);
+            }
         }
         // A dead column that is a bare reference or a constant cannot
         // fail and is skipped; any other dead one is still evaluated,
         // for its errors alone.
+        let positions = keep.as_deref().map_or(state.all(), Sel::Ids);
         let mut values = Vec::with_capacity(columns.len());
         for &(item, live) in columns {
             if !live && item.kernel(self.env.outer).is_some_and(VExpr::is_leaf) {
                 values.push(None);
                 continue;
             }
-            let column = self.item(item, state, &slots, &keep)?.into_column();
+            let column = self.item(item, state, &slots, positions)?.into_column();
             values.push(live.then_some(column));
         }
         Ok((keep, values))
@@ -479,9 +576,13 @@ impl Cx<'_, '_> {
             .collect();
         let live_count = columns.iter().filter(|(_, live)| *live).count();
         let (keep, columns) = self.filter_step(&select.residual, &columns, state)?;
-        self.exec.batch_gather.add((keep.len() * live_count) as u64);
-        self.exec.profile.entry(b).rows_produced += keep.len() as u64;
-        let batch = Batch::from_columns(columns, keep.len());
+        let kept = keep.as_ref().map_or(state.len, Vec::len);
+        if let Some(keep) = keep {
+            self.spare.give(keep);
+        }
+        self.exec.batch_gather.add((kept * live_count) as u64);
+        self.exec.entry(b).rows_produced += kept as u64;
+        let batch = Batch::from_columns(columns, kept);
         Ok(if self.exec.qgm.boxed(b).distinct.needs_dedup() {
             batch.take(&distinct_ids(&batch))
         } else {
@@ -496,7 +597,7 @@ impl Cx<'_, '_> {
         item: &Item,
         state: &State,
         slots: &[SlotView<'_>],
-        positions: &[u32],
+        positions: Sel<'_>,
     ) -> Result<Vector> {
         let why = match item.kernel(self.env.outer) {
             Some(v) => match eval(v, slots, positions, self.env) {
@@ -509,11 +610,294 @@ impl Cx<'_, '_> {
             self.path = BoxPath::Row(why);
         }
         let (mut values, mut rows) = (Vec::with_capacity(positions.len()), Vec::new());
-        for &p in positions {
+        for p in positions.iter() {
             state.rows_at(p, &mut rows);
             let frame = self.frame.extended(&state.quants, &rows);
             values.push(self.exec.eval_expr(&item.expr, &frame)?);
         }
         Ok(Vector::Col(Column::Mixed(values)))
+    }
+}
+
+/// A re-evaluated box hands its id buffers from one evaluation to the
+/// next; these check that nothing else goes with them.
+#[cfg(test)]
+mod recycle_tests {
+    use std::collections::BTreeMap;
+
+    use starmagic_catalog::{Catalog, ColumnDef, Table, TableSchema, ViewDef};
+    use starmagic_common::{DataType, Row, Value};
+    use starmagic_qgm::{build_qgm, QuantKind};
+
+    use super::*;
+    use crate::executor::{execute_plan, ExecOptions, IndexCache};
+    use crate::plan::Plan;
+    use crate::profile::{BoxProfile, ExecProfile};
+
+    /// Departments 1..=5 hold 5, 0, 3, 1 and 7 employees: a probe
+    /// output that grows, drops to zero, shrinks and grows again.
+    const SIZES: [usize; 5] = [5, 0, 3, 1, 7];
+
+    fn table(c: &mut Catalog, name: &str, cols: &[&str], key: &[&str], rows: Vec<Vec<i64>>) {
+        let schema = TableSchema::new(
+            name,
+            cols.iter()
+                .map(|c| ColumnDef::new(c, DataType::Int))
+                .collect(),
+        )
+        .with_key(key)
+        .unwrap();
+        let rows = rows
+            .into_iter()
+            .map(|r| Row::new(r.into_iter().map(Value::Int).collect()))
+            .collect();
+        c.add_table(Table::with_rows(schema, rows).unwrap())
+            .unwrap();
+    }
+
+    /// `dept`, `emp` (`SIZES` per department, salary `100 + 7·empno mod
+    /// 50`) and `pay`, a bonus for every employee but each fourth, plus
+    /// enough rows for nobody that every join in the tests below probes
+    /// an index.
+    fn catalog() -> Catalog {
+        let mut c = Catalog::new();
+        table(
+            &mut c,
+            "dept",
+            &["deptno"],
+            &["deptno"],
+            (1..=5).map(|d| vec![d]).collect(),
+        );
+        let mut emps = Vec::new();
+        for (d, &size) in SIZES.iter().enumerate() {
+            for _ in 0..size {
+                let empno = emps.len() as i64;
+                emps.push(vec![empno, d as i64 + 1, 100 + (7 * empno) % 50]);
+            }
+        }
+        let pay = (0..40)
+            .filter(|e| e % 4 != 3)
+            .map(|e| vec![e, e % 5])
+            .collect();
+        table(
+            &mut c,
+            "emp",
+            &["empno", "deptno", "salary"],
+            &["empno"],
+            emps,
+        );
+        table(&mut c, "pay", &["empno", "bonus"], &["empno"], pay);
+        c
+    }
+
+    fn add(into: &mut BoxProfile, p: &BoxProfile) {
+        into.rows_scanned += p.rows_scanned;
+        into.rows_in += p.rows_in;
+        into.rows_produced += p.rows_produced;
+        into.rows_out += p.rows_out;
+        into.evals += p.evals;
+    }
+
+    /// Run `SELECT d.deptno, (<subquery over d>) FROM dept d` once, then
+    /// evaluate the subquery once per department on a fresh executor:
+    /// the same values, row for row, and the same counters for every
+    /// box below the top, summed over the fresh executors. Returns the
+    /// rows.
+    fn against_fresh_executors(cat: &Catalog, sql: &str) -> Vec<Row> {
+        let g = build_qgm(cat, &starmagic_sql::parse_query(sql).unwrap()).unwrap();
+        let plan = Plan::lower(&g);
+        let indexes = IndexCache::default();
+        let (rows, profile) =
+            execute_plan(&g, &plan, &[], cat, &indexes, ExecOptions::default()).unwrap();
+        let top = g.top();
+        let quant = |kind: QuantKind| {
+            let quants = g.boxed(top).quants.iter().copied();
+            quants
+                .filter(|&q| g.quant(q).kind == kind)
+                .collect::<Vec<_>>()
+        };
+        let ([outer], [sub]) = (
+            &quant(QuantKind::Foreach)[..],
+            &quant(QuantKind::Scalar)[..],
+        ) else {
+            panic!("one department and one subquery")
+        };
+        let depts = g.quant(*outer).input;
+        let outer_rows = Executor::new(&g, &plan, cat)
+            .eval_box(depts, &Frame::root())
+            .unwrap();
+        assert_eq!(rows.len(), outer_rows.len());
+        let mut fresh: BTreeMap<BoxId, BoxProfile> = BTreeMap::new();
+        for (i, row) in rows.iter().enumerate() {
+            let mut exec = Executor::new(&g, &plan, cat);
+            let bound = [RowAt(&outer_rows, i)];
+            let frame = Frame::root();
+            let out =
+                (exec.eval_box(g.quant(*sub).input, &frame.extended(&[*outer], &bound))).unwrap();
+            let value = if out.is_empty() {
+                Value::Null
+            } else {
+                out.value(0, 0)
+            };
+            assert_eq!(row.get(1), &value, "department {i}");
+            for (b, p) in exec.into_profile().boxes {
+                add(fresh.entry(b).or_default(), &p);
+            }
+        }
+        let mut once: ExecProfile = profile;
+        once.boxes.remove(&top);
+        once.boxes.remove(&depts);
+        assert_eq!(once.boxes, fresh, "per-box counters");
+        rows
+    }
+
+    fn second(rows: &[Row]) -> Vec<Value> {
+        rows.iter().map(|r| r.get(1).clone()).collect()
+    }
+
+    #[test]
+    fn a_probe_output_that_grows_empties_and_shrinks_carries_nothing_over() {
+        let cat = catalog();
+        // Two index probes, a filter stage and a projection per
+        // department; the departments' sizes move both ways.
+        let rows = against_fresh_executors(
+            &cat,
+            "SELECT d.deptno, (SELECT SUM(e.salary + p.bonus) FROM emp e, pay p \
+             WHERE e.deptno = d.deptno AND p.empno = e.empno AND e.salary > 105) \
+             FROM dept d",
+        );
+        // The same sums, computed here.
+        let emps: Vec<(i64, i64, i64)> = (SIZES.iter().enumerate())
+            .flat_map(|(d, &n)| std::iter::repeat(d as i64 + 1).take(n))
+            .enumerate()
+            .map(|(e, d)| (e as i64, d, 100 + (7 * e as i64) % 50))
+            .collect();
+        let want: Vec<Value> = (1..=5)
+            .map(|d| {
+                let terms: Vec<i64> = (emps.iter())
+                    .filter(|&&(e, dept, salary)| dept == d && salary > 105 && e % 4 != 3)
+                    .map(|&(e, _, salary)| salary + e % 5)
+                    .collect();
+                if terms.is_empty() {
+                    Value::Null
+                } else {
+                    Value::Int(terms.iter().sum())
+                }
+            })
+            .collect();
+        assert_eq!(second(&rows), want);
+        assert!(want[1].is_null(), "the empty department");
+    }
+
+    #[test]
+    fn a_correlated_block_inside_a_correlated_block_carries_nothing_over() {
+        let cat = catalog();
+        // Per department, the employees earning more than the average
+        // of their department's others: the inner block re-evaluates
+        // per (department, employee), over 4, 0, 2, 0 and 6 colleagues.
+        let rows = against_fresh_executors(
+            &cat,
+            "SELECT d.deptno, (SELECT COUNT(*) FROM emp e WHERE e.deptno = d.deptno \
+             AND e.salary > (SELECT AVG(f.salary) FROM emp f \
+                             WHERE f.deptno = e.deptno AND f.empno <> e.empno)) \
+             FROM dept d",
+        );
+        let mut start = 0;
+        let want: Vec<Value> = SIZES
+            .iter()
+            .map(|&n| {
+                let salaries: Vec<i64> = (start..start + n as i64)
+                    .map(|e| 100 + (7 * e) % 50)
+                    .collect();
+                start += n as i64;
+                let above = (0..n).filter(|&i| {
+                    let others: Vec<i64> =
+                        (0..n).filter(|&j| j != i).map(|j| salaries[j]).collect();
+                    !others.is_empty()
+                        && salaries[i] as f64
+                            > others.iter().sum::<i64>() as f64 / others.len() as f64
+                });
+                Value::Int(above.count() as i64)
+            })
+            .collect();
+        assert_eq!(second(&rows), want);
+    }
+
+    /// The nodes `edges` reach from node 1, in the order semi-naive
+    /// evaluation admits them — node 1's successors, then per round the
+    /// new nodes each delta row reaches, in edge order — and each
+    /// round's admitted and rejected counts (round 0 is the seed).
+    fn reach_from_one(edges: &[(i64, i64)]) -> (Vec<i64>, Vec<u64>, Vec<u64>) {
+        let successors = |n: i64| edges.iter().filter(move |e| e.0 == n).map(|e| e.1);
+        let (mut all, mut admitted, mut rejected) = (Vec::new(), Vec::new(), Vec::new());
+        let mut candidates: Vec<i64> = successors(1).collect();
+        loop {
+            let before = all.len();
+            for &c in &candidates {
+                if !all.contains(&c) {
+                    all.push(c);
+                }
+            }
+            let new = all.len() - before;
+            admitted.push(new as u64);
+            rejected.push((candidates.len() - new) as u64);
+            if new == 0 && before > 0 {
+                break;
+            }
+            candidates = all[before..].iter().flat_map(|&n| successors(n)).collect();
+        }
+        (all, admitted, rejected)
+    }
+
+    #[test]
+    fn a_fixpoint_whose_delta_grows_then_shrinks_carries_nothing_over() {
+        // From node 1: a fan-out of 2, then 4, then a funnel into 8 and
+        // a tail. The deltas grow and then shrink, round after round.
+        let edges = [
+            (1, 2),
+            (1, 3),
+            (2, 4),
+            (2, 5),
+            (3, 6),
+            (3, 7),
+            (4, 8),
+            (5, 8),
+            (6, 8),
+            (7, 8),
+            (8, 9),
+            (9, 10),
+        ];
+        let mut cat = Catalog::new();
+        let rows = edges.iter().map(|&(s, d)| vec![s, d]).collect();
+        table(&mut cat, "edge", &["src", "dst"], &["src", "dst"], rows);
+        cat.add_view(
+            ViewDef::new(
+                "reach",
+                vec!["node".into()],
+                "SELECT dst FROM edge WHERE src = 1 \
+                 UNION SELECT e.dst FROM reach r, edge e WHERE r.node = e.src",
+                true,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let sql = "SELECT node FROM reach";
+        let g = build_qgm(&cat, &starmagic_sql::parse_query(sql).unwrap()).unwrap();
+        let (rows, profile) =
+            crate::execute_profiled(&g, &cat, &IndexCache::default(), false).unwrap();
+        let (want, admitted, rejected) = reach_from_one(&edges);
+        let got: Vec<Value> = rows.iter().map(|r| r.get(0).clone()).collect();
+        let want_values: Vec<Value> = want.iter().map(|&n| Value::Int(n)).collect();
+        assert_eq!(got, want_values, "the rows, in admission order");
+        assert_eq!(admitted, [2, 4, 1, 1, 1, 0], "the deltas grow, then shrink");
+        let [(driver, stats)] = profile.fixpoint.iter().collect::<Vec<_>>()[..] else {
+            panic!("one fixpoint")
+        };
+        assert_eq!(stats.delta_rows, admitted);
+        assert_eq!(stats.rejected_rows, rejected);
+        let driver = profile.get(*driver);
+        let offered = admitted.iter().sum::<u64>() + rejected.iter().sum::<u64>();
+        assert_eq!(driver.rows_in, offered);
+        assert_eq!(driver.rows_produced, want.len() as u64);
     }
 }

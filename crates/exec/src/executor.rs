@@ -1,6 +1,6 @@
 //! The query-graph interpreter.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -17,10 +17,10 @@ use crate::boundary::{BoxPath, Fallback};
 use crate::columnar::JoinBuild;
 use crate::dedup::set_op;
 use crate::metrics::Metrics;
-use crate::plan::{GroupByPlan, IndexProbe, Op, Plan, Stage};
-use crate::profile::ExecProfile;
+use crate::plan::{GroupByPlan, IndexProbe, Op, Plan};
+use crate::profile::{BoxProfile, ExecProfile, FixpointStats, StepBuilds};
 use crate::rowids::RowIds;
-use crate::vector::{self, Env, SlotView, Vector};
+use crate::vector::{self, Env, Sel, SlotView, Vector};
 
 /// Execution knobs.
 #[derive(Debug, Clone)]
@@ -126,9 +126,7 @@ pub fn execute_plan(
     opts: ExecOptions,
 ) -> Result<(Vec<Row>, ExecProfile)> {
     let mut exec = Executor::new(qgm, plan, catalog);
-    if opts.timing {
-        exec.profile = ExecProfile::with_timing();
-    }
+    exec.timing = opts.timing;
     exec.shared_indexes = Some(indexes);
     exec.max_recursion = opts.max_recursion.max(1);
     if !opts.metrics.is_noop() {
@@ -146,7 +144,7 @@ pub fn execute_plan(
         .eval_box(qgm.top(), &Frame::with_params(params))?
         .rows();
     exec.flush_path_counts(&opts.metrics);
-    Ok((rows, exec.profile))
+    Ok((rows, exec.into_profile()))
 }
 
 /// A hashed `EXISTS` test's build side: the subquery's batch, its rows
@@ -156,6 +154,45 @@ struct SemiJoin {
     batch: Arc<Batch>,
     ids: RowIds,
     null_keyed: Vec<u32>,
+}
+
+/// What one execution keeps about one box, at [`BoxId::index`]: its
+/// counters and path marker until they are folded into the
+/// [`ExecProfile`], its materialized result, and the state a fixpoint or
+/// a re-evaluation carries from one evaluation to the next.
+#[derive(Default)]
+pub(crate) struct BoxState {
+    /// `None` until the box is first charged, even with a zero: the
+    /// profile lists every box some operator charged.
+    counters: Option<BoxProfile>,
+    path: Option<BoxPath>,
+    pub(crate) fixpoint: Option<FixpointStats>,
+    pub(crate) builds: Option<StepBuilds>,
+    /// An uncorrelated box's result.
+    cached: Option<Arc<Batch>>,
+    /// While a fixpoint iterates the box: what a recursive reference to
+    /// it reads, the round's delta (semi-naive) or the accumulation so
+    /// far (naive).
+    pub(crate) recursive: Option<Arc<Batch>>,
+    /// A step arm of an active semi-naive fixpoint: evaluated fresh on
+    /// every reference (no materialization cache, no nested fixpoint
+    /// dispatch), so each round sees the current delta.
+    pub(crate) fresh: bool,
+    /// A step arm's hash-join build sides over inputs outside the
+    /// recursion, by quantifier: built on first use, probed by every
+    /// later round (see [`Executor::step_build_site`]).
+    pub(crate) step_builds: Vec<(QuantId, Arc<JoinBuild>)>,
+    /// The id buffers a re-evaluated select hands from one evaluation to
+    /// the next ([`crate::columnar`]).
+    pub(crate) spare: Vec<Vec<u32>>,
+}
+
+/// An index probe's handles, resolved on its first use in an execution:
+/// the stored table (`None` when the catalog has no such table, so the
+/// probe is never taken) and, once the probe is taken, its index.
+struct ProbeHandle {
+    table: Option<(Arc<Table>, Arc<Batch>)>,
+    index: Option<IdIndex>,
 }
 
 /// An index on one base-table column: the ids of the table rows
@@ -209,6 +246,38 @@ impl IndexCache {
             .expect("index cache poisoned")
             .retain(|(t, _), _| t != table);
     }
+}
+
+/// The index on column `col` of `stored`, the current version of table
+/// `table`: served by the shared cache when it was built from this very
+/// version, else built from the stored column (and counted in
+/// `builds`) and offered to the cache.
+fn column_index(
+    shared: Option<&IndexCache>,
+    builds: &starmagic_metrics::Counter,
+    table: &str,
+    stored: &Arc<Table>,
+    col: usize,
+) -> IdIndex {
+    let key = (table.to_string(), col);
+    let shared = shared.map(|s| &s.ids);
+    let cached = shared.and_then(|s| {
+        let map = s.lock().expect("index cache poisoned");
+        let (built_from, idx) = map.get(&key)?;
+        Arc::ptr_eq(built_from, stored).then(|| idx.clone())
+    });
+    cached.unwrap_or_else(|| {
+        // Built outside the lock: two racing executions may both build,
+        // the later insert wins.
+        builds.inc();
+        let idx = Arc::new(RowIds::build(&stored.columns()[col..=col]));
+        if let Some(s) = shared {
+            s.lock()
+                .expect("index cache poisoned")
+                .insert(key, (stored.clone(), idx.clone()));
+        }
+        idx
+    })
 }
 
 /// Evaluation environment: quantifier → current row bindings, chained
@@ -287,28 +356,16 @@ pub struct Executor<'a> {
     /// The graph's lowered facts and kernels ([`Plan::lower`]).
     pub(crate) plan: &'a Plan,
     pub(crate) catalog: &'a Catalog,
-    /// Per-box work counters (and, when enabled, timings). The legacy
-    /// flat [`Metrics`] is this profile's aggregate: [`Executor::metrics`].
-    pub profile: ExecProfile,
-    cache: HashMap<BoxId, Arc<Batch>>,
-    /// What a recursive reference reads during a fixpoint: the round's
-    /// delta (semi-naive) or the accumulation so far (naive).
-    pub(crate) recursive_acc: HashMap<BoxId, Arc<Batch>>,
+    /// Every box's state, at [`BoxId::index`]. The per-box counters are
+    /// folded into an [`ExecProfile`] once, when the execution ends
+    /// ([`Executor::into_profile`]).
+    boxes: Vec<BoxState>,
+    /// Whether per-box wall time is collected.
+    timing: bool,
     /// Box evaluations per physical path: `[0]` stayed on the batch
     /// path, `[1 + reason]` left it. Flushed to the registry once per
     /// execution.
     path_counts: [u64; 1 + Fallback::ALL.len()],
-    /// Recursive boxes currently being iterated.
-    pub(crate) in_fixpoint: BTreeSet<BoxId>,
-    /// SCC members of an active semi-naive fixpoint: evaluated fresh
-    /// on every reference (no materialization cache, no nested
-    /// fixpoint dispatch) so each iteration sees the current delta.
-    pub(crate) no_cache: BTreeSet<BoxId>,
-    /// Hash-join build sides of active fixpoints' step arms over inputs
-    /// outside the recursion, by (step arm, quantifier): built on first
-    /// use, probed by every later round (see
-    /// [`Executor::step_build_site`]).
-    pub(crate) step_builds: HashMap<(BoxId, QuantId), Arc<JoinBuild>>,
     /// Guard for runaway fixpoints.
     pub(crate) max_fixpoint_rounds: usize,
     /// Iteration cap for semi-naive fixpoints (see
@@ -316,15 +373,14 @@ pub struct Executor<'a> {
     pub(crate) max_recursion: usize,
     /// Optional cross-execution index cache supplied by the caller.
     shared_indexes: Option<&'a IndexCache>,
-    /// Hashed `EXISTS` tests' build sides, by (quantifier, key columns):
-    /// built by the first outer row, probed by every later one.
-    semi_joins: HashMap<(QuantId, Vec<usize>), Arc<SemiJoin>>,
-    /// The column indexes this execution has probed, by table and
-    /// column: a handful, so a scan that compares names finds one
-    /// without building a key. The benchmark database is assumed fully
-    /// indexed (as DB2's was): building is not charged to the query;
-    /// probes charge only the matched rows.
-    id_indexes: Vec<(String, usize, IdIndex)>,
+    /// Hashed `EXISTS` tests' build sides, by quantifier
+    /// ([`Plan::hashed_exists`]): built by the first outer row, probed
+    /// by every later one.
+    semi_joins: Vec<Option<Arc<SemiJoin>>>,
+    /// Index probes' handles, by [`IndexProbe::slot`]. The benchmark
+    /// database is assumed fully indexed (as DB2's was): building is not
+    /// charged to the query; probes charge only the matched rows.
+    probes: Vec<Option<ProbeHandle>>,
     /// Columnar stage dispatches (in [`crate::columnar::BATCH_ROWS`]
     /// units). Noop by default; see [`ExecOptions::metrics`] for why
     /// batch telemetry stays out of the profile.
@@ -359,18 +415,14 @@ impl<'a> Executor<'a> {
             qgm,
             plan,
             catalog,
-            profile: ExecProfile::default(),
-            cache: HashMap::new(),
-            recursive_acc: HashMap::new(),
+            boxes: (0..plan.box_slots()).map(|_| BoxState::default()).collect(),
+            timing: false,
             path_counts: [0; 1 + Fallback::ALL.len()],
-            in_fixpoint: BTreeSet::new(),
-            no_cache: BTreeSet::new(),
-            step_builds: HashMap::new(),
             max_fixpoint_rounds: 100_000,
             max_recursion: 10_000,
             shared_indexes: None,
-            semi_joins: HashMap::new(),
-            id_indexes: Vec::new(),
+            semi_joins: (0..plan.exists_slots()).map(|_| None).collect(),
+            probes: (0..plan.probe_slots()).map(|_| None).collect(),
             batch_runs: starmagic_metrics::Counter::default(),
             batch_gather: starmagic_metrics::Counter::default(),
             batch_rows: starmagic_metrics::Histogram::default(),
@@ -383,71 +435,68 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// The flat work counters — the aggregate view over the per-box
-    /// profile, kept for the deterministic benchmark numbers.
-    pub fn metrics(&self) -> Metrics {
-        self.profile.aggregate()
+    /// The execution's profile: every box's counters, path marker,
+    /// convergence record and build reuse, each under the box it was
+    /// charged to.
+    pub fn into_profile(self) -> ExecProfile {
+        let mut profile = ExecProfile {
+            timing: self.timing,
+            ..ExecProfile::default()
+        };
+        for (i, s) in self.boxes.into_iter().enumerate() {
+            let b = BoxId(i as u32);
+            if let Some(counters) = s.counters {
+                profile.boxes.insert(b, counters);
+            }
+            if let Some(path) = s.path {
+                profile.paths.insert(b, path);
+            }
+            if let Some(fixpoint) = s.fixpoint {
+                profile.fixpoint.insert(b, fixpoint);
+            }
+            if let Some(builds) = s.builds {
+                profile.builds.insert(b, builds);
+            }
+        }
+        profile
+    }
+
+    /// Box `b`'s state in this execution.
+    pub(crate) fn state(&mut self, b: BoxId) -> &mut BoxState {
+        &mut self.boxes[b.index()]
+    }
+
+    /// Box `b`'s counters, zeroed on first touch.
+    pub(crate) fn entry(&mut self, b: BoxId) -> &mut BoxProfile {
+        self.boxes[b.index()]
+            .counters
+            .get_or_insert_with(BoxProfile::default)
     }
 
     /// Hash fast path for `EXISTS`-mode quantified tests.
     ///
-    /// Splits the predicates into equalities `quant.col = outer-expr`
-    /// (hashable) and a remainder. When every predicate is analyzable,
-    /// the subquery is uncorrelated, and at least one equality exists,
-    /// builds (once) a row-id table of the subquery's batch on the key
-    /// columns and probes it per outer row. Rows with NULL key values
-    /// cannot match but can still make the overall answer Unknown, so
-    /// they are kept aside and consulted only when the bucket produced
-    /// no True.
+    /// When the test has a hashed form ([`Plan::hashed_exists`]: an
+    /// uncorrelated subquery and at least one equality `quant.col =
+    /// outer-expr`), builds (once) a row-id table of the subquery's
+    /// batch on the key columns and probes it per outer row. Rows with
+    /// NULL key values cannot match but can still make the overall
+    /// answer Unknown, so they are kept aside and consulted only when
+    /// the bucket produced no True.
     /// Returns `None` when the fast path does not apply.
     fn eval_quantified_hashed(
         &mut self,
         quant: QuantId,
-        preds: &[ScalarExpr],
         frame: &Frame<'_>,
     ) -> Result<Option<Truth>> {
-        let sub = self.qgm.quant(quant).input;
-        if self.is_correlated(sub) || preds.is_empty() {
+        let plan = self.plan;
+        let Some(hashed) = plan.hashed_exists(quant) else {
             return Ok(None);
-        }
-        // Partition predicates.
-        let mut key_cols: Vec<usize> = Vec::new();
-        let mut probe_exprs: Vec<&ScalarExpr> = Vec::new();
-        let mut rest: Vec<&ScalarExpr> = Vec::new();
-        for p in preds {
-            let mut handled = false;
-            if let Some((l, r)) = p.as_equality() {
-                let classify = |side: &ScalarExpr, other: &ScalarExpr| -> Option<usize> {
-                    if let ScalarExpr::ColRef { quant: q2, col } = side {
-                        if *q2 == quant && !other.references(quant) {
-                            return Some(*col);
-                        }
-                    }
-                    None
-                };
-                if let Some(c) = classify(l, r) {
-                    key_cols.push(c);
-                    probe_exprs.push(r);
-                    handled = true;
-                } else if let Some(c) = classify(r, l) {
-                    key_cols.push(c);
-                    probe_exprs.push(l);
-                    handled = true;
-                }
-            }
-            if !handled {
-                rest.push(p);
-            }
-        }
-        if key_cols.is_empty() {
-            return Ok(None);
-        }
-        let cache_key = (quant, key_cols);
-        let semi = match self.semi_joins.get(&cache_key) {
+        };
+        let semi = match &self.semi_joins[quant.index()] {
             Some(semi) => semi.clone(),
             None => {
-                let batch = self.eval_box(sub, frame)?;
-                let keys: Vec<Vector> = (cache_key.1.iter())
+                let batch = self.eval_box(self.qgm.quant(quant).input, frame)?;
+                let keys: Vec<Vector> = (hashed.key_cols.iter())
                     .map(|&c| Vector::Col(batch.column(c).clone()))
                     .collect();
                 let null_keyed = (0..batch.len())
@@ -459,14 +508,15 @@ impl<'a> Executor<'a> {
                     batch,
                     null_keyed,
                 });
-                self.semi_joins.insert(cache_key, semi.clone());
+                self.semi_joins[quant.index()] = Some(semi.clone());
                 semi
             }
         };
+        let (probe_exprs, rest) = (&hashed.probe, &hashed.rest);
         // Probe.
         let mut probe_key = Vec::with_capacity(probe_exprs.len());
         let mut probe_has_null = false;
-        for e in &probe_exprs {
+        for e in probe_exprs {
             let v = self.eval_expr(e, frame)?;
             if v.is_null() {
                 probe_has_null = true;
@@ -480,7 +530,7 @@ impl<'a> Executor<'a> {
         let residual = |exec: &mut Self, id: u32, mut t: Truth| -> Result<Truth> {
             let row = [RowAt(&semi.batch, id as usize)];
             let cframe = frame.extended(&quants, &row);
-            for p in &rest {
+            for p in rest {
                 t = t.and(truth_of(&exec.eval_expr(p, &cframe)?));
                 if t == Truth::False {
                     break;
@@ -533,38 +583,45 @@ impl<'a> Executor<'a> {
         Ok(Arc::new(Batch::over_table(table.clone())))
     }
 
-    /// Fetch (building lazily) the index on one base-table column,
-    /// shared across executions via [`IndexCache`].
-    pub(crate) fn table_id_index(&mut self, table: &str, col: usize) -> Result<IdIndex> {
-        if let Some((_, _, idx)) = self
-            .id_indexes
-            .iter()
-            .find(|(t, c, _)| t == table && *c == col)
-        {
-            return Ok(idx.clone());
+    /// The table and index `probe` reads, if the `combos` combinations
+    /// are few against the table: the access-path choice a System-R
+    /// optimizer would make, and the reason correlated evaluation is
+    /// fast on selective outers (Table 1, Exp A). The one join decision
+    /// left to run time — it depends on the data. The table is resolved
+    /// on the probe's first use in the execution and its index on the
+    /// first use that takes it, so the shared cache is asked once per
+    /// probe and execution.
+    pub(crate) fn probe_target(
+        &mut self,
+        probe: &IndexProbe,
+        combos: usize,
+    ) -> Option<(IdIndex, Arc<Batch>)> {
+        let catalog = self.catalog;
+        let handle = self.probes[probe.slot].get_or_insert_with(|| ProbeHandle {
+            table: (catalog.table_arc(&probe.table).ok()).map(|stored| {
+                let batch = Arc::new(Batch::over_table(stored.clone()));
+                (stored.clone(), batch)
+            }),
+            index: None,
+        });
+        let (stored, batch) = handle.table.as_ref()?;
+        if combos.saturating_mul(4) >= stored.row_count().max(1) {
+            return None;
         }
-        let stored = self.catalog.table_arc(table)?;
-        let key = (table.to_string(), col);
-        let shared = self.shared_indexes.map(|s| &s.ids);
-        let cached = shared.and_then(|s| {
-            let map = s.lock().expect("index cache poisoned");
-            let (built_from, idx) = map.get(&key)?;
-            Arc::ptr_eq(built_from, stored).then(|| idx.clone())
-        });
-        let idx = cached.unwrap_or_else(|| {
-            // Built outside the lock: two racing executions may both
-            // build, the later insert wins.
-            self.index_builds.inc();
-            let idx = Arc::new(RowIds::build(&stored.columns()[col..=col]));
-            if let Some(s) = shared {
-                s.lock()
-                    .expect("index cache poisoned")
-                    .insert(key.clone(), (stored.clone(), idx.clone()));
+        let index = match &handle.index {
+            Some(index) => index.clone(),
+            None => {
+                let index = column_index(
+                    self.shared_indexes,
+                    &self.index_builds,
+                    &probe.table,
+                    stored,
+                    probe.col,
+                );
+                handle.index.insert(index).clone()
             }
-            idx
-        });
-        self.id_indexes.push((key.0, col, idx.clone()));
-        Ok(idx)
+        };
+        Some((index, batch.clone()))
     }
 
     /// Record which path one evaluation of `b` took: the tally behind
@@ -577,7 +634,7 @@ impl<'a> Executor<'a> {
             BoxPath::Row(why) => 1 + why as usize,
         };
         self.path_counts[slot] += 1;
-        let marker = self.profile.paths.entry(b).or_insert(path);
+        let marker = self.state(b).path.get_or_insert(path);
         if *marker == BoxPath::Batch {
             *marker = path;
         }
@@ -605,24 +662,6 @@ impl<'a> Executor<'a> {
         self.plan.get(b).live.as_deref()
     }
 
-    /// The stage's index probe, if it has one and the `combos`
-    /// combinations are few against the table: the access-path choice
-    /// a System-R optimizer would make, and the reason correlated
-    /// evaluation is fast on selective outers (Table 1, Exp A). The one
-    /// join decision left to run time — it depends on the data.
-    pub(crate) fn index_probe<'p>(
-        &self,
-        stage: &'p Stage,
-        combos: usize,
-    ) -> Option<&'p IndexProbe> {
-        let probe = stage.index.as_ref()?;
-        let rows = self
-            .catalog
-            .table(&probe.table)
-            .map_or(0, starmagic_catalog::Table::row_count);
-        (combos.saturating_mul(4) < rows.max(1)).then_some(probe)
-    }
-
     /// Count one batch stage over `n` rows; free when metrics are off.
     pub(crate) fn note_stage(&self, n: usize) {
         self.batch_runs
@@ -630,53 +669,41 @@ impl<'a> Executor<'a> {
         self.batch_rows.record(n as u64);
     }
 
-    /// Whether `b`'s subtree reads a quantifier bound outside it.
-    pub(crate) fn is_correlated(&self, b: BoxId) -> bool {
-        self.plan.get(b).correlated
-    }
-
     /// Evaluate a box under a frame. Uncorrelated boxes are cached.
     pub fn eval_box(&mut self, b: BoxId, frame: &Frame<'_>) -> Result<Arc<Batch>> {
+        let state = &self.boxes[b.index()];
         // During fixpoint iteration, a recursive reference yields the
-        // rows accumulated so far.
-        if self.in_fixpoint.contains(&b) {
-            return Ok(self
-                .recursive_acc
-                .get(&b)
-                .cloned()
-                .unwrap_or_else(|| Arc::new(Batch::empty(self.qgm.boxed(b).arity()))));
+        // rows published for this round.
+        if let Some(rows) = &state.recursive {
+            return Ok(rows.clone());
         }
-        // A non-driver member of an active semi-naive fixpoint: always
-        // evaluate fresh (its inputs include the round's delta) and
-        // never dispatch a nested fixpoint on it.
-        if self.no_cache.contains(&b) {
-            self.profile.entry(b).evals += 1;
+        // A step arm of an active semi-naive fixpoint: always evaluate
+        // fresh (its inputs include the round's delta) and never
+        // dispatch a nested fixpoint on it.
+        if state.fresh {
+            self.entry(b).evals += 1;
             let out = self.eval_inner(b, frame)?;
-            self.profile.entry(b).rows_out += out.len() as u64;
+            self.entry(b).rows_out += out.len() as u64;
             return Ok(out);
         }
         let lowered = self.plan.get(b);
-        if !lowered.correlated {
-            if let Some(out) = self.cache.get(&b) {
-                return Ok(out.clone());
-            }
+        if let (false, Some(out)) = (lowered.correlated, &state.cached) {
+            return Ok(out.clone());
         }
-        let timer = self.profile.timing.then(Instant::now);
-        self.profile.entry(b).evals += 1;
+        let timer = self.timing.then(Instant::now);
+        self.entry(b).evals += 1;
         let out = if lowered.fixpoint.is_some() {
             self.fixpoint(b, frame)?
         } else {
             self.eval_inner(b, frame)?
         };
-        {
-            let p = self.profile.entry(b);
-            p.rows_out += out.len() as u64;
-            if let Some(t) = timer {
-                p.elapsed += t.elapsed();
-            }
+        let p = self.entry(b);
+        p.rows_out += out.len() as u64;
+        if let Some(t) = timer {
+            p.elapsed += t.elapsed();
         }
         if !lowered.correlated {
-            self.cache.insert(b, out.clone());
+            self.state(b).cached = Some(out.clone());
         }
         Ok(out)
     }
@@ -687,7 +714,7 @@ impl<'a> Executor<'a> {
             (Op::Scan, BoxKind::BaseTable { table }) => {
                 // The table's stored columns, borrowed in place.
                 let out = self.table_batch(table)?;
-                self.profile.entry(b).rows_scanned += out.len() as u64;
+                self.entry(b).rows_scanned += out.len() as u64;
                 (out, BoxPath::Batch)
             }
             (Op::Select(select), BoxKind::Select) => {
@@ -728,7 +755,7 @@ impl<'a> Executor<'a> {
         let nulls = Column::constant(&Value::Null, 1);
         let null_row = Batch::from_columns(vec![Some(nulls); self.qgm.boxed(nullside).arity()], 1);
         let nullside = self.eval_box(nullside, frame)?;
-        self.profile.entry(b).rows_in += (preserved.len() + nullside.len()) as u64;
+        self.entry(b).rows_in += (preserved.len() + nullside.len()) as u64;
         let mut columns: Vec<Vec<Value>> = vec![Vec::new(); qb.columns.len()];
         let mut len = 0;
         let mut emit = |exec: &mut Self, rows: &[RowAt<'_>; 2]| -> Result<()> {
@@ -760,7 +787,7 @@ impl<'a> Executor<'a> {
                 emit(self, &[RowAt(&preserved, p), RowAt(&null_row, 0)])?;
             }
         }
-        self.profile.entry(b).rows_produced += len as u64;
+        self.entry(b).rows_produced += len as u64;
         let columns = columns.iter().map(|c| Some(Column::from_values(c)));
         Ok(Batch::from_columns(columns.collect(), len))
     }
@@ -783,17 +810,17 @@ impl<'a> Executor<'a> {
         let tq = self.qgm.boxed(b).quants[0];
         let batch = self.eval_box(self.qgm.quant(tq).input, frame)?;
         let n = batch.len();
-        self.profile.entry(b).rows_in += n as u64;
+        self.entry(b).rows_in += n as u64;
 
         let outer = lowered.outer.resolve(frame);
         let env = Env {
             params: frame.params(),
             outer: &outer,
         };
-        let ids: Vec<u32> = (0..n as u32).collect();
+        let all = Sel::All(n);
         let slots = [SlotView {
             batch: &batch,
-            ids: &ids,
+            ids: all,
         }];
         let mut path = BoxPath::Batch;
         let mut vectors: Vec<Vector> = Vec::new();
@@ -804,7 +831,7 @@ impl<'a> Executor<'a> {
         // evaluates them per row: keys, then arguments.
         for item in &lowered.exprs {
             let vectorized = match item.kernel(&outer) {
-                Some(v) => vector::eval(v, &slots, &ids, env).map_err(|_| Fallback::KernelError),
+                Some(v) => vector::eval(v, &slots, all, env).map_err(|_| Fallback::KernelError),
                 None => Err(item.why),
             };
             vectors.push(match vectorized {
@@ -843,7 +870,7 @@ impl<'a> Executor<'a> {
         if let Some((_, error)) = failed {
             return Err(error);
         }
-        self.profile.entry(b).rows_produced += (n + groups.len()) as u64;
+        self.entry(b).rows_produced += (n + groups.len()) as u64;
         Ok(groups)
     }
 
@@ -884,9 +911,9 @@ impl<'a> Executor<'a> {
         let arms: Vec<Arc<Batch>> = (qb.quants.iter())
             .map(|&q| self.eval_box(self.qgm.quant(q).input, frame))
             .collect::<Result<_>>()?;
-        self.profile.entry(b).rows_in += arms.iter().map(|a| a.len() as u64).sum::<u64>();
+        self.entry(b).rows_in += arms.iter().map(|a| a.len() as u64).sum::<u64>();
         let result = set_op(op, all, qb.distinct.needs_dedup(), qb.arity(), &arms);
-        self.profile.entry(b).rows_produced += result.len() as u64;
+        self.entry(b).rows_produced += result.len() as u64;
         Ok(result)
     }
 
@@ -989,7 +1016,7 @@ impl<'a> Executor<'a> {
         frame: &Frame<'_>,
     ) -> Result<Truth> {
         if mode == QuantMode::Exists {
-            if let Some(t) = self.eval_quantified_hashed(quant, preds, frame)? {
+            if let Some(t) = self.eval_quantified_hashed(quant, frame)? {
                 return Ok(t);
             }
         }
@@ -1506,6 +1533,69 @@ mod tests {
         let cat = catalog();
         let rows = run(&cat, "SELECT d.deptno, e.empno FROM dept d, emp e");
         assert_eq!(rows.len(), 12);
+    }
+
+    #[test]
+    fn the_dense_counters_fold_into_the_profiles_maps() {
+        let mut cat = catalog();
+        cat.add_view(
+            ViewDef::new(
+                "reach",
+                vec!["src".into(), "dst".into()],
+                "SELECT src, dst FROM edge \
+                       UNION SELECT r.src, e.dst FROM reach r, edge e WHERE r.dst = e.src",
+                true,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let sql = "SELECT r.src, r.dst FROM reach r, dept d WHERE d.deptno = r.src";
+        let g = build_qgm(&cat, &starmagic_sql::parse_query(sql).unwrap()).unwrap();
+        let plan = Plan::lower(&g);
+
+        // A box charged only a zero has its entry; an untouched one has
+        // none, and neither has a path or a build.
+        let mut exec = Executor::new(&g, &plan, &cat);
+        exec.entry(g.top()).rows_in += 0;
+        let profile = exec.into_profile();
+        assert_eq!(profile.boxes.len(), 1);
+        assert_eq!(profile.boxes[&g.top()], BoxProfile::default());
+        assert!(profile.paths.is_empty() && profile.builds.is_empty());
+        assert!(profile.fixpoint.is_empty() && !profile.timing);
+
+        // A whole execution: every box it evaluated has counters, every
+        // one but the fixpoint's driver a path, the driver its
+        // convergence record, and the step arm one build over `edge`
+        // that every later round reused.
+        let (rows, profile) = execute_profiled(&g, &cat, &IndexCache::default(), true).unwrap();
+        assert_eq!(rows.len(), 6, "1→2, 1→3, 1→4, 2→3, 2→4, 3→4");
+        assert!(profile.timing);
+        let evaluated: Vec<BoxId> = (profile.boxes.iter())
+            .filter(|(_, p)| p.evals > 0)
+            .map(|(b, _)| *b)
+            .collect();
+        assert_eq!(profile.boxes.len(), evaluated.len());
+        let [(driver, stats)] = profile.fixpoint.iter().collect::<Vec<_>>()[..] else {
+            panic!("one fixpoint")
+        };
+        assert!(g.boxed(*driver).is_recursive_union());
+        let paths: Vec<BoxId> = (evaluated.iter().copied())
+            .filter(|b| b != driver)
+            .collect();
+        assert_eq!(profile.paths.keys().copied().collect::<Vec<_>>(), paths);
+        assert!(profile.paths.values().all(|p| *p == BoxPath::Batch));
+        assert_eq!(stats.delta_rows, [3, 2, 1, 0]);
+        let [(arm, builds)] = profile.builds.iter().collect::<Vec<_>>()[..] else {
+            panic!("one step arm")
+        };
+        assert!(profile.get(*arm).evals > 0);
+        assert_eq!(
+            *builds,
+            StepBuilds {
+                built: 1,
+                reused: stats.iterations - 1
+            }
+        );
     }
 
     #[test]
@@ -2214,8 +2304,8 @@ mod boundary_tests {
         let plan = Plan::lower(&g);
         let mut exec = Executor::new(&g, &plan, &cat);
         exec.eval_box(g.top(), &Frame::root()).unwrap();
-        assert_eq!(exec.profile.paths[&view], BoxPath::Batch);
-        let batch = exec.cache[&view].clone();
+        let batch = exec.state(view).cached.clone().unwrap();
+        assert_eq!(exec.into_profile().paths[&view], BoxPath::Batch);
         let live: Vec<bool> = (0..4).map(|c| batch.is_live(c)).collect();
         assert_eq!(
             live,
@@ -2239,7 +2329,7 @@ mod boundary_tests {
         let plan = Plan::lower(&g);
         let mut exec = Executor::new(&g, &plan, &cat);
         exec.eval_box(g.top(), &Frame::root()).unwrap();
-        let out = exec.cache[&pairs].clone();
+        let out = exec.state(pairs).cached.clone().unwrap();
         assert_eq!(out.len(), rows.len());
         assert!(
             rows.len() > 3,

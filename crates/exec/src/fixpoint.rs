@@ -24,7 +24,7 @@ use starmagic_qgm::{BoxId, BoxKind, Qgm, QuantId, QuantKind, SetOpKind};
 use crate::batch::{Batch, Column};
 use crate::dedup::{hash_columns, same_row, KeySet};
 use crate::executor::{Executor, Frame};
-use crate::profile::FixpointStats;
+use crate::profile::{FixpointStats, StepBuilds};
 
 /// One recursive box's accumulated result.
 struct Accumulated {
@@ -239,19 +239,22 @@ impl<'a> Executor<'a> {
         let fresh: Vec<BoxId> = plan
             .iter()
             .flat_map(|a| a.step_arms.iter().copied())
-            .filter(|&m| self.no_cache.insert(m))
+            .filter(|&m| !std::mem::replace(&mut self.state(m).fresh, true))
             .collect();
         let result = self.semi_naive_rounds(plan, b, frame);
-        for m in &fresh {
-            self.no_cache.remove(m);
+        for &m in &fresh {
+            self.state(m).fresh = false;
         }
         for da in plan {
-            self.in_fixpoint.remove(&da.driver);
-            self.recursive_acc.remove(&da.driver);
+            self.state(da.driver).recursive = None;
+            // The builds cached for this fixpoint's step arms, and the
+            // buffers their rounds handed on, end with it.
+            for &arm in &da.step_arms {
+                let arm = self.state(arm);
+                arm.step_builds.clear();
+                arm.spare.clear();
+            }
         }
-        // The builds cached for this fixpoint's step arms end with it.
-        self.step_builds
-            .retain(|(arm, _), _| !plan.iter().any(|da| da.step_arms.contains(arm)));
         result
     }
 
@@ -266,7 +269,7 @@ impl<'a> Executor<'a> {
             .map(|da| Accumulated::new(self.qgm.boxed(da.driver).arity(), !da.all))
             .collect();
         let mut stats = vec![FixpointStats::default(); plan.len()];
-        // Seed from the base arms (drivers are not yet in_fixpoint;
+        // Seed from the base arms (no driver publishes rows yet;
         // base arms reference no SCC member by construction).
         for ((da, acc), st) in plan.iter().zip(&mut accs).zip(&mut stats) {
             self.offer(da.driver, acc, &da.base_arms, st, frame)?;
@@ -286,9 +289,7 @@ impl<'a> Executor<'a> {
             // Publish this round's deltas: recursive references inside
             // the step arms see exactly the new rows.
             for ((da, acc), from) in plan.iter().zip(&accs).zip(&mut published) {
-                self.in_fixpoint.insert(da.driver);
-                let delta = Arc::new(acc.since(*from));
-                self.recursive_acc.insert(da.driver, delta);
+                self.state(da.driver).recursive = Some(Arc::new(acc.since(*from)));
                 *from = acc.len();
             }
             let mut grew = false;
@@ -328,7 +329,7 @@ impl<'a> Executor<'a> {
             offered += candidates.len() as u64;
             admitted += acc.admit(&candidates) as u64;
         }
-        let p = self.profile.entry(driver);
+        let p = self.entry(driver);
         p.rows_in += offered;
         p.rows_produced += admitted;
         st.delta_rows.push(admitted);
@@ -352,8 +353,7 @@ impl<'a> Executor<'a> {
             .map(|&m| (m, Accumulated::new(self.qgm.boxed(m).arity(), true)))
             .collect();
         for &m in members {
-            self.in_fixpoint.insert(m);
-            self.recursive_acc.insert(m, accs[&m].rows.clone());
+            self.state(m).recursive = Some(accs[&m].rows.clone());
         }
         let mut st = FixpointStats::default();
         let mut rounds = 0usize;
@@ -369,15 +369,14 @@ impl<'a> Executor<'a> {
             for &m in members {
                 // Evaluate the member with recursive references frozen
                 // at the current accumulation.
-                self.in_fixpoint.remove(&m);
+                let published = self.state(m).recursive.take();
                 let derived = self.eval_inner(m, frame)?;
-                self.in_fixpoint.insert(m);
                 // Let go of the published handle, so the accumulation
                 // grows in place, then publish the grown one.
-                self.recursive_acc.remove(&m);
+                drop(published);
                 let acc = accs.get_mut(&m).expect("one accumulator per member");
                 let admitted = acc.admit(&derived);
-                self.recursive_acc.insert(m, acc.rows.clone());
+                self.state(m).recursive = Some(acc.rows.clone());
                 if m == b {
                     st.rejected_rows.push((derived.len() - admitted) as u64);
                 }
@@ -389,9 +388,8 @@ impl<'a> Executor<'a> {
                 break;
             }
         }
-        for m in members {
-            self.in_fixpoint.remove(m);
-            self.recursive_acc.remove(m);
+        for &m in members {
+            self.state(m).recursive = None;
         }
         let result = accs[&b].rows.clone();
         st.total_rows = result.len() as u64;
@@ -407,7 +405,7 @@ impl<'a> Executor<'a> {
             self.fixpoint_delta_rows.add(st.delta_rows.iter().sum());
             self.fixpoint_total_rows.add(st.total_rows);
         }
-        let e = self.profile.fixpoint.entry(b).or_default();
+        let e = (self.state(b).fixpoint).get_or_insert_with(FixpointStats::default);
         e.iterations += st.iterations;
         e.delta_rows.extend_from_slice(&st.delta_rows);
         e.rejected_rows.extend_from_slice(&st.rejected_rows);
@@ -418,15 +416,15 @@ impl<'a> Executor<'a> {
     /// fixpoint: `b` is a step arm of a running semi-naive fixpoint and
     /// `child` lies outside the recursion — so its output, already
     /// materialized and cached, cannot change between rounds.
-    pub(crate) fn step_build_site(&self, b: BoxId, child: BoxId) -> bool {
-        self.no_cache.contains(&b)
-            && !self.no_cache.contains(&child)
-            && !self.in_fixpoint.contains(&child)
+    pub(crate) fn step_build_site(&mut self, b: BoxId, child: BoxId) -> bool {
+        let child = self.state(child);
+        let outside = !child.fresh && child.recursive.is_none();
+        outside && self.state(b).fresh
     }
 
     /// Count one build-side use by step arm `b`.
     pub(crate) fn note_step_build(&mut self, b: BoxId, reused: bool) {
-        let e = self.profile.builds.entry(b).or_default();
+        let e = self.state(b).builds.get_or_insert_with(StepBuilds::default);
         if reused {
             e.reused += 1;
             self.fixpoint_build_reuses.inc();

@@ -10,7 +10,9 @@
 //! * for a select, its join stages — the hash-equality classification,
 //!   the index-nested-loop candidate, the predicates each stage makes
 //!   ready — then its residue and its columns;
-//! * for a group-by, its keys and aggregate arguments.
+//! * for a group-by, its keys and aggregate arguments;
+//! * for a hashed `EXISTS` test, its key columns, its probe expressions
+//!   and its residue ([`HashedExists`]).
 //!
 //! Every such expression is an [`Item`]: the expression, its kernel
 //! when it compiles, and the reason the box is marked `row(<reason>)`
@@ -28,6 +30,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use starmagic_common::{Error, Result, Value};
 use starmagic_planner::cost::is_correlated_subtree;
+use starmagic_qgm::expr::QuantMode;
 use starmagic_qgm::{strata, BoxId, BoxKind, Qgm, QuantId, ScalarExpr};
 
 use crate::boundary::{live_columns, BoxPath, Fallback};
@@ -43,6 +46,12 @@ pub struct Plan {
     /// Parameter markers in graph order (box by box: predicates,
     /// columns, keys, arguments, ON conditions), first occurrences.
     params: Vec<usize>,
+    /// How many index probes the stages hold: [`IndexProbe::slot`] runs
+    /// over `0..probes`.
+    probes: usize,
+    /// By [`QuantId::index`], the hashed form of the `EXISTS` test over
+    /// that quantifier, when it has one.
+    exists: Vec<Option<HashedExists>>,
 }
 
 /// One box's facts.
@@ -109,6 +118,20 @@ pub(crate) struct IndexProbe {
     pub(crate) table: String,
     pub(crate) col: usize,
     pub(crate) pred: usize,
+    /// This probe's number in the plan, where an execution keeps the
+    /// table and index it resolves on first use.
+    pub(crate) slot: usize,
+}
+
+/// An `EXISTS` test whose equalities `quant.col = <expr over other
+/// quantifiers>` key a row-id table over its uncorrelated subquery: the
+/// key columns, the probe side of each, and the predicates left over,
+/// in declaration order.
+#[derive(Debug)]
+pub(crate) struct HashedExists {
+    pub(crate) key_cols: Vec<usize>,
+    pub(crate) probe: Vec<ScalarExpr>,
+    pub(crate) rest: Vec<ScalarExpr>,
 }
 
 /// A group-by's keys, then arguments.
@@ -186,10 +209,11 @@ impl Plan {
         let mut live = live_columns(qgm, |b| cycles.contains_key(&b));
         let mut boxes: Vec<Option<BoxPlan>> = Vec::new();
         boxes.resize_with(ids.last().map_or(0, |b| b.index() + 1), || None);
+        let mut probes = 0;
         for &b in &ids {
             let op = match &qgm.boxed(b).kind {
                 BoxKind::BaseTable { .. } => Op::Scan,
-                BoxKind::Select => Op::Select(lower_select(qgm, b, &correlated)),
+                BoxKind::Select => Op::Select(lower_select(qgm, b, &correlated, &mut probes)),
                 BoxKind::GroupBy(_) => Op::GroupBy(lower_groupby(qgm, b)),
                 BoxKind::SetOp(_) => Op::SetOperation,
                 BoxKind::OuterJoin(_) => Op::OuterJoin,
@@ -204,6 +228,8 @@ impl Plan {
         Plan {
             boxes,
             params: param_order(qgm),
+            probes,
+            exists: lower_exists(qgm, &correlated),
         }
     }
 
@@ -212,6 +238,27 @@ impl Plan {
             .get(b.index())
             .and_then(Option::as_ref)
             .unwrap_or_else(|| panic!("box {b} is not in the lowered plan"))
+    }
+
+    /// One past the largest [`BoxId::index`] of the plan: the length of
+    /// a vector with a place for every box.
+    pub(crate) fn box_slots(&self) -> usize {
+        self.boxes.len()
+    }
+
+    /// The number of index probes ([`IndexProbe::slot`]).
+    pub(crate) fn probe_slots(&self) -> usize {
+        self.probes
+    }
+
+    /// One past the largest quantifier index with a hashed `EXISTS`.
+    pub(crate) fn exists_slots(&self) -> usize {
+        self.exists.len()
+    }
+
+    /// The hashed form of the `EXISTS` test over `quant`, if it has one.
+    pub(crate) fn hashed_exists(&self, quant: QuantId) -> Option<&HashedExists> {
+        self.exists.get(quant.index())?.as_ref()
     }
 
     /// The path box `b` takes, as decided at lowering: `batch`, or
@@ -249,7 +296,12 @@ impl Plan {
     }
 }
 
-fn lower_select(qgm: &Qgm, b: BoxId, correlated: &HashMap<BoxId, bool>) -> SelectPlan {
+fn lower_select(
+    qgm: &Qgm,
+    b: BoxId,
+    correlated: &HashMap<BoxId, bool>,
+    probes: &mut usize,
+) -> SelectPlan {
     let qb = qgm.boxed(b);
     let order = qgm.join_order(b);
     let local_f: BTreeSet<QuantId> = order.iter().copied().collect();
@@ -306,7 +358,9 @@ fn lower_select(qgm: &Qgm, b: BoxId, correlated: &HashMap<BoxId, bool>) -> Selec
                                 table: table.clone(),
                                 col: *col,
                                 pred: probe.len(),
+                                slot: *probes,
                             });
+                            *probes += 1;
                         }
                     }
                 }
@@ -406,6 +460,88 @@ fn lower_groupby(qgm: &Qgm, b: BoxId) -> GroupByPlan {
     GroupByPlan { outer, exprs }
 }
 
+/// Every expression a box evaluates: predicates, columns, group keys,
+/// aggregate arguments and ON conditions.
+fn box_exprs(qgm: &Qgm, b: BoxId, mut f: impl FnMut(&ScalarExpr)) {
+    let qb = qgm.boxed(b);
+    qb.predicates.iter().for_each(&mut f);
+    qb.columns.iter().for_each(|c| f(&c.expr));
+    match &qb.kind {
+        BoxKind::GroupBy(g) => {
+            g.group_keys.iter().for_each(&mut f);
+            g.aggs.iter().filter_map(|a| a.arg.as_ref()).for_each(f);
+        }
+        BoxKind::OuterJoin(oj) => oj.on.iter().for_each(f),
+        BoxKind::BaseTable { .. } | BoxKind::Select | BoxKind::SetOp(_) => {}
+    }
+}
+
+/// The hashed form of every `EXISTS` test that has one, by quantifier:
+/// the subquery is uncorrelated, and some predicate equates one of its
+/// columns with an expression that does not read it. A quantifier
+/// tested more than once gets none.
+fn lower_exists(qgm: &Qgm, correlated: &HashMap<BoxId, bool>) -> Vec<Option<HashedExists>> {
+    let mut tests: HashMap<QuantId, Option<HashedExists>> = HashMap::new();
+    for b in qgm.box_ids() {
+        box_exprs(qgm, b, |e| {
+            e.walk(&mut |x| {
+                if let ScalarExpr::Quantified { mode, quant, preds } = x {
+                    let hashed = (*mode == QuantMode::Exists
+                        && !correlated[&qgm.quant(*quant).input])
+                        .then(|| hash_exists(*quant, preds))
+                        .flatten();
+                    tests
+                        .entry(*quant)
+                        .and_modify(|seen| *seen = None)
+                        .or_insert(hashed);
+                }
+            });
+        });
+    }
+    let mut exists: Vec<Option<HashedExists>> = Vec::new();
+    for (quant, hashed) in tests {
+        if let Some(hashed) = hashed {
+            if exists.len() <= quant.index() {
+                exists.resize_with(quant.index() + 1, || None);
+            }
+            exists[quant.index()] = Some(hashed);
+        }
+    }
+    exists
+}
+
+/// Split an `EXISTS` test's predicates into hashable equalities
+/// `quant.col = <expr not reading quant>` and the rest; `None` without
+/// any equality.
+fn hash_exists(quant: QuantId, preds: &[ScalarExpr]) -> Option<HashedExists> {
+    let mut hashed = HashedExists {
+        key_cols: Vec::new(),
+        probe: Vec::new(),
+        rest: Vec::new(),
+    };
+    let key = |side: &ScalarExpr, other: &ScalarExpr| match side {
+        ScalarExpr::ColRef { quant: q, col } if *q == quant && !other.references(quant) => {
+            Some(*col)
+        }
+        _ => None,
+    };
+    for p in preds {
+        let keyed = p.as_equality().and_then(|(l, r)| {
+            key(l, r)
+                .map(|c| (c, r))
+                .or_else(|| key(r, l).map(|c| (c, l)))
+        });
+        match keyed {
+            Some((col, probe)) => {
+                hashed.key_cols.push(col);
+                hashed.probe.push(probe.clone());
+            }
+            None => hashed.rest.push(p.clone()),
+        }
+    }
+    (!hashed.key_cols.is_empty()).then_some(hashed)
+}
+
 /// Every parameter marker of the graph, first occurrences in graph
 /// order.
 fn param_order(qgm: &Qgm) -> Vec<usize> {
@@ -420,20 +556,7 @@ fn param_order(qgm: &Qgm) -> Vec<usize> {
         });
     };
     for b in qgm.box_ids() {
-        let qb = qgm.boxed(b);
-        qb.predicates.iter().for_each(&mut note);
-        qb.columns.iter().for_each(|c| note(&c.expr));
-        match &qb.kind {
-            BoxKind::GroupBy(g) => {
-                g.group_keys.iter().for_each(&mut note);
-                g.aggs
-                    .iter()
-                    .filter_map(|a| a.arg.as_ref())
-                    .for_each(&mut note);
-            }
-            BoxKind::OuterJoin(oj) => oj.on.iter().for_each(&mut note),
-            BoxKind::BaseTable { .. } | BoxKind::Select | BoxKind::SetOp(_) => {}
-        }
+        box_exprs(qgm, b, &mut note);
     }
     out
 }

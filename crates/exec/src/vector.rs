@@ -172,12 +172,46 @@ pub(crate) fn compile(
     })
 }
 
+/// Which rows an operation reads: every one of `0..n`, never built as a
+/// list, or the listed ones in order. Both the positions of a join
+/// state and a slot's ids into its batch are selections.
+#[derive(Clone, Copy)]
+pub(crate) enum Sel<'a> {
+    All(usize),
+    Ids(&'a [u32]),
+}
+
+impl<'a> Sel<'a> {
+    pub fn len(self) -> usize {
+        match self {
+            Sel::All(n) => n,
+            Sel::Ids(ids) => ids.len(),
+        }
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `k`-th selected row.
+    pub fn get(self, k: usize) -> u32 {
+        match self {
+            Sel::All(_) => k as u32,
+            Sel::Ids(ids) => ids[k],
+        }
+    }
+
+    pub fn iter(self) -> impl Iterator<Item = u32> + 'a {
+        (0..self.len()).map(move |k| self.get(k))
+    }
+}
+
 /// One bound quantifier during columnar evaluation: the source batch
-/// plus the id vector selecting (late materialization) which batch row
-/// each combination holds.
+/// plus the ids selecting (late materialization) which batch row each
+/// combination holds.
 pub(crate) struct SlotView<'a> {
     pub batch: &'a Batch,
-    pub ids: &'a [u32],
+    pub ids: Sel<'a>,
 }
 
 /// The result of evaluating a [`VExpr`] over `positions`: a gathered
@@ -238,12 +272,12 @@ impl Vector {
     }
 }
 
-/// Evaluate `e` at each of `positions` (indexes into the slots' id
-/// vectors), producing a vector of `positions.len()` slots.
+/// Evaluate `e` at each of `positions` (indexes into the slots' ids),
+/// producing a vector of `positions.len()` slots.
 pub(crate) fn eval(
     e: &VExpr,
     slots: &[SlotView<'_>],
-    positions: &[u32],
+    positions: Sel<'_>,
     env: Env<'_>,
 ) -> Result<Vector> {
     let sub = |x: &VExpr| eval(x, slots, positions, env);
@@ -264,8 +298,15 @@ pub(crate) fn eval(
                 debug_assert!(positions.is_empty());
                 return Ok(Vector::Col(Column::Mixed(Vec::new())));
             }
-            let resolved: Vec<u32> = positions.iter().map(|&p| sv.ids[p as usize]).collect();
-            Ok(Vector::Col(sv.batch.column(*col).take(&resolved)))
+            let column = sv.batch.column(*col);
+            Ok(Vector::Col(match (positions, sv.ids) {
+                (Sel::All(_), Sel::All(_)) => column.clone(),
+                (Sel::All(_), Sel::Ids(ids)) | (Sel::Ids(ids), Sel::All(_)) => column.take(ids),
+                (Sel::Ids(positions), Sel::Ids(ids)) => {
+                    let resolved: Vec<u32> = positions.iter().map(|&p| ids[p as usize]).collect();
+                    column.take(&resolved)
+                }
+            }))
         }
         VExpr::Lit(v) => constant(Some(v)),
         VExpr::Param(i) => constant(env.params.get(*i)),
@@ -618,13 +659,12 @@ mod tests {
 
     fn run(e: &VExpr) -> Vector {
         let b = batch();
-        let ids: Vec<u32> = (0..b.len() as u32).collect();
+        let all = Sel::All(b.len());
         let slots = [SlotView {
             batch: &b,
-            ids: &ids,
+            ids: all,
         }];
-        let positions: Vec<u32> = (0..b.len() as u32).collect();
-        eval(e, &slots, &positions, Env::default()).expect("eval")
+        eval(e, &slots, all, Env::default()).expect("eval")
     }
 
     #[test]
@@ -659,16 +699,15 @@ mod tests {
         assert!(v.is_null_at(2));
         // Division by zero errors (the caller asks the scalar evaluator).
         let b = batch();
-        let ids: Vec<u32> = (0..b.len() as u32).collect();
+        let all = Sel::All(b.len());
         let slots = [SlotView {
             batch: &b,
-            ids: &ids,
+            ids: all,
         }];
-        let positions: Vec<u32> = (0..b.len() as u32).collect();
         assert!(eval(
             &bin(BinOp::Div, col(0), lit(Value::Int(0))),
             &slots,
-            &positions,
+            all,
             Env::default()
         )
         .is_err());
@@ -706,6 +745,34 @@ mod tests {
         assert!(!v.passes_at(0));
         assert!(v.passes_at(2));
         assert!(!v.is_null_at(2));
+    }
+
+    #[test]
+    fn a_gather_reads_every_kind_of_selection_alike() {
+        let b = batch();
+        let ids = [3, 0, 2, 3];
+        let positions = [1, 3];
+        let gather = |ids: Sel<'_>, positions: Sel<'_>| {
+            let slots = [SlotView { batch: &b, ids }];
+            let v = eval(&col(1), &slots, positions, Env::default()).expect("eval");
+            (0..v.len()).map(|k| v.value_at(k)).collect::<Vec<_>>()
+        };
+        let column = |rows: &[u32]| -> Vec<Value> {
+            let rows = rows.iter().map(|&i| b.value(1, i as usize));
+            rows.collect()
+        };
+        assert_eq!(gather(Sel::All(4), Sel::All(4)), column(&[0, 1, 2, 3]));
+        assert_eq!(gather(Sel::Ids(&ids), Sel::All(4)), column(&ids));
+        assert_eq!(
+            gather(Sel::All(4), Sel::Ids(&positions)),
+            column(&positions)
+        );
+        assert_eq!(
+            gather(Sel::Ids(&ids), Sel::Ids(&positions)),
+            column(&[0, 3])
+        );
+        assert_eq!(Sel::Ids(&positions).iter().collect::<Vec<_>>(), positions);
+        assert_eq!(Sel::All(3).iter().collect::<Vec<_>>(), [0, 1, 2]);
     }
 
     #[test]
