@@ -87,7 +87,7 @@ impl Analysis {
     }
 
     /// Human-readable fact table plus diagnostics — the body of
-    /// EXPLAIN's `== analysis` section and the REPL's `\analysis`.
+    /// EXPLAIN's `== analysis` section.
     pub fn render(&self, qgm: &Qgm) -> String {
         let mut out = String::new();
         let _ = writeln!(

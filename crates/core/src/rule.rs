@@ -1744,6 +1744,23 @@ fn combine_links(qgm: &mut Qgm, b: BoxId) -> BoxId {
     acc
 }
 
+/// Run a graph with fresh indexes and default options; the rows plus
+/// the profile's summed work counters.
+#[cfg(test)]
+fn run_with_metrics(
+    qgm: &starmagic_qgm::Qgm,
+    catalog: &starmagic_catalog::Catalog,
+) -> (Vec<starmagic_common::Row>, starmagic_exec::Metrics) {
+    let (rows, profile) = starmagic_exec::execute_with_options(
+        qgm,
+        catalog,
+        &starmagic_exec::IndexCache::default(),
+        starmagic_exec::ExecOptions::default(),
+    )
+    .unwrap();
+    (rows, profile.aggregate())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2163,10 +2180,10 @@ mod decorrelation_tests {
                     WHERE f.workdept = e.workdept AND a.empno = f.empno AND a.hours > 30)";
         // Correlated evaluation (no EMST).
         let g1 = build_qgm(&cat, &starmagic_sql::parse_query(sql).unwrap()).unwrap();
-        let (r1, m1) = starmagic_exec::execute_with_metrics(&g1, &cat).unwrap();
+        let (r1, m1) = run_with_metrics(&g1, &cat);
         // Decorrelated through magic.
         let g2 = run_emst(&cat, sql);
-        let (r2, m2) = starmagic_exec::execute_with_metrics(&g2, &cat).unwrap();
+        let (r2, m2) = run_with_metrics(&g2, &cat);
         let mut r1s = r1;
         let mut r2s = r2;
         r1s.sort_by(starmagic_common::Row::group_cmp);
@@ -2227,9 +2244,9 @@ mod decorrelation_tests {
         .unwrap();
         let sql = "SELECT t.id FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k = t.k)";
         let g1 = build_qgm(&cat, &starmagic_sql::parse_query(sql).unwrap()).unwrap();
-        let (mut r1, _) = starmagic_exec::execute_with_metrics(&g1, &cat).unwrap();
+        let mut r1 = starmagic_exec::execute(&g1, &cat).unwrap();
         let g2 = run_emst(&cat, sql);
-        let (mut r2, _) = starmagic_exec::execute_with_metrics(&g2, &cat).unwrap();
+        let mut r2 = starmagic_exec::execute(&g2, &cat).unwrap();
         r1.sort_by(starmagic_common::Row::group_cmp);
         r2.sort_by(starmagic_common::Row::group_cmp);
         assert_eq!(r1, r2);
@@ -2318,9 +2335,9 @@ mod setop_magic_tests {
     fn union_magic_preserves_results() {
         let cat = catalog();
         let g0 = build_qgm(&cat, &starmagic_sql::parse_query(SQL).unwrap()).unwrap();
-        let (mut r0, m0) = starmagic_exec::execute_with_metrics(&g0, &cat).unwrap();
+        let (mut r0, m0) = run_with_metrics(&g0, &cat);
         let g = run_emst(&cat, SQL);
-        let (mut r1, m1) = starmagic_exec::execute_with_metrics(&g, &cat).unwrap();
+        let (mut r1, m1) = run_with_metrics(&g, &cat);
         r0.sort_by(starmagic_common::Row::group_cmp);
         r1.sort_by(starmagic_common::Row::group_cmp);
         assert_eq!(r0, r1);

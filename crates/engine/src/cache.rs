@@ -9,37 +9,33 @@
 //! runs that one plan with the bound values in a parameter vector
 //! (`Engine::execute_cached`) — nothing is copied per request.
 //!
-//! Eviction is LRU over a bounded map (the capacity is small enough
-//! that an O(n) scan for the oldest tick beats the bookkeeping of a
-//! linked map).
+//! Eviction is LRU over one bounded map behind one mutex (the capacity
+//! is small enough that an O(n) scan for the oldest tick beats the
+//! bookkeeping of a linked map). A request takes the lock once, for
+//! one hash lookup.
 //!
 //! Invalidation is epoch-based. Every entry is pinned to the catalog
 //! epoch that built it; a DDL bumps the engine's epoch and the cache
-//! purges everything older ([`ShardedPlanCache::note_epoch`]). The
-//! pin also closes the in-flight race: a session that planned against
-//! epoch E but inserts after a concurrent DDL bumped to E+1 can never
-//! have its stale plan served — the entry either is refused at insert
-//! or fails the epoch check on lookup. Views, tables, and inserts all
-//! change what a plan would look like or return, and correctness
-//! beats cleverness here.
+//! purges everything older ([`PlanCache::note_epoch`]). The pin also
+//! closes the in-flight race: a session that planned against epoch E
+//! but inserts after a concurrent DDL bumped to E+1 can never have its
+//! stale plan served — the entry either is refused at insert or fails
+//! the epoch check on lookup. Views, tables, and inserts all change
+//! what a plan would look like or return, and correctness beats
+//! cleverness here.
 //!
-//! [`ShardedPlanCache`] spreads the keys over N independently locked
-//! [`PlanCache`] shards so concurrent sessions rarely contend on the
-//! same mutex; each shard keeps its own LRU order and counters, which
-//! the wrapper sums for reporting.
+//! Plans leave the map under the lock but are freed after it is
+//! released, so a reader's lookup never waits on the drop of a purged
+//! or evicted plan.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::Prepared;
 
-/// Default number of plans an engine retains (across all shards).
+/// Default number of plans an engine retains.
 pub const DEFAULT_PLAN_CACHE_CAP: usize = 128;
-
-/// Number of independently locked shards in a [`ShardedPlanCache`].
-pub const PLAN_CACHE_SHARDS: usize = 8;
 
 /// Monotonically collected cache counters. `invalidations` counts
 /// flush *events* (one per DDL statement), not evicted entries.
@@ -63,13 +59,6 @@ impl CacheStats {
                 self.hits as f64 / total as f64
             }
         }
-    }
-
-    fn absorb(&mut self, other: CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.invalidations += other.invalidations;
     }
 }
 
@@ -106,11 +95,10 @@ fn key_strategy(key: &str) -> &str {
     key.split('|').next().unwrap_or(key)
 }
 
-/// Bounded LRU map of normalized key → plan. One shard of a
-/// [`ShardedPlanCache`] (or a whole cache on its own in tests).
-pub struct PlanCache {
+/// The map and its counters: everything the lock guards.
+#[derive(Default)]
+struct Lru {
     map: HashMap<String, Entry>,
-    cap: usize,
     tick: u64,
     stats: CacheStats,
     /// The same counters split by the strategy component of the key
@@ -121,37 +109,55 @@ pub struct PlanCache {
     by_strategy: BTreeMap<String, CacheStats>,
 }
 
-impl PlanCache {
-    pub fn new(cap: usize) -> PlanCache {
-        PlanCache {
-            map: HashMap::new(),
-            cap: cap.max(1),
-            tick: 0,
-            stats: CacheStats::default(),
-            by_strategy: BTreeMap::new(),
-        }
-    }
-
+impl Lru {
     fn strategy_stats(&mut self, key: &str) -> &mut CacheStats {
         self.by_strategy
             .entry(key_strategy(key).to_string())
             .or_default()
     }
 
+    fn touch(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+}
+
+/// Bounded LRU map of normalized key → plan behind one lock, plus the
+/// newest epoch any DDL has announced. Shared (`Arc`) between every
+/// clone of an engine, so all snapshots of one database see one cache.
+pub struct PlanCache {
+    lru: Mutex<Lru>,
+    cap: usize,
+    /// Inserts pinned to an epoch older than this are refused — the
+    /// in-flight-query race closed at the door rather than on lookup.
+    latest: AtomicU64,
+}
+
+impl PlanCache {
+    pub fn new(cap: usize) -> PlanCache {
+        PlanCache {
+            lru: Mutex::new(Lru::default()),
+            cap: cap.max(1),
+            latest: AtomicU64::new(0),
+        }
+    }
+
+    /// The lock, tolerating poisoning: the map holds only plans and
+    /// counters, both valid at every instruction boundary.
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.cap
+        self.len() == 0
     }
 
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.lock().stats
     }
 
     /// The counters split by strategy, sorted by strategy name. Every
@@ -159,7 +165,7 @@ impl PlanCache {
     /// entry to eviction/flush) has a row; the rows sum to
     /// [`PlanCache::stats`].
     pub fn stats_by_strategy(&self) -> BTreeMap<String, CacheStats> {
-        self.by_strategy.clone()
+        self.lock().by_strategy.clone()
     }
 
     /// Look up a plan built at `epoch`, counting the hit or miss and
@@ -168,285 +174,113 @@ impl PlanCache {
     /// pinned to a *newer* epoch is a plain miss — the caller is a
     /// reader on an old snapshot and must not evict a plan that is
     /// current for the rest of the engine.
-    pub fn get(&mut self, key: &str, epoch: u64) -> Option<Arc<CachedPlan>> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.map.get_mut(key) {
+    pub fn get(&self, key: &str, epoch: u64) -> Option<Arc<CachedPlan>> {
+        let mut lru = self.lock();
+        let tick = lru.touch();
+        let mut stale = None;
+        if let Some(e) = lru.map.get_mut(key) {
             if e.plan.epoch == epoch {
                 e.last_used = tick;
                 let plan = Arc::clone(&e.plan);
-                self.stats.hits += 1;
-                self.strategy_stats(key).hits += 1;
+                lru.stats.hits += 1;
+                lru.strategy_stats(key).hits += 1;
                 return Some(plan);
             }
             if e.plan.epoch < epoch {
-                self.map.remove(key);
+                stale = lru.map.remove(key);
             }
         }
-        self.stats.misses += 1;
-        self.strategy_stats(key).misses += 1;
+        lru.stats.misses += 1;
+        lru.strategy_stats(key).misses += 1;
+        drop(lru);
+        drop(stale);
         None
     }
 
     /// Count a hit on `key` without a lookup — a session ran a plan it
     /// holds, still current — refreshing the entry's recency if the
     /// cache still has it.
-    pub fn note_hit(&mut self, key: &str) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.map.get_mut(key) {
+    pub fn note_hit(&self, key: &str) {
+        let mut lru = self.lock();
+        let tick = lru.touch();
+        if let Some(e) = lru.map.get_mut(key) {
             e.last_used = tick;
         }
-        self.stats.hits += 1;
-        self.strategy_stats(key).hits += 1;
+        lru.stats.hits += 1;
+        lru.strategy_stats(key).hits += 1;
     }
 
     /// Insert a freshly optimized plan, evicting the least recently
-    /// used entry when full. Returns the shared handle.
-    pub fn insert(&mut self, plan: CachedPlan) -> Arc<CachedPlan> {
-        self.tick += 1;
-        if !self.map.contains_key(&plan.key) && self.map.len() >= self.cap {
-            if let Some(victim) = self
+    /// used entry when full, and return the shared handle. A plan
+    /// pinned to an epoch older than the newest announced one is *not*
+    /// stored — the optimizing session raced a DDL and its plan is
+    /// already stale — but the caller still gets its handle and can
+    /// execute it against the snapshot it was built from.
+    pub fn insert(&self, plan: CachedPlan) -> Arc<CachedPlan> {
+        let shared = Arc::new(plan);
+        // Checked under the lock: a purge that announced a newer epoch
+        // either ran before this insert (and is seen here) or runs
+        // after it (and removes the entry).
+        let mut lru = self.lock();
+        if shared.epoch < self.latest.load(Ordering::Acquire) {
+            return shared;
+        }
+        let mut victim = None;
+        if !lru.map.contains_key(&shared.key) && lru.map.len() >= self.cap {
+            if let Some(key) = lru
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             {
-                self.map.remove(&victim);
-                self.stats.evictions += 1;
-                self.strategy_stats(&victim).evictions += 1;
+                victim = lru.map.remove(&key);
+                lru.stats.evictions += 1;
+                lru.strategy_stats(&key).evictions += 1;
             }
         }
-        let key = plan.key.clone();
-        let shared = Arc::new(plan);
-        self.map.insert(
-            key,
+        let last_used = lru.touch();
+        let replaced = lru.map.insert(
+            shared.key.clone(),
             Entry {
                 plan: Arc::clone(&shared),
-                last_used: self.tick,
+                last_used,
             },
         );
+        drop(lru);
+        drop((victim, replaced));
         shared
     }
 
-    /// Drop every entry because the catalog changed (DDL). Counted in
-    /// `stats.invalidations`; skipped entirely when already empty.
-    pub fn invalidate(&mut self) {
-        if !self.map.is_empty() {
-            // One flush event per strategy that loses at least one
-            // entry, however many it loses — mirroring the global
-            // counter's event semantics.
-            let dropped: BTreeSet<String> = self
-                .map
-                .keys()
-                .map(|k| key_strategy(k).to_string())
-                .collect();
-            self.map.clear();
-            self.stats.invalidations += 1;
-            for strategy in dropped {
-                self.by_strategy.entry(strategy).or_default().invalidations += 1;
-            }
-        }
-    }
-
-    /// Remove every entry pinned to an epoch older than `epoch`,
-    /// returning the strategies that lost at least one entry. Counters
-    /// are untouched — flush-event accounting belongs to the sharded
-    /// wrapper, which sees all shards of one DDL at once.
-    fn purge_stale(&mut self, epoch: u64) -> BTreeSet<String> {
-        let stale: Vec<String> = self
+    /// Announce a DDL's new epoch: refuse older inserts from now on
+    /// and purge every entry built before `epoch`. One flush event is
+    /// counted when anything was dropped, plus one per strategy that
+    /// lost an entry, however many entries it lost.
+    pub fn note_epoch(&self, epoch: u64) {
+        self.latest.fetch_max(epoch, Ordering::AcqRel);
+        let mut lru = self.lock();
+        let stale: Vec<String> = lru
             .map
             .iter()
             .filter(|(_, e)| e.plan.epoch < epoch)
             .map(|(k, _)| k.clone())
             .collect();
-        let mut strategies = BTreeSet::new();
-        for k in stale {
-            self.map.remove(&k);
-            strategies.insert(key_strategy(&k).to_string());
+        let purged: Vec<Entry> = stale.iter().filter_map(|k| lru.map.remove(k)).collect();
+        if !purged.is_empty() {
+            lru.stats.invalidations += 1;
+            let strategies: BTreeSet<&str> = stale.iter().map(|k| key_strategy(k)).collect();
+            for strategy in strategies {
+                lru.strategy_stats(strategy).invalidations += 1;
+            }
         }
-        strategies
+        drop(lru);
+        drop(purged);
     }
 
-    /// Drop every entry at the user's request (`\cache clear`) without
+    /// Drop every entry at the user's request (`CACHE CLEAR`) without
     /// touching the counters.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-}
-
-/// Entry count and counters of one shard, for `cache.shard.*`
-/// reporting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardStats {
-    pub entries: usize,
-    pub stats: CacheStats,
-}
-
-/// Per-DDL flush-event accounting shared across shards: `events`
-/// counts DDL statements that dropped at least one entry anywhere;
-/// `by_strategy` counts, per strategy, the events that dropped at
-/// least one entry of that strategy.
-#[derive(Default)]
-struct FlushLog {
-    events: u64,
-    by_strategy: BTreeMap<String, u64>,
-}
-
-/// N independently locked [`PlanCache`] shards behind one epoch
-/// counter. Keys spread by hash; concurrent sessions on different
-/// keys lock different mutexes. Shared (`Arc`) between every clone of
-/// an engine, so all snapshots of one database see one cache.
-pub struct ShardedPlanCache {
-    shards: Vec<Mutex<PlanCache>>,
-    /// The newest epoch any DDL has announced. Inserts pinned to an
-    /// older epoch are refused — the in-flight-query race closed at
-    /// the door rather than on lookup.
-    latest: AtomicU64,
-    flushes: Mutex<FlushLog>,
-}
-
-impl ShardedPlanCache {
-    /// A cache of `cap` total entries spread over `shards` shards.
-    pub fn new(cap: usize, shards: usize) -> ShardedPlanCache {
-        let shards = shards.max(1);
-        let per_shard = (cap / shards).max(1);
-        ShardedPlanCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(PlanCache::new(per_shard)))
-                .collect(),
-            latest: AtomicU64::new(0),
-            flushes: Mutex::new(FlushLog::default()),
-        }
-    }
-
-    /// The default engine cache: [`DEFAULT_PLAN_CACHE_CAP`] entries
-    /// over [`PLAN_CACHE_SHARDS`] shards.
-    pub fn with_defaults() -> ShardedPlanCache {
-        ShardedPlanCache::new(DEFAULT_PLAN_CACHE_CAP, PLAN_CACHE_SHARDS)
-    }
-
-    /// Which shard a key lands in (stable for the cache's lifetime;
-    /// exposed so the engine can attribute `cache.shard.<i>` metrics).
-    pub fn shard_index(&self, key: &str) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            (h.finish() as usize) % self.shards.len()
-        }
-    }
-
-    /// A shard's lock, tolerating poisoning: shards hold only plans
-    /// and counters, both valid at every instruction boundary.
-    fn shard(&self, i: usize) -> MutexGuard<'_, PlanCache> {
-        self.shards[i]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Look up a plan built at `epoch` (see [`PlanCache::get`] for the
-    /// staleness rules).
-    pub fn get(&self, key: &str, epoch: u64) -> Option<Arc<CachedPlan>> {
-        self.shard(self.shard_index(key)).get(key, epoch)
-    }
-
-    /// Count a hit on `key` without a lookup ([`PlanCache::note_hit`]);
-    /// returns the key's shard.
-    pub fn note_hit(&self, key: &str) -> usize {
-        let shard = self.shard_index(key);
-        self.shard(shard).note_hit(key);
-        shard
-    }
-
-    /// Insert a freshly optimized plan. A plan pinned to an epoch
-    /// older than the newest announced one is *not* stored — the
-    /// optimizing session raced a DDL and its plan is already stale —
-    /// but the caller still gets its handle and can execute it against
-    /// the snapshot it was built from.
-    pub fn insert(&self, plan: CachedPlan) -> Arc<CachedPlan> {
-        if plan.epoch < self.latest.load(Ordering::Acquire) {
-            return Arc::new(plan);
-        }
-        self.shard(self.shard_index(&plan.key)).insert(plan)
-    }
-
-    /// Announce a DDL's new epoch: refuse older inserts from now on
-    /// and purge every entry built before `epoch`. One flush event is
-    /// counted when anything was dropped (matching the single-cache
-    /// `invalidate` semantics, however many shards were hit).
-    pub fn note_epoch(&self, epoch: u64) {
-        self.latest.fetch_max(epoch, Ordering::AcqRel);
-        let mut dropped: BTreeSet<String> = BTreeSet::new();
-        for i in 0..self.shards.len() {
-            dropped.extend(self.shard(i).purge_stale(epoch));
-        }
-        if !dropped.is_empty() {
-            let mut log = self.flushes.lock().unwrap_or_else(PoisonError::into_inner);
-            log.events += 1;
-            for strategy in dropped {
-                *log.by_strategy.entry(strategy).or_default() += 1;
-            }
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.shard(i).len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Summed counters across shards, plus the epoch-flush events.
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for i in 0..self.shards.len() {
-            total.absorb(self.shard(i).stats());
-        }
-        total.invalidations += self
-            .flushes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .events;
-        total
-    }
-
-    /// Per-strategy counters summed across shards (rows still sum to
-    /// [`ShardedPlanCache::stats`]).
-    pub fn stats_by_strategy(&self) -> BTreeMap<String, CacheStats> {
-        let mut merged: BTreeMap<String, CacheStats> = BTreeMap::new();
-        for i in 0..self.shards.len() {
-            for (k, s) in self.shard(i).stats_by_strategy() {
-                merged.entry(k).or_default().absorb(s);
-            }
-        }
-        let log = self.flushes.lock().unwrap_or_else(PoisonError::into_inner);
-        for (k, &n) in &log.by_strategy {
-            merged.entry(k.clone()).or_default().invalidations += n;
-        }
-        merged
-    }
-
-    /// Entry count and counters per shard, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        (0..self.shards.len())
-            .map(|i| {
-                let s = self.shard(i);
-                ShardStats {
-                    entries: s.len(),
-                    stats: s.stats(),
-                }
-            })
-            .collect()
-    }
-
-    /// Drop every entry without touching the counters (`\cache
-    /// clear`).
     pub fn clear(&self) {
-        for i in 0..self.shards.len() {
-            self.shard(i).clear();
-        }
+        let cleared = std::mem::take(&mut self.lock().map);
+        drop(cleared);
     }
 }
 
@@ -486,7 +320,7 @@ mod tests {
 
     #[test]
     fn hit_miss_counting() {
-        let mut c = PlanCache::new(4);
+        let c = PlanCache::new(4);
         assert!(c.get("a", 0).is_none());
         c.insert(plan("a"));
         assert!(c.get("a", 0).is_some());
@@ -497,7 +331,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        let mut c = PlanCache::new(2);
+        let c = PlanCache::new(2);
         c.insert(plan("a"));
         c.insert(plan("b"));
         assert!(c.get("a", 0).is_some()); // refresh a; b is now LRU
@@ -510,7 +344,7 @@ mod tests {
 
     #[test]
     fn reinsert_does_not_evict() {
-        let mut c = PlanCache::new(1);
+        let c = PlanCache::new(1);
         c.insert(plan("a"));
         c.insert(plan("a"));
         assert_eq!(c.stats().evictions, 0);
@@ -518,20 +352,34 @@ mod tests {
     }
 
     #[test]
+    fn the_lru_runs_over_the_whole_capacity() {
+        let c = PlanCache::new(DEFAULT_PLAN_CACHE_CAP);
+        for i in 0..DEFAULT_PLAN_CACHE_CAP {
+            c.insert(plan(&format!("Magic|0|SELECT {i}")));
+        }
+        assert_eq!(c.len(), DEFAULT_PLAN_CACHE_CAP);
+        assert_eq!(c.stats().evictions, 0, "no entry leaves below capacity");
+        c.insert(plan("Magic|0|SELECT one more"));
+        assert_eq!(c.len(), DEFAULT_PLAN_CACHE_CAP);
+        assert_eq!(c.stats().evictions, 1);
+        assert!(c.get("Magic|0|SELECT 0", 0).is_none(), "the oldest went");
+    }
+
+    #[test]
     fn invalidate_counts_once_and_only_when_nonempty() {
-        let mut c = PlanCache::new(4);
-        c.invalidate();
+        let c = PlanCache::new(4);
+        c.note_epoch(1);
         assert_eq!(c.stats().invalidations, 0);
-        c.insert(plan("a"));
-        c.insert(plan("b"));
-        c.invalidate();
-        assert_eq!(c.stats().invalidations, 1);
+        c.insert(plan_at("a", 1));
+        c.insert(plan_at("b", 1));
+        c.note_epoch(2);
+        assert_eq!(c.stats().invalidations, 1, "one DDL = one flush event");
         assert!(c.is_empty());
     }
 
     #[test]
     fn stats_split_by_strategy() {
-        let mut c = PlanCache::new(4);
+        let c = PlanCache::new(4);
         assert!(c.get("Magic|0|SELECT 1", 0).is_none());
         c.insert(plan("Magic|0|SELECT 1"));
         assert!(c.get("Magic|0|SELECT 1", 0).is_some());
@@ -549,7 +397,7 @@ mod tests {
 
     #[test]
     fn evictions_charge_the_victims_strategy() {
-        let mut c = PlanCache::new(1);
+        let c = PlanCache::new(1);
         c.insert(plan("Magic|0|SELECT 1"));
         c.insert(plan("Original|0|SELECT 1")); // evicts the Magic plan
         let by = c.stats_by_strategy();
@@ -560,12 +408,12 @@ mod tests {
 
     #[test]
     fn invalidation_counts_once_per_affected_strategy() {
-        let mut c = PlanCache::new(4);
-        c.insert(plan("Magic|0|SELECT 1"));
-        c.insert(plan("Magic|0|SELECT 2"));
-        c.invalidate(); // only Magic entries present
-        c.insert(plan("Original|0|SELECT 1"));
-        c.invalidate(); // only Original entries present
+        let c = PlanCache::new(4);
+        c.insert(plan_at("Magic|0|SELECT 1", 0));
+        c.insert(plan_at("Magic|0|SELECT 2", 0));
+        c.note_epoch(1); // only Magic entries present
+        c.insert(plan_at("Original|0|SELECT 1", 1));
+        c.note_epoch(2); // only Original entries present
         let by = c.stats_by_strategy();
         assert_eq!(
             by.get("Magic").copied().unwrap_or_default().invalidations,
@@ -584,7 +432,7 @@ mod tests {
 
     #[test]
     fn clear_preserves_counters() {
-        let mut c = PlanCache::new(4);
+        let c = PlanCache::new(4);
         c.insert(plan("a"));
         let _ = c.get("a", 0);
         c.clear();
@@ -595,7 +443,7 @@ mod tests {
 
     #[test]
     fn epoch_mismatch_is_a_miss() {
-        let mut c = PlanCache::new(4);
+        let c = PlanCache::new(4);
         c.insert(plan_at("a", 1));
         // A newer reader drops the stale entry on sight.
         assert!(c.get("a", 2).is_none());
@@ -608,8 +456,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_insert_refuses_stale_epochs() {
-        let c = ShardedPlanCache::new(16, 4);
+    fn insert_refuses_stale_epochs() {
+        let c = PlanCache::new(16);
         c.note_epoch(2);
         let handle = c.insert(plan_at("a", 1));
         assert_eq!(handle.key, "a", "caller still gets its plan");
@@ -621,54 +469,28 @@ mod tests {
     }
 
     #[test]
-    fn sharded_note_epoch_counts_one_event() {
-        let c = ShardedPlanCache::new(16, 4);
-        // Spread entries over several shards.
+    fn note_epoch_counts_one_event() {
+        let c = PlanCache::new(16);
         for i in 0..8 {
             c.insert(plan_at(&format!("Magic|0|SELECT {i}"), 0));
         }
-        assert!(c.len() > 1);
+        c.insert(plan_at("Original|0|SELECT 0", 0));
         c.note_epoch(1);
         assert_eq!(c.len(), 0);
         assert_eq!(
             c.stats().invalidations,
             1,
-            "one DDL = one flush event, however many shards it hit"
+            "one DDL = one flush event, however many entries it dropped"
         );
         let by = c.stats_by_strategy();
-        assert_eq!(
-            by.get("Magic").copied().unwrap_or_default().invalidations,
-            1
-        );
+        for strategy in ["Magic", "Original"] {
+            assert_eq!(
+                by.get(strategy).copied().unwrap_or_default().invalidations,
+                1
+            );
+        }
         // An empty flush counts nothing.
         c.note_epoch(2);
         assert_eq!(c.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn sharded_stats_sum_across_shards() {
-        let c = ShardedPlanCache::new(16, 4);
-        for i in 0..8 {
-            let key = format!("Magic|0|SELECT {i}");
-            assert!(c.get(&key, 0).is_none());
-            c.insert(plan_at(&key, 0));
-            assert!(c.get(&key, 0).is_some());
-        }
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (8, 8));
-        let shard_sum: u64 = c.shard_stats().iter().map(|s| s.stats.hits).sum();
-        assert_eq!(shard_sum, 8);
-        let entries: usize = c.shard_stats().iter().map(|s| s.entries).sum();
-        assert_eq!(entries, c.len());
-    }
-
-    #[test]
-    fn sharded_keys_spread_over_shards() {
-        let c = ShardedPlanCache::new(64, 4);
-        let mut seen = std::collections::BTreeSet::new();
-        for i in 0..64 {
-            seen.insert(c.shard_index(&format!("Magic|0|SELECT {i}")));
-        }
-        assert!(seen.len() > 1, "64 keys must not all hash to one shard");
     }
 }

@@ -110,8 +110,8 @@ fn render_physical(out: &mut String, qgm: &Qgm) {
     }
 }
 
-/// Render the plan-cache counters (REPL `\cache`, the server's
-/// `CACHE` frame, and the tail of every EXPLAIN).
+/// Render the plan-cache counters (the `CACHE` frame and the tail of
+/// every EXPLAIN).
 pub fn render_cache(stats: CacheStats, entries: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== plan cache");
@@ -124,9 +124,9 @@ pub fn render_cache(stats: CacheStats, entries: usize) -> String {
     out
 }
 
-/// [`render_cache`] plus one line per strategy (REPL `\cache` and the
-/// server's `CACHE` frame show the split; strategies that have never
-/// looked up are omitted).
+/// [`render_cache`] plus one line per strategy (the `CACHE` frame
+/// shows the split; strategies that have never looked up are
+/// omitted).
 pub fn render_cache_by_strategy(
     stats: CacheStats,
     by_strategy: &std::collections::BTreeMap<String, CacheStats>,

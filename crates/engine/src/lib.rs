@@ -48,10 +48,7 @@ use starmagic_rewrite::OpRegistry;
 use starmagic_sql::{parse_statement, Statement};
 use starmagic_trace::TraceSink;
 
-pub use cache::{
-    CacheStats, CachedPlan, PlanCache, ShardStats, ShardedPlanCache, DEFAULT_PLAN_CACHE_CAP,
-    PLAN_CACHE_SHARDS,
-};
+pub use cache::{CacheStats, CachedPlan, PlanCache, DEFAULT_PLAN_CACHE_CAP};
 pub use metrics::{strategy_token, EngineMetrics, METRICS_SCHEMA_VERSION};
 pub use pipeline::{optimize, Optimized, PipelineOptions};
 pub use starmagic_metrics::Registry as MetricsRegistry;
@@ -270,17 +267,16 @@ pub struct Engine {
     /// Catalog version: bumped by every DDL. Plan-cache entries are
     /// pinned to the epoch that built them.
     epoch: u64,
-    /// Shared sharded plan cache over normalized (parameterized) SQL.
-    /// Interior mutability (per-shard mutexes) so the read-mostly
-    /// server path (`&Engine` snapshots) can record hits and insert
-    /// plans.
-    plans: Arc<ShardedPlanCache>,
+    /// Shared plan cache over normalized (parameterized) SQL.
+    /// Interior mutability (one mutex) so the read-mostly server path
+    /// (`&Engine` snapshots) can record hits and insert plans.
+    plans: Arc<PlanCache>,
     /// Pre-registered metric handles. Noop (free) unless
     /// [`Engine::set_metrics`] installed a live registry.
     metrics: EngineMetrics,
     /// Semi-naive fixpoint iteration cap injected into every
-    /// execution (REPL `\max_recursion n`). Guards divergent UNION
-    /// ALL recursion; UNION recursion terminates on its own.
+    /// execution ([`Engine::set_max_recursion`]). Guards divergent
+    /// UNION ALL recursion; UNION recursion terminates on its own.
     max_recursion: usize,
 }
 
@@ -301,7 +297,7 @@ impl Engine {
                 indexes: starmagic_exec::IndexCache::default(),
             }),
             epoch: 0,
-            plans: Arc::new(ShardedPlanCache::with_defaults()),
+            plans: Arc::new(PlanCache::new(DEFAULT_PLAN_CACHE_CAP)),
             metrics: EngineMetrics::default(),
             max_recursion: 10_000,
         }
@@ -351,32 +347,6 @@ impl Engine {
     /// [`Engine::set_metrics`] installed one).
     pub fn metrics_registry(&self) -> &starmagic_metrics::Registry {
         &self.metrics.registry
-    }
-
-    /// The full metrics document as `trace::json` — the payload of
-    /// the server's `METRICS JSON` command. Always well-formed; when
-    /// metrics are disabled `enabled` is `false` and the instrument
-    /// sections are empty (the plan-cache section is always live).
-    pub fn metrics_report(&self) -> starmagic_trace::json::Value {
-        metrics::report_json(
-            &self.metrics.registry.snapshot(),
-            !self.metrics.registry.is_noop(),
-            self.plans.stats(),
-            &self.plans.stats_by_strategy(),
-            self.plans.len(),
-            &self.plans.shard_stats(),
-        )
-    }
-
-    /// Human-readable metrics report (REPL `\metrics`, server
-    /// `METRICS`).
-    pub fn metrics_text(&self) -> String {
-        metrics::report_text(
-            &self.metrics.registry.snapshot(),
-            self.plans.stats(),
-            &self.plans.stats_by_strategy(),
-            self.plans.len(),
-        )
     }
 
     pub fn catalog(&self) -> &Catalog {
@@ -611,13 +581,7 @@ impl Engine {
         self.plans.len()
     }
 
-    /// Per-shard plan-cache counters (entries, hits, misses,
-    /// evictions) — the `cache.shard.*` view of the sharded cache.
-    pub fn cache_shard_stats(&self) -> Vec<ShardStats> {
-        self.plans.shard_stats()
-    }
-
-    /// Drop every cached plan (REPL `\cache clear`). Counters are
+    /// Drop every cached plan (`CACHE CLEAR`). Counters are
     /// preserved; this is not counted as an invalidation.
     pub fn cache_clear(&self) {
         self.plans.clear();
@@ -653,13 +617,9 @@ impl Engine {
         strategy: Strategy,
         sink: Option<&mut TraceSink>,
     ) -> Result<(Arc<CachedPlan>, bool)> {
-        let shard = self.plans.shard_index(&key);
-        // Bind the lookup to a statement so the cache guard drops
-        // before the miss arm re-locks to insert.
         let looked_up = self.plans.get(&key, self.epoch);
         let hit = looked_up.is_some();
         self.metrics.note_cache_lookup(strategy, hit);
-        self.metrics.note_shard_lookup(shard, hit);
         if let Some(plan) = looked_up {
             return Ok((plan, true));
         }
@@ -820,9 +780,8 @@ impl Engine {
         if plan.epoch != self.epoch {
             return false;
         }
-        let shard = self.plans.note_hit(&plan.key);
+        self.plans.note_hit(&plan.key);
         self.metrics.note_cache_lookup(strategy, true);
-        self.metrics.note_shard_lookup(shard, true);
         true
     }
 
@@ -922,33 +881,6 @@ impl Engine {
             self.cache_len(),
             &Engine::cache_key(strategy, p.first_index, &p.key),
         ))
-    }
-
-    /// Run the semantic linter over a query's chosen plan. The report
-    /// is clean (no errors, no warnings) for every plan the pipeline
-    /// considers healthy; warnings flag hygiene issues such as
-    /// unreachable boxes or unused columns.
-    pub fn lint(&self, sql: &str) -> Result<starmagic_lint::LintReport> {
-        Ok(self.compile_sql(sql)?.lint)
-    }
-
-    /// Run the static analysis over a query's chosen plan and render
-    /// the fact table plus L2xx diagnostics (REPL `\analysis`).
-    pub fn analyze(&self, sql: &str) -> Result<String> {
-        let compiled = self.compile_sql(sql)?;
-        Ok(compiled.analysis.render(&compiled.chosen))
-    }
-
-    /// The cost-based pipeline's chosen plan and its verdicts, for the
-    /// inspection commands above (not counted as a prepare).
-    fn compile_sql(&self, sql: &str) -> Result<Compiled> {
-        let query = starmagic_sql::parse_query(sql)?;
-        compile(
-            &self.snapshot.catalog,
-            &self.snapshot.registry,
-            &query,
-            strategy_options(Strategy::CostBased),
-        )
     }
 }
 
@@ -1143,7 +1075,7 @@ mod tests {
     #[test]
     fn lint_method_reports_on_the_chosen_plan() {
         let e = paper_engine();
-        let report = e.lint(QUERY_D).unwrap();
+        let report = e.optimize_sql(QUERY_D, Strategy::CostBased).unwrap().lint;
         assert!(!report.has_errors(), "{:?}", report.diagnostics);
     }
 }

@@ -1,6 +1,6 @@
 //! Engine-side metrics: pre-registered instrument handles for the
-//! query hot paths, plus the JSON/text reports behind the server's
-//! `METRICS [JSON]` command and the REPL's `\metrics`.
+//! query hot paths, plus the JSON/text reports behind the
+//! `METRICS [JSON]` command.
 //!
 //! Naming convention (dotted, lowercase, `_us` suffix for
 //! microsecond histograms):
@@ -55,7 +55,7 @@ use starmagic_metrics::{Counter, GaugeSnapshot, Histogram, HistogramSnapshot, Re
 use starmagic_planner::feedback::MisestimateBucket;
 use starmagic_trace::json::Value;
 
-use crate::cache::{CacheStats, ShardStats, PLAN_CACHE_SHARDS};
+use crate::cache::CacheStats;
 use crate::Strategy;
 
 /// Stable lowercase token for a strategy, matching the loadgen's
@@ -136,11 +136,6 @@ pub struct EngineMetrics {
     pub box_evals: Counter,
     /// `planner.misestimate.<bucket>` in [`BUCKET_ORDER`].
     pub misestimate: [Counter; 4],
-    /// `cache.shard.<i>.hits` / `cache.shard.<i>.misses` — plan-cache
-    /// lookups attributed to the shard the key hashed to (empty when
-    /// noop; [`EngineMetrics::note_shard_lookup`] guards).
-    pub shard_hit: Vec<Counter>,
-    pub shard_miss: Vec<Counter>,
 }
 
 impl EngineMetrics {
@@ -168,12 +163,6 @@ impl EngineMetrics {
                     bucket_token(BUCKET_ORDER[i])
                 ))
             }),
-            shard_hit: (0..PLAN_CACHE_SHARDS)
-                .map(|i| registry.counter(&format!("cache.shard.{i}.hits")))
-                .collect(),
-            shard_miss: (0..PLAN_CACHE_SHARDS)
-                .map(|i| registry.counter(&format!("cache.shard.{i}.misses")))
-                .collect(),
             registry,
         }
     }
@@ -189,19 +178,6 @@ impl EngineMetrics {
             self.cache_hit[i].inc();
         } else {
             self.cache_miss[i].inc();
-        }
-    }
-
-    /// Count a plan-cache lookup against the shard its key hashed to.
-    /// Free (and index-safe: the handle vectors are empty) when noop.
-    pub fn note_shard_lookup(&self, shard: usize, hit: bool) {
-        let handles = if hit {
-            &self.shard_hit
-        } else {
-            &self.shard_miss
-        };
-        if let Some(c) = handles.get(shard) {
-            c.inc();
         }
     }
 
@@ -265,7 +241,6 @@ pub fn report_json(
     cache_total: CacheStats,
     cache_by_strategy: &BTreeMap<String, CacheStats>,
     cache_entries: usize,
-    cache_shards: &[ShardStats],
 ) -> Value {
     let counters = Value::Obj(
         snapshot
@@ -294,24 +269,10 @@ pub fn report_json(
             .map(|(k, &s)| (k.clone(), cache_stats_json(s)))
             .collect(),
     );
-    let shards = Value::Arr(
-        cache_shards
-            .iter()
-            .map(|s| {
-                Value::Obj(vec![
-                    ("entries".to_string(), num(s.entries as u64)),
-                    ("hits".to_string(), num(s.stats.hits)),
-                    ("misses".to_string(), num(s.stats.misses)),
-                    ("evictions".to_string(), num(s.stats.evictions)),
-                ])
-            })
-            .collect(),
-    );
     let plan_cache = Value::Obj(vec![
         ("entries".to_string(), num(cache_entries as u64)),
         ("total".to_string(), cache_stats_json(cache_total)),
         ("by_strategy".to_string(), by_strategy),
-        ("shards".to_string(), shards),
     ]);
     Value::Obj(vec![
         ("schema_version".to_string(), num(METRICS_SCHEMA_VERSION)),
@@ -323,8 +284,7 @@ pub fn report_json(
     ])
 }
 
-/// Human-readable companion of [`report_json`] (REPL `\metrics`,
-/// server `METRICS`).
+/// Human-readable companion of [`report_json`] (`METRICS`).
 pub fn report_text(
     snapshot: &Snapshot,
     cache_total: CacheStats,
@@ -377,14 +337,7 @@ mod tests {
                 invalidations: 0,
             },
         );
-        let doc = report_json(
-            &reg.snapshot(),
-            true,
-            CacheStats::default(),
-            &by,
-            1,
-            &[ShardStats::default()],
-        );
+        let doc = report_json(&reg.snapshot(), true, CacheStats::default(), &by, 1);
         let text = doc.to_string();
         let parsed = starmagic_trace::json::parse(&text).expect("strict parse");
         assert_eq!(parsed.to_string(), text, "writer/parser fixpoint");

@@ -60,13 +60,13 @@ pub struct Optimized {
     /// Whether the chosen plan is the EMST one.
     pub chose_magic: bool,
     /// Lint report over the chosen graph (always computed, whatever
-    /// the engine's [`CheckLevel`]); surfaced by EXPLAIN and `\lint`.
+    /// the engine's [`CheckLevel`]); surfaced by EXPLAIN.
     pub lint: LintReport,
     /// Dataflow facts and L2xx checks over the chosen graph, plus any
     /// error-severity findings from the phase-2 graph (phase-3 merges
     /// can dissolve the magic boxes carrying the evidence, so the
     /// pre-cleanup graph is scanned too). Surfaced by EXPLAIN's
-    /// `== analysis` section and the REPL's `\analysis`.
+    /// `== analysis` section.
     pub analysis: starmagic_analysis::Analysis,
     /// Per-phase spans (build, rewrite phases, plan optimizations,
     /// lint). Empty when [`PipelineOptions::trace`] was off.

@@ -884,7 +884,8 @@ mod recycle_tests {
         let sql = "SELECT node FROM reach";
         let g = build_qgm(&cat, &starmagic_sql::parse_query(sql).unwrap()).unwrap();
         let (rows, profile) =
-            crate::execute_profiled(&g, &cat, &IndexCache::default(), false).unwrap();
+            crate::execute_with_options(&g, &cat, &IndexCache::default(), ExecOptions::default())
+                .unwrap();
         let (want, admitted, rejected) = reach_from_one(&edges);
         let got: Vec<Value> = rows.iter().map(|r| r.get(0).clone()).collect();
         let want_values: Vec<Value> = want.iter().map(|&n| Value::Int(n)).collect();

@@ -16,7 +16,6 @@ use crate::batch::{Batch, Column};
 use crate::boundary::{BoxPath, Fallback};
 use crate::columnar::JoinBuild;
 use crate::dedup::set_op;
-use crate::metrics::Metrics;
 use crate::plan::{GroupByPlan, IndexProbe, Op, Plan};
 use crate::profile::{BoxProfile, ExecProfile, FixpointStats, StepBuilds};
 use crate::rowids::RowIds;
@@ -57,53 +56,20 @@ impl Default for ExecOptions {
     }
 }
 
-/// Evaluate the graph's top box; returns the result rows.
+/// Evaluate the graph's top box with fresh indexes and default
+/// options; returns the result rows.
 pub fn execute(qgm: &Qgm, catalog: &Catalog) -> Result<Vec<Row>> {
-    execute_with_metrics(qgm, catalog).map(|(rows, _)| rows)
+    execute_with_options(qgm, catalog, &IndexCache::default(), ExecOptions::default())
+        .map(|(rows, _)| rows)
 }
 
-/// Evaluate the graph's top box; returns rows plus work metrics.
-pub fn execute_with_metrics(qgm: &Qgm, catalog: &Catalog) -> Result<(Vec<Row>, Metrics)> {
-    let indexes = IndexCache::default();
-    execute_with_indexes(qgm, catalog, &indexes)
-}
-
-/// Evaluate with a caller-owned index cache. Persistent callers (the
-/// engine) share one cache across executions, modeling pre-existing
-/// database indexes: building is amortized away exactly as on a real
-/// system.
-pub fn execute_with_indexes(
-    qgm: &Qgm,
-    catalog: &Catalog,
-    indexes: &IndexCache,
-) -> Result<(Vec<Row>, Metrics)> {
-    let (rows, profile) = execute_profiled(qgm, catalog, indexes, false)?;
-    Ok((rows, profile.aggregate()))
-}
-
-/// Evaluate and return the per-box execution profile. With `timing`
-/// the profile also carries inclusive per-box wall time; without it no
-/// clock is ever read, so the counters stay deterministic.
-pub fn execute_profiled(
-    qgm: &Qgm,
-    catalog: &Catalog,
-    indexes: &IndexCache,
-    timing: bool,
-) -> Result<(Vec<Row>, ExecProfile)> {
-    execute_with_options(
-        qgm,
-        catalog,
-        indexes,
-        ExecOptions {
-            timing,
-            ..ExecOptions::default()
-        },
-    )
-}
-
-/// Evaluate with explicit execution options (timing, metrics):
-/// lower the graph, then run it with no parameters bound. The narrower
-/// entry points above are serial shorthands for it.
+/// Evaluate with a caller-owned index cache and explicit execution
+/// options (timing, metrics): lower the graph, then run it with no
+/// parameters bound. Persistent callers share one index cache across
+/// executions, modeling pre-existing database indexes. With
+/// `opts.timing` the profile also carries inclusive per-box wall
+/// time; without it no clock is ever read, so the counters stay
+/// deterministic.
 pub fn execute_with_options(
     qgm: &Qgm,
     catalog: &Catalog,
@@ -1096,6 +1062,15 @@ pub(crate) fn truth_to_value(t: Truth) -> Value {
     }
 }
 
+/// Run with fresh indexes and default options; the rows plus the
+/// profile's summed work counters.
+#[cfg(test)]
+fn run_with_metrics(qgm: &Qgm, catalog: &Catalog) -> (Vec<Row>, crate::Metrics) {
+    let (rows, profile) =
+        execute_with_options(qgm, catalog, &IndexCache::default(), ExecOptions::default()).unwrap();
+    (rows, profile.aggregate())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1498,7 +1473,7 @@ mod tests {
             &starmagic_sql::parse_query("SELECT empno FROM emp WHERE salary > 150").unwrap(),
         )
         .unwrap();
-        let (_, m) = execute_with_metrics(&g, &cat).unwrap();
+        let (_, m) = run_with_metrics(&g, &cat);
         assert_eq!(m.rows_scanned, 4);
         assert!(m.rows_produced >= 3);
         assert!(m.box_evals >= 2);
@@ -1523,7 +1498,7 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        let (_, m) = execute_with_metrics(&g, &cat).unwrap();
+        let (_, m) = run_with_metrics(&g, &cat);
         // emp scanned once (view cached), not twice.
         assert_eq!(m.rows_scanned, 4);
     }
@@ -1567,7 +1542,16 @@ mod tests {
         // one but the fixpoint's driver a path, the driver its
         // convergence record, and the step arm one build over `edge`
         // that every later round reused.
-        let (rows, profile) = execute_profiled(&g, &cat, &IndexCache::default(), true).unwrap();
+        let (rows, profile) = execute_with_options(
+            &g,
+            &cat,
+            &IndexCache::default(),
+            ExecOptions {
+                timing: true,
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap();
         assert_eq!(rows.len(), 6, "1→2, 1→3, 1→4, 2→3, 2→4, 3→4");
         assert!(profile.timing);
         let evaluated: Vec<BoxId> = (profile.boxes.iter())
@@ -1788,7 +1772,7 @@ mod access_path_tests {
             &starmagic_sql::parse_query("SELECT empname FROM employee WHERE empno = 5").unwrap(),
         )
         .unwrap();
-        let (rows, m) = execute_with_metrics(&g, &cat).unwrap();
+        let (rows, m) = run_with_metrics(&g, &cat);
         assert_eq!(rows.len(), 1);
         // Index probe touches 1 row, not a 240-row scan.
         assert!(m.rows_scanned <= 2, "scanned {} rows", m.rows_scanned);
@@ -1805,7 +1789,7 @@ mod access_path_tests {
             .unwrap(),
         )
         .unwrap();
-        let (rows, m) = execute_with_metrics(&g, &cat).unwrap();
+        let (rows, m) = run_with_metrics(&g, &cat);
         assert_eq!(rows.len(), 240);
         // Both tables scanned once (hash join), no per-row probing blowup.
         assert!(
@@ -1823,7 +1807,7 @@ mod access_path_tests {
             &starmagic_sql::parse_query("SELECT empno FROM employee WHERE empno < 3").unwrap(),
         )
         .unwrap();
-        let (rows, m) = execute_with_metrics(&g, &cat).unwrap();
+        let (rows, m) = run_with_metrics(&g, &cat);
         assert_eq!(rows.len(), 3);
         assert!(m.rows_scanned >= 240, "range scan must read the table");
     }
@@ -1836,7 +1820,8 @@ mod access_path_tests {
                 format!("SELECT deptno, deptname FROM department d WHERE d.deptno = {literal}");
             let g = build_qgm(&cat, &starmagic_sql::parse_query(&sql).unwrap()).unwrap();
             let (rows, profile) =
-                execute_profiled(&g, &cat, &IndexCache::default(), false).unwrap();
+                execute_with_options(&g, &cat, &IndexCache::default(), ExecOptions::default())
+                    .unwrap();
             assert!(
                 profile.aggregate().rows_scanned <= 1,
                 "{literal}: an index probe, not a scan"
@@ -1858,9 +1843,12 @@ mod access_path_tests {
         )
         .unwrap();
         let cache = IndexCache::default();
-        let (_, m1) = execute_with_indexes(&g, &cat, &cache).unwrap();
-        let (_, m2) = execute_with_indexes(&g, &cat, &cache).unwrap();
-        assert_eq!(m1, m2, "metrics identical with a warm shared cache");
+        let run = || {
+            let (_, profile) =
+                execute_with_options(&g, &cat, &cache, ExecOptions::default()).unwrap();
+            profile.aggregate()
+        };
+        assert_eq!(run(), run(), "metrics identical with a warm shared cache");
     }
 
     #[test]
@@ -2080,7 +2068,8 @@ mod error_order_tests {
         let sql = "SELECT t.id FROM t WHERE EXISTS (SELECT 1 FROM dup, \
                    (SELECT m.k FROM m WHERE m.k = t.id) d WHERE d.k = dup.k)";
         let g = build_qgm(&cat, &starmagic_sql::parse_query(sql).unwrap()).unwrap();
-        let (rows, profile) = execute_profiled(&g, &cat, &IndexCache::default(), false).unwrap();
+        let (rows, profile) =
+            execute_with_options(&g, &cat, &IndexCache::default(), ExecOptions::default()).unwrap();
         assert_eq!(rows, [Row::new(vec![int(1)]), Row::new(vec![int(3)])]);
         assert!(profile
             .boxes
@@ -2282,7 +2271,7 @@ mod boundary_tests {
     }
 
     fn profiled(g: &Qgm, cat: &Catalog) -> (Vec<Row>, ExecProfile) {
-        execute_profiled(g, cat, &IndexCache::default(), false).unwrap()
+        execute_with_options(g, cat, &IndexCache::default(), ExecOptions::default()).unwrap()
     }
 
     #[test]

@@ -58,8 +58,7 @@ mod vector;
 pub use batch::{Batch, Bitmap, Column};
 pub use boundary::{BoxPath, Fallback};
 pub use executor::{
-    execute, execute_plan, execute_profiled, execute_with_indexes, execute_with_metrics,
-    execute_with_options, ExecOptions, Executor, IndexCache,
+    execute, execute_plan, execute_with_options, ExecOptions, Executor, IndexCache,
 };
 pub use metrics::Metrics;
 pub use plan::Plan;

@@ -204,7 +204,7 @@ impl Code {
         }
     }
 
-    /// One-line summary for the `\lint` reference table.
+    /// One-line summary of what the code flags.
     pub fn summary(self) -> &'static str {
         match self {
             Code::L001DanglingQuant => "box lists a dead quantifier",

@@ -23,7 +23,8 @@
 //!
 //! The rewrite engine runs this after every rule application in
 //! `CheckLevel::PerFire` mode, attributing any error to the rule that
-//! fired; `\lint` in the REPL and `EXPLAIN` expose the same report.
+//! fired; `EXPLAIN` (over the wire and in the REPL) exposes the same
+//! report.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

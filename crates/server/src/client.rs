@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use starmagic_common::{Error, Result, Value};
 
-use crate::protocol::{decode_error, decode_row, encode_value, ok_info, unescape, Response};
+use crate::protocol::{encode_value, read_frame, Response};
 
 /// How long [`Client::request_admitted`] keeps retrying `BUSY`
 /// answers before giving up.
@@ -33,93 +33,23 @@ impl Client {
 
     /// Send one request line and decode the response.
     pub fn request(&mut self, line: &str) -> Result<Response> {
-        let io_err = |e: io::Error| Error::execution(format!("connection lost: {e}"));
         self.writer
             .write_all(format!("{line}\n").as_bytes())
-            .map_err(io_err)?;
-        let first = self.read_line()?;
-        let mut parts = first.split_whitespace();
-        match parts.next() {
-            Some("OK") => Ok(Response::Ok {
-                info: ok_info(&first),
-            }),
-            Some("ERR") => Err(decode_error(&first)),
-            Some("BUSY") => Ok(Response::Busy(
-                parts
-                    .next()
-                    .map(|tok| unescape(tok).unwrap_or_else(|_| tok.to_string()))
-                    .unwrap_or_default(),
-            )),
-            Some("TEXT") => {
-                let n: usize = parts
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| Error::internal("bad TEXT frame"))?;
-                let mut text = String::new();
-                for _ in 0..n {
-                    text.push_str(&self.read_line()?);
-                    text.push('\n');
-                }
-                Ok(Response::Text(text))
-            }
-            Some("COLS") => {
-                let _n = parts.next();
-                let mut columns = Vec::new();
-                for tok in parts {
-                    columns.push(unescape(tok)?);
-                }
-                let mut rows = Vec::new();
-                loop {
-                    let line = self.read_line()?;
-                    if line.starts_with("ROW") {
-                        rows.push(decode_row(&line)?);
-                    } else if line.starts_with("OK") {
-                        let info = ok_info(&line);
-                        let flag = |k: &str| {
-                            info.iter()
-                                .find(|(key, _)| key == k)
-                                .is_some_and(|(_, v)| v == "1")
-                        };
-                        let epoch = info
-                            .iter()
-                            .find(|(key, _)| key == "epoch")
-                            .and_then(|(_, v)| v.parse().ok())
-                            .unwrap_or(0);
-                        return Ok(Response::Rows {
-                            columns,
-                            rows,
-                            cache_hit: flag("hit"),
-                            used_magic: flag("magic"),
-                            epoch,
-                        });
-                    } else if line.starts_with("ERR") {
-                        return Err(decode_error(&line));
-                    } else {
-                        return Err(Error::internal(format!(
-                            "unexpected frame in result set: {line:?}"
-                        )));
-                    }
-                }
-            }
-            _ => Err(Error::internal(format!(
-                "unexpected response frame: {first:?}"
-            ))),
-        }
-    }
-
-    fn read_line(&mut self) -> Result<String> {
-        let mut line = String::new();
-        let n = self
-            .reader
-            .read_line(&mut line)
             .map_err(|e| Error::execution(format!("connection lost: {e}")))?;
-        if n == 0 {
-            return Err(Error::execution("connection closed by server"));
-        }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(line)
+        let reader = &mut self.reader;
+        read_frame(|| {
+            let mut line = String::new();
+            let n = reader
+                .read_line(&mut line)
+                .map_err(|e| Error::execution(format!("connection lost: {e}")))?;
+            if n == 0 {
+                return Err(Error::execution("connection closed by server"));
+            }
+            while line.ends_with('\n') || line.ends_with('\r') {
+                line.pop();
+            }
+            Ok(line)
+        })
     }
 
     /// [`Client::request`], transparently retrying with exponential

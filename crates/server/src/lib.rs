@@ -7,8 +7,8 @@
 //! so readers never block each other or DDL. DDL clones the engine,
 //! mutates the copy, and swaps it in atomically, bumping a catalog
 //! epoch. Every session's plan lookups land in one shared
-//! lock-sharded plan cache (normalized SQL → optimized plan, pinned
-//! to the epoch that built it), so a query shape optimized by any
+//! plan cache (normalized SQL → optimized plan, pinned to the epoch
+//! that built it), so a query shape optimized by any
 //! connection is a cache hit for all of them — and a plan built
 //! against a superseded catalog can neither be served nor inserted.
 //! Overload is backpressure, not refusal: query execution passes a
@@ -19,7 +19,10 @@
 //! protocol with a lossless value codec — replayed result bags are
 //! byte-identical to in-process execution, which is what the
 //! concurrency determinism tests and the fuzzer's `--server` oracle
-//! rely on. [`server`] hosts the accept loop, session threads,
+//! rely on; [`protocol::write_frame`] and [`protocol::read_frame`] are
+//! the only code that knows a frame's layout. [`server`] hosts the
+//! session dispatcher ([`Session::dispatch`], also run by the
+//! `starmagic-repl` shell), the accept loop, session threads,
 //! admission gate, and deadline-bounded graceful shutdown; [`client`]
 //! is the matching blocking client (with `BUSY`-retrying
 //! `*_admitted` variants); [`loadgen`] replays the Table-1 suite from
@@ -50,6 +53,6 @@ pub mod slowlog;
 
 pub use client::Client;
 pub use protocol::Response;
-pub use server::{serve, serve_engine, ServerConfig, ServerHandle};
+pub use server::{serve, serve_engine, Flow, ServerConfig, ServerHandle, Session};
 pub use shared::SharedEngine;
 pub use slowlog::{SlowLog, SlowRecord};

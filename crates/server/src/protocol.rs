@@ -1,28 +1,12 @@
 //! The wire protocol: newline-delimited text frames.
 //!
-//! Every request is one line; every response is one or more lines
-//! whose first token says how to read the rest. The codec is lossless
-//! for every [`Value`] the engine can produce — doubles travel as the
-//! hex of their IEEE-754 bits, so a replayed bag compares
-//! byte-identically to an in-process run.
-//!
-//! Requests:
-//!
-//! ```text
-//! QUERY <sql>                 run (plan-cached) with the session strategy
-//! PREPARE <name> <sql>        cache + register a named statement
-//! EXECUTE <name> [<value>..]  run a named statement with bound values
-//! CLOSE <name>                forget a named statement
-//! SET STRATEGY original|magic|cost
-//! SET SLOWLOG <ms>|OFF        arm/disarm the slow-query log threshold
-//! EXPLAIN <sql>               optimizer report (text frame)
-//! ANALYZE <sql>               EXPLAIN ANALYZE (text frame)
-//! CACHE [CLEAR]               plan-cache counters, split by strategy (text frame)
-//! METRICS [JSON]              metrics snapshot: human text, or one JSON line
-//! PING                        liveness check
-//! QUIT                        close this session
-//! SHUTDOWN                    begin graceful server shutdown
-//! ```
+//! Every request is one line: a verb of [`VERBS`] (any case) and its
+//! arguments. Every response is one or more lines whose first token
+//! says how to read the rest; [`write_frame`] writes them and
+//! [`read_frame`] reads them back, and nothing else in the crate knows
+//! their layout. The codec is lossless for every [`Value`] the engine
+//! can produce — doubles travel as the hex of their IEEE-754 bits, so
+//! a replayed bag compares byte-identically to an in-process run.
 //!
 //! Responses:
 //!
@@ -41,7 +25,38 @@
 //! the connection is still good, and an immediate or backed-off retry
 //! is the expected client response ([`crate::Client::request_admitted`]).
 
+use std::fmt::Write;
+
 use starmagic_common::{Error, Result, Row, Value};
+
+/// Every request verb with its synopsis: the text `HELP` answers
+/// with, and how a front end tells a verb from SQL.
+pub const VERBS: &[&str] = &[
+    "QUERY <sql>                 run (plan-cached) with the session strategy",
+    "PREPARE <name> <sql>        cache + register a named statement",
+    "EXECUTE <name> [<value>..]  run a named statement with bound values",
+    "CLOSE <name>                forget a named statement",
+    "SET STRATEGY original|magic|cost",
+    "SET SLOWLOG <ms>|OFF        arm/disarm the slow-query log threshold",
+    "EXPLAIN <sql>               optimizer report (text frame)",
+    "ANALYZE <sql>               EXPLAIN ANALYZE (text frame)",
+    "CACHE [CLEAR]               plan-cache counters, split by strategy (text frame)",
+    "METRICS [JSON]              metrics snapshot: human text, or one JSON line",
+    "CATALOG                     tables with row counts and columns, then views (text frame)",
+    "HELP                        this list (text frame)",
+    "PING                        liveness check",
+    "QUIT                        close this session",
+    "SHUTDOWN                    begin graceful server shutdown",
+];
+
+/// Whether `word` is a request verb (any case).
+pub fn is_verb(word: &str) -> bool {
+    VERBS.iter().any(|v| {
+        v.split(' ')
+            .next()
+            .is_some_and(|w| w.eq_ignore_ascii_case(word))
+    })
+}
 
 /// Escape a string for single-token transport: backslash, whitespace
 /// separators, and the empty string get escape sequences.
@@ -220,10 +235,125 @@ impl Response {
     }
 }
 
-/// Parse the `k=v` tokens of an OK line.
-pub fn ok_info(line: &str) -> Vec<(String, String)> {
-    line.split_whitespace()
-        .skip(1)
+/// Write one reply as its frame (newline-terminated): a result set
+/// as `COLS`, `ROW`s and the `OK rows=… hit=… magic=… epoch=…` line,
+/// an error as its `ERR` line. [`read_frame`] inverts it.
+pub fn write_frame(reply: &Result<Response>) -> String {
+    let mut out = String::new();
+    match reply {
+        Ok(Response::Rows {
+            columns,
+            rows,
+            cache_hit,
+            used_magic,
+            epoch,
+        }) => {
+            let _ = write!(out, "COLS {}", columns.len());
+            for c in columns {
+                out.push(' ');
+                out.push_str(&escape(c));
+            }
+            out.push('\n');
+            for r in rows {
+                out.push_str(&encode_row(r));
+                out.push('\n');
+            }
+            let _ = writeln!(
+                out,
+                "OK rows={} hit={} magic={} epoch={epoch}",
+                rows.len(),
+                u8::from(*cache_hit),
+                u8::from(*used_magic),
+            );
+        }
+        Ok(Response::Ok { info }) => {
+            out.push_str("OK");
+            for (k, v) in info {
+                let _ = write!(out, " {k}={v}");
+            }
+            out.push('\n');
+        }
+        Ok(Response::Text(text)) => {
+            let _ = writeln!(out, "TEXT {}", text.lines().count());
+            for line in text.lines() {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        Ok(Response::Busy(message)) => {
+            let _ = writeln!(out, "BUSY {}", escape(message));
+        }
+        Err(e) => {
+            out.push_str(&encode_error(e));
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// Read one frame written by [`write_frame`], pulling its lines
+/// (without their newline) from `next_line`. An `ERR` frame answers
+/// the error it carries; a failing line source, its own error.
+pub fn read_frame(mut next_line: impl FnMut() -> Result<String>) -> Result<Response> {
+    let first = next_line()?;
+    let (tag, rest) = first.split_once(' ').unwrap_or((first.as_str(), ""));
+    match tag {
+        "OK" => Ok(Response::Ok {
+            info: ok_info(rest),
+        }),
+        "ERR" => Err(decode_error(&first)),
+        "BUSY" => Ok(Response::Busy(
+            unescape(rest).unwrap_or_else(|_| rest.to_string()),
+        )),
+        "TEXT" => {
+            let n: usize = rest
+                .parse()
+                .map_err(|_| Error::internal("bad TEXT frame"))?;
+            let mut text = String::new();
+            for _ in 0..n {
+                text.push_str(&next_line()?);
+                text.push('\n');
+            }
+            Ok(Response::Text(text))
+        }
+        "COLS" => {
+            let columns = (rest.split_whitespace().skip(1))
+                .map(unescape)
+                .collect::<Result<Vec<_>>>()?;
+            let mut rows = Vec::new();
+            loop {
+                let line = next_line()?;
+                if line.starts_with("ROW") {
+                    rows.push(decode_row(&line)?);
+                } else if let Some(rest) = line.strip_prefix("OK") {
+                    let info = ok_info(rest);
+                    let value = |k: &str| info.iter().find(|(key, _)| key == k).map(|(_, v)| v);
+                    return Ok(Response::Rows {
+                        columns,
+                        rows,
+                        cache_hit: value("hit").is_some_and(|v| v == "1"),
+                        used_magic: value("magic").is_some_and(|v| v == "1"),
+                        epoch: value("epoch").and_then(|v| v.parse().ok()).unwrap_or(0),
+                    });
+                } else if line.starts_with("ERR") {
+                    return Err(decode_error(&line));
+                } else {
+                    return Err(Error::internal(format!(
+                        "unexpected frame in result set: {line:?}"
+                    )));
+                }
+            }
+        }
+        _ => Err(Error::internal(format!(
+            "unexpected response frame: {first:?}"
+        ))),
+    }
+}
+
+/// The `k=v` tokens after an OK line's tag.
+fn ok_info(tokens: &str) -> Vec<(String, String)> {
+    tokens
+        .split_whitespace()
         .filter_map(|tok| {
             tok.split_once('=')
                 .map(|(k, v)| (k.to_string(), v.to_string()))

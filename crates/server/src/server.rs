@@ -1,7 +1,10 @@
 //! The TCP service: accept loop, session threads, admission control,
-//! graceful shutdown.
+//! graceful shutdown — and the session dispatcher both front ends run.
 //!
-//! One thread per connection. Queries run against epoch snapshots
+//! [`Session::dispatch`] turns one request line into a [`Response`]
+//! and owns no socket: the TCP session loop here and the REPL's stdin
+//! loop (`starmagic-repl`) both run it. One thread per
+//! connection. Queries run against epoch snapshots
 //! ([`SharedEngine::snapshot`]) so sessions never serialize on the
 //! engine; overload is handled by an admission gate — a bounded
 //! in-flight-query semaphore — that answers `BUSY` (a retryable
@@ -18,6 +21,7 @@
 //! just stops waiting for them).
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,11 +29,12 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use starmagic::{Engine, Strategy};
-use starmagic_common::{Error, Value};
-use starmagic_metrics::{Counter, Gauge, Histogram, Registry};
+use starmagic::{Engine, QueryResult, Strategy};
+use starmagic_common::{Error, Result, Value};
+use starmagic_metrics::{Counter, Gauge, Histogram, Registry, Stopwatch};
+use starmagic_trace::Span;
 
-use crate::protocol::{decode_value, encode_error, encode_row, escape};
+use crate::protocol::{decode_value, write_frame, Response, VERBS};
 use crate::shared::SharedEngine;
 use crate::slowlog::{SlowLog, SlowRecord};
 
@@ -123,8 +128,8 @@ struct ServerMetrics {
 }
 
 impl ServerMetrics {
-    fn new(registry: Registry) -> Arc<ServerMetrics> {
-        Arc::new(ServerMetrics {
+    fn new(registry: Registry) -> ServerMetrics {
+        ServerMetrics {
             sessions_opened: registry.counter("server.sessions_opened"),
             sessions_refused: registry.counter("server.sessions_refused"),
             sessions_active: registry.gauge("server.sessions_active"),
@@ -141,7 +146,7 @@ impl ServerMetrics {
             drain_abandoned: registry.counter("server.drain_abandoned"),
             slowlog_records: registry.counter("server.slowlog.records"),
             registry,
-        })
+        }
     }
 
     /// Count one dispatched command under `server.cmd.<verb>`. The
@@ -203,19 +208,10 @@ struct AdmissionGate {
 }
 
 impl AdmissionGate {
-    fn new(max: usize, wait: Duration) -> Arc<AdmissionGate> {
-        Arc::new(AdmissionGate {
-            inflight: Mutex::new(0),
-            freed: Condvar::new(),
-            max: max.max(1),
-            wait,
-        })
-    }
-
     /// Acquire a permit, waiting up to the configured bound. `None`
     /// means the server is saturated and the caller should answer
     /// `BUSY`. The gauge tracks held permits (with peak).
-    fn admit(self: &Arc<AdmissionGate>, gauge: &Gauge) -> Option<AdmissionPermit> {
+    fn admit<'a>(&'a self, gauge: &'a Gauge) -> Option<AdmissionPermit<'a>> {
         let mut n = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
         let deadline = Instant::now() + self.wait;
         while *n >= self.max {
@@ -232,21 +228,18 @@ impl AdmissionGate {
         *n += 1;
         drop(n);
         gauge.inc();
-        Some(AdmissionPermit {
-            gate: Arc::clone(self),
-            gauge: gauge.clone(),
-        })
+        Some(AdmissionPermit { gate: self, gauge })
     }
 }
 
 /// RAII permit: releases the admission slot (and wakes one waiter)
 /// however the gated command ends.
-struct AdmissionPermit {
-    gate: Arc<AdmissionGate>,
-    gauge: Gauge,
+struct AdmissionPermit<'a> {
+    gate: &'a AdmissionGate,
+    gauge: &'a Gauge,
 }
 
-impl Drop for AdmissionPermit {
+impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
         let mut n = self
             .gate
@@ -304,9 +297,10 @@ pub fn serve(engine: SharedEngine, addr: &str, cfg: ServerConfig) -> io::Result<
     let local = listener.local_addr()?;
     let shutdown = Arc::new(ShutdownSignal::new(local));
     let flag = Arc::clone(&shutdown);
+    let shared = Arc::new(Shared::new(engine, &cfg));
     let accept = std::thread::Builder::new()
         .name("starmagic-accept".to_string())
-        .spawn(move || accept_loop(&listener, &engine, &flag, &cfg))?;
+        .spawn(move || accept_loop(&listener, &shared, &flag, cfg.drain_deadline))?;
     Ok(ServerHandle {
         addr: local,
         shutdown,
@@ -316,40 +310,31 @@ pub fn serve(engine: SharedEngine, addr: &str, cfg: ServerConfig) -> io::Result<
 
 fn accept_loop(
     listener: &TcpListener,
-    engine: &SharedEngine,
+    shared: &Arc<Shared>,
     shutdown: &Arc<ShutdownSignal>,
-    cfg: &ServerConfig,
+    drain_deadline: Duration,
 ) {
-    let metrics = ServerMetrics::new(cfg.metrics.clone());
-    metrics.epoch.set(engine.epoch());
-    let gate = AdmissionGate::new(cfg.max_inflight, cfg.admission_wait);
+    let metrics = &shared.metrics;
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     loop {
         if shutdown.requested() {
             break;
         }
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok((mut stream, _)) => {
                 if shutdown.requested() {
                     metrics.sessions_refused.inc();
-                    refuse(stream, "server is shutting down");
+                    let refusal = write_frame(&Err(Error::execution("server is shutting down")));
+                    let _ = stream.write_all(refusal.as_bytes());
                     break;
                 }
                 metrics.sessions_opened.inc();
                 metrics.sessions_active.inc();
-                let engine = engine.clone();
+                let session = Session::attach(Arc::clone(shared));
                 let flag = Arc::clone(shutdown);
-                let gate = Arc::clone(&gate);
-                let session_metrics = Arc::clone(&metrics);
-                let slowlog = cfg.slowlog.clone();
                 let spawned = std::thread::Builder::new()
                     .name("starmagic-session".to_string())
-                    .spawn(move || {
-                        let _guard = SessionGuard {
-                            gauge: session_metrics.sessions_active.clone(),
-                        };
-                        Session::new(engine, flag, gate, session_metrics, slowlog).run(stream);
-                    });
+                    .spawn(move || serve_session(session, stream, &flag));
                 match spawned {
                     Ok(h) => sessions.push(h),
                     Err(_) => metrics.sessions_active.dec(),
@@ -369,7 +354,7 @@ fn accept_loop(
     // deadline is abandoned — it still completes its request and
     // exits on its own, but shutdown no longer waits for it.
     let drain = metrics.registry.stopwatch();
-    let deadline = Instant::now() + cfg.drain_deadline;
+    let deadline = Instant::now() + drain_deadline;
     loop {
         sessions.retain(|h| !h.is_finished());
         if sessions.is_empty() || Instant::now() >= deadline {
@@ -382,19 +367,49 @@ fn accept_loop(
     metrics.drain_us.stop(&drain);
 }
 
-/// Decrements the live-session gauge however the session ends.
-struct SessionGuard {
-    gauge: Gauge,
-}
-
-impl Drop for SessionGuard {
-    fn drop(&mut self) {
-        self.gauge.dec();
+/// The TCP loop of one session: read a line, dispatch it, write its
+/// frame. Byte counters and the shutdown trigger are wire work and
+/// live here, not in the dispatcher.
+fn serve_session(mut session: Session, mut stream: TcpStream, shutdown: &ShutdownSignal) {
+    let shared = Arc::clone(&session.shared);
+    let metrics = &shared.metrics;
+    // Decrements the live-session gauge however the session ends.
+    struct Live<'a>(&'a Gauge);
+    impl Drop for Live<'_> {
+        fn drop(&mut self) {
+            self.0.dec();
+        }
     }
-}
-
-fn refuse(mut stream: TcpStream, why: &str) {
-    let _ = stream.write_all(format!("ERR Execution {}\n", escape(why)).as_bytes());
+    let _live = Live(&metrics.sessions_active);
+    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
+        return;
+    }
+    let mut reader = LineReader::new();
+    loop {
+        match reader.read_line(&mut stream) {
+            ReadOutcome::TimedOut => {
+                if shutdown.requested() {
+                    return;
+                }
+            }
+            ReadOutcome::Closed => return,
+            ReadOutcome::Line(line) => {
+                let line = line.trim();
+                if line.is_empty() {
+                    continue;
+                }
+                metrics.bytes_in.add(line.len() as u64 + 1);
+                let (frame, flow) = session.dispatch_into(line, |reply| write_frame(&reply));
+                metrics.bytes_out.add(frame.len() as u64);
+                if flow == Flow::Shutdown {
+                    shutdown.trigger();
+                }
+                if stream.write_all(frame.as_bytes()).is_err() || flow != Flow::Continue {
+                    return;
+                }
+            }
+        }
+    }
 }
 
 /// Timeout-tolerant line reader: a partial line interrupted by the
@@ -439,6 +454,96 @@ impl LineReader {
     }
 }
 
+/// What a session's front end does after writing a reply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Read the next request.
+    Continue,
+    /// End this session (`QUIT`).
+    Close,
+    /// End this session and begin a graceful server shutdown
+    /// (`SHUTDOWN`).
+    Shutdown,
+}
+
+/// What every session of one server shares: the engine, the
+/// admission gate, the wire-level instruments and the slow log.
+struct Shared {
+    engine: SharedEngine,
+    gate: AdmissionGate,
+    /// Wire-level instruments (noop when metrics are off).
+    metrics: ServerMetrics,
+    /// The slow-query log, when configured.
+    slowlog: Option<Arc<SlowLog>>,
+}
+
+impl Shared {
+    fn new(engine: SharedEngine, cfg: &ServerConfig) -> Shared {
+        let metrics = ServerMetrics::new(cfg.metrics.clone());
+        metrics.epoch.set(engine.epoch());
+        Shared {
+            engine,
+            gate: AdmissionGate {
+                inflight: Mutex::new(0),
+                freed: Condvar::new(),
+                max: cfg.max_inflight.max(1),
+                wait: cfg.admission_wait,
+            },
+            metrics,
+            slowlog: cfg.slowlog.clone(),
+        }
+    }
+
+    /// The slow log's clock for one request: started only while the
+    /// log is armed (it works with the metrics registry off, and
+    /// disarmed costs one atomic load).
+    fn slow_clock(&self) -> Option<Instant> {
+        self.slowlog
+            .as_ref()
+            .filter(|log| log.active())
+            .map(|_| Instant::now())
+    }
+
+    /// Write one slow-query record for a request whose clock ran past
+    /// the threshold. A failed write drops telemetry, never the query.
+    fn note_slow(
+        &self,
+        clock: Option<Instant>,
+        strategy: Strategy,
+        key: &str,
+        cache_hit: bool,
+        rows: usize,
+        spans: &[Span],
+    ) {
+        let (Some(started), Some(log)) = (clock, &self.slowlog) else {
+            return;
+        };
+        let duration_us = micros(started.elapsed());
+        if !log.should_log(duration_us) {
+            return;
+        }
+        let record = SlowRecord {
+            // The key is `strategy|params|normalized sql` — keep only
+            // the parameterized text.
+            sql: key.splitn(3, '|').nth(2).unwrap_or(key).to_string(),
+            strategy: starmagic::strategy_token(strategy).to_string(),
+            cache_hit,
+            rows: rows as u64,
+            duration_us,
+            spans: (spans.iter())
+                .map(|s| (s.name.clone(), micros(s.elapsed)))
+                .collect(),
+        };
+        if log.log(&record).is_ok() {
+            self.metrics.slowlog_records.inc();
+        }
+    }
+}
+
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
 /// A prepared statement: its text, and the plan it resolved to with the
 /// literals the normalizer extracted, under the strategy it was
 /// resolved for.
@@ -449,458 +554,331 @@ struct Statement {
     extracted: Vec<Value>,
 }
 
-/// Per-connection state.
-struct Session {
-    engine: SharedEngine,
-    shutdown: Arc<ShutdownSignal>,
-    gate: Arc<AdmissionGate>,
+/// One session's state and its dispatcher: the request line in, the
+/// [`Response`] out.
+pub struct Session {
+    shared: Arc<Shared>,
     strategy: Strategy,
     /// Named prepared statements, each holding its plan. A plan is run
     /// only at the epoch it was built for; after a DDL the statement
     /// resolves again through the shared plan cache, so a session never
     /// runs a stale plan.
     statements: HashMap<String, Statement>,
-    /// Shared wire-level instruments (noop when metrics are off).
-    metrics: Arc<ServerMetrics>,
-    /// Shared slow-query log, when configured.
-    slowlog: Option<Arc<SlowLog>>,
 }
 
 impl Session {
-    fn new(
-        engine: SharedEngine,
-        shutdown: Arc<ShutdownSignal>,
-        gate: Arc<AdmissionGate>,
-        metrics: Arc<ServerMetrics>,
-        slowlog: Option<Arc<SlowLog>>,
-    ) -> Session {
+    /// A session of its own over `engine`, outside any listener (the
+    /// REPL's): its own admission gate, instruments and slow log, as
+    /// `cfg` sets them.
+    pub fn new(engine: SharedEngine, cfg: &ServerConfig) -> Session {
+        Session::attach(Arc::new(Shared::new(engine, cfg)))
+    }
+
+    fn attach(shared: Arc<Shared>) -> Session {
         Session {
-            engine,
-            shutdown,
-            gate,
+            shared,
             strategy: Strategy::CostBased,
             statements: HashMap::new(),
-            metrics,
-            slowlog,
         }
     }
 
-    fn run(mut self, mut stream: TcpStream) {
-        if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-            return;
-        }
-        let mut reader = LineReader::new();
-        loop {
-            match reader.read_line(&mut stream) {
-                ReadOutcome::TimedOut => {
-                    if self.shutdown.requested() {
-                        return;
-                    }
-                }
-                ReadOutcome::Closed => return,
-                ReadOutcome::Line(line) => {
-                    let line = line.trim().to_string();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    self.metrics.bytes_in.add(line.len() as u64 + 1);
-                    let sw = self.metrics.registry.stopwatch();
-                    let (reply, quit) = self.dispatch(&line);
-                    self.metrics.command_us.stop(&sw);
-                    self.metrics.bytes_out.add(reply.len() as u64);
-                    if reply.starts_with("ERR ") {
-                        self.metrics.errors.inc();
-                    }
-                    if stream.write_all(reply.as_bytes()).is_err() || quit {
-                        return;
-                    }
-                }
-            }
-        }
+    /// Handle one request line: the reply, and what the front end does
+    /// next.
+    pub fn dispatch(&mut self, line: &str) -> (Result<Response>, Flow) {
+        self.dispatch_into(line, |reply| reply)
     }
 
-    /// Acquire an admission permit for a gated (query-executing)
-    /// command, or the `BUSY` frame to answer instead.
-    fn admit(&self) -> Result<AdmissionPermit, String> {
-        match self.gate.admit(&self.metrics.admission_inflight) {
-            Some(permit) => {
-                self.metrics.admission_admitted.inc();
-                Ok(permit)
-            }
-            None => {
-                self.metrics.admission_busy.inc();
-                Err(format!(
-                    "BUSY {}\n",
-                    escape(&format!(
-                        "server saturated ({} in-flight queries); retry",
-                        self.gate.max
-                    ))
-                ))
-            }
-        }
-    }
-
-    /// Handle one request; returns the full response text (newline
-    /// terminated) and whether the session should close.
-    fn dispatch(&mut self, line: &str) -> (String, bool) {
+    /// [`Session::dispatch`], handing the reply to `render` while the
+    /// command's clocks still run: `server.command_us` and
+    /// `server.query_us` cover encoding the reply and dropping its
+    /// rows, as the client that waits for the frame sees them.
+    fn dispatch_into<T>(
+        &mut self,
+        line: &str,
+        render: impl FnOnce(Result<Response>) -> T,
+    ) -> (T, Flow) {
+        let shared = Arc::clone(&self.shared);
+        let sw = shared.metrics.registry.stopwatch();
         let (verb, rest) = split_word(line);
         let verb_upper = verb.to_ascii_uppercase();
-        self.metrics.note_command(&verb_upper);
-        match verb_upper.as_str() {
-            "PING" => ("OK\n".to_string(), false),
-            "QUIT" => ("OK\n".to_string(), true),
-            "SHUTDOWN" => {
-                self.shutdown.trigger();
-                ("OK\n".to_string(), true)
+        shared.metrics.note_command(&verb_upper);
+        let mut flow = Flow::Continue;
+        let mut query_clock = None;
+        let reply = match verb_upper.as_str() {
+            "PING" => Ok(done()),
+            "QUIT" => {
+                flow = Flow::Close;
+                Ok(done())
             }
-            "SET" => (self.set(rest), false),
+            "SHUTDOWN" => {
+                flow = Flow::Shutdown;
+                Ok(done())
+            }
+            "SET" => self.set(rest),
             // The query-executing verbs pass the admission gate;
             // saturation answers a retryable BUSY frame.
-            "QUERY" | "EXECUTE" | "ANALYZE" => {
-                let permit = match self.admit() {
-                    Ok(p) => p,
-                    Err(busy) => return (busy, false),
-                };
-                let reply = match verb_upper.as_str() {
-                    "QUERY" => {
-                        let sw = self.metrics.registry.stopwatch();
-                        let reply = self.query(rest);
-                        self.metrics.query_us.stop(&sw);
-                        reply
-                    }
-                    "EXECUTE" => {
-                        let sw = self.metrics.registry.stopwatch();
-                        let reply = self.execute(rest);
-                        self.metrics.query_us.stop(&sw);
-                        reply
-                    }
-                    _ => self.text_frame(self.engine.snapshot().explain_analyze(rest)),
-                };
-                drop(permit);
-                (reply, false)
-            }
-            "PREPARE" => (self.prepare(rest), false),
-            "METRICS" => (self.metrics_cmd(rest), false),
+            "QUERY" => self.admitted(Some(&mut query_clock), |s| s.query(rest)),
+            "EXECUTE" => self.admitted(Some(&mut query_clock), |s| s.execute(rest)),
+            "ANALYZE" => self.admitted(None, |s| {
+                s.shared
+                    .engine
+                    .snapshot()
+                    .explain_analyze(rest)
+                    .map(Response::Text)
+            }),
+            "PREPARE" => self.prepare(rest),
             "CLOSE" => {
                 let name = rest.trim();
-                if self.statements.remove(name).is_some() {
-                    ("OK\n".to_string(), false)
-                } else {
-                    (
-                        err_line(&Error::NotFound(format!("prepared statement {name}"))),
-                        false,
-                    )
+                match self.statements.remove(name) {
+                    Some(_) => Ok(done()),
+                    None => Err(Error::NotFound(format!("prepared statement {name}"))),
                 }
             }
-            "EXPLAIN" => (self.text_frame(self.engine.snapshot().explain(rest)), false),
-            "CACHE" => (self.cache(rest), false),
-            _ => (
-                err_line(&Error::unsupported(format!("unknown command {verb}"))),
-                false,
-            ),
+            "EXPLAIN" => shared.engine.snapshot().explain(rest).map(Response::Text),
+            "CACHE" => Ok(self.cache(rest)),
+            "METRICS" => self.metrics(rest),
+            "CATALOG" => Ok(catalog(&shared.engine.snapshot())),
+            "HELP" => Ok(Response::Text(VERBS.join("\n"))),
+            _ => Err(Error::unsupported(format!("unknown command {verb}"))),
+        };
+        if reply.is_err() {
+            shared.metrics.errors.inc();
         }
+        let rendered = render(reply);
+        if let Some(clock) = &query_clock {
+            shared.metrics.query_us.stop(clock);
+        }
+        shared.metrics.command_us.stop(&sw);
+        (rendered, flow)
     }
 
-    fn set(&mut self, rest: &str) -> String {
+    /// Run a query-executing command under an admission permit, or
+    /// answer `BUSY` without running it. `clock`, when given, is
+    /// started once the permit is held.
+    fn admitted(
+        &mut self,
+        clock: Option<&mut Option<Stopwatch>>,
+        run: impl FnOnce(&mut Session) -> Result<Response>,
+    ) -> Result<Response> {
+        let shared = Arc::clone(&self.shared);
+        let metrics = &shared.metrics;
+        let Some(_permit) = shared.gate.admit(&metrics.admission_inflight) else {
+            metrics.admission_busy.inc();
+            return Ok(Response::Busy(format!(
+                "server saturated ({} in-flight queries); retry",
+                shared.gate.max
+            )));
+        };
+        metrics.admission_admitted.inc();
+        if let Some(clock) = clock {
+            *clock = Some(metrics.registry.stopwatch());
+        }
+        run(self)
+    }
+
+    fn set(&mut self, rest: &str) -> Result<Response> {
         let (what, value) = split_word(rest);
         match what.to_ascii_uppercase().as_str() {
-            "STRATEGY" => match value.trim().to_ascii_lowercase().parse() {
-                Ok(strategy) => {
-                    self.strategy = strategy;
-                    "OK\n".to_string()
-                }
-                Err(e) => err_line(&e),
-            },
+            "STRATEGY" => {
+                self.strategy = value.trim().to_ascii_lowercase().parse()?;
+            }
             "SLOWLOG" => {
-                let Some(log) = &self.slowlog else {
-                    return err_line(&Error::unsupported(
+                let Some(log) = &self.shared.slowlog else {
+                    return Err(Error::unsupported(
                         "slow-query log not configured (start the server with --slowlog-path)",
                     ));
                 };
                 let v = value.trim();
                 if v.eq_ignore_ascii_case("off") {
                     log.set_threshold_ms(None);
-                    return "OK\n".to_string();
-                }
-                match v.parse::<u64>() {
-                    Ok(ms) => {
-                        log.set_threshold_ms(Some(ms));
-                        "OK\n".to_string()
-                    }
-                    Err(_) => err_line(&Error::unsupported(
-                        "SET SLOWLOG needs a millisecond threshold or OFF",
-                    )),
+                } else {
+                    let ms = v.parse::<u64>().map_err(|_| {
+                        Error::unsupported("SET SLOWLOG needs a millisecond threshold or OFF")
+                    })?;
+                    log.set_threshold_ms(Some(ms));
                 }
             }
-            other => err_line(&Error::unsupported(format!("unknown setting {other}"))),
+            other => return Err(Error::unsupported(format!("unknown setting {other}"))),
         }
+        Ok(done())
     }
 
     /// `METRICS` (human text) / `METRICS JSON` (one `trace::json`
     /// line). Built from the *server's* registry — which
     /// [`serve_engine`] shares with the engine, so one document
     /// covers every layer — plus the engine's plan-cache counters
-    /// (total, per strategy, and per shard).
-    fn metrics_cmd(&self, rest: &str) -> String {
-        let engine = self.engine.snapshot();
+    /// (total and per strategy).
+    fn metrics(&self, rest: &str) -> Result<Response> {
+        let engine = self.shared.engine.snapshot();
         let total = engine.cache_stats();
         let by_strategy = engine.cache_stats_by_strategy();
         let entries = engine.cache_len();
-        let shards = engine.cache_shard_stats();
         drop(engine);
-        let reg = &self.metrics.registry;
+        let reg = &self.shared.metrics.registry;
         let arg = rest.trim();
-        if arg.eq_ignore_ascii_case("json") {
-            let doc = starmagic::metrics::report_json(
+        let text = if arg.eq_ignore_ascii_case("json") {
+            starmagic::metrics::report_json(
                 &reg.snapshot(),
                 !reg.is_noop(),
                 total,
                 &by_strategy,
                 entries,
-                &shards,
-            );
-            self.text_frame(Ok(doc.to_string()))
+            )
+            .to_string()
         } else if arg.is_empty() {
-            let report =
-                starmagic::metrics::report_text(&reg.snapshot(), total, &by_strategy, entries);
-            self.text_frame(Ok(report))
+            starmagic::metrics::report_text(&reg.snapshot(), total, &by_strategy, entries)
         } else {
-            err_line(&Error::unsupported("usage: METRICS [JSON]"))
-        }
+            return Err(Error::unsupported("usage: METRICS [JSON]"));
+        };
+        Ok(Response::Text(text))
     }
 
-    fn query(&mut self, sql: &str) -> String {
+    fn query(&mut self, sql: &str) -> Result<Response> {
         let sql = sql.trim();
         if sql.is_empty() {
-            return err_line(&Error::unsupported("QUERY needs SQL text"));
+            return Err(Error::unsupported("QUERY needs SQL text"));
         }
+        let shared = &self.shared;
         if is_ddl(sql) {
             // Catalog mutation: clone-mutate-swap, serialized against
             // other DDL, never blocking readers.
-            return match self.engine.run_ddl(sql) {
-                Ok((result, epoch)) => {
-                    self.metrics.epoch.set(epoch);
-                    match result {
-                        None => format!("OK rows=0 epoch={epoch}\n"),
-                        Some(r) => rows_frame(&r.columns, &r.rows, false, r.used_magic, epoch),
-                    }
-                }
-                Err(e) => err_line(&e),
-            };
+            let (result, epoch) = shared.engine.run_ddl(sql)?;
+            shared.metrics.epoch.set(epoch);
+            return Ok(match result {
+                None => Response::Ok {
+                    info: vec![
+                        ("rows".to_string(), "0".to_string()),
+                        ("epoch".to_string(), epoch.to_string()),
+                    ],
+                },
+                Some(r) => rows(r, false, epoch),
+            });
         }
-        // The slow log takes its own clock so it works even with the
-        // metrics registry off; inactive, it costs one atomic load.
-        let slow = self
-            .slowlog
-            .as_ref()
-            .filter(|log| log.active())
-            .map(|log| (Arc::clone(log), Instant::now()));
+        let clock = shared.slow_clock();
         // The whole query — plan-cache lookup, optimization, execution
         // — runs against this one snapshot: one consistent catalog at
         // one epoch, no engine lock held.
-        let engine = self.engine.snapshot();
-        match engine.query_cached_traced(sql, self.strategy) {
-            Ok(c) => {
-                if let Some((log, started)) = slow {
-                    let duration_us =
-                        u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    if log.should_log(duration_us) {
-                        self.note_slow(&log, &c, duration_us);
-                    }
-                }
-                rows_frame(
-                    &c.result.columns,
-                    &c.result.rows,
-                    c.hit,
-                    c.result.used_magic,
-                    engine.epoch(),
-                )
-            }
-            Err(e) => err_line(&e),
-        }
+        let engine = shared.engine.snapshot();
+        let c = engine.query_cached_traced(sql, self.strategy)?;
+        let spans = c.trace.spans();
+        shared.note_slow(
+            clock,
+            self.strategy,
+            &c.key,
+            c.hit,
+            c.result.rows.len(),
+            spans,
+        );
+        Ok(rows(c.result, c.hit, engine.epoch()))
     }
 
-    /// Write one slow-query record; a failed write drops telemetry,
-    /// never the query.
-    fn note_slow(&self, log: &SlowLog, c: &starmagic::CachedQuery, duration_us: u64) {
-        let record = SlowRecord {
-            // The key is `strategy|params|normalized sql` — keep only
-            // the parameterized text.
-            sql: c.key.splitn(3, '|').nth(2).unwrap_or(&c.key).to_string(),
-            strategy: starmagic::strategy_token(self.strategy).to_string(),
-            cache_hit: c.hit,
-            rows: c.result.rows.len() as u64,
-            duration_us,
-            spans: c
-                .trace
-                .spans()
-                .iter()
-                .map(|s| {
-                    let us = u64::try_from(s.elapsed.as_micros()).unwrap_or(u64::MAX);
-                    (s.name.clone(), us)
-                })
-                .collect(),
-        };
-        if log.log(&record).is_ok() {
-            self.metrics.slowlog_records.inc();
-        }
-    }
-
-    fn prepare(&mut self, rest: &str) -> String {
+    fn prepare(&mut self, rest: &str) -> Result<Response> {
         let (name, sql) = split_word(rest);
         let sql = sql.trim();
         if name.is_empty() || sql.is_empty() {
-            return err_line(&Error::unsupported("usage: PREPARE <name> <sql>"));
+            return Err(Error::unsupported("usage: PREPARE <name> <sql>"));
         }
         // Resolve (and warm the shared cache) now: EXECUTE runs the
         // held plan while it is current.
-        let engine = self.engine.snapshot();
-        match engine.prepare_cached(sql, self.strategy) {
-            Ok((plan, extracted, _)) => {
-                let params = plan.user_params;
-                let statement = Statement {
-                    sql: sql.to_string(),
-                    strategy: self.strategy,
-                    plan,
-                    extracted,
-                };
-                self.statements.insert(name.to_string(), statement);
-                format!("OK params={params}\n")
-            }
-            Err(e) => err_line(&e),
-        }
+        let (plan, extracted, _) =
+            (self.shared.engine.snapshot()).prepare_cached(sql, self.strategy)?;
+        let params = plan.user_params;
+        let statement = Statement {
+            sql: sql.to_string(),
+            strategy: self.strategy,
+            plan,
+            extracted,
+        };
+        self.statements.insert(name.to_string(), statement);
+        Ok(Response::Ok {
+            info: vec![("params".to_string(), params.to_string())],
+        })
     }
 
-    fn execute(&mut self, rest: &str) -> String {
+    fn execute(&mut self, rest: &str) -> Result<Response> {
         let (name, args_text) = split_word(rest);
         let Some(statement) = self.statements.get_mut(name) else {
-            return err_line(&Error::NotFound(format!("prepared statement {name}")));
+            return Err(Error::NotFound(format!("prepared statement {name}")));
         };
-        let mut args: Vec<Value> = Vec::new();
-        for tok in args_text.split_whitespace() {
-            match decode_value(tok) {
-                Ok(v) => args.push(v),
-                Err(e) => return err_line(&e),
-            }
-        }
-        let slow = self
-            .slowlog
-            .as_ref()
-            .filter(|log| log.active())
-            .map(|log| (Arc::clone(log), Instant::now()));
+        let args = (args_text.split_whitespace())
+            .map(decode_value)
+            .collect::<Result<Vec<Value>>>()?;
+        let shared = &self.shared;
+        let clock = shared.slow_clock();
         // The held plan runs only against a snapshot of the epoch it was
         // built for (and under the strategy it was built for), counted
         // as the cache hit a lookup would have been; otherwise it is
         // resolved again on this snapshot, exactly as a QUERY would be.
-        let engine = self.engine.snapshot();
+        let engine = shared.engine.snapshot();
         let hit = if statement.strategy == self.strategy
             && engine.reuse_cached(&statement.plan, self.strategy)
         {
             true
         } else {
-            match engine.prepare_cached(&statement.sql, self.strategy) {
-                Ok((plan, extracted, hit)) => {
-                    statement.strategy = self.strategy;
-                    statement.plan = plan;
-                    statement.extracted = extracted;
-                    hit
-                }
-                Err(e) => return err_line(&e),
-            }
+            let (plan, extracted, hit) = engine.prepare_cached(&statement.sql, self.strategy)?;
+            statement.strategy = self.strategy;
+            statement.plan = plan;
+            statement.extracted = extracted;
+            hit
         };
-        let plan = &statement.plan;
-        match engine.execute_cached(plan, &args, &statement.extracted) {
-            Ok(r) => {
-                if let Some((log, started)) = slow {
-                    let duration_us =
-                        u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    if log.should_log(duration_us) {
-                        // EXECUTE has no trace sink: record
-                        // the cached plan's key without spans.
-                        let record = SlowRecord {
-                            sql: plan
-                                .key
-                                .splitn(3, '|')
-                                .nth(2)
-                                .unwrap_or(&plan.key)
-                                .to_string(),
-                            strategy: starmagic::strategy_token(self.strategy).to_string(),
-                            cache_hit: hit,
-                            rows: r.rows.len() as u64,
-                            duration_us,
-                            spans: Vec::new(),
-                        };
-                        if log.log(&record).is_ok() {
-                            self.metrics.slowlog_records.inc();
-                        }
-                    }
-                }
-                rows_frame(&r.columns, &r.rows, hit, r.used_magic, engine.epoch())
-            }
-            Err(e) => err_line(&e),
-        }
+        let r = engine.execute_cached(&statement.plan, &args, &statement.extracted)?;
+        // EXECUTE has no trace sink: the record carries no spans.
+        shared.note_slow(
+            clock,
+            self.strategy,
+            &statement.plan.key,
+            hit,
+            r.rows.len(),
+            &[],
+        );
+        Ok(rows(r, hit, engine.epoch()))
     }
 
-    fn cache(&mut self, rest: &str) -> String {
-        let engine = self.engine.snapshot();
+    fn cache(&mut self, rest: &str) -> Response {
+        let engine = self.shared.engine.snapshot();
         if rest.trim().eq_ignore_ascii_case("clear") {
             engine.cache_clear();
         }
-        let report = starmagic::explain::render_cache_by_strategy(
+        Response::Text(starmagic::explain::render_cache_by_strategy(
             engine.cache_stats(),
             &engine.cache_stats_by_strategy(),
             engine.cache_len(),
-        );
-        self.text_frame(Ok(report))
+        ))
     }
+}
 
-    fn text_frame(&self, text: starmagic_common::Result<String>) -> String {
-        match text {
-            Ok(t) => {
-                let lines: Vec<&str> = t.lines().collect();
-                let mut out = format!("TEXT {}\n", lines.len());
-                for l in &lines {
-                    out.push_str(l);
-                    out.push('\n');
-                }
-                out
-            }
-            Err(e) => err_line(&e),
+/// A bare `OK`.
+fn done() -> Response {
+    Response::Ok { info: Vec::new() }
+}
+
+/// A result as its `Rows` reply, rows and columns moved, not copied.
+fn rows(r: QueryResult, cache_hit: bool, epoch: u64) -> Response {
+    Response::Rows {
+        columns: r.columns,
+        rows: r.rows,
+        cache_hit,
+        used_magic: r.used_magic,
+        epoch,
+    }
+}
+
+/// `CATALOG`: every table with its row count and columns, then every
+/// view.
+fn catalog(engine: &Engine) -> Response {
+    let catalog = engine.catalog();
+    let mut out = String::from("tables:\n");
+    for name in catalog.table_names() {
+        if let Ok(t) = catalog.table(name) {
+            let columns = t.schema().column_names().join(", ");
+            let _ = writeln!(out, "  {name} ({} rows): {columns}", t.row_count());
         }
     }
-}
-
-fn rows_frame(
-    columns: &[String],
-    rows: &[starmagic_common::Row],
-    hit: bool,
-    magic: bool,
-    epoch: u64,
-) -> String {
-    let mut out = format!("COLS {}", columns.len());
-    for c in columns {
-        out.push(' ');
-        out.push_str(&escape(c));
+    out.push_str("views:\n");
+    for name in catalog.view_names() {
+        let _ = writeln!(out, "  {name}");
     }
-    out.push('\n');
-    for r in rows {
-        out.push_str(&encode_row(r));
-        out.push('\n');
-    }
-    out.push_str(&format!(
-        "OK rows={} hit={} magic={} epoch={}\n",
-        rows.len(),
-        u8::from(hit),
-        u8::from(magic),
-        epoch
-    ));
-    out
-}
-
-fn err_line(e: &Error) -> String {
-    let mut line = encode_error(e);
-    line.push('\n');
-    line
+    Response::Text(out)
 }
 
 /// First whitespace-delimited word and the remainder.

@@ -10,7 +10,7 @@
 //! shared with the current snapshot, not copied), and swaps the clone
 //! in *only on success*, with its catalog epoch bumped. In-flight
 //! queries keep their pre-DDL snapshot and finish against a
-//! consistent catalog at the old epoch; the sharded plan cache
+//! consistent catalog at the old epoch; the shared plan cache
 //! refuses their stale inserts by epoch pinning.
 //!
 //! Lock poisoning is tolerated: the locks only guard an `Arc` swap,
@@ -40,8 +40,8 @@ struct SharedInner {
 
 // The server hands `SharedEngine` to one thread per connection; this
 // is the single point that demands `Engine: Send + Sync` (table
-// batches and indexes are `Arc`-shared, the plan cache is
-// lock-sharded internally).
+// batches and indexes are `Arc`-shared, the plan cache sits behind
+// its own mutex).
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Engine>();
